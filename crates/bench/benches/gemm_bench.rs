@@ -16,6 +16,10 @@
 //! inside `summit_pool::with_core_budget`, whose drop-guard restore
 //! guarantees one configuration can never leak its budget into the next —
 //! even if an iteration panics (regression-tested in `summit-pool`).
+//! A `step_shapes` block adds the shapes a training or serving step
+//! actually issues (`m × k × n` = 64×1024×1024, 2×1024×1024, 16×512×512;
+//! one thread, f32, each variant on its own operand layout), where the
+//! per-call pack and the skinny `m` weigh far more than at 512³.
 //! Headline 512³ numbers feed the committed perf trajectory via
 //! `summit_bench::harness` (append gated behind `SUMMIT_BENCH_RECORD=1`),
 //! and `src/bin/gemm_gate.rs` enforces the floor / no-regression contract
@@ -33,14 +37,22 @@ use summit_tensor::{simd, Matrix, Precision};
 /// The paper-scale shapes: square m = k = n.
 const SHAPES: [usize; 3] = [128, 256, 512];
 
-fn square(n: usize, seed: u64) -> Matrix {
-    let data = (0..n * n)
+/// `(m, k, n)` of the products one step issues per layer: the benchmark's
+/// `train_compute` and `train_sync` hidden layers and a served batch of 16.
+const STEP_SHAPES: [(usize, usize, usize); 3] = [(64, 1024, 1024), (2, 1024, 1024), (16, 512, 512)];
+
+fn filled(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let data = (0..rows * cols)
         .map(|i| {
             let v = seed.wrapping_add(i as u64).wrapping_mul(2654435761) % 29;
             v as f32 * 0.37 - 4.0
         })
         .collect();
-    Matrix::from_vec(n, n, data)
+    Matrix::from_vec(rows, cols, data)
+}
+
+fn square(n: usize, seed: u64) -> Matrix {
+    filled(n, n, seed)
 }
 
 /// The pre-pool `Matrix::matmul`, kept verbatim as the in-bench baseline:
@@ -150,6 +162,9 @@ fn time_best(iters: usize, mut f: impl FnMut()) -> f64 {
 /// Base clock of the host CPU in GHz, for the roofline ceiling:
 /// `SUMMIT_CPU_GHZ` overrides, else the `@ X.XXGHz` suffix of the
 /// `/proc/cpuinfo` model name, else the live `cpu MHz` line, else 2.0.
+/// On a host that boosts above its nominal clock, set `SUMMIT_CPU_GHZ` to
+/// the clock it sustains before recording a trajectory row, or the row's
+/// percentages pass 100 and a runner that does not boost fails the gate.
 fn cpu_ghz() -> f64 {
     if let Some(g) = std::env::var("SUMMIT_CPU_GHZ")
         .ok()
@@ -293,6 +308,35 @@ fn write_summary(smoke: bool) {
         });
     }
 
+    // The step shapes, as a layer's forward (`x·W`), weight-gradient
+    // (`xᵀ·dy`) and input-gradient (`dy·Wᵀ`) products, on one thread — the
+    // budget a rank of a data-parallel world on this host computes under.
+    let mut step_entries = Vec::new();
+    summit_pool::with_core_budget(1, || {
+        for &(m, k, n) in &STEP_SHAPES {
+            let x = filled(m, k, 5);
+            let w = filled(k, n, 6);
+            let dy = filled(m, n, 7);
+            let mut y = Matrix::zeros(m, n);
+            let mut gw = Matrix::zeros(k, n);
+            let mut dx = Matrix::zeros(m, k);
+            let flops = 2.0 * (m * k * n) as f64;
+            let mut point = |variant: &str, f: &mut dyn FnMut()| {
+                f();
+                let secs = time_best(iters, f);
+                let gflops = flops / secs / 1e9;
+                step_entries.push(format!(
+                    "    {{\"variant\": \"{variant}\", \"m\": {m}, \"k\": {k}, \"n\": {n}, \
+                     \"seconds\": {secs:.6}, \"gflops\": {gflops:.3}}}"
+                ));
+                headline_max(format!("{variant}_step_{m}x{k}x{n}_f32_gflops"), gflops);
+            };
+            point("matmul", &mut || x.matmul_into(&w, &mut y));
+            point("matmul_at_b", &mut || x.matmul_at_b_into(&dy, &mut gw));
+            point("matmul_a_bt", &mut || dy.matmul_a_bt_into(&w, &mut dx));
+        }
+    });
+
     // Spawn-overhead A/B at the acceptance shape, under the default budget.
     let s = 512;
     let a = square(s, 3);
@@ -312,13 +356,14 @@ fn write_summary(smoke: bool) {
         .join(", ");
     let json = format!
 (
-        "{{\n  \"bench\": \"gemm\",\n  \"cores\": {machine},\n  \"simd\": {simd_active},\n  \"lanes\": {lanes},\n  \"ghz\": {ghz:.3},\n  \"pool_sweep\": {pool_sweep},\n  \"pool_sweep_note\": \"{}\",\n  \"results\": [\n{}\n  ],\n  \"headline\": {{{headline_json}}},\n  \"spawn_overhead_ab\": {{\"shape\": {s}, \"scoped_seconds\": {scoped:.6}, \"pooled_seconds\": {pooled:.6}, \"speedup\": {:.3}}},\n  \"pool\": {{\"tasks_dispatched\": {}, \"tasks_stolen\": {}, \"parks\": {}, \"workers\": {}, \"busy_seconds\": {:.3}, \"max_concurrency\": {}}}\n}}\n",
+        "{{\n  \"bench\": \"gemm\",\n  \"cores\": {machine},\n  \"simd\": {simd_active},\n  \"lanes\": {lanes},\n  \"ghz\": {ghz:.3},\n  \"pool_sweep\": {pool_sweep},\n  \"pool_sweep_note\": \"{}\",\n  \"results\": [\n{}\n  ],\n  \"step_shapes\": [\n{}\n  ],\n  \"headline\": {{{headline_json}}},\n  \"spawn_overhead_ab\": {{\"shape\": {s}, \"scoped_seconds\": {scoped:.6}, \"pooled_seconds\": {pooled:.6}, \"speedup\": {:.3}}},\n  \"pool\": {{\"tasks_dispatched\": {}, \"tasks_stolen\": {}, \"parks\": {}, \"workers\": {}, \"busy_seconds\": {:.3}, \"max_concurrency\": {}}}\n}}\n",
         if pool_sweep {
             "1..=min(max(cores,4),8)"
         } else {
             "skipped: machine_parallelism() == 1, pool = 1 only"
         },
         entries.join(",\n"),
+        step_entries.join(",\n"),
         scoped / pooled,
         stats.tasks_dispatched,
         stats.tasks_stolen,

@@ -55,7 +55,8 @@ pub fn write_bench_json(name: &str, json: &str) -> PathBuf {
 pub struct TrajectoryEntry {
     /// Bench name (`gemm`, `comm`, ...).
     pub bench: String,
-    /// Abbreviated git revision the numbers were measured at.
+    /// Abbreviated git revision the numbers were measured at (`-dirty`
+    /// suffix: on uncommitted changes atop it).
     pub rev: String,
     /// ISO date of the measurement.
     pub date: String,
@@ -248,10 +249,18 @@ pub fn gate_trajectory(
 }
 
 /// Abbreviated git revision of the working tree, or `"unknown"` outside a
-/// repository.
+/// repository. A tree with uncommitted changes to tracked files reads
+/// `<HEAD>-dirty`, so numbers measured on a change are never attributed to
+/// its parent commit.
 pub fn git_rev() -> String {
     std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
+        .args([
+            "describe",
+            "--always",
+            "--dirty",
+            "--abbrev=7",
+            "--exclude=*",
+        ])
         .current_dir(workspace_root())
         .output()
         .ok()

@@ -48,13 +48,22 @@ impl Linear {
     /// # Panics
     /// Panics if called before `forward`.
     pub fn backward(&mut self, dy: &Matrix) -> Matrix {
+        self.accumulate_grads(dy);
+        self.input_grad(dy)
+    }
+
+    /// `gW += xᵀ·dy` straight into the gradient buffer (no product-sized
+    /// temporary), `gb += Σrows dy`.
+    fn accumulate_grads(&mut self, dy: &Matrix) {
         let x = self.input.as_ref().expect("backward called before forward");
-        let mut gw_step = Matrix::zeros(x.cols(), dy.cols());
-        x.matmul_at_b_into_prec(dy, &mut gw_step, self.precision);
-        self.gw.add_assign(&gw_step);
+        x.matmul_at_b_acc_into_prec(dy, &mut self.gw, self.precision);
         for (g, s) in self.gb.iter_mut().zip(ops::column_sums(dy)) {
             *g += s;
         }
+    }
+
+    /// `dx = dy·Wᵀ`.
+    fn input_grad(&self, dy: &Matrix) -> Matrix {
         let mut dx = Matrix::zeros(dy.rows(), self.w.rows());
         dy.matmul_a_bt_into_prec(&self.w, &mut dx, self.precision);
         dx
@@ -173,18 +182,20 @@ impl Mlp {
     /// # Panics
     /// Panics if called before `forward`.
     pub fn backward(&mut self, dlogits: &Matrix) {
-        let _ = self.backward_input(dlogits);
+        let _ = self.backward_with(dlogits, |_, _, _| {});
     }
 
     /// Backward pass that also returns the gradient with respect to the
     /// *input* batch — needed when the network's input is itself a
     /// differentiable function of other quantities (e.g. machine-learned
     /// force fields, where forces are −∂E/∂descriptors·∂descriptors/∂r).
+    /// This is one GEMM (`dY₀·W₀ᵀ`) more than [`Mlp::backward`].
     ///
     /// # Panics
     /// Panics if called before `forward`.
     pub fn backward_input(&mut self, dlogits: &Matrix) -> Matrix {
-        self.backward_with(dlogits, |_, _, _| {})
+        let dy0 = self.backward_with(dlogits, |_, _, _| {});
+        self.layers[0].input_grad(&dy0)
     }
 
     /// Backward pass with a per-layer gradient-readiness callback — the
@@ -199,6 +210,11 @@ impl Mlp {
     /// reverse-order completion means the ready region of the flat vector
     /// is a suffix that grows toward offset zero.
     ///
+    /// Returns the gradient with respect to the first layer's *output* —
+    /// the last quantity the parameter gradients need. No trainer reads the
+    /// input gradient, so it is not computed here; [`Mlp::backward_input`]
+    /// spends that GEMM.
+    ///
     /// # Panics
     /// Panics if called before `forward`.
     pub fn backward_with(
@@ -207,13 +223,13 @@ impl Mlp {
         mut on_layer_ready: impl FnMut(usize, &Matrix, &[f32]),
     ) -> Matrix {
         let mut grad = dlogits.clone();
-        for i in (0..self.layers.len()).rev() {
+        for i in (1..self.layers.len()).rev() {
             grad = self.layers[i].backward(&grad);
             on_layer_ready(i, &self.layers[i].gw, &self.layers[i].gb);
-            if i > 0 {
-                ops::relu_backward(&self.relu_outputs[i - 1], &mut grad);
-            }
+            ops::relu_backward(&self.relu_outputs[i - 1], &mut grad);
         }
+        self.layers[0].accumulate_grads(&grad);
+        on_layer_ready(0, &self.layers[0].gw, &self.layers[0].gb);
         grad
     }
 
@@ -397,6 +413,38 @@ mod tests {
                 analytic[idx]
             );
         }
+    }
+
+    /// `backward_input` is the layer-by-layer chain (every layer's full
+    /// `Linear::backward`, ReLU masks between) bit for bit, and leaves the
+    /// same parameter gradients as `backward`, which skips layer 0's `dX`.
+    #[test]
+    fn backward_input_is_the_full_layerwise_chain() {
+        let mut m = MlpSpec::new(5, &[7, 6], 3).build(9);
+        let x = Matrix::from_vec(4, 5, (0..20).map(|i| (i as f32 * 0.37).sin()).collect());
+        let (_, dlogits) = softmax_cross_entropy(m.forward(&x), &[2, 0, 1, 1]);
+        m.zero_grads();
+
+        let mut chain = m.clone();
+        let mut dx = dlogits.clone();
+        for i in (0..chain.layers.len()).rev() {
+            dx = chain.layers[i].backward(&dx);
+            if i > 0 {
+                ops::relu_backward(&chain.relu_outputs[i - 1], &mut dx);
+            }
+        }
+
+        let mut params_only = m.clone();
+        params_only.backward(&dlogits);
+        let dy0 = m.clone().backward_with(&dlogits, |_, _, _| {});
+        let got = m.backward_input(&dlogits);
+
+        assert_eq!((got.rows(), got.cols()), (4, 5));
+        assert_eq!(got.as_slice(), dx.as_slice());
+        assert_eq!(m.flat_grads(), chain.flat_grads());
+        assert_eq!(params_only.flat_grads(), chain.flat_grads());
+        // `backward_with` stops one GEMM short: dL/d(layer-0 output).
+        assert_eq!((dy0.rows(), dy0.cols()), (4, 7));
     }
 
     #[test]

@@ -749,10 +749,14 @@ mod tests {
 
     #[test]
     fn stats_count_dispatches() {
-        let before = global().stats();
+        // A private pool: sibling tests dispatch on `global()` concurrently,
+        // which would make the exact deltas below race.
+        let pool: &'static ComputePool = Box::leak(Box::new(ComputePool::new()));
+        let before = pool.stats();
         let mut buf = vec![0.0f32; 1024];
-        global().run_rows(&mut buf, 16, 4, |chunk, _| chunk.fill(3.0));
-        let after = global().stats();
+        pool.run_rows(&mut buf, 16, 4, |chunk, _| chunk.fill(3.0));
+        let after = pool.stats();
+        assert!(buf.iter().all(|&v| v == 3.0));
         assert_eq!(after.tasks_dispatched - before.tasks_dispatched, 4);
         assert_eq!(
             (after.tasks_inline - before.tasks_inline) + (after.tasks_stolen - before.tasks_stolen),

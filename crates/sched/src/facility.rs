@@ -243,7 +243,14 @@ mod tests {
         assert_eq!(report.jobs_run, 24);
         assert_eq!(report.objectives.len(), 24);
         assert!(report.conserved, "lease conservation violated");
-        assert_eq!(report.peak_live_worlds, 12, "rendezvous must see the wave");
+        // The sample reads the process-wide arbiter, which sibling tests in
+        // this binary lease from too: the rendezvous guarantees the wave's
+        // own 12, anything above that is somebody else's world.
+        assert!(
+            report.peak_live_worlds >= 12,
+            "rendezvous must see the wave, saw {}",
+            report.peak_live_worlds
+        );
         assert!(report.peak_leased_lanes <= report.lane_capacity);
         assert!(report.messages > 0, "no world communicated");
         assert!(report.objectives.iter().all(|o| o.is_finite()));

@@ -10,12 +10,17 @@
 //!   ([`summit_pool::chunk_range`]) handles `rows % threads != 0` tails in
 //!   one shared place instead of three copy-pasted chunking blocks.
 //! * **Packed, cache-blocked microkernel** — the strided operand is packed
-//!   once per call into a reused thread-local scratch (`B` in column panels
-//!   for [`Matrix::matmul`], `Aᵀ` for [`Matrix::matmul_at_b`]), and the
-//!   inner loop runs on one of two backends selected once per call:
-//!   an explicit AVX2+FMA microkernel on the [`crate::simd`] `f32x8`
-//!   wrapper (register-blocked 6×16 / 4×16 tiles, runtime-detected), or
-//!   the branch-free 4×-unrolled scalar loop as the guaranteed fallback.
+//!   once per call into a reused thread-local scratch (`B` in 16-column,
+//!   `k`-contiguous micro-panels for [`Matrix::matmul`], `Aᵀ` for
+//!   [`Matrix::matmul_at_b`]; [`Matrix::matmul_a_bt`] reads both operands
+//!   in place), and the inner loop runs on one of two backends selected
+//!   once per call: an explicit AVX2+FMA microkernel on the [`crate::simd`]
+//!   `f32x8` wrapper (runtime-detected; register tiles of 6 rows × 16
+//!   columns over 256-step shared-dimension blocks for `matmul`, 4 × 16
+//!   for `matmul_at_b`, 4 a-rows × 3 b-rows of lane-wise accumulators for
+//!   `matmul_a_bt`), or the branch-free scalar loops as the guaranteed
+//!   fallback (4×-unrolled for the transposed variants, a 2-row × 16-column
+//!   local tile over the same micro-panels for `matmul`).
 //! * **Mixed precision** — every variant has a bf16-storage twin
 //!   ([`Matrix::matmul_mixed_into`] and friends, or the [`Precision`] knob
 //!   on the `*_into_prec` entry points): the packed operand is stored as
@@ -24,15 +29,24 @@
 //!   mixed-precision storage lever with full-precision arithmetic.
 //! * **Bit-identity across pool sizes** — every output element accumulates
 //!   its terms in the same order on every path at every worker count: the
-//!   row partition never splits an element's accumulation chain, and the
-//!   SIMD kernels give each `(row, lane-group)` its own accumulator chain
-//!   whose shape depends only on global geometry (panel offsets, block
-//!   boundaries), never on the chunk split. Pooled results are therefore
-//!   **bitwise equal** to the serial (`parts = 1`) kernel for every budget
-//!   and both precisions. The scalar backend is additionally the
+//!   row partition never splits an element's accumulation chain, and each
+//!   SIMD kernel gives every output element one chain whose shape depends
+//!   only on the shared dimension and global block boundaries, never on
+//!   the chunk split or on which register tile (full or remainder)
+//!   computed it. The chains: `matmul` — one FMA per ascending `k`, carried
+//!   through the output between shared-dimension blocks; `matmul_at_b` —
+//!   one FMA chain per 64-row block of the shared dimension, each added
+//!   into the output in block order; `matmul_a_bt` — eight lane
+//!   accumulators stepped over ascending `k`, one fixed
+//!   [`F32x8::hsum`] tree, then a scalar FMA tail over `k % 8`. Pooled
+//!   results are therefore **bitwise equal** to the serial (`parts = 1`)
+//!   kernel for every budget and both precisions, and row `i` of an
+//!   `M`-row `matmul` / `matmul_a_bt` is bitwise the one-row product (what
+//!   batched serving relies on). The scalar backend is additionally the
 //!   cross-platform reference: SIMD results differ from it only within a
 //!   documented ULP bound (FMA contraction + lane-tree reductions); see
-//!   `tests/simd_properties.rs`.
+//!   `tests/simd_properties.rs`, which also pins the `matmul` and
+//!   `matmul_a_bt` chains against plain-Rust transcriptions.
 //!
 //! The `*_into` variants write into a caller-owned output matrix; combined
 //! with the thread-local packing scratches (one f32, one bf16), a
@@ -87,10 +101,21 @@ impl Backend {
 /// Row count above which matmuls parallelize over the compute pool.
 const PAR_THRESHOLD: usize = 128;
 
-/// Packed-`B` panel width for [`Matrix::matmul`]: 256 f32 columns keeps a
-/// `k × 256` panel streaming through L2 while the output row segment being
-/// accumulated stays in L1.
-const PANEL_COLS: usize = 256;
+/// Packed-`B` micro-panel width for [`Matrix::matmul`]: panel `p` holds
+/// columns `[16p, 16p + 16)` with the shared dimension contiguous, so one
+/// `k` step of the microkernel reads one 64-byte line and the next step
+/// reads the next line. The last panel is narrower when `n % 16 != 0`.
+const MM_NR: usize = 16;
+
+/// Rows of `B` packed into one micro-panel before moving to the next: each
+/// visit reads eight 64-byte row pieces and writes 512 contiguous bytes,
+/// which keeps both sides of the copy local when `k` or `n` is a power of
+/// two (one row at a time, the panels' write streams alias in L1).
+const PACK_ROWS: usize = 8;
+
+/// Shared-dimension block of the SIMD `matmul` kernel: a 256 × 16 f32 slice
+/// of a micro-panel (16 KB) stays in L1 across every row tile of the chunk.
+const MM_KC: usize = 256;
 
 /// Cache-blocking tile for the shared dimension of the transposed matmuls:
 /// 64 rows × up to ~256 f32 columns ≈ 64 KB, comfortably inside L2 while
@@ -106,6 +131,17 @@ const MM_MR: usize = 6;
 /// two f32x8 vectors = 8 accumulators, with two B-row loads and four
 /// broadcasts per shared-dimension step.
 const ATB_MR: usize = 4;
+
+/// Register tile of the SIMD `matmul_a_bt` microkernel: 4 a-rows × 3 b-rows
+/// = 12 lane-wise accumulators, plus the 3 loaded b-vectors and 1 a-vector
+/// — all 16 ymm registers.
+const ABT_MR: usize = 4;
+const ABT_NR: usize = 3;
+
+/// Rows of `other` per cache block of the SIMD `matmul_a_bt` kernel (a
+/// multiple of [`ABT_NR`]): 48 rows × 1024 f32 = 192 KB sits in L2 while
+/// every a-strip of the chunk visits it.
+const ABT_JB: usize = 48;
 
 thread_local! {
     /// Per-thread f32 packing scratch, reused across calls so steady-state
@@ -439,19 +475,23 @@ impl Matrix {
         let k = self.cols;
         let n = other.cols;
         let use_simd = backend.use_simd();
-        out.data.fill(0.0);
-        // Pack B once per call into column panels: panel `jb` holds columns
-        // [jb, jb + jw) row-major at width jw, contiguous at offset jb·k
-        // (every preceding full panel contributes PANEL_COLS·k elements).
-        // The mixed path rounds to bf16 here, once per element.
+        // Pack B once per call into micro-panels: panel `jb / MM_NR` holds
+        // columns [jb, jb + jw) row-major at width jw, contiguous at offset
+        // jb·k (every preceding full panel contributes MM_NR·k elements).
+        // The mixed path rounds to bf16 here, once per element, and
+        // PACK_ROWS rows of B go into each panel at a time. Both kernels
+        // overwrite `out`, so it is not cleared first.
         E::with_scratch(k * n, |bp| {
-            for jb in (0..n).step_by(PANEL_COLS) {
-                let jw = (n - jb).min(PANEL_COLS);
-                let panel = &mut bp[jb * k..jb * k + k * jw];
-                for kk in 0..k {
-                    let src = &other.data[kk * n + jb..kk * n + jb + jw];
-                    for (d, &s) in panel[kk * jw..(kk + 1) * jw].iter_mut().zip(src) {
-                        *d = E::pack(s);
+            for kb in (0..k).step_by(PACK_ROWS) {
+                let kend = (kb + PACK_ROWS).min(k);
+                for jb in (0..n).step_by(MM_NR) {
+                    let jw = (n - jb).min(MM_NR);
+                    for kk in kb..kend {
+                        let src = &other.data[kk * n + jb..kk * n + jb + jw];
+                        let dst = &mut bp[jb * k + kk * jw..jb * k + (kk + 1) * jw];
+                        for (d, &s) in dst.iter_mut().zip(src) {
+                            *d = E::pack(s);
+                        }
                     }
                 }
             }
@@ -504,7 +544,7 @@ impl Matrix {
 
     /// [`Matrix::matmul_at_b_mixed`] into a caller-owned output.
     pub fn matmul_at_b_mixed_into(&self, other: &Matrix, out: &mut Matrix) {
-        self.matmul_at_b_impl::<u16>(other, out, auto_parts(self.cols), Backend::Auto);
+        self.matmul_at_b_impl::<u16>(other, out, auto_parts(self.cols), Backend::Auto, false);
     }
 
     /// [`Matrix::matmul_at_b_into`] with an explicit [`Precision`] knob.
@@ -515,10 +555,23 @@ impl Matrix {
         }
     }
 
+    /// `out += selfᵀ · other`: [`Matrix::matmul_at_b_into_prec`] minus the
+    /// clear of `out`, so a gradient buffer accumulates in place instead of
+    /// through a product-sized temporary. The kernel adds each
+    /// shared-dimension block's partial sum into the output, so on a zeroed
+    /// `out` the result is bitwise the overwriting entry's.
+    ///
+    /// # Panics
+    /// Panics on row-count mismatch or if `out` is not `k×n`.
+    pub fn matmul_at_b_acc_into_prec(&self, other: &Matrix, out: &mut Matrix, prec: Precision) {
+        let parts = auto_parts(self.cols);
+        self.matmul_at_b_acc_into_parts_backend(other, out, parts, prec, Backend::Auto);
+    }
+
     /// [`Matrix::matmul_at_b_into`] with an explicit chunk count.
     #[doc(hidden)]
     pub fn matmul_at_b_into_parts(&self, other: &Matrix, out: &mut Matrix, parts: usize) {
-        self.matmul_at_b_impl::<f32>(other, out, parts, Backend::Auto);
+        self.matmul_at_b_impl::<f32>(other, out, parts, Backend::Auto, false);
     }
 
     /// Full control (tests): precision, explicit parts, forced backend.
@@ -532,8 +585,24 @@ impl Matrix {
         backend: Backend,
     ) {
         match prec {
-            Precision::F32 => self.matmul_at_b_impl::<f32>(other, out, parts, backend),
-            Precision::Mixed => self.matmul_at_b_impl::<u16>(other, out, parts, backend),
+            Precision::F32 => self.matmul_at_b_impl::<f32>(other, out, parts, backend, false),
+            Precision::Mixed => self.matmul_at_b_impl::<u16>(other, out, parts, backend, false),
+        }
+    }
+
+    /// [`Matrix::matmul_at_b_acc_into_prec`] with full control (tests).
+    #[doc(hidden)]
+    pub fn matmul_at_b_acc_into_parts_backend(
+        &self,
+        other: &Matrix,
+        out: &mut Matrix,
+        parts: usize,
+        prec: Precision,
+        backend: Backend,
+    ) {
+        match prec {
+            Precision::F32 => self.matmul_at_b_impl::<f32>(other, out, parts, backend, true),
+            Precision::Mixed => self.matmul_at_b_impl::<u16>(other, out, parts, backend, true),
         }
     }
 
@@ -543,6 +612,7 @@ impl Matrix {
         out: &mut Matrix,
         parts: usize,
         backend: Backend,
+        accumulate: bool,
     ) {
         assert_eq!(self.rows, other.rows, "matmul_at_b row mismatch");
         assert_eq!(
@@ -554,7 +624,10 @@ impl Matrix {
         let k = self.cols;
         let n = other.cols;
         let use_simd = backend.use_simd();
-        out.data.fill(0.0);
+        // Both kernels add into `out`.
+        if !accumulate {
+            out.data.fill(0.0);
+        }
         // Pack Aᵀ once per call: at[kk·m + i] = A[i, kk], so output row kk
         // reads its m coefficients contiguously (bf16-rounded on the mixed
         // path).
@@ -585,11 +658,11 @@ impl Matrix {
     /// so no packing is needed — output rows are chunked over the pool and
     /// the `other`-row loop is cache-blocked.
     ///
-    /// Each output element is one ascending-`k` dot chain exactly as in
-    /// [`crate::dot`] (on both backends — the SIMD kernel calls the same
-    /// lane-level dot helper `dot` dispatches to), so pooled and serial
-    /// results are bit-identical, and the kernel agrees bitwise with
-    /// per-element [`crate::dot`] calls.
+    /// Each output element is one chain over ascending `k` whose shape
+    /// depends on `k` alone (scalar backend: one accumulator; SIMD: eight
+    /// lane accumulators, a fixed reduction tree, a scalar tail), so
+    /// pooled and serial results are bit-identical and a row of a batched
+    /// product is bitwise the one-row product.
     ///
     /// # Panics
     /// Panics on column-count mismatch.
@@ -755,11 +828,12 @@ impl Matrix {
 // pre-SIMD kernel unchanged — `to_f32` is the identity there).
 // ---------------------------------------------------------------------------
 
-/// `matmul` kernel for one chunk of output rows: for each panel of packed
-/// `B`, accumulate the chunk's rows with the shared dimension unrolled by
-/// four. Per output element the adds run in ascending-`kk` order — one
-/// scalar at a time into the same accumulator — so unrolling changes
-/// instruction scheduling, never arithmetic order.
+/// `matmul` kernel for one chunk of output rows: for each micro-panel of
+/// packed `B` and each pair of rows (then a last single row), the two
+/// `1 × jw` output segments accumulate in locals across the whole shared
+/// dimension, streaming the panel once, and are stored once. Per output
+/// element the adds run in ascending-`kk` order from zero — one product at
+/// a time into the same accumulator — whichever tile the row falls in.
 fn matmul_chunk<E: Element>(
     a: &[f32],
     k: usize,
@@ -768,42 +842,57 @@ fn matmul_chunk<E: Element>(
     chunk: &mut [f32],
     range: Range<usize>,
 ) {
-    for jb in (0..n).step_by(PANEL_COLS) {
-        let jw = (n - jb).min(PANEL_COLS);
+    for jb in (0..n).step_by(MM_NR) {
+        let jw = (n - jb).min(MM_NR);
         let panel = &bp[jb * k..jb * k + k * jw];
-        for (local, i) in range.clone().enumerate() {
-            let a_row = &a[i * k..(i + 1) * k];
-            let out_row = &mut chunk[local * n + jb..local * n + jb + jw];
-            let mut kk = 0;
-            while kk + 4 <= k {
-                let a0 = a_row[kk];
-                let a1 = a_row[kk + 1];
-                let a2 = a_row[kk + 2];
-                let a3 = a_row[kk + 3];
-                let b0 = &panel[kk * jw..(kk + 1) * jw];
-                let b1 = &panel[(kk + 1) * jw..(kk + 2) * jw];
-                let b2 = &panel[(kk + 2) * jw..(kk + 3) * jw];
-                let b3 = &panel[(kk + 3) * jw..(kk + 4) * jw];
-                for ((((o, &v0), &v1), &v2), &v3) in
-                    out_row.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3)
-                {
-                    *o += a0 * v0.to_f32();
-                    *o += a1 * v1.to_f32();
-                    *o += a2 * v2.to_f32();
-                    *o += a3 * v3.to_f32();
-                }
-                kk += 4;
+        let mut local = 0;
+        while local + 2 <= range.len() {
+            let i = range.start + local;
+            let acc = matmul_tile::<E, 2>(&a[i * k..(i + 2) * k], k, panel, jw);
+            for (t, row) in acc.iter().enumerate() {
+                let at = (local + t) * n + jb;
+                chunk[at..at + jw].copy_from_slice(&row[..jw]);
             }
-            while kk < k {
-                let a0 = a_row[kk];
-                let b0 = &panel[kk * jw..(kk + 1) * jw];
-                for (o, &v0) in out_row.iter_mut().zip(b0) {
-                    *o += a0 * v0.to_f32();
-                }
-                kk += 1;
-            }
+            local += 2;
+        }
+        if local < range.len() {
+            let i = range.start + local;
+            let acc = matmul_tile::<E, 1>(&a[i * k..(i + 1) * k], k, panel, jw);
+            let at = local * n + jb;
+            chunk[at..at + jw].copy_from_slice(&acc[0][..jw]);
         }
     }
+}
+
+/// `RB` rows of `a` (row-major, `RB × k`) times one packed `k × jw`
+/// micro-panel, `jw ≤ MM_NR`; columns past `jw` of the result stay zero.
+#[inline(always)]
+fn matmul_tile<E: Element, const RB: usize>(
+    a: &[f32],
+    k: usize,
+    panel: &[E],
+    jw: usize,
+) -> [[f32; MM_NR]; RB] {
+    let mut acc = [[0.0f32; MM_NR]; RB];
+    let mut step = |kk: usize, b_row: &[E]| {
+        for (t, row) in acc.iter_mut().enumerate() {
+            let av = a[t * k + kk];
+            for (o, &v) in row.iter_mut().zip(b_row) {
+                *o += av * v.to_f32();
+            }
+        }
+    };
+    if jw == MM_NR {
+        // Constant trip count: the accumulators stay in vector registers.
+        for (kk, b_row) in panel.chunks_exact(MM_NR).enumerate() {
+            step(kk, b_row);
+        }
+    } else {
+        for (kk, b_row) in panel.chunks_exact(jw).enumerate() {
+            step(kk, b_row);
+        }
+    }
+    acc
 }
 
 /// `matmul_at_b` kernel for one chunk of output rows (a `kk` band): stream
@@ -857,8 +946,8 @@ fn matmul_at_b_chunk<E: Element>(
 
 /// `matmul_a_bt` kernel for one chunk of output rows: `other`-rows are
 /// cache-blocked, and within a block four output columns are produced per
-/// pass with four independent accumulators (each an ascending-`k` chain
-/// identical to [`crate::dot`]'s scalar path).
+/// pass with four independent accumulators (each one ascending-`k`
+/// product-then-add chain).
 fn matmul_a_bt_chunk<E: Element>(
     a: &[f32],
     k: usize,
@@ -916,78 +1005,93 @@ fn matmul_a_bt_chunk<E: Element>(
 // across-pool-sizes argument.
 // ---------------------------------------------------------------------------
 
-/// `matmul` row block: `RB` rows × 16/8/1 columns, accumulating the full
-/// shared dimension in registers before one store. Per output element the
-/// chain is `acc = fma(a[i,kk], b[kk,j], acc)` in ascending `kk` — the same
-/// chain whether the row sits in a 6-row tile or the 1-row remainder, so
-/// chunk splits can't change bits.
+/// `matmul` register tile: `RB` rows × one micro-panel (16 columns, or
+/// 8 + scalar columns of a narrower last panel) over one shared-dimension
+/// block of `kc` steps. The accumulators start from zero on the first
+/// block and from the stored `C` tile on later ones, so per output element
+/// the chain is `acc = fma(a[i,kk], b[kk,j], acc)` over ascending `kk`
+/// across the whole shared dimension — blocking stores and reloads the
+/// running value (exact) and never splits the chain, and the chain is the
+/// same in every tile height, so chunk splits can't change bits.
 ///
 /// # Safety
-/// Requires AVX2+FMA context; all indices in bounds (caller-maintained).
+/// Requires AVX2+FMA context. `ap` must be valid for `RB` rows of `kc`
+/// reads at row stride `k`, `panel` for `kc × jw` reads, `cp` for an
+/// `RB × jw` tile of reads and writes at row stride `n`; `jw ≤ MM_NR`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn mm_rows_simd<E: Element, const RB: usize>(
+unsafe fn mm_tile_simd<E: Element, const RB: usize>(
     ap: *const f32,
     k: usize,
     panel: *const E,
     jw: usize,
+    kc: usize,
     cp: *mut f32,
     n: usize,
-    jb: usize,
-    a_row0: usize,
-    c_row0: usize,
+    first: bool,
 ) {
     unsafe {
-        let mut j = 0;
-        while j + 16 <= jw {
+        if jw == MM_NR {
             let mut acc = [[F32x8::zero(); 2]; RB];
-            for kk in 0..k {
-                let bk = panel.add(kk * jw + j);
+            if !first {
+                for (t, av) in acc.iter_mut().enumerate() {
+                    av[0] = F32x8::load(cp.add(t * n));
+                    av[1] = F32x8::load(cp.add(t * n + 8));
+                }
+            }
+            for kk in 0..kc {
+                let bk = panel.add(kk * MM_NR);
                 let b0 = E::load8(bk);
                 let b1 = E::load8(bk.add(8));
                 for (t, av) in acc.iter_mut().enumerate() {
-                    let a = F32x8::splat(*ap.add((a_row0 + t) * k + kk));
+                    let a = F32x8::splat(*ap.add(t * k + kk));
                     av[0] = a.mul_add(b0, av[0]);
                     av[1] = a.mul_add(b1, av[1]);
                 }
             }
             for (t, av) in acc.iter().enumerate() {
-                let o = cp.add((c_row0 + t) * n + jb + j);
-                av[0].store(o);
-                av[1].store(o.add(8));
+                av[0].store(cp.add(t * n));
+                av[1].store(cp.add(t * n + 8));
             }
-            j += 16;
+            return;
         }
-        while j + 8 <= jw {
+        let mut j = 0;
+        if jw >= 8 {
             let mut acc = [F32x8::zero(); RB];
-            for kk in 0..k {
-                let b0 = E::load8(panel.add(kk * jw + j));
+            if !first {
                 for (t, av) in acc.iter_mut().enumerate() {
-                    let a = F32x8::splat(*ap.add((a_row0 + t) * k + kk));
+                    *av = F32x8::load(cp.add(t * n));
+                }
+            }
+            for kk in 0..kc {
+                let b0 = E::load8(panel.add(kk * jw));
+                for (t, av) in acc.iter_mut().enumerate() {
+                    let a = F32x8::splat(*ap.add(t * k + kk));
                     *av = a.mul_add(b0, *av);
                 }
             }
             for (t, av) in acc.iter().enumerate() {
-                av.store(cp.add((c_row0 + t) * n + jb + j));
+                av.store(cp.add(t * n));
             }
-            j += 8;
+            j = 8;
         }
         while j < jw {
             for t in 0..RB {
-                let mut s = 0.0f32;
-                for kk in 0..k {
-                    s = (*ap.add((a_row0 + t) * k + kk))
-                        .mul_add((*panel.add(kk * jw + j)).to_f32(), s);
+                let o = cp.add(t * n + j);
+                let mut s = if first { 0.0 } else { *o };
+                for kk in 0..kc {
+                    s = (*ap.add(t * k + kk)).mul_add((*panel.add(kk * jw + j)).to_f32(), s);
                 }
-                *cp.add((c_row0 + t) * n + jb + j) = s;
+                *o = s;
             }
             j += 1;
         }
     }
 }
 
-/// `matmul` SIMD chunk kernel: same panel walk as the scalar kernel, rows
-/// in [`MM_MR`]-high register tiles with a 1-row remainder path.
+/// `matmul` SIMD chunk kernel: shared-dimension blocks outermost, then
+/// micro-panels, then the chunk's rows in [`MM_MR`]-high register tiles
+/// with one 4-, 2- and 1-row tile for `rows % MM_MR`.
 #[inline(always)]
 unsafe fn mm_chunk_simd_impl<E: Element>(
     a: &[f32],
@@ -998,20 +1102,42 @@ unsafe fn mm_chunk_simd_impl<E: Element>(
     range: Range<usize>,
 ) {
     let rows = range.len();
-    let ap = a.as_ptr();
+    assert!(a.len() >= range.end * k && bp.len() == k * n && chunk.len() == rows * n);
     let cp = chunk.as_mut_ptr();
-    for jb in (0..n).step_by(PANEL_COLS) {
-        let jw = (n - jb).min(PANEL_COLS);
-        let panel = bp[jb * k..jb * k + k * jw].as_ptr();
-        let mut r = 0;
-        unsafe {
-            while r + MM_MR <= rows {
-                mm_rows_simd::<E, MM_MR>(ap, k, panel, jw, cp, n, jb, range.start + r, r);
-                r += MM_MR;
-            }
-            while r < rows {
-                mm_rows_simd::<E, 1>(ap, k, panel, jw, cp, n, jb, range.start + r, r);
-                r += 1;
+    // SAFETY: AVX2+FMA per this function's contract. The lengths asserted
+    // above bound every access: a tile reads a-rows `range.start + r ..
+    // + RB ≤ range.end` at columns `kb .. kb + kc ≤ k`, rows `kb .. kb +
+    // kc` of the `k × jw` panel at `jb·k`, and the `RB × jw` window at
+    // column `jb` of the chunk's `rows × n` outputs.
+    unsafe {
+        let ap = a.as_ptr().add(range.start * k);
+        for kb in (0..k).step_by(MM_KC) {
+            let kc = (k - kb).min(MM_KC);
+            let first = kb == 0;
+            for jb in (0..n).step_by(MM_NR) {
+                let jw = (n - jb).min(MM_NR);
+                let panel = bp.as_ptr().add(jb * k + kb * jw);
+                let (ab, cb) = (ap.add(kb), cp.add(jb));
+                let mut r = 0;
+                macro_rules! tile {
+                    ($rb:expr) => {{
+                        let (at, ct) = (ab.add(r * k), cb.add(r * n));
+                        mm_tile_simd::<E, { $rb }>(at, k, panel, jw, kc, ct, n, first);
+                        r += $rb;
+                    }};
+                }
+                while r + MM_MR <= rows {
+                    tile!(MM_MR);
+                }
+                if r + 4 <= rows {
+                    tile!(4);
+                }
+                if r + 2 <= rows {
+                    tile!(2);
+                }
+                while r < rows {
+                    tile!(1);
+                }
             }
         }
     }
@@ -1118,9 +1244,84 @@ unsafe fn atb_chunk_simd_impl<E: Element>(
     }
 }
 
-/// `matmul_a_bt` SIMD chunk kernel: one [`simd::dot_lanes`] call per
-/// output element (the exact helper [`crate::dot`] dispatches to), with
-/// the scalar kernel's `other`-row cache blocking.
+/// `matmul_a_bt` register tile: `MR` a-rows × `NR` b-rows of lane-wise
+/// accumulators over the shared dimension — at 4×3, seven loads feed
+/// twelve FMAs per eight-wide `k` step. Each output element is one 8-lane
+/// FMA chain over ascending `k`, reduced by the fixed [`F32x8::hsum`] tree
+/// and finished by a scalar `mul_add` tail over `k % 8`; the chain's shape
+/// depends on `k` alone, so every tile shape produces the same bits.
+///
+/// # Safety
+/// Requires AVX2+FMA context. `ap` must be valid for `MR` rows and `bp`
+/// for `NR` rows of `k` reads each, `cp` for an `MR × NR` tile of writes at
+/// row stride `n`.
+#[inline(always)]
+unsafe fn abt_tile_simd<E: Element, const MR: usize, const NR: usize>(
+    ap: *const f32,
+    bp: *const E,
+    k: usize,
+    cp: *mut f32,
+    n: usize,
+) {
+    unsafe {
+        let mut acc = [[F32x8::zero(); NR]; MR];
+        let mut kk = 0;
+        while kk + simd::LANES <= k {
+            let mut bv = [F32x8::zero(); NR];
+            for (c, b) in bv.iter_mut().enumerate() {
+                *b = E::load8(bp.add(c * k + kk));
+            }
+            for (r, row) in acc.iter_mut().enumerate() {
+                let av = F32x8::load(ap.add(r * k + kk));
+                for (cell, &b) in row.iter_mut().zip(&bv) {
+                    *cell = av.mul_add(b, *cell);
+                }
+            }
+            kk += simd::LANES;
+        }
+        for (r, row) in acc.iter().enumerate() {
+            for (c, cell) in row.iter().enumerate() {
+                let mut s = cell.hsum();
+                for t in kk..k {
+                    s = (*ap.add(r * k + t)).mul_add((*bp.add(c * k + t)).to_f32(), s);
+                }
+                *cp.add(r * n + c) = s;
+            }
+        }
+    }
+}
+
+/// One `MR`-row strip of a column block: [`ABT_NR`]-wide tiles, then
+/// 1-wide tiles for `cols % ABT_NR`.
+///
+/// # Safety
+/// As [`abt_tile_simd`], for `cols` b-rows and output columns.
+#[inline(always)]
+unsafe fn abt_strip_simd<E: Element, const MR: usize>(
+    ap: *const f32,
+    bp: *const E,
+    cols: usize,
+    k: usize,
+    cp: *mut f32,
+    n: usize,
+) {
+    unsafe {
+        let mut j = 0;
+        while j + ABT_NR <= cols {
+            abt_tile_simd::<E, MR, ABT_NR>(ap, bp.add(j * k), k, cp.add(j), n);
+            j += ABT_NR;
+        }
+        while j < cols {
+            abt_tile_simd::<E, MR, 1>(ap, bp.add(j * k), k, cp.add(j), n);
+            j += 1;
+        }
+    }
+}
+
+/// `matmul_a_bt` SIMD chunk kernel: both operands are read in place. Per
+/// [`ABT_JB`]-row block of `b` (L2-resident), each [`ABT_MR`]-row strip of
+/// `a` stays in L1 while the block's b-rows stream past it; `rows % ABT_MR`
+/// strips are 1-row.
 #[inline(always)]
 unsafe fn abt_chunk_simd_impl<E: Element>(
     a: &[f32],
@@ -1130,14 +1331,27 @@ unsafe fn abt_chunk_simd_impl<E: Element>(
     chunk: &mut [f32],
     range: Range<usize>,
 ) {
-    for jb in (0..n).step_by(BLOCK_ROWS) {
-        let jend = (jb + BLOCK_ROWS).min(n);
-        for (local, i) in range.clone().enumerate() {
-            let a_row = &a[i * k..(i + 1) * k];
-            let out_row = &mut chunk[local * n..(local + 1) * n];
-            for (o, j) in out_row[jb..jend].iter_mut().zip(jb..jend) {
-                // SAFETY: caller is in an AVX2+FMA context.
-                *o = unsafe { simd::dot_lanes::<E>(a_row, &b[j * k..(j + 1) * k]) };
+    let rows = range.len();
+    assert!(a.len() >= range.end * k && b.len() == n * k && chunk.len() == rows * n);
+    let bp = b.as_ptr();
+    let cp = chunk.as_mut_ptr();
+    // SAFETY: AVX2+FMA per this function's contract. The lengths asserted
+    // above bound every access: a strip reads a-rows `range.start + r ..
+    // + MR ≤ range.end`, b-rows `jb .. jb + cols ≤ n`, and writes that
+    // `MR × cols` window of the chunk's `rows × n` outputs.
+    unsafe {
+        let ap = a.as_ptr().add(range.start * k);
+        for jb in (0..n).step_by(ABT_JB) {
+            let cols = (n - jb).min(ABT_JB);
+            let (bj, cj) = (bp.add(jb * k), cp.add(jb));
+            let mut r = 0;
+            while r + ABT_MR <= rows {
+                abt_strip_simd::<E, ABT_MR>(ap.add(r * k), bj, cols, k, cj.add(r * n), n);
+                r += ABT_MR;
+            }
+            while r < rows {
+                abt_strip_simd::<E, 1>(ap.add(r * k), bj, cols, k, cj.add(r * n), n);
+                r += 1;
             }
         }
     }
@@ -1286,11 +1500,13 @@ mod tests {
 
     #[test]
     fn parallel_matmul_a_bt_bit_identical_to_serial() {
-        // Force the parallel path with > PAR_THRESHOLD rows and
-        // > BLOCK_ROWS columns in the output so the j-blocking engages.
-        let m = 140;
-        let k = 21;
-        let n = 130;
+        // Force the parallel path with > PAR_THRESHOLD rows; 141 % ABT_MR,
+        // 131 % ABT_NR and 100 % 8 are all non-zero and 131 > 2·ABT_JB, so
+        // the pooled chunks cut through full tiles, both remainder tiles,
+        // the scalar tail and several column blocks.
+        let m = 141;
+        let k = 100;
+        let n = 131;
         let a = Matrix::from_vec(
             m,
             k,
@@ -1298,16 +1514,18 @@ mod tests {
         );
         let b = Matrix::from_vec(n, k, (0..n * k).map(|i| (i % 9) as f32 - 4.0).collect());
         let par = a.matmul_a_bt(&b);
-        // Serial reference: one `dot` per element — both backends route the
-        // kernel and `dot` through the same per-element chain, so this is
-        // bitwise on SIMD hosts and scalar hosts alike.
         let mut serial = Matrix::zeros(m, n);
+        a.matmul_a_bt_into_parts(&b, &mut serial, 1);
+        assert_eq!(par, serial);
+        // These operands are small multiples of 0.5, so every product and
+        // partial sum is exact in f32 and any summation order must land on
+        // the same value as the plain ascending-k loop.
         for i in 0..m {
             for j in 0..n {
-                serial.set(i, j, crate::dot(a.row(i), b.row(j)));
+                let want: f32 = a.row(i).iter().zip(b.row(j)).map(|(x, y)| x * y).sum();
+                assert_eq!(par.get(i, j), want, "({i},{j})");
             }
         }
-        assert_eq!(par, serial);
     }
 
     #[test]

@@ -320,57 +320,46 @@ impl Element for u16 {
     }
 }
 
-/// The canonical vector dot product: four independent eight-lane FMA
-/// chains over 32-element blocks, then an eight-lane tail chain into the
-/// first accumulator, a fixed pairwise reduction, and a scalar `mul_add`
-/// tail. `matmul_a_bt`'s SIMD kernel calls exactly this helper per output
-/// element, which is what keeps it bit-identical to [`crate::dot`].
+/// The vector dot product behind [`crate::dot`] and [`crate::l2_norm`]:
+/// four independent eight-lane FMA chains over 32-element blocks, then an
+/// eight-lane tail chain into the first accumulator, a fixed pairwise
+/// reduction, and a scalar `mul_add` tail.
 ///
 /// # Safety
-/// Caller must be in an AVX2+FMA context when `active()` (see [`F32x8`]).
+/// The executing CPU must support AVX2+FMA (guaranteed by [`active`]).
 ///
 /// # Panics
 /// Debug-asserts equal lengths (the safe wrappers check).
-#[inline(always)]
-pub unsafe fn dot_lanes<E: Element>(a: &[f32], b: &[E]) -> f32 {
+#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2,fma"))]
+pub unsafe fn dot_dispatch(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let n = a.len();
     let ap = a.as_ptr();
     let bp = b.as_ptr();
-    let mut acc0 = unsafe { F32x8::zero() };
-    let mut acc1 = unsafe { F32x8::zero() };
-    let mut acc2 = unsafe { F32x8::zero() };
-    let mut acc3 = unsafe { F32x8::zero() };
-    let mut i = 0;
     unsafe {
+        let mut acc0 = F32x8::zero();
+        let mut acc1 = F32x8::zero();
+        let mut acc2 = F32x8::zero();
+        let mut acc3 = F32x8::zero();
+        let mut i = 0;
         while i + 4 * LANES <= n {
-            acc0 = F32x8::load(ap.add(i)).mul_add(E::load8(bp.add(i)), acc0);
-            acc1 = F32x8::load(ap.add(i + 8)).mul_add(E::load8(bp.add(i + 8)), acc1);
-            acc2 = F32x8::load(ap.add(i + 16)).mul_add(E::load8(bp.add(i + 16)), acc2);
-            acc3 = F32x8::load(ap.add(i + 24)).mul_add(E::load8(bp.add(i + 24)), acc3);
+            acc0 = F32x8::load(ap.add(i)).mul_add(F32x8::load(bp.add(i)), acc0);
+            acc1 = F32x8::load(ap.add(i + 8)).mul_add(F32x8::load(bp.add(i + 8)), acc1);
+            acc2 = F32x8::load(ap.add(i + 16)).mul_add(F32x8::load(bp.add(i + 16)), acc2);
+            acc3 = F32x8::load(ap.add(i + 24)).mul_add(F32x8::load(bp.add(i + 24)), acc3);
             i += 4 * LANES;
         }
         while i + LANES <= n {
-            acc0 = F32x8::load(ap.add(i)).mul_add(E::load8(bp.add(i)), acc0);
+            acc0 = F32x8::load(ap.add(i)).mul_add(F32x8::load(bp.add(i)), acc0);
             i += LANES;
         }
         let mut sum = acc0.add(acc1).add(acc2.add(acc3)).hsum();
         while i < n {
-            sum = (*ap.add(i)).mul_add((*bp.add(i)).to_f32(), sum);
+            sum = (*ap.add(i)).mul_add(*bp.add(i), sum);
             i += 1;
         }
         sum
     }
-}
-
-/// [`dot_lanes`] behind the feature gate — the entry point for safe
-/// callers that checked [`active`].
-///
-/// # Safety
-/// The executing CPU must support AVX2+FMA (guaranteed by [`active`]).
-#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2,fma"))]
-pub unsafe fn dot_dispatch(a: &[f32], b: &[f32]) -> f32 {
-    unsafe { dot_lanes::<f32>(a, b) }
 }
 
 /// Vectorized `y += alpha * x` (fused per element; the scalar fallback's

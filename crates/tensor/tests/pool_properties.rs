@@ -8,7 +8,10 @@
 //! across random shapes (including degenerate ones: a single row,
 //! tall/skinny, shapes straddling the parallelism threshold) and pool
 //! sizes 1..8, and the public auto-dispatch API under explicit core
-//! budgets.
+//! budgets. The shared dimension ranges past every kernel's block size
+//! (`matmul`'s 256-step blocks, the transposed kernels' 64-row blocks and
+//! 8-lane steps), so the chunk split is tried against every remainder
+//! path a chain can take.
 
 use proptest::prelude::*;
 use summit_tensor::Matrix;
@@ -41,7 +44,7 @@ proptest! {
     #[test]
     fn prop_pooled_matmul_bit_identical_to_serial(
         m in 1usize..200,
-        k in 1usize..40,
+        k in 1usize..300,
         n in 1usize..64,
         parts in 1usize..9,
         seed in 0u64..1000,
@@ -75,7 +78,7 @@ proptest! {
     #[test]
     fn prop_pooled_matmul_a_bt_bit_identical_to_serial(
         m in 1usize..160,
-        k in 1usize..48,
+        k in 1usize..130,
         n in 1usize..160,
         parts in 1usize..9,
         seed in 0u64..1000,
@@ -93,7 +96,10 @@ proptest! {
 /// The shapes most likely to expose partition bookkeeping bugs, pinned
 /// explicitly across every pool size 1..8: a single row, tall/skinny,
 /// short/wide, both sides of the parallelism threshold, and a remainder-
-/// heavy row count.
+/// heavy row count — with the shared dimension `k` at 7 (below one SIMD
+/// step), 64, 100 (steps plus a scalar tail) and 1024 (several `matmul`
+/// blocks), `m` off every register-tile height and `n` off the tile and
+/// panel widths.
 #[test]
 fn degenerate_shapes_bit_identical_across_pool_sizes() {
     let shapes = [
@@ -102,7 +108,9 @@ fn degenerate_shapes_bit_identical_across_pool_sizes() {
         (3, 400, 2),
         (127, 16, 33),
         (128, 16, 33),
-        (131, 21, 67),
+        (131, 100, 67),
+        (11, 64, 50),
+        (13, 1024, 35),
     ];
     for &(m, k, n) in &shapes {
         let a = fill(m, k, (m * 31 + n) as u64);
@@ -148,9 +156,9 @@ fn degenerate_shapes_bit_identical_across_pool_sizes() {
 /// shapes large enough to actually engage the pool.
 #[test]
 fn public_api_bit_identical_under_every_budget() {
-    let m = 300;
-    let k = 24;
-    let n = 40;
+    let m = 301;
+    let k = 100;
+    let n = 43;
     let a = fill(m, k, 1);
     let b = fill(k, n, 2);
     let bt = fill(n, k, 3);

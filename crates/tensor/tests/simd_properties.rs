@@ -10,6 +10,12 @@
 //! 3. **BLAS-1 dispatch agreement** — `dot`/`axpy`/`scale`/`l2_norm` and
 //!    the elementwise kernels match their scalar definitions within the
 //!    same bound (`scale`, `relu`, `add_bias` exactly).
+//! 4. **The chain itself** — on shapes that reach every tile, remainder
+//!    and block boundary of the kernels, `matmul` and `matmul_a_bt` equal a
+//!    plain-Rust transcription of their documented per-element chains
+//!    bitwise, a row of a batched product equals the one-row product
+//!    bitwise, and `matmul_at_b`'s accumulate entry equals overwrite +
+//!    `add_assign`.
 //!
 //! The documented ULP bound: each output element is one length-`k` fused
 //! chain per backend; FMA contraction and the 8-lane reduction tree
@@ -63,6 +69,16 @@ fn run(
     }
 }
 
+/// Operands of one `m × s × n` product (`s` the shared dimension) in the
+/// layout `variant` expects.
+fn operands(variant: usize, m: usize, s: usize, n: usize, seed: u64) -> (Matrix, Matrix) {
+    match variant {
+        0 => (mat(m, s, seed), mat(s, n, seed + 1)),
+        1 => (mat(s, m, seed), mat(s, n, seed + 1)),
+        _ => (mat(m, s, seed), mat(n, s, seed + 1)),
+    }
+}
+
 /// Output shape of a variant.
 fn out_shape(a: &Matrix, b: &Matrix, variant: usize) -> (usize, usize) {
     match variant {
@@ -87,11 +103,7 @@ proptest! {
         variant in 0usize..3,
         seed in 0u64..1000,
     ) {
-        let (a, b) = match variant {
-            0 => (mat(m, k, seed), mat(k, n, seed + 1)),
-            1 => (mat(m, k, seed), mat(m, n, seed + 1)),
-            _ => (mat(m, k, seed), mat(n, k, seed + 1)),
-        };
+        let (a, b) = operands(variant, m, k, n, seed);
         let (or, oc) = out_shape(&a, &b, variant);
         let mut auto = Matrix::zeros(or, oc);
         let mut scalar = Matrix::zeros(or, oc);
@@ -112,11 +124,7 @@ proptest! {
         variant in 0usize..3,
         seed in 0u64..1000,
     ) {
-        let (a, b) = match variant {
-            0 => (mat(m, k, seed), mat(k, n, seed + 1)),
-            1 => (mat(m, k, seed), mat(m, n, seed + 1)),
-            _ => (mat(m, k, seed), mat(n, k, seed + 1)),
-        };
+        let (a, b) = operands(variant, m, k, n, seed);
         let (or, oc) = out_shape(&a, &b, variant);
         let mut auto = Matrix::zeros(or, oc);
         let mut scalar = Matrix::zeros(or, oc);
@@ -137,11 +145,7 @@ proptest! {
         variant in 0usize..3,
         seed in 0u64..1000,
     ) {
-        let (a, b) = match variant {
-            0 => (mat(m, k, seed), mat(k, n, seed + 1)),
-            1 => (mat(m, k, seed), mat(m, n, seed + 1)),
-            _ => (mat(m, k, seed), mat(n, k, seed + 1)),
-        };
+        let (a, b) = operands(variant, m, k, n, seed);
         let (or, oc) = out_shape(&a, &b, variant);
         for prec in [Precision::F32, Precision::Mixed] {
             for backend in [Backend::Auto, Backend::Scalar] {
@@ -245,5 +249,146 @@ fn mixed_storage_error_is_exactly_bf16_rounding() {
             want.to_bits(),
             "{v} stored as {g}, want {want}"
         );
+    }
+}
+
+/// The slice of `a` that output row `i` depends on, as a matrix of its
+/// own: row `i` for `matmul` / `matmul_a_bt`, column `i` for `matmul_at_b`.
+fn single_row_operand(a: &Matrix, variant: usize, i: usize) -> Matrix {
+    if variant == 1 {
+        let col = (0..a.rows()).map(|r| a.get(r, i)).collect();
+        Matrix::from_vec(a.rows(), 1, col)
+    } else {
+        Matrix::from_vec(1, a.cols(), a.row(i).to_vec())
+    }
+}
+
+/// What the packed operand of a product stores for `v`.
+fn stored(v: f32, prec: Precision) -> f32 {
+    match prec {
+        Precision::F32 => v,
+        Precision::Mixed => summit_tensor::simd::bf16_to_f32(summit_tensor::simd::f32_to_bf16(v)),
+    }
+}
+
+/// `matmul`'s documented chain for one output element: one accumulator
+/// over ascending `k`, fused on the SIMD backend, product-then-add on the
+/// scalar one — no trace of the 256-step blocking.
+fn matmul_chain(a_row: &[f32], b: &Matrix, j: usize, prec: Precision, simd: bool) -> f32 {
+    let mut acc = 0.0f32;
+    for (kk, &av) in a_row.iter().enumerate() {
+        let bv = stored(b.get(kk, j), prec);
+        acc = if simd {
+            av.mul_add(bv, acc)
+        } else {
+            acc + av * bv
+        };
+    }
+    acc
+}
+
+/// `matmul_a_bt`'s documented chain for one output element. SIMD: eight
+/// lane accumulators stepped over ascending `k`, the fixed reduction tree,
+/// then a fused scalar tail over `k % 8`. Scalar: one ascending-`k`
+/// product-then-add accumulator.
+fn a_bt_chain(a_row: &[f32], b_row: &[f32], prec: Precision, simd: bool) -> f32 {
+    if !simd {
+        return a_row
+            .iter()
+            .zip(b_row)
+            .fold(0.0f32, |acc, (&x, &y)| acc + x * stored(y, prec));
+    }
+    let mut l = [0.0f32; 8];
+    let full = a_row.len() / 8 * 8;
+    for kk in 0..full {
+        l[kk % 8] = a_row[kk].mul_add(stored(b_row[kk], prec), l[kk % 8]);
+    }
+    let mut sum = ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]));
+    for kk in full..a_row.len() {
+        sum = a_row[kk].mul_add(stored(b_row[kk], prec), sum);
+    }
+    sum
+}
+
+/// Every GEMM contract on the shapes that reach the kernels' edges: shared
+/// dimension 7 (no full SIMD step), 64, 100 (steps + scalar tail), 300 and
+/// 1024 (two and four `matmul` blocks, several 64-row blocks of the
+/// transposed kernels); `m` off the 6/4/2-row and 4-row tile heights; `n`
+/// off the 3-wide tile, the 8-lane vector, the 16-column micro-panel and
+/// the 48-row column block.
+#[test]
+fn boundary_shapes_hold_every_gemm_contract() {
+    let shapes = [
+        (13, 7, 35),
+        (11, 64, 19),
+        (141, 100, 37),
+        (7, 300, 53),
+        (9, 1024, 50),
+        (1, 1024, 3),
+    ];
+    for (si, &(m, s, n)) in shapes.iter().enumerate() {
+        for variant in 0..3 {
+            let (a, b) = operands(variant, m, s, n, 17 * si as u64 + variant as u64);
+            for prec in [Precision::F32, Precision::Mixed] {
+                let what = format!("variant {variant} {prec:?} {m}x{s}x{n}");
+                let mut by_backend = Vec::new();
+                for backend in [Backend::Auto, Backend::Scalar] {
+                    let what = format!("{what} {backend:?}");
+                    let simd = backend == Backend::Auto && summit_tensor::simd::active();
+                    let mut serial = Matrix::zeros(m, n);
+                    run(&a, &b, &mut serial, variant, 1, prec, backend);
+
+                    // Pooled = serial, bitwise, at every part count.
+                    for parts in 2..=8 {
+                        let mut pooled = Matrix::zeros(m, n);
+                        run(&a, &b, &mut pooled, variant, parts, prec, backend);
+                        assert_eq!(pooled.as_slice(), serial.as_slice(), "{what} parts {parts}");
+                    }
+
+                    // Row i of the batched product = the one-row product.
+                    for i in (0..m).step_by(m.div_ceil(5)) {
+                        let mut one = Matrix::zeros(1, n);
+                        let a_i = single_row_operand(&a, variant, i);
+                        run(&a_i, &b, &mut one, variant, 1, prec, backend);
+                        assert_eq!(one.as_slice(), serial.row(i), "{what} row {i}");
+                    }
+
+                    // The documented chains, transcribed.
+                    for i in 0..m {
+                        for j in 0..n {
+                            let want = match variant {
+                                0 => matmul_chain(a.row(i), &b, j, prec, simd),
+                                2 => a_bt_chain(a.row(i), b.row(j), prec, simd),
+                                _ => continue,
+                            };
+                            let got = serial.get(i, j);
+                            assert_eq!(got.to_bits(), want.to_bits(), "{what} ({i},{j})");
+                        }
+                    }
+
+                    // Accumulating into zeros = overwrite + add_assign.
+                    if variant == 1 {
+                        for parts in [1, 3] {
+                            let mut acc = Matrix::zeros(m, n);
+                            a.matmul_at_b_acc_into_parts_backend(
+                                &b, &mut acc, parts, prec, backend,
+                            );
+                            let mut sum = Matrix::zeros(m, n);
+                            sum.add_assign(&serial);
+                            assert_eq!(acc.as_slice(), sum.as_slice(), "{what} acc");
+                            // A second pass adds the product once more.
+                            a.matmul_at_b_acc_into_parts_backend(
+                                &b, &mut acc, parts, prec, backend,
+                            );
+                            for (twice, once) in acc.as_slice().iter().zip(serial.as_slice()) {
+                                assert!((twice - 2.0 * once).abs() <= once.abs() * 1e-5 + 1e-5);
+                            }
+                        }
+                    }
+                    by_backend.push(serial);
+                }
+                assert_close(&by_backend[0], &by_backend[1], s, &what);
+            }
+        }
     }
 }

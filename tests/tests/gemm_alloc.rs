@@ -1,29 +1,39 @@
 //! Proof that the pooled matmul hot path is allocation-free in steady
 //! state: a counting global allocator brackets a window of pooled products
-//! through all three variants, and the allocation count must not move.
+//! through all three variants, and the allocation count must not move. The
+//! same allocator then watches steady-state `Mlp::backward` calls, which
+//! may allocate activations but nothing the size of a weight matrix.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
+use summit_dl::MlpSpec;
 use summit_tensor::Matrix;
 
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Largest single request (bytes) since the last reset.
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
+
+fn count(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    LARGEST.fetch_max(bytes, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -45,8 +55,13 @@ static ALLOC: CountingAllocator = CountingAllocator;
 /// covers the packing, the kernels, and the pool's dispatch/park machinery
 /// at once.
 ///
+/// The second window covers the caller that used to undo this: a
+/// three-layer `Mlp::backward` accumulates each weight gradient in place,
+/// so no call may request a buffer as large as the smallest weight matrix
+/// (activations, at batch 4, are an eighth of that).
+///
 /// This file intentionally holds only this test: a sibling test running
-/// concurrently in the same binary would pollute the counter.
+/// concurrently in the same binary would pollute the counters.
 #[test]
 fn steady_state_pooled_matmul_does_not_allocate() {
     let m = 256;
@@ -102,4 +117,31 @@ fn steady_state_pooled_matmul_does_not_allocate() {
     let mut serial = Matrix::zeros(m, n);
     a.matmul_into_parts(&b, &mut serial, 1);
     assert_eq!(out_mm, serial);
+
+    let mut model = MlpSpec::new(64, &[96, 96], 32).build(7);
+    let smallest_weight_bytes = 96 * 32 * std::mem::size_of::<f32>();
+    let x = Matrix::from_vec(
+        4,
+        64,
+        (0..4 * 64).map(|i| (i % 17) as f32 * 0.1 - 0.8).collect(),
+    );
+    let dlogits = Matrix::from_vec(
+        4,
+        32,
+        (0..4 * 32).map(|i| (i % 5) as f32 * 0.05 - 0.1).collect(),
+    );
+    let _ = model.forward(&x);
+    model.backward(&dlogits);
+    LARGEST.store(0, Ordering::SeqCst);
+    for _ in 0..rounds {
+        model.zero_grads();
+        model.backward(&dlogits);
+    }
+    let largest = LARGEST.load(Ordering::SeqCst);
+    assert!(
+        largest < smallest_weight_bytes,
+        "Mlp::backward requested {largest} bytes in one allocation; \
+         the smallest weight matrix is {smallest_weight_bytes}"
+    );
+    assert!(model.flat_grads().iter().any(|&g| g != 0.0));
 }
