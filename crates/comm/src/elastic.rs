@@ -1,25 +1,24 @@
-//! Elastic membership control plane: votes, barriers, and collectives over
-//! a [`WorldView`] — the machinery that lets a world shrink past a dead
-//! rank (or grow one back in) instead of rolling back and replaying.
+//! The recovery control plane: votes, barriers, and collectives over a
+//! [`WorldView`]. Rollback-and-replay runs them over the full view; elastic
+//! recovery runs them over whatever membership survives, which is what lets
+//! a world shrink past a dead rank (or grow one back in) instead of
+//! replaying.
 //!
 //! The protocol is deliberately small. All of it rides on control-plane
 //! tags ([`CONTROL_BIT`]), which the fault plane never drops, delays, or
-//! corrupts — the same assumption the rollback path's [`all_agree`] vote
-//! already makes (a production transport would carry these over a reliable
+//! corrupts (a production transport would carry these over a reliable
 //! out-of-band channel). Three primitives:
 //!
 //! * [`vote_members`] — every member learns every member's health bit, so
 //!   all survivors compute the *same* survivor mask from the same inputs.
 //! * [`view_barrier`] — a gather-then-release rendezvous among the view's
-//!   members only. The elastic path never touches the world's physical
+//!   members only. Recovery never touches the world's physical
 //!   [`Rank::barrier`], which is sized for the full world and would
 //!   deadlock (or worse, mis-release) once spectators stop participating.
 //! * [`try_ring_allreduce_view`] — the data-plane collective: the exact
 //!   ring schedule of the classic path, re-derived at the view's size over
 //!   dense ids and remapped to physical ranks on the wire, in the view's
 //!   epoch tag namespace.
-//!
-//! [`all_agree`]: crate::faults::all_agree
 
 use std::time::{Duration, Instant};
 
@@ -28,11 +27,9 @@ use crate::engine::{self, RemapSchedule, RingSchedule};
 use crate::faults::{CommError, CONTROL_BIT};
 use crate::world::{Rank, WorldView};
 
-/// Control-message kinds, carried in bits 32..40 of the tag so they can
-/// never collide with [`all_agree`]'s historical `CONTROL_BIT | round`
-/// encoding (kind 0).
-///
-/// [`all_agree`]: crate::faults::all_agree
+/// Control-message kinds, carried in bits 32..40 of the tag. Kind 0 is
+/// left to bare `CONTROL_BIT | round` tags, so ad hoc control traffic can
+/// never collide with the protocol's.
 const K_VOTE: u64 = 1;
 const K_GATHER: u64 = 2;
 const K_RELEASE: u64 = 3;
@@ -157,15 +154,51 @@ pub fn try_ring_allreduce_view(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nonblocking::{ring_allreduce_start_windowed, ring_allreduce_start_windowed_view};
     use crate::world::World;
     use std::time::Duration;
 
+    /// The full view at epoch 0 is the classic world: the blocking
+    /// collective and the windowed nonblocking start (two buckets, the
+    /// path rollback takes in overlap mode) are both bit-identical to
+    /// their classic twins.
     #[test]
     fn full_view_allreduce_matches_classic() {
         let results = World::run(4, |rank| {
             let view = WorldView::full(rank);
-            let mut elastic = vec![rank.id() as f32 + 0.25; 32];
-            let mut classic = elastic.clone();
+            let input: Vec<f32> = (0..32)
+                .map(|i| (rank.id() * 32 + i) as f32 * 0.37)
+                .collect();
+            let windowed = |over_view: bool| {
+                let mut buf = input.clone();
+                let mut handles: Vec<_> = buf
+                    .chunks_mut(16)
+                    .enumerate()
+                    .map(|(b, w)| {
+                        let (id, at) = (b as u64, b * 16);
+                        if over_view {
+                            ring_allreduce_start_windowed_view(
+                                rank,
+                                &view,
+                                w,
+                                ReduceOp::Sum,
+                                id,
+                                32,
+                                at,
+                            )
+                        } else {
+                            ring_allreduce_start_windowed(rank, w, ReduceOp::Sum, id, 32, at)
+                        }
+                    })
+                    .collect();
+                handles.iter_mut().for_each(|h| h.wait());
+                drop(handles);
+                buf
+            };
+            assert_eq!(windowed(true), windowed(false), "windowed start diverged");
+
+            let mut elastic = input.clone();
+            let mut classic = input;
             try_ring_allreduce_view(
                 rank,
                 &view,
@@ -242,6 +275,41 @@ mod tests {
             } else {
                 // Members are {0, 1, 3}; dense index 2 (physical 3) voted no.
                 assert_eq!(mask, &vec![true, true, false]);
+            }
+        }
+    }
+
+    /// Every member computes the same mask, so the conjunction every
+    /// recovery driver commits on is the same everywhere — with no
+    /// dissenter, a dissenting lead, and a dissenting last rank.
+    #[test]
+    fn votes_conjoin_across_ranks() {
+        for dissenter in [None, Some(0usize), Some(2)] {
+            let out = World::run(3, |r| {
+                let ok = Some(r.id()) != dissenter;
+                vote_members(r, &WorldView::full(r), ok, 0)
+                    .iter()
+                    .all(|&v| v)
+            });
+            let want = dissenter.is_none();
+            assert!(out.iter().all(|&v| v == want), "dissenter {dissenter:?}");
+        }
+    }
+
+    #[test]
+    fn repeated_votes_stay_consistent() {
+        let out = World::run(4, |r| {
+            let view = WorldView::full(r);
+            (0..8u64)
+                .map(|round| {
+                    let ok = !(round == 3 && r.id() == 2);
+                    vote_members(r, &view, ok, round).iter().all(|&v| v)
+                })
+                .collect::<Vec<bool>>()
+        });
+        for votes in out {
+            for (round, v) in votes.iter().enumerate() {
+                assert_eq!(*v, round != 3, "round {round}");
             }
         }
     }

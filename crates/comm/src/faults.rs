@@ -20,10 +20,11 @@
 //! * [`CommError`] — what the timeout-aware primitives
 //!   ([`Rank::recv_timeout`], `try_ring_allreduce_bucketed`,
 //!   `RingAllreduceHandle::wait_deadline`) surface instead of hanging.
-//! * [`all_agree`] — the control-plane vote recovery is built on: fault
-//!   injection **never** touches tags carrying [`CONTROL_BIT`], mirroring
-//!   real systems' reliable out-of-band control network (the paper's
-//!   "send signal for remediation" path must survive the fault itself).
+//! * [`CONTROL_BIT`] — the control plane recovery is built on: fault
+//!   injection **never** touches tags carrying it, mirroring real systems'
+//!   reliable out-of-band control network (the paper's "send signal for
+//!   remediation" path must survive the fault itself). The votes and
+//!   barriers that ride on it live in [`crate::elastic`].
 //!
 //! The plane is zero-cost when disabled: a world built by [`World::run`]
 //! carries no plan, and every hook is one `Option` test on a field that is
@@ -32,13 +33,10 @@
 //!
 //! [`Rank::recv_timeout`]: crate::world::Rank::recv_timeout
 //! [`World::run`]: crate::world::World::run
-//! [`all_agree`]: crate::faults::all_agree
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-use crate::world::Rank;
 
 /// Tag bit reserved for control-plane traffic (votes, recovery
 /// coordination). The fault plane never drops, delays, or corrupts a
@@ -175,7 +173,8 @@ pub struct FaultEvent {
     pub dst: usize,
     /// Tag namespace the event applies to (ignored for kills).
     pub tag_class: TagClass,
-    /// Application step (see [`Rank::set_fault_step`]) the event fires at.
+    /// Application step (see [`Rank::set_fault_step`](crate::world::Rank::set_fault_step))
+    /// the event fires at.
     pub step: u64,
     /// What happens.
     pub kind: FaultKind,
@@ -492,44 +491,9 @@ impl FaultState {
     }
 }
 
-/// Control-plane consensus on step success: every rank contributes `ok` and
-/// receives the conjunction over all ranks. Runs on [`CONTROL_BIT`] tags,
-/// which the fault plane never touches, so the vote itself is reliable —
-/// the executable analogue of the out-of-band "send signal for remediation"
-/// channel in the paper's fault motif.
-///
-/// `round` disambiguates successive votes; reuse across recovery attempts
-/// is safe because every vote is fully consumed before the next begins.
-pub fn all_agree(rank: &Rank, ok: bool, round: u64) -> bool {
-    let p = rank.size();
-    if p == 1 {
-        return ok;
-    }
-    let tag = CONTROL_BIT | (round & 0xfff);
-    let me = rank.id();
-    let vote = [if ok { 1.0f32 } else { 0.0 }];
-    for peer in 0..p {
-        if peer != me {
-            rank.send_from(peer, tag, &vote);
-        }
-    }
-    let mut all = ok;
-    for peer in 0..p {
-        if peer != me {
-            rank.recv_with(peer, tag, |payload| {
-                if payload[0] == 0.0 {
-                    all = false;
-                }
-            });
-        }
-    }
-    all
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::world::World;
 
     #[test]
     fn tag_classes_partition_the_namespace() {
@@ -625,34 +589,5 @@ mod tests {
         assert!(j.contains("\"kind\":\"delay\",\"ms\":10"));
         assert!(j.contains("\"kind\":\"corrupt\""));
         assert!(j.contains("\"kind\":\"kill\""));
-    }
-
-    #[test]
-    fn votes_conjoin_across_ranks() {
-        for dissenter in [None, Some(0usize), Some(2)] {
-            let out = World::run(3, |r| {
-                let ok = Some(r.id()) != dissenter;
-                all_agree(r, ok, 0)
-            });
-            let want = dissenter.is_none();
-            assert!(out.iter().all(|&v| v == want), "dissenter {dissenter:?}");
-        }
-    }
-
-    #[test]
-    fn repeated_votes_stay_consistent() {
-        let out = World::run(4, |r| {
-            let mut results = Vec::new();
-            for round in 0..8u64 {
-                let ok = !(round == 3 && r.id() == 2);
-                results.push(all_agree(r, ok, round));
-            }
-            results
-        });
-        for votes in out {
-            for (round, v) in votes.iter().enumerate() {
-                assert_eq!(*v, round != 3, "round {round}");
-            }
-        }
     }
 }

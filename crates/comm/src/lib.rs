@@ -52,7 +52,7 @@ pub use collectives::ReduceOp;
 pub use elastic::{try_ring_allreduce_view, view_barrier, vote_members};
 pub use engine::{simulate_reference, Collective, ModelReport};
 pub use extended::{alltoall, gather, hierarchical_allreduce, scatter};
-pub use faults::{all_agree, CommError, FaultKind, FaultPlan, FaultRates, TagClass, CONTROL_BIT};
+pub use faults::{CommError, FaultKind, FaultPlan, FaultRates, TagClass, CONTROL_BIT};
 pub use group::Group;
 pub use model::{Algorithm, CollectiveModel};
 pub use nonblocking::{

@@ -177,10 +177,10 @@ pub struct RingAllreduceHandle<'a> {
     /// The engine schedule — the *same* [`RingSchedule`] state machine the
     /// blocking and modeled surfaces run, under nonblocking tags.
     sched: RingSchedule,
-    /// Dense-to-physical member map when this handle runs over an elastic
-    /// [`WorldView`] ([`ring_allreduce_start_windowed_view`]); `None` on
-    /// the classic full-world path, which stays allocation-free.
-    members: Option<Vec<usize>>,
+    /// Dense-to-physical member map, borrowed from the [`WorldView`] this
+    /// handle runs over ([`ring_allreduce_start_windowed_view`]); `None` on
+    /// the classic full-world path.
+    members: Option<&'a [usize]>,
 }
 
 /// Begin a nonblocking ring allreduce over all of `buf`.
@@ -221,30 +221,7 @@ pub fn ring_allreduce_start_windowed<'a>(
     total_len: usize,
     window_start: usize,
 ) -> RingAllreduceHandle<'a> {
-    assert!(
-        window_start + buf.len() <= total_len,
-        "window [{}, {}) overruns total length {}",
-        window_start,
-        window_start + buf.len(),
-        total_len
-    );
-    assert!(collective < 1 << 50, "collective id out of tag range");
-    let mut handle = RingAllreduceHandle {
-        sched: RingSchedule::allreduce_windowed(
-            rank.size(),
-            rank.id(),
-            total_len,
-            window_start,
-            buf.len(),
-            collective,
-        ),
-        rank,
-        buf,
-        op,
-        members: None,
-    };
-    handle.prime();
-    handle
+    RingAllreduceHandle::start(rank, None, buf, op, collective, total_len, window_start)
 }
 
 /// [`ring_allreduce_start_windowed`] over an elastic [`WorldView`]: the
@@ -259,50 +236,72 @@ pub fn ring_allreduce_start_windowed<'a>(
 /// the bits above).
 pub fn ring_allreduce_start_windowed_view<'a>(
     rank: &'a Rank,
-    view: &WorldView,
+    view: &'a WorldView,
     buf: &'a mut [f32],
     op: ReduceOp,
     collective: u64,
     total_len: usize,
     window_start: usize,
 ) -> RingAllreduceHandle<'a> {
-    let me = view.my_index().expect("only members join collectives");
-    assert!(
-        window_start + buf.len() <= total_len,
-        "window [{}, {}) overruns total length {}",
-        window_start,
-        window_start + buf.len(),
-        total_len
-    );
-    assert!(collective < 1 << 20, "collective id out of epoch-tag range");
-    let mut handle = RingAllreduceHandle {
-        sched: RingSchedule::allreduce_windowed(
-            view.size(),
-            me,
-            total_len,
-            window_start,
-            buf.len(),
-            view.nb_ns() | collective,
-        ),
+    RingAllreduceHandle::start(
         rank,
+        Some(view),
         buf,
         op,
-        members: Some(view.members().to_vec()),
-    };
-    handle.prime();
-    handle
+        collective,
+        total_len,
+        window_start,
+    )
 }
 
-impl RingAllreduceHandle<'_> {
-    /// Prime the ring immediately after construction: execute the
-    /// schedule's leading sends (this rank's own chunk window; empty
-    /// windows produce no send ops, on every rank consistently) so peers
-    /// can progress before our first `progress`.
-    fn prime(&mut self) {
-        while let Some(Op::Send { to, tag, win }) = self.sched.current() {
-            let to = self.members.as_ref().map_or(to, |m| m[to]);
-            self.rank.send_from(to, tag, &self.buf[win.0..win.1]);
-            self.sched.advance();
+impl<'a> RingAllreduceHandle<'a> {
+    /// Build and prime a handle: over the whole world on the classic tags
+    /// (`view: None`), or over `view`'s members in its epoch namespace.
+    fn start(
+        rank: &'a Rank,
+        view: Option<&'a WorldView>,
+        buf: &'a mut [f32],
+        op: ReduceOp,
+        collective: u64,
+        total_len: usize,
+        window_start: usize,
+    ) -> Self {
+        let (p, me, members, collective) = match view {
+            None => {
+                assert!(collective < 1 << 50, "collective id out of tag range");
+                (rank.size(), rank.id(), None, collective)
+            }
+            Some(view) => {
+                let me = view.my_index().expect("only members join collectives");
+                assert!(collective < 1 << 20, "collective id out of epoch-tag range");
+                let members = Some(view.members());
+                (view.size(), me, members, view.nb_ns() | collective)
+            }
+        };
+        assert!(
+            window_start + buf.len() <= total_len,
+            "window [{}, {}) overruns total length {}",
+            window_start,
+            window_start + buf.len(),
+            total_len
+        );
+        let mut sched =
+            RingSchedule::allreduce_windowed(p, me, total_len, window_start, buf.len(), collective);
+        // Prime the ring: execute the schedule's leading sends (this rank's
+        // own chunk window; empty windows produce no send ops, on every
+        // rank consistently) so peers can progress before our first
+        // `progress`.
+        while let Some(Op::Send { to, tag, win }) = sched.current() {
+            let to = members.map_or(to, |m| m[to]);
+            rank.send_from(to, tag, &buf[win.0..win.1]);
+            sched.advance();
+        }
+        RingAllreduceHandle {
+            rank,
+            buf,
+            op,
+            sched,
+            members,
         }
     }
 
@@ -323,7 +322,7 @@ impl RingAllreduceHandle<'_> {
         block: bool,
         deadline: Option<Instant>,
     ) -> Result<bool, CommError> {
-        match &self.members {
+        match self.members {
             None => engine::step_nonblocking(
                 self.rank,
                 self.buf,

@@ -927,7 +927,9 @@ impl WorldView {
     }
 }
 
-/// Aggregate traffic statistics for one [`World::run`] execution.
+/// Aggregate traffic statistics for one [`World::execute`] of a world
+/// (whichever entry point ran it; [`World::last_traffic`] keeps the most
+/// recent).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficStats {
     /// Total payload bytes sent by all ranks.

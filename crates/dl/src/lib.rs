@@ -52,6 +52,7 @@ pub mod model;
 pub mod optim;
 pub mod recovery;
 pub mod schedule;
+mod step;
 pub mod trainer;
 pub mod transformer;
 

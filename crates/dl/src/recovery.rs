@@ -1,63 +1,57 @@
-//! Checkpointed fault-tolerant data-parallel training.
+//! Fault-tolerant data-parallel training: one step, one control plane, two
+//! remediation policies.
 //!
-//! The paper's fault motif (Table I, row 1) is *detect → signal → remediate*:
-//! a hardware fault surfaces as an anomaly, an out-of-band signal triggers
-//! remediation, and the job resumes from its last checkpoint. This module is
-//! the executable version of that loop for [`DataParallelTrainer`]:
+//! The paper's fault motif (Table I, row 1) is *detect → signal → remediate*.
+//! Both drivers here run that loop around the same pieces and differ only in
+//! the last verb:
 //!
-//! 1. **Detect** — every gradient allreduce runs on the timeout-aware checked
-//!    primitives ([`try_ring_allreduce_bucketed`], the checked nonblocking
-//!    handle drivers), so drops, corruption, delays past the deadline, and
-//!    scheduled rank kills surface as [`CommError`] instead of hangs.
-//! 2. **Signal** — after every step attempt the ranks vote with
-//!    [`all_agree`] on [`CONTROL_BIT`](summit_comm::CONTROL_BIT) tags, which
-//!    the fault plane never touches: the reliable out-of-band control
-//!    network.
-//! 3. **Remediate** — on a failed vote every rank barriers, drains the data
-//!    fabric of half-finished collective traffic ([`Rank::drain_all`]),
-//!    restores the last in-memory checkpoint (flat parameters plus
-//!    [`OptimizerState`]), and replays from the checkpointed step.
+//! 1. **Detect** — every attempt is the shared data-parallel step
+//!    (`crate::step`) on its checked surface: the gradient collectives run
+//!    over a [`WorldView`] on the deadline-bounded, checksummed drivers, so
+//!    drops, corruption, delays past the deadline, and scheduled rank kills
+//!    surface as [`CommError`] instead of hangs.
+//! 2. **Signal** — after every attempt the view's members exchange health
+//!    bits with [`vote_members`] on
+//!    [`CONTROL_BIT`](summit_comm::CONTROL_BIT) tags, which the fault plane
+//!    never touches: the reliable out-of-band control network. A step
+//!    commits only if every member's collective finished clean; otherwise
+//!    the members quiesce (view barrier → [`Rank::drain_all`] → view
+//!    barrier), sweeping the half-finished traffic off the data fabric.
+//! 3. **Remediate** — the policy.
+//!    [`run_fault_tolerant`](DataParallelTrainer::run_fault_tolerant)
+//!    keeps the membership (the full view at epoch 0, all run), restores the
+//!    last whole in-memory [`ElasticCheckpoint`] and replays from its step.
+//!    [`run_elastic`](DataParallelTrainer::run_elastic) keeps the step: the
+//!    survivors adopt the vote's mask as a smaller view, re-derive the
+//!    collective schedules and the data sharding at `p-1`, re-take their
+//!    [`chunk_range`] shard of the checkpoint, and retry — and can later
+//!    re-admit a recovered rank at a step boundary (hot join).
 //!
-//! Recovery is **bit-exact**: data sharding is a pure function of the global
-//! step index, fault events are one-shot (a replayed step re-executes
-//! clean), and the checked collectives are a different driver
-//! (`engine::drive_checked`) over the *same* schedule objects as the
-//! infallible path, sharing fold order and operand order by
-//! construction — so a faulted run converges to
-//! exactly the fault-free trajectory, bit for bit. The chaos suite in
-//! `tests/` pins this for drop, delay, corrupt, and kill scenarios.
-//!
-//! [`DataParallelTrainer::run_elastic`] is the second remediation policy:
-//! instead of rolling the *whole world* back to replay lost steps, the
-//! survivors vote a dead rank out ([`vote_members`]), quiesce, re-derive
-//! every collective schedule at `p-1` over a [`WorldView`], re-partition
-//! data and checkpoint shards with [`chunk_range`], and continue from the
-//! failed step — and can later re-admit a recovered rank at a step
-//! boundary (hot join). Elastic continuation is bit-identical to a fresh
-//! `p-1`-rank run from the same checkpoint; `tests/tests/elastic.rs` pins
-//! the full matrix.
+//! Both are **bit-exact**: sharding is a pure function of `(step, view)`,
+//! fault events are one-shot (a retried step re-executes clean), and the
+//! checked collectives drive the *same* schedule objects as the infallible
+//! path, sharing fold and operand order by construction. A rolled-back run
+//! lands on exactly the fault-free trajectory, and an elastic continuation
+//! on that of a fresh `p-1`-rank run from the same checkpoint; the chaos
+//! and elastic suites in `tests/` pin both.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use summit_comm::{
-    all_agree,
-    collectives::{try_ring_allreduce_bucketed, ReduceOp},
-    elastic::{join_tag, state_tag, try_ring_allreduce_view, view_barrier, vote_members},
-    nonblocking::{
-        ring_allreduce_start_windowed, ring_allreduce_start_windowed_view, RingAllreduceHandle,
-    },
+    elastic::{join_tag, state_tag, view_barrier, vote_members},
     world::{Rank, World, WorldView},
     CommError, FaultPlan,
 };
 use summit_pool::chunk_range;
-use summit_tensor::{ops, Matrix};
+use summit_tensor::Matrix;
 
 use crate::checkpoint::ElasticCheckpoint;
 use crate::model::Mlp;
-use crate::optim::{Optimizer, OptimizerState};
+use crate::optim::Optimizer;
 use crate::schedule::LrSchedule;
-use crate::trainer::{slice_rows, BucketSchedule, DataParallelTrainer};
+use crate::step::{lead_params, shard_range, Replica};
+use crate::trainer::DataParallelTrainer;
 
 /// Recovery policy for [`DataParallelTrainer::run_fault_tolerant`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,15 +76,6 @@ impl Default for RecoveryConfig {
             max_recoveries: 64,
         }
     }
-}
-
-/// One in-memory checkpoint: everything needed to replay bit-exactly.
-#[derive(Debug, Clone)]
-struct MemoryCheckpoint {
-    step: u32,
-    loss_sum: f32,
-    params: Vec<f32>,
-    opt: OptimizerState,
 }
 
 /// Result of a fault-tolerant run; extends
@@ -121,90 +106,31 @@ pub struct FtOutcome {
     pub step_seconds: Vec<f64>,
 }
 
-/// Outcome of one step attempt's communication phase.
-#[allow(clippy::too_many_arguments)]
-fn step_comm(
-    rank: &Rank,
-    model: &mut Mlp,
-    dlogits: &Matrix,
-    flat: &mut Vec<f32>,
-    layer_sizes: &[usize],
-    bucket_elems: usize,
-    overlap: bool,
-    deadline: Instant,
-) -> Result<(), CommError> {
-    let n = flat.len();
-    if overlap && rank.size() > 1 {
-        // Overlapped path: identical launch schedule and window partition
-        // to the infallible trainer, but driven by the checked progress /
-        // bounded wait. On the first error we stop driving and fall
-        // through; surviving handles are dropped half-finished (their
-        // traffic is drained during recovery).
-        let mut sched = BucketSchedule::new(layer_sizes, bucket_elems);
-        let mut windows: Vec<Option<&mut [f32]>> =
-            flat.chunks_mut(bucket_elems).map(Some).collect();
-        let mut handles: Vec<RingAllreduceHandle> = Vec::with_capacity(windows.len());
-        let mut failed: Option<CommError> = None;
-        model.backward_with(dlogits, |layer, gw, gb| {
-            let off = sched.layer_start(layer);
-            let w = gw.as_slice();
-            scatter_into(&mut windows, bucket_elems, off, w);
-            scatter_into(&mut windows, bucket_elems, off + w.len(), gb);
-            for b in sched.on_layer_ready(layer).rev() {
-                let window = windows[b].take().expect("bucket launched twice");
-                handles.push(ring_allreduce_start_windowed(
-                    rank,
-                    window,
-                    ReduceOp::Sum,
-                    b as u64,
-                    n,
-                    b * bucket_elems,
-                ));
-            }
-            if failed.is_none() {
-                for h in handles.iter_mut() {
-                    if let Err(e) = h.progress_checked() {
-                        failed = Some(e);
-                        break;
-                    }
-                }
-            }
-        });
-        if let Some(e) = failed {
-            return Err(e);
-        }
-        for h in handles.iter_mut() {
-            h.wait_deadline(deadline)?;
-        }
-        Ok(())
-    } else {
-        model.backward(dlogits);
-        model.flat_grads_into(flat);
-        if rank.size() > 1 {
-            let timeout = deadline.saturating_duration_since(Instant::now());
-            try_ring_allreduce_bucketed(rank, flat, ReduceOp::Sum, bucket_elems, timeout)
-        } else {
-            Ok(())
-        }
-    }
+/// Control-plane round of exchange `slot` within training step `step`. A
+/// completed exchange consumes all its messages, so a retried or replayed
+/// step reuses its rounds safely.
+fn round(step: u32, slot: u64) -> u64 {
+    ((step as u64) << 3) | slot
 }
+/// Round slot of the aliveness vote (the survivor mask).
+const ROUND_ALIVE: u64 = 0;
+/// First of the two round slots of a post-failure [`quiesce`].
+const ROUND_QUIESCE: u64 = 1;
+/// First of the two round slots of the hot-join [`quiesce`].
+const ROUND_JOIN: u64 = 4;
+/// Round slot of the commit vote (did every member's collective finish).
+const ROUND_COMMIT: u64 = 6;
 
-/// Copy `src` into flat position `pos` across per-bucket windows — the
-/// trainer's scatter, duplicated here because the windows borrow a
-/// different buffer. Behaviour is identical.
-fn scatter_into(windows: &mut [Option<&mut [f32]>], m: usize, mut pos: usize, src: &[f32]) {
-    let mut s = 0;
-    while s < src.len() {
-        let b = pos / m;
-        let within = pos - b * m;
-        let w = windows[b]
-            .as_mut()
-            .expect("gradient written into an already-launched bucket");
-        let take = (w.len() - within).min(src.len() - s);
-        w[within..within + take].copy_from_slice(&src[s..s + take]);
-        pos += take;
-        s += take;
-    }
+/// Quiesce the view's members: view barrier → [`Rank::drain_all`] → view
+/// barrier, on control rounds `round` and `round + 1`. Every checked path
+/// is deadline-bounded, so all members arrive; the drain between the
+/// barriers then sweeps every half-finished collective message off the
+/// data fabric. Returns how many it drained.
+fn quiesce(rank: &Rank, view: &WorldView, round: u64) -> usize {
+    view_barrier(rank, view, round);
+    let drained = rank.drain_all();
+    view_barrier(rank, view, round + 1);
+    drained
 }
 
 impl DataParallelTrainer {
@@ -237,97 +163,38 @@ impl DataParallelTrainer {
             cfg.checkpoint_interval > 0,
             "checkpoint interval must be positive"
         );
-        let global_batch = self.ranks * self.per_rank_batch;
-        assert!(
-            x.rows() >= global_batch,
-            "dataset smaller than one global batch"
-        );
-        let steps_per_epoch = (x.rows() / global_batch) as u32;
-        let total_steps = epochs * steps_per_epoch;
-        let ranks = self.ranks;
-        let per_rank = self.per_rank_batch;
-        let bucket_elems = self.fusion.bucket_elems();
-        let overlap = self.overlap.enabled;
+        let total_steps = epochs * self.steps_per_epoch(x.rows());
 
-        let (results, stats) = World::run_with_faults(ranks, plan, |rank| {
-            let mut model = build_model();
-            let mut optimizer = build_optimizer();
-            let n = model.param_count();
-            let layer_sizes = model.layer_param_sizes();
-            let mut flat: Vec<f32> = vec![0.0; n];
-
-            let mut step = 0u32;
-            let mut loss_sum = 0.0f32;
-            let mut recoveries = 0u32;
-            let mut drained = 0usize;
-            let mut vote_round = 0u64;
+        let (mut results, stats) = World::run_with_faults(self.ranks, plan, |rank| {
+            let mut replica = Replica::new(self, &build_model, &build_optimizer);
+            // Rollback never changes the membership: the full view at
+            // epoch 0, whose collectives are the classic ones on the wire.
+            let view = WorldView::full(rank);
+            let (mut step, mut loss_sum) = (0u32, 0.0f32);
+            let (mut recoveries, mut drained) = (0u32, 0usize);
             let mut step_seconds: Vec<f64> = Vec::new();
-            let mut ckpt = MemoryCheckpoint {
-                step: 0,
-                loss_sum: 0.0,
-                params: model.flat_params(),
-                opt: optimizer.export_state(),
-            };
+            // The rollback target (always one: taken at step 0), with the
+            // loss accumulated up to it.
+            let mut ckpt = (replica.checkpoint(0), 0.0f32);
 
             while step < total_steps {
+                // The fault clock is the plain step index.
                 rank.set_fault_step(step as u64);
                 let t0 = Instant::now();
-                let deadline = t0 + cfg.step_timeout;
+                let shard = shard_range(step, x.rows(), self.ranks, rank.id(), self.per_rank_batch);
+                let (loss, dlogits) = replica.forward_loss(x, labels, shard);
+                let comm =
+                    replica.backward_and_sync(rank, Some((&view, t0 + cfg.step_timeout)), &dlogits);
 
-                // Shard for global step `step` — a pure function of the
-                // step index, so replays read the same rows.
-                let s = (step % steps_per_epoch) as usize;
-                let base = s * ranks * per_rank;
-                let start = base + rank.id() * per_rank;
-                let bx = slice_rows(x, start, start + per_rank);
-                let blabels = &labels[start..start + per_rank];
-
-                let logits = model.forward(&bx);
-                let (loss, dlogits) = ops::softmax_cross_entropy(logits, blabels);
-                model.zero_grads();
-
-                let comm = step_comm(
-                    rank,
-                    &mut model,
-                    &dlogits,
-                    &mut flat,
-                    &layer_sizes,
-                    bucket_elems,
-                    overlap,
-                    deadline,
-                );
-
-                // Out-of-band vote: the step commits only if *every* rank's
-                // communication succeeded. The vote runs on CONTROL_BIT
-                // tags, which the fault plane never touches.
-                let committed = all_agree(rank, comm.is_ok(), vote_round);
-                vote_round += 1;
-
-                if committed {
-                    let inv = 1.0 / ranks as f32;
-                    for g in &mut flat {
-                        *g *= inv;
-                    }
-                    model.set_flat_grads(&flat);
-                    let lr = schedule.multiplier(step);
-                    model.for_each_group(|id, params, grads| {
-                        optimizer.step_group(id, lr, params, grads)
-                    });
-                    optimizer.advance();
+                let votes = vote_members(rank, &view, comm.is_ok(), round(step, ROUND_COMMIT));
+                if votes.iter().all(|&ok| ok) {
+                    replica.apply_averaged(self.ranks, schedule.multiplier(step));
                     step += 1;
                     loss_sum += loss;
                     if step < total_steps && step.is_multiple_of(cfg.checkpoint_interval) {
-                        ckpt = MemoryCheckpoint {
-                            step,
-                            loss_sum,
-                            params: model.flat_params(),
-                            opt: optimizer.export_state(),
-                        };
+                        ckpt = (replica.checkpoint(step), loss_sum);
                     }
                 } else {
-                    // Remediation: all ranks are here (every checked path is
-                    // deadline-bounded), so barrier, drain the fabric of
-                    // half-finished collective traffic, and roll back.
                     recoveries += 1;
                     assert!(
                         recoveries <= cfg.max_recoveries,
@@ -335,46 +202,37 @@ impl DataParallelTrainer {
                         rank.id(),
                         cfg.max_recoveries
                     );
-                    rank.barrier();
-                    drained += rank.drain_all();
-                    rank.barrier();
-                    model.set_flat_params(&ckpt.params);
-                    optimizer.import_state(&ckpt.opt);
-                    step = ckpt.step;
-                    loss_sum = ckpt.loss_sum;
+                    drained += quiesce(rank, &view, round(step, ROUND_QUIESCE));
+                    replica
+                        .restore(&ckpt.0)
+                        .expect("a replica's own checkpoint always fits it");
+                    (step, loss_sum) = (ckpt.0.step, ckpt.1);
                 }
                 step_seconds.push(t0.elapsed().as_secs_f64());
             }
-            (
-                model.flat_params(),
-                loss_sum / step.max(1) as f32,
-                step,
+            // This rank's view of the outcome; the world-wide fields are
+            // folded into rank 0's copy below.
+            FtOutcome {
+                params: replica.model.flat_params(),
+                loss: loss_sum / step.max(1) as f32,
+                max_divergence: 0.0,
+                steps: step,
                 recoveries,
-                drained,
+                drained_messages: drained,
+                faults_injected: 0,
                 step_seconds,
-            )
+            }
         });
 
-        let params0 = results[0].0.clone();
-        let (loss0, steps, recoveries) = (results[0].1, results[0].2, results[0].3);
-        let step_seconds0 = results[0].5.clone();
-        let mut max_div = 0.0f32;
-        let mut drained_total = 0usize;
-        for (params, _, _, _, drained, _) in &results {
-            drained_total += drained;
-            for (a, b) in params.iter().zip(&params0) {
-                max_div = max_div.max((a - b).abs());
-            }
-        }
+        let drained_messages = results.iter().map(|o| o.drained_messages).sum();
+        let (params, max_divergence) =
+            lead_params(results.iter_mut().map(|o| std::mem::take(&mut o.params)));
         FtOutcome {
-            params: params0,
-            loss: loss0,
-            max_divergence: max_div,
-            steps,
-            recoveries,
-            drained_messages: drained_total,
+            params,
+            max_divergence,
+            drained_messages,
             faults_injected: stats.faults_injected,
-            step_seconds: step_seconds0,
+            ..results.swap_remove(0)
         }
     }
 }
@@ -471,32 +329,14 @@ pub struct ElasticOutcome {
     pub shard_spans: Vec<(usize, usize, usize)>,
 }
 
-/// Per-rank exit state of the elastic loop.
-struct RankEnd {
-    physical: usize,
-    active: bool,
-    params: Vec<f32>,
-    loss: f32,
-    steps: u32,
-    shrinks: u32,
-    joins: u32,
-    members: Vec<usize>,
-    epoch: u64,
-    drained: usize,
-    checkpoint: ElasticCheckpoint,
-    membership_log: Vec<(u32, u64, Vec<usize>)>,
-    shard_span: (usize, usize, usize),
-}
-
 /// Capture the size-agnostic checkpoint and return this member's
 /// [`chunk_range`] shard of the encoded word stream, plus its span.
 fn capture_shard(
     step: u32,
-    model: &Mlp,
-    optimizer: &dyn Optimizer,
+    replica: &Replica,
     view: &WorldView,
 ) -> (Vec<f32>, (usize, usize, usize)) {
-    let words = ElasticCheckpoint::capture(step, model, optimizer).encode();
+    let words = replica.checkpoint(step).encode();
     let dense = view
         .my_index()
         .expect("only members hold checkpoint shards");
@@ -526,79 +366,6 @@ fn wait_for_join(rank: &Rank, rejoin: u32) -> (usize, u64) {
             rank.id()
         );
         std::thread::yield_now();
-    }
-}
-
-/// One step attempt's communication phase over a [`WorldView`]: the exact
-/// structure of [`step_comm`], with the collectives re-derived at the
-/// view's size and remapped to physical ranks. On error every live handle
-/// is cancelled, so a failed attempt leaves no schedule still emitting
-/// sends while the quiesce drains the fabric.
-#[allow(clippy::too_many_arguments)]
-fn elastic_step_comm(
-    rank: &Rank,
-    view: &WorldView,
-    model: &mut Mlp,
-    dlogits: &Matrix,
-    flat: &mut Vec<f32>,
-    layer_sizes: &[usize],
-    bucket_elems: usize,
-    overlap: bool,
-    deadline: Instant,
-) -> Result<(), CommError> {
-    let n = flat.len();
-    if overlap && view.size() > 1 {
-        let mut sched = BucketSchedule::new(layer_sizes, bucket_elems);
-        let mut windows: Vec<Option<&mut [f32]>> =
-            flat.chunks_mut(bucket_elems).map(Some).collect();
-        let mut handles: Vec<RingAllreduceHandle> = Vec::with_capacity(windows.len());
-        let mut failed: Option<CommError> = None;
-        model.backward_with(dlogits, |layer, gw, gb| {
-            let off = sched.layer_start(layer);
-            let w = gw.as_slice();
-            scatter_into(&mut windows, bucket_elems, off, w);
-            scatter_into(&mut windows, bucket_elems, off + w.len(), gb);
-            for b in sched.on_layer_ready(layer).rev() {
-                let window = windows[b].take().expect("bucket launched twice");
-                handles.push(ring_allreduce_start_windowed_view(
-                    rank,
-                    view,
-                    window,
-                    ReduceOp::Sum,
-                    b as u64,
-                    n,
-                    b * bucket_elems,
-                ));
-            }
-            if failed.is_none() {
-                for h in handles.iter_mut() {
-                    if let Err(e) = h.progress_checked() {
-                        failed = Some(e);
-                        break;
-                    }
-                }
-            }
-        });
-        let mut err = failed;
-        for h in handles.iter_mut() {
-            if err.is_none() {
-                if let Err(e) = h.wait_deadline(deadline) {
-                    err = Some(e);
-                }
-            }
-            if err.is_some() {
-                h.cancel();
-            }
-        }
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    } else {
-        model.backward(dlogits);
-        model.flat_grads_into(flat);
-        let timeout = deadline.saturating_duration_since(Instant::now());
-        try_ring_allreduce_view(rank, view, flat, ReduceOp::Sum, bucket_elems, timeout)
     }
 }
 
@@ -660,28 +427,16 @@ impl DataParallelTrainer {
             total_steps < (1 << 13),
             "elastic clock/round encoding supports at most 8191 steps"
         );
-        let global_batch = self.ranks * self.per_rank_batch;
-        assert!(
-            x.rows() >= global_batch,
-            "dataset smaller than one global batch"
-        );
-        let ranks = self.ranks;
-        let per_rank = self.per_rank_batch;
-        let bucket_elems = self.fusion.bucket_elems();
-        let overlap = self.overlap.enabled;
-        let rows = x.rows();
+        // Only the size check: steps per epoch re-derive from each view.
+        self.steps_per_epoch(x.rows());
 
-        let (results, stats) = World::run_with_faults(ranks, plan, |rank| {
-            let mut model = build_model();
-            let mut optimizer = build_optimizer();
+        let (results, stats) = World::run_with_faults(self.ranks, plan, |rank| {
+            let mut replica = Replica::new(self, &build_model, &build_optimizer);
             let mut step = 0u32;
             if let Some(ck) = start_from {
-                ck.restore(&mut model, optimizer.as_mut())
-                    .expect("starting checkpoint rejected");
+                replica.restore(ck).expect("starting checkpoint rejected");
                 step = ck.step;
             }
-            let layer_sizes = model.layer_param_sizes();
-            let mut flat: Vec<f32> = vec![0.0; model.param_count()];
 
             let mut view = WorldView::full(rank);
             let mut loss_sum = 0.0f32;
@@ -697,8 +452,7 @@ impl DataParallelTrainer {
             let mut active = true;
             let mut membership_log: Vec<(u32, u64, Vec<usize>)> =
                 vec![(step, view.epoch(), view.members().to_vec())];
-            let (mut shard, mut shard_span) =
-                capture_shard(step, &model, optimizer.as_ref(), &view);
+            let (mut shard, mut shard_span) = capture_shard(step, &replica, &view);
 
             while active && step < total_steps {
                 // Hot-join boundary: re-admit every spectator before
@@ -706,8 +460,7 @@ impl DataParallelTrainer {
                 if view.size() < rank.size() && cfg.rejoin_at == Some(step) {
                     let new_epoch = view.epoch() + 1;
                     if view.my_index() == Some(0) {
-                        let words =
-                            ElasticCheckpoint::capture(step, &model, optimizer.as_ref()).encode();
+                        let words = replica.checkpoint(step).encode();
                         for peer in 0..rank.size() {
                             if !view.is_member(peer) {
                                 rank.send_from(peer, join_tag(step as u64), &[new_epoch as f32]);
@@ -717,10 +470,8 @@ impl DataParallelTrainer {
                     }
                     view = view.grow_full(rank.size());
                     joins += 1;
-                    view_barrier(rank, &view, ((step as u64) << 3) | 4);
-                    drained += rank.drain_all();
-                    view_barrier(rank, &view, ((step as u64) << 3) | 5);
-                    (shard, shard_span) = capture_shard(step, &model, optimizer.as_ref(), &view);
+                    drained += quiesce(rank, &view, round(step, ROUND_JOIN));
+                    (shard, shard_span) = capture_shard(step, &replica, &view);
                     membership_log.push((step, view.epoch(), view.members().to_vec()));
                     continue;
                 }
@@ -730,40 +481,19 @@ impl DataParallelTrainer {
                 poisoned |= rank.poll_fault_kill().is_err();
                 let deadline = Instant::now() + cfg.step_timeout;
 
-                // Shard for (step, view) — a pure function of both, so an
-                // elastic continuation at size p' reads exactly the rows a
-                // fresh p'-sized run would.
-                let global = view.size() * per_rank;
-                let spe = (rows / global) as u32;
-                let base = (step % spe) as usize * global;
-                let rrange = chunk_range(global, view.size(), me);
-                let (start, end) = (base + rrange.start, base + rrange.end);
-                let bx = slice_rows(x, start, end);
-                let blabels = &labels[start..end];
-
                 let mut loss = 0.0f32;
                 let (comm_ok, i_am_dead) = if poisoned {
                     // A dead rank computes and sends nothing; the
                     // survivors' collective times out — the detection path.
                     (false, true)
                 } else {
-                    let logits = model.forward(&bx);
-                    let (l, dlogits) = ops::softmax_cross_entropy(logits, blabels);
+                    // Rows for (step, view): re-derived at the view's size.
+                    let shard = shard_range(step, x.rows(), view.size(), me, self.per_rank_batch);
+                    let (l, dlogits) = replica.forward_loss(x, labels, shard);
                     loss = l;
-                    model.zero_grads();
                     rank.set_fault_step(elastic_clock(view.epoch(), step, SUB_COMM));
-                    match elastic_step_comm(
-                        rank,
-                        &view,
-                        &mut model,
-                        &dlogits,
-                        &mut flat,
-                        &layer_sizes,
-                        bucket_elems,
-                        overlap,
-                        deadline,
-                    ) {
-                        Ok(()) => (true, false),
+                    match replica.backward_and_sync(rank, Some((&view, deadline)), &dlogits) {
+                        Ok(_) => (true, false),
                         // My own scheduled death: I must leave the world.
                         Err(CommError::RankKilled { .. }) => (false, true),
                         // Someone else's fault surfaced here (timeout
@@ -781,27 +511,17 @@ impl DataParallelTrainer {
                 // clean). A completed vote consumes all its messages, so a
                 // retried step can reuse the same rounds safely.
                 let alive = !(i_am_dead || poisoned);
-                let votes = vote_members(rank, &view, alive, (step as u64) << 3);
+                let votes = vote_members(rank, &view, alive, round(step, ROUND_ALIVE));
                 let comm_votes =
-                    vote_members(rank, &view, comm_ok && !poisoned, ((step as u64) << 3) | 6);
+                    vote_members(rank, &view, comm_ok && !poisoned, round(step, ROUND_COMMIT));
 
                 if comm_votes.iter().all(|&v| v) {
-                    let inv = 1.0 / view.size() as f32;
-                    for g in &mut flat {
-                        *g *= inv;
-                    }
-                    model.set_flat_grads(&flat);
-                    let lr = schedule.multiplier(step);
-                    model.for_each_group(|id, params, grads| {
-                        optimizer.step_group(id, lr, params, grads)
-                    });
-                    optimizer.advance();
+                    replica.apply_averaged(view.size(), schedule.multiplier(step));
                     step += 1;
                     committed += 1;
                     loss_sum += loss;
                     if step.is_multiple_of(cfg.checkpoint_interval) {
-                        (shard, shard_span) =
-                            capture_shard(step, &model, optimizer.as_ref(), &view);
+                        (shard, shard_span) = capture_shard(step, &replica, &view);
                     }
                 } else if votes.iter().all(|&v| v) {
                     // Transient fault (drop/corrupt/delay), nobody dead:
@@ -813,9 +533,7 @@ impl DataParallelTrainer {
                         "rank {}: transient retry limit exceeded",
                         rank.id()
                     );
-                    view_barrier(rank, &view, ((step as u64) << 3) | 1);
-                    drained += rank.drain_all();
-                    view_barrier(rank, &view, ((step as u64) << 3) | 2);
+                    drained += quiesce(rank, &view, round(step, ROUND_QUIESCE));
                 } else {
                     // Shrink: quiesce the old membership, adopt the
                     // survivor mask, re-partition, retry at the new size.
@@ -828,17 +546,14 @@ impl DataParallelTrainer {
                     );
                     rank.set_fault_step(elastic_clock(view.epoch(), step, SUB_DRAIN));
                     poisoned |= rank.poll_fault_kill().is_err();
-                    view_barrier(rank, &view, ((step as u64) << 3) | 1);
-                    drained += rank.drain_all();
-                    view_barrier(rank, &view, ((step as u64) << 3) | 2);
+                    drained += quiesce(rank, &view, round(step, ROUND_QUIESCE));
                     let next = view.shrink_to(&votes);
                     if next.is_member(rank.id()) {
                         view = next;
                         rank.set_fault_step(elastic_clock(view.epoch(), step, SUB_REPART));
                         // A kill claimed here surfaces at the retry's vote.
                         poisoned |= rank.poll_fault_kill().is_err();
-                        (shard, shard_span) =
-                            capture_shard(step, &model, optimizer.as_ref(), &view);
+                        (shard, shard_span) = capture_shard(step, &replica, &view);
                         membership_log.push((step, view.epoch(), view.members().to_vec()));
                     } else {
                         // Evicted. Wait for a hot join if one is scheduled
@@ -850,8 +565,7 @@ impl DataParallelTrainer {
                                 let ck = rank
                                     .recv_with(peer, state_tag(r as u64), ElasticCheckpoint::decode)
                                     .expect("hot-join state transfer rejected");
-                                ck.restore(&mut model, optimizer.as_mut())
-                                    .expect("hot-join state restore failed");
+                                replica.restore(&ck).expect("hot-join state restore failed");
                                 step = ck.step;
                                 view = WorldView::assemble(
                                     (0..rank.size()).collect(),
@@ -861,11 +575,8 @@ impl DataParallelTrainer {
                                 joins += 1;
                                 active = true;
                                 poisoned = false;
-                                view_barrier(rank, &view, ((step as u64) << 3) | 4);
-                                drained += rank.drain_all();
-                                view_barrier(rank, &view, ((step as u64) << 3) | 5);
-                                (shard, shard_span) =
-                                    capture_shard(step, &model, optimizer.as_ref(), &view);
+                                drained += quiesce(rank, &view, round(step, ROUND_JOIN));
+                                (shard, shard_span) = capture_shard(step, &replica, &view);
                                 membership_log.push((step, view.epoch(), view.members().to_vec()));
                             }
                         }
@@ -878,47 +589,44 @@ impl DataParallelTrainer {
                 shard_span.1 - shard_span.0,
                 "checkpoint shard custody out of sync with its span"
             );
-            RankEnd {
-                physical: rank.id(),
-                active,
-                params: model.flat_params(),
+            // This rank's view of the outcome; the world-wide fields are
+            // folded into the lead's copy below.
+            let outcome = ElasticOutcome {
+                params: replica.model.flat_params(),
                 loss: loss_sum / committed.max(1) as f32,
+                max_divergence: 0.0,
                 steps: step,
                 shrinks,
                 joins,
-                members: view.members().to_vec(),
-                epoch: view.epoch(),
-                drained,
-                checkpoint: ElasticCheckpoint::capture(step, &model, optimizer.as_ref()),
+                final_world: view.size(),
+                final_members: view.members().to_vec(),
+                final_epoch: view.epoch(),
+                drained_messages: drained,
+                faults_injected: 0,
+                checkpoint: replica.checkpoint(step),
                 membership_log,
-                shard_span,
-            }
+                shard_spans: vec![shard_span],
+            };
+            (active, outcome)
         });
 
-        let mut actives: Vec<&RankEnd> = results.iter().filter(|r| r.active).collect();
-        actives.sort_by_key(|r| r.physical);
-        let lead = *actives.first().expect("no active rank finished the run");
-        let mut max_div = 0.0f32;
-        for r in &actives {
-            for (a, b) in r.params.iter().zip(&lead.params) {
-                max_div = max_div.max((a - b).abs());
-            }
-        }
+        let drained_messages = results.iter().map(|(_, o)| o.drained_messages).sum();
+        // `results` is ordered by physical rank id, so the first active
+        // rank is the lead.
+        let mut actives: Vec<ElasticOutcome> = results
+            .into_iter()
+            .filter_map(|(active, outcome)| active.then_some(outcome))
+            .collect();
+        let shard_spans = actives.iter().map(|o| o.shard_spans[0]).collect();
+        let (params, max_divergence) =
+            lead_params(actives.iter_mut().map(|o| std::mem::take(&mut o.params)));
         ElasticOutcome {
-            params: lead.params.clone(),
-            loss: lead.loss,
-            max_divergence: max_div,
-            steps: lead.steps,
-            shrinks: lead.shrinks,
-            joins: lead.joins,
-            final_world: lead.members.len(),
-            final_members: lead.members.clone(),
-            final_epoch: lead.epoch,
-            drained_messages: results.iter().map(|r| r.drained).sum(),
+            params,
+            max_divergence,
+            drained_messages,
             faults_injected: stats.faults_injected,
-            checkpoint: lead.checkpoint.clone(),
-            membership_log: lead.membership_log.clone(),
-            shard_spans: actives.iter().map(|r| r.shard_span).collect(),
+            shard_spans,
+            ..actives.swap_remove(0)
         }
     }
 }
@@ -1076,6 +784,45 @@ mod tests {
             assert_eq!(el.shard_spans[0].1, el.shard_spans[1].0);
             assert_eq!(el.shard_spans[1].1, total);
         }
+    }
+
+    /// `with_threads` reaches the recovery drivers: the shared per-rank
+    /// prologue pins the budget before `build_model` runs.
+    #[test]
+    fn recovery_drivers_honor_with_threads() {
+        let task = blobs(64, 4, 2, 0.3, 41);
+        let spec = MlpSpec::new(4, &[8], 2);
+        // One above the default share, so on any host the pin reads
+        // differently from the lease it overrides.
+        let pinned = summit_pool::rank_budget_from_env(2) + 1;
+        let dp = DataParallelTrainer::new(2, 8).with_threads(pinned);
+        let observed = std::sync::Mutex::new(Vec::new());
+        let build_model = || {
+            observed.lock().unwrap().push(summit_pool::core_budget());
+            spec.build(3)
+        };
+        dp.run_fault_tolerant(
+            build_model,
+            || Box::new(Sgd::new(0.05, 0.9, 0.0)),
+            LrSchedule::Constant,
+            &task.x,
+            &task.y,
+            1,
+            Arc::new(FaultPlan::empty()),
+            cfg(),
+        );
+        dp.run_elastic(
+            build_model,
+            || Box::new(Sgd::new(0.05, 0.9, 0.0)),
+            LrSchedule::Constant,
+            &task.x,
+            &task.y,
+            2,
+            None,
+            Arc::new(FaultPlan::empty()),
+            ecfg(),
+        );
+        assert_eq!(*observed.lock().unwrap(), vec![pinned; 4]);
     }
 
     /// A mid-run kill shrinks 3 → 2 and training continues to the target

@@ -1,0 +1,276 @@
+//! The one synchronous data-parallel step.
+//!
+//! [`DataParallelTrainer::run_in`], `run_fault_tolerant` and `run_elastic`
+//! are policy loops around the same step: pick this rank's rows
+//! ([`shard_range`]), forward + loss, backward with the gradient allreduce
+//! overlapped or fused ([`Replica::backward_and_sync`]), then average and
+//! commit ([`Replica::apply_averaged`]). The step exists here once; what a
+//! driver adds is what happens *between* steps — nothing, rollback, or a
+//! membership change.
+//!
+//! The collective runs on one of two surfaces, chosen by what the caller
+//! holds rather than by a knob. Without a fault plane there is no
+//! membership to track and nothing to detect, so the infallible classic
+//! collectives run (no checksums, no kill polls, no deadline). With one,
+//! the caller holds a [`WorldView`] and a deadline, and the same schedules
+//! run view-remapped on the checked drivers — at full membership and epoch
+//! 0 that is wire- and bit-identical to the classic path.
+
+use std::ops::Range;
+use std::time::Instant;
+
+use summit_comm::{
+    collectives::{ring_allreduce_bucketed, ReduceOp},
+    elastic::try_ring_allreduce_view,
+    nonblocking::{
+        ring_allreduce_start_windowed, ring_allreduce_start_windowed_view, RingAllreduceHandle,
+    },
+    world::{Rank, WorldView},
+    CommError,
+};
+use summit_tensor::{ops, Matrix};
+
+use crate::checkpoint::{CheckpointError, ElasticCheckpoint};
+use crate::model::Mlp;
+use crate::optim::Optimizer;
+use crate::trainer::{slice_rows, BucketSchedule, DataParallelTrainer};
+
+/// Rows of the dataset that member `me` of a `world`-member step reads at
+/// global step `step`: the global batch `world · per_rank` walks the
+/// dataset in order, wrapping every `rows / global` steps, and member `me`
+/// takes the `me`-th `per_rank` slice of it. A pure function of its
+/// arguments, so a replayed step and an elastic continuation at a new
+/// `world` both read exactly the rows a fresh run of that size would.
+pub(crate) fn shard_range(
+    step: u32,
+    rows: usize,
+    world: usize,
+    me: usize,
+    per_rank: usize,
+) -> Range<usize> {
+    let global = world * per_rank;
+    let start = step as usize % (rows / global) * global + me * per_rank;
+    start..start + per_rank
+}
+
+/// Copy `src` into the flat-gradient position `pos` across per-bucket
+/// windows (`windows[b]` covers `[b·m, (b+1)·m)`; `None` means the bucket's
+/// collective already launched and the region must not be written again).
+fn scatter_into(windows: &mut [Option<&mut [f32]>], m: usize, mut pos: usize, src: &[f32]) {
+    let mut s = 0;
+    while s < src.len() {
+        let b = pos / m;
+        let within = pos - b * m;
+        let w = windows[b]
+            .as_mut()
+            .expect("gradient written into an already-launched bucket");
+        let take = (w.len() - within).min(src.len() - s);
+        w[within..within + take].copy_from_slice(&src[s..s + take]);
+        pos += take;
+        s += take;
+    }
+}
+
+/// The lead (first) replica's parameters and the largest `|a − b|` of any
+/// other replica against them — synchronous SGD keeps it at exactly zero.
+///
+/// # Panics
+/// Panics if `replicas` is empty.
+pub(crate) fn lead_params(mut replicas: impl Iterator<Item = Vec<f32>>) -> (Vec<f32>, f32) {
+    let lead = replicas.next().expect("no active rank finished the run");
+    let divergence = replicas.fold(0.0f32, |d, params| {
+        params
+            .iter()
+            .zip(&lead)
+            .fold(d, |d, (a, b)| d.max((a - b).abs()))
+    });
+    (lead, divergence)
+}
+
+/// One rank's model replica and the buffers its steps reuse.
+pub(crate) struct Replica {
+    pub(crate) model: Mlp,
+    pub(crate) optimizer: Box<dyn Optimizer>,
+    /// Persistent fusion buffer: gradients are flattened into this one
+    /// buffer each step, so steady-state steps allocate nothing on the
+    /// communication path.
+    flat: Vec<f32>,
+    layer_sizes: Vec<usize>,
+    bucket_elems: usize,
+    overlap: bool,
+}
+
+impl Replica {
+    /// The per-rank prologue every driver shares. The world's execution
+    /// already leased this rank a machine share; an explicit
+    /// [`DataParallelTrainer::with_threads`] budget overrides it *before*
+    /// the model is built, so `build_model` observes what the rank's
+    /// kernels will actually use.
+    pub(crate) fn new(
+        cfg: &DataParallelTrainer,
+        build_model: &impl Fn() -> Mlp,
+        build_optimizer: &impl Fn() -> Box<dyn Optimizer>,
+    ) -> Self {
+        if let Some(t) = cfg.threads {
+            summit_pool::set_core_budget(t);
+        }
+        let model = build_model();
+        Replica {
+            flat: vec![0.0; model.param_count()],
+            layer_sizes: model.layer_param_sizes(),
+            model,
+            optimizer: build_optimizer(),
+            bucket_elems: cfg.fusion.bucket_elems(),
+            overlap: cfg.overlap.enabled,
+        }
+    }
+
+    /// Snapshot parameters and optimizer state at `step`.
+    pub(crate) fn checkpoint(&self, step: u32) -> ElasticCheckpoint {
+        ElasticCheckpoint::capture(step, &self.model, self.optimizer.as_ref())
+    }
+
+    /// Write a snapshot back into this replica.
+    ///
+    /// # Errors
+    /// [`CheckpointError::ShapeMismatch`] if it was taken from another model.
+    pub(crate) fn restore(&mut self, ck: &ElasticCheckpoint) -> Result<(), CheckpointError> {
+        ck.restore(&mut self.model, self.optimizer.as_mut())
+    }
+
+    /// Forward pass and loss on rows `shard` of `(x, labels)`, leaving the
+    /// gradients zeroed for the backward pass. Returns `(loss, dlogits)`.
+    pub(crate) fn forward_loss(
+        &mut self,
+        x: &Matrix,
+        labels: &[usize],
+        shard: Range<usize>,
+    ) -> (f32, Matrix) {
+        let bx = slice_rows(x, shard.start, shard.end);
+        let logits = self.model.forward(&bx);
+        let out = ops::softmax_cross_entropy(logits, &labels[shard]);
+        self.model.zero_grads();
+        out
+    }
+
+    /// Backpropagate `dlogits` and sum the gradient across the world into
+    /// the fusion buffer. Returns rank-local `(comm, exposed)` seconds:
+    /// everything spent launching, progressing and waiting, and the part of
+    /// it not hidden behind backpropagation.
+    ///
+    /// `checked` selects the surface (see the module doc): `None` is the
+    /// infallible classic path and never returns `Err` short of a peer
+    /// disconnecting; `Some((view, deadline))` runs over `view` on the
+    /// checked, deadline-bounded drivers.
+    ///
+    /// # Errors
+    /// The first [`CommError`] any collective surfaced. Every live handle
+    /// is cancelled first, so a failed attempt leaves no schedule still
+    /// emitting sends while the caller quiesces the fabric.
+    pub(crate) fn backward_and_sync(
+        &mut self,
+        rank: &Rank,
+        checked: Option<(&WorldView, Instant)>,
+        dlogits: &Matrix,
+    ) -> Result<(f64, f64), CommError> {
+        let (n, m, overlap) = (self.flat.len(), self.bucket_elems, self.overlap);
+        let Replica {
+            model,
+            flat,
+            layer_sizes,
+            ..
+        } = self;
+        let world = checked.map_or(rank.size(), |(view, _)| view.size());
+        if overlap && world > 1 {
+            // Overlapped path: cut the fusion buffer into per-bucket
+            // windows, launch each bucket's windowed allreduce the moment
+            // the last layer contributing to it has produced its gradient,
+            // and progress all in-flight collectives between layer
+            // backwards. Windows chunk against the global partition, so
+            // the result is bit-identical to the serial path.
+            let mut sched = BucketSchedule::new(layer_sizes, m);
+            let mut windows: Vec<Option<&mut [f32]>> = flat.chunks_mut(m).map(Some).collect();
+            let mut handles: Vec<RingAllreduceHandle> = Vec::with_capacity(windows.len());
+            let mut err: Option<CommError> = None;
+            let mut hidden = 0.0f64;
+            model.backward_with(dlogits, |layer, gw, gb| {
+                let off = sched.layer_start(layer);
+                let w = gw.as_slice();
+                scatter_into(&mut windows, m, off, w);
+                scatter_into(&mut windows, m, off + w.len(), gb);
+                let t0 = Instant::now();
+                for b in sched.on_layer_ready(layer).rev() {
+                    let window = windows[b].take().expect("bucket launched twice");
+                    let (id, at) = (b as u64, b * m);
+                    handles.push(match checked {
+                        None => {
+                            ring_allreduce_start_windowed(rank, window, ReduceOp::Sum, id, n, at)
+                        }
+                        Some((view, _)) => ring_allreduce_start_windowed_view(
+                            rank,
+                            view,
+                            window,
+                            ReduceOp::Sum,
+                            id,
+                            n,
+                            at,
+                        ),
+                    });
+                }
+                if err.is_none() {
+                    err = handles.iter_mut().find_map(|h| h.progress_checked().err());
+                }
+                hidden += t0.elapsed().as_secs_f64();
+            });
+            // Whatever is still in flight is the exposed communication
+            // tail.
+            let t0 = Instant::now();
+            for h in handles.iter_mut() {
+                if err.is_none() {
+                    err = match checked {
+                        None => {
+                            h.wait();
+                            None
+                        }
+                        Some((_, deadline)) => h.wait_deadline(deadline).err(),
+                    };
+                }
+                if err.is_some() {
+                    h.cancel();
+                }
+            }
+            let exposed = t0.elapsed().as_secs_f64();
+            err.map_or(Ok((hidden + exposed, exposed)), Err)
+        } else {
+            // Serial fused path: full backward, then one bucketed
+            // allreduce over the whole flat gradient.
+            model.backward(dlogits);
+            model.flat_grads_into(flat);
+            let t0 = Instant::now();
+            match checked {
+                None => ring_allreduce_bucketed(rank, flat, ReduceOp::Sum, m),
+                Some((view, deadline)) => {
+                    let timeout = deadline.saturating_duration_since(t0);
+                    try_ring_allreduce_view(rank, view, flat, ReduceOp::Sum, m, timeout)?;
+                }
+            }
+            let elapsed = t0.elapsed().as_secs_f64();
+            Ok((elapsed, elapsed))
+        }
+    }
+
+    /// Commit the step: average the summed gradient over the `world`
+    /// members that contributed to it and take one optimizer step at
+    /// learning-rate multiplier `lr`.
+    pub(crate) fn apply_averaged(&mut self, world: usize, lr: f32) {
+        let inv = 1.0 / world as f32;
+        for g in &mut self.flat {
+            *g *= inv;
+        }
+        self.model.set_flat_grads(&self.flat);
+        let opt = &mut self.optimizer;
+        self.model
+            .for_each_group(|id, params, grads| opt.step_group(id, lr, params, grads));
+        opt.advance();
+    }
+}

@@ -14,18 +14,13 @@
 //! `summit_comm::engine` ring schedule, which is what makes serial,
 //! bucketed, and overlapped training bit-identical by construction.
 
-use std::time::Instant;
-
-use summit_comm::{
-    collectives::{ring_allreduce_bucketed, ReduceOp},
-    nonblocking::{ring_allreduce_start_windowed, RingAllreduceHandle},
-    world::World,
-};
+use summit_comm::world::World;
 use summit_tensor::{ops, Matrix};
 
 use crate::model::Mlp;
 use crate::optim::Optimizer;
 use crate::schedule::LrSchedule;
+use crate::step::{lead_params, shard_range, Replica};
 
 /// Metrics from one epoch (or one evaluation pass).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -333,24 +328,6 @@ impl BucketSchedule {
     }
 }
 
-/// Copy `src` into the flat-gradient position `pos` across per-bucket
-/// windows (`windows[b]` covers `[b·m, (b+1)·m)`; `None` means the bucket's
-/// collective already launched and the region must not be written again).
-fn scatter_into(windows: &mut [Option<&mut [f32]>], m: usize, mut pos: usize, src: &[f32]) {
-    let mut s = 0;
-    while s < src.len() {
-        let b = pos / m;
-        let within = pos - b * m;
-        let w = windows[b]
-            .as_mut()
-            .expect("gradient written into an already-launched bucket");
-        let take = (w.len() - within).min(src.len() - s);
-        w[within..within + take].copy_from_slice(&src[s..s + take]);
-        pos += take;
-        s += take;
-    }
-}
-
 /// Configuration for a data-parallel training run.
 pub struct DataParallelTrainer {
     /// Number of ranks (model replicas).
@@ -361,10 +338,12 @@ pub struct DataParallelTrainer {
     pub fusion: FusionConfig,
     /// Backward/communication overlap of the per-bucket allreduces.
     pub overlap: OverlapConfig,
-    /// Explicit per-rank compute-thread budget. `None` keeps the
-    /// [`World`] default: an even share of the machine
-    /// (`available_parallelism / ranks`, `SUMMIT_THREADS` override), so
-    /// ranks never oversubscribe the host.
+    /// Explicit per-rank compute-thread budget. `None` keeps what the
+    /// [`World`] execution leased this rank from the process-wide
+    /// [`summit_pool::arbiter`]: the even machine share when this is the
+    /// only live world, less (down to the rank's own thread) when other
+    /// worlds already hold lanes — so ranks never oversubscribe the host.
+    /// A `SUMMIT_THREADS` pin bypasses the arbiter.
     pub threads: Option<usize>,
 }
 
@@ -431,9 +410,9 @@ impl DataParallelTrainer {
     }
 
     /// Pin every rank's compute-thread budget to `per_rank` instead of the
-    /// even machine share. Use this to deliberately over- or
-    /// under-subscribe (e.g. scaling studies); the default never
-    /// oversubscribes.
+    /// arbiter's lease, in every driver (`run`, `run_fault_tolerant`,
+    /// `run_elastic`). Use this to deliberately over- or under-subscribe
+    /// (e.g. scaling studies); the default never oversubscribes.
     ///
     /// # Panics
     /// Panics if `per_rank` is zero.
@@ -498,149 +477,63 @@ impl DataParallelTrainer {
             self.ranks,
             "world size must match the trainer's rank count"
         );
-        let global_batch = self.ranks * self.per_rank_batch;
-        assert!(
-            x.rows() >= global_batch,
-            "dataset smaller than one global batch"
-        );
-        let steps_per_epoch = x.rows() / global_batch;
-        let ranks = self.ranks;
-        let per_rank = self.per_rank_batch;
-        let bucket_elems = self.fusion.bucket_elems();
-        let overlap = self.overlap.enabled;
-        let threads = self.threads;
+        let total_steps = epochs * self.steps_per_epoch(x.rows());
 
         let stats_before = summit_pool::global().stats();
         let results = world.execute(|rank| {
-            // The world's execution already leased this rank a machine
-            // share; an explicit `with_threads` budget overrides it.
-            if let Some(t) = threads {
-                summit_pool::set_core_budget(t);
-            }
-            let mut model = build_model();
-            let mut optimizer = build_optimizer();
-            let mut step = 0u32;
+            let mut replica = Replica::new(self, &build_model, &build_optimizer);
             let mut loss_sum = 0.0f32;
             let mut comm_seconds = 0.0f64;
             let mut exposed_seconds = 0.0f64;
-            let n = model.param_count();
-            let layer_sizes = model.layer_param_sizes();
-            // Persistent fusion buffer: gradients are flattened into this
-            // one buffer each step, so steady-state steps allocate nothing
-            // on the communication path.
-            let mut flat: Vec<f32> = vec![0.0; n];
-            for _ in 0..epochs {
-                for s in 0..steps_per_epoch {
-                    // Rank r takes rows [base + r*per_rank, base + (r+1)*per_rank).
-                    let base = s * ranks * per_rank;
-                    let start = base + rank.id() * per_rank;
-                    let end = start + per_rank;
-                    let bx = slice_rows(x, start, end);
-                    let blabels = &labels[start..end];
-
-                    let logits = model.forward(&bx);
-                    let (loss, dlogits) = ops::softmax_cross_entropy(logits, blabels);
-                    model.zero_grads();
-
-                    if overlap && rank.size() > 1 {
-                        // Overlapped path: cut the fusion buffer into
-                        // per-bucket windows, launch each bucket's windowed
-                        // allreduce the moment the last layer contributing
-                        // to it has produced its gradient, and progress all
-                        // in-flight collectives between layer backwards.
-                        // Windows chunk against the global partition, so
-                        // the result is bit-identical to the serial path.
-                        let mut sched = BucketSchedule::new(&layer_sizes, bucket_elems);
-                        let mut windows: Vec<Option<&mut [f32]>> =
-                            flat.chunks_mut(bucket_elems).map(Some).collect();
-                        let mut handles: Vec<RingAllreduceHandle> =
-                            Vec::with_capacity(windows.len());
-                        let mut hidden = 0.0f64;
-                        model.backward_with(&dlogits, |layer, gw, gb| {
-                            let off = sched.layer_start(layer);
-                            let w = gw.as_slice();
-                            scatter_into(&mut windows, bucket_elems, off, w);
-                            scatter_into(&mut windows, bucket_elems, off + w.len(), gb);
-                            let t0 = Instant::now();
-                            for b in sched.on_layer_ready(layer).rev() {
-                                let window = windows[b].take().expect("bucket launched twice");
-                                handles.push(ring_allreduce_start_windowed(
-                                    rank,
-                                    window,
-                                    ReduceOp::Sum,
-                                    b as u64,
-                                    n,
-                                    b * bucket_elems,
-                                ));
-                            }
-                            for h in handles.iter_mut() {
-                                h.progress();
-                            }
-                            hidden += t0.elapsed().as_secs_f64();
-                        });
-                        // Whatever is still in flight is the exposed
-                        // communication tail.
-                        let t0 = Instant::now();
-                        for h in handles.iter_mut() {
-                            h.wait();
-                        }
-                        let exposed = t0.elapsed().as_secs_f64();
-                        comm_seconds += hidden + exposed;
-                        exposed_seconds += exposed;
-                    } else {
-                        // Serial fused path: full backward, then one
-                        // bucketed allreduce over the whole flat gradient.
-                        model.backward(&dlogits);
-                        model.flat_grads_into(&mut flat);
-                        let t0 = Instant::now();
-                        ring_allreduce_bucketed(rank, &mut flat, ReduceOp::Sum, bucket_elems);
-                        let elapsed = t0.elapsed().as_secs_f64();
-                        comm_seconds += elapsed;
-                        exposed_seconds += elapsed;
-                    }
-
-                    // Average the summed gradients across ranks.
-                    let inv = 1.0 / ranks as f32;
-                    for g in &mut flat {
-                        *g *= inv;
-                    }
-                    model.set_flat_grads(&flat);
-
-                    let lr = schedule.multiplier(step);
-                    model.for_each_group(|id, params, grads| {
-                        optimizer.step_group(id, lr, params, grads)
-                    });
-                    optimizer.advance();
-                    step += 1;
-                    loss_sum += loss;
-                }
+            for step in 0..total_steps {
+                let shard = shard_range(step, x.rows(), self.ranks, rank.id(), self.per_rank_batch);
+                let (loss, dlogits) = replica.forward_loss(x, labels, shard);
+                // No fault plane, so no view and no deadline: the classic
+                // infallible collectives.
+                let (comm, exposed) = replica
+                    .backward_and_sync(rank, None, &dlogits)
+                    .expect("communication failure in infallible training step");
+                comm_seconds += comm;
+                exposed_seconds += exposed;
+                replica.apply_averaged(self.ranks, schedule.multiplier(step));
+                loss_sum += loss;
             }
             (
-                model.flat_params(),
-                loss_sum / step.max(1) as f32,
-                step,
-                comm_seconds,
-                exposed_seconds,
+                replica.model.flat_params(),
+                (
+                    loss_sum / total_steps.max(1) as f32,
+                    comm_seconds,
+                    exposed_seconds,
+                ),
             )
         });
 
         let compute = summit_pool::global().stats().since(&stats_before);
-        let (params0, loss0, steps, comm_seconds, exposed_comm_seconds) = results[0].clone();
-        let mut max_div = 0.0f32;
-        for (params, _, _, _, _) in &results[1..] {
-            for (a, b) in params.iter().zip(&params0) {
-                max_div = max_div.max((a - b).abs());
-            }
-        }
+        let (loss, comm_seconds, exposed_comm_seconds) = results[0].1;
+        let (params, max_divergence) = lead_params(results.into_iter().map(|r| r.0));
         ParallelOutcome {
-            params: params0,
-            loss: loss0,
-            max_divergence: max_div,
-            steps,
+            params,
+            loss,
+            max_divergence,
+            steps: total_steps,
             comm_seconds,
             exposed_comm_seconds,
             compute,
         }
+    }
+
+    /// Optimizer steps in one pass over `rows` samples at the full world
+    /// size.
+    ///
+    /// # Panics
+    /// Panics if `rows` is smaller than one global batch.
+    pub(crate) fn steps_per_epoch(&self, rows: usize) -> u32 {
+        let global_batch = self.ranks * self.per_rank_batch;
+        assert!(
+            rows >= global_batch,
+            "dataset smaller than one global batch"
+        );
+        (rows / global_batch) as u32
     }
 }
 

@@ -9,7 +9,9 @@
 //!   hang, never a silently wrong answer.
 //! * End-to-end data-parallel training under injected drops, delays,
 //!   corruption, and rank kills recovers — via vote, drain, and in-memory
-//!   checkpoint rollback — to **exactly** the fault-free final parameters.
+//!   checkpoint rollback — to **exactly** the fault-free final parameters;
+//!   the faults that kill nobody also recover through the elastic driver's
+//!   retry-at-the-same-size arm, to the same parameters.
 //!
 //! Scenario seeds come from the fixed matrix in CI (`CHAOS_SEED`); a failing
 //! randomized case archives its [`FaultPlan`] JSON under `target/chaos/` so
@@ -277,12 +279,21 @@ fn chaos_hierarchical_allreduce_drop_and_corrupt_matrix() {
 
 struct Scenario {
     label: &'static str,
-    plan: FaultPlan,
+    /// The fault, scheduled at the fault-clock value it is given.
+    plan: fn(u64) -> FaultPlan,
+    /// Training step the fault hits.
+    step: u32,
     overlap: bool,
     min_recoveries: u32,
+    /// Also drive the fault through `run_elastic`, where a fault that
+    /// kills nobody must be retried at the same size (kills shrink instead;
+    /// the elastic suites cover those).
+    transient: bool,
 }
 
 fn run_scenario(s: Scenario) {
+    use summit_dl::recovery::{elastic_clock, SUB_COMM};
+
     let task = blobs(256, 4, 2, 0.3, 77);
     let spec = MlpSpec::new(4, &[16, 8], 2);
     let build_opt = || -> Box<dyn Optimizer> { Box::new(Sgd::new(0.05, 0.9, 0.0)) };
@@ -297,7 +308,7 @@ fn run_scenario(s: Scenario) {
         &task.y,
         1,
     );
-    let plan = Arc::new(s.plan);
+    let plan = Arc::new((s.plan)(u64::from(s.step)));
     let ft = dp.run_fault_tolerant(
         || spec.build(9),
         build_opt,
@@ -338,6 +349,54 @@ fn run_scenario(s: Scenario) {
             on_fail()
         );
     }
+
+    if !s.transient {
+        return;
+    }
+    // Second leg: the same fault, keyed on the elastic fault clock so it
+    // fires inside the step's gradient collective.
+    let plan = Arc::new((s.plan)(elastic_clock(0, s.step, SUB_COMM)));
+    let el = dp.run_elastic(
+        || spec.build(9),
+        build_opt,
+        LrSchedule::Constant,
+        &task.x,
+        &task.y,
+        plain.steps,
+        None,
+        Arc::clone(&plan),
+        ElasticConfig {
+            step_timeout: Duration::from_millis(400),
+            checkpoint_interval: 3,
+            max_shrinks: 1,
+            rejoin_at: None,
+        },
+    );
+    let on_fail = || archive_plan(&plan, &format!("scenario-{}-elastic", s.label));
+    assert_eq!(el.steps, plain.steps, "{}: {}", s.label, on_fail());
+    assert_eq!(
+        (el.shrinks, el.final_world),
+        (0, 2),
+        "{}: a transient fault must not shrink the world; {}",
+        s.label,
+        on_fail()
+    );
+    assert!(
+        el.faults_injected >= 1,
+        "{}: elastic plan never fired; {}",
+        s.label,
+        on_fail()
+    );
+    assert_eq!(el.max_divergence, 0.0, "{}: {}", s.label, on_fail());
+    for (i, (a, b)) in el.params.iter().zip(&plain.params).enumerate() {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "{} param {i}: {a} vs {b} — the elastic retry must be bit-exact; {}",
+            s.label,
+            on_fail()
+        );
+    }
 }
 
 /// Scenario 1 — message drop on the blocking reduce-scatter phase.
@@ -345,9 +404,11 @@ fn run_scenario(s: Scenario) {
 fn chaos_training_recovers_from_drop() {
     run_scenario(Scenario {
         label: "drop",
-        plan: FaultPlan::empty().drop_message(0, 1, TagClass::Blocking(0), 6),
+        plan: |at| FaultPlan::empty().drop_message(0, 1, TagClass::Blocking(0), at),
+        step: 6,
         overlap: false,
         min_recoveries: 1,
+        transient: true,
     });
 }
 
@@ -358,9 +419,11 @@ fn chaos_training_recovers_from_drop() {
 fn chaos_training_recovers_from_long_delay() {
     run_scenario(Scenario {
         label: "delay",
-        plan: FaultPlan::empty().delay_message(1, 0, TagClass::Any, 4, 600),
+        plan: |at| FaultPlan::empty().delay_message(1, 0, TagClass::Any, at, 600),
+        step: 4,
         overlap: false,
         min_recoveries: 1,
+        transient: true,
     });
 }
 
@@ -370,9 +433,11 @@ fn chaos_training_recovers_from_long_delay() {
 fn chaos_training_recovers_from_corruption() {
     run_scenario(Scenario {
         label: "corrupt",
-        plan: FaultPlan::empty().corrupt_message(0, 1, TagClass::Any, 9),
+        plan: |at| FaultPlan::empty().corrupt_message(0, 1, TagClass::Any, at),
+        step: 9,
         overlap: true,
         min_recoveries: 1,
+        transient: true,
     });
 }
 
@@ -381,9 +446,11 @@ fn chaos_training_recovers_from_corruption() {
 fn chaos_training_recovers_from_rank_kill() {
     run_scenario(Scenario {
         label: "kill",
-        plan: FaultPlan::empty().kill_rank(1, 11),
+        plan: |at| FaultPlan::empty().kill_rank(1, at),
+        step: 11,
         overlap: true,
         min_recoveries: 1,
+        transient: false,
     });
 }
 
@@ -713,7 +780,6 @@ fn abandoned_handle_alive_across_shrink_quiesce() {
         let drained = rank.drain_all();
         view_barrier(rank, &view, 2);
         handle.cancel();
-        drop(handle);
 
         // The survivors' first epoch-1 collective must be unaffected.
         let shrunk = view.shrink_to(&[true, false, true, true]);
