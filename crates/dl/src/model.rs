@@ -1,15 +1,28 @@
 //! Multi-layer perceptrons with explicit backprop.
+//!
+//! An [`Mlp`] keeps its gradient in **one** flat arena (`grads`, layer-major,
+//! weights then bias — the layout [`Mlp::flat_grads`] has always exposed),
+//! not in per-layer buffers. Backward writes each layer's `Xᵀ·dY` straight
+//! into its arena window, a data-parallel step allreduces arena windows in
+//! place ([`Mlp::backward_with`]), and the optimizer reads arena slices
+//! ([`Mlp::for_each_group`]): the gradient is produced, reduced and consumed
+//! where it lies.
+//!
+//! [`Mlp::zero_grads`] does not write zeros. It marks the arena *clean*; the
+//! next backward then stores its products instead of load-add-storing them
+//! (bitwise `0.0 + product`), and any reader that arrives first
+//! materialises the zeros. A second backward without `zero_grads` in
+//! between accumulates, as before.
 
 use crate::inference::{dense_forward_into, ServableModel};
 use summit_tensor::{ops, Initializer, Matrix, Precision};
 
-/// A fully-connected layer `in_dim → out_dim` with its gradient buffers.
+/// A fully-connected layer `in_dim → out_dim`. Its gradient lives in a
+/// caller-provided `[weights, bias]` window (an [`Mlp`]'s arena).
 #[derive(Debug, Clone)]
 pub struct Linear {
     w: Matrix,
     b: Vec<f32>,
-    gw: Matrix,
-    gb: Vec<f32>,
     /// Input cached by the last forward pass, consumed by backward.
     input: Option<Matrix>,
     /// GEMM storage precision for this layer's three products (f32
@@ -24,40 +37,51 @@ impl Linear {
         Linear {
             w: Initializer::HeNormal.init(in_dim, out_dim, seed),
             b: vec![0.0; out_dim],
-            gw: Matrix::zeros(in_dim, out_dim),
-            gb: vec![0.0; out_dim],
             input: None,
             precision: Precision::F32,
         }
     }
 
-    /// Forward: `y = x·W + b`, caching `x` for backward. Runs the same
-    /// shared routine the forward-only serving path uses
+    /// Forward: `y = x·W + b`, caching a copy of `x` for backward. Runs the
+    /// same shared routine the forward-only serving path uses
     /// ([`crate::inference::ServableModel`]), so served activations are
     /// bitwise the trained ones.
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
+        self.forward_owned(x.clone())
+    }
+
+    /// [`Linear::forward`] taking ownership of the input, so an activation
+    /// produced for this layer alone is cached without a second copy.
+    fn forward_owned(&mut self, x: Matrix) -> Matrix {
         let mut y = Matrix::zeros(x.rows(), self.w.cols());
-        dense_forward_into(x, &self.w, &self.b, self.precision, &mut y);
-        self.input = Some(x.clone());
+        dense_forward_into(&x, &self.w, &self.b, self.precision, &mut y);
+        self.input = Some(x);
         y
     }
 
-    /// Backward: accumulate `gW += xᵀ·dy`, `gb += Σrows dy`; return
-    /// `dx = dy·Wᵀ`.
+    /// Backward: `gW = xᵀ·dy`, `gb = Σrows dy` into `grads` (this layer's
+    /// `[weights, bias]` window) — stored when `overwrite`, added otherwise
+    /// — and return `dx = dy·Wᵀ`.
     ///
     /// # Panics
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        self.accumulate_grads(dy);
+    /// Panics if called before `forward` or if `grads` is not
+    /// `in_dim·out_dim + out_dim` long.
+    pub fn backward(&mut self, dy: &Matrix, grads: &mut [f32], overwrite: bool) -> Matrix {
+        self.param_grads(dy, grads, overwrite);
         self.input_grad(dy)
     }
 
-    /// `gW += xᵀ·dy` straight into the gradient buffer (no product-sized
-    /// temporary), `gb += Σrows dy`.
-    fn accumulate_grads(&mut self, dy: &Matrix) {
+    /// The parameter half of [`Linear::backward`]: no product-sized
+    /// temporary, and no read of `grads` when `overwrite`.
+    fn param_grads(&self, dy: &Matrix, grads: &mut [f32], overwrite: bool) {
         let x = self.input.as_ref().expect("backward called before forward");
-        x.matmul_at_b_acc_into_prec(dy, &mut self.gw, self.precision);
-        for (g, s) in self.gb.iter_mut().zip(ops::column_sums(dy)) {
+        assert_eq!(grads.len(), self.param_count(), "gradient window mismatch");
+        let (gw, gb) = grads.split_at_mut(self.w.as_slice().len());
+        x.matmul_at_b_into_slice(dy, gw, !overwrite, self.precision);
+        if overwrite {
+            gb.fill(0.0);
+        }
+        for (g, s) in gb.iter_mut().zip(ops::column_sums(dy)) {
             *g += s;
         }
     }
@@ -67,11 +91,6 @@ impl Linear {
         let mut dx = Matrix::zeros(dy.rows(), self.w.rows());
         dy.matmul_a_bt_into_prec(&self.w, &mut dx, self.precision);
         dx
-    }
-
-    fn zero_grads(&mut self) {
-        self.gw.map_inplace(|_| 0.0);
-        self.gb.iter_mut().for_each(|g| *g = 0.0);
     }
 
     fn param_count(&self) -> usize {
@@ -114,14 +133,23 @@ impl MlpSpec {
         dims.push(self.inputs);
         dims.extend_from_slice(&self.hidden);
         dims.push(self.outputs);
-        let layers = dims
+        let layers: Vec<Linear> = dims
             .windows(2)
             .enumerate()
             .map(|(i, d)| Linear::new(d[0], d[1], seed.wrapping_add(i as u64 * 7919)))
             .collect();
+        let mut layer_starts = Vec::with_capacity(layers.len() + 1);
+        let mut total = 0;
+        for layer in &layers {
+            layer_starts.push(total);
+            total += layer.param_count();
+        }
+        layer_starts.push(total);
         Mlp {
             layers,
-            relu_outputs: Vec::new(),
+            grads: vec![0.0; total],
+            layer_starts,
+            grads_clean: false,
         }
     }
 }
@@ -130,8 +158,15 @@ impl MlpSpec {
 #[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Linear>,
-    /// ReLU outputs cached by forward for backward masking.
-    relu_outputs: Vec<Matrix>,
+    /// The gradient arena: every layer's `[weights, bias]`, in layer order.
+    grads: Vec<f32>,
+    /// Start of each layer's arena window; `layer_starts[depth]` is the
+    /// arena length.
+    layer_starts: Vec<usize>,
+    /// Set by [`Mlp::zero_grads`]: the arena *means* all zeros, whatever it
+    /// holds. The next backward overwrites it; a reader that comes first
+    /// writes the zeros.
+    grads_clean: bool,
 }
 
 impl Mlp {
@@ -158,20 +193,18 @@ impl Mlp {
 
     /// Total scalar parameter count.
     pub fn param_count(&self) -> usize {
-        self.layers.iter().map(Linear::param_count).sum()
+        self.grads.len()
     }
 
-    /// Forward pass: returns logits for a `batch × inputs` matrix.
+    /// Forward pass: returns logits for a `batch × inputs` matrix. Each
+    /// hidden activation is kept once, as the next layer's cached input
+    /// (which is also the ReLU mask backward needs).
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        self.relu_outputs.clear();
-        let depth = self.layers.len();
-        let mut h = x.clone();
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            h = layer.forward(&h);
-            if i + 1 < depth {
-                ops::relu_inplace(&mut h);
-                self.relu_outputs.push(h.clone());
-            }
+        let (first, rest) = self.layers.split_first_mut().expect("at least one layer");
+        let mut h = first.forward(x);
+        for layer in rest {
+            ops::relu_inplace(&mut h);
+            h = layer.forward_owned(h);
         }
         h
     }
@@ -182,7 +215,7 @@ impl Mlp {
     /// # Panics
     /// Panics if called before `forward`.
     pub fn backward(&mut self, dlogits: &Matrix) {
-        let _ = self.backward_with(dlogits, |_, _, _| {});
+        let _ = self.backward_with(dlogits, |_, _| {});
     }
 
     /// Backward pass that also returns the gradient with respect to the
@@ -194,21 +227,27 @@ impl Mlp {
     /// # Panics
     /// Panics if called before `forward`.
     pub fn backward_input(&mut self, dlogits: &Matrix) -> Matrix {
-        let dy0 = self.backward_with(dlogits, |_, _, _| {});
+        let dy0 = self.backward_with(dlogits, |_, _| {});
         self.layers[0].input_grad(&dy0)
     }
 
     /// Backward pass with a per-layer gradient-readiness callback — the
     /// hook the overlap scheme hangs on. Layers complete in reverse order
-    /// (`depth-1` down to `0`); immediately after layer `i`'s `gW`/`gb` are
-    /// final, `on_layer_ready(i, &gw, &gb)` runs, while the backward
-    /// computation for earlier layers is still pending. A data-parallel
-    /// trainer uses this to launch a fusion bucket's allreduce as soon as
-    /// the last layer contributing to it has produced its gradient.
+    /// (`depth-1` down to `0`); immediately after layer `i`'s gradient is
+    /// final, `on_layer_ready(i, pending)` runs, while the backward
+    /// computation for earlier layers is still pending.
     ///
-    /// Since the flat gradient layout ([`Mlp::flat_grads`]) is layer-major,
-    /// reverse-order completion means the ready region of the flat vector
-    /// is a suffix that grows toward offset zero.
+    /// `pending` is the prefix of the gradient arena nobody has claimed
+    /// yet, initially all of it. The arena is layer-major, so reverse-order
+    /// completion makes the final region a suffix growing toward offset
+    /// zero: once layer `i` is ready, everything at or above
+    /// [`Mlp::layer_param_sizes`]`[..i].sum()` is final. The callback may
+    /// split any part of that final suffix off the tail of `*pending`
+    /// (`split_at_mut`, leaving the head behind) and keep it for `'a` — a
+    /// data-parallel trainer hands such a window to a nonblocking
+    /// allreduce, which then reduces the gradient where it lies while
+    /// earlier layers are still being computed into the head. Gradients of
+    /// layers not yet reported must stay in `*pending`.
     ///
     /// Returns the gradient with respect to the first layer's *output* —
     /// the last quantity the parameter gradients need. No trainer reads the
@@ -216,20 +255,27 @@ impl Mlp {
     /// spends that GEMM.
     ///
     /// # Panics
-    /// Panics if called before `forward`.
-    pub fn backward_with(
-        &mut self,
+    /// Panics if called before `forward`, or if the callback took a window
+    /// reaching into a layer that had not been reported yet.
+    pub fn backward_with<'a>(
+        &'a mut self,
         dlogits: &Matrix,
-        mut on_layer_ready: impl FnMut(usize, &Matrix, &[f32]),
+        mut on_layer_ready: impl FnMut(usize, &mut &'a mut [f32]),
     ) -> Matrix {
+        let overwrite = std::mem::take(&mut self.grads_clean);
+        let mut pending: &'a mut [f32] = &mut self.grads;
         let mut grad = dlogits.clone();
-        for i in (1..self.layers.len()).rev() {
-            grad = self.layers[i].backward(&grad);
-            on_layer_ready(i, &self.layers[i].gw, &self.layers[i].gb);
-            ops::relu_backward(&self.relu_outputs[i - 1], &mut grad);
+        for i in (0..self.layers.len()).rev() {
+            let layer = &self.layers[i];
+            let window = &mut pending[self.layer_starts[i]..self.layer_starts[i + 1]];
+            layer.param_grads(&grad, window, overwrite);
+            on_layer_ready(i, &mut pending);
+            if i > 0 {
+                grad = layer.input_grad(&grad);
+                let mask = layer.input.as_ref().expect("checked by param_grads");
+                ops::relu_backward(mask, &mut grad);
+            }
         }
-        self.layers[0].accumulate_grads(&grad);
-        on_layer_ready(0, &self.layers[0].gw, &self.layers[0].gb);
         grad
     }
 
@@ -240,38 +286,47 @@ impl Mlp {
         self.layers.iter().map(Linear::param_count).collect()
     }
 
-    /// Zero all gradient buffers.
+    /// Zero all gradients — by marking the arena clean, not by writing it
+    /// (see the module doc).
     pub fn zero_grads(&mut self) {
-        for layer in &mut self.layers {
-            layer.zero_grads();
+        self.grads_clean = true;
+    }
+
+    /// Write out the zeros a pending [`Mlp::zero_grads`] stands for.
+    fn materialize_zeros(&mut self) {
+        if std::mem::take(&mut self.grads_clean) {
+            self.grads.fill(0.0);
         }
     }
 
-    /// Scale all gradients (for micro-batch averaging).
+    /// The gradient arena itself — what a data-parallel step allreduces in
+    /// place.
+    pub(crate) fn grads_mut(&mut self) -> &mut [f32] {
+        self.materialize_zeros();
+        &mut self.grads
+    }
+
+    /// Scale all gradients (for micro-batch and data-parallel averaging).
     pub fn scale_grads(&mut self, s: f32) {
-        for layer in &mut self.layers {
-            layer.gw.map_inplace(|g| g * s);
-            layer.gb.iter_mut().for_each(|g| *g *= s);
-        }
+        summit_tensor::scale(self.grads_mut(), s);
     }
 
     /// Copy all gradients into one flat vector (layer-major, weights then
-    /// bias per layer) — the buffer a data-parallel trainer allreduces.
+    /// bias per layer) — a copy of the arena.
     pub fn flat_grads(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.param_count());
+        let mut out = Vec::new();
         self.flat_grads_into(&mut out);
         out
     }
 
     /// [`Mlp::flat_grads`] into a caller-owned buffer: `out` is cleared and
-    /// refilled, reusing its capacity. A trainer that keeps one fusion
-    /// buffer per rank pays the allocation once, not every step.
+    /// refilled, reusing its capacity.
     pub fn flat_grads_into(&self, out: &mut Vec<f32>) {
         out.clear();
-        out.reserve(self.param_count());
-        for layer in &self.layers {
-            out.extend_from_slice(layer.gw.as_slice());
-            out.extend_from_slice(&layer.gb);
+        if self.grads_clean {
+            out.resize(self.grads.len(), 0.0);
+        } else {
+            out.extend_from_slice(&self.grads);
         }
     }
 
@@ -286,18 +341,8 @@ impl Mlp {
             self.param_count(),
             "flat gradient length mismatch"
         );
-        let mut off = 0;
-        for layer in &mut self.layers {
-            let wlen = layer.gw.as_slice().len();
-            layer
-                .gw
-                .as_mut_slice()
-                .copy_from_slice(&flat[off..off + wlen]);
-            off += wlen;
-            let blen = layer.gb.len();
-            layer.gb.copy_from_slice(&flat[off..off + blen]);
-            off += blen;
-        }
+        self.grads.copy_from_slice(flat);
+        self.grads_clean = false;
     }
 
     /// Copy all parameters into one flat vector.
@@ -351,9 +396,14 @@ impl Mlp {
     /// Visit each parameter group (per-layer weights and biases separately,
     /// as LARS/LAMB prescribe) with `(group_id, params, grads)`.
     pub fn for_each_group(&mut self, mut f: impl FnMut(usize, &mut [f32], &[f32])) {
+        self.materialize_zeros();
+        let mut grads: &[f32] = &self.grads;
         for (i, layer) in self.layers.iter_mut().enumerate() {
-            f(2 * i, layer.w.as_mut_slice(), layer.gw.as_slice());
-            f(2 * i + 1, &mut layer.b, &layer.gb);
+            let (gw, rest) = grads.split_at(layer.w.as_slice().len());
+            let (gb, rest) = rest.split_at(layer.b.len());
+            grads = rest;
+            f(2 * i, layer.w.as_mut_slice(), gw);
+            f(2 * i + 1, &mut layer.b, gb);
         }
     }
 }
@@ -416,35 +466,78 @@ mod tests {
     }
 
     /// `backward_input` is the layer-by-layer chain (every layer's full
-    /// `Linear::backward`, ReLU masks between) bit for bit, and leaves the
-    /// same parameter gradients as `backward`, which skips layer 0's `dX`.
+    /// `Linear::backward` accumulating into really-zeroed windows, ReLU
+    /// masks between) bit for bit, and `zero_grads` → `backward` — the
+    /// overwrite-first path, which skips layer 0's `dX` — leaves the same
+    /// parameter gradients.
     #[test]
     fn backward_input_is_the_full_layerwise_chain() {
         let mut m = MlpSpec::new(5, &[7, 6], 3).build(9);
         let x = Matrix::from_vec(4, 5, (0..20).map(|i| (i as f32 * 0.37).sin()).collect());
         let (_, dlogits) = softmax_cross_entropy(m.forward(&x), &[2, 0, 1, 1]);
+        // Stale contents an overwriting backward must never read.
+        m.set_flat_grads(&vec![f32::NAN; m.param_count()]);
         m.zero_grads();
 
         let mut chain = m.clone();
+        let mut chain_grads = vec![0.0f32; chain.param_count()];
         let mut dx = dlogits.clone();
         for i in (0..chain.layers.len()).rev() {
-            dx = chain.layers[i].backward(&dx);
+            let window = &mut chain_grads[chain.layer_starts[i]..chain.layer_starts[i + 1]];
+            dx = chain.layers[i].backward(&dx, window, false);
             if i > 0 {
-                ops::relu_backward(&chain.relu_outputs[i - 1], &mut dx);
+                let mask = chain.layers[i].input.as_ref().unwrap();
+                ops::relu_backward(mask, &mut dx);
             }
         }
 
         let mut params_only = m.clone();
         params_only.backward(&dlogits);
-        let dy0 = m.clone().backward_with(&dlogits, |_, _, _| {});
+        let dy0 = m.clone().backward_with(&dlogits, |_, _| {});
         let got = m.backward_input(&dlogits);
 
         assert_eq!((got.rows(), got.cols()), (4, 5));
         assert_eq!(got.as_slice(), dx.as_slice());
-        assert_eq!(m.flat_grads(), chain.flat_grads());
-        assert_eq!(params_only.flat_grads(), chain.flat_grads());
+        assert_eq!(m.flat_grads(), chain_grads);
+        assert_eq!(params_only.flat_grads(), chain_grads);
         // `backward_with` stops one GEMM short: dL/d(layer-0 output).
         assert_eq!((dy0.rows(), dy0.cols()), (4, 7));
+    }
+
+    /// After `zero_grads` every reader sees exact zeros — whatever the
+    /// arena held — without a backward in between, and `set_flat_grads` →
+    /// `flat_grads` round-trips.
+    #[test]
+    fn zeroed_arena_reads_as_zeros_through_every_reader() {
+        let mut m = MlpSpec::new(3, &[4, 5], 2).build(2);
+        let n = m.param_count();
+        let stale: Vec<f32> = (0..n).map(|i| i as f32 - 7.5).collect();
+        m.set_flat_grads(&stale);
+        assert_eq!(m.flat_grads(), stale);
+        let zeros = vec![0.0f32.to_bits(); n];
+        let bits = |v: &[f32]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+
+        m.zero_grads();
+        assert_eq!(bits(&m.flat_grads()), zeros);
+        let mut into = vec![1.0; 3];
+        m.flat_grads_into(&mut into);
+        assert_eq!(bits(&into), zeros);
+
+        let mut visited = Vec::new();
+        m.clone()
+            .for_each_group(|_, _, g| visited.extend_from_slice(g));
+        assert_eq!(bits(&visited), zeros);
+
+        let mut scaled = m.clone();
+        scaled.scale_grads(3.0);
+        assert_eq!(bits(&scaled.flat_grads()), zeros);
+        assert_eq!(bits(m.clone().grads_mut()), zeros);
+
+        // Writing gradients ends the clean state.
+        m.set_flat_grads(&stale);
+        m.scale_grads(2.0);
+        let doubled: Vec<f32> = stale.iter().map(|g| g * 2.0).collect();
+        assert_eq!(m.flat_grads(), doubled);
     }
 
     #[test]

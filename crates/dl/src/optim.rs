@@ -182,16 +182,13 @@ impl Adam {
         let bc1 = 1.0 - self.beta1.powi(t);
         let bc2 = 1.0 - self.beta2.powi(t);
         let m = state(&mut self.m, group, grads.len());
-        for (mi, &g) in m.iter_mut().zip(grads) {
-            *mi = self.beta1 * *mi + (1.0 - self.beta1) * g;
-        }
-        let m_snapshot: Vec<f32> = m.clone();
         let v = state(&mut self.v, group, grads.len());
         out.clear();
         out.reserve(grads.len());
-        for ((vi, &g), &mi) in v.iter_mut().zip(grads).zip(&m_snapshot) {
+        for ((mi, vi), &g) in m.iter_mut().zip(v.iter_mut()).zip(grads) {
+            *mi = self.beta1 * *mi + (1.0 - self.beta1) * g;
             *vi = self.beta2 * *vi + (1.0 - self.beta2) * g * g;
-            let m_hat = mi / bc1;
+            let m_hat = *mi / bc1;
             let v_hat = *vi / bc2;
             out.push(m_hat / (v_hat.sqrt() + self.eps));
         }

@@ -8,6 +8,17 @@
 //! driver adds is what happens *between* steps — nothing, rollback, or a
 //! membership change.
 //!
+//! The step never moves its gradient. The model's gradient arena
+//! ([`Mlp::backward_with`]) is the fusion buffer: backward writes each
+//! layer's gradient into it (overwriting — `zero_grads` only marks it
+//! clean), the overlapped path splits every newly-ready bucket off the
+//! arena's tail as a disjoint `&mut` window ([`split_tail`]) that the
+//! bucket's nonblocking allreduce reduces in place while earlier layers are
+//! still being written into the head, and averaging and the optimizer read
+//! the same memory. Windows chunk against the global partition, so this is
+//! bit-identical to one allreduce over the whole arena, which is what the
+//! serial path runs.
+//!
 //! The collective runs on one of two surfaces, chosen by what the caller
 //! holds rather than by a knob. Without a fault plane there is no
 //! membership to track and nothing to detect, so the infallible classic
@@ -53,22 +64,13 @@ pub(crate) fn shard_range(
     start..start + per_rank
 }
 
-/// Copy `src` into the flat-gradient position `pos` across per-bucket
-/// windows (`windows[b]` covers `[b·m, (b+1)·m)`; `None` means the bucket's
-/// collective already launched and the region must not be written again).
-fn scatter_into(windows: &mut [Option<&mut [f32]>], m: usize, mut pos: usize, src: &[f32]) {
-    let mut s = 0;
-    while s < src.len() {
-        let b = pos / m;
-        let within = pos - b * m;
-        let w = windows[b]
-            .as_mut()
-            .expect("gradient written into an already-launched bucket");
-        let take = (w.len() - within).min(src.len() - s);
-        w[within..within + take].copy_from_slice(&src[s..s + take]);
-        pos += take;
-        s += take;
-    }
+/// Split `[at, pending.len())` off the tail of `*pending`, leaving the head
+/// behind. Buckets launch in descending order, so cutting at each one's
+/// start offset in turn tiles the gradient arena with disjoint windows.
+fn split_tail<'a>(pending: &mut &'a mut [f32], at: usize) -> &'a mut [f32] {
+    let (head, tail) = std::mem::take(pending).split_at_mut(at);
+    *pending = head;
+    tail
 }
 
 /// The lead (first) replica's parameters and the largest `|a − b|` of any
@@ -87,14 +89,12 @@ pub(crate) fn lead_params(mut replicas: impl Iterator<Item = Vec<f32>>) -> (Vec<
     (lead, divergence)
 }
 
-/// One rank's model replica and the buffers its steps reuse.
+/// One rank's model replica. The model's gradient arena is the fusion
+/// buffer: backward writes it, the collectives reduce it in place and the
+/// optimizer reads it, so a step holds the gradient exactly once.
 pub(crate) struct Replica {
     pub(crate) model: Mlp,
     pub(crate) optimizer: Box<dyn Optimizer>,
-    /// Persistent fusion buffer: gradients are flattened into this one
-    /// buffer each step, so steady-state steps allocate nothing on the
-    /// communication path.
-    flat: Vec<f32>,
     layer_sizes: Vec<usize>,
     bucket_elems: usize,
     overlap: bool,
@@ -116,7 +116,6 @@ impl Replica {
         }
         let model = build_model();
         Replica {
-            flat: vec![0.0; model.param_count()],
             layer_sizes: model.layer_param_sizes(),
             model,
             optimizer: build_optimizer(),
@@ -139,7 +138,8 @@ impl Replica {
     }
 
     /// Forward pass and loss on rows `shard` of `(x, labels)`, leaving the
-    /// gradients zeroed for the backward pass. Returns `(loss, dlogits)`.
+    /// gradients marked clean so the backward pass overwrites them. Returns
+    /// `(loss, dlogits)`.
     pub(crate) fn forward_loss(
         &mut self,
         x: &Matrix,
@@ -153,10 +153,10 @@ impl Replica {
         out
     }
 
-    /// Backpropagate `dlogits` and sum the gradient across the world into
-    /// the fusion buffer. Returns rank-local `(comm, exposed)` seconds:
-    /// everything spent launching, progressing and waiting, and the part of
-    /// it not hidden behind backpropagation.
+    /// Backpropagate `dlogits` and sum the gradient across the world, in
+    /// place in the model's gradient arena. Returns rank-local
+    /// `(comm, exposed)` seconds: everything spent launching, progressing
+    /// and waiting, and the part of it not hidden behind backpropagation.
     ///
     /// `checked` selects the surface (see the module doc): `None` is the
     /// infallible classic path and never returns `Err` short of a peer
@@ -173,35 +173,28 @@ impl Replica {
         checked: Option<(&WorldView, Instant)>,
         dlogits: &Matrix,
     ) -> Result<(f64, f64), CommError> {
-        let (n, m, overlap) = (self.flat.len(), self.bucket_elems, self.overlap);
+        let (m, overlap) = (self.bucket_elems, self.overlap);
         let Replica {
-            model,
-            flat,
-            layer_sizes,
-            ..
+            model, layer_sizes, ..
         } = self;
+        let n = model.param_count();
         let world = checked.map_or(rank.size(), |(view, _)| view.size());
         if overlap && world > 1 {
-            // Overlapped path: cut the fusion buffer into per-bucket
-            // windows, launch each bucket's windowed allreduce the moment
-            // the last layer contributing to it has produced its gradient,
-            // and progress all in-flight collectives between layer
+            // Overlapped path: the moment the last layer contributing to a
+            // bucket has written its gradient, split that bucket's window
+            // off the tail of the arena and launch its windowed allreduce
+            // on it, then progress all in-flight collectives between layer
             // backwards. Windows chunk against the global partition, so
             // the result is bit-identical to the serial path.
             let mut sched = BucketSchedule::new(layer_sizes, m);
-            let mut windows: Vec<Option<&mut [f32]>> = flat.chunks_mut(m).map(Some).collect();
-            let mut handles: Vec<RingAllreduceHandle> = Vec::with_capacity(windows.len());
+            let mut handles: Vec<RingAllreduceHandle> = Vec::with_capacity(sched.n_buckets());
             let mut err: Option<CommError> = None;
             let mut hidden = 0.0f64;
-            model.backward_with(dlogits, |layer, gw, gb| {
-                let off = sched.layer_start(layer);
-                let w = gw.as_slice();
-                scatter_into(&mut windows, m, off, w);
-                scatter_into(&mut windows, m, off + w.len(), gb);
+            model.backward_with(dlogits, |layer, pending| {
                 let t0 = Instant::now();
                 for b in sched.on_layer_ready(layer).rev() {
-                    let window = windows[b].take().expect("bucket launched twice");
                     let (id, at) = (b as u64, b * m);
+                    let window = split_tail(pending, at);
                     handles.push(match checked {
                         None => {
                             ring_allreduce_start_windowed(rank, window, ReduceOp::Sum, id, n, at)
@@ -243,9 +236,9 @@ impl Replica {
             err.map_or(Ok((hidden + exposed, exposed)), Err)
         } else {
             // Serial fused path: full backward, then one bucketed
-            // allreduce over the whole flat gradient.
+            // allreduce over the whole arena.
             model.backward(dlogits);
-            model.flat_grads_into(flat);
+            let flat = model.grads_mut();
             let t0 = Instant::now();
             match checked {
                 None => ring_allreduce_bucketed(rank, flat, ReduceOp::Sum, m),
@@ -263,14 +256,59 @@ impl Replica {
     /// members that contributed to it and take one optimizer step at
     /// learning-rate multiplier `lr`.
     pub(crate) fn apply_averaged(&mut self, world: usize, lr: f32) {
-        let inv = 1.0 / world as f32;
-        for g in &mut self.flat {
-            *g *= inv;
-        }
-        self.model.set_flat_grads(&self.flat);
+        self.model.scale_grads(1.0 / world as f32);
         let opt = &mut self.optimizer;
         self.model
             .for_each_group(|id, params, grads| opt.step_group(id, lr, params, grads));
         opt.advance();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::model::MlpSpec;
+
+    /// Driving a real backward the way [`Replica::backward_and_sync`] does,
+    /// the windows split off the tail are the fusion buckets — descending,
+    /// each already holding its final gradient when it is cut — and tile
+    /// `[0, n)` exactly once, for buckets of one element, buckets that
+    /// straddle layer boundaries with a partial last one, a bucket that is
+    /// the whole arena, and one larger than it.
+    #[test]
+    fn bucket_windows_tile_the_arena_exactly_once() {
+        // Layer regions [0, 42), [42, 90), [90, 111).
+        let mut model = MlpSpec::new(5, &[7, 6], 3).build(9);
+        let x = Matrix::from_vec(4, 5, (0..20).map(|i| (i as f32 * 0.37).sin()).collect());
+        let (_, dlogits) = ops::softmax_cross_entropy(model.forward(&x), &[2, 0, 1, 1]);
+        let mut reference = model.clone();
+        reference.zero_grads();
+        reference.backward(&dlogits);
+        let want = reference.flat_grads();
+        let n = want.len();
+        assert_eq!(n, 111);
+
+        for m in [1usize, 4, 10, 37, 111, 500] {
+            let mut model = model.clone();
+            model.zero_grads();
+            let mut sched = BucketSchedule::new(&model.layer_param_sizes(), m);
+            let mut windows: Vec<(usize, &mut [f32])> = Vec::new();
+            model.backward_with(&dlogits, |layer, pending| {
+                for b in sched.on_layer_ready(layer).rev() {
+                    let window = split_tail(pending, b * m);
+                    assert_eq!(window, &want[b * m..b * m + window.len()], "bucket {b}");
+                    windows.push((b * m, window));
+                }
+            });
+            assert_eq!(windows.len(), n.div_ceil(m), "bucket {m}");
+            let mut end = n;
+            for (at, window) in &windows {
+                assert_eq!(at + window.len(), end, "bucket {m}: gap or overlap at {at}");
+                assert_eq!(window.len(), m.min(n - at));
+                assert_eq!(**window, want[*at..end]);
+                end = *at;
+            }
+            assert_eq!(end, 0, "bucket {m}: windows stop short of offset 0");
+        }
     }
 }

@@ -2,12 +2,12 @@
 //!
 //! [`DataParallelTrainer`] is the heart of the reproduction: it runs one
 //! model replica per `summit-comm` rank, computes real gradients on each
-//! rank's shard of the batch, **ring-allreduces the flat gradient vector**,
-//! and applies an identical optimizer step everywhere — the exact
-//! synchronous data-parallel scheme (Horovod-style) that every Section IV-B
-//! project used on Summit. A test asserts that `R` ranks with per-rank
-//! batch `B/R` follow the same parameter trajectory as one process with
-//! batch `B`.
+//! rank's shard of the batch, **ring-allreduces the model's flat gradient
+//! arena in place**, and applies an identical optimizer step everywhere —
+//! the exact synchronous data-parallel scheme (Horovod-style) that every
+//! Section IV-B project used on Summit. A test asserts that `R` ranks with
+//! per-rank batch `B/R` follow the same parameter trajectory as one process
+//! with batch `B`.
 //!
 //! Both comm paths — the serial `ring_allreduce_bucketed` and the
 //! overlapped windowed handles — are drivers over the *same*

@@ -13,8 +13,10 @@
 //!   once per call into a reused thread-local scratch (`B` in 16-column,
 //!   `k`-contiguous micro-panels for [`Matrix::matmul`], `Aᵀ` for
 //!   [`Matrix::matmul_at_b`]; [`Matrix::matmul_a_bt`] reads both operands
-//!   in place), and the inner loop runs on one of two backends selected
-//!   once per call: an explicit AVX2+FMA microkernel on the [`crate::simd`]
+//!   in place, and so does an f32 SIMD `matmul` of at most 16 rows, where
+//!   the pack would cost more than the product — same per-element chain,
+//!   so the same bits), and the inner loop runs on one of two backends
+//!   selected once per call: an explicit AVX2+FMA microkernel on the [`crate::simd`]
 //!   `f32x8` wrapper (runtime-detected; register tiles of 6 rows × 16
 //!   columns over 256-step shared-dimension blocks for `matmul`, 4 × 16
 //!   for `matmul_at_b`, 4 a-rows × 3 b-rows of lane-wise accumulators for
@@ -36,8 +38,10 @@
 //!   computed it. The chains: `matmul` — one FMA per ascending `k`, carried
 //!   through the output between shared-dimension blocks; `matmul_at_b` —
 //!   one FMA chain per 64-row block of the shared dimension, each added
-//!   into the output in block order; `matmul_a_bt` — eight lane
-//!   accumulators stepped over ascending `k`, one fixed
+//!   into the output in block order (the overwriting entry's first block
+//!   is added to `+0.0` and stored, so the output's old contents are
+//!   never read); `matmul_a_bt` — eight lane accumulators stepped over
+//!   ascending `k`, one fixed
 //!   [`F32x8::hsum`] tree, then a scalar FMA tail over `k % 8`. Pooled
 //!   results are therefore **bitwise equal** to the serial (`parts = 1`)
 //!   kernel for every budget and both precisions, and row `i` of an
@@ -117,6 +121,16 @@ const PACK_ROWS: usize = 8;
 /// of a micro-panel (16 KB) stays in L1 across every row tile of the chunk.
 const MM_KC: usize = 256;
 
+/// Row count up to which the f32 SIMD [`Matrix::matmul`] reads `B` in place
+/// instead of packing it. Packing pays for itself by reuse across row
+/// tiles; at 16 rows there are at most three, and the pack's read + write
+/// + re-read of `k·n` costs more than the product.
+const MM_SKINNY_ROWS: usize = 16;
+
+/// Column block of the pack-free skinny `matmul`: the `M × 256` f32 output
+/// tile (16 KB at `M = 16`) stays in L1 while rows of `B` stream past it.
+const MM_SKINNY_NC: usize = 256;
+
 /// Cache-blocking tile for the shared dimension of the transposed matmuls:
 /// 64 rows × up to ~256 f32 columns ≈ 64 KB, comfortably inside L2 while
 /// leaving room for the output row being accumulated.
@@ -182,6 +196,7 @@ trait PanelElem: Element {
         n: usize,
         chunk: &mut [f32],
         range: Range<usize>,
+        accumulate: bool,
     );
 
     /// # Safety
@@ -225,8 +240,9 @@ impl PanelElem for f32 {
         n: usize,
         chunk: &mut [f32],
         range: Range<usize>,
+        accumulate: bool,
     ) {
-        unsafe { atb_chunk_simd_f32(at, m, b, n, chunk, range) }
+        unsafe { atb_chunk_simd_f32(at, m, b, n, chunk, range, accumulate) }
     }
 
     unsafe fn abt_chunk_simd(
@@ -270,8 +286,9 @@ impl PanelElem for u16 {
         n: usize,
         chunk: &mut [f32],
         range: Range<usize>,
+        accumulate: bool,
     ) {
-        unsafe { atb_chunk_simd_bf16(at, m, b, n, chunk, range) }
+        unsafe { atb_chunk_simd_bf16(at, m, b, n, chunk, range, accumulate) }
     }
 
     unsafe fn abt_chunk_simd(
@@ -439,7 +456,7 @@ impl Matrix {
     /// is the serial reference path the property tests compare against.
     #[doc(hidden)]
     pub fn matmul_into_parts(&self, other: &Matrix, out: &mut Matrix, parts: usize) {
-        self.matmul_impl::<f32>(other, out, parts, Backend::Auto);
+        self.matmul_f32_impl(other, out, parts, Backend::Auto);
     }
 
     /// Full control (tests): precision via the element type, explicit
@@ -454,9 +471,36 @@ impl Matrix {
         backend: Backend,
     ) {
         match prec {
-            Precision::F32 => self.matmul_impl::<f32>(other, out, parts, backend),
+            Precision::F32 => self.matmul_f32_impl(other, out, parts, backend),
             Precision::Mixed => self.matmul_impl::<u16>(other, out, parts, backend),
         }
+    }
+
+    fn matmul_assert(&self, other: &Matrix, out: &Matrix) {
+        assert_eq!(self.cols, other.rows, "matmul inner dimension mismatch");
+        assert_eq!(
+            (out.rows, out.cols),
+            (self.rows, other.cols),
+            "matmul output shape mismatch"
+        );
+    }
+
+    /// f32 path: a skinny product on the SIMD backend reads `B` in place
+    /// (per element the same single FMA chain over ascending `k` from zero
+    /// as the packed kernel, so the two are bitwise interchangeable);
+    /// everything else packs.
+    fn matmul_f32_impl(&self, other: &Matrix, out: &mut Matrix, parts: usize, backend: Backend) {
+        if self.rows > MM_SKINNY_ROWS || !backend.use_simd() {
+            return self.matmul_impl::<f32>(other, out, parts, backend);
+        }
+        self.matmul_assert(other, out);
+        let (k, n) = (self.cols, other.cols);
+        let (a, b) = (&self.data, &other.data);
+        summit_pool::global().run_rows(&mut out.data, n, parts, |chunk, range| {
+            // SAFETY: `use_simd` above implies `simd::active()` verified
+            // AVX2+FMA on this CPU.
+            unsafe { mm_skinny_chunk_simd(a, k, b, n, chunk, range) }
+        });
     }
 
     fn matmul_impl<E: PanelElem>(
@@ -466,12 +510,7 @@ impl Matrix {
         parts: usize,
         backend: Backend,
     ) {
-        assert_eq!(self.cols, other.rows, "matmul inner dimension mismatch");
-        assert_eq!(
-            (out.rows, out.cols),
-            (self.rows, other.cols),
-            "matmul output shape mismatch"
-        );
+        self.matmul_assert(other, out);
         let k = self.cols;
         let n = other.cols;
         let use_simd = backend.use_simd();
@@ -544,34 +583,45 @@ impl Matrix {
 
     /// [`Matrix::matmul_at_b_mixed`] into a caller-owned output.
     pub fn matmul_at_b_mixed_into(&self, other: &Matrix, out: &mut Matrix) {
-        self.matmul_at_b_impl::<u16>(other, out, auto_parts(self.cols), Backend::Auto, false);
+        self.matmul_at_b_into_prec(other, out, Precision::Mixed);
     }
 
     /// [`Matrix::matmul_at_b_into`] with an explicit [`Precision`] knob.
     pub fn matmul_at_b_into_prec(&self, other: &Matrix, out: &mut Matrix, prec: Precision) {
-        match prec {
-            Precision::F32 => self.matmul_at_b_into(other, out),
-            Precision::Mixed => self.matmul_at_b_mixed_into(other, out),
-        }
+        let parts = auto_parts(self.cols);
+        self.matmul_at_b_backend(other, out, parts, prec, Backend::Auto, false);
     }
 
-    /// `out += selfᵀ · other`: [`Matrix::matmul_at_b_into_prec`] minus the
-    /// clear of `out`, so a gradient buffer accumulates in place instead of
-    /// through a product-sized temporary. The kernel adds each
-    /// shared-dimension block's partial sum into the output, so on a zeroed
-    /// `out` the result is bitwise the overwriting entry's.
+    /// `selfᵀ · other` into a row-major `k×n` slice of a larger buffer —
+    /// the weight-gradient product writing straight into its window of a
+    /// flat gradient arena. `accumulate` selects `out += …` over `out = …`;
+    /// on a zeroed `out` the two are bitwise equal (the overwriting kernel
+    /// stores `0.0 + first block` where the accumulating one adds it).
     ///
     /// # Panics
-    /// Panics on row-count mismatch or if `out` is not `k×n`.
-    pub fn matmul_at_b_acc_into_prec(&self, other: &Matrix, out: &mut Matrix, prec: Precision) {
+    /// Panics on row-count mismatch or if `out.len() != k·n`.
+    pub fn matmul_at_b_into_slice(
+        &self,
+        other: &Matrix,
+        out: &mut [f32],
+        accumulate: bool,
+        prec: Precision,
+    ) {
         let parts = auto_parts(self.cols);
-        self.matmul_at_b_acc_into_parts_backend(other, out, parts, prec, Backend::Auto);
+        match prec {
+            Precision::F32 => {
+                self.matmul_at_b_impl::<f32>(other, out, parts, Backend::Auto, accumulate)
+            }
+            Precision::Mixed => {
+                self.matmul_at_b_impl::<u16>(other, out, parts, Backend::Auto, accumulate)
+            }
+        }
     }
 
     /// [`Matrix::matmul_at_b_into`] with an explicit chunk count.
     #[doc(hidden)]
     pub fn matmul_at_b_into_parts(&self, other: &Matrix, out: &mut Matrix, parts: usize) {
-        self.matmul_at_b_impl::<f32>(other, out, parts, Backend::Auto, false);
+        self.matmul_at_b_backend(other, out, parts, Precision::F32, Backend::Auto, false);
     }
 
     /// Full control (tests): precision, explicit parts, forced backend.
@@ -584,13 +634,10 @@ impl Matrix {
         prec: Precision,
         backend: Backend,
     ) {
-        match prec {
-            Precision::F32 => self.matmul_at_b_impl::<f32>(other, out, parts, backend, false),
-            Precision::Mixed => self.matmul_at_b_impl::<u16>(other, out, parts, backend, false),
-        }
+        self.matmul_at_b_backend(other, out, parts, prec, backend, false);
     }
 
-    /// [`Matrix::matmul_at_b_acc_into_prec`] with full control (tests).
+    /// `out += selfᵀ · other` with full control (tests).
     #[doc(hidden)]
     pub fn matmul_at_b_acc_into_parts_backend(
         &self,
@@ -600,33 +647,55 @@ impl Matrix {
         prec: Precision,
         backend: Backend,
     ) {
+        self.matmul_at_b_backend(other, out, parts, prec, backend, true);
+    }
+
+    fn matmul_at_b_backend(
+        &self,
+        other: &Matrix,
+        out: &mut Matrix,
+        parts: usize,
+        prec: Precision,
+        backend: Backend,
+        accumulate: bool,
+    ) {
+        assert_eq!(
+            (out.rows, out.cols),
+            (self.cols, other.cols),
+            "matmul_at_b output shape mismatch"
+        );
+        let out = &mut out.data;
         match prec {
-            Precision::F32 => self.matmul_at_b_impl::<f32>(other, out, parts, backend, true),
-            Precision::Mixed => self.matmul_at_b_impl::<u16>(other, out, parts, backend, true),
+            Precision::F32 => self.matmul_at_b_impl::<f32>(other, out, parts, backend, accumulate),
+            Precision::Mixed => {
+                self.matmul_at_b_impl::<u16>(other, out, parts, backend, accumulate)
+            }
         }
     }
 
     fn matmul_at_b_impl<E: PanelElem>(
         &self,
         other: &Matrix,
-        out: &mut Matrix,
+        out: &mut [f32],
         parts: usize,
         backend: Backend,
         accumulate: bool,
     ) {
         assert_eq!(self.rows, other.rows, "matmul_at_b row mismatch");
         assert_eq!(
-            (out.rows, out.cols),
-            (self.cols, other.cols),
+            out.len(),
+            self.cols * other.cols,
             "matmul_at_b output shape mismatch"
         );
         let m = self.rows;
         let k = self.cols;
         let n = other.cols;
         let use_simd = backend.use_simd();
-        // Both kernels add into `out`.
-        if !accumulate {
-            out.data.fill(0.0);
+        // The scalar kernel only ever adds into `out`; the SIMD kernel
+        // stores its first shared-dimension block when overwriting, so it
+        // neither needs nor reads the old contents.
+        if !accumulate && !use_simd {
+            out.fill(0.0);
         }
         // Pack Aᵀ once per call: at[kk·m + i] = A[i, kk], so output row kk
         // reads its m coefficients contiguously (bf16-rounded on the mixed
@@ -640,11 +709,11 @@ impl Matrix {
             }
             let b = &other.data;
             let at = &*at;
-            summit_pool::global().run_rows(&mut out.data, n, parts, |chunk, range| {
+            summit_pool::global().run_rows(out, n, parts, |chunk, range| {
                 if use_simd {
                     // SAFETY: `use_simd` implies `simd::active()` verified
                     // AVX2+FMA on this CPU.
-                    unsafe { E::atb_chunk_simd(at, m, b, n, chunk, range) }
+                    unsafe { E::atb_chunk_simd(at, m, b, n, chunk, range, accumulate) }
                 } else {
                     matmul_at_b_chunk(at, m, b, n, chunk, range);
                 }
@@ -1143,11 +1212,128 @@ unsafe fn mm_chunk_simd_impl<E: Element>(
     }
 }
 
+/// Pack-free skinny `matmul` tile: `RB` output rows × `jw` columns, `KU`
+/// consecutive shared-dimension steps. The `KU` rows of `B` are read in
+/// place (contiguous `jw`-element pieces), each output vector is loaded
+/// once (or started from zero when `first`), takes its `KU` FMAs in
+/// ascending `k` and is stored back into the L1-resident output tile; the
+/// `jw % 8` columns run the same chain on scalar `mul_add`.
+///
+/// # Safety
+/// Requires AVX2+FMA context. `ap` must be valid for `RB` rows of `KU`
+/// reads at row stride `k`, `bp` for `KU` rows of `jw` reads at row stride
+/// `n`, `cp` for an `RB × jw` tile of reads and writes at row stride `n`.
+#[inline(always)]
+unsafe fn mm_skinny_tile_simd<const RB: usize, const KU: usize>(
+    ap: *const f32,
+    k: usize,
+    bp: *const f32,
+    n: usize,
+    jw: usize,
+    cp: *mut f32,
+    first: bool,
+) {
+    unsafe {
+        let mut a = [[F32x8::zero(); KU]; RB];
+        for (t, row) in a.iter_mut().enumerate() {
+            for (u, v) in row.iter_mut().enumerate() {
+                *v = F32x8::splat(*ap.add(t * k + u));
+            }
+        }
+        let mut j = 0;
+        while j + simd::LANES <= jw {
+            let mut bv = [F32x8::zero(); KU];
+            for (u, v) in bv.iter_mut().enumerate() {
+                *v = F32x8::load(bp.add(u * n + j));
+            }
+            for (t, row) in a.iter().enumerate() {
+                let o = cp.add(t * n + j);
+                let mut c = if first { F32x8::zero() } else { F32x8::load(o) };
+                for (&av, &b) in row.iter().zip(&bv) {
+                    c = av.mul_add(b, c);
+                }
+                c.store(o);
+            }
+            j += simd::LANES;
+        }
+        while j < jw {
+            for t in 0..RB {
+                let o = cp.add(t * n + j);
+                let mut c = if first { 0.0 } else { *o };
+                for u in 0..KU {
+                    c = (*ap.add(t * k + u)).mul_add(*bp.add(u * n + j), c);
+                }
+                *o = c;
+            }
+            j += 1;
+        }
+    }
+}
+
+/// Pack-free skinny `matmul` chunk kernel (at most [`MM_SKINNY_ROWS`] rows
+/// in all): per [`MM_SKINNY_NC`]-column block, the shared dimension
+/// outermost in steps of four (then single steps for `k % 4`), rows in
+/// pairs (then one). Every element of `B` is read exactly once per chunk,
+/// in row order.
+///
+/// # Safety
+/// The executing CPU must support AVX2+FMA.
+#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2,fma"))]
+unsafe fn mm_skinny_chunk_simd(
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    n: usize,
+    chunk: &mut [f32],
+    range: Range<usize>,
+) {
+    let rows = range.len();
+    assert!(a.len() >= range.end * k && b.len() == k * n && chunk.len() == rows * n);
+    let cp = chunk.as_mut_ptr();
+    // SAFETY: AVX2+FMA per this function's contract. The lengths asserted
+    // above bound every access: a tile reads a-rows `range.start + r ..
+    // + RB ≤ range.end` at columns `kk .. kk + KU ≤ k`, rows `kk .. kk + KU`
+    // of `b` at columns `jb .. jb + jw ≤ n`, and the `RB × jw` window at
+    // column `jb` of the chunk's `rows × n` outputs.
+    unsafe {
+        let ap = a.as_ptr().add(range.start * k);
+        let bp = b.as_ptr();
+        for jb in (0..n).step_by(MM_SKINNY_NC) {
+            let jw = (n - jb).min(MM_SKINNY_NC);
+            let mut kk = 0;
+            macro_rules! steps {
+                ($ku:expr) => {{
+                    let (bk, first) = (bp.add(kk * n + jb), kk == 0);
+                    let mut r = 0;
+                    while r + 2 <= rows {
+                        let (at, ct) = (ap.add(r * k + kk), cp.add(r * n + jb));
+                        mm_skinny_tile_simd::<2, { $ku }>(at, k, bk, n, jw, ct, first);
+                        r += 2;
+                    }
+                    if r < rows {
+                        let (at, ct) = (ap.add(r * k + kk), cp.add(r * n + jb));
+                        mm_skinny_tile_simd::<1, { $ku }>(at, k, bk, n, jw, ct, first);
+                    }
+                    kk += $ku;
+                }};
+            }
+            while kk + 4 <= k {
+                steps!(4);
+            }
+            while kk < k {
+                steps!(1);
+            }
+        }
+    }
+}
+
 /// `matmul_at_b` row block: `RB` output rows × 16/8/1 columns over one
-/// shared-dimension cache block, register accumulation then one
-/// `+=` into the output. Per element: per block, `o += (fma chain over
-/// ascending i)` — block boundaries are global ([`BLOCK_ROWS`]), so the
-/// chain shape is chunk-independent.
+/// shared-dimension cache block, register accumulation then one `+=` into
+/// the output — or, with `store` set, into `+0.0` instead of the old
+/// contents, which are then never read (the overwriting entry's first
+/// block). Per element: per block, `o += (fma chain over ascending i)` —
+/// block boundaries are global ([`BLOCK_ROWS`]), so the chain shape is
+/// chunk-independent, and `store` is bitwise the add into a zeroed output.
 ///
 /// # Safety
 /// Requires AVX2+FMA context; all indices in bounds (caller-maintained).
@@ -1163,8 +1349,16 @@ unsafe fn atb_rows_simd<E: Element, const RB: usize>(
     iend: usize,
     at_row0: usize,
     c_row0: usize,
+    store: bool,
 ) {
     unsafe {
+        let prior = |o: *const f32| {
+            if store {
+                F32x8::zero()
+            } else {
+                F32x8::load(o)
+            }
+        };
         let mut j = 0;
         while j + 16 <= n {
             let mut acc = [[F32x8::zero(); 2]; RB];
@@ -1180,8 +1374,8 @@ unsafe fn atb_rows_simd<E: Element, const RB: usize>(
             }
             for (t, av) in acc.iter().enumerate() {
                 let o = cp.add((c_row0 + t) * n + j);
-                F32x8::load(o).add(av[0]).store(o);
-                F32x8::load(o.add(8)).add(av[1]).store(o.add(8));
+                prior(o).add(av[0]).store(o);
+                prior(o.add(8)).add(av[1]).store(o.add(8));
             }
             j += 16;
         }
@@ -1196,7 +1390,7 @@ unsafe fn atb_rows_simd<E: Element, const RB: usize>(
             }
             for (t, av) in acc.iter().enumerate() {
                 let o = cp.add((c_row0 + t) * n + j);
-                F32x8::load(o).add(*av).store(o);
+                prior(o).add(*av).store(o);
             }
             j += 8;
         }
@@ -1206,7 +1400,8 @@ unsafe fn atb_rows_simd<E: Element, const RB: usize>(
                 for i in ib..iend {
                     s = ((*at.add((at_row0 + t) * m + i)).to_f32()).mul_add(*bp.add(i * n + j), s);
                 }
-                *cp.add((c_row0 + t) * n + j) += s;
+                let o = cp.add((c_row0 + t) * n + j);
+                *o = if store { 0.0 } else { *o } + s;
             }
             j += 1;
         }
@@ -1215,6 +1410,8 @@ unsafe fn atb_rows_simd<E: Element, const RB: usize>(
 
 /// `matmul_at_b` SIMD chunk kernel: shared-dimension blocks outermost (as
 /// in the scalar kernel), output rows in [`ATB_MR`]-high register tiles.
+/// Unless accumulating, the first block stores and later blocks add, so
+/// the output's old contents are never loaded.
 #[inline(always)]
 unsafe fn atb_chunk_simd_impl<E: Element>(
     at: &[E],
@@ -1223,6 +1420,7 @@ unsafe fn atb_chunk_simd_impl<E: Element>(
     n: usize,
     chunk: &mut [f32],
     range: Range<usize>,
+    accumulate: bool,
 ) {
     let rows = range.len();
     let atp = at.as_ptr();
@@ -1230,14 +1428,15 @@ unsafe fn atb_chunk_simd_impl<E: Element>(
     let cp = chunk.as_mut_ptr();
     for ib in (0..m).step_by(BLOCK_ROWS) {
         let iend = (ib + BLOCK_ROWS).min(m);
+        let store = ib == 0 && !accumulate;
         let mut r = 0;
         unsafe {
             while r + ATB_MR <= rows {
-                atb_rows_simd::<E, ATB_MR>(atp, m, bp, n, cp, ib, iend, range.start + r, r);
+                atb_rows_simd::<E, ATB_MR>(atp, m, bp, n, cp, ib, iend, range.start + r, r, store);
                 r += ATB_MR;
             }
             while r < rows {
-                atb_rows_simd::<E, 1>(atp, m, bp, n, cp, ib, iend, range.start + r, r);
+                atb_rows_simd::<E, 1>(atp, m, bp, n, cp, ib, iend, range.start + r, r, store);
                 r += 1;
             }
         }
@@ -1378,9 +1577,11 @@ simd_entry!(mm_chunk_simd_f32, mm_chunk_simd_impl, f32,
 simd_entry!(mm_chunk_simd_bf16, mm_chunk_simd_impl, u16,
     (a: &[f32], k: usize, bp: &[u16], n: usize, chunk: &mut [f32], range: Range<usize>));
 simd_entry!(atb_chunk_simd_f32, atb_chunk_simd_impl, f32,
-    (at: &[f32], m: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>));
+    (at: &[f32], m: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>,
+     accumulate: bool));
 simd_entry!(atb_chunk_simd_bf16, atb_chunk_simd_impl, u16,
-    (at: &[u16], m: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>));
+    (at: &[u16], m: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>,
+     accumulate: bool));
 simd_entry!(abt_chunk_simd_f32, abt_chunk_simd_impl, f32,
     (a: &[f32], k: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>));
 simd_entry!(abt_chunk_simd_bf16, abt_chunk_simd_impl, u16,

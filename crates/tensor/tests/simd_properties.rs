@@ -14,8 +14,10 @@
 //!    and block boundary of the kernels, `matmul` and `matmul_a_bt` equal a
 //!    plain-Rust transcription of their documented per-element chains
 //!    bitwise, a row of a batched product equals the one-row product
-//!    bitwise, and `matmul_at_b`'s accumulate entry equals overwrite +
-//!    `add_assign`.
+//!    bitwise (also across the row count where `matmul` switches from
+//!    reading `B` in place to packing it), `matmul_at_b`'s accumulate
+//!    entry equals overwrite + `add_assign`, and its overwrite entry never
+//!    reads what the output held.
 //!
 //! The documented ULP bound: each output element is one length-`k` fused
 //! chain per backend; FMA contraction and the 8-lane reduction tree
@@ -315,7 +317,16 @@ fn a_bt_chain(a_row: &[f32], b_row: &[f32], prec: Precision, simd: bool) -> f32 
 /// 1024 (two and four `matmul` blocks, several 64-row blocks of the
 /// transposed kernels); `m` off the 6/4/2-row and 4-row tile heights; `n`
 /// off the 3-wide tile, the 8-lane vector, the 16-column micro-panel and
-/// the 48-row column block.
+/// the 48-row column block. The second half of the list walks `m` across
+/// the row count at which `matmul` stops reading `B` in place and packs it
+/// (16 | 17), with `k % 4 ≠ 0` and `n % 8 ≠ 0`, below and above the
+/// pack-free kernel's 256-column block: every row of every product must
+/// still be the one-row product, which always takes the pack-free path.
+///
+/// Last, the overwriting `matmul_at_b` entry must not depend on what its
+/// output held: over NaN it equals the product on zeros, for shared
+/// dimensions on both sides of the 64-row block whose first visit stores
+/// and whose later visits add.
 #[test]
 fn boundary_shapes_hold_every_gemm_contract() {
     let shapes = [
@@ -325,6 +336,13 @@ fn boundary_shapes_hold_every_gemm_contract() {
         (7, 300, 53),
         (9, 1024, 50),
         (1, 1024, 3),
+        (1, 103, 37),
+        (2, 259, 261),
+        (6, 103, 37),
+        (15, 103, 37),
+        (16, 259, 261),
+        (17, 259, 261),
+        (32, 103, 37),
     ];
     for (si, &(m, s, n)) in shapes.iter().enumerate() {
         for variant in 0..3 {
@@ -346,7 +364,8 @@ fn boundary_shapes_hold_every_gemm_contract() {
                     }
 
                     // Row i of the batched product = the one-row product.
-                    for i in (0..m).step_by(m.div_ceil(5)) {
+                    let row_step = if m <= 32 { 1 } else { m.div_ceil(5) };
+                    for i in (0..m).step_by(row_step) {
                         let mut one = Matrix::zeros(1, n);
                         let a_i = single_row_operand(&a, variant, i);
                         run(&a_i, &b, &mut one, variant, 1, prec, backend);
@@ -388,6 +407,27 @@ fn boundary_shapes_hold_every_gemm_contract() {
                     by_backend.push(serial);
                 }
                 assert_close(&by_backend[0], &by_backend[1], s, &what);
+            }
+        }
+    }
+
+    for (si, s) in [1usize, 63, 64, 65, 130].into_iter().enumerate() {
+        let (a, b) = operands(1, 13, s, 35, 90 + si as u64);
+        for prec in [Precision::F32, Precision::Mixed] {
+            for backend in [Backend::Auto, Backend::Scalar] {
+                let mut on_zeros = Matrix::zeros(13, 35);
+                run(&a, &b, &mut on_zeros, 1, 1, prec, backend);
+                for parts in 1..=8 {
+                    let mut over_nan = Matrix::from_vec(13, 35, vec![f32::NAN; 13 * 35]);
+                    run(&a, &b, &mut over_nan, 1, parts, prec, backend);
+                    let bits =
+                        |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&over_nan),
+                        bits(&on_zeros),
+                        "at_b over NaN, shared {s} {prec:?} {backend:?} parts {parts}"
+                    );
+                }
             }
         }
     }

@@ -2,12 +2,15 @@
 //! state: a counting global allocator brackets a window of pooled products
 //! through all three variants, and the allocation count must not move. The
 //! same allocator then watches steady-state `Mlp::backward` calls, which
-//! may allocate activations but nothing the size of a weight matrix.
+//! may allocate activations but nothing the size of a weight matrix, and a
+//! whole overlapped data-parallel run, which must hold its gradient once.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use summit_dl::MlpSpec;
+use summit_comm::world::World;
+use summit_dl::{DataParallelTrainer, LrSchedule, MlpSpec, Optimizer, OptimizerState, Sgd};
 use summit_tensor::Matrix;
 
 struct CountingAllocator;
@@ -15,10 +18,32 @@ struct CountingAllocator;
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 /// Largest single request (bytes) since the last reset.
 static LARGEST: AtomicUsize = AtomicUsize::new(0);
+/// Bytes currently allocated, and the most that ever were since the last
+/// reset.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK_LIVE: AtomicUsize = AtomicUsize::new(0);
+/// Requests of at least [`BUCKET_BYTES`] made by threads whose [`STEADY`]
+/// flag is up.
+static BUCKET_SIZED_STEADY: AtomicUsize = AtomicUsize::new(0);
+
+/// The trainer's default fusion bucket.
+const BUCKET_BYTES: usize = 256 * 1024;
+
+thread_local! {
+    /// Raised by a rank thread once its first training step has committed.
+    static STEADY: Cell<bool> = const { Cell::new(false) };
+}
 
 fn count(bytes: usize) {
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     LARGEST.fetch_max(bytes, Ordering::Relaxed);
+    // `try_with`: the allocator also runs while a thread's locals are torn
+    // down.
+    if bytes >= BUCKET_BYTES && STEADY.try_with(Cell::get).unwrap_or(false) {
+        BUCKET_SIZED_STEADY.fetch_add(1, Ordering::Relaxed);
+    }
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK_LIVE.fetch_max(live, Ordering::Relaxed);
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
@@ -33,11 +58,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -59,6 +86,9 @@ static ALLOC: CountingAllocator = CountingAllocator;
 /// three-layer `Mlp::backward` accumulates each weight gradient in place,
 /// so no call may request a buffer as large as the smallest weight matrix
 /// (activations, at batch 4, are an eighth of that).
+///
+/// The third window is a whole overlapped p = 2
+/// `DataParallelTrainer::run_in`: see [`training_run_holds_its_gradient_once`].
 ///
 /// This file intentionally holds only this test: a sibling test running
 /// concurrently in the same binary would pollute the counters.
@@ -144,4 +174,87 @@ fn steady_state_pooled_matmul_does_not_allocate() {
          the smallest weight matrix is {smallest_weight_bytes}"
     );
     assert!(model.flat_grads().iter().any(|&g| g != 0.0));
+
+    training_run_holds_its_gradient_once();
+}
+
+/// SGD-momentum that raises its thread's [`STEADY`] flag when a step
+/// commits: everything a rank allocates from its second step on is watched.
+struct SteadyAfterFirstStep(Sgd);
+
+impl Optimizer for SteadyAfterFirstStep {
+    fn step_group(&mut self, group: usize, lr: f32, params: &mut [f32], grads: &[f32]) {
+        self.0.step_group(group, lr, params, grads);
+    }
+
+    fn advance(&mut self) {
+        self.0.advance();
+        STEADY.with(|s| s.set(true));
+    }
+
+    fn export_state(&self) -> OptimizerState {
+        self.0.export_state()
+    }
+
+    fn import_state(&mut self, state: &OptimizerState) {
+        self.0.import_state(state);
+    }
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+}
+
+/// An overlapped p = 2 run of a model of `N` parameters (four default
+/// fusion buckets). Backward writes the gradient arena, the ring reduces it
+/// in place and the optimizer reads it there, and the skinny forward packs
+/// nothing, so:
+///
+/// * from its second step on, a rank requests a block as large as one
+///   fusion bucket exactly once — the parameter copy it returns when the
+///   run ends. No gradient-, bucket- or weight-sized buffer is re-created
+///   per step;
+/// * the run never has more than `9.5 N` floats live above what was live
+///   when it started: per rank, parameters + gradient + momentum (`3 N`)
+///   and, at the very end, the returned parameter copy (`4 N`), plus
+///   activations and pooled message buffers — `8.15 N` measured. A second
+///   copy of the gradient per rank alone would make that `10 N`; with the
+///   packing scratch of the widest layer on top, the step that flattened
+///   its gradient into a fusion buffer measured `12.7 N`.
+fn training_run_holds_its_gradient_once() {
+    let spec = MlpSpec::new(96, &[512, 384], 10);
+    let n = spec.build(0).param_count();
+    let trainer = DataParallelTrainer::new(2, 4);
+    assert_eq!(trainer.fusion.bucket_bytes, BUCKET_BYTES);
+    assert!(n * 4 > 3 * BUCKET_BYTES, "model must span several buckets");
+    let steps = 6;
+    let task = summit_dl::data::blobs(steps * 2 * 4, 96, 10, 0.5, 3);
+    let mut world = World::new(2);
+
+    let baseline = LIVE.load(Ordering::SeqCst);
+    PEAK_LIVE.store(baseline, Ordering::SeqCst);
+    let out = trainer.run_in(
+        &mut world,
+        || spec.build(7),
+        || Box::new(SteadyAfterFirstStep(Sgd::new(0.05, 0.9, 0.0))),
+        LrSchedule::Constant,
+        &task.x,
+        &task.y,
+        1,
+    );
+    let peak_floats = (PEAK_LIVE.load(Ordering::SeqCst) - baseline) / 4;
+    let bucket_sized = BUCKET_SIZED_STEADY.load(Ordering::SeqCst);
+
+    assert_eq!(out.steps as usize, steps);
+    assert_eq!(out.max_divergence, 0.0);
+    assert_eq!(
+        bucket_sized, 2,
+        "requests of a fusion bucket or more after a rank's first step, beyond the two \
+         returned parameter copies"
+    );
+    assert!(
+        peak_floats * 2 <= n * 19,
+        "peak live heap of the run is {:.2} N floats (N = {n})",
+        peak_floats as f64 / n as f64
+    );
 }
