@@ -6,9 +6,10 @@
 //! replaces the polling loop with a **dependency-driven** engine: a worklist
 //! of runnable ranks, each run until it blocks on a message that has not
 //! been posted yet, and woken exactly once when that message arrives. Every
-//! schedule cursor advances only when one of its events fires, so the cost
-//! is O(events), and all 12 [`Collective`] variants simulate at Summit's
-//! full 27,648 GPUs in seconds.
+//! schedule cursor advances only when one of its events fires and in-flight
+//! messages wait in per-receiver FIFO mailboxes (no hashing; see
+//! `Mailboxes`), so the cost is O(events), and all 12 [`Collective`]
+//! variants simulate at Summit's full 27,648 GPUs in seconds.
 //!
 //! Two fabrics sit under the same engine:
 //!
@@ -27,10 +28,6 @@
 //!   sharing a link serialize instead of enjoying the independent-link
 //!   fiction. Resources serve transfers FCFS in (deterministic) simulator
 //!   arrival order, which tracks virtual time.
-
-use std::collections::HashMap;
-use std::collections::VecDeque;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use summit_machine::{ClusterModel, FlowNet, LinkModel};
 
@@ -64,80 +61,154 @@ impl Fabric for FlowNet {
     }
 }
 
-/// Multiply-xor hasher for the channel map (the std SipHash costs more than
-/// the rest of a simulated message combined). Keys are two u64s — the
-/// packed (src, dst) pair and the tag — already well-distributed; one
-/// round of mixing per word suffices.
-#[derive(Default)]
-struct ChanHasher(u64);
+/// Nil link of the message slab.
+const NIL: u32 = u32::MAX;
 
-impl Hasher for ChanHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
+/// One in-flight message: a node of the [`Mailboxes`] slab.
+#[derive(Clone, Copy)]
+struct Msg {
+    src: u32,
+    /// Next message of the same run, or next free node; `NIL` ends both.
+    next: u32,
+    /// Run heads only: head of the receiver's next run.
+    skip: u32,
+    /// Run heads only: last message of this run.
+    run_tail: u32,
+    tag: u64,
+    len: usize,
+    ready: f64,
+}
+
+/// The engine's one message store: a slab of [`Msg`] nodes threaded into a
+/// FIFO mailbox per receiver. Freed nodes are recycled LIFO, so the slab
+/// never outgrows the peak in-flight count (128 nodes for a sparse ring at
+/// full machine, one per rank at worst in the modeled collectives).
+///
+/// A mailbox is a list of **runs** — maximal stretches of consecutive
+/// arrivals from one source — not of messages: a group leader's fan-in
+/// receives then step over its ring neighbour's backlog in one hop instead
+/// of one hop per message. Draining a run may leave two runs of one source
+/// adjacent; they stay apart (oldest first), which is all FIFO needs.
+struct Mailboxes {
+    slab: Vec<Msg>,
+    free: u32,
+    /// Per receiver: heads of its first and last run (`NIL` when empty).
+    ends: Vec<(u32, u32)>,
+    in_flight: usize,
+}
+
+impl Mailboxes {
+    fn new(p: usize) -> Self {
+        Mailboxes {
+            slab: Vec::new(),
+            free: NIL,
+            ends: vec![(NIL, NIL); p],
+            in_flight: 0,
         }
     }
 
-    #[inline]
-    fn write_u64(&mut self, x: u64) {
-        let mut h = (self.0 ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        h ^= h >> 32;
-        self.0 = h;
-    }
-
-    #[inline]
-    fn write_usize(&mut self, x: usize) {
-        self.write_u64(x as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// In-flight messages of one (src, dst, tag) channel. Single-message
-/// channels (the overwhelmingly common case) stay inline; a queue is
-/// allocated only if a second message arrives before the first is consumed.
-enum Chan {
-    One(usize, f64),
-    Many(VecDeque<(usize, f64)>),
-}
-
-impl Chan {
-    fn push(&mut self, len: usize, ready: f64) {
-        match self {
-            Chan::One(l, r) => {
-                let mut q = VecDeque::with_capacity(2);
-                q.push_back((*l, *r));
-                q.push_back((len, ready));
-                *self = Chan::Many(q);
+    /// Append a message to `dst`'s mailbox: onto the last run if `src` sent
+    /// that too, else as a new run.
+    fn push(&mut self, src: usize, dst: usize, tag: u64, len: usize, ready: f64) {
+        let msg = Msg {
+            src: src as u32,
+            next: NIL,
+            skip: NIL,
+            run_tail: NIL,
+            tag,
+            len,
+            ready,
+        };
+        let id = match self.free {
+            NIL => {
+                self.slab.push(msg);
+                (self.slab.len() - 1) as u32
             }
-            Chan::Many(q) => q.push_back((len, ready)),
-        }
-    }
-
-    /// Pop the oldest message; `None` means the channel is now empty and
-    /// must be removed from the map (alltoall visits p² distinct keys —
-    /// keeping empty channels alive would hoard ~10⁹ entries at full
-    /// machine).
-    fn pop(&mut self) -> ((usize, f64), bool) {
-        match self {
-            Chan::One(l, r) => ((*l, *r), true),
-            Chan::Many(q) => {
-                let msg = q.pop_front().expect("Many is non-empty");
-                (msg, q.is_empty())
+            id => {
+                self.free = std::mem::replace(&mut self.slab[id as usize], msg).next;
+                id
             }
+        };
+        assert!(id != NIL, "model transport: slab outgrew its u32 links");
+        let (first, last) = &mut self.ends[dst];
+        if *last != NIL && self.slab[*last as usize].src == msg.src {
+            let tail = std::mem::replace(&mut self.slab[*last as usize].run_tail, id);
+            self.slab[tail as usize].next = id;
+        } else {
+            if *last == NIL {
+                *first = id;
+            } else {
+                self.slab[*last as usize].skip = id;
+            }
+            self.slab[id as usize].run_tail = id;
+            *last = id;
+        }
+        self.in_flight += 1;
+    }
+
+    /// Remove and return `(len, ready)` of the oldest message `src` sent
+    /// `dst` under `tag`: walk the run heads, and each run of `src` (whose
+    /// first message is the hit in every modeled collective).
+    fn take(&mut self, src: usize, dst: usize, tag: u64) -> Option<(usize, f64)> {
+        let (mut prev_run, mut run) = (NIL, self.ends[dst].0);
+        while run != NIL {
+            let head = &self.slab[run as usize];
+            let skip = head.skip;
+            if head.src == src as u32 {
+                let (mut prev, mut at) = (NIL, run);
+                while at != NIL {
+                    #[cfg(test)]
+                    tests::count_lookup_step();
+                    let msg = &self.slab[at as usize];
+                    if msg.tag == tag {
+                        let found = (msg.len, msg.ready);
+                        self.unlink(dst, prev_run, run, prev, at);
+                        self.slab[at as usize].next = std::mem::replace(&mut self.free, at);
+                        self.in_flight -= 1;
+                        return Some(found);
+                    }
+                    (prev, at) = (at, msg.next);
+                }
+            } else {
+                // Another source's run is stepped over whole.
+                #[cfg(test)]
+                tests::count_lookup_step();
+            }
+            (prev_run, run) = (run, skip);
+        }
+        None
+    }
+
+    /// Unlink message `at` (after `prev`) of the run headed by `run` (after
+    /// the run headed by `prev_run`) from `dst`'s mailbox.
+    fn unlink(&mut self, dst: usize, prev_run: u32, run: u32, prev: u32, at: u32) {
+        let gone = self.slab[at as usize];
+        if at != run {
+            self.slab[prev as usize].next = gone.next;
+            let head = &mut self.slab[run as usize];
+            if head.run_tail == at {
+                head.run_tail = prev;
+            }
+            return;
+        }
+        // A run head: its successor inherits the run, or the run is gone.
+        let heir = if gone.next == NIL {
+            gone.skip
+        } else {
+            let heir = &mut self.slab[gone.next as usize];
+            (heir.skip, heir.run_tail) = (gone.skip, gone.run_tail);
+            gone.next
+        };
+        let (first, last) = &mut self.ends[dst];
+        if prev_run == NIL {
+            *first = heir;
+        } else {
+            self.slab[prev_run as usize].skip = heir;
+        }
+        if *last == run {
+            *last = if gone.next == NIL { prev_run } else { heir };
         }
     }
-}
-
-type ChanMap = HashMap<(u64, u64), Chan, BuildHasherDefault<ChanHasher>>;
-
-#[inline]
-fn chan_key(src: usize, dst: usize, tag: u64) -> (u64, u64) {
-    ((src as u64) << 32 | dst as u64, tag)
 }
 
 /// Per-rank chain of schedule phases with a cursor (multi-phase
@@ -176,12 +247,10 @@ struct Engine<'f, F: Fabric> {
     messages: Vec<u64>,
     bytes: Vec<u64>,
     /// `waiting[r] = Some((src, tag))` while rank `r` is blocked on that
-    /// channel — the sender-side rendezvous that wakes `r` without a map
-    /// round trip.
+    /// channel, so the matching post requeues `r` without a lookup.
     waiting: Vec<Option<(usize, u64)>>,
-    /// Message handed directly to a blocked rank, consumed on wake.
-    direct: Vec<Option<(usize, f64)>>,
-    chans: ChanMap,
+    /// Every posted, not yet received message.
+    mail: Mailboxes,
     runnable: Vec<usize>,
     /// Ranks whose chains have not finished.
     live: usize,
@@ -190,43 +259,17 @@ struct Engine<'f, F: Fabric> {
 impl<F: Fabric> Engine<'_, F> {
     /// Fire-and-forget send: the sender's clock does not advance; the
     /// message becomes receivable at the fabric's completion time. If the
-    /// receiver is already blocked on exactly this channel, hand the
-    /// message over and requeue the receiver.
+    /// receiver is blocked on exactly this channel, requeue it.
     fn post(&mut self, me: usize, to: usize, tag: u64, len: usize) {
         let ready = self
             .fabric
             .transfer(me, to, (len * 4) as f64, self.clock[me]);
         self.messages[me] += 1;
         self.bytes[me] += (len * 4) as u64;
+        self.mail.push(me, to, tag, len, ready);
         if self.waiting[to] == Some((me, tag)) {
             self.waiting[to] = None;
-            debug_assert!(self.direct[to].is_none());
-            self.direct[to] = Some((len, ready));
             self.runnable.push(to);
-        } else {
-            match self.chans.entry(chan_key(me, to, tag)) {
-                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().push(len, ready),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(Chan::One(len, ready));
-                }
-            }
-        }
-    }
-
-    /// The oldest undelivered message on `(from, me, tag)`, if any.
-    fn take_msg(&mut self, from: usize, me: usize, tag: u64) -> Option<(usize, f64)> {
-        if let Some(msg) = self.direct[me].take() {
-            return Some(msg);
-        }
-        match self.chans.entry(chan_key(from, me, tag)) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let (msg, now_empty) = e.get_mut().pop();
-                if now_empty {
-                    e.remove();
-                }
-                Some(msg)
-            }
-            std::collections::hash_map::Entry::Vacant(_) => None,
         }
     }
 
@@ -243,7 +286,7 @@ impl<F: Fabric> Engine<'_, F> {
                 Op::Recv {
                     from, tag, then, ..
                 } => {
-                    let Some((len, ready)) = self.take_msg(from, me, tag) else {
+                    let Some((len, ready)) = self.mail.take(from, me, tag) else {
                         self.waiting[me] = Some((from, tag));
                         return;
                     };
@@ -255,7 +298,7 @@ impl<F: Fabric> Engine<'_, F> {
                     }
                 }
                 Op::RecvSlot { from, tag, .. } | Op::RecvScatter { from, tag, .. } => {
-                    let Some((_len, ready)) = self.take_msg(from, me, tag) else {
+                    let Some((_len, ready)) = self.mail.take(from, me, tag) else {
                         self.waiting[me] = Some((from, tag));
                         return;
                     };
@@ -282,6 +325,11 @@ impl<F: Fabric> Engine<'_, F> {
             self.live == 0,
             "model transport deadlock: schedules stalled with ranks unfinished"
         );
+        assert!(
+            self.mail.in_flight == 0,
+            "model transport leak: {} messages posted and never received",
+            self.mail.in_flight
+        );
         let time_seconds = self.clock.iter().copied().fold(0.0, f64::max);
         ModelReport {
             per_rank_messages: self.messages,
@@ -299,6 +347,11 @@ fn run_engine<F: Fabric>(
     fabric: &mut F,
 ) -> ModelReport {
     assert!(p > 0, "world size must be positive");
+    // The message store links ranks and slab nodes through `u32`s.
+    assert!(
+        p < u32::MAX as usize,
+        "world size {p} exceeds the simulator's u32 rank index"
+    );
     // Sanity-check the slot invariant the engine relies on (see
     // `Engine::elems`): every initially populated slot holds `elems`.
     debug_assert!((0..p.min(4)).all(|me| slots_for(collective, p, me, elems)
@@ -318,8 +371,7 @@ fn run_engine<F: Fabric>(
         messages: vec![0u64; p],
         bytes: vec![0u64; p],
         waiting: vec![None; p],
-        direct: vec![None; p],
-        chans: ChanMap::default(),
+        mail: Mailboxes::new(p),
         // Seed in reverse so rank 0 runs first — matches the reference
         // loop's 0..p scan order (irrelevant for uniform fabrics, fixes
         // the deterministic FCFS order for routed ones).
@@ -339,12 +391,14 @@ fn run_engine<F: Fabric>(
 /// executed collective's counters exactly — the property
 /// `model_vs_execution` pins — and the predicted times reproduce the
 /// closed-form α–β collective models for the uniform cases they cover.
-/// Event-driven: cost is O(events · log p) worst case (hash-map channel
-/// operations), so full-Summit worlds (p = 27,648) simulate in seconds.
+/// Event-driven: a send is O(1) and a receive walks the runs queued ahead
+/// of its message (under two per event across the full-machine gate), so
+/// full-Summit worlds (p = 27,648) simulate in seconds.
 ///
 /// # Panics
-/// Panics if `p == 0`, on each algorithm's own world-shape requirements,
-/// or if the schedules deadlock (a schedule bug, not a data condition).
+/// Panics if `p == 0` or `p ≥ u32::MAX`, on each algorithm's own
+/// world-shape requirements, or if the schedules deadlock or leave a
+/// message unreceived (schedule bugs, not data conditions).
 pub fn simulate(collective: Collective, p: usize, elems: usize, link: LinkModel) -> ModelReport {
     run_engine(collective, p, elems, &mut Uniform(link))
 }
@@ -491,12 +545,224 @@ pub fn elastic_shrink_study(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::simulate_reference;
+    use crate::engine::{simulate_reference, ScatterSchedule};
+    use proptest::prelude::*;
+    use std::collections::{HashMap, VecDeque};
 
     const LINK: LinkModel = LinkModel {
         alpha: 2.0e-6,
         beta: 12.5e9,
     };
+
+    thread_local! {
+        /// Messages `Mailboxes::take` has examined on this thread.
+        static LOOKUP_STEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    pub(super) fn count_lookup_step() {
+        LOOKUP_STEPS.with(|s| s.set(s.get() + 1));
+    }
+
+    /// `dst`'s mailbox in list order as `(src, tag, len)`, checking the
+    /// links on the way: one source per run, `run_tail` on the run's last
+    /// message, `ends` on the first and last run heads.
+    fn contents(mail: &Mailboxes, dst: usize) -> Vec<(usize, u64, usize)> {
+        let (first, last) = mail.ends[dst];
+        let mut out = Vec::new();
+        let (mut prev_run, mut run) = (NIL, first);
+        while run != NIL {
+            let head = mail.slab[run as usize];
+            let mut at = run;
+            loop {
+                let msg = mail.slab[at as usize];
+                assert_eq!(msg.src, head.src, "a run has one source");
+                out.push((msg.src as usize, msg.tag, msg.len));
+                if msg.next == NIL {
+                    break;
+                }
+                at = msg.next;
+            }
+            assert_eq!(head.run_tail, at, "run_tail is the run's last message");
+            (prev_run, run) = (run, head.skip);
+        }
+        assert_eq!(last, prev_run, "ends holds the last run's head");
+        out
+    }
+
+    /// Take every listed message (each must be the oldest of its channel
+    /// when its turn comes) and check the store ends up empty.
+    fn drain(mail: &mut Mailboxes, dst: usize, order: &[(usize, u64, usize)]) {
+        for &(src, tag, len) in order {
+            assert_eq!(mail.take(src, dst, tag).map(|m| m.0), Some(len));
+            contents(mail, dst);
+        }
+        assert_eq!(mail.in_flight, 0);
+        assert_eq!(mail.ends[dst], (NIL, NIL));
+    }
+
+    /// Messages of one (src, tag) leave in arrival order however other
+    /// sources and tags interleave with them; `len` numbers the arrivals.
+    #[test]
+    fn mailbox_is_fifo_per_source_and_tag() {
+        let arrivals = [
+            (1usize, 7u64),
+            (2, 7),
+            (1, 7),
+            (1, 8),
+            (2, 7),
+            (3, 7),
+            (1, 8),
+            (2, 9),
+            (1, 7),
+        ];
+        let mut mail = Mailboxes::new(2);
+        for (seq, &(src, tag)) in arrivals.iter().enumerate() {
+            mail.push(src, 0, tag, seq, seq as f64);
+        }
+        assert_eq!(contents(&mail, 0).len(), arrivals.len());
+        assert!(contents(&mail, 1).is_empty());
+        for channel in [(2, 7), (1, 8), (3, 7), (1, 7), (2, 9)] {
+            for (seq, _) in arrivals.iter().enumerate().filter(|(_, &a)| a == channel) {
+                assert_eq!(mail.take(channel.0, 0, channel.1), Some((seq, seq as f64)));
+                contents(&mail, 0);
+            }
+            assert_eq!(mail.take(channel.0, 0, channel.1), None);
+        }
+        drain(&mut mail, 0, &[]);
+    }
+
+    /// Three runs of three messages: taking the head, middle or tail of the
+    /// first, middle or last run leaves the other eight in arrival order
+    /// and a mailbox that still appends and drains correctly.
+    #[test]
+    fn take_unlinks_any_position_of_any_run() {
+        let src_of = |seq: usize| if seq < 9 { 1 + seq / 3 } else { seq - 8 };
+        for victim in 0..9usize {
+            let mut mail = Mailboxes::new(1);
+            // The tag is the arrival number, so every message is addressable.
+            for seq in 0..9 {
+                mail.push(src_of(seq), 0, seq as u64, seq, 0.0);
+            }
+            assert_eq!(mail.take(src_of(victim), 0, 77), None);
+            assert_eq!(
+                mail.take(src_of(victim), 0, victim as u64),
+                Some((victim, 0.0))
+            );
+            // Source 1 opens a fourth run, source 2 a fifth.
+            mail.push(src_of(9), 0, 9, 9, 0.0);
+            mail.push(src_of(10), 0, 10, 10, 0.0);
+            let mut rest: Vec<_> = (0..11)
+                .filter(|&seq| seq != victim)
+                .map(|seq| (src_of(seq), seq as u64, seq))
+                .collect();
+            assert_eq!(contents(&mail, 0), rest);
+            if victim % 2 == 1 {
+                rest.reverse(); // drain from the tails instead of the heads
+            }
+            drain(&mut mail, 0, &rest);
+            assert_eq!(mail.slab.len(), 10, "peak in flight");
+        }
+    }
+
+    /// Draining a middle run leaves two runs of one source adjacent and
+    /// unmerged; lookups still meet the older one first, and an append
+    /// extends the younger.
+    #[test]
+    fn adjacent_runs_of_one_source_stay_oldest_first() {
+        let mut mail = Mailboxes::new(1);
+        for (seq, src) in [1, 1, 2, 1].into_iter().enumerate() {
+            mail.push(src, 0, 5, seq, 0.0);
+        }
+        assert_eq!(mail.take(2, 0, 5), Some((2, 0.0)));
+        mail.push(1, 0, 5, 4, 0.0);
+        let rest = [(1, 5, 0), (1, 5, 1), (1, 5, 3), (1, 5, 4)];
+        assert_eq!(contents(&mail, 0), rest);
+        drain(&mut mail, 0, &rest);
+    }
+
+    /// Freed nodes are reused before the slab grows: 10⁵ push/take pairs
+    /// on top of five parked messages never need a seventh node.
+    #[test]
+    fn slab_never_outgrows_peak_in_flight() {
+        let mut mail = Mailboxes::new(4);
+        for seq in 0..5 {
+            mail.push(seq % 3, 3, 0, seq, 0.0);
+        }
+        for seq in 0..100_000usize {
+            let (src, dst) = (seq % 4, (seq / 4) % 4);
+            mail.push(src, dst, 1 + seq as u64, seq, 0.0);
+            assert_eq!(mail.take(src, dst, 1 + seq as u64), Some((seq, 0.0)));
+        }
+        assert_eq!(mail.in_flight, 5);
+        assert_eq!(mail.slab.len(), 6);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random pushes and takes against the structure the mailboxes
+        /// replaced, a map of per-(src, dst, tag) queues: every take returns
+        /// what the map's queue would, and the slab stays at the peak.
+        #[test]
+        fn mailboxes_match_a_map_of_channel_queues(
+            ops in proptest::collection::vec((0usize..5, 0usize..4, 0usize..3, 0u64..3), 1..400),
+        ) {
+            let mut mail = Mailboxes::new(3);
+            let mut model: HashMap<(usize, usize, u64), VecDeque<(usize, f64)>> = HashMap::new();
+            let mut peak = 0;
+            for (seq, &(kind, src, dst, tag)) in ops.iter().enumerate() {
+                let queue = model.entry((src, dst, tag)).or_default();
+                if kind < 2 {
+                    mail.push(src, dst, tag, seq, seq as f64);
+                    queue.push_back((seq, seq as f64));
+                } else {
+                    prop_assert_eq!(mail.take(src, dst, tag), queue.pop_front());
+                }
+                peak = peak.max(mail.in_flight);
+                prop_assert_eq!(contents(&mail, dst).len(), model.iter()
+                    .filter(|(k, _)| k.1 == dst).map(|(_, q)| q.len()).sum::<usize>());
+            }
+            for (&(src, dst, tag), queue) in &mut model {
+                while let Some(msg) = queue.pop_front() {
+                    prop_assert_eq!(mail.take(src, dst, tag), Some(msg));
+                }
+                prop_assert_eq!(mail.take(src, dst, tag), None);
+            }
+            prop_assert_eq!(mail.in_flight, 0);
+            prop_assert_eq!(mail.slab.len(), peak);
+        }
+    }
+
+    /// A rank index the store's `u32` links cannot hold is refused before
+    /// anything is allocated for it.
+    #[test]
+    #[should_panic(expected = "exceeds the simulator's u32 rank index")]
+    fn world_size_beyond_u32_is_refused() {
+        simulate(Collective::ReduceScatter, u32::MAX as usize, 1, LINK);
+    }
+
+    /// A schedule whose message nobody receives fails the run instead of
+    /// being dropped with the store: a scatter root beside a rank that
+    /// never posts its receive.
+    #[test]
+    #[should_panic(expected = "model transport leak: 1 messages posted and never received")]
+    fn orphaned_message_fails_the_run() {
+        let root = AnySchedule::Scatter(ScatterSchedule::new(2, 0, 0));
+        let chains = [vec![root], vec![]].map(|phases| Chain { phases, idx: 0 });
+        Engine {
+            fabric: &mut Uniform(LINK),
+            elems: 1,
+            chains: chains.into(),
+            clock: vec![0.0; 2],
+            messages: vec![0; 2],
+            bytes: vec![0; 2],
+            waiting: vec![None; 2],
+            mail: Mailboxes::new(2),
+            runnable: vec![1, 0],
+            live: 2,
+        }
+        .run();
+    }
 
     fn all_collectives(p: usize) -> Vec<Collective> {
         let mut v = vec![
@@ -611,6 +877,59 @@ mod tests {
         // Sparse ring: only chunks 0..elems are non-empty; each non-empty
         // chunk moves p−1 times in each phase, 4 bytes per element.
         assert_eq!(out.total_bytes() as usize, 4 * 2 * (p - 1) * elems);
+    }
+
+    /// Lookup steps (messages `take` examined) per simulated event of one
+    /// full-machine collective on the routed Summit fabric.
+    fn full_machine_steps_per_event(collective: Collective, elems: usize) -> f64 {
+        let before = LOOKUP_STEPS.get();
+        let out = simulate_on(collective, 27_648, elems, ClusterModel::summit_like(4608));
+        let steps = LOOKUP_STEPS.get() - before;
+        println!(
+            "{collective:?}: {steps} lookup steps for {} events",
+            out.events
+        );
+        steps as f64 / out.events as f64
+    }
+
+    /// A receive finds its message within a few links at full machine: the
+    /// 13 cases of the `sim_fullmachine` benchmark workload, plus a 64-rank
+    /// group whose leaders fan in 63 members past their ring neighbour's
+    /// backlog (one list per receiver instead of runs: 28 steps per event).
+    #[test]
+    fn full_machine_lookups_stay_within_eight_steps_per_event() {
+        let flat = Collective::RingAllreduce {
+            bucket_elems: usize::MAX,
+        };
+        let cases = [
+            (flat, 128),
+            (Collective::RingAllreduce { bucket_elems: 256 }, 128),
+            (Collective::ReduceScatter, 128),
+            (Collective::RingAllgather, 128),
+            (Collective::RecursiveDoubling, 16_384),
+            (Collective::Rabenseifner, 16_384),
+            (Collective::BinomialBroadcast { root: 0 }, 16_384),
+            (Collective::BinomialReduce { root: 0 }, 16_384),
+            (Collective::TreeAllreduce, 16_384),
+            (Collective::HierarchicalAllreduce { group_size: 6 }, 4608),
+            (Collective::Alltoall, 1),
+            (Collective::Scatter { root: 0 }, 16_384),
+            (Collective::Gather { root: 0 }, 16_384),
+            (Collective::HierarchicalAllreduce { group_size: 64 }, 4608),
+        ];
+        for (collective, elems) in cases {
+            let per_event = full_machine_steps_per_event(collective, elems);
+            assert!(per_event <= 8.0, "{collective:?}: {per_event} steps/event");
+        }
+    }
+
+    /// The same bound with every rank its own group: a dense 27,648-rank
+    /// leader ring, 1.5 × 10⁹ events.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "1.5e9 events: run under --release")]
+    fn dense_full_machine_ring_lookups_stay_within_eight_steps_per_event() {
+        let ring = Collective::HierarchicalAllreduce { group_size: 1 };
+        assert!(full_machine_steps_per_event(ring, 128) <= 8.0);
     }
 
     /// The elastic study's accounting is internally consistent, and with

@@ -38,22 +38,27 @@ fn all_collectives(p: usize, elems: usize) -> Vec<Collective> {
         Collective::ReduceScatter,
         Collective::RingAllgather,
         Collective::RecursiveDoubling,
-        Collective::BinomialBroadcast { root: p - 1 },
-        Collective::BinomialReduce { root: 0 },
         Collective::TreeAllreduce,
         Collective::Alltoall,
-        Collective::Scatter { root: 0 },
-        Collective::Gather { root: p - 1 },
     ];
     if elems.is_multiple_of(pow2_core(p)) {
         v.push(Collective::Rabenseifner);
     }
-    for g in [1, 2, 3, p] {
-        if p.is_multiple_of(g) {
-            v.push(Collective::HierarchicalAllreduce { group_size: g });
-        }
+    // The rooted collectives from the first, a middle and the last rank.
+    let mut roots = vec![0, p / 2, p - 1];
+    roots.dedup();
+    for root in roots {
+        v.extend([
+            Collective::Gather { root },
+            Collective::Scatter { root },
+            Collective::BinomialReduce { root },
+            Collective::BinomialBroadcast { root },
+        ]);
     }
-    v.dedup();
+    // Every group size that tiles the world.
+    for g in (1..=p).filter(|g| p.is_multiple_of(*g)) {
+        v.push(Collective::HierarchicalAllreduce { group_size: g });
+    }
     v
 }
 
@@ -168,4 +173,52 @@ fn gather_serializes_on_the_root_nic() {
     // 16 nodes fit under one 18-port leaf: everything is leaf-local.
     assert_eq!(routed.intra_leaf_messages, (p - 1) as u64);
     assert_eq!(routed.spine_messages, 0);
+}
+
+/// On the routed fabric the order ranks run in is part of the result
+/// (links serve transfers first come, first served), and the uniform-link
+/// oracle cannot see it: full-machine virtual seconds are pinned to bits
+/// captured at commit `4909879`, so an engine change that reorders wake-ups
+/// fails here.
+#[test]
+fn full_machine_routed_times_match_their_goldens() {
+    let cluster = ClusterModel::summit_like(4608);
+    let flat = Collective::RingAllreduce {
+        bucket_elems: usize::MAX,
+    };
+    let goldens = [
+        (flat, 128, 0x3fa8_1e82_280c_129a_u64),
+        (
+            Collective::HierarchicalAllreduce { group_size: 6 },
+            4608,
+            0x3f8e_6a63_e1ff_bf4f,
+        ),
+        (
+            Collective::HierarchicalAllreduce { group_size: 64 },
+            4608,
+            0x3f96_0e47_2091_f242,
+        ),
+        (Collective::Rabenseifner, 16_384, 0x3fac_a259_3577_9d32),
+        (Collective::RecursiveDoubling, 16_384, 0x3fc2_2d19_a5b7_033e),
+        (Collective::Alltoall, 1, 0x3fe5_8995_acfc_3080),
+        (
+            Collective::Gather { root: 0 },
+            16_384,
+            0x3fb2_8cfa_3730_d54c,
+        ),
+        (
+            Collective::BinomialBroadcast { root: 0 },
+            16_384,
+            0x3f0f_336a_4450_3ec0,
+        ),
+    ];
+    for (collective, elems, bits) in goldens {
+        let out = simulate_on(collective, 27_648, elems, cluster);
+        assert_eq!(
+            out.report.time_seconds.to_bits(),
+            bits,
+            "{collective:?} n={elems}: {:016x}",
+            out.report.time_seconds.to_bits()
+        );
+    }
 }
