@@ -7,6 +7,8 @@
 //! repro case-studies   # Section IV-B
 //! repro io-analysis    # Section VI-B, I/O
 //! repro comm-analysis  # Section VI-B, communication
+//! repro ablations      # EXPERIMENTS.md ablations 1–8, X3, X5 (computed)
+//! repro crossover      # simulated allreduce-algorithm crossover table
 //! repro list           # available artifact ids
 //! ```
 

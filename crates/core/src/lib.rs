@@ -19,7 +19,7 @@
 //! | [`workflow`] | DAG engine, steering / screening / materials loops |
 //!
 //! [`report`] assembles every table and figure of the paper into one text
-//! report (printed by the `repro` binary in `summit-bench`), and
+//! report (printed by this crate's `repro` binary), and
 //! [`prelude`] offers one-line access to the common types.
 //!
 //! # Quickstart

@@ -16,9 +16,10 @@ use crate::model::{IoMode, ScalingModel};
 
 /// Compute/communication overlap fraction measured on this repo's own
 /// data-parallel trainer: `1 − exposed_overlap / comm_serial` from the
-/// `gradient_fusion` overlap sweep in `summit-bench` (MlpSpec(64,[256;4],4),
+/// serial-vs-overlapped trainer sweep PR 2 recorded (MlpSpec(64,[256;4],4),
 /// ~0.97 MB of fp32 gradients, p = 4 thread ranks, 256 KB fusion buckets,
-/// best of 3 trials). The overlapped trainer launches each fusion bucket's
+/// best of 3 trials; `benchmark/`'s `comm.exposed_share` is the live
+/// measurement). The overlapped trainer launches each fusion bucket's
 /// nonblocking ring allreduce as backpropagation finishes the bucket's
 /// layers, so this is executed overlap, not a model parameter.
 ///

@@ -12,8 +12,7 @@
 //! [`AlgorithmCrossoverStudy`] answers the adjacent question — *which*
 //! allreduce algorithm wins at each (message size, world size) cell — from
 //! the simulated schedules rather than the closed forms, so fold overheads
-//! and uneven splits are priced in. `summit-bench`'s `sim_gate` writes the
-//! study through the bench harness.
+//! and uneven splits are priced in. `repro crossover` prints the study.
 
 use serde::Serialize;
 use summit_comm::model::{Algorithm, CollectiveModel};

@@ -123,6 +123,17 @@ mod tests {
         );
     }
 
+    /// Full Summit (27,648 replicas) serving a 256 → [512, 512] → 128 MLP
+    /// (459,904 parameters): the fleet has capacity, and rolling a new
+    /// checkpoint out to it is a sub-minute broadcast.
+    #[test]
+    fn full_summit_fleet_has_capacity_and_a_sub_minute_rollout() {
+        let c = summit_serving_capacity(&SERVICE, 16, 459_904, 256, 27_648, ClusterModel::summit());
+        println!("{c:?} ingress-bound: {}", c.ingress_bound());
+        assert!(c.capacity_rps > 0.0, "{c:?}");
+        assert!(c.weight_broadcast_s < 60.0, "{c:?}");
+    }
+
     #[test]
     fn more_replicas_never_reduce_capacity_under_compute_bound() {
         let small =

@@ -30,11 +30,10 @@
 //!   weight-broadcast time and the compute-vs-ingress capacity bound at
 //!   27,648 replicas.
 //!
-//! The headline artifact is `BENCH_serve.json` (written by the
-//! `serve_gate` bench binary): p50/p99 latency vs achieved throughput
-//! across a swept arrival rate, the batched-vs-sequential speedup, and
-//! the modeled full-machine capacity — with the executed small-scale
-//! curve checked against the simulator's prediction.
+//! The headline results are p50/p99 latency vs achieved throughput
+//! across a swept arrival rate (`sim::tests`), the modeled full-machine
+//! capacity (`capacity::tests`), and the executed small-scale curve
+//! checked against the simulator's prediction (`tests/executed_vs_sim.rs`).
 
 pub mod batch;
 pub mod capacity;

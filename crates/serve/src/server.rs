@@ -8,7 +8,7 @@
 //! measured admission → batch completion on a monotonic clock, and the
 //! run returns the same [`CurvePoint`] shape the simulator produces, so
 //! the executed small-scale curve can be checked directly against the
-//! model's prediction (the `serve_gate` CI binary does exactly that).
+//! model's prediction (`tests/executed_vs_sim.rs` does exactly that).
 //!
 //! The generator paces arrivals on an absolute schedule of seeded
 //! exponential inter-arrival gaps: sleep for the coarse part of each gap

@@ -318,6 +318,48 @@ mod tests {
         assert!(hold.p50_ms > adaptive.p50_ms, "{hold:?} {adaptive:?}");
     }
 
+    /// The latency-vs-throughput curve: 2 × 10⁵ closed-loop clients on four
+    /// replicas, seven rates from light load through the knee into overload
+    /// (duration shrinks with rate so each point is ≈ 4 × 10⁵ arrivals at
+    /// most). Every point conserves requests, light load meets the
+    /// interactive SLO (p50 ≤ 50 ms, p99 ≤ 250 ms), and overload cannot
+    /// outrun the fleet's modeled capacity.
+    #[test]
+    fn rate_sweep_conserves_requests_and_bends_at_capacity() {
+        let capacity = 4.0 * SERVICE.peak_rps(16);
+        let sweep: Vec<CurvePoint> = [0.1, 0.25, 0.5, 0.75, 0.9, 1.05, 1.3]
+            .iter()
+            .map(|&frac| {
+                let rate = frac * capacity;
+                let p = simulate(
+                    &SERVICE,
+                    BatchConfig {
+                        queue_cap: 4096,
+                        ..BatchConfig::default()
+                    },
+                    &SimConfig {
+                        clients: 200_000,
+                        duration_s: (400_000.0 / rate).clamp(0.05, 2.0),
+                        target_rate_rps: rate,
+                        replicas: 4,
+                        seed: 97,
+                    },
+                );
+                println!(
+                    "offered {:>7.0} rps -> achieved {:>7.0}, p50 {:.3} ms, p99 {:.3} ms, \
+                     batch {:.1}, rejected {}",
+                    p.offered_rps, p.achieved_rps, p.p50_ms, p.p99_ms, p.mean_batch, p.rejected
+                );
+                assert_eq!(p.completed + p.rejected + p.shed, p.issued, "{p:?}");
+                p
+            })
+            .collect();
+        let light = &sweep[0];
+        assert!(light.p50_ms <= 50.0 && light.p99_ms <= 250.0, "{light:?}");
+        let knee = sweep.iter().map(|p| p.achieved_rps).fold(0.0, f64::max);
+        assert!(knee <= 1.2 * capacity, "knee {knee} vs capacity {capacity}");
+    }
+
     #[test]
     fn a_million_clients_is_tractable() {
         // The 10⁶-client knob: think mean 1e6/5e3 = 200 s over a short

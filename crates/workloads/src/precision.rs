@@ -5,19 +5,20 @@
 //! fp32 FLOP rate, and the analytic models in `summit-perf` consume that
 //! as a given. This reproduction can do better than quoting the
 //! datasheet — its own GEMM kernels have a measured f32 and mixed (bf16
-//! storage, f32 accumulation) throughput, recorded by the gemm scaling
-//! bench (`BENCH_gemm.json` / the committed `BENCH_trajectory.json`).
-//! The constants below are those measured 512³ single-core numbers from
-//! the trajectory's recording host; [`mixed_speedup`] is the ratio the
-//! scaling models should use when they ask "what does mixed precision buy
-//! on this implementation" rather than "what does NVIDIA quote".
+//! storage, f32 accumulation) throughput. The constants below are the
+//! 512³ single-core numbers recorded at `e0d90ed` on 2026-08-07 (the
+//! frozen `gemm` row in EXPERIMENTS.md; `benchmark/`'s
+//! `tensor.matmul_gflops` is the live measurement); [`mixed_speedup`] is
+//! the ratio the scaling models should use when they ask "what does mixed
+//! precision buy on this implementation" rather than "what does NVIDIA
+//! quote".
 //!
 //! Storage-side constants live on [`crate::GradPrecision`] (bytes per
 //! element); these are the *rate* side.
 
 /// Measured 512³ f32 `matmul` throughput (GFLOP/s) of the reproduction's
-/// AVX2+FMA kernel on the trajectory's single-core recording host
-/// (BENCH_trajectory.json, bench `gemm`, metric `matmul_512_f32_gflops`).
+/// AVX2+FMA kernel on the single-core recording host (metric
+/// `matmul_512_f32_gflops`).
 pub const MEASURED_GEMM_F32_GFLOPS: f64 = 66.4;
 
 /// Measured 512³ mixed-precision `matmul` throughput (GFLOP/s): bf16

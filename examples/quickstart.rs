@@ -72,5 +72,5 @@ fn main() {
             scaling.sustained_flops(nodes) / 1e15
         );
     }
-    println!("\nSee `repro all` (summit-bench) for the full paper reproduction.");
+    println!("\nSee `repro all` (summit-core) for the full paper reproduction.");
 }

@@ -1,24 +1,24 @@
 //! The survey→sched bridge: mixed job traces drawn from the empirical
 //! portfolio distribution, pinned for seed stability.
 //!
-//! The trace generator is part of the benchmark surface (sched_gate seeds
-//! its facility scenario from it), so its output at a fixed seed is pinned
+//! The trace generator is part of the benchmark surface (`facility_wave`
+//! seeds its scenario from it), so its output at a fixed seed is pinned
 //! exactly: if sampling order or the portfolio weights change, this test
-//! fails loudly instead of the benches silently drifting.
+//! fails loudly instead of the benchmark silently drifting.
 
 use summit_machine::MachineSpec;
 use summit_sched::trace::{generate_mixed, TraceConfig};
 use summit_sched::workload::WorkloadKind;
-use summit_sched::Program;
+use summit_sched::{Program, Scheduler};
 use summit_survey::{build_portfolio, job_mix};
 
-fn pinned_trace() -> Vec<summit_sched::trace::MixedJob> {
+fn pinned_trace(jobs: usize) -> Vec<summit_sched::trace::MixedJob> {
     let machine = MachineSpec::summit();
     let mix = job_mix(&build_portfolio());
     generate_mixed(
         &machine,
         &TraceConfig {
-            jobs: 300,
+            jobs,
             window_hours: 48.0,
             max_fraction: 0.5,
         },
@@ -29,14 +29,14 @@ fn pinned_trace() -> Vec<summit_sched::trace::MixedJob> {
 
 #[test]
 fn survey_mix_trace_is_seed_stable() {
-    let a = pinned_trace();
-    let b = pinned_trace();
+    let a = pinned_trace(300);
+    let b = pinned_trace(300);
     assert_eq!(a, b, "same seed must reproduce the same trace");
 }
 
 #[test]
 fn survey_mix_trace_composition_is_pinned() {
-    let jobs = pinned_trace();
+    let jobs = pinned_trace(300);
     let count_kind = |k: WorkloadKind| jobs.iter().filter(|j| j.workload.kind == k).count();
     let count_prog = |p: Program| jobs.iter().filter(|j| j.job.program == p).count();
 
@@ -55,7 +55,7 @@ fn survey_mix_trace_composition_is_pinned() {
 
 #[test]
 fn survey_mix_reflects_portfolio_marginals() {
-    let jobs = pinned_trace();
+    let jobs = pinned_trace(300);
     // INCITE's node-hour weight (600k/project) dominates the program draw.
     let incite = jobs
         .iter()
@@ -79,4 +79,37 @@ fn survey_mix_reflects_portfolio_marginals() {
     assert!(training > md, "training {training} vs md {md}");
     // Every workload is runnable as generated.
     assert!(jobs.iter().all(|j| (1..=6).contains(&j.workload.ranks)));
+}
+
+/// EASY backfill, checked constructively on the 220-job facility trace
+/// (`facility_wave`'s): reschedule with every backfilled job removed, and no
+/// kept job may start later than it did with backfill present.
+///
+/// Pinned to this trace on purpose and not a property test: EASY only
+/// protects the queue head's reservation, so the statement is false for
+/// arbitrary job sets (a backfilled job may delay a non-head job).
+#[test]
+fn easy_backfill_delays_no_kept_job_on_the_facility_trace() {
+    let batch: Vec<_> = pinned_trace(220).iter().map(|j| j.job).collect();
+    let scheduler = Scheduler::new(MachineSpec::summit().nodes);
+    let with_backfill = scheduler.schedule(&batch);
+    let kept: Vec<_> = with_backfill
+        .iter()
+        .filter(|p| !p.backfilled)
+        .map(|p| p.job)
+        .collect();
+    assert!(kept.len() < batch.len(), "the trace must exercise backfill");
+    for p in scheduler.schedule(&kept) {
+        let original = with_backfill
+            .iter()
+            .find(|q| q.job == p.job)
+            .expect("kept job existed in the original schedule");
+        assert!(
+            p.start_hours <= original.start_hours + 1e-9,
+            "backfill delayed {:?}: {} h with it, {} h without",
+            p.job,
+            original.start_hours,
+            p.start_hours
+        );
+    }
 }

@@ -179,46 +179,110 @@ fn gather_serializes_on_the_root_nic() {
 /// (links serve transfers first come, first served), and the uniform-link
 /// oracle cannot see it: full-machine virtual seconds are pinned to bits
 /// captured at commit `4909879`, so an engine change that reorders wake-ups
-/// fails here.
+/// fails here. Every case also pins its total message count to the
+/// collective's closed form at p = 27,648; the cases without a golden are
+/// pinned by count only.
 #[test]
 fn full_machine_routed_times_match_their_goldens() {
     let cluster = ClusterModel::summit_like(4608);
+    let p = 27_648u64;
+    let core = pow2_core(p as usize) as u64;
+    let lg = u64::from(core.ilog2());
+    let fold = 2 * (p - core); // one pre-reduce and one post-broadcast send per folded-out rank
+    let hierarchical = |g: u64| 2 * (p - p / g) + (p / g) * 2 * (p / g - 1);
     let flat = Collective::RingAllreduce {
         bucket_elems: usize::MAX,
     };
-    let goldens = [
-        (flat, 128, 0x3fa8_1e82_280c_129a_u64),
+    let bucketed = Collective::RingAllreduce { bucket_elems: 256 };
+    let cases = [
+        (
+            flat,
+            128,
+            Some(0x3fa8_1e82_280c_129a_u64),
+            2 * (p - 1) * 128,
+        ),
         (
             Collective::HierarchicalAllreduce { group_size: 6 },
             4608,
-            0x3f8e_6a63_e1ff_bf4f,
+            Some(0x3f8e_6a63_e1ff_bf4f),
+            hierarchical(6),
         ),
         (
             Collective::HierarchicalAllreduce { group_size: 64 },
             4608,
-            0x3f96_0e47_2091_f242,
+            Some(0x3f96_0e47_2091_f242),
+            hierarchical(64),
         ),
-        (Collective::Rabenseifner, 16_384, 0x3fac_a259_3577_9d32),
-        (Collective::RecursiveDoubling, 16_384, 0x3fc2_2d19_a5b7_033e),
-        (Collective::Alltoall, 1, 0x3fe5_8995_acfc_3080),
+        (
+            Collective::Rabenseifner,
+            16_384,
+            Some(0x3fac_a259_3577_9d32),
+            2 * core * lg + fold,
+        ),
+        (
+            Collective::RecursiveDoubling,
+            16_384,
+            Some(0x3fc2_2d19_a5b7_033e),
+            core * lg + fold,
+        ),
+        // 4-byte blocks sit under the Bruck threshold: ⌈lg p⌉ = 15
+        // combined messages per rank.
+        (Collective::Alltoall, 1, Some(0x3fe5_8995_acfc_3080), p * 15),
         (
             Collective::Gather { root: 0 },
             16_384,
-            0x3fb2_8cfa_3730_d54c,
+            Some(0x3fb2_8cfa_3730_d54c),
+            p - 1,
         ),
         (
             Collective::BinomialBroadcast { root: 0 },
             16_384,
-            0x3f0f_336a_4450_3ec0,
+            Some(0x3f0f_336a_4450_3ec0),
+            p - 1,
         ),
+        (bucketed, 128, None, 2 * (p - 1) * 128),
+        (Collective::ReduceScatter, 128, None, (p - 1) * 128),
+        (Collective::RingAllgather, 128, None, (p - 1) * 128),
+        (Collective::BinomialReduce { root: 0 }, 16_384, None, p - 1),
+        (Collective::TreeAllreduce, 16_384, None, 2 * (p - 1)),
+        (Collective::Scatter { root: 0 }, 16_384, None, p - 1),
     ];
-    for (collective, elems, bits) in goldens {
-        let out = simulate_on(collective, 27_648, elems, cluster);
-        assert_eq!(
-            out.report.time_seconds.to_bits(),
-            bits,
-            "{collective:?} n={elems}: {:016x}",
-            out.report.time_seconds.to_bits()
-        );
+    for (collective, elems, golden, events) in cases {
+        let out = simulate_on(collective, p as usize, elems, cluster);
+        assert_eq!(out.events, events, "{collective:?} n={elems}: event count");
+        if let Some(bits) = golden {
+            assert_eq!(
+                out.report.time_seconds.to_bits(),
+                bits,
+                "{collective:?} n={elems}: {:016x}",
+                out.report.time_seconds.to_bits()
+            );
+        }
     }
+}
+
+/// Section VI-B from the simulated fat tree. The paper's arithmetic is
+/// bandwidth-only (pipelined collectives hide latency), so the latency terms
+/// are zeroed and the fabric supplies the bandwidth: a 100 MB ring allreduce
+/// across 4,608 nodes takes ≈ 8 ms at ≈ 12.5 GB/s ring bandwidth.
+#[test]
+fn section_vi_b_ring_allreduce_from_the_simulated_fabric() {
+    let mut cluster = ClusterModel::summit_nodes(4608);
+    cluster.tree.injection.alpha = 0.0;
+    cluster.tree.hop_latency = 0.0;
+    cluster.nvlink_latency = 0.0;
+    let bytes = 100.0e6;
+    let flat = Collective::RingAllreduce {
+        bucket_elems: usize::MAX,
+    };
+    let t = simulate_on(flat, 4608, (bytes / 4.0) as usize, cluster)
+        .report
+        .time_seconds;
+    assert!((t - 8.0e-3).abs() / 8.0e-3 <= 0.05, "{:.3} ms", t * 1e3);
+    let ring_bw = bytes / t;
+    assert!(
+        (ring_bw - 12.5e9).abs() / 12.5e9 <= 0.05,
+        "{:.2} GB/s",
+        ring_bw / 1e9
+    );
 }
