@@ -1,37 +1,26 @@
-//! Executable collective algorithms over a [`Rank`].
+//! Executable window collectives over a [`Rank`]: [`run`] and [`try_run`]
+//! take a [`Collective`] value and drive its schedule on the live
+//! transport.
 //!
-//! Every algorithm here is the real chunked message pattern an MPI/NCCL
-//! implementation uses, not a shortcut through shared memory:
+//! Every algorithm is the real chunked message pattern an MPI/NCCL
+//! implementation uses, not a shortcut through shared memory — the ring
+//! allreduce (`2(p-1)` steps, `2(p-1)/p · n` elements moved per rank) is
+//! the one whose bandwidth term the paper halves to get 12.5 GB/s. Each is
+//! written **once**, as a schedule state machine in [`crate::engine`], and
+//! reached through the one [`Collective`] → schedule mapping the
+//! simulators ([`crate::sim::simulate`]) also use; [`run`] drives it on the
+//! infallible pooled primitives, [`try_run`] under deadline-bounded checked
+//! receives, and the nonblocking handles ([`crate::nonblocking`]) one op
+//! at a time.
 //!
-//! * [`ring_allreduce`] — reduce-scatter ring followed by allgather ring;
-//!   `2(p-1)` steps, `2(p-1)/p · n` elements moved per rank. This is the
-//!   algorithm whose bandwidth term the paper halves to get 12.5 GB/s.
-//! * [`rabenseifner_allreduce`] — recursive-halving reduce-scatter plus
-//!   recursive-doubling allgather (for power-of-two worlds).
-//! * [`recursive_doubling_allreduce`] — `log2 p` exchanges of the full
-//!   buffer; latency-optimal for small messages.
-//! * [`binomial_broadcast_into`] / [`binomial_reduce`] — tree collectives.
-//! * [`ring_allgather`], [`reduce_scatter`] — building blocks, exposed for
-//!   tests and for the hierarchical trainer.
-//!
-//! Each algorithm is written **once**, as a schedule state machine in
-//! [`crate::engine`]; the functions here are the blocking surface
-//! ([`engine::drive_blocking`](crate::engine) drives the schedule on the
-//! infallible pooled primitives) and the fallible `try_` surface (the same
-//! schedule under deadline-bounded checked receives). The nonblocking
-//! handles ([`crate::nonblocking`]) and the α–β model transport
-//! ([`crate::sim::simulate`]) execute the identical schedules, so all
-//! four surfaces share one source of truth for the message pattern.
-//!
-//! All functions must be called by **every** rank of the world collectively,
-//! with equal buffer lengths, like their MPI counterparts.
+//! Both entries must be called by **every** rank of the world collectively,
+//! with the same `Collective` and equal buffer lengths, like their MPI
+//! counterparts. The personalized collectives (alltoall, scatter, gather)
+//! move owned vectors instead and live in [`crate::extended`].
 
 use std::time::{Duration, Instant};
 
-use crate::engine::{
-    self, drive_blocking, drive_checked, BroadcastSchedule, RdSchedule, ReduceSchedule,
-    RingSchedule,
-};
+use crate::engine::{self, drive_blocking, drive_checked, AnySchedule, Collective};
 use crate::faults::CommError;
 use crate::world::Rank;
 
@@ -143,326 +132,82 @@ pub(crate) fn send_recv_windows(
     }
 }
 
-/// Ring allreduce: reduce-scatter phase then allgather phase.
-///
-/// After return, every rank's `buf` holds the element-wise reduction of all
-/// ranks' input buffers. Runs on the pooled communicator primitives: in
+/// This rank's schedule for the window collective `c` over `n` elements.
+fn window_schedule(rank: &Rank, c: Collective, n: usize) -> AnySchedule {
+    assert!(
+        !c.personalized(),
+        "{c:?} moves owned vectors: use extended::run_slots"
+    );
+    engine::schedule(c, rank.size(), rank.id(), n)
+}
+
+/// Run the window collective `c` over `buf`, blocking until this rank's
+/// part completes. `op` is the fold of the reducing collectives (the pure
+/// data movers ignore it). Runs on the pooled communicator primitives: in
 /// steady state (pools warm) the call performs no heap allocation.
 ///
 /// # Panics
-/// Panics if buffer lengths differ across ranks (detected as message-length
+/// Panics if `c` is personalized, on `c`'s own world-shape requirements,
+/// or if buffer lengths differ across ranks (detected as message-length
 /// mismatch).
-pub fn ring_allreduce(rank: &Rank, buf: &mut [f32], op: ReduceOp) {
-    let bucket = buf.len().max(1);
-    ring_allreduce_bucketed(rank, buf, op, bucket);
-}
-
-/// [`ring_allreduce`] with each chunk transfer split into messages of at
-/// most `bucket_elems` elements (the gradient-fusion bucket).
-///
-/// Bucketing only changes message segmentation, never the chunk partition
-/// or the per-element fold order, so the result is bit-identical to the
-/// flat [`ring_allreduce`] for every bucket size; `bucket_elems >= n`
-/// degenerates to exactly the flat path.
-///
-/// # Panics
-/// Panics if `bucket_elems == 0` or on the conditions of
-/// [`ring_allreduce`].
-pub fn ring_allreduce_bucketed(rank: &Rank, buf: &mut [f32], op: ReduceOp, bucket_elems: usize) {
-    assert!(bucket_elems > 0, "bucket must hold at least one element");
-    if rank.size() == 1 {
-        return;
-    }
-    let mut sched = RingSchedule::allreduce(rank.size(), rank.id(), buf.len(), bucket_elems);
+pub fn run(rank: &Rank, c: Collective, buf: &mut [f32], op: ReduceOp) {
+    let mut sched = window_schedule(rank, c, buf.len());
     drive_blocking(rank, buf, &mut [], op, &mut sched);
 }
 
-/// Timeout-aware [`ring_allreduce`]: completes with the exact bitwise
-/// result of the infallible path, or fails loudly with a [`CommError`]
-/// within roughly `timeout` when the fault plane drops, corrupts, or kills
-/// something. On error, `buf` is left in an unspecified partially reduced
-/// state — callers are expected to roll back to a checkpoint.
+/// Timeout-aware [`run`]: completes with the exact bitwise result of the
+/// infallible path, or fails loudly with a [`CommError`] within roughly
+/// `timeout` (one deadline shared by every phase of `c`) when the fault
+/// plane drops, corrupts, or kills something. On error, `buf` is left in
+/// an unspecified partially reduced state — callers are expected to roll
+/// back to a checkpoint.
 ///
 /// # Errors
-/// Any [`CommError`] surfaced by the checked receives or the kill poll.
+/// Any [`CommError`] surfaced by the checked receives or the kill polls
+/// (one leads the call, even in a single-rank world).
 ///
 /// # Panics
-/// Panics on the conditions of [`ring_allreduce`].
-pub fn try_ring_allreduce(
+/// Panics on the conditions of [`run`].
+pub fn try_run(
     rank: &Rank,
+    c: Collective,
     buf: &mut [f32],
     op: ReduceOp,
     timeout: Duration,
 ) -> Result<(), CommError> {
-    let bucket = buf.len().max(1);
-    try_ring_allreduce_bucketed(rank, buf, op, bucket, timeout)
-}
-
-/// Timeout-aware [`ring_allreduce_bucketed`]; see [`try_ring_allreduce`].
-///
-/// # Errors
-/// Any [`CommError`] surfaced by the checked receives or the kill poll.
-///
-/// # Panics
-/// Panics on the conditions of [`ring_allreduce_bucketed`].
-pub fn try_ring_allreduce_bucketed(
-    rank: &Rank,
-    buf: &mut [f32],
-    op: ReduceOp,
-    bucket_elems: usize,
-    timeout: Duration,
-) -> Result<(), CommError> {
-    assert!(bucket_elems > 0, "bucket must hold at least one element");
     rank.poll_fault_kill()?;
-    if rank.size() == 1 {
-        return Ok(());
-    }
     let deadline = Some(Instant::now() + timeout);
-    let mut sched = RingSchedule::allreduce(rank.size(), rank.id(), buf.len(), bucket_elems);
+    let mut sched = window_schedule(rank, c, buf.len());
     drive_checked(rank, buf, &mut [], op, &mut sched, deadline)
 }
 
-/// Reduce-scatter over a ring: afterwards, rank i holds the fully reduced
-/// chunk i (the contents of other chunks are unspecified — partials ride in
-/// the circulating messages, not in `buf`). Returns the (start, end)
-/// element range this rank owns.
+/// Ring allreduce with each chunk transfer split into messages of at most
+/// `bucket_elems` elements (the gradient-fusion bucket) — [`run`] on
+/// [`Collective::RingAllreduce`].
+///
+/// Bucketing only changes message segmentation, never the chunk partition
+/// or the per-element fold order, so the result is bit-identical to the
+/// flat [`Collective::RING`] for every bucket size; `bucket_elems >= n`
+/// degenerates to exactly the flat path.
+pub fn ring_allreduce_bucketed(rank: &Rank, buf: &mut [f32], op: ReduceOp, bucket_elems: usize) {
+    run(rank, Collective::RingAllreduce { bucket_elems }, buf, op);
+}
+
+/// [`run`] on [`Collective::ReduceScatter`], returning the (start, end)
+/// element range of the fully reduced chunk this rank owns afterwards.
 pub fn reduce_scatter(rank: &Rank, buf: &mut [f32], op: ReduceOp) -> (usize, usize) {
-    let p = rank.size();
-    let me = rank.id();
-    let n = buf.len();
-    if p == 1 {
-        return (0, n);
-    }
-    let mut sched = RingSchedule::reduce_scatter(p, me, n);
-    drive_blocking(rank, buf, &mut [], op, &mut sched);
-    chunk_bounds(n, p, (me + 1) % p)
-}
-
-/// Timeout-aware [`reduce_scatter`].
-///
-/// # Errors
-/// Any [`CommError`] surfaced by the checked receives or the kill poll.
-pub fn try_reduce_scatter(
-    rank: &Rank,
-    buf: &mut [f32],
-    op: ReduceOp,
-    timeout: Duration,
-) -> Result<(usize, usize), CommError> {
-    let p = rank.size();
-    let me = rank.id();
-    let n = buf.len();
-    rank.poll_fault_kill()?;
-    if p == 1 {
-        return Ok((0, n));
-    }
-    let mut sched = RingSchedule::reduce_scatter(p, me, n);
-    drive_checked(
-        rank,
-        buf,
-        &mut [],
-        op,
-        &mut sched,
-        Some(Instant::now() + timeout),
-    )?;
-    Ok(chunk_bounds(n, p, (me + 1) % p))
-}
-
-/// Ring allgather: each rank contributes its own chunk of `buf` (as defined
-/// by `chunk_bounds`) and receives everyone else's.
-pub fn ring_allgather(rank: &Rank, buf: &mut [f32]) {
-    if rank.size() == 1 {
-        return;
-    }
-    let mut sched = RingSchedule::allgather(rank.size(), rank.id(), buf.len());
-    drive_blocking(rank, buf, &mut [], ReduceOp::Sum, &mut sched);
-}
-
-/// Timeout-aware [`ring_allgather`].
-///
-/// # Errors
-/// Any [`CommError`] surfaced by the checked receives or the kill poll.
-pub fn try_ring_allgather(
-    rank: &Rank,
-    buf: &mut [f32],
-    timeout: Duration,
-) -> Result<(), CommError> {
-    rank.poll_fault_kill()?;
-    if rank.size() == 1 {
-        return Ok(());
-    }
-    let mut sched = RingSchedule::allgather(rank.size(), rank.id(), buf.len());
-    drive_checked(
-        rank,
-        buf,
-        &mut [],
-        ReduceOp::Sum,
-        &mut sched,
-        Some(Instant::now() + timeout),
-    )
-}
-
-/// Recursive-doubling allreduce: `log2 p` full-buffer exchanges.
-///
-/// Non-power-of-two worlds fold into a power-of-two core first (MPICH
-/// style): the `p − 2^⌊log2 p⌋` surplus ranks pre-reduce into a partner,
-/// sit out the core exchange, and receive the result afterwards.
-pub fn recursive_doubling_allreduce(rank: &Rank, buf: &mut [f32], op: ReduceOp) {
-    let mut sched = RdSchedule::new(rank.size(), rank.id(), buf.len());
-    drive_blocking(rank, buf, &mut [], op, &mut sched);
-}
-
-/// Timeout-aware [`recursive_doubling_allreduce`].
-///
-/// # Errors
-/// Any [`CommError`] surfaced by the checked receives or the kill poll.
-pub fn try_recursive_doubling_allreduce(
-    rank: &Rank,
-    buf: &mut [f32],
-    op: ReduceOp,
-    timeout: Duration,
-) -> Result<(), CommError> {
-    rank.poll_fault_kill()?;
-    let mut sched = RdSchedule::new(rank.size(), rank.id(), buf.len());
-    drive_checked(
-        rank,
-        buf,
-        &mut [],
-        op,
-        &mut sched,
-        Some(Instant::now() + timeout),
-    )
-}
-
-/// Rabenseifner allreduce: recursive-halving reduce-scatter followed by
-/// recursive-doubling allgather. Bandwidth-optimal like the ring but with
-/// `2 log2 p` latency terms instead of `2(p-1)`. Non-power-of-two worlds
-/// fold into a power-of-two core first, as in
-/// [`recursive_doubling_allreduce`].
-///
-/// # Panics
-/// Panics unless the buffer length is divisible by the power-of-two core
-/// of the world size (`2^⌊log2 p⌋`).
-pub fn rabenseifner_allreduce(rank: &Rank, buf: &mut [f32], op: ReduceOp) {
-    let mut sched = engine::RabenseifnerSchedule::new(rank.size(), rank.id(), buf.len());
-    drive_blocking(rank, buf, &mut [], op, &mut sched);
-}
-
-/// Timeout-aware [`rabenseifner_allreduce`].
-///
-/// # Errors
-/// Any [`CommError`] surfaced by the checked receives or the kill poll.
-///
-/// # Panics
-/// Panics on the conditions of [`rabenseifner_allreduce`].
-pub fn try_rabenseifner_allreduce(
-    rank: &Rank,
-    buf: &mut [f32],
-    op: ReduceOp,
-    timeout: Duration,
-) -> Result<(), CommError> {
-    rank.poll_fault_kill()?;
-    let mut sched = engine::RabenseifnerSchedule::new(rank.size(), rank.id(), buf.len());
-    drive_checked(
-        rank,
-        buf,
-        &mut [],
-        op,
-        &mut sched,
-        Some(Instant::now() + timeout),
-    )
-}
-
-/// Binomial-tree broadcast for pre-sized buffers: every rank passes a slice
-/// of the same length and the root's contents are broadcast into it,
-/// without touching any allocation.
-///
-/// # Panics
-/// Panics if buffer lengths differ across ranks.
-pub fn binomial_broadcast_into(rank: &Rank, buf: &mut [f32], root: usize) {
-    let mut sched = BroadcastSchedule::new(rank.size(), rank.id(), buf.len(), root, 9);
-    drive_blocking(rank, buf, &mut [], ReduceOp::Sum, &mut sched);
-}
-
-/// Timeout-aware [`binomial_broadcast_into`].
-///
-/// # Errors
-/// Any [`CommError`] surfaced by the checked receives or the kill poll.
-pub fn try_binomial_broadcast_into(
-    rank: &Rank,
-    buf: &mut [f32],
-    root: usize,
-    timeout: Duration,
-) -> Result<(), CommError> {
-    rank.poll_fault_kill()?;
-    let mut sched = BroadcastSchedule::new(rank.size(), rank.id(), buf.len(), root, 9);
-    drive_checked(
-        rank,
-        buf,
-        &mut [],
-        ReduceOp::Sum,
-        &mut sched,
-        Some(Instant::now() + timeout),
-    )
-}
-
-/// Binomial-tree reduce to `root`: after return, `root`'s buffer holds the
-/// reduction; other ranks' buffers hold intermediate partial sums.
-pub fn binomial_reduce(rank: &Rank, buf: &mut [f32], op: ReduceOp, root: usize) {
-    let mut sched = ReduceSchedule::new(rank.size(), rank.id(), buf.len(), root);
-    drive_blocking(rank, buf, &mut [], op, &mut sched);
-}
-
-/// Timeout-aware [`binomial_reduce`].
-///
-/// # Errors
-/// Any [`CommError`] surfaced by the checked receives or the kill poll.
-pub fn try_binomial_reduce(
-    rank: &Rank,
-    buf: &mut [f32],
-    op: ReduceOp,
-    root: usize,
-    timeout: Duration,
-) -> Result<(), CommError> {
-    rank.poll_fault_kill()?;
-    let mut sched = ReduceSchedule::new(rank.size(), rank.id(), buf.len(), root);
-    drive_checked(
-        rank,
-        buf,
-        &mut [],
-        op,
-        &mut sched,
-        Some(Instant::now() + timeout),
-    )
-}
-
-/// Tree allreduce: binomial reduce to rank 0, then binomial broadcast.
-pub fn tree_allreduce(rank: &Rank, buf: &mut [f32], op: ReduceOp) {
-    binomial_reduce(rank, buf, op, 0);
-    binomial_broadcast_into(rank, buf, 0);
-}
-
-/// Timeout-aware [`tree_allreduce`] (one shared deadline for both phases).
-///
-/// # Errors
-/// Any [`CommError`] surfaced by the checked receives or the kill poll.
-pub fn try_tree_allreduce(
-    rank: &Rank,
-    buf: &mut [f32],
-    op: ReduceOp,
-    timeout: Duration,
-) -> Result<(), CommError> {
-    rank.poll_fault_kill()?;
-    let deadline = Some(Instant::now() + timeout);
-    let mut reduce = ReduceSchedule::new(rank.size(), rank.id(), buf.len(), 0);
-    drive_checked(rank, buf, &mut [], op, &mut reduce, deadline)?;
-    let mut bcast = BroadcastSchedule::new(rank.size(), rank.id(), buf.len(), 0, 9);
-    drive_checked(rank, buf, &mut [], op, &mut bcast, deadline)
+    run(rank, Collective::ReduceScatter, buf, op);
+    chunk_bounds(buf.len(), rank.size(), (rank.id() + 1) % rank.size())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::all_collectives;
+    use crate::extended::{run_slots, try_run_slots};
+    use crate::faults::{FaultPlan, TagClass};
     use crate::world::World;
+    use std::sync::Arc;
 
     fn input(rank: usize, n: usize) -> Vec<f32> {
         (0..n).map(|i| (rank * n + i) as f32 * 0.5).collect()
@@ -478,10 +223,10 @@ mod tests {
         acc
     }
 
-    fn check_allreduce(f: impl Fn(&Rank, &mut [f32], ReduceOp) + Sync, p: usize, n: usize) {
+    fn check_allreduce(c: Collective, p: usize, n: usize) {
         let out = World::run(p, |rank| {
             let mut buf = input(rank.id(), n);
-            f(rank, &mut buf, ReduceOp::Sum);
+            run(rank, c, &mut buf, ReduceOp::Sum);
             buf
         });
         let want = expected_sum(p, n);
@@ -489,7 +234,7 @@ mod tests {
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert!(
                     (g - w).abs() <= 1e-3 * w.abs().max(1.0),
-                    "rank {r} element {i}: got {g}, want {w}"
+                    "{c:?} rank {r} element {i}: got {g}, want {w}"
                 );
             }
         }
@@ -499,7 +244,7 @@ mod tests {
     fn ring_allreduce_small_worlds() {
         for p in 1..=8 {
             for n in [1usize, 2, 7, 16, 33] {
-                check_allreduce(ring_allreduce, p, n);
+                check_allreduce(Collective::RING, p, n);
             }
         }
     }
@@ -507,7 +252,7 @@ mod tests {
     #[test]
     fn recursive_doubling_power_of_two() {
         for p in [1usize, 2, 4, 8] {
-            check_allreduce(recursive_doubling_allreduce, p, 24);
+            check_allreduce(Collective::RecursiveDoubling, p, 24);
         }
     }
 
@@ -517,7 +262,7 @@ mod tests {
     fn recursive_doubling_folds_any_world() {
         for p in [3usize, 5, 6, 7, 9] {
             for n in [1usize, 13, 24] {
-                check_allreduce(recursive_doubling_allreduce, p, n);
+                check_allreduce(Collective::RecursiveDoubling, p, n);
             }
         }
     }
@@ -525,7 +270,7 @@ mod tests {
     #[test]
     fn rabenseifner_power_of_two() {
         for p in [1usize, 2, 4, 8] {
-            check_allreduce(rabenseifner_allreduce, p, 32);
+            check_allreduce(Collective::Rabenseifner, p, 32);
         }
     }
 
@@ -535,14 +280,14 @@ mod tests {
     fn rabenseifner_folds_any_world() {
         for p in [3usize, 5, 6, 7, 9] {
             // core = 2, 4, 4, 4, 8 → 32 is divisible by all of them.
-            check_allreduce(rabenseifner_allreduce, p, 32);
+            check_allreduce(Collective::Rabenseifner, p, 32);
         }
     }
 
     #[test]
     fn tree_allreduce_any_world() {
         for p in 1..=9 {
-            check_allreduce(tree_allreduce, p, 13);
+            check_allreduce(Collective::TreeAllreduce, p, 13);
         }
     }
 
@@ -550,9 +295,9 @@ mod tests {
     fn max_and_min_ops() {
         let out = World::run(5, |rank| {
             let mut hi = vec![rank.id() as f32];
-            ring_allreduce(rank, &mut hi, ReduceOp::Max);
+            run(rank, Collective::RING, &mut hi, ReduceOp::Max);
             let mut lo = vec![rank.id() as f32];
-            ring_allreduce(rank, &mut lo, ReduceOp::Min);
+            run(rank, Collective::RING, &mut lo, ReduceOp::Min);
             (hi[0], lo[0])
         });
         assert!(out.iter().all(|&(hi, lo)| hi == 4.0 && lo == 0.0));
@@ -568,7 +313,8 @@ mod tests {
                     } else {
                         vec![0.0, 0.0]
                     };
-                    binomial_broadcast_into(rank, &mut buf, root);
+                    let c = Collective::BinomialBroadcast { root };
+                    run(rank, c, &mut buf, ReduceOp::Sum);
                     buf
                 });
                 for (r, v) in out.iter().enumerate() {
@@ -584,7 +330,8 @@ mod tests {
             for root in 0..p {
                 let out = World::run(p, |rank| {
                     let mut buf = vec![1.0f32; 4];
-                    binomial_reduce(rank, &mut buf, ReduceOp::Sum, root);
+                    let c = Collective::BinomialReduce { root };
+                    run(rank, c, &mut buf, ReduceOp::Sum);
                     buf
                 });
                 assert_eq!(out[root], vec![p as f32; 4], "p={p} root={root}");
@@ -621,7 +368,7 @@ mod tests {
         let (p, n) = (6usize, 36usize);
         let (_, stats) = World::run_with_stats(p, |rank| {
             let mut buf = vec![1.0f32; n];
-            ring_allreduce(rank, &mut buf, ReduceOp::Sum);
+            run(rank, Collective::RING, &mut buf, ReduceOp::Sum);
         });
         assert_eq!(stats.bytes_sent, (4 * 2 * (p - 1) * n) as u64);
         assert_eq!(stats.messages_sent, (2 * (p - 1) * p) as u64);
@@ -654,129 +401,98 @@ mod tests {
         }
     }
 
-    #[test]
-    fn try_ring_allreduce_matches_flat_bitwise() {
-        for p in [2usize, 3, 5] {
-            let n = 23;
-            let flat = World::run(p, |rank| {
-                let mut buf = input(rank.id(), n);
-                ring_allreduce(rank, &mut buf, ReduceOp::Sum);
-                buf
-            });
-            let checked = World::run(p, |rank| {
-                let mut buf = input(rank.id(), n);
-                try_ring_allreduce(rank, &mut buf, ReduceOp::Sum, Duration::from_secs(5))
-                    .expect("fault-free run must succeed");
-                buf
-            });
-            for (f, c) in flat.iter().zip(&checked) {
-                for (x, y) in f.iter().zip(c) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "p={p}");
-                }
+    /// Run `c` on this rank over deterministic inputs — blocking, or
+    /// fallible when `timeout` is set — and return everything the rank
+    /// holds afterwards, as bit patterns.
+    fn run_any(
+        rank: &Rank,
+        c: Collective,
+        elems: usize,
+        timeout: Option<Duration>,
+    ) -> Result<Vec<Vec<u32>>, CommError> {
+        let (p, me) = (rank.size(), rank.id());
+        let held = if c.personalized() {
+            let slots = (0..p).map(|d| input(me * p + d, elems)).collect();
+            match timeout {
+                None => run_slots(rank, c, slots),
+                Some(t) => try_run_slots(rank, c, slots, t)?,
             }
-        }
+        } else {
+            let mut buf = input(me, elems);
+            match timeout {
+                None => run(rank, c, &mut buf, ReduceOp::Sum),
+                Some(t) => try_run(rank, c, &mut buf, ReduceOp::Sum, t)?,
+            }
+            vec![buf]
+        };
+        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect();
+        Ok(held.into_iter().map(bits).collect())
     }
 
-    /// Every algorithm's fallible twin runs the identical engine schedule,
-    /// so a fault-free checked run is bit-identical to the blocking one.
+    /// Block lengths on both sides of the Bruck cutoff, each both divisible
+    /// by every world size below (and its power-of-two core) and not.
+    const TABLE_ELEMS: [usize; 4] = [24, 13, 96, 67];
+
+    /// The fallible entry runs the identical schedule, so a fault-free
+    /// checked run is bit-identical to the blocking one — every variant,
+    /// even and uneven lengths.
     #[test]
     fn try_twins_match_blocking_bitwise() {
         let t = Duration::from_secs(5);
-        for p in [2usize, 4, 8] {
-            let n = 16; // divisible by p for rabenseifner
-            let plain = World::run(p, |rank| {
-                let mut rd = input(rank.id(), n);
-                recursive_doubling_allreduce(rank, &mut rd, ReduceOp::Sum);
-                let mut ra = input(rank.id(), n);
-                rabenseifner_allreduce(rank, &mut ra, ReduceOp::Sum);
-                let mut tr = input(rank.id(), n);
-                tree_allreduce(rank, &mut tr, ReduceOp::Sum);
-                let mut rs = input(rank.id(), n);
-                reduce_scatter(rank, &mut rs, ReduceOp::Sum);
-                let mut ag: Vec<f32> = input(rank.id(), n);
-                ring_allgather(rank, &mut ag);
-                (rd, ra, tr, rs, ag)
-            });
-            let checked = World::run(p, |rank| {
-                let mut rd = input(rank.id(), n);
-                try_recursive_doubling_allreduce(rank, &mut rd, ReduceOp::Sum, t).unwrap();
-                let mut ra = input(rank.id(), n);
-                try_rabenseifner_allreduce(rank, &mut ra, ReduceOp::Sum, t).unwrap();
-                let mut tr = input(rank.id(), n);
-                try_tree_allreduce(rank, &mut tr, ReduceOp::Sum, t).unwrap();
-                let mut rs = input(rank.id(), n);
-                try_reduce_scatter(rank, &mut rs, ReduceOp::Sum, t).unwrap();
-                let mut ag: Vec<f32> = input(rank.id(), n);
-                try_ring_allgather(rank, &mut ag, t).unwrap();
-                (rd, ra, tr, rs, ag)
-            });
-            for (a, b) in plain.iter().zip(&checked) {
-                assert_eq!(
-                    format!("{:?}", a.0.iter().map(|x| x.to_bits()).collect::<Vec<_>>()),
-                    format!("{:?}", b.0.iter().map(|x| x.to_bits()).collect::<Vec<_>>()),
-                );
-                for (x, y) in [(&a.1, &b.1), (&a.2, &b.2), (&a.3, &b.3), (&a.4, &b.4)] {
-                    for (u, v) in x.iter().zip(y.iter()) {
-                        assert_eq!(u.to_bits(), v.to_bits(), "p={p}");
-                    }
+        for p in [2usize, 3, 4, 8] {
+            for elems in TABLE_ELEMS {
+                for c in all_collectives(p, elems) {
+                    let plain = World::run(p, |rank| run_any(rank, c, elems, None));
+                    let checked = World::run(p, |rank| run_any(rank, c, elems, Some(t)));
+                    assert!(plain[0].is_ok(), "{c:?} p={p} n={elems}");
+                    assert_eq!(plain, checked, "{c:?} p={p} n={elems}");
                 }
             }
         }
     }
 
+    /// Every variant's fallible surface fails loudly: with the first
+    /// message a sending rank posts to each peer dropped, at least one rank
+    /// returns an error, and every rank returns within its deadline — no
+    /// rank hangs, so the barrier is reachable.
     #[test]
-    fn try_broadcast_into_and_reduce_match_plain() {
-        let t = Duration::from_secs(5);
-        for p in [2usize, 3, 7] {
-            let out = World::run(p, |rank| {
-                let mut b = if rank.id() == 1 % p {
-                    vec![3.5, -2.0]
-                } else {
-                    vec![0.0, 0.0]
-                };
-                try_binomial_broadcast_into(rank, &mut b, 1 % p, t).unwrap();
-                let mut r = vec![1.0f32; 4];
-                try_binomial_reduce(rank, &mut r, ReduceOp::Sum, 0, t).unwrap();
-                (b, r)
-            });
-            for (rk, (b, _)) in out.iter().enumerate() {
-                assert_eq!(b, &vec![3.5, -2.0], "p={p} rank={rk}");
+    fn every_variant_fails_loudly_on_a_dropped_message() {
+        let link = crate::LinkModel::new(1.0e-6, 1.0e9);
+        let p = 4;
+        for elems in [8usize, 72] {
+            for c in all_collectives(p, elems) {
+                let sent = crate::sim::simulate(c, p, elems, link).per_rank_messages;
+                let src = sent.iter().position(|&m| m > 0).expect("someone sends");
+                let plan = (0..p)
+                    .filter(|&dst| dst != src)
+                    .fold(FaultPlan::empty(), |plan, dst| {
+                        plan.drop_message(src, dst, TagClass::Any, 0)
+                    });
+                let (out, _) = World::run_with_faults(p, Arc::new(plan), |rank| {
+                    let res = run_any(rank, c, elems, Some(Duration::from_millis(100)));
+                    rank.barrier();
+                    res.is_err()
+                });
+                assert!(out.iter().any(|&e| e), "{c:?} n={elems}: drop went unseen");
             }
-            assert_eq!(out[0].1, vec![p as f32; 4], "p={p}");
         }
     }
 
-    #[test]
-    fn try_ring_allreduce_fails_loudly_on_drop() {
-        use crate::faults::{FaultPlan, TagClass};
-        use std::sync::Arc;
-        let plan = Arc::new(FaultPlan::empty().drop_message(0, 1, TagClass::Any, 0));
-        let (out, _) = World::run_with_faults(3, plan, |rank| {
-            let mut buf = vec![rank.id() as f32; 9];
-            let res = try_ring_allreduce(rank, &mut buf, ReduceOp::Sum, Duration::from_millis(200));
-            // Every rank returns (success or error) within its deadline;
-            // no rank hangs, so this barrier is reachable.
-            rank.barrier();
-            res.is_err()
-        });
-        assert!(
-            out.iter().any(|&e| e),
-            "at least one rank must observe the dropped message"
-        );
-    }
-
+    /// A scheduled kill surfaces from the leading poll — also in a
+    /// single-rank world, where the schedule itself is empty.
     #[test]
     fn try_ring_allreduce_surfaces_kill() {
-        use crate::faults::FaultPlan;
-        use std::sync::Arc;
-        let plan = Arc::new(FaultPlan::empty().kill_rank(1, 0));
-        let (out, _) = World::run_with_faults(2, plan, |rank| {
-            let mut buf = vec![1.0f32; 4];
-            let res = try_ring_allreduce(rank, &mut buf, ReduceOp::Sum, Duration::from_millis(200));
-            rank.barrier();
-            res
-        });
-        assert_eq!(out[1], Err(CommError::RankKilled { rank: 1 }));
+        for (p, victim) in [(2usize, 1usize), (1, 0)] {
+            let plan = Arc::new(FaultPlan::empty().kill_rank(victim, 0));
+            let (out, _) = World::run_with_faults(p, plan, |rank| {
+                let mut buf = vec![1.0f32; 4];
+                let t = Duration::from_millis(200);
+                let res = try_run(rank, Collective::RING, &mut buf, ReduceOp::Sum, t);
+                rank.barrier();
+                res
+            });
+            assert_eq!(out[victim], Err(CommError::RankKilled { rank: victim }));
+        }
     }
 
     proptest::proptest! {
@@ -797,7 +513,7 @@ mod tests {
                 .collect();
             let flat = World::run(p, |rank| {
                 let mut buf = inputs[rank.id()].clone();
-                ring_allreduce(rank, &mut buf, ReduceOp::Sum);
+                run(rank, Collective::RING, &mut buf, ReduceOp::Sum);
                 buf
             });
             let bucketed = World::run(p, |rank| {

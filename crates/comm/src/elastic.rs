@@ -118,7 +118,8 @@ pub fn view_barrier(rank: &Rank, view: &WorldView, round: u64) {
 /// derived at `(view.size(), dense id)` — exactly the classic schedule at
 /// that size — and remapped to physical ranks on the wire, tagged in the
 /// view's epoch namespace. At full membership and epoch 0 this is wire-
-/// and bit-identical to `try_ring_allreduce_bucketed`.
+/// and bit-identical to [`try_run`](crate::collectives::try_run) on
+/// [`Collective::RingAllreduce`](crate::Collective::RingAllreduce).
 ///
 /// # Errors
 /// Any [`CommError`] from the checked receives or the kill poll.
@@ -138,24 +139,20 @@ pub fn try_ring_allreduce_view(
     if view.size() == 1 {
         return Ok(());
     }
-    let mut sched =
+    let ring =
         RingSchedule::allreduce_ns(view.size(), me, buf.len(), bucket_elems, view.blocking_ns());
-    let mut remap = RemapSchedule::new(&mut sched, view.members());
-    engine::drive_checked(
-        rank,
-        buf,
-        &mut [],
-        op,
-        &mut remap,
-        Some(Instant::now() + timeout),
-    )
+    let mut sched = RemapSchedule::new(ring, Some(view.members()));
+    let deadline = Some(Instant::now() + timeout);
+    engine::drive_checked(rank, buf, &mut [], op, &mut sched, deadline)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nonblocking::{ring_allreduce_start_windowed, ring_allreduce_start_windowed_view};
+    use crate::collectives::{ring_allreduce_bucketed, try_run};
+    use crate::nonblocking::ring_allreduce_start;
     use crate::world::World;
+    use crate::Collective;
     use std::time::Duration;
 
     /// The full view at epoch 0 is the classic world: the blocking
@@ -175,20 +172,8 @@ mod tests {
                     .chunks_mut(16)
                     .enumerate()
                     .map(|(b, w)| {
-                        let (id, at) = (b as u64, b * 16);
-                        if over_view {
-                            ring_allreduce_start_windowed_view(
-                                rank,
-                                &view,
-                                w,
-                                ReduceOp::Sum,
-                                id,
-                                32,
-                                at,
-                            )
-                        } else {
-                            ring_allreduce_start_windowed(rank, w, ReduceOp::Sum, id, 32, at)
-                        }
+                        let view = over_view.then_some(&view);
+                        ring_allreduce_start(rank, view, w, ReduceOp::Sum, b as u64, 32, b * 16)
                     })
                     .collect();
                 handles.iter_mut().for_each(|h| h.wait());
@@ -208,11 +193,12 @@ mod tests {
                 Duration::from_secs(5),
             )
             .unwrap();
-            crate::collectives::try_ring_allreduce_bucketed(
+            let ring = Collective::RingAllreduce { bucket_elems: 8 };
+            try_run(
                 rank,
+                ring,
                 &mut classic,
                 ReduceOp::Sum,
-                8,
                 Duration::from_secs(5),
             )
             .unwrap();
@@ -246,7 +232,7 @@ mod tests {
         });
         let small = World::run(3, |rank| {
             let mut buf: Vec<f32> = (0..10).map(|i| (rank.id() * 10 + i) as f32 * 0.5).collect();
-            crate::collectives::ring_allreduce_bucketed(rank, &mut buf, ReduceOp::Sum, 4);
+            ring_allreduce_bucketed(rank, &mut buf, ReduceOp::Sum, 4);
             buf
         });
         let survivors: Vec<_> = big.into_iter().flatten().collect();

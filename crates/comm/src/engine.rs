@@ -1,27 +1,29 @@
 //! The unified collective engine: every collective algorithm written once
-//! as a polled schedule, executed by interchangeable drivers.
+//! as a polled schedule, executed by one op interpreter.
 //!
 //! A collective is described by a [`Schedule`]: a state machine whose
 //! [`current`](Schedule::current) method names the single next transport
 //! operation ([`Op`]) — send a window, or receive a window and fold/copy it —
 //! and whose [`advance`](Schedule::advance) method moves to the next one.
 //! `current` is pure arithmetic over `chunk_bounds` windows; all mutation
-//! lives in `advance`. From that one description the four public surfaces
-//! are derived:
+//! lives in `advance`.
 //!
-//! * **blocking** — [`drive_blocking`] executes ops in order with the
-//!   infallible pooled primitives (the allocation-free hot path);
-//! * **fallible** — [`drive_checked`] executes the same ops with
-//!   deadline-bounded checked receives and per-op kill polls, surfacing
-//!   faults as [`CommError`] instead of hanging;
-//! * **nonblocking** — [`step_nonblocking`] executes exactly one op (or
-//!   polls for it), which `RingAllreduceHandle` wraps into the
-//!   `progress()`/`wait()` API;
-//! * **modeled** — [`simulate`] executes the schedule against a
-//!   [`ModelTransport`]-style virtual clock per rank: no bytes move, each
-//!   send costs `α + bytes/β` on the α–β [`LinkModel`], and the report's
-//!   message/byte counters equal the executed transport's counters **by
-//!   construction** (same schedule, same ops).
+//! [`schedule`] is the one mapping from a [`Collective`] value to its
+//! schedule. The executed entries ([`crate::collectives::run`],
+//! [`crate::extended::run_slots`] and their `try_` twins), the event-driven
+//! simulator ([`crate::sim`]) and the oracle ([`simulate_reference`]) all
+//! call it, so the executed transport's message/byte counters equal the
+//! modeled ones **by construction** (same schedule, same ops).
+//!
+//! [`execute`] is the one place an [`Op`] touches a [`Rank`]. Three thin
+//! loops wrap it, differing only in the receive primitive they pass:
+//!
+//! * [`drive_blocking`] — the infallible pooled `recv` (the allocation-free
+//!   hot path; no checksum verify, no kill poll);
+//! * [`drive_checked`] — deadline-bounded checked receives and a kill poll
+//!   before every op, surfacing faults as [`CommError`] instead of hanging;
+//! * [`step`] — at most one op, polled or blocking, which
+//!   `RingAllreduceHandle` wraps into the `progress()`/`wait()` API.
 //!
 //! The schedules reproduce the historical per-algorithm implementations
 //! message for message: identical tags, identical fold operand order
@@ -31,6 +33,7 @@
 //! and the fault plane's `TagClass` targeting keeps working unchanged.
 
 use std::collections::{HashMap, VecDeque};
+use std::convert::Infallible;
 use std::time::Instant;
 
 use summit_machine::LinkModel;
@@ -172,141 +175,21 @@ pub(crate) trait Schedule {
     fn advance(&mut self);
 }
 
-/// Execute one received payload: fold/copy against the buffer window, then
-/// release or forward the transport buffer.
-fn apply(
-    rank: &Rank,
-    buf: &mut [f32],
-    op: ReduceOp,
-    win: (usize, usize),
-    act: RecvAct,
-    then: Disposal,
-    mut payload: Vec<f32>,
-) {
-    let window = &mut buf[win.0..win.1];
-    match act {
-        RecvAct::FoldIntoBuf => op.fold(window, &payload),
-        RecvAct::FoldForward => op.fold_into_payload(&mut payload, window),
-        RecvAct::FoldLand => {
-            op.fold_into_payload(&mut payload, window);
-            window.copy_from_slice(&payload);
-        }
-        RecvAct::Copy => {
-            assert_eq!(payload.len(), window.len(), "payload length mismatch");
-            window.copy_from_slice(&payload);
-        }
-    }
-    match then {
-        Disposal::Release => rank.release_payload(payload),
-        Disposal::Forward { to, tag } => rank.send(to, tag, payload),
-    }
-}
-
-/// Drive a schedule to completion on the infallible pooled primitives —
-/// the blocking surface. Receives carry no checksum verification or kill
-/// polls, exactly like the historical blocking collectives, so the
-/// allocation-free hot path pays nothing for the fault plane.
-pub(crate) fn drive_blocking(
+/// Execute one transport op on `rank` — the only place an [`Op`] touches a
+/// [`Rank`]. `recv` is the driver's receive primitive; when it reports
+/// `None` (a poll that found nothing) nothing has been consumed, the result
+/// is `Ok(false)`, and the caller must not advance the schedule.
+///
+/// # Errors
+/// Whatever `recv` returns.
+fn execute<E>(
     rank: &Rank,
     buf: &mut [f32],
     slots: &mut [Vec<f32>],
     op: ReduceOp,
-    sched: &mut dyn Schedule,
-) {
-    while let Some(step) = sched.current() {
-        match step {
-            Op::Send { to, tag, win } => rank.send_from(to, tag, &buf[win.0..win.1]),
-            Op::Recv {
-                from,
-                tag,
-                win,
-                act,
-                then,
-            } => {
-                let payload = rank.recv(from, tag);
-                apply(rank, buf, op, win, act, then, payload);
-            }
-            Op::SendSlot { to, tag, slot } => {
-                rank.send(to, tag, std::mem::take(&mut slots[slot]));
-            }
-            Op::RecvSlot { from, tag, slot } => slots[slot] = rank.recv(from, tag),
-            Op::SendGather { to, tag, bit } => rank.send(to, tag, bruck_gather(slots, bit)),
-            Op::RecvScatter { from, tag, bit } => {
-                let payload = rank.recv(from, tag);
-                bruck_scatter(slots, bit, &payload);
-                rank.release_payload(payload);
-            }
-        }
-        sched.advance();
-    }
-}
-
-/// Drive a schedule to completion with checked, deadline-bounded receives
-/// and a kill poll before every op — the fallible surface. The op sequence,
-/// fold order, and operand order are identical to [`drive_blocking`], so a
-/// fault-free run is bit-identical to the blocking one.
-///
-/// # Errors
-/// Any [`CommError`] from the checked receives or the kill poll.
-pub(crate) fn drive_checked(
-    rank: &Rank,
-    buf: &mut [f32],
-    slots: &mut [Vec<f32>],
-    op: ReduceOp,
-    sched: &mut dyn Schedule,
-    deadline: Option<Instant>,
-) -> Result<(), CommError> {
-    while let Some(step) = sched.current() {
-        rank.poll_fault_kill()?;
-        match step {
-            Op::Send { to, tag, win } => rank.send_from(to, tag, &buf[win.0..win.1]),
-            Op::Recv {
-                from,
-                tag,
-                win,
-                act,
-                then,
-            } => {
-                let payload = rank.recv_checked(from, tag, deadline)?;
-                apply(rank, buf, op, win, act, then, payload);
-            }
-            Op::SendSlot { to, tag, slot } => {
-                rank.send(to, tag, std::mem::take(&mut slots[slot]));
-            }
-            Op::RecvSlot { from, tag, slot } => {
-                slots[slot] = rank.recv_checked(from, tag, deadline)?;
-            }
-            Op::SendGather { to, tag, bit } => rank.send(to, tag, bruck_gather(slots, bit)),
-            Op::RecvScatter { from, tag, bit } => {
-                let payload = rank.recv_checked(from, tag, deadline)?;
-                bruck_scatter(slots, bit, &payload);
-                rank.release_payload(payload);
-            }
-        }
-        sched.advance();
-    }
-    Ok(())
-}
-
-/// Execute at most one op of a schedule — the nonblocking surface's
-/// stepper. Sends execute immediately; receives either block (checked,
-/// deadline-bounded) or poll. Returns whether the schedule advanced;
-/// `Ok(false)` with `block = false` means the awaited message has not
-/// arrived yet (or the schedule is complete).
-///
-/// # Errors
-/// Any [`CommError`] from the checked receives.
-pub(crate) fn step_nonblocking(
-    rank: &Rank,
-    buf: &mut [f32],
-    op: ReduceOp,
-    sched: &mut dyn Schedule,
-    block: bool,
-    deadline: Option<Instant>,
-) -> Result<bool, CommError> {
-    let Some(step) = sched.current() else {
-        return Ok(false);
-    };
+    step: Op,
+    recv: impl FnOnce(usize, u64) -> Result<Option<Vec<f32>>, E>,
+) -> Result<bool, E> {
     match step {
         Op::Send { to, tag, win } => rank.send_from(to, tag, &buf[win.0..win.1]),
         Op::Recv {
@@ -316,29 +199,114 @@ pub(crate) fn step_nonblocking(
             act,
             then,
         } => {
-            let payload = if block {
-                Some(rank.recv_checked(from, tag, deadline)?)
-            } else {
-                rank.try_recv_checked(from, tag)?
-            };
-            let Some(payload) = payload else {
+            let Some(mut payload) = recv(from, tag)? else {
                 return Ok(false);
             };
-            apply(rank, buf, op, win, act, then, payload);
+            let window = &mut buf[win.0..win.1];
+            match act {
+                RecvAct::FoldIntoBuf => op.fold(window, &payload),
+                RecvAct::FoldForward => op.fold_into_payload(&mut payload, window),
+                RecvAct::FoldLand => {
+                    op.fold_into_payload(&mut payload, window);
+                    window.copy_from_slice(&payload);
+                }
+                RecvAct::Copy => {
+                    assert_eq!(payload.len(), window.len(), "payload length mismatch");
+                    window.copy_from_slice(&payload);
+                }
+            }
+            match then {
+                Disposal::Release => rank.release_payload(payload),
+                Disposal::Forward { to, tag } => rank.send(to, tag, payload),
+            }
         }
-        Op::SendSlot { .. }
-        | Op::RecvSlot { .. }
-        | Op::SendGather { .. }
-        | Op::RecvScatter { .. } => {
-            unreachable!("slot collectives have no nonblocking surface")
+        Op::SendSlot { to, tag, slot } => rank.send(to, tag, std::mem::take(&mut slots[slot])),
+        Op::RecvSlot { from, tag, slot } => {
+            let Some(payload) = recv(from, tag)? else {
+                return Ok(false);
+            };
+            slots[slot] = payload;
+        }
+        Op::SendGather { to, tag, bit } => rank.send(to, tag, bruck_gather(slots, bit)),
+        Op::RecvScatter { from, tag, bit } => {
+            let Some(payload) = recv(from, tag)? else {
+                return Ok(false);
+            };
+            bruck_scatter(slots, bit, &payload);
+            rank.release_payload(payload);
         }
     }
-    sched.advance();
     Ok(true)
 }
 
+/// Drive a schedule to completion on the infallible pooled `recv` — the
+/// blocking surface. Receives carry no checksum verification or kill
+/// polls, so the allocation-free hot path pays nothing for the fault plane
+/// (and a scheduled kill stays unclaimed for the next fallible call).
+pub(crate) fn drive_blocking<S: Schedule>(
+    rank: &Rank,
+    buf: &mut [f32],
+    slots: &mut [Vec<f32>],
+    op: ReduceOp,
+    sched: &mut S,
+) {
+    while let Some(step) = sched.current() {
+        let recv = |from, tag| Ok::<_, Infallible>(Some(rank.recv(from, tag)));
+        let Ok(_) = execute(rank, buf, slots, op, step, recv);
+        sched.advance();
+    }
+}
+
+/// Drive a schedule to completion with checked receives bounded by one
+/// shared `deadline` and a kill poll before every op — the fallible
+/// surface. The op sequence, fold order, and operand order are those of
+/// [`drive_blocking`], so a fault-free run is bit-identical to it.
+///
+/// # Errors
+/// Any [`CommError`] from the checked receives or the kill poll.
+pub(crate) fn drive_checked<S: Schedule>(
+    rank: &Rank,
+    buf: &mut [f32],
+    slots: &mut [Vec<f32>],
+    op: ReduceOp,
+    sched: &mut S,
+    deadline: Option<Instant>,
+) -> Result<(), CommError> {
+    while let Some(step) = sched.current() {
+        rank.poll_fault_kill()?;
+        let recv = |from, tag| rank.recv_checked(from, tag, deadline).map(Some);
+        execute(rank, buf, slots, op, step, recv)?;
+        sched.advance();
+    }
+    Ok(())
+}
+
+/// Execute at most one op of a window schedule — the nonblocking surface's
+/// stepper. Returns whether the schedule advanced: `Ok(false)` means it is
+/// complete, or `recv` polled and the awaited message has not arrived.
+///
+/// # Errors
+/// Whatever `recv` returns.
+pub(crate) fn step<S: Schedule, E>(
+    rank: &Rank,
+    buf: &mut [f32],
+    op: ReduceOp,
+    sched: &mut S,
+    recv: impl FnOnce(usize, u64) -> Result<Option<Vec<f32>>, E>,
+) -> Result<bool, E> {
+    let Some(next) = sched.current() else {
+        return Ok(false);
+    };
+    let advanced = execute(rank, buf, &mut [], op, next, recv)?;
+    if advanced {
+        sched.advance();
+    }
+    Ok(advanced)
+}
+
 /// A schedule adapter that rewrites *dense* member indices into *physical*
-/// rank ids through a membership table — the elastic surface.
+/// rank ids through a membership table — the elastic surface. With no
+/// table (`None`, the classic full world) it is the identity.
 ///
 /// Every schedule in this module is a pure function of `(p, me)` over dense
 /// ids `0..p`. An elastic view re-derives the same schedule at the
@@ -346,20 +314,22 @@ pub(crate) fn step_nonblocking(
 /// op's endpoints (`to`, `from`, and the zero-copy `Forward` relay) through
 /// `members[dense]` on the way out. Ops are rewritten, never reordered, so
 /// the fold order — and with it bit-identity — is untouched.
-pub(crate) struct RemapSchedule<'a> {
-    inner: &'a mut dyn Schedule,
-    members: &'a [usize],
+pub(crate) struct RemapSchedule<'a, S> {
+    pub(crate) inner: S,
+    members: Option<&'a [usize]>,
 }
 
-impl<'a> RemapSchedule<'a> {
-    pub(crate) fn new(inner: &'a mut dyn Schedule, members: &'a [usize]) -> Self {
+impl<'a, S> RemapSchedule<'a, S> {
+    pub(crate) fn new(inner: S, members: Option<&'a [usize]>) -> Self {
         Self { inner, members }
     }
 }
 
-impl Schedule for RemapSchedule<'_> {
+impl<S: Schedule> Schedule for RemapSchedule<'_, S> {
     fn current(&self) -> Option<Op> {
-        let m = self.members;
+        let Some(m) = self.members else {
+            return self.inner.current();
+        };
         self.inner.current().map(|op| match op {
             Op::Send { to, tag, win } => Op::Send {
                 to: m[to],
@@ -1251,8 +1221,8 @@ enum BcastState {
     Done,
 }
 
-/// Binomial-tree broadcast over a fixed-size buffer (`binomial_broadcast_into`,
-/// historical id 9; the tree allreduce reuses it with its own id). A rank
+/// Binomial-tree broadcast over a fixed-size buffer (id 9; the tree
+/// allreduce's second phase is this same schedule from root 0). A rank
 /// receives at its lowest set (virtual-rank) bit, then forwards to children
 /// at all smaller masks.
 pub(crate) struct BroadcastSchedule {
@@ -1260,12 +1230,11 @@ pub(crate) struct BroadcastSchedule {
     root: usize,
     vrank: usize,
     n: usize,
-    tag_id: u64,
     state: BcastState,
 }
 
 impl BroadcastSchedule {
-    pub(crate) fn new(p: usize, me: usize, n: usize, root: usize, tag_id: u64) -> Self {
+    pub(crate) fn new(p: usize, me: usize, n: usize, root: usize) -> Self {
         let vrank = (me + p - root) % p;
         let state = if p == 1 {
             BcastState::Done
@@ -1286,7 +1255,6 @@ impl BroadcastSchedule {
             root,
             vrank,
             n,
-            tag_id,
             state,
         };
         s.normalize();
@@ -1309,26 +1277,22 @@ impl BroadcastSchedule {
 
 impl Schedule for BroadcastSchedule {
     fn current(&self) -> Option<Op> {
+        // Tree edge `mask` carries the same tag in both directions.
+        let tag = |mask: usize| tag_seg(9, mask.trailing_zeros() as usize, 0);
         match self.state {
             BcastState::Done => None,
-            BcastState::Recv { mask } => {
-                let parent = (self.vrank - mask + self.root) % self.p;
-                Some(Op::Recv {
-                    from: parent,
-                    tag: tag_seg(self.tag_id, mask.trailing_zeros() as usize, 0),
-                    win: (0, self.n),
-                    act: RecvAct::Copy,
-                    then: Disposal::Release,
-                })
-            }
-            BcastState::Send { mask } => {
-                let child = (self.vrank + mask + self.root) % self.p;
-                Some(Op::Send {
-                    to: child,
-                    tag: tag_seg(self.tag_id, mask.trailing_zeros() as usize, 0),
-                    win: (0, self.n),
-                })
-            }
+            BcastState::Recv { mask } => Some(Op::Recv {
+                from: (self.vrank - mask + self.root) % self.p,
+                tag: tag(mask),
+                win: (0, self.n),
+                act: RecvAct::Copy,
+                then: Disposal::Release,
+            }),
+            BcastState::Send { mask } => Some(Op::Send {
+                to: (self.vrank + mask + self.root) % self.p,
+                tag: tag(mask),
+                win: (0, self.n),
+            }),
         }
     }
 
@@ -1874,41 +1838,68 @@ impl Schedule for GatherSchedule {
 }
 
 // ---------------------------------------------------------------------------
-// Modeled surface: the same schedules against per-rank virtual clocks.
+// The collective vocabulary and its one mapping to schedules.
 
-/// Which collective to run on the model transport. Mirrors the executable
-/// entry points one to one; `elems` in [`simulate`] plays the role each
-/// wrapper's buffer length plays (per-slot length for the personalized
-/// collectives).
+/// Which collective to run — on the live transport
+/// ([`run`](crate::collectives::run) / [`run_slots`](crate::extended::run_slots)
+/// and their `try_` twins) or on the modeled one
+/// ([`simulate`](crate::sim::simulate)). `elems` in the simulators plays
+/// the role the executed buffer length plays (per-slot length for the
+/// personalized collectives).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Collective {
-    /// `ring_allreduce_bucketed` (use `usize::MAX` for the flat path).
+    /// Ring allreduce (reduce-scatter ring then allgather ring) with each
+    /// chunk transfer split into messages of at most `bucket_elems`
+    /// elements; see [`Collective::RING`] for the flat path.
     RingAllreduce { bucket_elems: usize },
-    /// `reduce_scatter`.
+    /// Ring reduce-scatter: afterwards rank `i` holds the fully reduced
+    /// chunk `(i + 1) mod p`; other chunks are unspecified.
     ReduceScatter,
-    /// `ring_allgather`.
+    /// Ring allgather: each rank contributes its own `chunk_bounds` chunk
+    /// and receives everyone else's.
     RingAllgather,
-    /// `recursive_doubling_allreduce` (non-power-of-two worlds fold into
-    /// a power-of-two core).
+    /// Recursive doubling: `log2 p` full-buffer exchanges (non-power-of-two
+    /// worlds fold into a power-of-two core, MPICH style).
     RecursiveDoubling,
-    /// `rabenseifner_allreduce` (requires `pow2_core(p) | elems`).
+    /// Rabenseifner: recursive-halving reduce-scatter then
+    /// recursive-doubling allgather (requires `pow2_core(p) | elems`).
     Rabenseifner,
-    /// `binomial_broadcast_into`.
+    /// Binomial-tree broadcast of `root`'s buffer into every rank's.
     BinomialBroadcast { root: usize },
-    /// `binomial_reduce`.
+    /// Binomial-tree reduce: `root`'s buffer ends holding the reduction,
+    /// the others intermediate partials.
     BinomialReduce { root: usize },
-    /// `tree_allreduce` (reduce to 0 then broadcast from 0).
+    /// Binomial reduce to rank 0, then binomial broadcast from it.
     TreeAllreduce,
-    /// `hierarchical_allreduce`.
+    /// Two-level allreduce mirroring Summit's hierarchy: linear reduce to
+    /// each `group_size`-rank group's leader, ring over the leaders, linear
+    /// broadcast back (the world must tile into groups).
     HierarchicalAllreduce { group_size: usize },
-    /// `alltoall` with `elems` elements per destination (blocks at or
-    /// below [`BRUCK_MAX_BYTES`] take the Bruck log-p schedule, larger
-    /// ones the direct pairwise exchange).
+    /// Personalized all-to-all with `elems` elements per destination
+    /// (uniform blocks at or below [`BRUCK_MAX_BYTES`] take the Bruck log-p
+    /// schedule, larger or ragged ones the direct pairwise exchange).
     Alltoall,
-    /// `scatter` with `elems` elements per chunk.
+    /// `root` sends slot `i` to rank `i` (`elems` elements per chunk).
     Scatter { root: usize },
-    /// `gather` with `elems` elements per rank.
+    /// Every rank sends its own slot to `root` (`elems` elements per rank).
     Gather { root: usize },
+}
+
+impl Collective {
+    /// The flat ring allreduce: one message per chunk.
+    pub const RING: Collective = Collective::RingAllreduce {
+        bucket_elems: usize::MAX,
+    };
+
+    /// Whether this collective moves whole caller-owned vectors
+    /// ([`run_slots`](crate::extended::run_slots)) rather than windows of
+    /// one buffer ([`run`](crate::collectives::run)).
+    pub fn personalized(self) -> bool {
+        matches!(
+            self,
+            Collective::Alltoall | Collective::Scatter { .. } | Collective::Gather { .. }
+        )
+    }
 }
 
 /// Result of a modeled run: per-rank counters and virtual completion times.
@@ -1943,19 +1934,28 @@ impl ModelReport {
 
 /// A concrete schedule behind enum dispatch. The simulators drive ~10⁸
 /// cursor reads per full-machine collective; a `match` on a concrete enum
-/// inlines where `Box<dyn Schedule>` virtual calls cannot.
+/// inlines where `Box<dyn Schedule>` virtual calls cannot. Held by value —
+/// one per simulated rank, none on the heap — so it must stay no larger
+/// than its largest member.
 pub(crate) enum AnySchedule {
     Ring(RingSchedule),
     Rd(RdSchedule),
     Rab(RabenseifnerSchedule),
     Bcast(BroadcastSchedule),
     Reduce(ReduceSchedule),
+    /// Reduce to rank 0, then broadcast from it, back to back.
+    Tree(ReduceSchedule, BroadcastSchedule),
     Hier(HierarchicalSchedule),
     A2a(AlltoallSchedule),
     Bruck(BruckAlltoallSchedule),
     Scatter(ScatterSchedule),
     Gather(GatherSchedule),
 }
+
+const _: () = assert!(
+    std::mem::size_of::<AnySchedule>() <= std::mem::size_of::<RingSchedule>() + 8,
+    "a two-phase variant outgrew the ring cursor: per-rank simulator storage would grow"
+);
 
 impl Schedule for AnySchedule {
     #[inline]
@@ -1966,6 +1966,7 @@ impl Schedule for AnySchedule {
             AnySchedule::Rab(s) => s.current(),
             AnySchedule::Bcast(s) => s.current(),
             AnySchedule::Reduce(s) => s.current(),
+            AnySchedule::Tree(r, b) => r.current().or_else(|| b.current()),
             AnySchedule::Hier(s) => s.current(),
             AnySchedule::A2a(s) => s.current(),
             AnySchedule::Bruck(s) => s.current(),
@@ -1982,6 +1983,13 @@ impl Schedule for AnySchedule {
             AnySchedule::Rab(s) => s.advance(),
             AnySchedule::Bcast(s) => s.advance(),
             AnySchedule::Reduce(s) => s.advance(),
+            AnySchedule::Tree(r, b) => {
+                if r.current().is_some() {
+                    r.advance();
+                } else {
+                    b.advance();
+                }
+            }
             AnySchedule::Hier(s) => s.advance(),
             AnySchedule::A2a(s) => s.advance(),
             AnySchedule::Bruck(s) => s.advance(),
@@ -1991,81 +1999,125 @@ impl Schedule for AnySchedule {
     }
 }
 
-/// The per-rank schedule chain of a collective (multi-phase collectives,
-/// like the tree allreduce, run their phases back to back).
-pub(crate) fn phases(c: Collective, p: usize, me: usize, elems: usize) -> Vec<AnySchedule> {
+/// Rank `me`'s schedule for collective `c` in a `p`-rank world over
+/// `elems` elements — the **one** mapping from the vocabulary to the
+/// algorithms. Every surface (executed blocking and fallible, simulated,
+/// oracle) builds its schedule here, which is what makes their traffic
+/// equal by construction.
+pub(crate) fn schedule(c: Collective, p: usize, me: usize, elems: usize) -> AnySchedule {
     match c {
-        Collective::RingAllreduce { bucket_elems } => vec![AnySchedule::Ring(
-            RingSchedule::allreduce(p, me, elems, bucket_elems.max(1)),
-        )],
-        Collective::ReduceScatter => {
-            vec![AnySchedule::Ring(RingSchedule::reduce_scatter(
-                p, me, elems,
-            ))]
+        Collective::RingAllreduce { bucket_elems } => {
+            AnySchedule::Ring(RingSchedule::allreduce(p, me, elems, bucket_elems.max(1)))
         }
-        Collective::RingAllgather => vec![AnySchedule::Ring(RingSchedule::allgather(p, me, elems))],
-        Collective::RecursiveDoubling => vec![AnySchedule::Rd(RdSchedule::new(p, me, elems))],
-        Collective::Rabenseifner => vec![AnySchedule::Rab(RabenseifnerSchedule::new(p, me, elems))],
+        Collective::ReduceScatter => AnySchedule::Ring(RingSchedule::reduce_scatter(p, me, elems)),
+        Collective::RingAllgather => AnySchedule::Ring(RingSchedule::allgather(p, me, elems)),
+        Collective::RecursiveDoubling => AnySchedule::Rd(RdSchedule::new(p, me, elems)),
+        Collective::Rabenseifner => AnySchedule::Rab(RabenseifnerSchedule::new(p, me, elems)),
         Collective::BinomialBroadcast { root } => {
-            vec![AnySchedule::Bcast(BroadcastSchedule::new(
-                p, me, elems, root, 9,
-            ))]
+            AnySchedule::Bcast(BroadcastSchedule::new(p, me, elems, root))
         }
         Collective::BinomialReduce { root } => {
-            vec![AnySchedule::Reduce(ReduceSchedule::new(p, me, elems, root))]
+            AnySchedule::Reduce(ReduceSchedule::new(p, me, elems, root))
         }
-        Collective::TreeAllreduce => vec![
-            AnySchedule::Reduce(ReduceSchedule::new(p, me, elems, 0)),
-            AnySchedule::Bcast(BroadcastSchedule::new(p, me, elems, 0, 9)),
-        ],
+        Collective::TreeAllreduce => AnySchedule::Tree(
+            ReduceSchedule::new(p, me, elems, 0),
+            BroadcastSchedule::new(p, me, elems, 0),
+        ),
         Collective::HierarchicalAllreduce { group_size } => {
-            vec![AnySchedule::Hier(HierarchicalSchedule::new(
-                p, me, elems, group_size,
-            ))]
+            AnySchedule::Hier(HierarchicalSchedule::new(p, me, elems, group_size))
         }
-        Collective::Alltoall => {
-            if elems * 4 <= BRUCK_MAX_BYTES {
-                vec![AnySchedule::Bruck(BruckAlltoallSchedule::new(p, me))]
-            } else {
-                vec![AnySchedule::A2a(AlltoallSchedule::new(p, me))]
-            }
+        Collective::Alltoall if elems <= BRUCK_MAX_BYTES / 4 => {
+            AnySchedule::Bruck(BruckAlltoallSchedule::new(p, me))
         }
-        Collective::Scatter { root } => {
-            vec![AnySchedule::Scatter(ScatterSchedule::new(p, me, root))]
-        }
-        Collective::Gather { root } => vec![AnySchedule::Gather(GatherSchedule::new(p, me, root))],
+        Collective::Alltoall => AnySchedule::A2a(AlltoallSchedule::new(p, me)),
+        Collective::Scatter { root } => AnySchedule::Scatter(ScatterSchedule::new(p, me, root)),
+        Collective::Gather { root } => AnySchedule::Gather(GatherSchedule::new(p, me, root)),
     }
 }
 
-/// Initial slot lengths for the personalized collectives (empty for the
-/// windowed ones).
+/// Arrange rank `me`'s `p` caller-side entries (indexed by peer rank) into
+/// the slot array `sched` runs over. Generic in the entry so the executed
+/// surface lays out payload vectors and the oracle their lengths with the
+/// same code.
+pub(crate) fn lay_out<T: Default>(sched: &AnySchedule, me: usize, mut slots: Vec<T>) -> Vec<T> {
+    let p = slots.len();
+    match sched {
+        // Bruck's local rotation: `work[i]` holds the block destined for
+        // rank `(me + i) mod p`.
+        AnySchedule::Bruck(_) => slots.rotate_left(me),
+        // Sends draw from `0..p`, receives land in `p..2p` (see
+        // `AlltoallSchedule`); this rank's own block moves straight across.
+        AnySchedule::A2a(_) => {
+            slots.resize_with(2 * p, T::default);
+            slots.swap(me, p + me);
+        }
+        _ => {}
+    }
+    slots
+}
+
+/// Inverse of [`lay_out`] once the schedule has run: the results, indexed
+/// by source rank.
+pub(crate) fn collect<T: Default>(sched: &AnySchedule, me: usize, mut slots: Vec<T>) -> Vec<T> {
+    match sched {
+        // After the rounds `work[i]` holds the block *from* rank
+        // `(me − i) mod p`.
+        AnySchedule::Bruck(_) => {
+            let p = slots.len();
+            (0..p)
+                .map(|src| std::mem::take(&mut slots[(me + p - src) % p]))
+                .collect()
+        }
+        AnySchedule::A2a(_) => slots.split_off(slots.len() / 2),
+        _ => slots,
+    }
+}
+
+/// Initial slot lengths of rank `me` for the personalized collectives
+/// (empty for the windowed ones): what [`lay_out`] makes of the lengths a
+/// caller of [`run_slots`](crate::extended::run_slots) would pass.
 pub(crate) fn slots_for(c: Collective, p: usize, me: usize, elems: usize) -> Vec<usize> {
-    match c {
-        Collective::Alltoall => {
-            if elems * 4 <= BRUCK_MAX_BYTES {
-                // Bruck work array: every slot starts holding one block.
-                vec![elems; p]
-            } else {
-                // Send half populated, receive half empty (see AlltoallSchedule).
-                let mut v = vec![elems; p];
-                v.extend(std::iter::repeat_n(0, p));
-                v
-            }
-        }
-        Collective::Scatter { root } => {
-            if me == root {
-                vec![elems; p]
-            } else {
-                vec![0; p]
-            }
-        }
+    let lens = match c {
+        Collective::Alltoall => vec![elems; p],
+        Collective::Scatter { root } => vec![if me == root { elems } else { 0 }; p],
         Collective::Gather { .. } => {
             let mut v = vec![0; p];
             v[me] = elems;
             v
         }
-        _ => Vec::new(),
+        _ => return Vec::new(),
+    };
+    lay_out(&schedule(c, p, me, elems), me, lens)
+}
+
+/// Every [`Collective`] variant that is valid in a `p`-rank world over
+/// `elems` elements (the ring both flat and bucketed, the hierarchy at each
+/// group size that tiles) — the row set of the crate's test tables.
+#[cfg(test)]
+pub(crate) fn all_collectives(p: usize, elems: usize) -> Vec<Collective> {
+    let mut v = vec![
+        Collective::RING,
+        Collective::RingAllreduce { bucket_elems: 5 },
+        Collective::ReduceScatter,
+        Collective::RingAllgather,
+        Collective::RecursiveDoubling,
+        Collective::BinomialBroadcast { root: p - 1 },
+        Collective::BinomialReduce { root: 0 },
+        Collective::TreeAllreduce,
+        Collective::Alltoall,
+        Collective::Scatter { root: 0 },
+        Collective::Gather { root: p - 1 },
+    ];
+    if elems.is_multiple_of(pow2_core(p)) {
+        v.push(Collective::Rabenseifner);
     }
+    for g in [1, 2, p] {
+        if p.is_multiple_of(g) {
+            v.push(Collective::HierarchicalAllreduce { group_size: g });
+        }
+    }
+    v.dedup();
+    v
 }
 
 /// In-flight modeled messages keyed `(from, to, tag)`, each a FIFO of
@@ -2092,8 +2144,9 @@ pub fn simulate_reference(
     link: LinkModel,
 ) -> ModelReport {
     assert!(p > 0, "world size must be positive");
-    let mut scheds: Vec<Vec<AnySchedule>> =
-        (0..p).map(|me| phases(collective, p, me, elems)).collect();
+    let mut scheds: Vec<AnySchedule> = (0..p)
+        .map(|me| schedule(collective, p, me, elems))
+        .collect();
     let mut slot_len: Vec<Vec<usize>> = (0..p)
         .map(|me| slots_for(collective, p, me, elems))
         .collect();
@@ -2128,11 +2181,7 @@ pub fn simulate_reference(
         let mut progressed = false;
         let mut all_done = true;
         for me in 0..p {
-            while let Some(sched) = scheds[me].first_mut() {
-                let Some(op) = sched.current() else {
-                    scheds[me].remove(0);
-                    continue;
-                };
+            while let Some(op) = scheds[me].current() {
                 match op {
                     Op::Send { to, tag, win } => {
                         post(
@@ -2216,10 +2265,10 @@ pub fn simulate_reference(
                         clock[me] = clock[me].max(ready);
                     }
                 }
-                sched.advance();
+                scheds[me].advance();
                 progressed = true;
             }
-            if !scheds[me].is_empty() {
+            if scheds[me].current().is_some() {
                 all_done = false;
             }
         }
@@ -2387,20 +2436,7 @@ mod tests {
     #[test]
     fn single_rank_world_is_free() {
         let link = link();
-        for c in [
-            Collective::RingAllreduce { bucket_elems: 8 },
-            Collective::ReduceScatter,
-            Collective::RingAllgather,
-            Collective::RecursiveDoubling,
-            Collective::Rabenseifner,
-            Collective::BinomialBroadcast { root: 0 },
-            Collective::BinomialReduce { root: 0 },
-            Collective::TreeAllreduce,
-            Collective::HierarchicalAllreduce { group_size: 1 },
-            Collective::Alltoall,
-            Collective::Scatter { root: 0 },
-            Collective::Gather { root: 0 },
-        ] {
+        for c in all_collectives(1, 16) {
             let r = simulate(c, 1, 16, link);
             assert_eq!(r.total_messages(), 0, "{c:?}");
             assert_eq!(r.total_bytes(), 0, "{c:?}");

@@ -1,126 +1,78 @@
-//! Extended collectives: personalized all-to-all, scatter/gather, and the
-//! hierarchical (two-level) allreduce that mirrors Summit's NVLink-inside,
-//! InfiniBand-between structure.
+//! The personalized collectives — all-to-all, scatter, gather — which move
+//! whole caller-owned vectors ("slots") instead of windows of one buffer.
 //!
-//! Like the core set in [`crate::collectives`], each pattern is defined once
-//! as an engine schedule ([`crate::engine`]) and surfaced here as a blocking
-//! wrapper plus a deadline-bounded `try_` twin, so the extended collectives
-//! get `FaultPlan` coverage and modeled ([`crate::sim::simulate`]) twins
-//! for free.
+//! Like the window set in [`crate::collectives`], each pattern is defined
+//! once as an engine schedule ([`crate::engine`]) and reached through the
+//! same [`Collective`] → schedule mapping the simulators use, so
+//! [`run_slots`] and its deadline-bounded twin [`try_run_slots`] get
+//! `FaultPlan` coverage and modeled ([`crate::sim::simulate`]) twins for
+//! free.
+//!
+//! Both take and return **one slot per rank, indexed by peer**:
+//!
+//! * [`Collective::Alltoall`] — slot `j` goes to rank `j`; slot `j` of the
+//!   result came from rank `j`.
+//! * [`Collective::Scatter`] — the root's slot `j` goes to rank `j`; every
+//!   rank finds its chunk in slot `me` of the result.
+//! * [`Collective::Gather`] — every rank's slot `me` goes to the root,
+//!   whose result holds rank `j`'s contribution in slot `j`.
+//!
+//! Slots the pattern does not send come back as they were.
 
 use std::time::{Duration, Instant};
 
-use crate::collectives::{binomial_broadcast_into, ring_allreduce, ReduceOp};
-use crate::engine::{
-    drive_blocking, drive_checked, AlltoallSchedule, BruckAlltoallSchedule, GatherSchedule,
-    HierarchicalSchedule, ScatterSchedule, BRUCK_MAX_BYTES,
-};
+use crate::collectives::{run, ReduceOp};
+use crate::engine::{self, drive_blocking, drive_checked, AnySchedule, Collective};
 use crate::faults::CommError;
 use crate::world::Rank;
 
-/// Set up the all-to-all slot array: send buffers in `0..p`, received
-/// buffers land in `p..2p`; this rank's own contribution moves straight
-/// across.
-fn alltoall_slots(rank: &Rank, send: Vec<Vec<f32>>) -> Vec<Vec<f32>> {
-    let p = rank.size();
-    assert_eq!(send.len(), p, "alltoall needs one buffer per rank");
-    let mut slots = send;
-    slots.extend((0..p).map(|_| Vec::new()));
-    slots[p + rank.id()] = std::mem::take(&mut slots[rank.id()]);
-    slots
+/// This rank's schedule for the personalized collective `c` over `slots`.
+/// Ragged all-to-all blocks cannot ride Bruck's evenly split combined
+/// messages, so they schedule as oversized ones: pairwise.
+fn slot_schedule(rank: &Rank, c: Collective, slots: &[Vec<f32>]) -> AnySchedule {
+    assert!(
+        c.personalized(),
+        "{c:?} reduces one buffer: use collectives::run"
+    );
+    assert_eq!(slots.len(), rank.size(), "{c:?} needs one slot per rank");
+    let n = slots.first().map_or(0, Vec::len);
+    let uniform = slots.iter().all(|b| b.len() == n);
+    let elems = if uniform { n } else { usize::MAX };
+    engine::schedule(c, rank.size(), rank.id(), elems)
 }
 
-/// Whether this exchange takes the Bruck log-p schedule: uniform block
-/// lengths (Bruck's combined messages split evenly on receive) at or below
-/// the small-message threshold. Deterministic in `(p, block length)`, so
-/// the modeled twin ([`crate::sim::simulate`]) makes the same choice.
-fn bruck_eligible(send: &[Vec<f32>]) -> bool {
-    let n = send.first().map_or(0, Vec::len);
-    send.iter().all(|b| b.len() == n) && n * 4 <= BRUCK_MAX_BYTES
-}
-
-/// Bruck phase 1: the local rotation — `work[i]` holds the block destined
-/// for rank `(me + i) mod p`.
-fn bruck_rotate(me: usize, mut send: Vec<Vec<f32>>) -> Vec<Vec<f32>> {
-    let p = send.len();
-    (0..p)
-        .map(|i| std::mem::take(&mut send[(me + i) % p]))
-        .collect()
-}
-
-/// Bruck phase 3: after the rounds `work[i]` holds the block *from* rank
-/// `(me - i) mod p`; un-rotate so the result is indexed by source.
-fn bruck_unrotate(me: usize, mut work: Vec<Vec<f32>>) -> Vec<Vec<f32>> {
-    let p = work.len();
-    (0..p)
-        .map(|src| std::mem::take(&mut work[(me + p - src) % p]))
-        .collect()
-}
-
-/// Personalized all-to-all: rank i sends `send[j]` to rank j and receives
-/// rank j's `send[i]`. Returns the received buffers indexed by source.
-///
-/// Small uniform blocks (≤ [`BRUCK_MAX_BYTES`]) take the Bruck log-p
-/// store-and-forward schedule — `⌈lg p⌉` combined messages per rank
-/// instead of `p − 1`. Larger or ragged exchanges use the direct pairwise
-/// schedule (`peer = me ^ s`) for power-of-two worlds, the shifted ring
-/// otherwise; this rank's own contribution stays in place either way.
+/// Run the personalized collective `c` over `slots` (see the module docs
+/// for each pattern's slot contract), blocking until this rank's part
+/// completes.
 ///
 /// # Panics
-/// Panics if `send.len() != world size`.
-pub fn alltoall(rank: &Rank, send: Vec<Vec<f32>>) -> Vec<Vec<f32>> {
-    assert_eq!(
-        send.len(),
-        rank.size(),
-        "alltoall needs one buffer per rank"
-    );
-    if bruck_eligible(&send) {
-        let mut work = bruck_rotate(rank.id(), send);
-        let mut sched = BruckAlltoallSchedule::new(rank.size(), rank.id());
-        drive_blocking(rank, &mut [], &mut work, ReduceOp::Sum, &mut sched);
-        return bruck_unrotate(rank.id(), work);
-    }
-    let mut slots = alltoall_slots(rank, send);
-    let mut sched = AlltoallSchedule::new(rank.size(), rank.id());
+/// Panics if `c` is a window collective or `slots.len() != world size`.
+pub fn run_slots(rank: &Rank, c: Collective, slots: Vec<Vec<f32>>) -> Vec<Vec<f32>> {
+    let mut sched = slot_schedule(rank, c, &slots);
+    let mut slots = engine::lay_out(&sched, rank.id(), slots);
     drive_blocking(rank, &mut [], &mut slots, ReduceOp::Sum, &mut sched);
-    slots.split_off(rank.size())
+    engine::collect(&sched, rank.id(), slots)
 }
 
-/// Timeout-aware [`alltoall`]. On error the exchange is torn mid-flight and
-/// the send buffers are lost with it.
+/// Timeout-aware [`run_slots`]. On error the exchange is torn mid-flight
+/// and the slots are lost with it.
 ///
 /// # Errors
-/// Any [`CommError`] surfaced by the checked receives or the kill poll.
+/// Any [`CommError`] surfaced by the checked receives or the kill polls
+/// (one leads the call, even in a single-rank world).
 ///
 /// # Panics
-/// Panics on the conditions of [`alltoall`].
-pub fn try_alltoall(
+/// Panics on the conditions of [`run_slots`].
+pub fn try_run_slots(
     rank: &Rank,
-    send: Vec<Vec<f32>>,
+    c: Collective,
+    slots: Vec<Vec<f32>>,
     timeout: Duration,
 ) -> Result<Vec<Vec<f32>>, CommError> {
-    assert_eq!(
-        send.len(),
-        rank.size(),
-        "alltoall needs one buffer per rank"
-    );
+    let mut sched = slot_schedule(rank, c, &slots);
     rank.poll_fault_kill()?;
     let deadline = Some(Instant::now() + timeout);
-    if bruck_eligible(&send) {
-        let mut work = bruck_rotate(rank.id(), send);
-        let mut sched = BruckAlltoallSchedule::new(rank.size(), rank.id());
-        drive_checked(
-            rank,
-            &mut [],
-            &mut work,
-            ReduceOp::Sum,
-            &mut sched,
-            deadline,
-        )?;
-        return Ok(bruck_unrotate(rank.id(), work));
-    }
-    let mut slots = alltoall_slots(rank, send);
-    let mut sched = AlltoallSchedule::new(rank.size(), rank.id());
+    let mut slots = engine::lay_out(&sched, rank.id(), slots);
     drive_checked(
         rank,
         &mut [],
@@ -129,168 +81,17 @@ pub fn try_alltoall(
         &mut sched,
         deadline,
     )?;
-    Ok(slots.split_off(rank.size()))
+    Ok(engine::collect(&sched, rank.id(), slots))
 }
-
-/// Set up the scatter slot array: the root's chunks, empty elsewhere.
-fn scatter_slots(rank: &Rank, chunks: Option<Vec<Vec<f32>>>, root: usize) -> Vec<Vec<f32>> {
-    let p = rank.size();
-    if rank.id() == root {
-        let chunks = chunks.expect("root must provide chunks");
-        assert_eq!(chunks.len(), p, "scatter needs one chunk per rank");
-        chunks
-    } else {
-        assert!(chunks.is_none(), "non-root ranks pass None");
-        (0..p).map(|_| Vec::new()).collect()
-    }
-}
-
-/// Scatter: the root distributes `chunks[i]` to rank i. Returns this
-/// rank's chunk.
-///
-/// # Panics
-/// Panics if the root's `chunks` has the wrong length, or a non-root
-/// passes `Some`.
-pub fn scatter(rank: &Rank, chunks: Option<Vec<Vec<f32>>>, root: usize) -> Vec<f32> {
-    let mut slots = scatter_slots(rank, chunks, root);
-    let mut sched = ScatterSchedule::new(rank.size(), rank.id(), root);
-    drive_blocking(rank, &mut [], &mut slots, ReduceOp::Sum, &mut sched);
-    std::mem::take(&mut slots[rank.id()])
-}
-
-/// Timeout-aware [`scatter`].
-///
-/// # Errors
-/// Any [`CommError`] surfaced by the checked receives or the kill poll.
-///
-/// # Panics
-/// Panics on the conditions of [`scatter`].
-pub fn try_scatter(
-    rank: &Rank,
-    chunks: Option<Vec<Vec<f32>>>,
-    root: usize,
-    timeout: Duration,
-) -> Result<Vec<f32>, CommError> {
-    let mut slots = scatter_slots(rank, chunks, root);
-    rank.poll_fault_kill()?;
-    let mut sched = ScatterSchedule::new(rank.size(), rank.id(), root);
-    drive_checked(
-        rank,
-        &mut [],
-        &mut slots,
-        ReduceOp::Sum,
-        &mut sched,
-        Some(Instant::now() + timeout),
-    )?;
-    Ok(std::mem::take(&mut slots[rank.id()]))
-}
-
-/// Set up the gather slot array: this rank's contribution in its own slot.
-fn gather_slots(rank: &Rank, data: Vec<f32>) -> Vec<Vec<f32>> {
-    let mut slots: Vec<Vec<f32>> = (0..rank.size()).map(|_| Vec::new()).collect();
-    slots[rank.id()] = data;
-    slots
-}
-
-/// Gather: every rank contributes `data`; the root returns all
-/// contributions indexed by rank, others return an empty vector.
-pub fn gather(rank: &Rank, data: Vec<f32>, root: usize) -> Vec<Vec<f32>> {
-    let mut slots = gather_slots(rank, data);
-    let mut sched = GatherSchedule::new(rank.size(), rank.id(), root);
-    drive_blocking(rank, &mut [], &mut slots, ReduceOp::Sum, &mut sched);
-    if rank.id() == root {
-        slots
-    } else {
-        Vec::new()
-    }
-}
-
-/// Timeout-aware [`gather`].
-///
-/// # Errors
-/// Any [`CommError`] surfaced by the checked receives or the kill poll.
-pub fn try_gather(
-    rank: &Rank,
-    data: Vec<f32>,
-    root: usize,
-    timeout: Duration,
-) -> Result<Vec<Vec<f32>>, CommError> {
-    let mut slots = gather_slots(rank, data);
-    rank.poll_fault_kill()?;
-    let mut sched = GatherSchedule::new(rank.size(), rank.id(), root);
-    drive_checked(
-        rank,
-        &mut [],
-        &mut slots,
-        ReduceOp::Sum,
-        &mut sched,
-        Some(Instant::now() + timeout),
-    )?;
-    Ok(if rank.id() == root { slots } else { Vec::new() })
-}
-
-/// Two-level allreduce mirroring Summit's hierarchy: ranks are grouped
-/// into "nodes" of `group_size`; each group linearly reduces to its leader
-/// (groups are small — the NVLink triplet/node — so a linear gather-reduce
-/// is what NCCL does), leaders ring reduce-scatter + allgather among
-/// themselves chunked by group id, then each leader broadcasts back into
-/// its group. The result equals a flat allreduce.
-///
-/// # Panics
-/// Panics unless the world size is a multiple of `group_size`.
-pub fn hierarchical_allreduce(rank: &Rank, buf: &mut [f32], op: ReduceOp, group_size: usize) {
-    let mut sched = HierarchicalSchedule::new(rank.size(), rank.id(), buf.len(), group_size);
-    drive_blocking(rank, buf, &mut [], op, &mut sched);
-}
-
-/// Timeout-aware [`hierarchical_allreduce`]: same schedule under checked,
-/// deadline-bounded receives, so drop/corrupt/kill faults targeting any of
-/// its phases (tags 13–16) surface as [`CommError`] instead of hanging.
-///
-/// # Errors
-/// Any [`CommError`] surfaced by the checked receives or the kill poll.
-///
-/// # Panics
-/// Panics on the conditions of [`hierarchical_allreduce`].
-pub fn try_hierarchical_allreduce(
-    rank: &Rank,
-    buf: &mut [f32],
-    op: ReduceOp,
-    group_size: usize,
-    timeout: Duration,
-) -> Result<(), CommError> {
-    rank.poll_fault_kill()?;
-    let mut sched = HierarchicalSchedule::new(rank.size(), rank.id(), buf.len(), group_size);
-    drive_checked(
-        rank,
-        buf,
-        &mut [],
-        op,
-        &mut sched,
-        Some(Instant::now() + timeout),
-    )
-}
-
-/// Flat allreduce convenience wrapper choosing the hierarchical path when
-/// the world tiles into `group_size`, plain ring otherwise.
-pub fn auto_allreduce(rank: &Rank, buf: &mut [f32], op: ReduceOp, group_size: usize) {
-    if group_size > 1 && rank.size().is_multiple_of(group_size) && rank.size() > group_size {
-        hierarchical_allreduce(rank, buf, op, group_size);
-    } else {
-        ring_allreduce(rank, buf, op);
-    }
-}
-
-/// Broadcast companion for the extended set (binomial tree, fixed-size
-/// buffers — the `_into` surface).
-pub use crate::collectives::binomial_broadcast_into as broadcast;
 
 /// All-gather personalized payloads via gather + broadcast (convenience
 /// for small control-plane messages; bandwidth-optimal paths should use
-/// `ring_allgather`).
+/// [`Collective::RingAllgather`]).
 pub fn gather_then_broadcast(rank: &Rank, data: Vec<f32>, root: usize) -> Vec<Vec<f32>> {
     let p = rank.size();
-    let gathered = gather(rank, data, root);
+    let mut slots = vec![Vec::new(); p];
+    slots[rank.id()] = data;
+    let gathered = run_slots(rank, Collective::Gather { root }, slots);
     // Broadcast a fixed-size header (count + per-rank lengths — every rank
     // knows p, so the header needs no growable buffer) and then the flat
     // payload, sized from the header.
@@ -305,10 +106,11 @@ pub fn gather_then_broadcast(rank: &Rank, data: Vec<f32>, root: usize) -> Vec<Ve
             flat.extend_from_slice(g);
         }
     }
-    binomial_broadcast_into(rank, &mut header, root);
+    let bcast = Collective::BinomialBroadcast { root };
+    run(rank, bcast, &mut header, ReduceOp::Sum);
     let total: usize = header[1..].iter().map(|&l| l as usize).sum();
     flat.resize(total, 0.0);
-    binomial_broadcast_into(rank, &mut flat, root);
+    run(rank, bcast, &mut flat, ReduceOp::Sum);
     let count = header[0] as usize;
     let mut out = Vec::with_capacity(count);
     let mut off = 0usize;
@@ -323,22 +125,34 @@ pub fn gather_then_broadcast(rank: &Rank, data: Vec<f32>, root: usize) -> Vec<Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::BRUCK_MAX_BYTES;
     use crate::world::World;
+
+    /// `p` empty slots with `data` in slot `at`.
+    fn one_slot(p: usize, at: usize, data: Vec<f32>) -> Vec<Vec<f32>> {
+        let mut slots = vec![Vec::new(); p];
+        slots[at] = data;
+        slots
+    }
+
+    /// All-to-all where rank i sends `block(i·p + j)` to rank j, checked
+    /// against what each rank must then hold.
+    fn check_alltoall(p: usize, block: impl Fn(usize, usize) -> Vec<f32> + Sync) {
+        let out = World::run(p, |rank| {
+            let send = (0..p).map(|j| block(rank.id(), j)).collect();
+            run_slots(rank, Collective::Alltoall, send)
+        });
+        for (i, recv) in out.iter().enumerate() {
+            for (j, buf) in recv.iter().enumerate() {
+                assert_eq!(buf, &block(j, i), "p={p} rank {i} from {j}");
+            }
+        }
+    }
 
     #[test]
     fn alltoall_power_of_two_and_odd() {
         for p in [2usize, 4, 8, 3, 5, 7] {
-            let out = World::run(p, |rank| {
-                // Rank i sends [i·p + j] to rank j.
-                let send: Vec<Vec<f32>> =
-                    (0..p).map(|j| vec![(rank.id() * p + j) as f32]).collect();
-                alltoall(rank, send)
-            });
-            for (i, recv) in out.iter().enumerate() {
-                for (j, buf) in recv.iter().enumerate() {
-                    assert_eq!(buf, &vec![(j * p + i) as f32], "p={p} rank {i} from {j}");
-                }
-            }
+            check_alltoall(p, |i, j| vec![(i * p + j) as f32]);
         }
     }
 
@@ -348,17 +162,7 @@ mod tests {
     fn alltoall_large_blocks_take_the_pairwise_path() {
         let n = BRUCK_MAX_BYTES / 4 + 1;
         for p in [4usize, 5] {
-            let out = World::run(p, |rank| {
-                let send: Vec<Vec<f32>> = (0..p)
-                    .map(|j| vec![(rank.id() * p + j) as f32; n])
-                    .collect();
-                alltoall(rank, send)
-            });
-            for (i, recv) in out.iter().enumerate() {
-                for (j, buf) in recv.iter().enumerate() {
-                    assert_eq!(buf, &vec![(j * p + i) as f32; n], "p={p} rank {i} from {j}");
-                }
-            }
+            check_alltoall(p, |i, j| vec![(i * p + j) as f32; n]);
         }
     }
 
@@ -366,31 +170,20 @@ mod tests {
     /// messages split evenly) and must stay on the pairwise schedule.
     #[test]
     fn alltoall_ragged_blocks_stay_pairwise() {
-        let p = 4;
-        let out = World::run(p, |rank| {
-            let send: Vec<Vec<f32>> = (0..p)
-                .map(|j| vec![(rank.id() * p + j) as f32; j + 1])
-                .collect();
-            alltoall(rank, send)
-        });
-        for (i, recv) in out.iter().enumerate() {
-            for (j, buf) in recv.iter().enumerate() {
-                assert_eq!(
-                    buf,
-                    &vec![(j * p + i) as f32; i + 1],
-                    "p={p} rank {i} from {j}"
-                );
-            }
-        }
+        check_alltoall(4, |i, j| vec![(i * 4 + j) as f32; j + 1]);
     }
 
     #[test]
     fn scatter_distributes_chunks() {
         for root in 0..4 {
             let out = World::run(4, |rank| {
-                let chunks = (rank.id() == root)
-                    .then(|| (0..4).map(|i| vec![i as f32, (i * i) as f32]).collect());
-                scatter(rank, chunks, root)
+                let chunks = if rank.id() == root {
+                    (0..4).map(|i| vec![i as f32, (i * i) as f32]).collect()
+                } else {
+                    vec![Vec::new(); 4]
+                };
+                let mut got = run_slots(rank, Collective::Scatter { root }, chunks);
+                got.swap_remove(rank.id())
             });
             for (i, chunk) in out.iter().enumerate() {
                 assert_eq!(chunk, &vec![i as f32, (i * i) as f32]);
@@ -402,12 +195,22 @@ mod tests {
     fn gather_collects_in_rank_order() {
         let root = 2;
         let out = World::run(5, |rank| {
-            gather(rank, vec![rank.id() as f32; rank.id() + 1], root)
+            let mine = one_slot(5, rank.id(), vec![rank.id() as f32; rank.id() + 1]);
+            run_slots(rank, Collective::Gather { root }, mine)
         });
         for (i, g) in out[root].iter().enumerate() {
             assert_eq!(g, &vec![i as f32; i + 1]);
         }
-        assert!(out[0].is_empty());
+        assert!(out[0].iter().all(Vec::is_empty));
+    }
+
+    fn hierarchical(rank: &Rank, buf: &mut [f32], op: ReduceOp, group_size: usize) {
+        run(
+            rank,
+            Collective::HierarchicalAllreduce { group_size },
+            buf,
+            op,
+        );
     }
 
     #[test]
@@ -415,7 +218,7 @@ mod tests {
         for (p, g) in [(6usize, 3usize), (8, 2), (12, 6), (4, 4), (9, 3)] {
             let out = World::run(p, |rank| {
                 let mut buf: Vec<f32> = (0..10).map(|i| (rank.id() * 10 + i) as f32).collect();
-                hierarchical_allreduce(rank, &mut buf, ReduceOp::Sum, g);
+                hierarchical(rank, &mut buf, ReduceOp::Sum, g);
                 buf
             });
             // Flat reference.
@@ -437,22 +240,10 @@ mod tests {
     fn hierarchical_max_and_min() {
         let out = World::run(6, |rank| {
             let mut buf = vec![rank.id() as f32];
-            hierarchical_allreduce(rank, &mut buf, ReduceOp::Max, 3);
+            hierarchical(rank, &mut buf, ReduceOp::Max, 3);
             buf[0]
         });
         assert!(out.iter().all(|&v| v == 5.0));
-    }
-
-    #[test]
-    fn auto_allreduce_picks_working_path() {
-        for p in [4usize, 5, 6, 12] {
-            let out = World::run(p, |rank| {
-                let mut buf = vec![1.0f32; 7];
-                auto_allreduce(rank, &mut buf, ReduceOp::Sum, 3);
-                buf[0]
-            });
-            assert!(out.iter().all(|&v| (v - p as f32).abs() < 1e-4), "p={p}");
-        }
     }
 
     #[test]
@@ -473,72 +264,7 @@ mod tests {
     fn hierarchical_requires_tiling() {
         World::run(5, |rank| {
             let mut buf = vec![0.0f32; 4];
-            hierarchical_allreduce(rank, &mut buf, ReduceOp::Sum, 3);
+            hierarchical(rank, &mut buf, ReduceOp::Sum, 3);
         });
-    }
-
-    /// Every extended try_ twin runs the identical engine schedule, so a
-    /// fault-free checked run matches the blocking one exactly.
-    #[test]
-    fn try_twins_match_blocking() {
-        use std::time::Duration;
-        let t = Duration::from_secs(5);
-        for p in [2usize, 4, 6] {
-            let plain = World::run(p, |rank| {
-                let send: Vec<Vec<f32>> =
-                    (0..p).map(|j| vec![(rank.id() * p + j) as f32]).collect();
-                let a2a = alltoall(rank, send);
-                let chunks = (rank.id() == 0).then(|| (0..p).map(|i| vec![i as f32]).collect());
-                let sc = scatter(rank, chunks, 0);
-                let ga = gather(rank, vec![rank.id() as f32], 1 % p);
-                let mut h = vec![rank.id() as f32; 6];
-                hierarchical_allreduce(rank, &mut h, ReduceOp::Sum, 2.min(p));
-                (a2a, sc, ga, h)
-            });
-            let checked = World::run(p, |rank| {
-                let send: Vec<Vec<f32>> =
-                    (0..p).map(|j| vec![(rank.id() * p + j) as f32]).collect();
-                let a2a = try_alltoall(rank, send, t).unwrap();
-                let chunks = (rank.id() == 0).then(|| (0..p).map(|i| vec![i as f32]).collect());
-                let sc = try_scatter(rank, chunks, 0, t).unwrap();
-                let ga = try_gather(rank, vec![rank.id() as f32], 1 % p, t).unwrap();
-                let mut h = vec![rank.id() as f32; 6];
-                try_hierarchical_allreduce(rank, &mut h, ReduceOp::Sum, 2.min(p), t).unwrap();
-                (a2a, sc, ga, h)
-            });
-            for (a, b) in plain.iter().zip(&checked) {
-                assert_eq!(a.0, b.0, "alltoall p={p}");
-                assert_eq!(a.1, b.1, "scatter p={p}");
-                assert_eq!(a.2, b.2, "gather p={p}");
-                for (x, y) in a.3.iter().zip(&b.3) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "hierarchical p={p}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn try_hierarchical_surfaces_dropped_leader_message() {
-        use crate::faults::{FaultPlan, TagClass};
-        use std::sync::Arc;
-        use std::time::Duration;
-        // Drop a leader-ring reduce-scatter message (tag id 14).
-        let plan = Arc::new(FaultPlan::empty().drop_message(0, 2, TagClass::Blocking(14), 0));
-        let (out, _) = World::run_with_faults(4, plan, |rank| {
-            let mut buf = vec![1.0f32; 8];
-            let res = try_hierarchical_allreduce(
-                rank,
-                &mut buf,
-                ReduceOp::Sum,
-                2,
-                Duration::from_millis(200),
-            );
-            rank.barrier();
-            res.is_err()
-        });
-        assert!(
-            out.iter().any(|&e| e),
-            "a dropped leader-ring message must surface as an error"
-        );
     }
 }

@@ -18,7 +18,7 @@
 //!   transport checksum), and **rank kill** (node failure; the rank aborts
 //!   its current step and must restart from a checkpoint).
 //! * [`CommError`] — what the timeout-aware primitives
-//!   ([`Rank::recv_timeout`], `try_ring_allreduce_bucketed`,
+//!   ([`Rank::recv_timeout`], `collectives::try_run`,
 //!   `RingAllreduceHandle::wait_deadline`) surface instead of hanging.
 //! * [`CONTROL_BIT`] — the control plane recovery is built on: fault
 //!   injection **never** touches tags carrying it, mirroring real systems'

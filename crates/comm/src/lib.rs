@@ -7,12 +7,16 @@
 //! ≈110 ms). This crate provides both halves of that story:
 //!
 //! * [`world`] + [`collectives`] — a **real, executable** communicator whose
-//!   ranks are threads exchanging messages over channels, with the standard
-//!   collective algorithms implemented chunk-by-chunk exactly as an MPI
-//!   library would: ring allreduce, reduce-scatter + allgather
-//!   (Rabenseifner), recursive doubling, binomial-tree broadcast/reduce, and
-//!   ring allgather. These run at thread scale (p ≲ 64) and are the
-//!   correctness anchor.
+//!   ranks are threads exchanging messages over channels. A [`Collective`]
+//!   value names the algorithm — ring allreduce, reduce-scatter + allgather
+//!   (Rabenseifner), recursive doubling, binomial-tree broadcast/reduce,
+//!   ring allgather, the two-level hierarchy, all-to-all — each implemented
+//!   chunk-by-chunk exactly as an MPI library would, and
+//!   [`collectives::run`] / [`extended::run_slots`] (and their fallible
+//!   `try_` twins) execute it. The same value handed to [`sim::simulate`]
+//!   runs the *same schedule* on a modeled transport, so executed and
+//!   simulated traffic agree by construction. These run at thread scale
+//!   (p ≲ 64) and are the correctness anchor.
 //! * [`model`] — α–β **cost models** of the same algorithms for arbitrary
 //!   rank counts and message sizes, including a hierarchical
 //!   (NVLink-within-node, InfiniBand-between-nodes) variant. These are the
@@ -26,15 +30,18 @@
 //! # Example: a real 8-rank ring allreduce
 //!
 //! ```
-//! use summit_comm::{world::World, collectives::{self, ReduceOp}};
+//! use summit_comm::{collectives, sim, Collective, LinkModel, ReduceOp, World};
 //!
-//! let results = World::run(8, |rank| {
+//! let (results, traffic) = World::run_with_stats(8, |rank| {
 //!     let mut buf = vec![rank.id() as f32; 16];
-//!     collectives::ring_allreduce(&rank, &mut buf, ReduceOp::Sum);
+//!     collectives::run(rank, Collective::RING, &mut buf, ReduceOp::Sum);
 //!     buf[0]
 //! });
 //! // 0 + 1 + ... + 7 = 28 on every rank.
 //! assert!(results.iter().all(|&x| x == 28.0));
+//! // The modeled twin moves exactly the bytes the executed one did.
+//! let model = sim::simulate(Collective::RING, 8, 16, LinkModel::new(2e-6, 12.5e9));
+//! assert_eq!(model.total_bytes(), traffic.bytes_sent);
 //! ```
 
 pub mod collectives;
@@ -51,14 +58,10 @@ pub mod world;
 pub use collectives::ReduceOp;
 pub use elastic::{try_ring_allreduce_view, view_barrier, vote_members};
 pub use engine::{simulate_reference, Collective, ModelReport};
-pub use extended::{alltoall, gather, hierarchical_allreduce, scatter};
 pub use faults::{CommError, FaultKind, FaultPlan, FaultRates, TagClass, CONTROL_BIT};
 pub use group::Group;
 pub use model::{Algorithm, CollectiveModel};
-pub use nonblocking::{
-    ring_allreduce_start, ring_allreduce_start_windowed, ring_allreduce_start_windowed_view,
-    RecvHandle, RingAllreduceHandle, SendHandle,
-};
+pub use nonblocking::{ring_allreduce_start, RecvHandle, RingAllreduceHandle, SendHandle};
 pub use sim::{elastic_shrink_study, simulate, simulate_on, ElasticStudy, FabricReport};
 pub use summit_machine::LinkModel;
 pub use world::{Rank, RankTraffic, World, WorldView};

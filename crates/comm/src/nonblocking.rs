@@ -28,7 +28,7 @@
 //! gradients. Naive per-bucket ring allreduces would change the answer: the
 //! per-element reduction order of a ring depends on which *global* chunk the
 //! element falls in, so re-partitioning each bucket into its own p chunks
-//! reorders the floating-point sums. [`ring_allreduce_start_windowed`]
+//! reorders the floating-point sums. [`ring_allreduce_start`]
 //! instead intersects the **whole-buffer** chunk partition with the bucket's
 //! window: every element keeps exactly the chunk index — and therefore
 //! exactly the fold order and operand order — it has under the serial
@@ -37,10 +37,11 @@
 //!
 //! [`ring_allreduce_bucketed`]: crate::collectives::ring_allreduce_bucketed
 
+use std::convert::Infallible;
 use std::time::{Duration, Instant};
 
 use crate::collectives::ReduceOp;
-use crate::engine::{self, Op, RemapSchedule, RingSchedule, Schedule};
+use crate::engine::{self, RemapSchedule, RingSchedule, Schedule};
 use crate::faults::CommError;
 use crate::world::{Rank, WorldView};
 
@@ -156,9 +157,8 @@ impl Drop for RecvHandle<'_> {
 
 /// An in-flight ring allreduce advanced by [`progress`] / [`wait`].
 ///
-/// Started by [`ring_allreduce_start`] (whole buffer) or
-/// [`ring_allreduce_start_windowed`] (one fusion bucket of a larger
-/// gradient). Every rank must start the same set of collectives with the
+/// Started by [`ring_allreduce_start`] over one window of a gradient (or
+/// all of it). Every rank must start the same set of collectives with the
 /// same `collective` ids; ids only need to be unique among handles that are
 /// simultaneously in flight between the same ranks — per-(source, tag) FIFO
 /// order makes reusing ids across iterations safe, exactly as the blocking
@@ -175,167 +175,102 @@ pub struct RingAllreduceHandle<'a> {
     buf: &'a mut [f32],
     op: ReduceOp,
     /// The engine schedule — the *same* [`RingSchedule`] state machine the
-    /// blocking and modeled surfaces run, under nonblocking tags.
-    sched: RingSchedule,
-    /// Dense-to-physical member map, borrowed from the [`WorldView`] this
-    /// handle runs over ([`ring_allreduce_start_windowed_view`]); `None` on
-    /// the classic full-world path.
-    members: Option<&'a [usize]>,
-}
-
-/// Begin a nonblocking ring allreduce over all of `buf`.
-///
-/// Equivalent to [`ring_allreduce`](crate::collectives::ring_allreduce) —
-/// and bit-identical to it — but returns immediately; drive the returned
-/// handle with [`RingAllreduceHandle::progress`] and finish with
-/// [`RingAllreduceHandle::wait`].
-pub fn ring_allreduce_start<'a>(
-    rank: &'a Rank,
-    buf: &'a mut [f32],
-    op: ReduceOp,
-    collective: u64,
-) -> RingAllreduceHandle<'a> {
-    let total = buf.len();
-    ring_allreduce_start_windowed(rank, buf, op, collective, total, 0)
+    /// blocking and modeled surfaces run, under nonblocking tags — with its
+    /// dense ids mapped to the physical members of the [`WorldView`] the
+    /// handle runs over (the identity on the classic full-world path).
+    sched: RemapSchedule<'a, RingSchedule>,
 }
 
 /// Begin a nonblocking ring allreduce over one window of a larger buffer —
 /// the per-fusion-bucket collective of the overlap scheme.
 ///
 /// `buf` is the window `[window_start, window_start + buf.len())` of a
-/// conceptual `total_len`-element gradient. The collective reduces only this
-/// window, but chunks it by intersecting the **global** `total_len` chunk
-/// partition with the window, so when every window of the gradient has been
-/// reduced (by independent handles, in any interleaving) the combined result
-/// is bit-identical to one serial
+/// conceptual `total_len`-element gradient (pass `buf.len()` and `0` for
+/// the whole buffer). The collective reduces only this window, but chunks
+/// it by intersecting the **global** `total_len` chunk partition with the
+/// window, so when every window of the gradient has been reduced (by
+/// independent handles, in any interleaving) the combined result is
+/// bit-identical to one serial
 /// [`ring_allreduce_bucketed`](crate::collectives::ring_allreduce_bucketed)
 /// over the whole gradient.
 ///
-/// # Panics
-/// Panics if the window overruns `total_len`.
-pub fn ring_allreduce_start_windowed<'a>(
-    rank: &'a Rank,
-    buf: &'a mut [f32],
-    op: ReduceOp,
-    collective: u64,
-    total_len: usize,
-    window_start: usize,
-) -> RingAllreduceHandle<'a> {
-    RingAllreduceHandle::start(rank, None, buf, op, collective, total_len, window_start)
-}
-
-/// [`ring_allreduce_start_windowed`] over an elastic [`WorldView`]: the
-/// schedule is derived at `(view.size(), dense id)` and its endpoints are
-/// remapped to physical ranks on the wire, with the view's epoch folded
-/// into the collective's tag namespace. At full membership and epoch 0
-/// this is wire-identical to the classic start.
+/// With `view: None` the ring spans the whole world on the classic tags.
+/// Over an elastic [`WorldView`] the schedule is derived at
+/// `(view.size(), dense id)` and its endpoints are remapped to physical
+/// ranks on the wire, with the view's epoch folded into the collective's
+/// tag namespace; at full membership and epoch 0 that is wire-identical to
+/// `None`.
+///
+/// Returns immediately; drive the handle with
+/// [`RingAllreduceHandle::progress`] and finish with
+/// [`RingAllreduceHandle::wait`].
 ///
 /// # Panics
-/// Panics if this rank is not a member of `view`, if the window overruns
-/// `total_len`, or if `collective >= 2^20` (the epoch namespace occupies
-/// the bits above).
-pub fn ring_allreduce_start_windowed_view<'a>(
+/// Panics if the window overruns `total_len`, if this rank is not a member
+/// of `view`, or if `collective >= 2^20` under a view (the epoch namespace
+/// occupies the bits above; `2^50` without one).
+pub fn ring_allreduce_start<'a>(
     rank: &'a Rank,
-    view: &'a WorldView,
+    view: Option<&'a WorldView>,
     buf: &'a mut [f32],
     op: ReduceOp,
     collective: u64,
     total_len: usize,
     window_start: usize,
 ) -> RingAllreduceHandle<'a> {
-    RingAllreduceHandle::start(
+    let (p, me, members, collective) = match view {
+        None => {
+            assert!(collective < 1 << 50, "collective id out of tag range");
+            (rank.size(), rank.id(), None, collective)
+        }
+        Some(view) => {
+            let me = view.my_index().expect("only members join collectives");
+            assert!(collective < 1 << 20, "collective id out of epoch-tag range");
+            let members = Some(view.members());
+            (view.size(), me, members, view.nb_ns() | collective)
+        }
+    };
+    assert!(
+        window_start + buf.len() <= total_len,
+        "window [{}, {}) overruns total length {}",
+        window_start,
+        window_start + buf.len(),
+        total_len
+    );
+    let ring =
+        RingSchedule::allreduce_windowed(p, me, total_len, window_start, buf.len(), collective);
+    let mut handle = RingAllreduceHandle {
         rank,
-        Some(view),
         buf,
         op,
-        collective,
-        total_len,
-        window_start,
-    )
+        sched: RemapSchedule::new(ring, members),
+    };
+    // Prime the ring: step with a receive that never has anything, which
+    // executes exactly the schedule's leading sends (this rank's own chunk
+    // window; empty windows produce no send ops, on every rank
+    // consistently) so peers can progress before our first `progress`.
+    while let Ok(true) = handle.step(|_, _| Ok::<_, Infallible>(None)) {}
+    handle
 }
 
-impl<'a> RingAllreduceHandle<'a> {
-    /// Build and prime a handle: over the whole world on the classic tags
-    /// (`view: None`), or over `view`'s members in its epoch namespace.
-    fn start(
-        rank: &'a Rank,
-        view: Option<&'a WorldView>,
-        buf: &'a mut [f32],
-        op: ReduceOp,
-        collective: u64,
-        total_len: usize,
-        window_start: usize,
-    ) -> Self {
-        let (p, me, members, collective) = match view {
-            None => {
-                assert!(collective < 1 << 50, "collective id out of tag range");
-                (rank.size(), rank.id(), None, collective)
-            }
-            Some(view) => {
-                let me = view.my_index().expect("only members join collectives");
-                assert!(collective < 1 << 20, "collective id out of epoch-tag range");
-                let members = Some(view.members());
-                (view.size(), me, members, view.nb_ns() | collective)
-            }
-        };
-        assert!(
-            window_start + buf.len() <= total_len,
-            "window [{}, {}) overruns total length {}",
-            window_start,
-            window_start + buf.len(),
-            total_len
-        );
-        let mut sched =
-            RingSchedule::allreduce_windowed(p, me, total_len, window_start, buf.len(), collective);
-        // Prime the ring: execute the schedule's leading sends (this rank's
-        // own chunk window; empty windows produce no send ops, on every
-        // rank consistently) so peers can progress before our first
-        // `progress`.
-        while let Some(Op::Send { to, tag, win }) = sched.current() {
-            let to = members.map_or(to, |m| m[to]);
-            rank.send_from(to, tag, &buf[win.0..win.1]);
-            sched.advance();
-        }
-        RingAllreduceHandle {
-            rank,
-            buf,
-            op,
-            sched,
-            members,
-        }
-    }
-
-    /// Attempt one step of the state machine. Returns whether the state
-    /// advanced; `block` chooses between a blocking receive and a poll.
-    fn advance(&mut self, block: bool) -> bool {
-        self.advance_checked(block, None)
-            .expect("communication failure in infallible nonblocking path")
-    }
-
-    /// Fallible core of the state machine: one engine step with checked
-    /// receives (transport checksum, scheduled rank kill) and, when
-    /// `deadline` is set, bounded blocking. The schedule, fold order, and
-    /// operand order are the engine's — identical to the blocking path —
-    /// so a fault-free run stays bit-identical to it.
-    fn advance_checked(
+impl RingAllreduceHandle<'_> {
+    /// One engine step with `recv` as the receive primitive. The schedule,
+    /// fold order, and operand order are the engine's — identical to the
+    /// blocking path — so a fault-free run stays bit-identical to it.
+    fn step<E>(
         &mut self,
-        block: bool,
-        deadline: Option<Instant>,
-    ) -> Result<bool, CommError> {
-        match self.members {
-            None => engine::step_nonblocking(
-                self.rank,
-                self.buf,
-                self.op,
-                &mut self.sched,
-                block,
-                deadline,
-            ),
-            Some(m) => {
-                let mut remap = RemapSchedule::new(&mut self.sched, m);
-                engine::step_nonblocking(self.rank, self.buf, self.op, &mut remap, block, deadline)
-            }
-        }
+        recv: impl FnOnce(usize, u64) -> Result<Option<Vec<f32>>, E>,
+    ) -> Result<bool, E> {
+        engine::step(self.rank, self.buf, self.op, &mut self.sched, recv)
+    }
+
+    /// Block (until `deadline`, when set) for every remaining step, on
+    /// checked receives.
+    fn wait_until(&mut self, deadline: Option<Instant>) -> Result<(), CommError> {
+        let rank = self.rank;
+        while self.step(|from, tag| rank.recv_checked(from, tag, deadline).map(Some))? {}
+        debug_assert!(self.is_complete());
+        Ok(())
     }
 
     /// Abort the collective: the schedule jumps to its terminal state and
@@ -344,14 +279,14 @@ impl<'a> RingAllreduceHandle<'a> {
     /// recovery has already quiesced. Messages already in flight toward
     /// this rank stay in its queues until `drain_all` recycles them.
     pub fn cancel(&mut self) {
-        self.sched.cancel();
+        self.sched.inner.cancel();
     }
 
     /// Drive every step whose message has already arrived, without
     /// blocking. Returns [`is_complete`](Self::is_complete).
     pub fn progress(&mut self) -> bool {
-        while self.advance(false) {}
-        self.is_complete()
+        self.progress_checked()
+            .expect("communication failure in infallible nonblocking path")
     }
 
     /// Fallible [`progress`](Self::progress) for chaos runs: checksum
@@ -361,15 +296,16 @@ impl<'a> RingAllreduceHandle<'a> {
     /// # Errors
     /// [`CommError::Corrupt`] or [`CommError::RankKilled`].
     pub fn progress_checked(&mut self) -> Result<bool, CommError> {
-        while self.advance_checked(false, None)? {}
+        let rank = self.rank;
+        while self.step(|from, tag| rank.try_recv_checked(from, tag))? {}
         Ok(self.is_complete())
     }
 
     /// Block until the collective completes. `buf` then holds the reduction
     /// of every rank's window contents.
     pub fn wait(&mut self) {
-        while self.advance(true) {}
-        debug_assert!(self.is_complete());
+        self.wait_until(None)
+            .expect("communication failure in infallible nonblocking path");
     }
 
     /// Fallible, bounded [`wait`](Self::wait): block until the collective
@@ -380,9 +316,7 @@ impl<'a> RingAllreduceHandle<'a> {
     /// Any [`CommError`], notably [`CommError::Timeout`] once the deadline
     /// passes.
     pub fn wait_deadline(&mut self, deadline: Instant) -> Result<(), CommError> {
-        while self.advance_checked(true, Some(deadline))? {}
-        debug_assert!(self.is_complete());
-        Ok(())
+        self.wait_until(Some(deadline))
     }
 
     /// [`wait_deadline`](Self::wait_deadline) with a relative timeout.
@@ -402,8 +336,20 @@ impl<'a> RingAllreduceHandle<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collectives::{ring_allreduce, ring_allreduce_bucketed};
+    use crate::collectives::{ring_allreduce_bucketed, run};
+    use crate::engine::Collective;
     use crate::world::World;
+
+    /// Start a handle over all of `buf` on the whole world.
+    fn start_whole<'a>(
+        r: &'a Rank,
+        buf: &'a mut [f32],
+        op: ReduceOp,
+        collective: u64,
+    ) -> RingAllreduceHandle<'a> {
+        let n = buf.len();
+        ring_allreduce_start(r, None, buf, op, collective, n, 0)
+    }
 
     fn inputs(p: usize, n: usize, seed: u64) -> Vec<Vec<f32>> {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -463,12 +409,12 @@ mod tests {
                 let ins = inputs(p, n, (p * 100 + n) as u64);
                 let blocking = World::run(p, |r| {
                     let mut buf = ins[r.id()].clone();
-                    ring_allreduce(r, &mut buf, ReduceOp::Sum);
+                    run(r, Collective::RING, &mut buf, ReduceOp::Sum);
                     buf
                 });
                 let nonblocking = World::run(p, |r| {
                     let mut buf = ins[r.id()].clone();
-                    let mut h = ring_allreduce_start(r, &mut buf, ReduceOp::Sum, 0);
+                    let mut h = start_whole(r, &mut buf, ReduceOp::Sum, 0);
                     h.wait();
                     buf
                 });
@@ -495,7 +441,7 @@ mod tests {
         let ins = inputs(p, n, 9);
         let out = World::run(p, |r| {
             let mut buf = ins[r.id()].clone();
-            let mut h = ring_allreduce_start(r, &mut buf, ReduceOp::Sum, 3);
+            let mut h = start_whole(r, &mut buf, ReduceOp::Sum, 3);
             while !h.progress() {
                 std::hint::spin_loop();
             }
@@ -503,7 +449,7 @@ mod tests {
         });
         let want = World::run(p, |r| {
             let mut buf = ins[r.id()].clone();
-            ring_allreduce(r, &mut buf, ReduceOp::Sum);
+            run(r, Collective::RING, &mut buf, ReduceOp::Sum);
             buf
         });
         assert_eq!(out, want);
@@ -530,8 +476,9 @@ mod tests {
                             .chunks_mut(bucket)
                             .enumerate()
                             .map(|(b, window)| {
-                                ring_allreduce_start_windowed(
+                                ring_allreduce_start(
                                     r,
+                                    None,
                                     window,
                                     ReduceOp::Sum,
                                     b as u64,
@@ -582,7 +529,7 @@ mod tests {
                 .chunks_mut(bucket)
                 .enumerate()
                 .map(|(b, w)| {
-                    ring_allreduce_start_windowed(r, w, ReduceOp::Sum, b as u64, n, b * bucket)
+                    ring_allreduce_start(r, None, w, ReduceOp::Sum, b as u64, n, b * bucket)
                 })
                 .collect();
             for h in handles.iter_mut() {
@@ -602,9 +549,9 @@ mod tests {
         let out = World::run(p, |r| {
             let mut a = vec![r.id() as f32; n];
             let mut b = vec![1.0f32; n];
-            let mut h = ring_allreduce_start(r, &mut a, ReduceOp::Sum, 7);
+            let mut h = start_whole(r, &mut a, ReduceOp::Sum, 7);
             // A full blocking collective runs between start and wait.
-            ring_allreduce(r, &mut b, ReduceOp::Sum);
+            run(r, Collective::RING, &mut b, ReduceOp::Sum);
             h.wait();
             (a[0], b[0])
         });
@@ -619,12 +566,12 @@ mod tests {
         let ins = inputs(p, n, 17);
         let plain = World::run(p, |r| {
             let mut buf = ins[r.id()].clone();
-            ring_allreduce_start(r, &mut buf, ReduceOp::Sum, 0).wait();
+            start_whole(r, &mut buf, ReduceOp::Sum, 0).wait();
             buf
         });
         let checked = World::run(p, |r| {
             let mut buf = ins[r.id()].clone();
-            ring_allreduce_start(r, &mut buf, ReduceOp::Sum, 0)
+            start_whole(r, &mut buf, ReduceOp::Sum, 0)
                 .wait_timeout(Duration::from_secs(5))
                 .expect("fault-free run must succeed");
             buf
@@ -644,8 +591,8 @@ mod tests {
         let plan = Arc::new(FaultPlan::empty().drop_message(0, 1, TagClass::Nonblocking(0), 0));
         let (out, _) = World::run_with_faults(3, plan, |r| {
             let mut buf = vec![r.id() as f32; 12];
-            let res = ring_allreduce_start(r, &mut buf, ReduceOp::Sum, 0)
-                .wait_timeout(Duration::from_millis(200));
+            let res =
+                start_whole(r, &mut buf, ReduceOp::Sum, 0).wait_timeout(Duration::from_millis(200));
             r.barrier();
             res.is_err()
         });
@@ -703,8 +650,8 @@ mod tests {
                 let mut handles: Vec<RingAllreduceHandle> = buf
                     .chunks_mut(bucket)
                     .enumerate()
-                    .map(|(b, w)| ring_allreduce_start_windowed(
-                        r, w, ReduceOp::Sum, b as u64, n, b * bucket,
+                    .map(|(b, w)| ring_allreduce_start(
+                        r, None, w, ReduceOp::Sum, b as u64, n, b * bucket,
                     ))
                     .collect();
                 for h in handles.iter_mut() {

@@ -4,13 +4,10 @@
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use summit_comm::{
-    collectives::{
-        binomial_broadcast_into, chunk_bounds, rabenseifner_allreduce,
-        recursive_doubling_allreduce, ring_allreduce, tree_allreduce, ReduceOp,
-    },
+    collectives::{chunk_bounds, run, ReduceOp},
     model::{Algorithm, CollectiveModel},
     world::World,
-    Rank,
+    Collective,
 };
 use summit_machine::LinkModel;
 
@@ -19,15 +16,10 @@ fn random_input(seed: u64, rank: usize, n: usize) -> Vec<f32> {
     (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
 }
 
-fn run_allreduce(
-    f: impl Fn(&Rank, &mut [f32], ReduceOp) + Sync,
-    p: usize,
-    n: usize,
-    seed: u64,
-) -> Vec<Vec<f32>> {
+fn run_allreduce(c: Collective, p: usize, n: usize, seed: u64) -> Vec<Vec<f32>> {
     World::run(p, |rank| {
         let mut buf = random_input(seed, rank.id(), n);
-        f(rank, &mut buf, ReduceOp::Sum);
+        run(rank, c, &mut buf, ReduceOp::Sum);
         buf
     })
 }
@@ -39,7 +31,7 @@ proptest! {
     /// sequential reduction.
     #[test]
     fn ring_allreduce_correct(p in 1usize..9, n in 1usize..64, seed in 0u64..1000) {
-        let out = run_allreduce(ring_allreduce, p, n, seed);
+        let out = run_allreduce(Collective::RING, p, n, seed);
         let mut want = vec![0.0f32; n];
         for r in 0..p {
             for (w, x) in want.iter_mut().zip(random_input(seed, r, n)) {
@@ -59,10 +51,10 @@ proptest! {
     fn algorithms_agree(logp in 0u32..4, chunks in 1usize..8, seed in 0u64..1000) {
         let p = 1usize << logp;
         let n = chunks * p;
-        let ring = run_allreduce(ring_allreduce, p, n, seed);
-        let rd = run_allreduce(recursive_doubling_allreduce, p, n, seed);
-        let rab = run_allreduce(rabenseifner_allreduce, p, n, seed);
-        let tree = run_allreduce(tree_allreduce, p, n, seed);
+        let ring = run_allreduce(Collective::RING, p, n, seed);
+        let rd = run_allreduce(Collective::RecursiveDoubling, p, n, seed);
+        let rab = run_allreduce(Collective::Rabenseifner, p, n, seed);
+        let tree = run_allreduce(Collective::TreeAllreduce, p, n, seed);
         for r in 0..p {
             for i in 0..n {
                 let a = ring[r][i];
@@ -79,7 +71,7 @@ proptest! {
     fn max_is_attained(p in 1usize..8, n in 1usize..16, seed in 0u64..1000) {
         let out = World::run(p, |rank| {
             let mut buf = random_input(seed, rank.id(), n);
-            ring_allreduce(rank, &mut buf, ReduceOp::Max);
+            run(rank, Collective::RING, &mut buf, ReduceOp::Max);
             buf
         });
         for i in 0..n {
@@ -101,7 +93,7 @@ proptest! {
         let expect = payload.clone();
         let out = World::run(p, |rank| {
             let mut buf = if rank.id() == root { payload.clone() } else { vec![0.0; n] };
-            binomial_broadcast_into(rank, &mut buf, root);
+            run(rank, Collective::BinomialBroadcast { root }, &mut buf, ReduceOp::Sum);
             buf
         });
         for got in out {
@@ -156,7 +148,7 @@ proptest! {
     fn ring_traffic_matches_model(p in 2usize..8, n in 1usize..64) {
         let (_, stats) = World::run_with_stats(p, |rank| {
             let mut buf = vec![1.0f32; n];
-            ring_allreduce(rank, &mut buf, ReduceOp::Sum);
+            run(rank, Collective::RING, &mut buf, ReduceOp::Sum);
         });
         prop_assert_eq!(stats.bytes_sent, (4 * 2 * (p - 1) * n) as u64);
     }

@@ -56,9 +56,10 @@ pub mod report;
 /// Common types, one `use` away.
 pub mod prelude {
     pub use summit_comm::{
-        collectives::{ring_allreduce, ReduceOp},
+        collectives::{self, ReduceOp},
         model::{Algorithm, CollectiveModel},
         world::World,
+        Collective,
     };
     pub use summit_dl::{
         data::{blobs, spirals},

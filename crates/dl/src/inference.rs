@@ -51,7 +51,7 @@ struct ServableLayer {
 /// An immutable, forward-only MLP replica.
 ///
 /// Construction is by value copy from a trained model (or a flat parameter
-/// vector fresh off a `binomial_broadcast_into`), after which the model is
+/// vector fresh off a binomial broadcast), after which the model is
 /// `Send + Sync` and every forward is `&self`.
 #[derive(Debug, Clone)]
 pub struct ServableModel {

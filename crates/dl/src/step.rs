@@ -33,9 +33,7 @@ use std::time::Instant;
 use summit_comm::{
     collectives::{ring_allreduce_bucketed, ReduceOp},
     elastic::try_ring_allreduce_view,
-    nonblocking::{
-        ring_allreduce_start_windowed, ring_allreduce_start_windowed_view, RingAllreduceHandle,
-    },
+    nonblocking::{ring_allreduce_start, RingAllreduceHandle},
     world::{Rank, WorldView},
     CommError,
 };
@@ -195,20 +193,16 @@ impl Replica {
                 for b in sched.on_layer_ready(layer).rev() {
                     let (id, at) = (b as u64, b * m);
                     let window = split_tail(pending, at);
-                    handles.push(match checked {
-                        None => {
-                            ring_allreduce_start_windowed(rank, window, ReduceOp::Sum, id, n, at)
-                        }
-                        Some((view, _)) => ring_allreduce_start_windowed_view(
-                            rank,
-                            view,
-                            window,
-                            ReduceOp::Sum,
-                            id,
-                            n,
-                            at,
-                        ),
-                    });
+                    let view = checked.map(|(view, _)| view);
+                    handles.push(ring_allreduce_start(
+                        rank,
+                        view,
+                        window,
+                        ReduceOp::Sum,
+                        id,
+                        n,
+                        at,
+                    ));
                 }
                 if err.is_none() {
                     err = handles.iter_mut().find_map(|h| h.progress_checked().err());

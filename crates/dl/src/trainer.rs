@@ -202,10 +202,10 @@ pub struct FusionConfig {
 
 impl Default for FusionConfig {
     fn default() -> Self {
-        // 256 KB: in the dl_bench `gradient_fusion` sweep this is the
-        // fastest trainer epoch (129.5 ms vs 133.0 ms at 4 KB and 131.0 ms
-        // flat on a ~1 MB-gradient MLP at 4 ranks), and the sync microbench
-        // shows per-message overhead amortized well before this point.
+        // 256 KB: in a bucket-size sweep on a ~1 MB-gradient MLP at 4 ranks
+        // this was the fastest trainer epoch (129.5 ms vs 133.0 ms at 4 KB
+        // and 131.0 ms flat), and per-message overhead is amortized well
+        // before this point.
         FusionConfig {
             bucket_bytes: 256 * 1024,
         }

@@ -37,7 +37,7 @@ pub mod spec;
 pub mod topology;
 
 pub use link::LinkModel;
-pub use simnet::{ClusterModel, FlowNet, SimNetwork, Transfer};
+pub use simnet::{ClusterModel, FlowNet};
 pub use spec::{GpuSpec, MachineSpec, NodeSpec, StorageSpec};
 pub use topology::{FatTree, NvLinkGraph};
 

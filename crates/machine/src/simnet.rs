@@ -1,177 +1,24 @@
-//! A bulk-synchronous network simulator over the fat tree.
+//! The routed machine model the event-driven collective simulator charges
+//! transfers against: rank placement over the fat tree and the NVLink
+//! graph ([`ClusterModel`]) and the continuous-time contention ledger on
+//! top of it ([`FlowNet`]).
 //!
-//! The α–β collective models assume contention-free links. This simulator
-//! checks that assumption (and quantifies its violation) by executing
-//! communication *schedules* — rounds of point-to-point transfers — against
-//! per-resource serialization: each node's injection (send) and ejection
-//! (receive) link carries one byte stream at a time, and each leaf switch's
-//! uplink bundle carries at most `nodes_per_leaf / taper` concurrent
-//! streams' worth of bandwidth. A round completes when its slowest resource
-//! drains; the next round then starts (bulk-synchronous, which matches how
-//! ring/tree collectives synchronize).
+//! The α–β collective models assume contention-free links. [`FlowNet`]
+//! checks that assumption (and quantifies its violation) by serializing
+//! every transfer on each resource of its route: a rank's NVLink lanes, a
+//! node's injection and ejection NIC, and — when crossing the spine — the
+//! leaf switches' uplink/downlink bundles, which carry
+//! `nodes_per_leaf / taper` concurrent streams' worth of bandwidth.
 //!
-//! Validation (tested): a simulated ring allreduce with one rank per node
-//! matches the textbook `2(p−1)(α + m/(pβ))` formula to within rounding;
+//! Validation (tested here and in `tests/extensions.rs` X7): a ring
+//! allreduce with one rank per node matches the textbook
+//! `2(p−1)(α + m/(pβ))` formula to within the per-hop latency;
 //! oversubscribing nodes (two ranks each) doubles the time; tapering the
-//! tree slows only schedules that cross the spine.
-
-use std::collections::HashMap;
+//! tree slows only transfers that cross the spine.
 
 use serde::Serialize;
 
 use crate::topology::{FatTree, NvLinkGraph};
-
-/// One point-to-point transfer within a round.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct Transfer {
-    /// Source node.
-    pub src: u32,
-    /// Destination node.
-    pub dst: u32,
-    /// Payload bytes.
-    pub bytes: f64,
-}
-
-/// Outcome of simulating a schedule.
-#[derive(Debug, Clone, Serialize)]
-pub struct SimOutcome {
-    /// Total simulated seconds.
-    pub seconds: f64,
-    /// Per-round seconds.
-    pub round_seconds: Vec<f64>,
-    /// The bottleneck description of the slowest round.
-    pub bottleneck: &'static str,
-}
-
-/// The simulator.
-#[derive(Debug, Clone, Copy)]
-pub struct SimNetwork {
-    /// Topology under simulation.
-    pub tree: FatTree,
-}
-
-impl SimNetwork {
-    /// Create a simulator over a tree.
-    pub fn new(tree: FatTree) -> Self {
-        SimNetwork { tree }
-    }
-
-    /// Simulate one round of concurrent transfers. Returns (seconds,
-    /// bottleneck label).
-    ///
-    /// # Panics
-    /// Panics on self-transfers or out-of-range nodes.
-    pub fn simulate_round(&self, transfers: &[Transfer]) -> (f64, &'static str) {
-        let beta = self.tree.injection.beta;
-        let mut send_load: HashMap<u32, f64> = HashMap::new();
-        let mut recv_load: HashMap<u32, f64> = HashMap::new();
-        let mut uplink_load: HashMap<u32, f64> = HashMap::new();
-        let mut max_single = 0.0f64;
-        for t in transfers {
-            assert_ne!(t.src, t.dst, "self-transfer");
-            let path = self.tree.path(t.src, t.dst);
-            // Serialization loads: seconds of wire time per resource.
-            let wire = t.bytes / beta;
-            *send_load.entry(t.src).or_insert(0.0) += wire;
-            *recv_load.entry(t.dst).or_insert(0.0) += wire;
-            if self.tree.leaf_of(t.src) != self.tree.leaf_of(t.dst) {
-                // Uplink bundle of the source leaf: capacity is
-                // nodes_per_leaf/taper concurrent streams.
-                *uplink_load.entry(self.tree.leaf_of(t.src)).or_insert(0.0) += wire;
-            }
-            max_single = max_single.max(path.transfer_time(t.bytes));
-        }
-        let max_map = |m: &HashMap<u32, f64>| m.values().copied().fold(0.0f64, f64::max);
-        let send = max_map(&send_load);
-        let recv = max_map(&recv_load);
-        // Uplink bundle bandwidth = per-node bandwidth × nodes_per_leaf /
-        // taper, so `load` seconds of single-stream wire time drain in
-        // load · taper / nodes_per_leaf seconds.
-        let uplink = max_map(&uplink_load) * self.tree.taper
-            / f64::from(self.tree.nodes_per_leaf)
-            / self.tree.adaptive_routing_quality;
-        let (worst, label) = [
-            (send, "injection"),
-            (recv, "ejection"),
-            (uplink, "leaf uplink"),
-            (max_single, "wire latency"),
-        ]
-        .into_iter()
-        .max_by(|a, b| a.0.total_cmp(&b.0))
-        .expect("non-empty candidates");
-        (worst.max(max_single), label)
-    }
-
-    /// Simulate a multi-round schedule (bulk-synchronous rounds).
-    pub fn simulate(&self, rounds: &[Vec<Transfer>]) -> SimOutcome {
-        let mut round_seconds = Vec::with_capacity(rounds.len());
-        let mut bottleneck = "empty";
-        let mut worst_round = 0.0f64;
-        for round in rounds {
-            let (secs, label) = if round.is_empty() {
-                (0.0, "empty")
-            } else {
-                self.simulate_round(round)
-            };
-            if secs > worst_round {
-                worst_round = secs;
-                bottleneck = label;
-            }
-            round_seconds.push(secs);
-        }
-        SimOutcome {
-            seconds: round_seconds.iter().sum(),
-            round_seconds,
-            bottleneck,
-        }
-    }
-
-    /// Build the ring-allreduce schedule for `ranks` ranks placed
-    /// round-robin over `nodes` nodes, message `bytes` per rank:
-    /// `2(ranks−1)` rounds each moving `bytes/ranks` along the ring.
-    ///
-    /// # Panics
-    /// Panics if `ranks < 2` or `nodes` is zero.
-    pub fn ring_allreduce_schedule(ranks: u32, nodes: u32, bytes: f64) -> Vec<Vec<Transfer>> {
-        assert!(ranks >= 2, "ring needs at least two ranks");
-        assert!(nodes >= 1, "need nodes");
-        let chunk = bytes / f64::from(ranks);
-        let node_of = |rank: u32| rank % nodes;
-        let mut rounds = Vec::with_capacity(2 * (ranks as usize - 1));
-        for _ in 0..2 * (ranks - 1) {
-            let mut round = Vec::with_capacity(ranks as usize);
-            for r in 0..ranks {
-                let next = (r + 1) % ranks;
-                if node_of(r) != node_of(next) {
-                    round.push(Transfer {
-                        src: node_of(r),
-                        dst: node_of(next),
-                        bytes: chunk,
-                    });
-                }
-            }
-            rounds.push(round);
-        }
-        rounds
-    }
-
-    /// Build a shifted all-to-all schedule over `nodes` nodes, `bytes` per
-    /// pair: `nodes − 1` rounds; in round s node i sends to `(i+s) % nodes`.
-    pub fn alltoall_schedule(nodes: u32, bytes: f64) -> Vec<Vec<Transfer>> {
-        assert!(nodes >= 2, "alltoall needs at least two nodes");
-        (1..nodes)
-            .map(|s| {
-                (0..nodes)
-                    .map(|i| Transfer {
-                        src: i,
-                        dst: (i + s) % nodes,
-                        bytes,
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-}
 
 /// A full machine for rank-level simulation: the inter-node fat tree plus
 /// the intra-node NVLink graph and the rank → (node, GPU) placement.
@@ -248,9 +95,8 @@ impl ClusterModel {
 /// a transfer starts when every resource on its route is free, occupies each
 /// for its wire time at that resource's bandwidth, and completes after the
 /// route's α/hop latency. Concurrent transfers sharing a link therefore
-/// split its bandwidth exactly as [`SimNetwork::simulate_round`] accounts
-/// per round — two streams on one spine uplink take 2× the solo wall time —
-/// while disjoint routes proceed independently.
+/// split its bandwidth — two streams on one spine uplink take 2× the solo
+/// wall time — while disjoint routes proceed independently.
 #[derive(Debug, Clone)]
 pub struct FlowNet {
     cluster: ClusterModel,
@@ -360,107 +206,7 @@ impl FlowNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::NodeSpec;
     use crate::LinkModel;
-
-    fn net(nodes: u32) -> SimNetwork {
-        SimNetwork::new(FatTree::summit_like(nodes))
-    }
-
-    /// One rank per node: the simulation reproduces the textbook ring time
-    /// (latency per hop differs slightly because the simulator uses real
-    /// path latencies, so compare the bandwidth term).
-    #[test]
-    fn ring_matches_analytic_model() {
-        let nodes = 36u32;
-        let bytes = 36.0 * 1.0e6; // divisible chunks
-        let sim = net(nodes).simulate(&SimNetwork::ring_allreduce_schedule(nodes, nodes, bytes));
-        let link = LinkModel::inter_node(&NodeSpec::summit());
-        let expected_bw_term = 2.0 * f64::from(nodes - 1) / f64::from(nodes) * bytes / link.beta;
-        // Simulated time = bandwidth term + per-round latencies.
-        assert!(sim.seconds >= expected_bw_term);
-        let latency_budget = 2.0 * f64::from(nodes - 1) * (link.alpha + 3.0 * 0.1e-6) * 1.5;
-        assert!(
-            sim.seconds <= expected_bw_term + latency_budget,
-            "sim {} vs bw {}",
-            sim.seconds,
-            expected_bw_term
-        );
-    }
-
-    /// Two ranks per node: the injection link serializes both ring streams,
-    /// doubling the bandwidth term.
-    #[test]
-    fn oversubscription_doubles_time() {
-        let nodes = 18u32;
-        let bytes = 36.0 * 1.0e6;
-        let one = net(nodes).simulate(&SimNetwork::ring_allreduce_schedule(nodes, nodes, bytes));
-        let two = net(nodes).simulate(&SimNetwork::ring_allreduce_schedule(
-            2 * nodes,
-            nodes,
-            bytes,
-        ));
-        let ratio = two.seconds / one.seconds;
-        assert!(
-            ratio > 1.7 && ratio < 2.3,
-            "expected ~2x from sharing the NIC, got {ratio}"
-        );
-    }
-
-    /// Tapering the tree slows spine-crossing schedules but not intra-leaf
-    /// ones.
-    #[test]
-    fn taper_hits_only_cross_leaf_traffic() {
-        let mut tapered = FatTree::summit_like(36);
-        tapered.taper = 4.0;
-        let sim_tapered = SimNetwork::new(tapered);
-        let sim_full = net(36);
-        // Intra-leaf round: nodes 0..18 pairwise within the leaf.
-        let intra: Vec<Transfer> = (0..9)
-            .map(|i| Transfer {
-                src: i,
-                dst: i + 9,
-                bytes: 1.0e7,
-            })
-            .collect();
-        let (t_full, _) = sim_full.simulate_round(&intra);
-        let (t_tapered, _) = sim_tapered.simulate_round(&intra);
-        assert!((t_full - t_tapered).abs() / t_full < 1e-9);
-        // Cross-leaf all-to-all: the tapered uplink becomes the bottleneck.
-        let rounds = SimNetwork::alltoall_schedule(36, 1.0e7);
-        let full = sim_full.simulate(&rounds);
-        let tapered_out = sim_tapered.simulate(&rounds);
-        assert!(
-            tapered_out.seconds > 1.5 * full.seconds,
-            "{} vs {}",
-            tapered_out.seconds,
-            full.seconds
-        );
-    }
-
-    #[test]
-    fn alltoall_bottleneck_is_reported() {
-        let rounds = SimNetwork::alltoall_schedule(36, 1.0e7);
-        let out = net(36).simulate(&rounds);
-        assert_eq!(out.round_seconds.len(), 35);
-        assert!(["injection", "ejection", "leaf uplink"].contains(&out.bottleneck));
-    }
-
-    #[test]
-    fn empty_round_is_free() {
-        let out = net(4).simulate(&[vec![]]);
-        assert_eq!(out.seconds, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "self-transfer")]
-    fn self_transfer_rejected() {
-        let _ = net(4).simulate_round(&[Transfer {
-            src: 1,
-            dst: 1,
-            bytes: 1.0,
-        }]);
-    }
 
     /// Two transfers forced through one leaf's uplink bundle take exactly
     /// 2× the solo wall time — the contention pin. Configured so the
@@ -526,8 +272,8 @@ mod tests {
         assert_eq!(net.intra_leaf_messages, 1);
     }
 
-    /// The same NIC serializes two injections — consistent with
-    /// `simulate_round`'s per-round injection accounting.
+    /// The same NIC serializes two injections: the second waits out the
+    /// first's wire time.
     #[test]
     fn shared_nic_serializes_like_the_round_model() {
         let cluster = ClusterModel::summit_like(4); // 6 ranks per node
@@ -545,18 +291,65 @@ mod tests {
         assert!(b < solo + wire + alpha + 1e-9);
     }
 
-    /// Latency dominates tiny messages: the round time equals the wire
-    /// latency, not the (near-zero) serialization loads.
+    /// Bulk-synchronous ring allreduce of `bytes` over the ranks of `order`
+    /// (in ring order): `2(p − 1)` rounds, each rank sending one `bytes / p`
+    /// chunk to its successor once the previous round has drained.
+    fn ring_seconds(cluster: ClusterModel, order: &[usize], bytes: f64) -> f64 {
+        let p = order.len();
+        let mut net = FlowNet::new(cluster, p);
+        let mut now = 0.0f64;
+        for _ in 0..2 * (p - 1) {
+            now = (0..p)
+                .map(|i| net.transfer(order[i], order[(i + 1) % p], bytes / p as f64, now))
+                .fold(now, f64::max);
+        }
+        now
+    }
+
+    /// Two ranks per node, ring order alternating between them so every hop
+    /// leaves its node: each NIC carries both ring streams, doubling the
+    /// bandwidth term.
     #[test]
-    fn latency_floor_respected() {
-        let n = net(40);
-        let (t, label) = n.simulate_round(&[Transfer {
-            src: 0,
-            dst: 39, // crosses the spine
-            bytes: 1.0,
-        }]);
-        let expected = n.tree.path(0, 39).transfer_time(1.0);
-        assert!((t - expected).abs() < 1e-12);
-        assert_eq!(label, "wire latency");
+    fn oversubscription_doubles_time() {
+        let (nodes, bytes) = (18usize, 36.0e6);
+        let one_per_node = ClusterModel::summit_nodes(nodes as u32);
+        let two_per_node = ClusterModel {
+            gpus_per_node: 2,
+            ..one_per_node
+        };
+        let in_order: Vec<usize> = (0..nodes).collect();
+        let round_robin: Vec<usize> = (0..2 * nodes).map(|i| i % nodes * 2 + i / nodes).collect();
+        let one = ring_seconds(one_per_node, &in_order, bytes);
+        let two = ring_seconds(two_per_node, &round_robin, bytes);
+        let ratio = two / one;
+        assert!(
+            ratio > 1.7 && ratio < 2.3,
+            "expected ~2x from sharing the NIC, got {ratio}"
+        );
+    }
+
+    /// Tapering the tree slows spine-crossing transfers but not intra-leaf
+    /// ones.
+    #[test]
+    fn taper_hits_only_cross_leaf_traffic() {
+        let full = ClusterModel::summit_nodes(36); // two 18-node leaves
+        let mut tapered = full;
+        tapered.tree.taper = 4.0;
+        let bytes = 1.0e7;
+        // All transfers of a wave start together; the wave ends with its last.
+        let wave = |cluster: ClusterModel, pairs: &[(usize, usize)]| {
+            let mut net = FlowNet::new(cluster, 36);
+            let done = pairs.iter().map(|&(s, d)| net.transfer(s, d, bytes, 0.0));
+            (done.fold(0.0, f64::max), net.spine_messages)
+        };
+        let intra: Vec<_> = (0..9).map(|i| (i, i + 9)).collect();
+        assert_eq!(wave(full, &intra), wave(tapered, &intra));
+        assert_eq!(wave(full, &intra).1, 0);
+        // Every node of leaf 0 sends across the spine at once: the tapered
+        // uplink bundle becomes the bottleneck.
+        let cross: Vec<_> = (0..18).map(|i| (i, i + 18)).collect();
+        let ((t_full, crossed), (t_tapered, _)) = (wave(full, &cross), wave(tapered, &cross));
+        assert_eq!(crossed, 18);
+        assert!(t_tapered > 1.5 * t_full, "{t_tapered} vs {t_full}");
     }
 }

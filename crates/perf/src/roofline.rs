@@ -68,7 +68,7 @@ impl Kernel {
     }
 
     /// Mixed-precision matmul with bf16 storage of one operand and f32
-    /// accumulation — the reproduction's `matmul_mixed`: `2n³` FLOPs over
+    /// accumulation — the reproduction's `Precision::Mixed` matmul: `2n³` FLOPs over
     /// `(4 + 2 + 4)·n²` bytes → intensity `n/5`.
     pub fn matmul_mixed_bf16(n: u32) -> Kernel {
         Kernel {

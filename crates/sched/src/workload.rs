@@ -15,16 +15,16 @@
 //!   L2 decay is the interesting scalar).
 //! - [`WorkloadKind::Md`] — per-rank Lennard-Jones lattices integrated
 //!   with velocity Verlet, final energies combined with a real
-//!   `ring_allreduce`; the objective is the mean total energy.
+//!   ring allreduce; the objective is the mean total energy.
 //!
 //! Everything is seeded and thread-count independent, so a workload's
 //! objective is bit-identical whether its world runs alone or among
 //! hundreds of concurrent worlds — the multi-world stress tests pin this.
 
 use serde::Serialize;
-use summit_comm::collectives::ring_allreduce;
+use summit_comm::collectives::run;
 use summit_comm::world::World;
-use summit_comm::ReduceOp;
+use summit_comm::{Collective, ReduceOp};
 use summit_dl::data::blobs;
 use summit_dl::{Adam, DataParallelTrainer, LrSchedule, MlpSpec, Optimizer};
 use summit_md::{LennardJones, System};
@@ -182,7 +182,7 @@ impl Workload {
             system.run(&lj, 20, 0.002);
             let mut e = [system.total_energy(&lj) as f32];
             if rank.size() > 1 {
-                ring_allreduce(rank, &mut e, ReduceOp::Sum);
+                run(rank, Collective::RING, &mut e, ReduceOp::Sum);
             }
             f64::from(e[0]) / rank.size() as f64
         });

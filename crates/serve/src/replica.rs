@@ -1,7 +1,7 @@
 //! Model replicas sharded across `World` ranks.
 //!
 //! One trained parameter vector lives on rank 0. [`serve_sharded`]
-//! broadcasts it down the binomial tree (`binomial_broadcast_into` — the
+//! broadcasts it down the binomial tree (`Collective::BinomialBroadcast` — the
 //! same collective the trainer uses for initial weights), materializes a
 //! [`ServableModel`] replica on every rank, serves a request list
 //! partitioned contiguously across ranks ([`summit_pool::chunk_range`]),
@@ -14,9 +14,10 @@
 //! request list — pinned by this module's tests for 1–4 ranks and both
 //! precisions.
 
-use summit_comm::collectives::binomial_broadcast_into;
-use summit_comm::extended::gather;
+use summit_comm::collectives::run;
+use summit_comm::extended::run_slots;
 use summit_comm::world::World;
+use summit_comm::{Collective, ReduceOp};
 use summit_dl::inference::ServableModel;
 use summit_dl::model::MlpSpec;
 use summit_tensor::{Matrix, Precision};
@@ -60,7 +61,8 @@ pub fn serve_sharded(
         } else {
             vec![0.0f32; flat.len()]
         };
-        binomial_broadcast_into(rank, &mut params, 0);
+        let bcast = Collective::BinomialBroadcast { root: 0 };
+        run(rank, bcast, &mut params, ReduceOp::Sum);
         let model = ServableModel::from_spec_params(spec, &params).with_precision(precision);
         let pool = feature_pool(spec.inputs, cfg.pool, cfg.seed);
         let mine = summit_pool::chunk_range(ids.len(), rank.size(), rank.id());
@@ -69,7 +71,9 @@ pub fn serve_sharded(
             let x = batch_matrix(&pool, chunk);
             out.extend_from_slice(model.forward_batch(&x).as_slice());
         }
-        let gathered = gather(rank, out, 0);
+        let mut slots = vec![Vec::new(); rank.size()];
+        slots[rank.id()] = out;
+        let gathered = run_slots(rank, Collective::Gather { root: 0 }, slots);
         if rank.id() == 0 {
             let mut rows = Vec::with_capacity(ids.len() * spec.outputs);
             for part in gathered {

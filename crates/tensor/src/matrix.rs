@@ -23,9 +23,9 @@
 //!   `matmul_a_bt`), or the branch-free scalar loops as the guaranteed
 //!   fallback (4×-unrolled for the transposed variants, a 2-row × 16-column
 //!   local tile over the same micro-panels for `matmul`).
-//! * **Mixed precision** — every variant has a bf16-storage twin
-//!   ([`Matrix::matmul_mixed_into`] and friends, or the [`Precision`] knob
-//!   on the `*_into_prec` entry points): the packed operand is stored as
+//! * **Mixed precision** — every variant has a bf16-storage twin (the
+//!   [`Precision`] knob on the `*_into_prec` entry points, e.g.
+//!   [`Matrix::matmul_into_prec`]): the packed operand is stored as
 //!   bf16 (`u16`, round-to-nearest-even at pack time), converted back to
 //!   f32 on load (exact), and **accumulated in f32** — the paper's
 //!   mixed-precision storage lever with full-precision arithmetic.
@@ -430,25 +430,16 @@ impl Matrix {
         self.matmul_into_parts(other, out, auto_parts(self.rows));
     }
 
-    /// [`Matrix::matmul`] with bf16 storage of the packed `B` operand and
-    /// f32 accumulation.
-    pub fn matmul_mixed(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        self.matmul_mixed_into(other, &mut out);
-        out
-    }
-
-    /// [`Matrix::matmul_mixed`] into a caller-owned output (overwritten) —
-    /// allocation-free in steady state like the f32 path.
-    pub fn matmul_mixed_into(&self, other: &Matrix, out: &mut Matrix) {
-        self.matmul_impl::<u16>(other, out, auto_parts(self.rows), Backend::Auto);
-    }
-
-    /// [`Matrix::matmul_into`] with an explicit [`Precision`] knob.
+    /// [`Matrix::matmul_into`] with an explicit [`Precision`] knob:
+    /// [`Precision::Mixed`] stores the packed `B` operand as bf16 and
+    /// accumulates in f32, allocation-free in steady state like the f32
+    /// path.
     pub fn matmul_into_prec(&self, other: &Matrix, out: &mut Matrix, prec: Precision) {
         match prec {
             Precision::F32 => self.matmul_into(other, out),
-            Precision::Mixed => self.matmul_mixed_into(other, out),
+            Precision::Mixed => {
+                self.matmul_impl::<u16>(other, out, auto_parts(self.rows), Backend::Auto);
+            }
         }
     }
 
@@ -573,20 +564,9 @@ impl Matrix {
         self.matmul_at_b_into_parts(other, out, auto_parts(self.cols));
     }
 
-    /// [`Matrix::matmul_at_b`] with bf16 storage of the packed `Aᵀ` operand
-    /// and f32 accumulation.
-    pub fn matmul_at_b_mixed(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        self.matmul_at_b_mixed_into(other, &mut out);
-        out
-    }
-
-    /// [`Matrix::matmul_at_b_mixed`] into a caller-owned output.
-    pub fn matmul_at_b_mixed_into(&self, other: &Matrix, out: &mut Matrix) {
-        self.matmul_at_b_into_prec(other, out, Precision::Mixed);
-    }
-
-    /// [`Matrix::matmul_at_b_into`] with an explicit [`Precision`] knob.
+    /// [`Matrix::matmul_at_b_into`] with an explicit [`Precision`] knob:
+    /// [`Precision::Mixed`] stores the packed `Aᵀ` operand as bf16 and
+    /// accumulates in f32.
     pub fn matmul_at_b_into_prec(&self, other: &Matrix, out: &mut Matrix, prec: Precision) {
         let parts = auto_parts(self.cols);
         self.matmul_at_b_backend(other, out, parts, prec, Backend::Auto, false);
@@ -749,24 +729,15 @@ impl Matrix {
         self.matmul_a_bt_into_parts(other, out, auto_parts(self.rows));
     }
 
-    /// [`Matrix::matmul_a_bt`] with bf16 storage of the `other` operand
-    /// (converted once into the packing scratch) and f32 accumulation.
-    pub fn matmul_a_bt_mixed(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        self.matmul_a_bt_mixed_into(other, &mut out);
-        out
-    }
-
-    /// [`Matrix::matmul_a_bt_mixed`] into a caller-owned output.
-    pub fn matmul_a_bt_mixed_into(&self, other: &Matrix, out: &mut Matrix) {
-        self.matmul_a_bt_mixed_impl(other, out, auto_parts(self.rows), Backend::Auto);
-    }
-
-    /// [`Matrix::matmul_a_bt_into`] with an explicit [`Precision`] knob.
+    /// [`Matrix::matmul_a_bt_into`] with an explicit [`Precision`] knob:
+    /// [`Precision::Mixed`] stores the `other` operand as bf16 (converted
+    /// once into the packing scratch) and accumulates in f32.
     pub fn matmul_a_bt_into_prec(&self, other: &Matrix, out: &mut Matrix, prec: Precision) {
         match prec {
             Precision::F32 => self.matmul_a_bt_into(other, out),
-            Precision::Mixed => self.matmul_a_bt_mixed_into(other, out),
+            Precision::Mixed => {
+                self.matmul_a_bt_mixed_impl(other, out, auto_parts(self.rows), Backend::Auto);
+            }
         }
     }
 
@@ -1749,11 +1720,11 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let id = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
         let mut out = Matrix::from_rows(&[&[9.0, 9.0], &[9.0, 9.0]]);
-        a.matmul_mixed_into(&id, &mut out);
+        a.matmul_into_prec(&id, &mut out, Precision::Mixed);
         assert_eq!(out, a, "identity is exact in bf16");
-        a.matmul_at_b_mixed_into(&id, &mut out);
+        a.matmul_at_b_into_prec(&id, &mut out, Precision::Mixed);
         assert_eq!(out, a.transpose(), "Aᵀ·I with bf16 Aᵀ of exact values");
-        a.matmul_a_bt_mixed_into(&id, &mut out);
+        a.matmul_a_bt_into_prec(&id, &mut out, Precision::Mixed);
         assert_eq!(out, a);
 
         // Random-ish values: relative tolerance 2^-7 (one bf16 ulp of the
@@ -1772,7 +1743,8 @@ mod tests {
             (0..k * n).map(|i| (i % 17) as f32 * 0.13 - 1.0).collect(),
         );
         let full = x.matmul(&w);
-        let mixed = x.matmul_mixed(&w);
+        let mut mixed = Matrix::zeros(m, n);
+        x.matmul_into_prec(&w, &mut mixed, Precision::Mixed);
         for (f, g) in full.as_slice().iter().zip(mixed.as_slice()) {
             assert!(
                 (f - g).abs() <= f.abs() * (1.0 / 128.0) + 0.05,

@@ -243,7 +243,8 @@ fn mixed_storage_error_is_exactly_bf16_rounding() {
     for i in 0..k {
         ident.set(i, i, 1.0);
     }
-    let got = ident.matmul_mixed(&b);
+    let mut got = Matrix::zeros(k, 1);
+    ident.matmul_into_prec(&b, &mut got, Precision::Mixed);
     for (g, &v) in got.as_slice().iter().zip(&vals) {
         let want = summit_tensor::simd::bf16_to_f32(summit_tensor::simd::f32_to_bf16(v));
         assert_eq!(

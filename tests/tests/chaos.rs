@@ -21,11 +21,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use summit_comm::{
-    collectives::{try_ring_allreduce_bucketed, ReduceOp},
+    collectives::{run, try_run, ReduceOp},
     elastic::{try_ring_allreduce_view, view_barrier},
-    nonblocking::{ring_allreduce_start_windowed, RingAllreduceHandle},
+    nonblocking::{ring_allreduce_start, RingAllreduceHandle},
     world::{World, WorldView},
-    FaultPlan, FaultRates, TagClass,
+    Collective, FaultPlan, FaultRates, TagClass,
 };
 use summit_dl::{
     data::blobs,
@@ -99,12 +99,10 @@ fn chaos_collectives_complete_or_fail_loudly() {
         // analytic sum.
         let fault_free = World::run(p, |rank| {
             let mut buf = reference[rank.id()].clone();
-            summit_comm::collectives::ring_allreduce_bucketed(
-                rank,
-                &mut buf,
-                ReduceOp::Sum,
-                bucket,
-            );
+            let ring = Collective::RingAllreduce {
+                bucket_elems: bucket,
+            };
+            run(rank, ring, &mut buf, ReduceOp::Sum);
             buf
         });
         let plan_run = Arc::clone(&plan);
@@ -113,11 +111,14 @@ fn chaos_collectives_complete_or_fail_loudly() {
             for step in 0..steps {
                 rank.set_fault_step(step);
                 let mut buf = reference[rank.id()].clone();
-                let res = try_ring_allreduce_bucketed(
+                let ring = Collective::RingAllreduce {
+                    bucket_elems: bucket,
+                };
+                let res = try_run(
                     rank,
+                    ring,
                     &mut buf,
                     ReduceOp::Sum,
-                    bucket,
                     Duration::from_millis(250),
                 );
                 results.push((res, buf));
@@ -163,7 +164,7 @@ fn abandoned_ring_handles_drain_without_leaks() {
                 .chunks_mut(bucket)
                 .enumerate()
                 .map(|(b, w)| {
-                    ring_allreduce_start_windowed(rank, w, ReduceOp::Sum, b as u64, n, b * bucket)
+                    ring_allreduce_start(rank, None, w, ReduceOp::Sum, b as u64, n, b * bucket)
                 })
                 .collect();
             // Make partial progress so some payloads are genuinely in
@@ -201,9 +202,10 @@ fn chaos_hierarchical_allreduce_drop_and_corrupt_matrix() {
     let reference: Vec<Vec<f32>> = (0..p)
         .map(|r| (0..n).map(|i| ((r * n + i) as f32).cos()).collect())
         .collect();
+    let hierarchical = Collective::HierarchicalAllreduce { group_size: group };
     let fault_free = World::run(p, |rank| {
         let mut buf = reference[rank.id()].clone();
-        summit_comm::extended::hierarchical_allreduce(rank, &mut buf, ReduceOp::Sum, group);
+        run(rank, hierarchical, &mut buf, ReduceOp::Sum);
         buf
     });
     // (phase tag, src, dst) covering every message class of the p=4, g=2
@@ -231,11 +233,11 @@ fn chaos_hierarchical_allreduce_drop_and_corrupt_matrix() {
             let (out, _) = World::run_with_faults(p, Arc::clone(&plan), move |rank| {
                 rank.set_fault_step(0);
                 let mut buf = reference[rank.id()].clone();
-                let res = summit_comm::extended::try_hierarchical_allreduce(
+                let res = try_run(
                     rank,
+                    hierarchical,
                     &mut buf,
                     ReduceOp::Sum,
-                    group,
                     Duration::from_millis(250),
                 );
                 // Quiesce so a rank that erred out does not tear down its
@@ -771,7 +773,7 @@ fn abandoned_handle_alive_across_shrink_quiesce() {
     let n = 32;
     let out = World::run(p, |rank| {
         let mut buf = vec![rank.id() as f32 + 1.0; n];
-        let mut handle = ring_allreduce_start_windowed(rank, &mut buf, ReduceOp::Sum, 7, n, 0);
+        let mut handle = ring_allreduce_start(rank, None, &mut buf, ReduceOp::Sum, 7, n, 0);
         // Land real traffic in peers' queues, then abandon the collective
         // mid-flight — the handle stays alive across the whole quiesce.
         handle.progress();

@@ -5,8 +5,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use summit_comm::collectives::{ring_allreduce, ring_allreduce_bucketed, ReduceOp};
+use summit_comm::collectives::{ring_allreduce_bucketed, run, ReduceOp};
 use summit_comm::world::World;
+use summit_comm::Collective;
 
 struct CountingAllocator;
 
@@ -57,13 +58,13 @@ fn steady_state_ring_allreduce_does_not_allocate() {
     let stats = World::run(p, |rank| {
         let mut buf = vec![rank.id() as f32; n];
         for _ in 0..warmup {
-            ring_allreduce(rank, &mut buf, ReduceOp::Sum);
+            run(rank, Collective::RING, &mut buf, ReduceOp::Sum);
         }
         rank.barrier();
         let before = ALLOCATIONS.load(Ordering::SeqCst);
         let pool_before = rank.pool_stats();
         for _ in 0..rounds {
-            ring_allreduce(rank, &mut buf, ReduceOp::Sum);
+            run(rank, Collective::RING, &mut buf, ReduceOp::Sum);
         }
         rank.barrier();
         let after = ALLOCATIONS.load(Ordering::SeqCst);

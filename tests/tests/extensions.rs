@@ -1,11 +1,13 @@
-//! Integration tests for the extension features: network-simulator
+//! Integration tests for the extension features: routed-fabric
 //! cross-validation, compressed data-parallel training, and
 //! checkpoint/restore mid-training.
 
 use summit_comm::{
-    collectives::{ring_allreduce, ReduceOp},
+    collectives::{run, ReduceOp},
     model::{Algorithm, CollectiveModel},
+    sim::simulate_on,
     world::World,
+    Collective,
 };
 use summit_dl::{
     checkpoint,
@@ -16,20 +18,22 @@ use summit_dl::{
     schedule::LrSchedule,
     trainer::Trainer,
 };
-use summit_machine::{simnet::SimNetwork, spec::NodeSpec, topology::FatTree, LinkModel};
+use summit_machine::{spec::NodeSpec, ClusterModel, LinkModel};
 use summit_tensor::ops;
 
-/// The packet-level simulator and the α–β model agree on the ring
-/// allreduce within the per-hop-latency budget, across sizes and scales.
+/// The routed fabric (one rank per node over the fat tree's NIC and
+/// uplink reservations) and the α–β model agree on the ring allreduce
+/// within the per-hop-latency budget, across sizes and scales.
 #[test]
 fn simnet_cross_validates_analytic_ring() {
     let model = CollectiveModel::new(LinkModel::inter_node(&NodeSpec::summit()));
     for nodes in [8u32, 36, 144] {
         for bytes in [1.0e6, 144.0e6] {
-            let net = SimNetwork::new(FatTree::summit_like(nodes));
-            let sim = net
-                .simulate(&SimNetwork::ring_allreduce_schedule(nodes, nodes, bytes))
-                .seconds;
+            let (p, elems) = (nodes as usize, (bytes / 4.0) as usize);
+            let cluster = ClusterModel::summit_nodes(nodes);
+            let sim = simulate_on(Collective::RING, p, elems, cluster)
+                .report
+                .time_seconds;
             let analytic = model.allreduce_time(Algorithm::Ring, u64::from(nodes), bytes);
             // The simulator adds switch-hop latency the model folds into α;
             // both must agree within 50% and the bandwidth-dominated cases
@@ -75,7 +79,7 @@ fn compressed_data_parallel_training_converges() {
                 model.backward(&d);
                 let mut flat = model.flat_grads();
                 comp.compress(&mut flat);
-                ring_allreduce(rank, &mut flat, ReduceOp::Sum);
+                run(rank, Collective::RING, &mut flat, ReduceOp::Sum);
                 let inv = 1.0 / ranks as f32;
                 flat.iter_mut().for_each(|g| *g *= inv);
                 model.set_flat_grads(&flat);
@@ -149,7 +153,6 @@ fn checkpoint_resume_reproduces_trajectory() {
 /// produces the same averages as the flat ring inside a training step.
 #[test]
 fn hierarchical_allreduce_in_training_step() {
-    use summit_comm::extended::hierarchical_allreduce;
     let task = blobs(96, 4, 2, 0.3, 77);
     let spec = MlpSpec::new(4, &[6], 2);
     let grads_with = |hierarchical: bool| -> Vec<Vec<f32>> {
@@ -162,11 +165,12 @@ fn hierarchical_allreduce_in_training_step() {
             model.zero_grads();
             model.backward(&d);
             let mut flat = model.flat_grads();
-            if hierarchical {
-                hierarchical_allreduce(rank, &mut flat, ReduceOp::Sum, 3);
+            let c = if hierarchical {
+                Collective::HierarchicalAllreduce { group_size: 3 }
             } else {
-                ring_allreduce(rank, &mut flat, ReduceOp::Sum);
-            }
+                Collective::RING
+            };
+            run(rank, c, &mut flat, ReduceOp::Sum);
             flat
         })
     };

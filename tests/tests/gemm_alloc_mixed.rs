@@ -1,12 +1,13 @@
 //! Proof that the **mixed-precision** pooled matmul hot path is
 //! allocation-free in steady state, mirroring `gemm_alloc.rs` for the bf16
 //! storage variants: once the bf16 packing scratch is warm, pooled
-//! `*_mixed_into` products through all three variants must not allocate.
+//! `*_into_prec(.., Precision::Mixed)` products through all three variants
+//! must not allocate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use summit_tensor::Matrix;
+use summit_tensor::{Matrix, Precision};
 
 struct CountingAllocator;
 
@@ -68,17 +69,17 @@ fn steady_state_mixed_matmul_does_not_allocate() {
     summit_pool::with_core_budget(4, || {
         for _ in 0..warmup {
             a.matmul_into(&b, &mut out_mm);
-            a.matmul_mixed_into(&b, &mut out_mm);
-            a.matmul_at_b_mixed_into(&g, &mut out_atb);
-            a.matmul_a_bt_mixed_into(&bt, &mut out_abt);
+            a.matmul_into_prec(&b, &mut out_mm, Precision::Mixed);
+            a.matmul_at_b_into_prec(&g, &mut out_atb, Precision::Mixed);
+            a.matmul_a_bt_into_prec(&bt, &mut out_abt, Precision::Mixed);
         }
 
         let stats_before = summit_pool::global().stats();
         let before = ALLOCATIONS.load(Ordering::SeqCst);
         for _ in 0..rounds {
-            a.matmul_mixed_into(&b, &mut out_mm);
-            a.matmul_at_b_mixed_into(&g, &mut out_atb);
-            a.matmul_a_bt_mixed_into(&bt, &mut out_abt);
+            a.matmul_into_prec(&b, &mut out_mm, Precision::Mixed);
+            a.matmul_at_b_into_prec(&g, &mut out_atb, Precision::Mixed);
+            a.matmul_a_bt_into_prec(&bt, &mut out_abt, Precision::Mixed);
         }
         let after = ALLOCATIONS.load(Ordering::SeqCst);
         let stats_after = summit_pool::global().stats();
@@ -102,7 +103,6 @@ fn steady_state_mixed_matmul_does_not_allocate() {
     // serial mixed bitwise (the pool-invariance contract at bf16 storage).
     let mut serial = Matrix::zeros(m, n);
     use summit_tensor::matrix::Backend;
-    use summit_tensor::Precision;
     a.matmul_into_parts_backend(&b, &mut serial, 1, Precision::Mixed, Backend::Auto);
     assert_eq!(out_mm, serial);
 }

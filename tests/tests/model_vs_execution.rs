@@ -9,12 +9,8 @@
 //! every algorithm, even and uneven chunk splits, p ∈ {2, 3, 4, 8}.
 
 use summit_comm::{
-    collectives::{
-        binomial_broadcast_into, binomial_reduce, rabenseifner_allreduce,
-        recursive_doubling_allreduce, reduce_scatter, ring_allgather, ring_allreduce,
-        ring_allreduce_bucketed, tree_allreduce, ReduceOp,
-    },
-    extended,
+    collectives::{run, ReduceOp},
+    extended::run_slots,
     sim::simulate,
     world::World,
     Collective, RankTraffic,
@@ -29,7 +25,7 @@ fn ring_traffic_matches_model_bandwidth_term() {
         for n in [16usize, 100, 1024] {
             let (_, stats) = World::run_with_stats(p, |rank| {
                 let mut buf = vec![1.0f32; n];
-                ring_allreduce(rank, &mut buf, ReduceOp::Sum);
+                run(rank, Collective::RING, &mut buf, ReduceOp::Sum);
             });
             // Total across ranks: p · 2(p−1)/p · n elements × 4 bytes,
             // except chunk rounding: with exact chunking the total is
@@ -50,51 +46,27 @@ fn recursive_doubling_traffic_matches_model() {
         let n = 64usize;
         let (_, stats) = World::run_with_stats(p, |rank| {
             let mut buf = vec![1.0f32; n];
-            recursive_doubling_allreduce(rank, &mut buf, ReduceOp::Sum);
+            run(rank, Collective::RecursiveDoubling, &mut buf, ReduceOp::Sum);
         });
         assert_eq!(stats.bytes_sent, (p * logp as usize * n * 4) as u64);
         assert_eq!(stats.messages_sent, (p * logp as usize) as u64);
     }
 }
 
-/// Run the executed twin of `c` on a live world and return every rank's
-/// transport counters.
+/// Run `c` on a live world — through the same generic entries every
+/// caller uses, so the schedule is the one `simulate` builds — and return
+/// every rank's transport counters.
 fn executed_traffic(c: Collective, p: usize, elems: usize) -> Vec<RankTraffic> {
     World::run(p, move |rank| {
         let me = rank.id();
-        let mut buf: Vec<f32> = (0..elems).map(|i| (me * elems + i) as f32).collect();
-        match c {
-            Collective::RingAllreduce { bucket_elems } => {
-                ring_allreduce_bucketed(rank, &mut buf, ReduceOp::Sum, bucket_elems);
-            }
-            Collective::ReduceScatter => {
-                reduce_scatter(rank, &mut buf, ReduceOp::Sum);
-            }
-            Collective::RingAllgather => ring_allgather(rank, &mut buf),
-            Collective::RecursiveDoubling => {
-                recursive_doubling_allreduce(rank, &mut buf, ReduceOp::Sum);
-            }
-            Collective::Rabenseifner => rabenseifner_allreduce(rank, &mut buf, ReduceOp::Sum),
-            Collective::BinomialBroadcast { root } => binomial_broadcast_into(rank, &mut buf, root),
-            Collective::BinomialReduce { root } => {
-                binomial_reduce(rank, &mut buf, ReduceOp::Sum, root);
-            }
-            Collective::TreeAllreduce => tree_allreduce(rank, &mut buf, ReduceOp::Sum),
-            Collective::HierarchicalAllreduce { group_size } => {
-                extended::hierarchical_allreduce(rank, &mut buf, ReduceOp::Sum, group_size);
-            }
-            Collective::Alltoall => {
-                let send: Vec<Vec<f32>> =
-                    (0..p).map(|d| vec![(me * p + d) as f32; elems]).collect();
-                let _ = extended::alltoall(rank, send);
-            }
-            Collective::Scatter { root } => {
-                let chunks = (me == root).then(|| (0..p).map(|d| vec![d as f32; elems]).collect());
-                let _ = extended::scatter(rank, chunks, root);
-            }
-            Collective::Gather { root } => {
-                let _ = extended::gather(rank, vec![me as f32; elems], root);
-            }
+        if c.personalized() {
+            // Every slot populated: the ones a pattern does not send are
+            // simply handed back.
+            let slots = (0..p).map(|d| vec![(me * p + d) as f32; elems]).collect();
+            let _ = run_slots(rank, c, slots);
+        } else {
+            let mut buf: Vec<f32> = (0..elems).map(|i| (me * elems + i) as f32).collect();
+            run(rank, c, &mut buf, ReduceOp::Sum);
         }
         rank.traffic()
     })
@@ -102,18 +74,18 @@ fn executed_traffic(c: Collective, p: usize, elems: usize) -> Vec<RankTraffic> {
 
 /// Every collective the engine models, executed and simulated over the
 /// same schedule: per-rank message counts and byte volumes must agree
-/// **exactly** — not in aggregate, rank by rank.
+/// **exactly** — not in aggregate, rank by rank. Both sides build their
+/// schedule in `engine::schedule`, so this holds by construction; the
+/// table witnesses it (block lengths on both sides of the Bruck cutoff).
 #[test]
 fn model_transport_counts_match_execution_exactly() {
     let link = LinkModel::new(1.5e-6, 10.0e9);
     for p in [2usize, 3, 4, 8] {
         // 24 divides evenly by every p here; 13 exercises uneven chunks
-        // and empty tail segments.
-        for elems in [24usize, 13] {
+        // and empty tail segments; 72 puts alltoall on the pairwise path.
+        for elems in [24usize, 13, 72] {
             let mut cases = vec![
-                Collective::RingAllreduce {
-                    bucket_elems: usize::MAX,
-                },
+                Collective::RING,
                 Collective::RingAllreduce { bucket_elems: 5 },
                 Collective::ReduceScatter,
                 Collective::RingAllgather,
@@ -165,7 +137,7 @@ fn ring_per_rank_traffic_saturates() {
     for p in [2usize, 4, 8] {
         let (_, stats) = World::run_with_stats(p, |rank| {
             let mut buf = vec![0.5f32; n];
-            ring_allreduce(rank, &mut buf, ReduceOp::Sum);
+            run(rank, Collective::RING, &mut buf, ReduceOp::Sum);
         });
         per_rank.push(stats.bytes_sent as f64 / p as f64);
     }

@@ -15,9 +15,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 
-use summit_comm::collectives::ring_allreduce;
+use summit_comm::collectives::run;
 use summit_comm::world::World;
-use summit_comm::ReduceOp;
+use summit_comm::{Collective, ReduceOp};
 use summit_sched::workload::{Workload, WorkloadKind};
 
 /// The reference kernel: a ring allreduce over per-world data. Returns
@@ -28,7 +28,7 @@ fn allreduce_kernel(world: &mut World, world_idx: usize) -> (Vec<f32>, u64, u64)
         let mut buf: Vec<f32> = (0..64)
             .map(|i| ((world_idx * 1000 + rank.id() * 10 + i) as f32).sin())
             .collect();
-        ring_allreduce(rank, &mut buf, ReduceOp::Sum);
+        run(rank, Collective::RING, &mut buf, ReduceOp::Sum);
         buf
     });
     // Every rank must hold identical bits after the allreduce.
