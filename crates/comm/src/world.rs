@@ -1,9 +1,11 @@
 //! Threads-as-ranks execution environment.
 //!
 //! A [`World`] is a *value*: [`World::new`] builds a reusable fabric of `p`
-//! lazily-created point-to-point links, [`World::execute`] spawns `p`
-//! scoped threads, each holding a [`Rank`] handle onto that fabric plus a
-//! shared barrier, and the same world can execute again afterwards. The
+//! lazily-created point-to-point links, [`World::execute`] runs `p` ranks —
+//! rank 0 on the calling thread, the others on parked rank runners leased
+//! from [`summit_pool::run_parked`], no thread spawned once warm — each
+//! holding a [`Rank`] handle onto that fabric plus a shared barrier, and
+//! the same world can execute again afterwards. The
 //! statics [`World::run`] / [`World::run_with_stats`] /
 //! [`World::run_with_faults`] remain as one-shot shims (`new` + `execute`).
 //! Channels are unbounded, so the classic "everyone sends right then
@@ -948,7 +950,7 @@ pub struct TrafficStats {
 }
 
 /// A world of `p` ranks: a reusable lazy channel fabric plus a barrier,
-/// executed on demand as `p` scoped threads.
+/// executed on demand on the caller and `p − 1` leased rank runners.
 ///
 /// Construction is cheap (no channels are created until ranks talk), so a
 /// scheduler can hold hundreds of live worlds in one process; each
@@ -1010,7 +1012,10 @@ impl World {
     }
 
     /// Run `f` on this world's `p` ranks and collect each rank's return
-    /// value, ordered by rank id. The world is reusable afterwards.
+    /// value, ordered by rank id. Rank 0 runs on the calling thread, ranks
+    /// `1..p` on parked rank runners; every rank runs under the lease's
+    /// core budget, and the caller's own budget is restored on return. The
+    /// world is reusable afterwards.
     ///
     /// # Panics
     /// Panics if any rank's closure panics; the message names this world
@@ -1095,8 +1100,8 @@ impl World {
     {
         let p = self.size;
         // Between executions the fabric has exactly one owner (every Rank
-        // dropped when its thread exited); reclaim it mutably to reset all
-        // links to unborn without locking.
+        // dropped before its execution finished); reclaim it mutably to
+        // reset all links to unborn without locking.
         Arc::get_mut(&mut self.fabric)
             .expect("a Rank handle outlived its execution")
             .reset();
@@ -1104,16 +1109,31 @@ impl World {
         let messages_sent = Arc::new(AtomicU64::new(0));
         let messages_parked = Arc::new(AtomicU64::new(0));
         let faults_injected = Arc::new(AtomicU64::new(0));
-        let ranks: Vec<Rank> = (0..p)
-            .map(|id| Rank {
+
+        // Lease this execution's compute budget from the process-wide
+        // arbiter: each rank's tensor kernels dispatch onto the shared
+        // `summit_pool` worker pool under a disjoint per-rank budget. With
+        // one live world this is the classic even `machine / p` share; with
+        // many, the worlds split the machine instead of each claiming all
+        // of it. The lease is RAII, so no exit from this frame leaks it.
+        let lease = summit_pool::arbiter().lease(p);
+        let budget = lease.per_rank_budget();
+        let world_id = self.id;
+        let (fabric, barrier) = (&self.fabric, &self.barrier);
+        // Rank 0 runs on this thread, the rest on leased rank runners. Each
+        // `Rank` is built and dropped on its own thread inside its index, so
+        // a panicking rank's exit sweep has disconnected its peers before
+        // its index counts as finished.
+        let joined = summit_pool::run_parked(p, |id| {
+            let rank = Rank {
                 id,
                 size: p,
-                world_id: self.id,
-                fabric: Arc::clone(&self.fabric),
+                world_id,
+                fabric: Arc::clone(fabric),
                 senders: (0..p).map(|_| OnceCell::new()).collect(),
                 receivers: (0..p).map(|_| OnceCell::new()).collect(),
                 pending: (0..p).map(|_| RefCell::new(VecDeque::new())).collect(),
-                barrier: Arc::clone(&self.barrier),
+                barrier: Arc::clone(barrier),
                 bytes_sent: Arc::clone(&bytes_sent),
                 messages_sent: Arc::clone(&messages_sent),
                 messages_parked: Arc::clone(&messages_parked),
@@ -1123,31 +1143,8 @@ impl World {
                 pool: BufferPool::default(),
                 sent_messages: Cell::new(0),
                 sent_bytes: Cell::new(0),
-            })
-            .collect();
-
-        // Lease this execution's compute budget from the process-wide
-        // arbiter: each rank's tensor kernels dispatch onto the shared
-        // `summit_pool` worker pool under a disjoint per-rank budget. With
-        // one live world this is the classic even `machine / p` share; with
-        // many, the worlds split the machine instead of each claiming all
-        // of it. The lease is RAII on this stack frame, so a rank panic
-        // (which unwinds through the scope below) still releases it.
-        let lease = summit_pool::arbiter().lease(p);
-        let budget = lease.per_rank_budget();
-        let world_id = self.id;
-        let joined: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
-            let f = &f;
-            let handles: Vec<_> = ranks
-                .into_iter()
-                .map(|rank| {
-                    scope.spawn(move || {
-                        summit_pool::set_core_budget(budget);
-                        f(&rank)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join()).collect()
+            };
+            summit_pool::with_core_budget(budget, || f(&rank))
         });
         drop(lease);
         let mut results = Vec::with_capacity(p);
@@ -1388,27 +1385,23 @@ mod tests {
 
     #[test]
     fn concurrent_worlds_isolate_traffic_stats() {
-        let handles: Vec<_> = (0..4)
-            .map(|w| {
-                std::thread::spawn(move || {
-                    let msgs = 1 + w as u64; // distinct per world
-                    World::run_with_stats(2, move |r| {
-                        if r.id() == 0 {
-                            for k in 0..msgs {
-                                r.send(1, k, vec![0.0; 8]);
-                            }
-                        } else {
-                            for k in 0..msgs {
-                                let _ = r.recv(0, k);
-                            }
-                        }
-                    })
-                    .1
-                })
+        let joined = summit_pool::run_parked(4, |w| {
+            let msgs = 1 + w as u64; // distinct per world
+            World::run_with_stats(2, move |r| {
+                if r.id() == 0 {
+                    for k in 0..msgs {
+                        r.send(1, k, vec![0.0; 8]);
+                    }
+                } else {
+                    for k in 0..msgs {
+                        let _ = r.recv(0, k);
+                    }
+                }
             })
-            .collect();
-        for (w, h) in handles.into_iter().enumerate() {
-            let stats = h.join().expect("world thread");
+            .1
+        });
+        for (w, stats) in joined.into_iter().enumerate() {
+            let stats = stats.expect("world ran");
             assert_eq!(
                 stats.messages_sent,
                 1 + w as u64,
@@ -1530,7 +1523,7 @@ mod tests {
     #[test]
     fn drain_all_clears_parked_and_in_flight() {
         let out = World::run(2, |r| {
-            if r.id() == 0 {
+            let drained = if r.id() == 0 {
                 r.send(1, 9, vec![1.0; 8]);
                 r.send(1, 10, vec![2.0; 8]);
                 r.barrier();
@@ -1540,7 +1533,11 @@ mod tests {
                 // Fishing for an absent tag parks both queued messages.
                 assert!(r.try_recv(0, 99).is_none());
                 r.drain_all()
-            }
+            };
+            // Rank 0 must outlive the fishing: a departed sender reads as
+            // a disconnect, which `try_recv` reports as a peer panic.
+            r.barrier();
+            drained
         });
         assert_eq!(out[1], 2);
     }

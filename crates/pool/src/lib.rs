@@ -16,11 +16,16 @@
 //!   caller's kernel on each chunk. The calling thread executes chunk 0
 //!   itself and then helps drain its own job's queue, so a budget of `b`
 //!   uses the caller plus at most `b − 1` workers.
-//! * The budget is a thread-local cap read by [`core_budget`]: a rank
-//!   thread inside `summit_comm::World::run` is assigned
-//!   `available_parallelism / p` (overridable via the `SUMMIT_THREADS`
-//!   environment variable, resolved by [`rank_budget`]), so `p` ranks
-//!   together use at most the machine, not `p ×` the machine.
+//! * The budget is a thread-local cap read by [`core_budget`]: every rank
+//!   of a `summit_comm::World` execution runs under the per-rank budget of
+//!   the lease its world holds from the [`arbiter`] (pinned instead by the
+//!   `SUMMIT_THREADS` environment variable), so concurrently live worlds
+//!   together use at most the machine, not `p ×` the machine each.
+//! * Rank threads are **leased, not spawned**: [`run_parked`] runs index 0
+//!   on the caller and the others on parked rank runners, spawning one
+//!   only when none is idle. Ranks block on each other, so runners are a
+//!   separate, uncapped list beside the compute workers; at most 64 stay
+//!   parked between uses.
 //!
 //! Dispatch is allocation-free in steady state: the job header (counter,
 //! completion condvar) lives on the caller's stack, queue entries reuse the
@@ -35,7 +40,7 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Hard cap on pool workers: a backstop against runaway budgets, far above
@@ -45,13 +50,14 @@ pub const MAX_WORKERS: usize = 64;
 /// Erased task callable: `f(i)` executes sub-task `i` of its job.
 type TaskFn<'a> = dyn Fn(usize) + Sync + 'a;
 
-/// One dispatch in flight. Lives on the dispatching thread's stack; workers
-/// reach it through a raw pointer that is guaranteed valid because the
-/// dispatcher cannot return until `pending` hits zero. `pending` is only
-/// decremented — and `done_cv` only notified — while holding `done_lock`,
-/// and the dispatcher only reads `pending` under the same lock, so it can
-/// never observe zero (and destroy this header) while an executor is still
-/// between its decrement and its notify.
+/// One dispatch in flight — a pool job or a [`run_parked`] call. Lives on
+/// the dispatching thread's stack; workers and runners reach it through a
+/// raw pointer that is guaranteed valid because the dispatcher cannot
+/// return until `pending` hits zero. `pending` is only decremented — and
+/// `done_cv` only notified — while holding `done_lock`, and the dispatcher
+/// only reads `pending` under the same lock, so it can never observe zero
+/// (and destroy this header) while an executor is still between its
+/// decrement and its notify.
 struct JobHeader {
     /// The caller's closure, lifetime-erased for the queue. Only touched
     /// while `pending > 0`.
@@ -62,6 +68,58 @@ struct JobHeader {
     panicked: AtomicBool,
     done_lock: Mutex<()>,
     done_cv: Condvar,
+}
+
+impl JobHeader {
+    /// A job of `n ≥ 1` sub-tasks of `task`. The caller must `wait` on it
+    /// before `task` goes out of scope.
+    fn new(task: &TaskFn<'_>, n: usize) -> Self {
+        JobHeader {
+            // SAFETY: lifetime erasure only; `task` outlives the job because
+            // every dispatcher waits for `pending` to reach zero before it
+            // returns, and nothing dereferences `task` after that. Nor can a
+            // dispatcher unwind past the job early: every fallible step
+            // (spawning workers or runners) precedes the first hand-off.
+            task: unsafe { std::mem::transmute::<&TaskFn<'_>, *const TaskFn<'static>>(task) },
+            pending: AtomicUsize::new(n),
+            panicked: AtomicBool::new(false),
+            done_lock: Mutex::new(()),
+            done_cv: Condvar::new(),
+        }
+    }
+
+    /// Execute sub-task `index` through `run` — which must not unwind, and
+    /// returns whether the sub-task panicked — and signal completion when
+    /// the job's last sub-task finishes.
+    fn execute(&self, index: usize, run: impl FnOnce(&TaskFn<'_>, usize) -> bool) {
+        // SAFETY: `pending > 0` (this sub-task has not completed), so the
+        // dispatcher's stack frame and closure are alive.
+        let task = unsafe { &*self.task };
+        if run(task, index) {
+            self.panicked.store(true, Ordering::Release);
+        }
+        // The decrement AND the notify both happen under `done_lock`: the
+        // dispatcher only reads `pending` while holding the same lock, so it
+        // cannot observe zero — and destroy the stack-allocated header —
+        // until this thread has finished notifying and released the lock.
+        // (Decrementing before taking the lock would open exactly that
+        // use-after-free window between the fetch_sub and the notify.)
+        let guard = self.done_lock.lock().expect("job lock poisoned");
+        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.done_cv.notify_all();
+        }
+        drop(guard);
+    }
+
+    /// Block until every sub-task completed; whether any of them panicked.
+    fn wait(&self) -> bool {
+        let mut guard = self.done_lock.lock().expect("job lock poisoned");
+        while self.pending.load(Ordering::Acquire) != 0 {
+            guard = self.done_cv.wait(guard).expect("job condvar poisoned");
+        }
+        drop(guard);
+        self.panicked.load(Ordering::Acquire)
+    }
 }
 
 /// A queue entry: one sub-task of one job.
@@ -169,37 +227,16 @@ impl ComputePool {
         }
     }
 
-    /// Currently spawned (parked or running) worker threads.
-    pub fn worker_count(&self) -> usize {
-        self.workers.load(Ordering::Relaxed)
-    }
-
-    /// Run `n` sub-tasks of the erased `task`, blocking until all complete.
-    /// Sub-task 0 runs on the calling thread; 1..n are queued for workers
-    /// (the caller helps drain them while it waits).
+    /// Run `n ≥ 2` sub-tasks of the erased `task`, blocking until all
+    /// complete. Sub-task 0 runs on the calling thread; 1..n are queued for
+    /// workers (the caller helps drain them while it waits).
     ///
     /// # Panics
     /// Re-raises (as a panic on this thread) if any sub-task panicked.
     fn run_tasks(&'static self, n: usize, task: &TaskFn<'_>) {
+        debug_assert!(n >= 2, "a single part runs inline in `run_rows`");
         self.tasks_dispatched.fetch_add(n as u64, Ordering::Relaxed);
-        if n <= 1 {
-            if n == 1 {
-                self.tasks_inline.fetch_add(1, Ordering::Relaxed);
-                self.timed(task, 0);
-            }
-            return;
-        }
-        // SAFETY: lifetime erasure only; `task` outlives this call, and the
-        // job cannot outlive this call (see the wait loop below).
-        let task: &'static TaskFn<'static> =
-            unsafe { std::mem::transmute::<&TaskFn<'_>, &'static TaskFn<'static>>(task) };
-        let header = JobHeader {
-            task: task as *const TaskFn<'static>,
-            pending: AtomicUsize::new(n),
-            panicked: AtomicBool::new(false),
-            done_lock: Mutex::new(()),
-            done_cv: Condvar::new(),
-        };
+        let header = JobHeader::new(task, n);
         self.ensure_workers(n - 1);
         {
             let mut q = self.queue.lock().expect("pool queue poisoned");
@@ -215,71 +252,34 @@ impl ComputePool {
         // The caller's own share, then help with its job's queued entries
         // (a slow wake of a worker must not serialize the whole dispatch).
         self.tasks_inline.fetch_add(1, Ordering::Relaxed);
-        self.execute(&header, 0);
+        header.execute(0, |task, i| self.timed(task, i));
         loop {
-            let entry = {
-                let mut q = self.queue.lock().expect("pool queue poisoned");
-                match q
-                    .iter()
-                    .position(|e| std::ptr::eq(e.job, &header as *const JobHeader))
-                {
-                    Some(pos) => q.remove(pos),
-                    None => None,
-                }
+            let mut q = self.queue.lock().expect("pool queue poisoned");
+            let mine = q.iter().position(|e| std::ptr::eq(e.job, &header));
+            let Some(e) = mine.and_then(|pos| q.remove(pos)) else {
+                break;
             };
-            match entry {
-                Some(e) => {
-                    self.tasks_inline.fetch_add(1, Ordering::Relaxed);
-                    self.execute(&header, e.index);
-                }
-                None => break,
-            }
+            drop(q);
+            self.tasks_inline.fetch_add(1, Ordering::Relaxed);
+            header.execute(e.index, |task, i| self.timed(task, i));
         }
 
-        let mut guard = header.done_lock.lock().expect("job lock poisoned");
-        while header.pending.load(Ordering::Acquire) != 0 {
-            guard = header.done_cv.wait(guard).expect("job condvar poisoned");
-        }
-        drop(guard);
-        if header.panicked.load(Ordering::Acquire) {
+        if header.wait() {
             panic!("a pooled compute task panicked");
         }
     }
 
-    /// Execute sub-task `index` of `header`, catching panics and signaling
-    /// completion when the job's last sub-task finishes.
-    fn execute(&self, header: &JobHeader, index: usize) {
-        // SAFETY: `pending > 0` (this sub-task has not completed), so the
-        // dispatcher's stack frame and closure are alive.
-        let task = unsafe { &*header.task };
-        if catch_unwind(AssertUnwindSafe(|| self.timed(task, index))).is_err() {
-            header.panicked.store(true, Ordering::Release);
-        }
-        // The decrement AND the notify both happen under `done_lock`: the
-        // dispatcher only reads `pending` while holding the same lock, so it
-        // cannot observe zero — and destroy the stack-allocated header —
-        // until this thread has finished notifying and released the lock.
-        // (Decrementing before taking the lock would open exactly that
-        // use-after-free window between the fetch_sub and the notify.)
-        let guard = header.done_lock.lock().expect("job lock poisoned");
-        if header.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            header.done_cv.notify_all();
-        }
-        drop(guard);
-    }
-
-    /// Run one sub-task, maintaining the busy-time and concurrency stats.
-    fn timed(&self, task: &TaskFn<'_>, index: usize) {
+    /// Run one sub-task, maintaining the busy-time and concurrency stats;
+    /// whether it panicked.
+    fn timed(&self, task: &TaskFn<'_>, index: usize) -> bool {
         let running = self.concurrency.fetch_add(1, Ordering::Relaxed) + 1;
         self.max_concurrency.fetch_max(running, Ordering::Relaxed);
         let t0 = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| task(index)));
+        let panicked = catch_unwind(AssertUnwindSafe(|| task(index))).is_err();
         self.busy_nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.concurrency.fetch_sub(1, Ordering::Relaxed);
-        if let Err(payload) = result {
-            std::panic::resume_unwind(payload);
-        }
+        panicked
     }
 
     /// Make sure at least `wanted` workers exist (capped at
@@ -312,7 +312,7 @@ impl ComputePool {
                     self.tasks_stolen.fetch_add(1, Ordering::Relaxed);
                     // SAFETY: entries only exist while their job is alive.
                     let header = unsafe { &*entry.job };
-                    self.execute(header, entry.index);
+                    header.execute(entry.index, |task, i| self.timed(task, i));
                     q = self.queue.lock().expect("pool queue poisoned");
                 }
                 None => {
@@ -382,6 +382,149 @@ pub fn global() -> &'static ComputePool {
     POOL.get_or_init(ComputePool::new)
 }
 
+// ---------------------------------------------------------------------------
+// Rank runners: parked threads for tasks that block on each other.
+// ---------------------------------------------------------------------------
+
+/// The most rank runners kept parked between uses; the rest exit. A parked
+/// runner keeps its touched stack and allocator thread cache: keeping all
+/// ≈ 400 a `facility_wave` leaves behind took its `peak_rss_mb` from ≈ 12 to
+/// 28–30 MB, while 64 kept it flat and ran faster than 8 (DESIGN.md §10).
+const IDLE_RUNNERS: usize = MAX_WORKERS;
+
+/// Parked runners, at most [`IDLE_RUNNERS`]. Its capacity is reserved
+/// before any runner returns here, so a runner never allocates on its way
+/// back — possibly inside a sibling rank's allocation-counted window.
+static IDLE: Mutex<Vec<Arc<Seat>>> = Mutex::new(Vec::new());
+static SPAWNED: AtomicU64 = AtomicU64::new(0);
+
+/// A runner's mailbox: a dispatcher drops the next sub-task in and wakes
+/// exactly this thread; `Some(None)` retires the runner.
+#[derive(Default)]
+struct Seat {
+    next: Mutex<Option<Option<Entry>>>,
+    wake: Condvar,
+}
+
+impl Seat {
+    fn give(&self, entry: Option<Entry>) {
+        *self.next.lock().expect("runner seat poisoned") = Some(entry);
+        self.wake.notify_one();
+    }
+}
+
+/// Rank-runner counters since process start. Snapshot via
+/// [`runner_stats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RunnerStats {
+    /// Runner threads ever spawned.
+    pub spawned: u64,
+    /// Runners parked right now (never more than the idle cap, which
+    /// equals [`MAX_WORKERS`]).
+    pub idle: usize,
+}
+
+/// Snapshot the rank-runner counters.
+pub fn runner_stats() -> RunnerStats {
+    RunnerStats {
+        spawned: SPAWNED.load(Ordering::Relaxed),
+        idle: IDLE.lock().expect("runner list poisoned").len(),
+    }
+}
+
+/// Seats of `k` runners waiting for a sub-task: parked ones first, then new
+/// ones. Never waits for a free runner: the sub-tasks are ranks that block
+/// on each other, so a capped list would deadlock. On a spawn failure the
+/// runners taken so far are retired.
+fn take_runners(k: usize) -> std::io::Result<Vec<Arc<Seat>>> {
+    let mut seats = Vec::with_capacity(k);
+    let mut idle = IDLE.lock().expect("runner list poisoned");
+    let parked = idle.len();
+    idle.reserve_exact(IDLE_RUNNERS - parked);
+    seats.extend(idle.drain(parked.saturating_sub(k)..));
+    drop(idle);
+    while seats.len() < k {
+        let seat = Arc::new(Seat::default());
+        let mine = Arc::clone(&seat);
+        let spawn = std::thread::Builder::new().name("summit-rank".into());
+        if let Err(e) = spawn.spawn(move || serve(&mine)) {
+            seats.iter().for_each(|seat| seat.give(None));
+            return Err(e);
+        }
+        SPAWNED.fetch_add(1, Ordering::Relaxed);
+        seats.push(seat);
+    }
+    Ok(seats)
+}
+
+/// Runner body: wait on the seat, execute the sub-task, and rejoin the idle
+/// list before the job counts it complete (so the dispatcher's next call
+/// finds this runner parked) — or exit if [`IDLE_RUNNERS`] are parked
+/// already, or when retired.
+fn serve(seat: &Arc<Seat>) {
+    let mut parked = true;
+    while parked {
+        let next = seat.next.lock().expect("runner seat poisoned");
+        let next = seat.wake.wait_while(next, |e| e.is_none());
+        let Some(entry) = next.expect("runner seat poisoned").take().flatten() else {
+            return;
+        };
+        // SAFETY: the job counts this sub-task as pending until `execute`
+        // returns, so its header is alive.
+        let header = unsafe { &*entry.job };
+        header.execute(entry.index, |task, i| {
+            task(i);
+            let mut idle = IDLE.lock().expect("runner list poisoned");
+            parked = idle.len() < IDLE_RUNNERS;
+            if parked {
+                idle.push(Arc::clone(seat));
+            }
+            false
+        });
+    }
+}
+
+/// Run `f(0)`, …, `f(n − 1)` concurrently and return each outcome in index
+/// order, a panic as its `Err` payload. Index 0 runs on the calling thread,
+/// the others on parked rank runners (spawned only when none is idle);
+/// returns once every index has finished. Unlike
+/// [`ComputePool::run_rows`], the indices may block on each other: each has
+/// its own thread for as long as it runs.
+///
+/// # Panics
+/// Panics, before any index runs, if a runner cannot be spawned.
+pub fn run_parked<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<std::thread::Result<R>> {
+    if n == 0 {
+        return Vec::new();
+    }
+    let seats = take_runners(n - 1).expect("failed to spawn rank runner");
+    let slots: Vec<Mutex<Option<std::thread::Result<R>>>> =
+        (0..n).map(|_| Mutex::new(None)).collect();
+    let task = |i: usize| {
+        let outcome = catch_unwind(AssertUnwindSafe(|| f(i)));
+        *slots[i].lock().expect("result slot poisoned") = Some(outcome);
+    };
+    // Runners point into this frame from the first hand-off until `wait`
+    // returns, so nothing in between may unwind: all runners were taken
+    // above, `task` catches `f`'s panics, and no lock here can be poisoned.
+    let header = JobHeader::new(&task, n);
+    for (index, seat) in (1..).zip(&seats) {
+        seat.give(Some(Entry {
+            job: &header,
+            index,
+        }));
+    }
+    header.execute(0, |task, i| {
+        task(i);
+        false
+    });
+    header.wait();
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().ok().flatten().expect("every index ran"))
+        .collect()
+}
+
 /// Exact partition of `n` items into `parts` chunks: chunk `i` is
 /// `chunk_range(n, parts, i)`. The first `n % parts` chunks hold
 /// `n / parts + 1` items, the rest `n / parts`, so the union is exactly
@@ -426,10 +569,7 @@ pub fn machine_parallelism() -> usize {
 /// policy as [`rank_budget_from_env`] — so changing the variable at runtime
 /// (tests do) yields consistent budgets between the two paths.
 fn default_budget() -> usize {
-    std::env::var("SUMMIT_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
+    summit_threads_override()
         .map(|n| n.min(MAX_WORKERS))
         .unwrap_or_else(machine_parallelism)
 }
@@ -442,10 +582,10 @@ pub fn core_budget() -> usize {
     BUDGET.with(|b| b.get()).unwrap_or_else(default_budget)
 }
 
-/// Set this thread's core budget. `summit_comm::World::run` calls this on
-/// every rank thread with [`rank_budget`]'s disjoint share, so `p` ranks
-/// never claim `p ×` the machine. Values are clamped to
-/// `1..=`[`MAX_WORKERS`].
+/// Set this thread's core budget. Values are clamped to
+/// `1..=`[`MAX_WORKERS`]. `summit_comm::World` executions set it (through
+/// [`with_core_budget`]) on every rank to the per-rank budget of their
+/// [`arbiter`] lease, so concurrent ranks never claim `p ×` the machine.
 pub fn set_core_budget(n: usize) {
     BUDGET.with(|b| b.set(Some(n.clamp(1, MAX_WORKERS))));
 }
@@ -483,8 +623,9 @@ pub fn rank_budget(machine: usize, ranks: usize, override_threads: Option<usize>
     }
 }
 
-/// [`rank_budget`] with `SUMMIT_THREADS` read from the environment — the
-/// call sites in `summit_comm::World::run` use this.
+/// [`rank_budget`] with `SUMMIT_THREADS` read from the environment: the
+/// budget a world of `ranks` ranks gets when it is the only one live (the
+/// ceiling of what the [`arbiter`] grants it).
 pub fn rank_budget_from_env(ranks: usize) -> usize {
     rank_budget(machine_parallelism(), ranks, summit_threads_override())
 }
@@ -846,29 +987,21 @@ mod tests {
     #[test]
     fn concurrent_dispatchers_share_the_pool() {
         // Several "ranks" dispatching at once must all complete correctly.
-        let outputs: Vec<Vec<f32>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|rank| {
-                    s.spawn(move || {
-                        set_core_budget(2);
-                        let mut buf = vec![0.0f32; 600];
-                        for round in 0..8 {
-                            let want = (rank * 10 + round) as f32;
-                            global().run_rows(&mut buf, 3, core_budget(), |chunk, _| {
-                                chunk.fill(want);
-                            });
-                            assert!(buf.iter().all(|&v| v == want));
-                        }
-                        buf
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("rank ok"))
-                .collect()
+        let outputs = run_parked(4, |rank| {
+            with_core_budget(2, || {
+                let mut buf = vec![0.0f32; 600];
+                for round in 0..8 {
+                    let want = (rank * 10 + round) as f32;
+                    global().run_rows(&mut buf, 3, core_budget(), |chunk, _| {
+                        chunk.fill(want);
+                    });
+                    assert!(buf.iter().all(|&v| v == want));
+                }
+                buf
+            })
         });
-        for (rank, buf) in outputs.iter().enumerate() {
+        for (rank, buf) in outputs.into_iter().enumerate() {
+            let buf = buf.expect("rank ok");
             let want = (rank * 10 + 7) as f32;
             assert!(buf.iter().all(|&v| v == want), "rank {rank} final state");
         }

@@ -12,8 +12,8 @@
 //! (training / stencil / MD, real message passing) then run concurrently
 //! under per-execution leases.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Barrier;
 
 use serde::Serialize;
 use summit_comm::world::World;
@@ -91,11 +91,10 @@ pub fn run_facility(
 
     let arbiter = summit_pool::arbiter();
     let mut objectives = vec![0.0f64; jobs.len()];
-    let messages = AtomicU64::new(0);
-    let bytes = AtomicU64::new(0);
+    let (mut messages, mut bytes) = (0u64, 0u64);
     let conserved = AtomicBool::new(true);
-    let mut peak_live = 0usize;
-    let mut peak_leased = 0usize;
+    let peak_live = AtomicUsize::new(0);
+    let peak_leased = AtomicUsize::new(0);
 
     for (wave_start, wave) in jobs
         .chunks(config.wave_size)
@@ -107,59 +106,50 @@ pub fn run_facility(
         // live leases; the sampler reads the arbiter inside that window.
         let arrived = Barrier::new(wave.len() + 1);
         let released = Barrier::new(wave.len() + 1);
-        let wave_results: Mutex<Vec<(usize, f64, u64, u64)>> =
-            Mutex::new(Vec::with_capacity(wave.len()));
 
-        std::thread::scope(|scope| {
-            for (offset, mixed) in wave.iter().enumerate() {
-                let arrived = &arrived;
-                let released = &released;
-                let wave_results = &wave_results;
-                scope.spawn(move || {
-                    let mut world = World::new(mixed.workload.ranks);
-                    // Hold this world's lease across the rendezvous: the
-                    // execution is live until every wave peer arrives.
-                    world.execute(|rank| {
-                        if rank.id() == 0 {
-                            arrived.wait();
-                            released.wait();
-                        }
-                    });
-                    let result = mixed.workload.execute_in(&mut world);
-                    wave_results.lock().expect("wave results poisoned").push((
-                        wave_start + offset,
-                        result.objective,
-                        result.messages,
-                        result.bytes,
-                    ));
-                });
-            }
-            arrived.wait();
-            let sample = arbiter.stats();
-            if sample.leased > sample.capacity {
-                conserved.store(false, Ordering::Relaxed);
-            }
-            peak_live = peak_live.max(sample.live_leases);
-            peak_leased = peak_leased.max(sample.leased);
-            released.wait();
+        // Index 0 (this thread) is the sampler; index `1 + k` runs job `k`
+        // of the wave on a leased rank runner.
+        let joined = summit_pool::run_parked(wave.len() + 1, |i| {
+            let Some(mixed) = i.checked_sub(1).map(|k| &wave[k]) else {
+                arrived.wait();
+                let sample = arbiter.stats();
+                conserved.fetch_and(sample.leased <= sample.capacity, Ordering::Relaxed);
+                peak_live.fetch_max(sample.live_leases, Ordering::Relaxed);
+                peak_leased.fetch_max(sample.leased, Ordering::Relaxed);
+                released.wait();
+                return None;
+            };
+            let mut world = World::new(mixed.workload.ranks);
+            // Hold this world's lease across the rendezvous: the execution
+            // is live until every wave peer arrives.
+            world.execute(|rank| {
+                if rank.id() == 0 {
+                    arrived.wait();
+                    released.wait();
+                }
+            });
+            Some(mixed.workload.execute_in(&mut world))
         });
 
-        for (idx, objective, msgs, b) in wave_results.into_inner().expect("wave results poisoned") {
-            objectives[idx] = objective;
-            messages.fetch_add(msgs, Ordering::Relaxed);
-            bytes.fetch_add(b, Ordering::Relaxed);
+        for (idx, outcome) in (wave_start..).zip(joined.into_iter().skip(1)) {
+            let result = outcome
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                .expect("job indices return their result");
+            objectives[idx] = result.objective;
+            messages += result.messages;
+            bytes += result.bytes;
         }
     }
 
     FacilityReport {
         jobs_run: jobs.len(),
-        peak_live_worlds: peak_live,
-        peak_leased_lanes: peak_leased,
+        peak_live_worlds: peak_live.into_inner(),
+        peak_leased_lanes: peak_leased.into_inner(),
         lane_capacity: arbiter.capacity(),
         conserved: conserved.into_inner(),
         objectives,
-        messages: messages.into_inner(),
-        bytes: bytes.into_inner(),
+        messages,
+        bytes,
         schedule,
     }
 }
