@@ -150,6 +150,7 @@ pub fn try_ring_allreduce_view(
 mod tests {
     use super::*;
     use crate::collectives::{ring_allreduce_bucketed, try_run};
+    use crate::engine::RingPhase;
     use crate::nonblocking::ring_allreduce_start;
     use crate::world::World;
     use crate::Collective;
@@ -173,7 +174,8 @@ mod tests {
                     .enumerate()
                     .map(|(b, w)| {
                         let view = over_view.then_some(&view);
-                        ring_allreduce_start(rank, view, w, ReduceOp::Sum, b as u64, 32, b * 16)
+                        let (op, phase) = (ReduceOp::Sum, RingPhase::Allreduce);
+                        ring_allreduce_start(rank, view, w, op, b as u64, 32, b * 16, phase)
                     })
                     .collect();
                 handles.iter_mut().for_each(|h| h.wait());

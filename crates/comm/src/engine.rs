@@ -443,12 +443,34 @@ enum RingStage {
     Done,
 }
 
+/// The half (or both) of a ring allreduce that a windowed collective runs
+/// ([`ring_allreduce_start`](crate::nonblocking::ring_allreduce_start)).
+/// The ring is reduce-scatter then allgather, and between the two every
+/// rank owns exactly one fully reduced chunk of the global partition — the
+/// point where a sharded optimizer step splits it, updating that chunk
+/// before the gather. The two halves together send exactly the messages
+/// and bytes of [`RingPhase::Allreduce`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RingPhase {
+    /// Reduce-scatter then allgather, with the zero-copy hand-off between.
+    Allreduce,
+    /// Reduce-scatter only: rank `i` ends holding the reduced chunk
+    /// `(i + 1) mod p` of the global partition (intersected with its
+    /// window); the rest of the window holds partial sums.
+    ReduceScatter,
+    /// Allgather from owner: rank `i` sends its chunk `(i + 1) mod p` —
+    /// the one [`RingPhase::ReduceScatter`] left it — and receives every
+    /// other chunk of the window.
+    Allgather,
+}
+
 /// The ring family as one schedule: allreduce (reduce-scatter + allgather
 /// with the zero-copy handoff between them), standalone reduce-scatter,
-/// standalone allgather, bucketed segmentation, and the windowed variant
+/// standalone allgather, bucketed segmentation, and the windowed variants
 /// the nonblocking overlap path uses (chunks computed against the *global*
 /// `total_len` partition and intersected with this buffer's window, so
-/// per-bucket collectives keep the serial fold order bit for bit).
+/// per-bucket collectives keep the serial fold order bit for bit), one per
+/// [`RingPhase`].
 ///
 /// Empty windows/segments produce no ops — consistently on every rank —
 /// matching both the historical blocking ring (`chunks()` over an empty
@@ -463,6 +485,10 @@ pub(crate) struct RingSchedule {
     tags: TagScheme,
     do_reduce: bool,
     do_gather: bool,
+    /// The allgather starts from each rank's chunk `(me + 1) mod p` — the
+    /// one a reduce-scatter left it — rather than its own index `me` (the
+    /// standalone allgather).
+    shifted: bool,
     stage: RingStage,
     /// `total_len / p` — the base chunk size, precomputed so the per-op
     /// chunk arithmetic is division-free (the event-driven simulator runs
@@ -482,8 +508,8 @@ impl RingSchedule {
         win_len: usize,
         bucket: usize,
         tags: TagScheme,
-        do_reduce: bool,
-        do_gather: bool,
+        phase: RingPhase,
+        shifted: bool,
     ) -> Self {
         assert!(bucket > 0, "bucket must hold at least one element");
         debug_assert!(win_start + win_len <= total_len);
@@ -495,8 +521,9 @@ impl RingSchedule {
             win_len,
             bucket,
             tags,
-            do_reduce,
-            do_gather,
+            do_reduce: phase != RingPhase::Allgather,
+            do_gather: phase != RingPhase::ReduceScatter,
+            shifted,
             stage: if p == 1 {
                 RingStage::Done
             } else {
@@ -524,21 +551,22 @@ impl RingSchedule {
                 reduce_id: 0,
                 gather_id: 1,
             },
-            true,
+            RingPhase::Allreduce,
             true,
         )
     }
 
-    /// Nonblocking allreduce over the window
-    /// `[win_start, win_start + win_len)` of a `total_len`-element gradient
+    /// Nonblocking `phase` of an allreduce over the window
+    /// `[win_start, win_start + win_len)` of a `total_len`-element buffer
     /// (the overlap path's per-bucket collective).
-    pub(crate) fn allreduce_windowed(
+    pub(crate) fn windowed(
         p: usize,
         me: usize,
         total_len: usize,
         win_start: usize,
         win_len: usize,
         collective: u64,
+        phase: RingPhase,
     ) -> Self {
         Self::new(
             p,
@@ -548,7 +576,7 @@ impl RingSchedule {
             win_len,
             usize::MAX,
             TagScheme::Nonblocking { collective },
-            true,
+            phase,
             true,
         )
     }
@@ -569,7 +597,7 @@ impl RingSchedule {
                 reduce_id: ns,
                 gather_id: ns | 1,
             },
-            true,
+            RingPhase::Allreduce,
             true,
         )
     }
@@ -596,8 +624,8 @@ impl RingSchedule {
                 reduce_id: 2,
                 gather_id: 2,
             },
+            RingPhase::ReduceScatter,
             true,
-            false,
         )
     }
 
@@ -615,8 +643,8 @@ impl RingSchedule {
                 reduce_id: 3,
                 gather_id: 3,
             },
+            RingPhase::Allgather,
             false,
-            true,
         )
     }
 
@@ -650,18 +678,20 @@ impl RingSchedule {
         (start, we.min(start.saturating_add(self.bucket)))
     }
 
-    /// The global chunk a stage operates on. The gather offset differs by
-    /// one between the fused allreduce (whose gather step 0 consumes the
-    /// reduce handoff) and the standalone allgather (whose step 0 consumes
-    /// its own prime) — exactly the historical `offset` parameter.
+    /// The global chunk a stage operates on. The gather offset is one
+    /// wherever the gather starts from the chunks a reduce-scatter left
+    /// (the fused allreduce's handoff, or the gather-from-owner prime),
+    /// zero for the standalone allgather (whose step 0 consumes its own
+    /// prime) — exactly the historical `offset` parameter.
     fn stage_chunk(&self, stage: RingStage) -> usize {
-        let (p, me) = (self.p, self.me);
+        let (p, me, shift) = (self.p, self.me, usize::from(self.shifted));
         // `x mod p` for `x < 2p`, division-free (step < p − 1 always).
         let wrap = |x: usize| if x >= p { x - p } else { x };
         match stage {
-            RingStage::Prime { .. } => me,
+            RingStage::Prime { .. } if self.do_reduce => me,
+            RingStage::Prime { .. } => wrap(me + shift),
             RingStage::Reduce { step, .. } => wrap(me + p - step - 1),
-            RingStage::Gather { step, .. } => wrap(me + p - step - 1 + usize::from(self.do_reduce)),
+            RingStage::Gather { step, .. } => wrap(me + p - step - 1 + shift),
             RingStage::Done => unreachable!("Done has no chunk"),
         }
     }

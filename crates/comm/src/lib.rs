@@ -57,7 +57,7 @@ pub mod world;
 
 pub use collectives::ReduceOp;
 pub use elastic::{try_ring_allreduce_view, view_barrier, vote_members};
-pub use engine::{simulate_reference, Collective, ModelReport};
+pub use engine::{simulate_reference, Collective, ModelReport, RingPhase};
 pub use faults::{CommError, FaultKind, FaultPlan, FaultRates, TagClass, CONTROL_BIT};
 pub use group::Group;
 pub use model::{Algorithm, CollectiveModel};

@@ -18,8 +18,8 @@
 //! use: `progress()` makes all the steps whose messages have already
 //! arrived, `wait()` blocks for the rest. Steady state stays
 //! allocation-free: each handle performs exactly one pooled acquire (its
-//! priming send) and one pooled release (its final allgather hop), the same
-//! traffic as the serial [`ring_allreduce_bucketed`] path.
+//! priming send) and one pooled release (its final hop), the same traffic
+//! as the serial [`ring_allreduce_bucketed`] path.
 //!
 //! # Bit-identical overlap via global-partition windows
 //!
@@ -35,13 +35,23 @@
 //! [`ring_allreduce_bucketed`], so the overlapped result is bit-identical by
 //! construction while buckets still progress and complete independently.
 //!
+//!
+//! # Split halves for a sharded optimizer step
+//!
+//! The same handle runs either half of the ring alone ([`RingPhase`]): a
+//! reduce-scatter that leaves each rank owning one fully reduced chunk, and
+//! an allgather that starts from those owners. A trainer that updates only
+//! the chunk it owns reduce-scatters the gradient, steps, and allgathers
+//! the *parameters* in the same windows; the two halves send exactly the
+//! messages and bytes of one fused allreduce.
+//!
 //! [`ring_allreduce_bucketed`]: crate::collectives::ring_allreduce_bucketed
 
 use std::convert::Infallible;
 use std::time::{Duration, Instant};
 
 use crate::collectives::ReduceOp;
-use crate::engine::{self, RemapSchedule, RingSchedule, Schedule};
+use crate::engine::{self, RemapSchedule, RingPhase, RingSchedule, Schedule};
 use crate::faults::CommError;
 use crate::world::{Rank, WorldView};
 
@@ -194,6 +204,13 @@ pub struct RingAllreduceHandle<'a> {
 /// [`ring_allreduce_bucketed`](crate::collectives::ring_allreduce_bucketed)
 /// over the whole gradient.
 ///
+/// `phase` picks what the handle runs: the whole allreduce, or one half of
+/// it ([`RingPhase`]). A [`RingPhase::ReduceScatter`] handle and then a
+/// [`RingPhase::Allgather`] handle over the same window (same id, total
+/// length and offset) leave the bits of one [`RingPhase::Allreduce`], with
+/// the same messages and bytes on the wire — and between the two, each
+/// rank may rewrite the chunk it owns.
+///
 /// With `view: None` the ring spans the whole world on the classic tags.
 /// Over an elastic [`WorldView`] the schedule is derived at
 /// `(view.size(), dense id)` and its endpoints are remapped to physical
@@ -209,6 +226,7 @@ pub struct RingAllreduceHandle<'a> {
 /// Panics if the window overruns `total_len`, if this rank is not a member
 /// of `view`, or if `collective >= 2^20` under a view (the epoch namespace
 /// occupies the bits above; `2^50` without one).
+#[allow(clippy::too_many_arguments)] // one entry point for every window and phase
 pub fn ring_allreduce_start<'a>(
     rank: &'a Rank,
     view: Option<&'a WorldView>,
@@ -217,6 +235,7 @@ pub fn ring_allreduce_start<'a>(
     collective: u64,
     total_len: usize,
     window_start: usize,
+    phase: RingPhase,
 ) -> RingAllreduceHandle<'a> {
     let (p, me, members, collective) = match view {
         None => {
@@ -237,8 +256,7 @@ pub fn ring_allreduce_start<'a>(
         window_start + buf.len(),
         total_len
     );
-    let ring =
-        RingSchedule::allreduce_windowed(p, me, total_len, window_start, buf.len(), collective);
+    let ring = RingSchedule::windowed(p, me, total_len, window_start, buf.len(), collective, phase);
     let mut handle = RingAllreduceHandle {
         rank,
         buf,
@@ -301,8 +319,9 @@ impl RingAllreduceHandle<'_> {
         Ok(self.is_complete())
     }
 
-    /// Block until the collective completes. `buf` then holds the reduction
-    /// of every rank's window contents.
+    /// Block until the collective completes. `buf` then holds what its
+    /// [`RingPhase`] leaves: for a whole allreduce, the reduction of every
+    /// rank's window contents.
     pub fn wait(&mut self) {
         self.wait_until(None)
             .expect("communication failure in infallible nonblocking path");
@@ -348,7 +367,29 @@ mod tests {
         collective: u64,
     ) -> RingAllreduceHandle<'a> {
         let n = buf.len();
-        ring_allreduce_start(r, None, buf, op, collective, n, 0)
+        ring_allreduce_start(r, None, buf, op, collective, n, 0, RingPhase::Allreduce)
+    }
+
+    /// Run `phase` over `buf` as one handle per `bucket`-element window:
+    /// round-robin progress, then wait the stragglers in reverse order — an
+    /// adversarial interleaving relative to launch order.
+    fn run_windows(r: &Rank, buf: &mut [f32], bucket: usize, phase: RingPhase) {
+        let n = buf.len();
+        let mut handles: Vec<RingAllreduceHandle> = buf
+            .chunks_mut(bucket)
+            .enumerate()
+            .map(|(b, w)| {
+                ring_allreduce_start(r, None, w, ReduceOp::Sum, b as u64, n, b * bucket, phase)
+            })
+            .collect();
+        for _ in 0..3 {
+            for h in handles.iter_mut() {
+                h.progress();
+            }
+        }
+        for h in handles.iter_mut().rev() {
+            h.wait();
+        }
     }
 
     fn inputs(p: usize, n: usize, seed: u64) -> Vec<Vec<f32>> {
@@ -458,7 +499,9 @@ mod tests {
     /// The overlap cornerstone: independent windowed handles — one per
     /// fusion bucket, progressed in an arbitrary interleaving — reproduce
     /// the serial bucketed allreduce bit for bit, because each window chunks
-    /// against the global partition.
+    /// against the global partition. So do the split halves: a
+    /// reduce-scatter handle per window, then a gather-from-owner handle per
+    /// window.
     #[test]
     fn windowed_handles_bit_identical_to_serial_bucketed() {
         for p in [2usize, 3, 4, 8] {
@@ -472,41 +515,25 @@ mod tests {
                     });
                     let overlapped = World::run(p, |r| {
                         let mut buf = ins[r.id()].clone();
-                        let mut handles: Vec<RingAllreduceHandle> = buf
-                            .chunks_mut(bucket)
-                            .enumerate()
-                            .map(|(b, window)| {
-                                ring_allreduce_start(
-                                    r,
-                                    None,
-                                    window,
-                                    ReduceOp::Sum,
-                                    b as u64,
-                                    n,
-                                    b * bucket,
-                                )
-                            })
-                            .collect();
-                        // Round-robin progress, then wait stragglers in
-                        // reverse order — an adversarial interleaving
-                        // relative to launch order.
-                        for _ in 0..3 {
-                            for h in handles.iter_mut() {
-                                h.progress();
-                            }
-                        }
-                        for h in handles.iter_mut().rev() {
-                            h.wait();
-                        }
+                        run_windows(r, &mut buf, bucket, RingPhase::Allreduce);
                         buf
                     });
-                    for (r, (s, o)) in serial.iter().zip(&overlapped).enumerate() {
-                        for (i, (x, y)) in s.iter().zip(o).enumerate() {
-                            assert_eq!(
-                                x.to_bits(),
-                                y.to_bits(),
-                                "p={p} n={n} bucket={bucket} rank {r} element {i}: {x} vs {y}"
-                            );
+                    let split = World::run(p, |r| {
+                        let mut buf = ins[r.id()].clone();
+                        run_windows(r, &mut buf, bucket, RingPhase::ReduceScatter);
+                        run_windows(r, &mut buf, bucket, RingPhase::Allgather);
+                        buf
+                    });
+                    for (what, got) in [("overlapped", &overlapped), ("split", &split)] {
+                        for (r, (s, o)) in serial.iter().zip(got).enumerate() {
+                            for (i, (x, y)) in s.iter().zip(o).enumerate() {
+                                assert_eq!(
+                                    x.to_bits(),
+                                    y.to_bits(),
+                                    "{what} p={p} n={n} bucket={bucket} rank {r} \
+                                     element {i}: {x} vs {y}"
+                                );
+                            }
                         }
                     }
                 }
@@ -516,28 +543,34 @@ mod tests {
 
     /// Windowed handles move exactly the bytes the serial bucketed path
     /// moves: the union of window messages per chunk is the chunk itself.
+    /// The split halves send the fused handles' messages and bytes exactly,
+    /// with fewer elements than ranks and with a ragged partition.
     #[test]
     fn windowed_traffic_matches_serial() {
-        let (p, n, bucket) = (4usize, 37usize, 8usize);
-        let (_, serial) = World::run_with_stats(p, |r| {
-            let mut buf = vec![1.0f32; n];
-            ring_allreduce_bucketed(r, &mut buf, ReduceOp::Sum, bucket);
-        });
-        let (_, windowed) = World::run_with_stats(p, |r| {
-            let mut buf = vec![1.0f32; n];
-            let mut handles: Vec<RingAllreduceHandle> = buf
-                .chunks_mut(bucket)
-                .enumerate()
-                .map(|(b, w)| {
-                    ring_allreduce_start(r, None, w, ReduceOp::Sum, b as u64, n, b * bucket)
-                })
-                .collect();
-            for h in handles.iter_mut() {
-                h.wait();
+        let bucket = 8usize;
+        for p in [2usize, 3, 4, 8] {
+            for n in [5usize, 37] {
+                let (_, serial) = World::run_with_stats(p, |r| {
+                    let mut buf = vec![1.0f32; n];
+                    ring_allreduce_bucketed(r, &mut buf, ReduceOp::Sum, bucket);
+                });
+                let (_, windowed) = World::run_with_stats(p, |r| {
+                    run_windows(r, &mut vec![1.0f32; n], bucket, RingPhase::Allreduce);
+                });
+                let (_, split) = World::run_with_stats(p, |r| {
+                    let mut buf = vec![1.0f32; n];
+                    run_windows(r, &mut buf, bucket, RingPhase::ReduceScatter);
+                    run_windows(r, &mut buf, bucket, RingPhase::Allgather);
+                });
+                assert_eq!(serial.bytes_sent, windowed.bytes_sent, "p={p} n={n}");
+                assert_eq!(serial.bytes_sent, (4 * 2 * (p - 1) * n) as u64);
+                assert_eq!(
+                    (split.bytes_sent, split.messages_sent),
+                    (windowed.bytes_sent, windowed.messages_sent),
+                    "p={p} n={n}"
+                );
             }
-        });
-        assert_eq!(serial.bytes_sent, windowed.bytes_sent);
-        assert_eq!(serial.bytes_sent, (4 * 2 * (p - 1) * n) as u64);
+        }
     }
 
     /// Handles coexist with blocking collectives on the same ranks: the
@@ -651,7 +684,7 @@ mod tests {
                     .chunks_mut(bucket)
                     .enumerate()
                     .map(|(b, w)| ring_allreduce_start(
-                        r, None, w, ReduceOp::Sum, b as u64, n, b * bucket,
+                        r, None, w, ReduceOp::Sum, b as u64, n, b * bucket, RingPhase::Allreduce,
                     ))
                     .collect();
                 for h in handles.iter_mut() {

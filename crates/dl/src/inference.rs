@@ -25,14 +25,15 @@
 //! trainer would have computed.
 
 use crate::model::MlpSpec;
-use summit_tensor::{ops, Matrix, Precision};
+use summit_tensor::{ops, MatRef, Matrix, Precision};
 
-/// Shared dense-layer forward: `out = x·W + b`. Both the trainer's
-/// [`Linear`](crate::model) layers and [`ServableModel`] call this, so
-/// training-time and serving-time activations are bitwise identical.
+/// Shared dense-layer forward: `out = x·W + b`. Both the trainer's layers
+/// (whose `W` is a view of the model's parameter arena) and
+/// [`ServableModel`] call this, so training-time and serving-time
+/// activations are bitwise identical.
 pub(crate) fn dense_forward_into(
     x: &Matrix,
-    w: &Matrix,
+    w: MatRef<'_>,
     b: &[f32],
     precision: Precision,
     out: &mut Matrix,
@@ -72,33 +73,34 @@ impl ServableModel {
         dims.push(spec.inputs);
         dims.extend_from_slice(&spec.hidden);
         dims.push(spec.outputs);
-        let expected: usize = dims.windows(2).map(|d| d[0] * d[1] + d[1]).sum();
+        Self::from_shapes_params(dims.windows(2).map(|d| (d[0], d[1])), flat)
+    }
+
+    /// A replica of layers shaped `(in, out)` in turn over a flat parameter
+    /// vector in that layout — the path [`Mlp::servable`](crate::model::Mlp)
+    /// takes from its parameter arena.
+    ///
+    /// # Panics
+    /// Panics if `flat.len()` does not match the shapes' parameter count.
+    pub(crate) fn from_shapes_params(
+        shapes: impl Iterator<Item = (usize, usize)> + Clone,
+        flat: &[f32],
+    ) -> Self {
+        let expected: usize = shapes.clone().map(|(i, o)| i * o + o).sum();
         assert_eq!(flat.len(), expected, "flat parameter length mismatch");
-        let mut layers = Vec::with_capacity(dims.len() - 1);
-        let mut off = 0usize;
-        for d in dims.windows(2) {
-            let (rows, cols) = (d[0], d[1]);
-            let w = Matrix::from_vec(rows, cols, flat[off..off + rows * cols].to_vec());
-            off += rows * cols;
-            let b = flat[off..off + cols].to_vec();
-            off += cols;
-            layers.push(ServableLayer { w, b });
-        }
+        let mut rest = flat;
+        let layers = shapes
+            .map(|(rows, cols)| {
+                let (w, tail) = rest.split_at(rows * cols);
+                let (b, tail) = tail.split_at(cols);
+                rest = tail;
+                let w = Matrix::from_vec(rows, cols, w.to_vec());
+                ServableLayer { w, b: b.to_vec() }
+            })
+            .collect();
         ServableModel {
             layers,
             precision: Precision::F32,
-        }
-    }
-
-    /// Internal constructor for [`Mlp::servable`](crate::model::Mlp) —
-    /// takes already-materialized `(weights, bias)` pairs.
-    pub(crate) fn from_layers(layers: Vec<(Matrix, Vec<f32>)>, precision: Precision) -> Self {
-        ServableModel {
-            layers: layers
-                .into_iter()
-                .map(|(w, b)| ServableLayer { w, b })
-                .collect(),
-            precision,
         }
     }
 
@@ -159,7 +161,7 @@ impl ServableModel {
         let depth = self.layers.len();
         for (i, layer) in self.layers.iter().enumerate() {
             let mut y = Matrix::zeros(h.rows(), layer.w.cols());
-            dense_forward_into(&h, &layer.w, &layer.b, self.precision, &mut y);
+            dense_forward_into(&h, (&layer.w).into(), &layer.b, self.precision, &mut y);
             if i + 1 < depth {
                 ops::relu_inplace(&mut y);
             }

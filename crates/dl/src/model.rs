@@ -1,12 +1,18 @@
 //! Multi-layer perceptrons with explicit backprop.
 //!
-//! An [`Mlp`] keeps its gradient in **one** flat arena (`grads`, layer-major,
-//! weights then bias — the layout [`Mlp::flat_grads`] has always exposed),
-//! not in per-layer buffers. Backward writes each layer's `Xᵀ·dY` straight
-//! into its arena window, a data-parallel step allreduces arena windows in
-//! place ([`Mlp::backward_with`]), and the optimizer reads arena slices
-//! ([`Mlp::for_each_group`]): the gradient is produced, reduced and consumed
-//! where it lies.
+//! An [`Mlp`] keeps its parameters and its gradient in **two** flat arenas
+//! of the same layout (`params` and `grads`, layer-major, weights then bias
+//! — the layout [`Mlp::flat_params`] and [`Mlp::flat_grads`] have always
+//! exposed), not in per-layer buffers. A `Linear` layer holds only its
+//! shape, its cached input and its precision; its GEMMs read the weights as
+//! a borrowed view of the parameter arena ([`MatRef`]). Backward writes each
+//! layer's `Xᵀ·dY` straight into its gradient window, a data-parallel step
+//! reduces gradient windows in place ([`Mlp::backward_with`]), the optimizer
+//! reads and writes arena slices ([`Mlp::for_each_group`], or
+//! [`Mlp::for_each_group_in`] for the one chunk a rank owns under the
+//! sharded commit), and that step's parameter allgather moves windows of the
+//! parameter arena in place: nothing is produced, reduced, updated or
+//! gathered anywhere but where it lies.
 //!
 //! [`Mlp::zero_grads`] does not write zeros. It marks the arena *clean*; the
 //! next backward then stores its products instead of load-add-storing them
@@ -14,15 +20,17 @@
 //! materialises the zeros. A second backward without `zero_grads` in
 //! between accumulates, as before.
 
-use crate::inference::{dense_forward_into, ServableModel};
-use summit_tensor::{ops, Initializer, Matrix, Precision};
+use std::ops::Range;
 
-/// A fully-connected layer `in_dim → out_dim`. Its gradient lives in a
-/// caller-provided `[weights, bias]` window (an [`Mlp`]'s arena).
+use crate::inference::{dense_forward_into, ServableModel};
+use summit_tensor::{ops, Initializer, MatRef, Matrix, Precision};
+
+/// A fully-connected layer `in_dim → out_dim`. Its parameters and gradient
+/// live in caller-provided `[weights, bias]` windows of an [`Mlp`]'s arenas.
 #[derive(Debug, Clone)]
-pub struct Linear {
-    w: Matrix,
-    b: Vec<f32>,
+struct Linear {
+    in_dim: usize,
+    out_dim: usize,
     /// Input cached by the last forward pass, consumed by backward.
     input: Option<Matrix>,
     /// GEMM storage precision for this layer's three products (f32
@@ -32,51 +40,35 @@ pub struct Linear {
 }
 
 impl Linear {
-    /// Create with He initialization for weights, zero biases, f32 GEMMs.
-    pub fn new(in_dim: usize, out_dim: usize, seed: u64) -> Self {
-        Linear {
-            w: Initializer::HeNormal.init(in_dim, out_dim, seed),
-            b: vec![0.0; out_dim],
-            input: None,
-            precision: Precision::F32,
-        }
+    /// The weight matrix inside this layer's parameter window.
+    fn weights<'a>(&self, params: &'a [f32]) -> MatRef<'a> {
+        let w = &params[..self.in_dim * self.out_dim];
+        MatRef::new(self.in_dim, self.out_dim, w)
     }
 
-    /// Forward: `y = x·W + b`, caching a copy of `x` for backward. Runs the
-    /// same shared routine the forward-only serving path uses
-    /// ([`crate::inference::ServableModel`]), so served activations are
-    /// bitwise the trained ones.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        self.forward_owned(x.clone())
-    }
-
-    /// [`Linear::forward`] taking ownership of the input, so an activation
-    /// produced for this layer alone is cached without a second copy.
-    fn forward_owned(&mut self, x: Matrix) -> Matrix {
-        let mut y = Matrix::zeros(x.rows(), self.w.cols());
-        dense_forward_into(&x, &self.w, &self.b, self.precision, &mut y);
+    /// Forward: `y = x·W + b` over this layer's parameter window, caching
+    /// `x` for backward. Runs the same shared routine the forward-only
+    /// serving path uses ([`crate::inference::ServableModel`]), so served
+    /// activations are bitwise the trained ones.
+    fn forward(&mut self, params: &[f32], x: Matrix) -> Matrix {
+        let mut y = Matrix::zeros(x.rows(), self.out_dim);
+        let bias = &params[self.in_dim * self.out_dim..];
+        dense_forward_into(&x, self.weights(params), bias, self.precision, &mut y);
         self.input = Some(x);
         y
     }
 
-    /// Backward: `gW = xᵀ·dy`, `gb = Σrows dy` into `grads` (this layer's
-    /// `[weights, bias]` window) — stored when `overwrite`, added otherwise
-    /// — and return `dx = dy·Wᵀ`.
+    /// `gW = xᵀ·dy`, `gb = Σrows dy` into `grads` (this layer's `[weights,
+    /// bias]` window) — stored when `overwrite`, added otherwise. No
+    /// product-sized temporary, and no read of `grads` when `overwrite`.
     ///
     /// # Panics
     /// Panics if called before `forward` or if `grads` is not
     /// `in_dim·out_dim + out_dim` long.
-    pub fn backward(&mut self, dy: &Matrix, grads: &mut [f32], overwrite: bool) -> Matrix {
-        self.param_grads(dy, grads, overwrite);
-        self.input_grad(dy)
-    }
-
-    /// The parameter half of [`Linear::backward`]: no product-sized
-    /// temporary, and no read of `grads` when `overwrite`.
     fn param_grads(&self, dy: &Matrix, grads: &mut [f32], overwrite: bool) {
         let x = self.input.as_ref().expect("backward called before forward");
         assert_eq!(grads.len(), self.param_count(), "gradient window mismatch");
-        let (gw, gb) = grads.split_at_mut(self.w.as_slice().len());
+        let (gw, gb) = grads.split_at_mut(self.in_dim * self.out_dim);
         x.matmul_at_b_into_slice(dy, gw, !overwrite, self.precision);
         if overwrite {
             gb.fill(0.0);
@@ -86,15 +78,15 @@ impl Linear {
         }
     }
 
-    /// `dx = dy·Wᵀ`.
-    fn input_grad(&self, dy: &Matrix) -> Matrix {
-        let mut dx = Matrix::zeros(dy.rows(), self.w.rows());
-        dy.matmul_a_bt_into_prec(&self.w, &mut dx, self.precision);
+    /// `dx = dy·Wᵀ` over this layer's parameter window.
+    fn input_grad(&self, params: &[f32], dy: &Matrix) -> Matrix {
+        let mut dx = Matrix::zeros(dy.rows(), self.in_dim);
+        dy.matmul_a_bt_into_prec(self.weights(params), &mut dx, self.precision);
         dx
     }
 
     fn param_count(&self) -> usize {
-        self.w.as_slice().len() + self.b.len()
+        self.in_dim * self.out_dim + self.out_dim
     }
 }
 
@@ -133,20 +125,27 @@ impl MlpSpec {
         dims.push(self.inputs);
         dims.extend_from_slice(&self.hidden);
         dims.push(self.outputs);
-        let layers: Vec<Linear> = dims
-            .windows(2)
-            .enumerate()
-            .map(|(i, d)| Linear::new(d[0], d[1], seed.wrapping_add(i as u64 * 7919)))
-            .collect();
-        let mut layer_starts = Vec::with_capacity(layers.len() + 1);
-        let mut total = 0;
-        for layer in &layers {
-            layer_starts.push(total);
-            total += layer.param_count();
+        let depth = dims.len() - 1;
+        let total: usize = dims.windows(2).map(|d| d[0] * d[1] + d[1]).sum();
+        let (mut layers, mut params) = (Vec::with_capacity(depth), Vec::with_capacity(total));
+        let mut layer_starts = Vec::with_capacity(depth + 1);
+        for (i, d) in dims.windows(2).enumerate() {
+            let (in_dim, out_dim) = (d[0], d[1]);
+            layer_starts.push(params.len());
+            let seed = seed.wrapping_add(i as u64 * 7919);
+            params.extend_from_slice(Initializer::HeNormal.init(in_dim, out_dim, seed).as_slice());
+            params.resize(params.len() + out_dim, 0.0);
+            layers.push(Linear {
+                in_dim,
+                out_dim,
+                input: None,
+                precision: Precision::F32,
+            });
         }
         layer_starts.push(total);
         Mlp {
             layers,
+            params,
             grads: vec![0.0; total],
             layer_starts,
             grads_clean: false,
@@ -158,10 +157,12 @@ impl MlpSpec {
 #[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Linear>,
-    /// The gradient arena: every layer's `[weights, bias]`, in layer order.
+    /// The parameter arena: every layer's `[weights, bias]`, in layer order.
+    params: Vec<f32>,
+    /// The gradient arena, laid out like `params`.
     grads: Vec<f32>,
-    /// Start of each layer's arena window; `layer_starts[depth]` is the
-    /// arena length.
+    /// Start of each layer's window in both arenas; `layer_starts[depth]`
+    /// is the arena length.
     layer_starts: Vec<usize>,
     /// Set by [`Mlp::zero_grads`]: the arena *means* all zeros, whatever it
     /// holds. The next backward overwrites it; a reader that comes first
@@ -193,18 +194,25 @@ impl Mlp {
 
     /// Total scalar parameter count.
     pub fn param_count(&self) -> usize {
-        self.grads.len()
+        self.params.len()
+    }
+
+    /// Layer `i`'s `[weights, bias]` window of the parameter arena.
+    fn layer_params(&self, i: usize) -> &[f32] {
+        &self.params[self.layer_starts[i]..self.layer_starts[i + 1]]
     }
 
     /// Forward pass: returns logits for a `batch × inputs` matrix. Each
     /// hidden activation is kept once, as the next layer's cached input
     /// (which is also the ReLU mask backward needs).
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let (first, rest) = self.layers.split_first_mut().expect("at least one layer");
-        let mut h = first.forward(x);
-        for layer in rest {
-            ops::relu_inplace(&mut h);
-            h = layer.forward_owned(h);
+        let mut h = x.clone();
+        for i in 0..self.layers.len() {
+            if i > 0 {
+                ops::relu_inplace(&mut h);
+            }
+            let params = &self.params[self.layer_starts[i]..self.layer_starts[i + 1]];
+            h = self.layers[i].forward(params, h);
         }
         h
     }
@@ -228,7 +236,7 @@ impl Mlp {
     /// Panics if called before `forward`.
     pub fn backward_input(&mut self, dlogits: &Matrix) -> Matrix {
         let dy0 = self.backward_with(dlogits, |_, _| {});
-        self.layers[0].input_grad(&dy0)
+        self.layers[0].input_grad(self.layer_params(0), &dy0)
     }
 
     /// Backward pass with a per-layer gradient-readiness callback — the
@@ -245,7 +253,7 @@ impl Mlp {
     /// split any part of that final suffix off the tail of `*pending`
     /// (`split_at_mut`, leaving the head behind) and keep it for `'a` — a
     /// data-parallel trainer hands such a window to a nonblocking
-    /// allreduce, which then reduces the gradient where it lies while
+    /// collective, which then reduces the gradient where it lies while
     /// earlier layers are still being computed into the head. Gradients of
     /// layers not yet reported must stay in `*pending`.
     ///
@@ -266,12 +274,14 @@ impl Mlp {
         let mut pending: &'a mut [f32] = &mut self.grads;
         let mut grad = dlogits.clone();
         for i in (0..self.layers.len()).rev() {
-            let layer = &self.layers[i];
-            let window = &mut pending[self.layer_starts[i]..self.layer_starts[i + 1]];
-            layer.param_grads(&grad, window, overwrite);
+            let (layer, window) = (
+                &self.layers[i],
+                self.layer_starts[i]..self.layer_starts[i + 1],
+            );
+            layer.param_grads(&grad, &mut pending[window.clone()], overwrite);
             on_layer_ready(i, &mut pending);
             if i > 0 {
-                grad = layer.input_grad(&grad);
+                grad = layer.input_grad(&self.params[window], &grad);
                 let mask = layer.input.as_ref().expect("checked by param_grads");
                 ops::relu_backward(mask, &mut grad);
             }
@@ -299,16 +309,17 @@ impl Mlp {
         }
     }
 
-    /// The gradient arena itself — what a data-parallel step allreduces in
+    /// The gradient arena itself — what a data-parallel step reduces in
     /// place.
     pub(crate) fn grads_mut(&mut self) -> &mut [f32] {
         self.materialize_zeros();
         &mut self.grads
     }
 
-    /// Scale all gradients (for micro-batch and data-parallel averaging).
-    pub fn scale_grads(&mut self, s: f32) {
-        summit_tensor::scale(self.grads_mut(), s);
+    /// The parameter arena itself — what the sharded commit allgathers in
+    /// place.
+    pub(crate) fn params_mut(&mut self) -> &mut [f32] {
+        &mut self.params
     }
 
     /// Copy all gradients into one flat vector (layer-major, weights then
@@ -345,14 +356,9 @@ impl Mlp {
         self.grads_clean = false;
     }
 
-    /// Copy all parameters into one flat vector.
+    /// Copy all parameters into one flat vector — a copy of the arena.
     pub fn flat_params(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.param_count());
-        for layer in &self.layers {
-            out.extend_from_slice(layer.w.as_slice());
-            out.extend_from_slice(&layer.b);
-        }
-        out
+        self.params.clone()
     }
 
     /// Overwrite all parameters from a flat vector.
@@ -365,18 +371,7 @@ impl Mlp {
             self.param_count(),
             "flat parameter length mismatch"
         );
-        let mut off = 0;
-        for layer in &mut self.layers {
-            let wlen = layer.w.as_slice().len();
-            layer
-                .w
-                .as_mut_slice()
-                .copy_from_slice(&flat[off..off + wlen]);
-            off += wlen;
-            let blen = layer.b.len();
-            layer.b.copy_from_slice(&flat[off..off + blen]);
-            off += blen;
-        }
+        self.params.copy_from_slice(flat);
     }
 
     /// Snapshot the forward-only serving state of this model: weights,
@@ -384,26 +379,39 @@ impl Mlp {
     /// cached activations. The snapshot is what a serving replica holds
     /// and what a weight broadcast ships.
     pub fn servable(&self) -> ServableModel {
-        ServableModel::from_layers(
-            self.layers
-                .iter()
-                .map(|l| (l.w.clone(), l.b.clone()))
-                .collect(),
-            self.precision(),
-        )
+        let shapes = self.layers.iter().map(|l| (l.in_dim, l.out_dim));
+        ServableModel::from_shapes_params(shapes, &self.params).with_precision(self.precision())
     }
 
     /// Visit each parameter group (per-layer weights and biases separately,
     /// as LARS/LAMB prescribe) with `(group_id, params, grads)`.
-    pub fn for_each_group(&mut self, mut f: impl FnMut(usize, &mut [f32], &[f32])) {
+    pub fn for_each_group(&mut self, f: impl FnMut(usize, &mut [f32], &[f32])) {
+        self.for_each_group_in(0..self.param_count(), f);
+    }
+
+    /// [`Mlp::for_each_group`] restricted to the arena range `range`: each
+    /// group that meets it is visited once, cut to the intersection, under
+    /// its own id. The sharded commit updates the chunk a rank owns this
+    /// way, so an elementwise optimizer touches every element exactly as
+    /// the whole-group visit would.
+    pub fn for_each_group_in(
+        &mut self,
+        range: Range<usize>,
+        mut f: impl FnMut(usize, &mut [f32], &[f32]),
+    ) {
         self.materialize_zeros();
-        let mut grads: &[f32] = &self.grads;
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            let (gw, rest) = grads.split_at(layer.w.as_slice().len());
-            let (gb, rest) = rest.split_at(layer.b.len());
-            grads = rest;
-            f(2 * i, layer.w.as_mut_slice(), gw);
-            f(2 * i + 1, &mut layer.b, gb);
+        for (i, layer) in self.layers.iter().enumerate() {
+            let (start, end) = (self.layer_starts[i], self.layer_starts[i + 1]);
+            let groups = [
+                start..start + layer.in_dim * layer.out_dim,
+                start + layer.in_dim * layer.out_dim..end,
+            ];
+            for (g, group) in groups.into_iter().enumerate() {
+                let (lo, hi) = (group.start.max(range.start), group.end.min(range.end));
+                if lo < hi {
+                    f(2 * i + g, &mut self.params[lo..hi], &self.grads[lo..hi]);
+                }
+            }
         }
     }
 }
@@ -411,6 +419,7 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optim::{Optimizer, Sgd};
     use summit_tensor::ops::softmax_cross_entropy;
 
     #[test]
@@ -465,9 +474,10 @@ mod tests {
         }
     }
 
-    /// `backward_input` is the layer-by-layer chain (every layer's full
-    /// `Linear::backward` accumulating into really-zeroed windows, ReLU
-    /// masks between) bit for bit, and `zero_grads` → `backward` — the
+    /// `backward_input` is the layer-by-layer chain (every layer's
+    /// parameter and input gradients, accumulating into really-zeroed
+    /// windows, ReLU masks between) bit for bit, and `zero_grads` →
+    /// `backward` — the
     /// overwrite-first path, which skips layer 0's `dX` — leaves the same
     /// parameter gradients.
     #[test]
@@ -479,12 +489,13 @@ mod tests {
         m.set_flat_grads(&vec![f32::NAN; m.param_count()]);
         m.zero_grads();
 
-        let mut chain = m.clone();
+        let chain = m.clone();
         let mut chain_grads = vec![0.0f32; chain.param_count()];
         let mut dx = dlogits.clone();
         for i in (0..chain.layers.len()).rev() {
-            let window = &mut chain_grads[chain.layer_starts[i]..chain.layer_starts[i + 1]];
-            dx = chain.layers[i].backward(&dx, window, false);
+            let window = chain.layer_starts[i]..chain.layer_starts[i + 1];
+            chain.layers[i].param_grads(&dx, &mut chain_grads[window.clone()], false);
+            dx = chain.layers[i].input_grad(&chain.params[window], &dx);
             if i > 0 {
                 let mask = chain.layers[i].input.as_ref().unwrap();
                 ops::relu_backward(mask, &mut dx);
@@ -528,16 +539,25 @@ mod tests {
             .for_each_group(|_, _, g| visited.extend_from_slice(g));
         assert_eq!(bits(&visited), zeros);
 
-        let mut scaled = m.clone();
-        scaled.scale_grads(3.0);
-        assert_eq!(bits(&scaled.flat_grads()), zeros);
+        // The fused optimizer entry reads the clean arena as zeros: a
+        // scaled plain-SGD step moves no parameter.
+        let mut sgd = Sgd::new(1.0, 0.0, 0.0);
+        let mut stepped = m.clone();
+        stepped.for_each_group(|id, p, g| sgd.step_scaled(id, 1.0, 3.0, p, g));
+        assert_eq!(bits(&stepped.flat_params()), bits(&m.flat_params()));
         assert_eq!(bits(m.clone().grads_mut()), zeros);
 
-        // Writing gradients ends the clean state.
+        // Writing gradients ends the clean state, and the entry reads them
+        // scaled: one multiply per element, as a separate sweep would.
         m.set_flat_grads(&stale);
-        m.scale_grads(2.0);
-        let doubled: Vec<f32> = stale.iter().map(|g| g * 2.0).collect();
-        assert_eq!(m.flat_grads(), doubled);
+        let params = m.flat_params();
+        let want: Vec<f32> = params
+            .iter()
+            .zip(&stale)
+            .map(|(p, g)| p - g * 2.0)
+            .collect();
+        m.for_each_group(|id, p, g| sgd.step_scaled(id, 1.0, 2.0, p, g));
+        assert_eq!(bits(&m.flat_params()), bits(&want));
     }
 
     #[test]
@@ -609,5 +629,22 @@ mod tests {
         });
         assert_eq!(seen, m.param_count());
         assert_eq!(ids, vec![0, 1, 2, 3, 4, 5]);
+
+        // A range cutting groups [12, 16), [16, 36) and [36, 41) visits
+        // exactly its slice of each arena, under the groups' own ids.
+        let (flat, mut visits) = (m.flat_params(), Vec::new());
+        m.for_each_group_in(14..38, |id, p, g| {
+            assert_eq!(p.len(), g.len());
+            visits.push((id, p.to_vec()));
+            p.fill(0.0);
+        });
+        let want = [(1, &flat[14..16]), (2, &flat[16..36]), (3, &flat[36..38])];
+        assert_eq!(visits.len(), want.len());
+        for ((id, got), (want_id, want)) in visits.iter().zip(want) {
+            assert_eq!((*id, got.as_slice()), (want_id, want));
+        }
+        let after = m.flat_params();
+        assert!(after[14..38].iter().all(|&v| v == 0.0));
+        assert_eq!((&after[..14], &after[38..]), (&flat[..14], &flat[38..]));
     }
 }

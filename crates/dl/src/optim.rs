@@ -62,9 +62,27 @@ fn import_map(
 /// A stateful optimizer applied per parameter group (one group per layer
 /// weight matrix or bias vector, as the layer-wise methods require).
 pub trait Optimizer: Send {
-    /// Apply one update to a parameter group. `lr` is the scheduled global
-    /// learning rate for this step.
-    fn step_group(&mut self, group: usize, lr: f32, params: &mut [f32], grads: &[f32]);
+    /// Apply one update to a parameter group from the gradient
+    /// `scale · grads`, scaling each element in the same sweep that
+    /// updates it (one multiply, so bitwise a separate scaling pass). `lr`
+    /// is the scheduled global learning rate for this step; `scale` is
+    /// the `1/world` average of a data-parallel step or the `1/k` of
+    /// gradient accumulation.
+    fn step_scaled(&mut self, id: usize, lr: f32, scale: f32, params: &mut [f32], grads: &[f32]);
+
+    /// [`step_scaled`](Optimizer::step_scaled) at gradient scale 1.
+    fn step_group(&mut self, group: usize, lr: f32, params: &mut [f32], grads: &[f32]) {
+        self.step_scaled(group, lr, 1.0, params, grads);
+    }
+
+    /// Whether each element's update reads only that element's parameter,
+    /// gradient and state (and the step counter), so that a group updated
+    /// piece by piece — each piece on the rank that owns it — lands on the
+    /// bits of one whole-group update. The trust-ratio optimizers read
+    /// whole-group norms and are not.
+    fn elementwise(&self) -> bool {
+        false
+    }
 
     /// Advance the step counter (call once per optimizer step, after all
     /// groups).
@@ -115,15 +133,19 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
-    fn step_group(&mut self, group: usize, lr: f32, params: &mut [f32], grads: &[f32]) {
+    fn step_scaled(&mut self, id: usize, lr: f32, scale: f32, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), grads.len(), "group shape mismatch");
         let eff = self.lr * lr;
-        let v = state(&mut self.velocity, group, params.len());
+        let v = state(&mut self.velocity, id, params.len());
         for ((p, &g), vi) in params.iter_mut().zip(grads).zip(v.iter_mut()) {
-            let g = g + self.weight_decay * *p;
+            let g = g * scale + self.weight_decay * *p;
             *vi = self.momentum * *vi + g;
             *p -= eff * *vi;
         }
+    }
+
+    fn elementwise(&self) -> bool {
+        true
     }
 
     fn export_state(&self) -> OptimizerState {
@@ -176,8 +198,9 @@ impl Adam {
         }
     }
 
-    /// The bias-corrected Adam direction for a group, written into `out`.
-    fn direction(&mut self, group: usize, grads: &[f32], out: &mut Vec<f32>) {
+    /// The bias-corrected Adam direction for a group's gradient
+    /// `scale · grads`, written into `out`.
+    fn direction(&mut self, group: usize, scale: f32, grads: &[f32], out: &mut Vec<f32>) {
         let t = (self.step + 1) as i32;
         let bc1 = 1.0 - self.beta1.powi(t);
         let bc2 = 1.0 - self.beta2.powi(t);
@@ -186,6 +209,7 @@ impl Adam {
         out.clear();
         out.reserve(grads.len());
         for ((mi, vi), &g) in m.iter_mut().zip(v.iter_mut()).zip(grads) {
+            let g = g * scale;
             *mi = self.beta1 * *mi + (1.0 - self.beta1) * g;
             *vi = self.beta2 * *vi + (1.0 - self.beta2) * g * g;
             let m_hat = *mi / bc1;
@@ -196,15 +220,19 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
-    fn step_group(&mut self, group: usize, lr: f32, params: &mut [f32], grads: &[f32]) {
+    fn step_scaled(&mut self, id: usize, lr: f32, scale: f32, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), grads.len(), "group shape mismatch");
         let eff = self.lr * lr;
         let mut dir = Vec::new();
-        self.direction(group, grads, &mut dir);
+        self.direction(id, scale, grads, &mut dir);
         for (d, &p) in dir.iter_mut().zip(params.iter()) {
             *d += self.weight_decay * p;
         }
         axpy(-eff, &dir, params);
+    }
+
+    fn elementwise(&self) -> bool {
+        true
     }
 
     fn advance(&mut self) {
@@ -266,17 +294,15 @@ impl Lars {
 }
 
 impl Optimizer for Lars {
-    fn step_group(&mut self, group: usize, lr: f32, params: &mut [f32], grads: &[f32]) {
+    fn step_scaled(&mut self, id: usize, lr: f32, scale: f32, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), grads.len(), "group shape mismatch");
-        let w_norm = l2_norm(params);
-        let g_norm = l2_norm(grads);
-        let trust = self.trust_ratio(w_norm, g_norm);
+        let mut reg: Vec<f32> = grads.iter().map(|g| g * scale).collect();
+        let trust = self.trust_ratio(l2_norm(params), l2_norm(&reg));
         // Regularized gradient, scaled by the trust ratio, fed to SGD.
-        let mut reg: Vec<f32> = grads.to_vec();
         for (r, &p) in reg.iter_mut().zip(params.iter()) {
             *r = trust * (*r + self.weight_decay * p);
         }
-        self.inner.step_group(group, lr, params, &reg);
+        self.inner.step_group(id, lr, params, &reg);
     }
 
     fn export_state(&self) -> OptimizerState {
@@ -326,14 +352,14 @@ impl Larc {
 }
 
 impl Optimizer for Larc {
-    fn step_group(&mut self, group: usize, lr: f32, params: &mut [f32], grads: &[f32]) {
+    fn step_scaled(&mut self, id: usize, lr: f32, scale: f32, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), grads.len(), "group shape mismatch");
-        let rate = self.local_rate(l2_norm(params), l2_norm(grads));
-        let mut reg: Vec<f32> = grads.to_vec();
+        let mut reg: Vec<f32> = grads.iter().map(|g| g * scale).collect();
+        let rate = self.local_rate(l2_norm(params), l2_norm(&reg));
         for (r, &p) in reg.iter_mut().zip(params.iter()) {
             *r = rate * (*r + self.weight_decay * p);
         }
-        self.inner.step_group(group, lr, params, &reg);
+        self.inner.step_group(id, lr, params, &reg);
     }
 
     fn export_state(&self) -> OptimizerState {
@@ -367,10 +393,10 @@ impl Lamb {
 }
 
 impl Optimizer for Lamb {
-    fn step_group(&mut self, group: usize, lr: f32, params: &mut [f32], grads: &[f32]) {
+    fn step_scaled(&mut self, id: usize, lr: f32, scale: f32, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), grads.len(), "group shape mismatch");
         let mut update = Vec::new();
-        self.inner.direction(group, grads, &mut update);
+        self.inner.direction(id, scale, grads, &mut update);
         for (u, &p) in update.iter_mut().zip(params.iter()) {
             *u += self.weight_decay * p;
         }
@@ -577,6 +603,36 @@ mod tests {
             for (a, b) in first_run.iter().flatten().zip(w.iter().flatten()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{name} replay diverged");
             }
+        }
+    }
+
+    /// The fused entry is a scaling sweep followed by the step, bit for
+    /// bit, on every optimizer: the data-parallel average and gradient
+    /// accumulation's `1/k` lose nothing by moving into the update.
+    #[test]
+    fn fused_scale_is_a_separate_scaling_pass() {
+        let make: [fn() -> Box<dyn Optimizer>; 5] = [
+            || Box::new(Sgd::new(0.1, 0.9, 0.01)),
+            || Box::new(Adam::new(0.1, 0.01)),
+            || Box::new(Lars::new(0.5, 0.9, 0.01, 0.01)),
+            || Box::new(Larc::new(0.5, 0.9, 0.01, 0.5)),
+            || Box::new(Lamb::new(0.05, 0.01)),
+        ];
+        let scale = 1.0 / 3.0;
+        for ctor in make {
+            let (mut fused, mut swept) = (ctor(), ctor());
+            let (mut wf, mut ws) = (vec![1.0f32, -2.0, 0.3], vec![1.0f32, -2.0, 0.3]);
+            for s in 0..4 {
+                let grads: Vec<f32> = (0..3).map(|i| (s * 5 + i) as f32 * 0.37 - 1.1).collect();
+                fused.step_scaled(0, 1.0, scale, &mut wf, &grads);
+                let mut scaled = grads.clone();
+                summit_tensor::scale(&mut scaled, scale);
+                swept.step_group(0, 1.0, &mut ws, &scaled);
+                fused.advance();
+                swept.advance();
+            }
+            let bits = |w: &[f32]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&wf), bits(&ws), "{}", fused.name());
         }
     }
 

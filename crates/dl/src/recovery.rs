@@ -166,7 +166,7 @@ impl DataParallelTrainer {
         let total_steps = epochs * self.steps_per_epoch(x.rows());
 
         let (mut results, stats) = World::run_with_faults(self.ranks, plan, |rank| {
-            let mut replica = Replica::new(self, &build_model, &build_optimizer);
+            let mut replica = Replica::new(self, &build_model, &build_optimizer, false);
             // Rollback never changes the membership: the full view at
             // epoch 0, whose collectives are the classic ones on the wire.
             let view = WorldView::full(rank);
@@ -188,7 +188,7 @@ impl DataParallelTrainer {
 
                 let votes = vote_members(rank, &view, comm.is_ok(), round(step, ROUND_COMMIT));
                 if votes.iter().all(|&ok| ok) {
-                    replica.apply_averaged(self.ranks, schedule.multiplier(step));
+                    replica.commit(rank, self.ranks, schedule.multiplier(step));
                     step += 1;
                     loss_sum += loss;
                     if step < total_steps && step.is_multiple_of(cfg.checkpoint_interval) {
@@ -431,7 +431,7 @@ impl DataParallelTrainer {
         self.steps_per_epoch(x.rows());
 
         let (results, stats) = World::run_with_faults(self.ranks, plan, |rank| {
-            let mut replica = Replica::new(self, &build_model, &build_optimizer);
+            let mut replica = Replica::new(self, &build_model, &build_optimizer, false);
             let mut step = 0u32;
             if let Some(ck) = start_from {
                 replica.restore(ck).expect("starting checkpoint rejected");
@@ -516,7 +516,7 @@ impl DataParallelTrainer {
                     vote_members(rank, &view, comm_ok && !poisoned, round(step, ROUND_COMMIT));
 
                 if comm_votes.iter().all(|&v| v) {
-                    replica.apply_averaged(view.size(), schedule.multiplier(step));
+                    replica.commit(rank, view.size(), schedule.multiplier(step));
                     step += 1;
                     committed += 1;
                     loss_sum += loss;

@@ -2,22 +2,43 @@
 //!
 //! [`DataParallelTrainer::run_in`], `run_fault_tolerant` and `run_elastic`
 //! are policy loops around the same step: pick this rank's rows
-//! ([`shard_range`]), forward + loss, backward with the gradient allreduce
-//! overlapped or fused ([`Replica::backward_and_sync`]), then average and
-//! commit ([`Replica::apply_averaged`]). The step exists here once; what a
-//! driver adds is what happens *between* steps — nothing, rollback, or a
-//! membership change.
+//! ([`shard_range`]), forward + loss, backward with the gradient collective
+//! overlapped or fused ([`Replica::backward_and_sync`]), then commit
+//! ([`Replica::commit`]). The step exists here once; what a driver adds is
+//! what happens *between* steps — nothing, rollback, or a membership change.
 //!
 //! The step never moves its gradient. The model's gradient arena
 //! ([`Mlp::backward_with`]) is the fusion buffer: backward writes each
 //! layer's gradient into it (overwriting — `zero_grads` only marks it
 //! clean), the overlapped path splits every newly-ready bucket off the
 //! arena's tail as a disjoint `&mut` window ([`split_tail`]) that the
-//! bucket's nonblocking allreduce reduces in place while earlier layers are
-//! still being written into the head, and averaging and the optimizer read
-//! the same memory. Windows chunk against the global partition, so this is
+//! bucket's nonblocking collective reduces in place while earlier layers are
+//! still being written into the head, and the optimizer reads the same
+//! memory. Windows chunk against the global partition, so this is
 //! bit-identical to one allreduce over the whole arena, which is what the
 //! serial path runs.
+//!
+//! # Two commits
+//!
+//! *Replicated*: the windows run whole allreduces, and every rank takes the
+//! same optimizer step over every parameter. *Sharded*: the ring is
+//! reduce-scatter then allgather, and between the halves rank `i` owns the
+//! fully reduced chunk `(i + 1) mod p` of the global partition
+//! ([`chunk_range`]). So the windows run only the reduce-scatter, each rank
+//! updates only the chunk it owns (cut at parameter-group boundaries, by
+//! [`Mlp::for_each_group_in`]), and then allgathers the *parameters* — the
+//! model's parameter arena — in the same bucket windows. The two halves
+//! send exactly the messages and bytes of one allreduce; optimizer work and
+//! optimizer state per rank fall by `p`. Either commit folds the `1/world`
+//! average into the optimizer's own sweep ([`Optimizer::step_scaled`]), and
+//! each element is updated by the same arithmetic on the same reduced sum,
+//! so both commits land on the same bits.
+//!
+//! [`DataParallelTrainer::run_in`] commits sharded whenever the optimizer
+//! is [elementwise](Optimizer::elementwise) (at `p = 1` that is the
+//! replicated step). The recovery drivers and the trust-ratio optimizers
+//! commit replicated: a shrink must continue from optimizer state only the
+//! dead rank held, and LARS/LARC/LAMB need whole-group norms.
 //!
 //! The collective runs on one of two surfaces, chosen by what the caller
 //! holds rather than by a knob. Without a fault plane there is no
@@ -35,8 +56,9 @@ use summit_comm::{
     elastic::try_ring_allreduce_view,
     nonblocking::{ring_allreduce_start, RingAllreduceHandle},
     world::{Rank, WorldView},
-    CommError,
+    CommError, RingPhase,
 };
+use summit_pool::chunk_range;
 use summit_tensor::{ops, Matrix};
 
 use crate::checkpoint::{CheckpointError, ElasticCheckpoint};
@@ -96,6 +118,8 @@ pub(crate) struct Replica {
     layer_sizes: Vec<usize>,
     bucket_elems: usize,
     overlap: bool,
+    /// Commit sharded (see the module doc) rather than replicated.
+    sharded: bool,
 }
 
 impl Replica {
@@ -103,20 +127,24 @@ impl Replica {
     /// already leased this rank a machine share; an explicit
     /// [`DataParallelTrainer::with_threads`] budget overrides it *before*
     /// the model is built, so `build_model` observes what the rank's
-    /// kernels will actually use.
+    /// kernels will actually use. `shard` asks for the sharded commit,
+    /// which the replica takes if its optimizer is elementwise.
     pub(crate) fn new(
         cfg: &DataParallelTrainer,
         build_model: &impl Fn() -> Mlp,
         build_optimizer: &impl Fn() -> Box<dyn Optimizer>,
+        shard: bool,
     ) -> Self {
         if let Some(t) = cfg.threads {
             summit_pool::set_core_budget(t);
         }
         let model = build_model();
+        let optimizer = build_optimizer();
         Replica {
             layer_sizes: model.layer_param_sizes(),
             model,
-            optimizer: build_optimizer(),
+            sharded: shard && optimizer.elementwise(),
+            optimizer,
             bucket_elems: cfg.fusion.bucket_elems(),
             overlap: cfg.overlap.enabled,
         }
@@ -152,9 +180,11 @@ impl Replica {
     }
 
     /// Backpropagate `dlogits` and sum the gradient across the world, in
-    /// place in the model's gradient arena. Returns rank-local
-    /// `(comm, exposed)` seconds: everything spent launching, progressing
-    /// and waiting, and the part of it not hidden behind backpropagation.
+    /// place in the model's gradient arena — all of it for the replicated
+    /// commit, the chunk this rank owns for the sharded one. Returns
+    /// rank-local `(comm, exposed)` seconds: everything spent launching,
+    /// progressing and waiting, and the part of it not hidden behind
+    /// backpropagation.
     ///
     /// `checked` selects the surface (see the module doc): `None` is the
     /// infallible classic path and never returns `Err` short of a peer
@@ -171,46 +201,54 @@ impl Replica {
         checked: Option<(&WorldView, Instant)>,
         dlogits: &Matrix,
     ) -> Result<(f64, f64), CommError> {
-        let (m, overlap) = (self.bucket_elems, self.overlap);
+        let (m, overlap, sharded) = (self.bucket_elems, self.overlap, self.sharded);
         let Replica {
             model, layer_sizes, ..
         } = self;
         let n = model.param_count();
         let world = checked.map_or(rank.size(), |(view, _)| view.size());
-        if overlap && world > 1 {
-            // Overlapped path: the moment the last layer contributing to a
-            // bucket has written its gradient, split that bucket's window
-            // off the tail of the arena and launch its windowed allreduce
-            // on it, then progress all in-flight collectives between layer
-            // backwards. Windows chunk against the global partition, so
-            // the result is bit-identical to the serial path.
+        if world > 1 && (overlap || sharded) {
+            // Windowed path: split each bucket's window off the tail of the
+            // arena and launch its collective on it — the moment the last
+            // layer contributing to it has written its gradient when
+            // overlapping (progressing every in-flight collective between
+            // layer backwards), or once backward is done. Windows chunk
+            // against the global partition, so the result is bit-identical
+            // to the serial path.
+            let phase = if sharded {
+                RingPhase::ReduceScatter
+            } else {
+                RingPhase::Allreduce
+            };
+            let view = checked.map(|(view, _)| view);
             let mut sched = BucketSchedule::new(layer_sizes, m);
-            let mut handles: Vec<RingAllreduceHandle> = Vec::with_capacity(sched.n_buckets());
+            let n_buckets = sched.n_buckets();
+            let mut handles: Vec<RingAllreduceHandle> = Vec::with_capacity(n_buckets);
             let mut err: Option<CommError> = None;
-            let mut hidden = 0.0f64;
+            let mut launch_s = 0.0f64;
             model.backward_with(dlogits, |layer, pending| {
                 let t0 = Instant::now();
-                for b in sched.on_layer_ready(layer).rev() {
+                let ready = sched.on_layer_ready(layer);
+                let launch = match (overlap, layer) {
+                    (true, _) => ready,
+                    (false, 0) => 0..n_buckets,
+                    (false, _) => 0..0,
+                };
+                for b in launch.rev() {
                     let (id, at) = (b as u64, b * m);
                     let window = split_tail(pending, at);
-                    let view = checked.map(|(view, _)| view);
+                    let op = ReduceOp::Sum;
                     handles.push(ring_allreduce_start(
-                        rank,
-                        view,
-                        window,
-                        ReduceOp::Sum,
-                        id,
-                        n,
-                        at,
+                        rank, view, window, op, id, n, at, phase,
                     ));
                 }
                 if err.is_none() {
                     err = handles.iter_mut().find_map(|h| h.progress_checked().err());
                 }
-                hidden += t0.elapsed().as_secs_f64();
+                launch_s += t0.elapsed().as_secs_f64();
             });
             // Whatever is still in flight is the exposed communication
-            // tail.
+            // tail; without overlap, all of it is exposed.
             let t0 = Instant::now();
             for h in handles.iter_mut() {
                 if err.is_none() {
@@ -226,8 +264,9 @@ impl Replica {
                     h.cancel();
                 }
             }
-            let exposed = t0.elapsed().as_secs_f64();
-            err.map_or(Ok((hidden + exposed, exposed)), Err)
+            let tail = t0.elapsed().as_secs_f64();
+            let exposed = if overlap { tail } else { launch_s + tail };
+            err.map_or(Ok((launch_s + tail, exposed)), Err)
         } else {
             // Serial fused path: full backward, then one bucketed
             // allreduce over the whole arena.
@@ -246,15 +285,43 @@ impl Replica {
         }
     }
 
-    /// Commit the step: average the summed gradient over the `world`
-    /// members that contributed to it and take one optimizer step at
-    /// learning-rate multiplier `lr`.
-    pub(crate) fn apply_averaged(&mut self, world: usize, lr: f32) {
-        self.model.scale_grads(1.0 / world as f32);
-        let opt = &mut self.optimizer;
-        self.model
-            .for_each_group(|id, params, grads| opt.step_group(id, lr, params, grads));
-        opt.advance();
+    /// Commit the step at learning-rate multiplier `lr`: one optimizer
+    /// step on the gradient summed over the `world` members that
+    /// contributed to it, averaged inside the optimizer's sweep. The
+    /// replicated commit updates every parameter. The sharded one updates
+    /// the chunk this rank's reduce-scatter left it, then allgathers the
+    /// parameter arena in the bucket windows; it returns the seconds that
+    /// allgather took (0 for the replicated commit), all of them exposed.
+    /// The optimizer's step counter advances last, once the step's
+    /// parameters are final on every rank.
+    pub(crate) fn commit(&mut self, rank: &Rank, world: usize, lr: f32) -> f64 {
+        let n = self.model.param_count();
+        let owned = if self.sharded {
+            debug_assert_eq!(world, rank.size(), "the sharded commit spans the world");
+            chunk_range(n, world, (rank.id() + 1) % world)
+        } else {
+            0..n
+        };
+        let (opt, scale) = (&mut self.optimizer, 1.0 / world as f32);
+        self.model.for_each_group_in(owned, |id, params, grads| {
+            opt.step_scaled(id, lr, scale, params, grads)
+        });
+        let gather_s = if self.sharded && world > 1 {
+            let (t0, m) = (Instant::now(), self.bucket_elems);
+            let mut handles: Vec<RingAllreduceHandle> = (self.model.params_mut().chunks_mut(m))
+                .enumerate()
+                .map(|(b, window)| {
+                    let (op, phase) = (ReduceOp::Sum, RingPhase::Allgather);
+                    ring_allreduce_start(rank, None, window, op, b as u64, n, b * m, phase)
+                })
+                .collect();
+            handles.iter_mut().for_each(RingAllreduceHandle::wait);
+            t0.elapsed().as_secs_f64()
+        } else {
+            0.0
+        };
+        self.optimizer.advance();
+        gather_s
     }
 }
 

@@ -2,10 +2,13 @@
 //!
 //! [`DataParallelTrainer`] is the heart of the reproduction: it runs one
 //! model replica per `summit-comm` rank, computes real gradients on each
-//! rank's shard of the batch, **ring-allreduces the model's flat gradient
-//! arena in place**, and applies an identical optimizer step everywhere —
-//! the exact synchronous data-parallel scheme (Horovod-style) that every
-//! Section IV-B project used on Summit. A test asserts that `R` ranks with
+//! rank's shard of the batch, **ring-reduces the model's flat gradient
+//! arena in place**, and commits one optimizer step — the exact synchronous
+//! data-parallel scheme (Horovod-style) that every Section IV-B project
+//! used on Summit. With an elementwise optimizer the step is sharded
+//! (ZeRO-style): each rank updates the chunk of the parameters its
+//! reduce-scatter left it and allgathers the rest, on the same bits as the
+//! replicated step (see `crate::step`). A test asserts that `R` ranks with
 //! per-rank batch `B/R` follow the same parameter trajectory as one process
 //! with batch `B`.
 //!
@@ -69,7 +72,7 @@ impl Trainer {
         let (loss, dlogits) = ops::softmax_cross_entropy(logits, labels);
         self.model.zero_grads();
         self.model.backward(&dlogits);
-        self.apply_step();
+        self.apply_step(1.0);
         (loss, acc)
     }
 
@@ -90,8 +93,7 @@ impl Trainer {
             self.model.backward(&dlogits);
         }
         let k = micro_batches.len() as f32;
-        self.model.scale_grads(1.0 / k);
-        self.apply_step();
+        self.apply_step(1.0 / k);
         total_loss / k
     }
 
@@ -133,7 +135,7 @@ impl Trainer {
         let (loss, grad) = ops::mse(&pred, targets);
         self.model.zero_grads();
         self.model.backward(&grad);
-        self.apply_step();
+        self.apply_step(1.0);
         loss
     }
 
@@ -168,11 +170,12 @@ impl Trainer {
         }
     }
 
-    fn apply_step(&mut self) {
+    /// One optimizer step from the gradient arena scaled by `scale`.
+    fn apply_step(&mut self, scale: f32) {
         let lr = self.schedule.multiplier(self.step);
         let opt = &mut self.optimizer;
         self.model
-            .for_each_group(|id, params, grads| opt.step_group(id, lr, params, grads));
+            .for_each_group(|id, params, grads| opt.step_scaled(id, lr, scale, params, grads));
         self.optimizer.advance();
         self.step += 1;
     }
@@ -359,14 +362,17 @@ pub struct ParallelOutcome {
     pub max_divergence: f32,
     /// Optimizer steps taken.
     pub steps: u32,
-    /// Rank 0's cumulative wall-clock seconds spent in gradient
-    /// communication (launch + progress + wait for the overlapped path; the
-    /// whole allreduce for the serial path).
+    /// Rank 0's cumulative wall-clock seconds spent in the step's
+    /// collectives: the gradient reduction (launch + progress + wait for
+    /// the overlapped path; all of it for the serial path) — under the
+    /// sharded commit, both halves: the gradient reduce-scatter and the
+    /// parameter allgather.
     pub comm_seconds: f64,
     /// The part of `comm_seconds` *not* hidden behind backpropagation: the
-    /// post-backward wait tail for the overlapped path, all of
-    /// `comm_seconds` for the serial path. `1 − exposed/serial` across two
-    /// runs is the measured overlap fraction the benches report.
+    /// post-backward wait tail of the gradient reduction for the overlapped
+    /// path (all of it for the serial path), plus the whole parameter
+    /// allgather, which runs after the update. `1 − exposed/serial` across
+    /// two runs is the measured overlap fraction the benches report.
     pub exposed_comm_seconds: f64,
     /// Compute-pool activity during this run (tasks dispatched/stolen,
     /// parks, busy seconds), windowed between snapshots before and after
@@ -425,10 +431,12 @@ impl DataParallelTrainer {
 
     /// Run `epochs` of synchronous data-parallel training. Every rank builds
     /// the model from `build_model()` (so replicas start identical), takes
-    /// its round-robin shard of `(x, labels)`, and allreduces gradients
-    /// every step. The optimizer is constructed per rank by
-    /// `build_optimizer()` and stays in lockstep because inputs are
-    /// identical.
+    /// its round-robin shard of `(x, labels)`, and reduces gradients every
+    /// step. The optimizer is constructed per rank by `build_optimizer()`;
+    /// an [elementwise](Optimizer::elementwise) one commits sharded (each
+    /// rank steps and keeps state for its own chunk of the parameters,
+    /// then allgathers them), any other replicated, in lockstep because
+    /// inputs are identical.
     ///
     /// # Panics
     /// Panics if the dataset is smaller than one global batch.
@@ -481,7 +489,7 @@ impl DataParallelTrainer {
 
         let stats_before = summit_pool::global().stats();
         let results = world.execute(|rank| {
-            let mut replica = Replica::new(self, &build_model, &build_optimizer);
+            let mut replica = Replica::new(self, &build_model, &build_optimizer, true);
             let mut loss_sum = 0.0f32;
             let mut comm_seconds = 0.0f64;
             let mut exposed_seconds = 0.0f64;
@@ -493,9 +501,9 @@ impl DataParallelTrainer {
                 let (comm, exposed) = replica
                     .backward_and_sync(rank, None, &dlogits)
                     .expect("communication failure in infallible training step");
-                comm_seconds += comm;
-                exposed_seconds += exposed;
-                replica.apply_averaged(self.ranks, schedule.multiplier(step));
+                let gather = replica.commit(rank, self.ranks, schedule.multiplier(step));
+                comm_seconds += comm + gather;
+                exposed_seconds += exposed + gather;
                 loss_sum += loss;
             }
             (

@@ -373,7 +373,13 @@ impl ComputePool {
 /// A raw pointer that may cross threads; safety is argued at each use site.
 #[derive(Clone, Copy)]
 struct SendPtr(*mut f32);
+// SAFETY: the one field is a bare address with no owner or drop: moving it
+// to another thread accesses nothing. Every dereference is an `unsafe`
+// block that argues its own exclusivity and lifetime.
 unsafe impl Send for SendPtr {}
+// SAFETY: sharing `&SendPtr` only copies the address out; the pointee is
+// reached solely through those use-site `unsafe` blocks, each of which
+// derives a sub-slice disjoint from every other task's.
 unsafe impl Sync for SendPtr {}
 
 /// The process-wide pool, created (empty, no threads) on first use.

@@ -36,7 +36,7 @@ pub mod ops;
 pub mod simd;
 
 pub use init::Initializer;
-pub use matrix::{Matrix, Precision};
+pub use matrix::{MatRef, Matrix, Precision};
 
 /// Dot product of two equal-length slices.
 ///

@@ -70,6 +70,39 @@ pub struct Matrix {
     data: Vec<f32>,
 }
 
+/// A borrowed row-major `rows × cols` view: the `B` operand of the
+/// `*_into_prec` GEMMs, so a weight can live in a slice of a larger buffer
+/// (a model's parameter arena) instead of a [`Matrix`] of its own. Every
+/// `&Matrix` converts into one.
+#[derive(Debug, Clone, Copy)]
+pub struct MatRef<'a> {
+    rows: usize,
+    cols: usize,
+    data: &'a [f32],
+}
+
+impl<'a> MatRef<'a> {
+    /// View `data` as a `rows × cols` matrix.
+    ///
+    /// # Panics
+    /// Panics if `data.len() != rows * cols` or a dimension is zero.
+    pub fn new(rows: usize, cols: usize, data: &'a [f32]) -> Self {
+        assert!(rows > 0 && cols > 0, "matrix dimensions must be positive");
+        assert_eq!(data.len(), rows * cols, "buffer length mismatch");
+        MatRef { rows, cols, data }
+    }
+}
+
+impl<'a> From<&'a Matrix> for MatRef<'a> {
+    fn from(m: &'a Matrix) -> Self {
+        MatRef {
+            rows: m.rows,
+            cols: m.cols,
+            data: &m.data,
+        }
+    }
+}
+
 /// Storage precision of a GEMM's packed operand. Accumulation is always
 /// f32; `Mixed` halves the packed panel's bytes (bf16 storage), mirroring
 /// the paper's mixed-precision rate assumptions for the memory-bound side
@@ -430,16 +463,20 @@ impl Matrix {
         self.matmul_into_parts(other, out, auto_parts(self.rows));
     }
 
-    /// [`Matrix::matmul_into`] with an explicit [`Precision`] knob:
-    /// [`Precision::Mixed`] stores the packed `B` operand as bf16 and
-    /// accumulates in f32, allocation-free in steady state like the f32
-    /// path.
-    pub fn matmul_into_prec(&self, other: &Matrix, out: &mut Matrix, prec: Precision) {
+    /// [`Matrix::matmul_into`] with an explicit [`Precision`] knob and a
+    /// borrowed `B` ([`MatRef`]): [`Precision::Mixed`] stores the packed `B`
+    /// operand as bf16 and accumulates in f32, allocation-free in steady
+    /// state like the f32 path.
+    pub fn matmul_into_prec<'b>(
+        &self,
+        other: impl Into<MatRef<'b>>,
+        out: &mut Matrix,
+        prec: Precision,
+    ) {
+        let (other, parts) = (other.into(), auto_parts(self.rows));
         match prec {
-            Precision::F32 => self.matmul_into(other, out),
-            Precision::Mixed => {
-                self.matmul_impl::<u16>(other, out, auto_parts(self.rows), Backend::Auto);
-            }
+            Precision::F32 => self.matmul_f32_impl(other, out, parts, Backend::Auto),
+            Precision::Mixed => self.matmul_impl::<u16>(other, out, parts, Backend::Auto),
         }
     }
 
@@ -447,7 +484,7 @@ impl Matrix {
     /// is the serial reference path the property tests compare against.
     #[doc(hidden)]
     pub fn matmul_into_parts(&self, other: &Matrix, out: &mut Matrix, parts: usize) {
-        self.matmul_f32_impl(other, out, parts, Backend::Auto);
+        self.matmul_f32_impl(other.into(), out, parts, Backend::Auto);
     }
 
     /// Full control (tests): precision via the element type, explicit
@@ -461,13 +498,14 @@ impl Matrix {
         prec: Precision,
         backend: Backend,
     ) {
+        let other = other.into();
         match prec {
             Precision::F32 => self.matmul_f32_impl(other, out, parts, backend),
             Precision::Mixed => self.matmul_impl::<u16>(other, out, parts, backend),
         }
     }
 
-    fn matmul_assert(&self, other: &Matrix, out: &Matrix) {
+    fn matmul_assert(&self, other: MatRef<'_>, out: &Matrix) {
         assert_eq!(self.cols, other.rows, "matmul inner dimension mismatch");
         assert_eq!(
             (out.rows, out.cols),
@@ -480,13 +518,13 @@ impl Matrix {
     /// (per element the same single FMA chain over ascending `k` from zero
     /// as the packed kernel, so the two are bitwise interchangeable);
     /// everything else packs.
-    fn matmul_f32_impl(&self, other: &Matrix, out: &mut Matrix, parts: usize, backend: Backend) {
+    fn matmul_f32_impl(&self, other: MatRef<'_>, out: &mut Matrix, parts: usize, backend: Backend) {
         if self.rows > MM_SKINNY_ROWS || !backend.use_simd() {
             return self.matmul_impl::<f32>(other, out, parts, backend);
         }
         self.matmul_assert(other, out);
         let (k, n) = (self.cols, other.cols);
-        let (a, b) = (&self.data, &other.data);
+        let (a, b) = (&self.data, other.data);
         summit_pool::global().run_rows(&mut out.data, n, parts, |chunk, range| {
             // SAFETY: `use_simd` above implies `simd::active()` verified
             // AVX2+FMA on this CPU.
@@ -496,7 +534,7 @@ impl Matrix {
 
     fn matmul_impl<E: PanelElem>(
         &self,
-        other: &Matrix,
+        other: MatRef<'_>,
         out: &mut Matrix,
         parts: usize,
         backend: Backend,
@@ -729,22 +767,27 @@ impl Matrix {
         self.matmul_a_bt_into_parts(other, out, auto_parts(self.rows));
     }
 
-    /// [`Matrix::matmul_a_bt_into`] with an explicit [`Precision`] knob:
-    /// [`Precision::Mixed`] stores the `other` operand as bf16 (converted
-    /// once into the packing scratch) and accumulates in f32.
-    pub fn matmul_a_bt_into_prec(&self, other: &Matrix, out: &mut Matrix, prec: Precision) {
+    /// [`Matrix::matmul_a_bt_into`] with an explicit [`Precision`] knob and
+    /// a borrowed `other` ([`MatRef`]): [`Precision::Mixed`] stores the
+    /// `other` operand as bf16 (converted once into the packing scratch)
+    /// and accumulates in f32.
+    pub fn matmul_a_bt_into_prec<'b>(
+        &self,
+        other: impl Into<MatRef<'b>>,
+        out: &mut Matrix,
+        prec: Precision,
+    ) {
+        let (other, parts) = (other.into(), auto_parts(self.rows));
         match prec {
-            Precision::F32 => self.matmul_a_bt_into(other, out),
-            Precision::Mixed => {
-                self.matmul_a_bt_mixed_impl(other, out, auto_parts(self.rows), Backend::Auto);
-            }
+            Precision::F32 => self.matmul_a_bt_f32_impl(other, out, parts, Backend::Auto),
+            Precision::Mixed => self.matmul_a_bt_mixed_impl(other, out, parts, Backend::Auto),
         }
     }
 
     /// [`Matrix::matmul_a_bt_into`] with an explicit chunk count.
     #[doc(hidden)]
     pub fn matmul_a_bt_into_parts(&self, other: &Matrix, out: &mut Matrix, parts: usize) {
-        self.matmul_a_bt_f32_impl(other, out, parts, Backend::Auto);
+        self.matmul_a_bt_f32_impl(other.into(), out, parts, Backend::Auto);
     }
 
     /// Full control (tests): precision, explicit parts, forced backend.
@@ -757,13 +800,14 @@ impl Matrix {
         prec: Precision,
         backend: Backend,
     ) {
+        let other = other.into();
         match prec {
             Precision::F32 => self.matmul_a_bt_f32_impl(other, out, parts, backend),
             Precision::Mixed => self.matmul_a_bt_mixed_impl(other, out, parts, backend),
         }
     }
 
-    fn matmul_a_bt_assert(&self, other: &Matrix, out: &Matrix) {
+    fn matmul_a_bt_assert(&self, other: MatRef<'_>, out: &Matrix) {
         assert_eq!(self.cols, other.cols, "matmul_a_bt column mismatch");
         assert_eq!(
             (out.rows, out.cols),
@@ -775,7 +819,7 @@ impl Matrix {
     /// f32 path: both operands are row-contiguous, no packing or copies.
     fn matmul_a_bt_f32_impl(
         &self,
-        other: &Matrix,
+        other: MatRef<'_>,
         out: &mut Matrix,
         parts: usize,
         backend: Backend,
@@ -785,7 +829,7 @@ impl Matrix {
         let n = other.rows;
         let use_simd = backend.use_simd();
         let a = &self.data;
-        let b = &other.data;
+        let b = other.data;
         summit_pool::global().run_rows(&mut out.data, n, parts, |chunk, range| {
             if use_simd {
                 // SAFETY: `use_simd` implies AVX2+FMA verified.
@@ -800,7 +844,7 @@ impl Matrix {
     /// the reused bf16 scratch — the only copy this variant makes.
     fn matmul_a_bt_mixed_impl(
         &self,
-        other: &Matrix,
+        other: MatRef<'_>,
         out: &mut Matrix,
         parts: usize,
         backend: Backend,
@@ -810,7 +854,7 @@ impl Matrix {
         let n = other.rows;
         let use_simd = backend.use_simd();
         <u16 as PanelElem>::with_scratch(n * k, |bh| {
-            for (d, &s) in bh.iter_mut().zip(&other.data) {
+            for (d, &s) in bh.iter_mut().zip(other.data) {
                 *d = simd::f32_to_bf16(s);
             }
             let a = &self.data;

@@ -25,7 +25,7 @@ use summit_comm::{
     elastic::{try_ring_allreduce_view, view_barrier},
     nonblocking::{ring_allreduce_start, RingAllreduceHandle},
     world::{World, WorldView},
-    Collective, FaultPlan, FaultRates, TagClass,
+    Collective, FaultPlan, FaultRates, RingPhase, TagClass,
 };
 use summit_dl::{
     data::blobs,
@@ -164,7 +164,16 @@ fn abandoned_ring_handles_drain_without_leaks() {
                 .chunks_mut(bucket)
                 .enumerate()
                 .map(|(b, w)| {
-                    ring_allreduce_start(rank, None, w, ReduceOp::Sum, b as u64, n, b * bucket)
+                    ring_allreduce_start(
+                        rank,
+                        None,
+                        w,
+                        ReduceOp::Sum,
+                        b as u64,
+                        n,
+                        b * bucket,
+                        RingPhase::Allreduce,
+                    )
                 })
                 .collect();
             // Make partial progress so some payloads are genuinely in
@@ -773,7 +782,16 @@ fn abandoned_handle_alive_across_shrink_quiesce() {
     let n = 32;
     let out = World::run(p, |rank| {
         let mut buf = vec![rank.id() as f32 + 1.0; n];
-        let mut handle = ring_allreduce_start(rank, None, &mut buf, ReduceOp::Sum, 7, n, 0);
+        let mut handle = ring_allreduce_start(
+            rank,
+            None,
+            &mut buf,
+            ReduceOp::Sum,
+            7,
+            n,
+            0,
+            RingPhase::Allreduce,
+        );
         // Land real traffic in peers' queues, then abandon the collective
         // mid-flight — the handle stays alive across the whole quiesce.
         handle.progress();

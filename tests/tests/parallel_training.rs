@@ -1,12 +1,16 @@
 //! Integration: real data-parallel training over the comm substrate
 //! (experiment X2) with the large-batch optimizers of Section IV-B.
 
+use std::sync::Arc;
+
+use summit_comm::{FaultPlan, World};
 use summit_dl::{
     data::blobs,
     model::MlpSpec,
-    optim::{Lamb, Larc, Optimizer, Sgd},
+    optim::{Adam, Lamb, Larc, Lars, Optimizer, Sgd},
+    recovery::RecoveryConfig,
     schedule::LrSchedule,
-    trainer::{slice_rows, DataParallelTrainer, Trainer},
+    trainer::{slice_rows, DataParallelTrainer, FusionConfig, OverlapConfig, Trainer},
 };
 
 /// LAMB data-parallel run equals LAMB single-process large-batch run —
@@ -85,4 +89,72 @@ fn larc_data_parallel_converges() {
         "LARC loss {} vs baseline {baseline}",
         out.loss
     );
+}
+
+/// The sharded commit — reduce-scatter, each rank updating only the chunk
+/// it owns, parameter allgather — lands on the bits of the replicated one.
+/// `run_in` shards for the elementwise optimizers and `run_fault_tolerant`
+/// never does, so under an empty fault plan the two agree bitwise: SGD
+/// without and with momentum (both with weight decay) and Adam, at p = 2,
+/// 3 and 4, with and without overlap, for a bucket that straddles chunk and
+/// group boundaries, the default bucket, and one larger than the model.
+/// LARS and LAMB commit replicated on both sides.
+#[test]
+fn sharded_step_is_bitwise_the_replicated_step() {
+    type Build = fn() -> Box<dyn Optimizer>;
+    // Groups end at 60, 70, 140, 147, 168 and 171; 40-element buckets cut
+    // across several of them and across every chunk boundary but p = 3's
+    // first (57).
+    let spec = MlpSpec::new(6, &[10, 7], 3);
+    let task = blobs(192, 6, 3, 0.4, 5);
+    let check = |name: &str, build: Build, ranks: usize, overlap: bool, bucket_bytes: usize| {
+        let dp = DataParallelTrainer::new(ranks, 4)
+            .with_fusion(FusionConfig { bucket_bytes })
+            .with_overlap(OverlapConfig { enabled: overlap });
+        let schedule = LrSchedule::LinearWarmup { warmup_steps: 4 };
+        let (x, y) = (&task.x, &task.y);
+        let sharded = dp.run_in(
+            &mut World::new(ranks),
+            || spec.build(9),
+            build,
+            schedule,
+            x,
+            y,
+            1,
+        );
+        let plan = Arc::new(FaultPlan::empty());
+        let cfg = RecoveryConfig::default();
+        let replicated =
+            dp.run_fault_tolerant(|| spec.build(9), build, schedule, x, y, 1, plan, cfg);
+        let case = format!("{name} p={ranks} overlap={overlap} bucket={bucket_bytes}B");
+        assert_eq!(replicated.recoveries, 0, "{case}");
+        assert_eq!(sharded.max_divergence, 0.0, "{case}");
+        assert_eq!(sharded.steps, replicated.steps, "{case}");
+        for (i, (a, b)) in sharded.params.iter().zip(&replicated.params).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{case} param {i}: {a} vs {b}");
+        }
+    };
+    let elementwise: [(&str, Build); 3] = [
+        ("sgd", || Box::new(Sgd::new(0.05, 0.0, 1e-3))),
+        ("sgd-momentum", || Box::new(Sgd::new(0.05, 0.9, 1e-3))),
+        ("adam", || Box::new(Adam::new(0.01, 1e-3))),
+    ];
+    let buckets = [160, FusionConfig::default().bucket_bytes, usize::MAX / 8];
+    for (name, build) in elementwise {
+        for ranks in [2, 3, 4] {
+            for overlap in [false, true] {
+                for bucket_bytes in buckets {
+                    check(name, build, ranks, overlap, bucket_bytes);
+                }
+            }
+        }
+    }
+    check(
+        "lars",
+        || Box::new(Lars::new(0.5, 0.9, 1e-4, 0.01)),
+        3,
+        true,
+        160,
+    );
+    check("lamb", || Box::new(Lamb::new(0.02, 1e-4)), 3, true, 160);
 }
