@@ -112,26 +112,6 @@ pub fn chunk_bounds(n: usize, p: usize, chunk: usize) -> (usize, usize) {
     (r.start, r.end)
 }
 
-/// Borrow the (disjoint) send and receive chunk windows of `buf` at once.
-///
-/// Relies on `chunk_bounds` producing non-overlapping intervals for
-/// distinct chunk ids; empty chunks all sit at the same boundary point, so
-/// one interval always ends before the other starts.
-pub(crate) fn send_recv_windows(
-    buf: &mut [f32],
-    (ss, se): (usize, usize),
-    (rs, re): (usize, usize),
-) -> (&[f32], &mut [f32]) {
-    if se <= rs {
-        let (lo, hi) = buf.split_at_mut(rs);
-        (&lo[ss..se], &mut hi[..re - rs])
-    } else {
-        assert!(re <= ss, "send and receive windows overlap");
-        let (lo, hi) = buf.split_at_mut(ss);
-        (&hi[..se - ss], &mut lo[rs..re])
-    }
-}
-
 /// This rank's schedule for the window collective `c` over `n` elements.
 fn window_schedule(rank: &Rank, c: Collective, n: usize) -> AnySchedule {
     assert!(
@@ -224,7 +204,7 @@ mod tests {
     }
 
     fn check_allreduce(c: Collective, p: usize, n: usize) {
-        let out = World::run(p, |rank| {
+        let out = World::new(p).execute(|rank| {
             let mut buf = input(rank.id(), n);
             run(rank, c, &mut buf, ReduceOp::Sum);
             buf
@@ -293,7 +273,7 @@ mod tests {
 
     #[test]
     fn max_and_min_ops() {
-        let out = World::run(5, |rank| {
+        let out = World::new(5).execute(|rank| {
             let mut hi = vec![rank.id() as f32];
             run(rank, Collective::RING, &mut hi, ReduceOp::Max);
             let mut lo = vec![rank.id() as f32];
@@ -307,7 +287,7 @@ mod tests {
     fn broadcast_into_from_every_root() {
         for p in 1..=8 {
             for root in 0..p {
-                let out = World::run(p, |rank| {
+                let out = World::new(p).execute(|rank| {
                     let mut buf = if rank.id() == root {
                         vec![42.0, 7.0]
                     } else {
@@ -328,7 +308,7 @@ mod tests {
     fn reduce_to_every_root() {
         for p in 1..=8 {
             for root in 0..p {
-                let out = World::run(p, |rank| {
+                let out = World::new(p).execute(|rank| {
                     let mut buf = vec![1.0f32; 4];
                     let c = Collective::BinomialReduce { root };
                     run(rank, c, &mut buf, ReduceOp::Sum);
@@ -343,7 +323,7 @@ mod tests {
     fn reduce_scatter_owned_chunk_reduced() {
         let p = 4;
         let n = 16;
-        let out = World::run(p, |rank| {
+        let out = World::new(p).execute(|rank| {
             let mut buf = input(rank.id(), n);
             let (s, e) = reduce_scatter(rank, &mut buf, ReduceOp::Sum);
             (s, e, buf[s..e].to_vec())
@@ -366,10 +346,12 @@ mod tests {
     fn ring_allreduce_message_volume_matches_theory() {
         // Each rank sends 2(p-1)/p * n elements; total bytes = 4 * 2(p-1) * n.
         let (p, n) = (6usize, 36usize);
-        let (_, stats) = World::run_with_stats(p, |rank| {
+        let mut world = World::new(p);
+        world.execute(|rank| {
             let mut buf = vec![1.0f32; n];
             run(rank, Collective::RING, &mut buf, ReduceOp::Sum);
         });
+        let stats = world.last_traffic();
         assert_eq!(stats.bytes_sent, (4 * 2 * (p - 1) * n) as u64);
         assert_eq!(stats.messages_sent, (2 * (p - 1) * p) as u64);
     }
@@ -382,10 +364,12 @@ mod tests {
         for p in [2usize, 3, 4, 8] {
             for n in [1usize, 5, 37, 96] {
                 for bucket in [usize::MAX, 7, 1] {
-                    let (_, stats) = World::run_with_stats(p, |rank| {
+                    let mut world = World::new(p);
+                    world.execute(|rank| {
                         let mut buf = vec![1.0f32; n];
                         ring_allreduce_bucketed(rank, &mut buf, ReduceOp::Sum, bucket);
                     });
+                    let stats = world.last_traffic();
                     assert_eq!(
                         stats.bytes_sent,
                         (4 * 2 * (p - 1) * n) as u64,
@@ -442,8 +426,8 @@ mod tests {
         for p in [2usize, 3, 4, 8] {
             for elems in TABLE_ELEMS {
                 for c in all_collectives(p, elems) {
-                    let plain = World::run(p, |rank| run_any(rank, c, elems, None));
-                    let checked = World::run(p, |rank| run_any(rank, c, elems, Some(t)));
+                    let plain = World::new(p).execute(|rank| run_any(rank, c, elems, None));
+                    let checked = World::new(p).execute(|rank| run_any(rank, c, elems, Some(t)));
                     assert!(plain[0].is_ok(), "{c:?} p={p} n={elems}");
                     assert_eq!(plain, checked, "{c:?} p={p} n={elems}");
                 }
@@ -468,7 +452,7 @@ mod tests {
                     .fold(FaultPlan::empty(), |plan, dst| {
                         plan.drop_message(src, dst, TagClass::Any, 0)
                     });
-                let (out, _) = World::run_with_faults(p, Arc::new(plan), |rank| {
+                let out = World::new(p).execute_with_faults(Arc::new(plan), |rank| {
                     let res = run_any(rank, c, elems, Some(Duration::from_millis(100)));
                     rank.barrier();
                     res.is_err()
@@ -484,7 +468,7 @@ mod tests {
     fn try_ring_allreduce_surfaces_kill() {
         for (p, victim) in [(2usize, 1usize), (1, 0)] {
             let plan = Arc::new(FaultPlan::empty().kill_rank(victim, 0));
-            let (out, _) = World::run_with_faults(p, plan, |rank| {
+            let out = World::new(p).execute_with_faults(plan, |rank| {
                 let mut buf = vec![1.0f32; 4];
                 let t = Duration::from_millis(200);
                 let res = try_run(rank, Collective::RING, &mut buf, ReduceOp::Sum, t);
@@ -511,12 +495,12 @@ mod tests {
             let inputs: Vec<Vec<f32>> = (0..p)
                 .map(|_| (0..n).map(|_| rng.gen_range(-1e3f32..1e3)).collect())
                 .collect();
-            let flat = World::run(p, |rank| {
+            let flat = World::new(p).execute(|rank| {
                 let mut buf = inputs[rank.id()].clone();
                 run(rank, Collective::RING, &mut buf, ReduceOp::Sum);
                 buf
             });
-            let bucketed = World::run(p, |rank| {
+            let bucketed = World::new(p).execute(|rank| {
                 let mut buf = inputs[rank.id()].clone();
                 ring_allreduce_bucketed(rank, &mut buf, ReduceOp::Sum, bucket);
                 buf

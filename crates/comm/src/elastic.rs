@@ -162,7 +162,7 @@ mod tests {
     /// their classic twins.
     #[test]
     fn full_view_allreduce_matches_classic() {
-        let results = World::run(4, |rank| {
+        let results = World::new(4).execute(|rank| {
             let view = WorldView::full(rank);
             let input: Vec<f32> = (0..32)
                 .map(|i| (rank.id() * 32 + i) as f32 * 0.37)
@@ -215,7 +215,7 @@ mod tests {
     fn shrunk_view_matches_fresh_small_world() {
         // 4-rank world, member set {0, 2, 3} at epoch 1: the survivors'
         // allreduce must be bit-identical to a fresh 3-rank world's.
-        let big = World::run(4, |rank| {
+        let big = World::new(4).execute(|rank| {
             let view = WorldView::full(rank).shrink_to(&[true, false, true, true]);
             let Some(dense) = view.my_index() else {
                 return None; // rank 1 is a spectator
@@ -232,7 +232,7 @@ mod tests {
             .unwrap();
             Some(buf)
         });
-        let small = World::run(3, |rank| {
+        let small = World::new(3).execute(|rank| {
             let mut buf: Vec<f32> = (0..10).map(|i| (rank.id() * 10 + i) as f32 * 0.5).collect();
             ring_allreduce_bucketed(rank, &mut buf, ReduceOp::Sum, 4);
             buf
@@ -246,7 +246,7 @@ mod tests {
 
     #[test]
     fn view_barrier_and_vote_exclude_spectators() {
-        let results = World::run(4, |rank| {
+        let results = World::new(4).execute(|rank| {
             let view = WorldView::full(rank).shrink_to(&[true, true, false, true]);
             if view.my_index().is_none() {
                 return vec![];
@@ -273,7 +273,7 @@ mod tests {
     #[test]
     fn votes_conjoin_across_ranks() {
         for dissenter in [None, Some(0usize), Some(2)] {
-            let out = World::run(3, |r| {
+            let out = World::new(3).execute(|r| {
                 let ok = Some(r.id()) != dissenter;
                 vote_members(r, &WorldView::full(r), ok, 0)
                     .iter()
@@ -286,7 +286,7 @@ mod tests {
 
     #[test]
     fn repeated_votes_stay_consistent() {
-        let out = World::run(4, |r| {
+        let out = World::new(4).execute(|r| {
             let view = WorldView::full(r);
             (0..8u64)
                 .map(|round| {

@@ -21,7 +21,7 @@
 
 use std::time::{Duration, Instant};
 
-use crate::collectives::{run, ReduceOp};
+use crate::collectives::ReduceOp;
 use crate::engine::{self, drive_blocking, drive_checked, AnySchedule, Collective};
 use crate::faults::CommError;
 use crate::world::Rank;
@@ -84,47 +84,10 @@ pub fn try_run_slots(
     Ok(engine::collect(&sched, rank.id(), slots))
 }
 
-/// All-gather personalized payloads via gather + broadcast (convenience
-/// for small control-plane messages; bandwidth-optimal paths should use
-/// [`Collective::RingAllgather`]).
-pub fn gather_then_broadcast(rank: &Rank, data: Vec<f32>, root: usize) -> Vec<Vec<f32>> {
-    let p = rank.size();
-    let mut slots = vec![Vec::new(); p];
-    slots[rank.id()] = data;
-    let gathered = run_slots(rank, Collective::Gather { root }, slots);
-    // Broadcast a fixed-size header (count + per-rank lengths — every rank
-    // knows p, so the header needs no growable buffer) and then the flat
-    // payload, sized from the header.
-    let mut header = vec![0.0f32; p + 1];
-    let mut flat = Vec::new();
-    if rank.id() == root {
-        header[0] = gathered.len() as f32;
-        for (h, g) in header[1..].iter_mut().zip(&gathered) {
-            *h = g.len() as f32;
-        }
-        for g in &gathered {
-            flat.extend_from_slice(g);
-        }
-    }
-    let bcast = Collective::BinomialBroadcast { root };
-    run(rank, bcast, &mut header, ReduceOp::Sum);
-    let total: usize = header[1..].iter().map(|&l| l as usize).sum();
-    flat.resize(total, 0.0);
-    run(rank, bcast, &mut flat, ReduceOp::Sum);
-    let count = header[0] as usize;
-    let mut out = Vec::with_capacity(count);
-    let mut off = 0usize;
-    for i in 0..count {
-        let len = header[1 + i] as usize;
-        out.push(flat[off..off + len].to_vec());
-        off += len;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collectives::run;
     use crate::engine::BRUCK_MAX_BYTES;
     use crate::world::World;
 
@@ -138,7 +101,7 @@ mod tests {
     /// All-to-all where rank i sends `block(i·p + j)` to rank j, checked
     /// against what each rank must then hold.
     fn check_alltoall(p: usize, block: impl Fn(usize, usize) -> Vec<f32> + Sync) {
-        let out = World::run(p, |rank| {
+        let out = World::new(p).execute(|rank| {
             let send = (0..p).map(|j| block(rank.id(), j)).collect();
             run_slots(rank, Collective::Alltoall, send)
         });
@@ -176,7 +139,7 @@ mod tests {
     #[test]
     fn scatter_distributes_chunks() {
         for root in 0..4 {
-            let out = World::run(4, |rank| {
+            let out = World::new(4).execute(|rank| {
                 let chunks = if rank.id() == root {
                     (0..4).map(|i| vec![i as f32, (i * i) as f32]).collect()
                 } else {
@@ -194,7 +157,7 @@ mod tests {
     #[test]
     fn gather_collects_in_rank_order() {
         let root = 2;
-        let out = World::run(5, |rank| {
+        let out = World::new(5).execute(|rank| {
             let mine = one_slot(5, rank.id(), vec![rank.id() as f32; rank.id() + 1]);
             run_slots(rank, Collective::Gather { root }, mine)
         });
@@ -216,7 +179,7 @@ mod tests {
     #[test]
     fn hierarchical_equals_flat_allreduce() {
         for (p, g) in [(6usize, 3usize), (8, 2), (12, 6), (4, 4), (9, 3)] {
-            let out = World::run(p, |rank| {
+            let out = World::new(p).execute(|rank| {
                 let mut buf: Vec<f32> = (0..10).map(|i| (rank.id() * 10 + i) as f32).collect();
                 hierarchical(rank, &mut buf, ReduceOp::Sum, g);
                 buf
@@ -238,7 +201,7 @@ mod tests {
 
     #[test]
     fn hierarchical_max_and_min() {
-        let out = World::run(6, |rank| {
+        let out = World::new(6).execute(|rank| {
             let mut buf = vec![rank.id() as f32];
             hierarchical(rank, &mut buf, ReduceOp::Max, 3);
             buf[0]
@@ -247,22 +210,9 @@ mod tests {
     }
 
     #[test]
-    fn gather_then_broadcast_everyone_sees_all() {
-        let out = World::run(4, |rank| {
-            gather_then_broadcast(rank, vec![rank.id() as f32; rank.id()], 1)
-        });
-        for result in out {
-            assert_eq!(result.len(), 4);
-            for (i, v) in result.iter().enumerate() {
-                assert_eq!(v, &vec![i as f32; i]);
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "a rank panicked")]
     fn hierarchical_requires_tiling() {
-        World::run(5, |rank| {
+        World::new(5).execute(|rank| {
             let mut buf = vec![0.0f32; 4];
             hierarchical(rank, &mut buf, ReduceOp::Sum, 3);
         });

@@ -18,7 +18,7 @@
 //!   transport checksum), and **rank kill** (node failure; the rank aborts
 //!   its current step and must restart from a checkpoint).
 //! * [`CommError`] — what the timeout-aware primitives
-//!   ([`Rank::recv_timeout`], `collectives::try_run`,
+//!   ([`Rank::recv_checked`], `collectives::try_run`,
 //!   `RingAllreduceHandle::wait_deadline`) surface instead of hanging.
 //! * [`CONTROL_BIT`] — the control plane recovery is built on: fault
 //!   injection **never** touches tags carrying it, mirroring real systems'
@@ -26,15 +26,15 @@
 //!   remediation" path must survive the fault itself). The votes and
 //!   barriers that ride on it live in [`crate::elastic`].
 //!
-//! The plane is zero-cost when disabled: a world built by [`World::run`]
+//! The plane is zero-cost when disabled: a world run by [`World::execute`]
 //! carries no plan, and every hook is one `Option` test on a field that is
 //! `None` — the hot-path counting-allocator test pins that steady-state
 //! collectives still allocate nothing.
 //!
-//! [`Rank::recv_timeout`]: crate::world::Rank::recv_timeout
-//! [`World::run`]: crate::world::World::run
+//! [`Rank::recv_checked`]: crate::world::Rank::recv_checked
+//! [`World::execute`]: crate::world::World::execute
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -246,7 +246,7 @@ impl Default for FaultRates {
 /// A deterministic, seeded schedule of communication faults.
 ///
 /// Immutable once built; shared by every rank of a world via
-/// [`World::run_with_faults`](crate::world::World::run_with_faults). Event
+/// [`World::execute_with_faults`](crate::world::World::execute_with_faults). Event
 /// firing state is the only mutability (atomic one-shot flags), so the same
 /// plan value drives an identical fault sequence every run.
 #[derive(Debug, Default)]
@@ -429,24 +429,23 @@ pub(crate) enum SendVerdict {
     CorruptThenDeliver,
 }
 
-/// Per-rank handle on the shared [`FaultPlan`]: the rank's id, its current
-/// application step, and counters. Owned by one rank thread (Cell-based);
-/// the plan itself is shared and atomic.
+/// Per-rank handle on the shared [`FaultPlan`]: the rank's id and its
+/// current application step. Owned by one rank thread (Cell-based); the
+/// plan itself is shared and atomic. The rank counts what fires in its own
+/// traffic counters, from the verdicts returned here.
 #[derive(Debug)]
 pub(crate) struct FaultState {
     plan: Arc<FaultPlan>,
     rank: usize,
     step: std::cell::Cell<u64>,
-    injected: Arc<AtomicU64>,
 }
 
 impl FaultState {
-    pub(crate) fn new(plan: Arc<FaultPlan>, rank: usize, injected: Arc<AtomicU64>) -> Self {
+    pub(crate) fn new(plan: Arc<FaultPlan>, rank: usize) -> Self {
         FaultState {
             plan,
             rank,
             step: std::cell::Cell::new(0),
-            injected,
         }
     }
 
@@ -463,7 +462,6 @@ impl FaultState {
         let step = self.step.get();
         if let Some(e) = self.plan.find(self.rank, dst, tag, step, false) {
             if e.claim() {
-                self.injected.fetch_add(1, Ordering::Relaxed);
                 return match e.kind {
                     FaultKind::Drop => SendVerdict::Drop,
                     FaultKind::Delay(ms) => {
@@ -483,7 +481,6 @@ impl FaultState {
         let step = self.step.get();
         if let Some(e) = self.plan.find(self.rank, self.rank, 0, step, true) {
             if e.claim() {
-                self.injected.fetch_add(1, Ordering::Relaxed);
                 return Err(CommError::RankKilled { rank: self.rank });
             }
         }
@@ -524,7 +521,7 @@ mod tests {
     #[test]
     fn events_fire_exactly_once() {
         let plan = FaultPlan::empty().drop_message(0, 1, TagClass::Any, 7);
-        let state = FaultState::new(Arc::new(plan), 0, Arc::new(AtomicU64::new(0)));
+        let state = FaultState::new(Arc::new(plan), 0);
         state.set_step(7);
         assert_eq!(state.on_send(1, 0), SendVerdict::Drop);
         // One-shot: the retry of the same step delivers.
@@ -534,7 +531,7 @@ mod tests {
     #[test]
     fn events_respect_step_and_pair_keys() {
         let plan = Arc::new(FaultPlan::empty().drop_message(0, 1, TagClass::Blocking(2), 3));
-        let state = FaultState::new(Arc::clone(&plan), 0, Arc::new(AtomicU64::new(0)));
+        let state = FaultState::new(Arc::clone(&plan), 0);
         // Wrong step.
         state.set_step(2);
         assert_eq!(state.on_send(1, 2 << 32), SendVerdict::Deliver);
@@ -555,11 +552,7 @@ mod tests {
 
     #[test]
     fn kill_is_one_shot_per_plan() {
-        let state = FaultState::new(
-            Arc::new(FaultPlan::empty().kill_rank(1, 5)),
-            1,
-            Arc::new(AtomicU64::new(0)),
-        );
+        let state = FaultState::new(Arc::new(FaultPlan::empty().kill_rank(1, 5)), 1);
         state.set_step(4);
         assert!(state.poll_kill().is_ok());
         state.set_step(5);

@@ -7,7 +7,10 @@
 //! ≈110 ms). This crate provides both halves of that story:
 //!
 //! * [`world`] + [`collectives`] — a **real, executable** communicator whose
-//!   ranks are threads exchanging messages over channels. A [`Collective`]
+//!   ranks are threads exchanging messages over channels: a [`World`] runs
+//!   one way ([`World::execute`], with a fault plan or without), and every
+//!   collective — a sub-communicator's too, over a subset [`WorldView`] —
+//!   is an engine schedule. A [`Collective`]
 //!   value names the algorithm — ring allreduce, reduce-scatter + allgather
 //!   (Rabenseifner), recursive doubling, binomial-tree broadcast/reduce,
 //!   ring allgather, the two-level hierarchy, all-to-all — each implemented
@@ -32,7 +35,8 @@
 //! ```
 //! use summit_comm::{collectives, sim, Collective, LinkModel, ReduceOp, World};
 //!
-//! let (results, traffic) = World::run_with_stats(8, |rank| {
+//! let mut world = World::new(8);
+//! let results = world.execute(|rank| {
 //!     let mut buf = vec![rank.id() as f32; 16];
 //!     collectives::run(rank, Collective::RING, &mut buf, ReduceOp::Sum);
 //!     buf[0]
@@ -41,7 +45,7 @@
 //! assert!(results.iter().all(|&x| x == 28.0));
 //! // The modeled twin moves exactly the bytes the executed one did.
 //! let model = sim::simulate(Collective::RING, 8, 16, LinkModel::new(2e-6, 12.5e9));
-//! assert_eq!(model.total_bytes(), traffic.bytes_sent);
+//! assert_eq!(model.total_bytes(), world.last_traffic().bytes_sent);
 //! ```
 
 pub mod collectives;
@@ -49,7 +53,6 @@ pub mod elastic;
 pub mod engine;
 pub mod extended;
 pub mod faults;
-pub mod group;
 pub mod model;
 pub mod nonblocking;
 pub mod sim;
@@ -59,9 +62,8 @@ pub use collectives::ReduceOp;
 pub use elastic::{try_ring_allreduce_view, view_barrier, vote_members};
 pub use engine::{simulate_reference, Collective, ModelReport, RingPhase};
 pub use faults::{CommError, FaultKind, FaultPlan, FaultRates, TagClass, CONTROL_BIT};
-pub use group::Group;
 pub use model::{Algorithm, CollectiveModel};
 pub use nonblocking::{ring_allreduce_start, RecvHandle, RingAllreduceHandle, SendHandle};
 pub use sim::{elastic_shrink_study, simulate, simulate_on, ElasticStudy, FabricReport};
 pub use summit_machine::LinkModel;
-pub use world::{Rank, RankTraffic, World, WorldView};
+pub use world::{Rank, TrafficStats, World, WorldView};

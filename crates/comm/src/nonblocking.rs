@@ -48,7 +48,7 @@
 //! [`ring_allreduce_bucketed`]: crate::collectives::ring_allreduce_bucketed
 
 use std::convert::Infallible;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::collectives::ReduceOp;
 use crate::engine::{self, RemapSchedule, RingPhase, RingSchedule, Schedule};
@@ -338,14 +338,6 @@ impl RingAllreduceHandle<'_> {
         self.wait_until(Some(deadline))
     }
 
-    /// [`wait_deadline`](Self::wait_deadline) with a relative timeout.
-    ///
-    /// # Errors
-    /// See [`wait_deadline`](Self::wait_deadline).
-    pub fn wait_timeout(&mut self, timeout: Duration) -> Result<(), CommError> {
-        self.wait_deadline(Instant::now() + timeout)
-    }
-
     /// Whether the collective has completed.
     pub fn is_complete(&self) -> bool {
         self.sched.current().is_none()
@@ -358,6 +350,7 @@ mod tests {
     use crate::collectives::{ring_allreduce_bucketed, run};
     use crate::engine::Collective;
     use crate::world::World;
+    use std::time::Duration;
 
     /// Start a handle over all of `buf` on the whole world.
     fn start_whole<'a>(
@@ -402,7 +395,7 @@ mod tests {
 
     #[test]
     fn isend_irecv_roundtrip() {
-        let out = World::run(2, |r| {
+        let out = World::new(2).execute(|r| {
             if r.id() == 0 {
                 let s = r.isend(1, 5, &[1.0, 2.0, 3.0]);
                 assert!(s.test());
@@ -424,7 +417,7 @@ mod tests {
 
     #[test]
     fn irecv_wait_into_recycles_buffer() {
-        let out = World::run(2, |r| {
+        let out = World::new(2).execute(|r| {
             if r.id() == 0 {
                 r.isend(1, 0, &[4.0; 8]).wait();
                 let _ = r.recv(1, 1);
@@ -448,12 +441,12 @@ mod tests {
         for p in [1usize, 2, 3, 4, 7] {
             for n in [1usize, 5, 16, 33] {
                 let ins = inputs(p, n, (p * 100 + n) as u64);
-                let blocking = World::run(p, |r| {
+                let blocking = World::new(p).execute(|r| {
                     let mut buf = ins[r.id()].clone();
                     run(r, Collective::RING, &mut buf, ReduceOp::Sum);
                     buf
                 });
-                let nonblocking = World::run(p, |r| {
+                let nonblocking = World::new(p).execute(|r| {
                     let mut buf = ins[r.id()].clone();
                     let mut h = start_whole(r, &mut buf, ReduceOp::Sum, 0);
                     h.wait();
@@ -480,7 +473,7 @@ mod tests {
         let p = 4;
         let n = 64;
         let ins = inputs(p, n, 9);
-        let out = World::run(p, |r| {
+        let out = World::new(p).execute(|r| {
             let mut buf = ins[r.id()].clone();
             let mut h = start_whole(r, &mut buf, ReduceOp::Sum, 3);
             while !h.progress() {
@@ -488,7 +481,7 @@ mod tests {
             }
             buf
         });
-        let want = World::run(p, |r| {
+        let want = World::new(p).execute(|r| {
             let mut buf = ins[r.id()].clone();
             run(r, Collective::RING, &mut buf, ReduceOp::Sum);
             buf
@@ -508,17 +501,17 @@ mod tests {
             for n in [7usize, 16, 37, 96] {
                 for bucket in [3usize, 8, 32, 96, 128] {
                     let ins = inputs(p, n, (p * 1000 + n * 10 + bucket) as u64);
-                    let serial = World::run(p, |r| {
+                    let serial = World::new(p).execute(|r| {
                         let mut buf = ins[r.id()].clone();
                         ring_allreduce_bucketed(r, &mut buf, ReduceOp::Sum, bucket);
                         buf
                     });
-                    let overlapped = World::run(p, |r| {
+                    let overlapped = World::new(p).execute(|r| {
                         let mut buf = ins[r.id()].clone();
                         run_windows(r, &mut buf, bucket, RingPhase::Allreduce);
                         buf
                     });
-                    let split = World::run(p, |r| {
+                    let split = World::new(p).execute(|r| {
                         let mut buf = ins[r.id()].clone();
                         run_windows(r, &mut buf, bucket, RingPhase::ReduceScatter);
                         run_windows(r, &mut buf, bucket, RingPhase::Allgather);
@@ -550,18 +543,22 @@ mod tests {
         let bucket = 8usize;
         for p in [2usize, 3, 4, 8] {
             for n in [5usize, 37] {
-                let (_, serial) = World::run_with_stats(p, |r| {
+                let mut world = World::new(p);
+                world.execute(|r| {
                     let mut buf = vec![1.0f32; n];
                     ring_allreduce_bucketed(r, &mut buf, ReduceOp::Sum, bucket);
                 });
-                let (_, windowed) = World::run_with_stats(p, |r| {
+                let serial = world.last_traffic();
+                world.execute(|r| {
                     run_windows(r, &mut vec![1.0f32; n], bucket, RingPhase::Allreduce);
                 });
-                let (_, split) = World::run_with_stats(p, |r| {
+                let windowed = world.last_traffic();
+                world.execute(|r| {
                     let mut buf = vec![1.0f32; n];
                     run_windows(r, &mut buf, bucket, RingPhase::ReduceScatter);
                     run_windows(r, &mut buf, bucket, RingPhase::Allgather);
                 });
+                let split = world.last_traffic();
                 assert_eq!(serial.bytes_sent, windowed.bytes_sent, "p={p} n={n}");
                 assert_eq!(serial.bytes_sent, (4 * 2 * (p - 1) * n) as u64);
                 assert_eq!(
@@ -579,7 +576,7 @@ mod tests {
     fn handles_coexist_with_blocking_collectives() {
         let p = 4;
         let n = 24;
-        let out = World::run(p, |r| {
+        let out = World::new(p).execute(|r| {
             let mut a = vec![r.id() as f32; n];
             let mut b = vec![1.0f32; n];
             let mut h = start_whole(r, &mut a, ReduceOp::Sum, 7);
@@ -597,15 +594,15 @@ mod tests {
         let p = 4;
         let n = 37;
         let ins = inputs(p, n, 17);
-        let plain = World::run(p, |r| {
+        let plain = World::new(p).execute(|r| {
             let mut buf = ins[r.id()].clone();
             start_whole(r, &mut buf, ReduceOp::Sum, 0).wait();
             buf
         });
-        let checked = World::run(p, |r| {
+        let checked = World::new(p).execute(|r| {
             let mut buf = ins[r.id()].clone();
             start_whole(r, &mut buf, ReduceOp::Sum, 0)
-                .wait_timeout(Duration::from_secs(5))
+                .wait_deadline(Instant::now() + Duration::from_secs(5))
                 .expect("fault-free run must succeed");
             buf
         });
@@ -622,10 +619,10 @@ mod tests {
         use std::sync::Arc;
         // Drop one reduce-scatter message of NB collective 0.
         let plan = Arc::new(FaultPlan::empty().drop_message(0, 1, TagClass::Nonblocking(0), 0));
-        let (out, _) = World::run_with_faults(3, plan, |r| {
+        let out = World::new(3).execute_with_faults(plan, |r| {
             let mut buf = vec![r.id() as f32; 12];
-            let res =
-                start_whole(r, &mut buf, ReduceOp::Sum, 0).wait_timeout(Duration::from_millis(200));
+            let deadline = Instant::now() + Duration::from_millis(200);
+            let res = start_whole(r, &mut buf, ReduceOp::Sum, 0).wait_deadline(deadline);
             r.barrier();
             res.is_err()
         });
@@ -637,7 +634,7 @@ mod tests {
 
     #[test]
     fn abandoned_recv_handle_releases_its_payload() {
-        let out = World::run(2, |r| {
+        let out = World::new(2).execute(|r| {
             if r.id() == 0 {
                 r.isend(1, 0, &[2.0; 16]).wait();
             } else {
@@ -673,12 +670,12 @@ mod tests {
             seed in 0u64..500,
         ) {
             let ins = inputs(p, n, seed);
-            let serial = World::run(p, |r| {
+            let serial = World::new(p).execute(|r| {
                 let mut buf = ins[r.id()].clone();
                 ring_allreduce_bucketed(r, &mut buf, ReduceOp::Sum, bucket);
                 buf
             });
-            let overlapped = World::run(p, |r| {
+            let overlapped = World::new(p).execute(|r| {
                 let mut buf = ins[r.id()].clone();
                 let mut handles: Vec<RingAllreduceHandle> = buf
                     .chunks_mut(bucket)

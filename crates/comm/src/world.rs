@@ -5,11 +5,12 @@
 //! rank 0 on the calling thread, the others on parked rank runners leased
 //! from [`summit_pool::run_parked`], no thread spawned once warm — each
 //! holding a [`Rank`] handle onto that fabric plus a shared barrier, and
-//! the same world can execute again afterwards. The
-//! statics [`World::run`] / [`World::run_with_stats`] /
-//! [`World::run_with_faults`] remain as one-shot shims (`new` + `execute`).
-//! Channels are unbounded, so the classic "everyone sends right then
-//! receives left" ring step cannot deadlock.
+//! the same world can execute again afterwards.
+//! [`World::execute_with_faults`] is the same run with a [`FaultPlan`]
+//! installed, and [`World::last_traffic`] reports what the last run sent:
+//! each rank counts its own traffic, and the execution sums the counts when
+//! the ranks join. Channels are unbounded, so the classic "everyone sends
+//! right then receives left" ring step cannot deadlock.
 //!
 //! Channels are created on first use per directed pair — a world of `p`
 //! ranks that only ever rings pays for `p` links, not the `p²` an eager
@@ -21,18 +22,18 @@
 //! `available_parallelism / p` slice of it.
 //!
 //! Messages carry a tag so that out-of-order sends between the same pair
-//! (e.g. two collectives back to back) are matched correctly: `recv` pulls
-//! messages from the in-order channel and parks any message whose tag does
-//! not match in a per-source pending queue.
+//! (e.g. two collectives back to back) are matched correctly: every receive
+//! runs one loop that pulls messages from the in-order channel and parks
+//! any message whose tag does not match in a per-source pending queue.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use std::cell::{Cell, OnceCell, RefCell};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 
 use crate::faults::{CommError, FaultPlan, FaultState, SendVerdict, CONTROL_BIT};
 
@@ -271,30 +272,27 @@ pub struct Rank {
     receivers: Vec<OnceCell<Receiver<Envelope>>>,
     pending: Vec<RefCell<VecDeque<Envelope>>>,
     barrier: Arc<Barrier>,
-    bytes_sent: Arc<AtomicU64>,
-    messages_sent: Arc<AtomicU64>,
-    messages_parked: Arc<AtomicU64>,
     /// Fault-injection plane; `None` outside chaos runs, making every hook
     /// a single never-taken branch (the hot-path allocator test pins this).
     faults: Option<FaultState>,
     pool: BufferPool,
-    /// Messages posted by this rank (Cell: a `Rank` is `!Sync` by design).
-    sent_messages: Cell<u64>,
-    /// Payload bytes posted by this rank.
-    sent_bytes: Cell<u64>,
+    /// This rank's traffic so far (Cell: a `Rank` is `!Sync` by design).
+    traffic: Cell<TrafficStats>,
 }
 
-/// Per-rank traffic counters, for strict comparison against the engine's
-/// modeled run ([`crate::sim::simulate`] reports the same quantities per
-/// rank). Counted at post time — before the fault plane's drop hook — so an
-/// injected drop still counts as a send, matching the model's accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RankTraffic {
-    /// Messages this rank sent.
-    pub messages_sent: u64,
-    /// Payload bytes this rank sent (4 bytes per f32 element).
-    pub bytes_sent: u64,
+/// How a receive waits for a message that has not arrived yet.
+#[derive(Clone, Copy)]
+enum Wait {
+    /// Return `None` at once.
+    Poll,
+    /// Block until the deadline, then fail with [`CommError::Timeout`].
+    Until(Instant),
+    /// Block until the message arrives.
+    Forever,
 }
+
+/// Panic message of the infallible receives when the peer is gone.
+const HUNG_UP: &str = "sender hung up: a peer rank panicked";
 
 impl Rank {
     /// This rank's index in `0..size()`.
@@ -324,9 +322,16 @@ impl Rank {
         self.receivers[from].get_or_init(|| self.fabric.take_rx(from, self.id))
     }
 
+    /// Add to this rank's traffic counters.
+    fn count(&self, f: impl FnOnce(&mut TrafficStats)) {
+        let mut t = self.traffic.get();
+        f(&mut t);
+        self.traffic.set(t);
+    }
+
     /// Send `payload` to rank `to` with `tag`.
     ///
-    /// When a fault plane is installed ([`World::run_with_faults`]), the
+    /// When a fault plane is installed ([`World::execute_with_faults`]), the
     /// plan may drop, delay, or corrupt the message; a transport checksum is
     /// attached so corruption is detectable by the checked receives.
     ///
@@ -335,17 +340,19 @@ impl Rank {
     pub fn send(&self, to: usize, tag: u64, mut payload: Vec<f32>) {
         assert!(to < self.size, "destination rank out of range");
         assert_ne!(to, self.id, "self-sends are not supported");
-        self.bytes_sent
-            .fetch_add((payload.len() * 4) as u64, Ordering::Relaxed);
-        self.messages_sent.fetch_add(1, Ordering::Relaxed);
-        self.sent_messages.set(self.sent_messages.get() + 1);
-        self.sent_bytes
-            .set(self.sent_bytes.get() + (payload.len() * 4) as u64);
+        self.count(|t| {
+            t.messages_sent += 1;
+            t.bytes_sent += (payload.len() * 4) as u64;
+        });
         let mut checksum = None;
         if let Some(faults) = &self.faults {
             if tag & CONTROL_BIT == 0 {
                 checksum = Some(payload_checksum(&payload));
-                match faults.on_send(to, tag) {
+                let verdict = faults.on_send(to, tag);
+                if verdict != SendVerdict::Deliver {
+                    self.count(|t| t.faults_injected += 1);
+                }
+                match verdict {
                     SendVerdict::Deliver => {}
                     SendVerdict::Drop => {
                         // The link ate it: recycle the buffer locally so the
@@ -378,6 +385,56 @@ impl Rank {
             .expect("receiver hung up: a peer rank panicked");
     }
 
+    /// The one receive loop behind every receive: take the first message
+    /// from rank `from` carrying `tag` — from the pending queue if one is
+    /// parked there, else off the channel, parking every mismatched tag it
+    /// pulls on the way. `Ok(None)` only under [`Wait::Poll`].
+    ///
+    /// It neither verifies checksums nor polls kills; the checked shells
+    /// do that around it, so the unchecked hot path pays for neither.
+    #[inline]
+    fn take(&self, from: usize, tag: u64, wait: Wait) -> Result<Option<Envelope>, CommError> {
+        assert!(from < self.size, "source rank out of range");
+        assert_ne!(from, self.id, "self-receives are not supported");
+        let mut pending = self.pending[from].borrow_mut();
+        if let Some(pos) = pending.iter().position(|e| e.tag == tag) {
+            return Ok(pending.remove(pos));
+        }
+        let rx = self.receiver(from);
+        let gone = CommError::Disconnected { from };
+        loop {
+            let env = match wait {
+                Wait::Poll => match rx.try_recv() {
+                    Ok(env) => env,
+                    Err(TryRecvError::Empty) => return Ok(None),
+                    Err(TryRecvError::Disconnected) => return Err(gone),
+                },
+                Wait::Until(deadline) => rx.recv_deadline(deadline).map_err(|e| match e {
+                    RecvTimeoutError::Timeout => CommError::Timeout { from, tag },
+                    RecvTimeoutError::Disconnected => gone.clone(),
+                })?,
+                Wait::Forever => rx.recv().map_err(|_| gone.clone())?,
+            };
+            if env.tag == tag {
+                return Ok(Some(env));
+            }
+            self.park(&mut pending, from, env);
+        }
+    }
+
+    /// Hand back a checked envelope's payload, or — when its transport
+    /// checksum fails — recycle the payload and report the corruption, so
+    /// a retry does not trip over it again.
+    fn verified(&self, from: usize, env: Envelope) -> Result<Vec<f32>, CommError> {
+        match env.checksum {
+            Some(sum) if payload_checksum(&env.payload) != sum => {
+                self.pool.release(env.payload);
+                Err(CommError::Corrupt { from, tag: env.tag })
+            }
+            _ => Ok(env.payload),
+        }
+    }
+
     /// Receive the next message from rank `from` carrying `tag`, blocking
     /// until it arrives. Messages with other tags are buffered.
     ///
@@ -385,21 +442,9 @@ impl Rank {
     /// Panics if `from` is out of range, equals this rank, or the sending
     /// rank disconnected (panicked) before sending.
     pub fn recv(&self, from: usize, tag: u64) -> Vec<f32> {
-        assert!(from < self.size, "source rank out of range");
-        assert_ne!(from, self.id, "self-receives are not supported");
-        let mut pending = self.pending[from].borrow_mut();
-        if let Some(pos) = pending.iter().position(|e| e.tag == tag) {
-            return pending.remove(pos).expect("position just found").payload;
-        }
-        loop {
-            let env = self
-                .receiver(from)
-                .recv()
-                .expect("sender hung up: a peer rank panicked");
-            if env.tag == tag {
-                return env.payload;
-            }
-            self.park(&mut pending, from, env);
+        match self.take(from, tag, Wait::Forever) {
+            Ok(Some(env)) => env.payload,
+            _ => panic!("{HUNG_UP}"),
         }
     }
 
@@ -407,7 +452,7 @@ impl Rank {
     /// queue depth is suspicious (a message parked forever is invisible
     /// without this: the matching `recv` simply never completes).
     fn park(&self, pending: &mut VecDeque<Envelope>, from: usize, env: Envelope) {
-        self.messages_parked.fetch_add(1, Ordering::Relaxed);
+        self.count(|t| t.messages_parked += 1);
         pending.push_back(env);
         if pending.len() == PARKED_WARN_THRESHOLD {
             debug_assert!(
@@ -437,42 +482,8 @@ impl Rank {
     /// Panics if `from` is out of range, equals this rank, or the sending
     /// rank disconnected (panicked) before sending.
     pub fn try_recv(&self, from: usize, tag: u64) -> Option<Vec<f32>> {
-        self.try_recv_env(from, tag).map(|env| env.payload)
-    }
-
-    /// Envelope-level nonblocking receive shared by the unchecked and
-    /// checked paths.
-    fn try_recv_env(&self, from: usize, tag: u64) -> Option<Envelope> {
-        assert!(from < self.size, "source rank out of range");
-        assert_ne!(from, self.id, "self-receives are not supported");
-        let mut pending = self.pending[from].borrow_mut();
-        if let Some(pos) = pending.iter().position(|e| e.tag == tag) {
-            return Some(pending.remove(pos).expect("position just found"));
-        }
-        loop {
-            match self.receiver(from).try_recv() {
-                Ok(env) => {
-                    if env.tag == tag {
-                        return Some(env);
-                    }
-                    self.park(&mut pending, from, env);
-                }
-                Err(crossbeam::channel::TryRecvError::Empty) => return None,
-                Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                    panic!("sender hung up: a peer rank panicked")
-                }
-            }
-        }
-    }
-
-    /// Verify an envelope's transport checksum (when one is attached).
-    fn verify(from: usize, env: &Envelope) -> Result<(), CommError> {
-        match env.checksum {
-            Some(sum) if payload_checksum(&env.payload) != sum => {
-                Err(CommError::Corrupt { from, tag: env.tag })
-            }
-            _ => Ok(()),
-        }
+        let env = self.take(from, tag, Wait::Poll).expect(HUNG_UP);
+        env.map(|env| env.payload)
     }
 
     /// Checked receive: like [`Rank::recv`] but fallible — it verifies the
@@ -496,54 +507,12 @@ impl Rank {
         tag: u64,
         deadline: Option<Instant>,
     ) -> Result<Vec<f32>, CommError> {
-        assert!(from < self.size, "source rank out of range");
-        assert_ne!(from, self.id, "self-receives are not supported");
         self.poll_fault_kill()?;
-        let mut pending = self.pending[from].borrow_mut();
-        if let Some(pos) = pending.iter().position(|e| e.tag == tag) {
-            let env = pending.remove(pos).expect("position just found");
-            if let Err(e) = Self::verify(from, &env) {
-                self.pool.release(env.payload);
-                return Err(e);
-            }
-            return Ok(env.payload);
-        }
-        loop {
-            let env = match deadline {
-                Some(d) => match self.receiver(from).recv_deadline(d) {
-                    Ok(env) => env,
-                    Err(RecvTimeoutError::Timeout) => return Err(CommError::Timeout { from, tag }),
-                    Err(RecvTimeoutError::Disconnected) => {
-                        return Err(CommError::Disconnected { from })
-                    }
-                },
-                None => self
-                    .receiver(from)
-                    .recv()
-                    .map_err(|_| CommError::Disconnected { from })?,
-            };
-            if env.tag == tag {
-                if let Err(e) = Self::verify(from, &env) {
-                    self.pool.release(env.payload);
-                    return Err(e);
-                }
-                return Ok(env.payload);
-            }
-            self.park(&mut pending, from, env);
-        }
-    }
-
-    /// [`Rank::recv_checked`] with a relative timeout.
-    ///
-    /// # Errors
-    /// See [`Rank::recv_checked`].
-    pub fn recv_timeout(
-        &self,
-        from: usize,
-        tag: u64,
-        timeout: Duration,
-    ) -> Result<Vec<f32>, CommError> {
-        self.recv_checked(from, tag, Some(Instant::now() + timeout))
+        let wait = deadline.map_or(Wait::Forever, Wait::Until);
+        let env = self
+            .take(from, tag, wait)?
+            .expect("a blocking receive yields a message");
+        self.verified(from, env)
     }
 
     /// Checked nonblocking receive: `Ok(None)` when no matching message has
@@ -557,17 +526,9 @@ impl Rank {
     /// Panics on the same conditions as [`Rank::try_recv`].
     pub fn try_recv_checked(&self, from: usize, tag: u64) -> Result<Option<Vec<f32>>, CommError> {
         self.poll_fault_kill()?;
-        match self.try_recv_env(from, tag) {
+        match self.take(from, tag, Wait::Poll).expect(HUNG_UP) {
             None => Ok(None),
-            Some(env) => match Self::verify(from, &env) {
-                Ok(()) => Ok(Some(env.payload)),
-                Err(e) => {
-                    // Consume and recycle the corrupt payload so a retry of
-                    // the collective does not trip over it again.
-                    self.pool.release(env.payload);
-                    Err(e)
-                }
-            },
+            Some(env) => self.verified(from, env).map(Some),
         }
     }
 
@@ -578,10 +539,11 @@ impl Rank {
     /// # Errors
     /// [`CommError::RankKilled`] exactly once per scheduled kill.
     pub fn poll_fault_kill(&self) -> Result<(), CommError> {
-        match &self.faults {
-            Some(f) => f.poll_kill(),
-            None => Ok(()),
+        let killed = self.faults.as_ref().map_or(Ok(()), FaultState::poll_kill);
+        if killed.is_err() {
+            self.count(|t| t.faults_injected += 1);
         }
+        killed
     }
 
     /// Tell the fault plane which application step this rank is executing;
@@ -590,12 +552,6 @@ impl Rank {
         if let Some(f) = &self.faults {
             f.set_step(step);
         }
-    }
-
-    /// Whether this world was built with a fault plane
-    /// ([`World::run_with_faults`]).
-    pub fn faults_enabled(&self) -> bool {
-        self.faults.is_some()
     }
 
     /// Discard every message currently addressed to this rank — parked and
@@ -710,57 +666,19 @@ impl Rank {
         out
     }
 
-    /// The ring step without allocation: send a copy of `src` to `to`, then
-    /// receive the matching message from `from` into `dst`. `src` and `dst`
-    /// may be the same slice contents-wise; they are distinct borrows.
-    ///
-    /// # Panics
-    /// Panics on the combined conditions of [`Rank::send_from`] and
-    /// [`Rank::recv_into`].
-    pub fn send_recv_into(&self, to: usize, from: usize, tag: u64, src: &[f32], dst: &mut [f32]) {
-        self.send_from(to, tag, src);
-        self.recv_into(from, tag, dst);
-    }
-
-    /// Like [`Rank::send_recv_into`] but the received payload is folded
-    /// into `dst` by `f` (element-by-element) instead of overwriting it —
-    /// the reduce-scatter inner step.
-    ///
-    /// # Panics
-    /// Panics on the same conditions as [`Rank::send_recv_into`].
-    pub fn send_recv_fold(
-        &self,
-        to: usize,
-        from: usize,
-        tag: u64,
-        src: &[f32],
-        dst: &mut [f32],
-        f: impl Fn(f32, f32) -> f32,
-    ) {
-        self.send_from(to, tag, src);
-        self.recv_with(from, tag, |payload| {
-            assert_eq!(
-                payload.len(),
-                dst.len(),
-                "send_recv_fold: payload length mismatch"
-            );
-            for (d, &s) in dst.iter_mut().zip(payload) {
-                *d = f(*d, s);
-            }
-        });
-    }
-
     /// This rank's buffer-pool hit/miss counters.
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
     }
 
-    /// This rank's own traffic counters (see [`RankTraffic`]).
-    pub fn traffic(&self) -> RankTraffic {
-        RankTraffic {
-            messages_sent: self.sent_messages.get(),
-            bytes_sent: self.sent_bytes.get(),
-        }
+    /// This rank's own traffic so far in this execution, for strict
+    /// comparison against the engine's modeled run ([`crate::sim::simulate`]
+    /// reports the same quantities per rank). Sends are counted at post
+    /// time — before the fault plane's drop hook — so an injected drop
+    /// still counts as a send, matching the model's accounting. The world's
+    /// [`World::last_traffic`] is the sum of these over its ranks.
+    pub fn traffic(&self) -> TrafficStats {
+        self.traffic.get()
     }
 
     /// Block until every rank has reached this barrier.
@@ -929,16 +847,15 @@ impl WorldView {
     }
 }
 
-/// Aggregate traffic statistics for one [`World::execute`] of a world
-/// (whichever entry point ran it; [`World::last_traffic`] keeps the most
-/// recent).
+/// Traffic counters: one rank's ([`Rank::traffic`]) or, summed over the
+/// ranks, one execution's ([`World::last_traffic`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficStats {
-    /// Total payload bytes sent by all ranks.
+    /// Payload bytes sent (4 bytes per f32 element).
     pub bytes_sent: u64,
-    /// Total messages sent by all ranks.
+    /// Messages sent.
     pub messages_sent: u64,
-    /// Messages parked at least once on a mismatched tag across all ranks.
+    /// Messages parked at least once on a mismatched tag.
     /// A nonzero value under a strictly in-order tag schedule points at a
     /// tag-matching bug; persistent growth points at messages parked
     /// forever.
@@ -1004,9 +921,9 @@ impl World {
     }
 
     /// Traffic statistics of the most recent execution (zeros before the
-    /// first). Lets callers that hand the world to library plumbing
-    /// discarding the [`World::execute_with_stats`] tuple — the scheduler's
-    /// execution backend — still account the traffic afterwards.
+    /// first): the sum of every rank's [`Rank::traffic`] at join. Stats are
+    /// per-execution and per-world — concurrent worlds never see each
+    /// other's counters — and this is the one place they are read.
     pub fn last_traffic(&self) -> TrafficStats {
         self.last_stats
     }
@@ -1025,33 +942,20 @@ impl World {
         F: Fn(&Rank) -> R + Sync,
         R: Send,
     {
-        self.execute_with_stats(f).0
-    }
-
-    /// Like [`World::execute`] but also returns aggregate traffic
-    /// statistics, which tests use to cross-validate the analytic cost
-    /// models. Stats are per-execution and per-world: concurrent worlds
-    /// never see each other's counters.
-    pub fn execute_with_stats<F, R>(&mut self, f: F) -> (Vec<R>, TrafficStats)
-    where
-        F: Fn(&Rank) -> R + Sync,
-        R: Send,
-    {
         self.execute_inner(None, f)
     }
 
-    /// Run `f` with the given [`FaultPlan`] installed: sends consult the
-    /// plan (drops, delays, corruptions), checked receives poll for
-    /// scheduled rank kills, and transport checksums are attached to every
-    /// data-plane message.
+    /// [`World::execute`] with the given [`FaultPlan`] installed: sends
+    /// consult the plan (drops, delays, corruptions), checked receives poll
+    /// for scheduled rank kills, and transport checksums are attached to
+    /// every data-plane message.
     ///
     /// The plan is shared — its one-shot event state is visible to the
     /// caller afterwards (e.g. [`FaultPlan::fired_count`]).
-    pub fn execute_with_faults<F, R>(
-        &mut self,
-        plan: Arc<FaultPlan>,
-        f: F,
-    ) -> (Vec<R>, TrafficStats)
+    ///
+    /// # Panics
+    /// As [`World::execute`].
+    pub fn execute_with_faults<F, R>(&mut self, plan: Arc<FaultPlan>, f: F) -> Vec<R>
     where
         F: Fn(&Rank) -> R + Sync,
         R: Send,
@@ -1059,41 +963,7 @@ impl World {
         self.execute_inner(Some(plan), f)
     }
 
-    /// One-shot shim: `World::new(p).execute(f)`. Kept so the large body of
-    /// pre-refactor callers and bit-identity tests compile unchanged.
-    ///
-    /// # Panics
-    /// Panics if `p == 0` or if any rank's closure panics.
-    pub fn run<F, R>(p: usize, f: F) -> Vec<R>
-    where
-        F: Fn(&Rank) -> R + Sync,
-        R: Send,
-    {
-        World::new(p).execute(f)
-    }
-
-    /// One-shot shim for [`World::execute_with_stats`].
-    pub fn run_with_stats<F, R>(p: usize, f: F) -> (Vec<R>, TrafficStats)
-    where
-        F: Fn(&Rank) -> R + Sync,
-        R: Send,
-    {
-        World::new(p).execute_with_stats(f)
-    }
-
-    /// One-shot shim for [`World::execute_with_faults`].
-    ///
-    /// # Panics
-    /// Panics if `p == 0` or if any rank's closure panics.
-    pub fn run_with_faults<F, R>(p: usize, plan: Arc<FaultPlan>, f: F) -> (Vec<R>, TrafficStats)
-    where
-        F: Fn(&Rank) -> R + Sync,
-        R: Send,
-    {
-        World::new(p).execute_with_faults(plan, f)
-    }
-
-    fn execute_inner<F, R>(&mut self, plan: Option<Arc<FaultPlan>>, f: F) -> (Vec<R>, TrafficStats)
+    fn execute_inner<F, R>(&mut self, plan: Option<Arc<FaultPlan>>, f: F) -> Vec<R>
     where
         F: Fn(&Rank) -> R + Sync,
         R: Send,
@@ -1105,10 +975,6 @@ impl World {
         Arc::get_mut(&mut self.fabric)
             .expect("a Rank handle outlived its execution")
             .reset();
-        let bytes_sent = Arc::new(AtomicU64::new(0));
-        let messages_sent = Arc::new(AtomicU64::new(0));
-        let messages_parked = Arc::new(AtomicU64::new(0));
-        let faults_injected = Arc::new(AtomicU64::new(0));
 
         // Lease this execution's compute budget from the process-wide
         // arbiter: each rank's tensor kernels dispatch onto the shared
@@ -1134,23 +1000,25 @@ impl World {
                 receivers: (0..p).map(|_| OnceCell::new()).collect(),
                 pending: (0..p).map(|_| RefCell::new(VecDeque::new())).collect(),
                 barrier: Arc::clone(barrier),
-                bytes_sent: Arc::clone(&bytes_sent),
-                messages_sent: Arc::clone(&messages_sent),
-                messages_parked: Arc::clone(&messages_parked),
-                faults: plan
-                    .as_ref()
-                    .map(|pl| FaultState::new(Arc::clone(pl), id, Arc::clone(&faults_injected))),
+                faults: plan.as_ref().map(|pl| FaultState::new(Arc::clone(pl), id)),
                 pool: BufferPool::default(),
-                sent_messages: Cell::new(0),
-                sent_bytes: Cell::new(0),
+                traffic: Cell::default(),
             };
-            summit_pool::with_core_budget(budget, || f(&rank))
+            let out = summit_pool::with_core_budget(budget, || f(&rank));
+            (out, rank.traffic())
         });
         drop(lease);
         let mut results = Vec::with_capacity(p);
+        let mut stats = TrafficStats::default();
         for (rank_id, joined_rank) in joined.into_iter().enumerate() {
             match joined_rank {
-                Ok(r) => results.push(r),
+                Ok((r, t)) => {
+                    results.push(r);
+                    stats.bytes_sent += t.bytes_sent;
+                    stats.messages_sent += t.messages_sent;
+                    stats.messages_parked += t.messages_parked;
+                    stats.faults_injected += t.faults_injected;
+                }
                 Err(payload) => {
                     // Attribute the failure: with hundreds of worlds in one
                     // process, "a rank panicked" alone is undebuggable.
@@ -1163,24 +1031,24 @@ impl World {
                 }
             }
         }
-        let stats = TrafficStats {
-            bytes_sent: bytes_sent.load(Ordering::Relaxed),
-            messages_sent: messages_sent.load(Ordering::Relaxed),
-            messages_parked: messages_parked.load(Ordering::Relaxed),
-            faults_injected: faults_injected.load(Ordering::Relaxed),
-        };
         self.last_stats = stats;
-        (results, stats)
+        results
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    /// A receive deadline `ms` milliseconds from now.
+    fn after_ms(ms: u64) -> Instant {
+        Instant::now() + Duration::from_millis(ms)
+    }
 
     #[test]
     fn single_rank_world() {
-        let out = World::run(1, |r| {
+        let out = World::new(1).execute(|r| {
             assert_eq!(r.size(), 1);
             r.barrier();
             r.id()
@@ -1190,7 +1058,7 @@ mod tests {
 
     #[test]
     fn point_to_point_roundtrip() {
-        let out = World::run(2, |r| {
+        let out = World::new(2).execute(|r| {
             if r.id() == 0 {
                 r.send(1, 7, vec![1.0, 2.0, 3.0]);
                 r.recv(1, 8)
@@ -1205,7 +1073,7 @@ mod tests {
 
     #[test]
     fn tags_demultiplex_out_of_order() {
-        let out = World::run(2, |r| {
+        let out = World::new(2).execute(|r| {
             if r.id() == 0 {
                 // Send tag 2 first, then tag 1.
                 r.send(1, 2, vec![2.0]);
@@ -1224,7 +1092,7 @@ mod tests {
     #[test]
     fn ring_send_recv_rotates() {
         let p = 5;
-        let out = World::run(p, |r| {
+        let out = World::new(p).execute(|r| {
             let right = (r.id() + 1) % p;
             let left = (r.id() + p - 1) % p;
             let got = r.send_recv(right, left, 0, vec![r.id() as f32]);
@@ -1237,13 +1105,15 @@ mod tests {
 
     #[test]
     fn traffic_stats_count_payload_bytes() {
-        let (_, stats) = World::run_with_stats(2, |r| {
+        let mut world = World::new(2);
+        world.execute(|r| {
             if r.id() == 0 {
                 r.send(1, 0, vec![0.0; 100]);
             } else {
                 let _ = r.recv(0, 0);
             }
         });
+        let stats = world.last_traffic();
         assert_eq!(stats.bytes_sent, 400);
         assert_eq!(stats.messages_sent, 1);
     }
@@ -1252,7 +1122,7 @@ mod tests {
     fn barrier_synchronizes() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let counter = AtomicUsize::new(0);
-        World::run(8, |r| {
+        World::new(8).execute(|r| {
             counter.fetch_add(1, Ordering::SeqCst);
             r.barrier();
             // After the barrier every increment must be visible.
@@ -1263,7 +1133,7 @@ mod tests {
     #[test]
     fn ranks_get_disjoint_core_budgets() {
         let p = 4;
-        let budgets = World::run(p, |_r| summit_pool::core_budget());
+        let budgets = World::new(p).execute(|_r| summit_pool::core_budget());
         // Budgets now come from the arbiter: a solo world gets the classic
         // even share, but sibling tests execute worlds concurrently in this
         // process, so the grant here may be anywhere between the inline
@@ -1317,14 +1187,13 @@ mod tests {
         let mut outs = Vec::new();
         let mut stats = Vec::new();
         for _ in 0..3 {
-            let (out, st) = world.execute_with_stats(|r| {
+            outs.push(world.execute(|r| {
                 let right = (r.id() + 1) % p;
                 let left = (r.id() + p - 1) % p;
                 let got = r.send_recv(right, left, 7, vec![r.id() as f32; 16]);
                 got[0]
-            });
-            outs.push(out);
-            stats.push(st);
+            }));
+            stats.push(world.last_traffic());
         }
         assert_eq!(outs[0], outs[1]);
         assert_eq!(outs[1], outs[2]);
@@ -1373,7 +1242,7 @@ mod tests {
         // Rank 1 exits without ever sending to rank 0; rank 0's lazy recv
         // must observe the departure as a disconnect, not a hang.
         let result = std::panic::catch_unwind(|| {
-            World::run(2, |r| {
+            World::new(2).execute(|r| {
                 if r.id() == 0 {
                     let _ = r.recv(1, 42);
                 }
@@ -1387,7 +1256,8 @@ mod tests {
     fn concurrent_worlds_isolate_traffic_stats() {
         let joined = summit_pool::run_parked(4, |w| {
             let msgs = 1 + w as u64; // distinct per world
-            World::run_with_stats(2, move |r| {
+            let mut world = World::new(2);
+            world.execute(move |r| {
                 if r.id() == 0 {
                     for k in 0..msgs {
                         r.send(1, k, vec![0.0; 8]);
@@ -1397,8 +1267,8 @@ mod tests {
                         let _ = r.recv(0, k);
                     }
                 }
-            })
-            .1
+            });
+            world.last_traffic()
         });
         for (w, stats) in joined.into_iter().enumerate() {
             let stats = stats.expect("world ran");
@@ -1415,13 +1285,14 @@ mod tests {
     fn pooled_ring_step_reuses_buffers() {
         let p = 4;
         let rounds = 32;
-        let out = World::run(p, |r| {
+        let out = World::new(p).execute(|r| {
             let right = (r.id() + 1) % p;
             let left = (r.id() + p - 1) % p;
             let src = vec![r.id() as f32; 256];
             let mut dst = vec![0.0f32; 256];
             for round in 0..rounds {
-                r.send_recv_into(right, left, round, &src, &mut dst);
+                r.send_from(right, round, &src);
+                r.recv_into(left, round, &mut dst);
                 assert_eq!(dst[0], left as f32);
             }
             r.barrier();
@@ -1438,7 +1309,7 @@ mod tests {
     #[test]
     fn recv_into_checks_length() {
         let result = std::panic::catch_unwind(|| {
-            World::run(2, |r| {
+            World::new(2).execute(|r| {
                 if r.id() == 0 {
                     r.send_from(1, 0, &[1.0, 2.0]);
                 } else {
@@ -1448,23 +1319,6 @@ mod tests {
             });
         });
         assert!(result.is_err(), "length mismatch must panic");
-    }
-
-    #[test]
-    fn send_recv_fold_reduces_in_place() {
-        let p = 3;
-        let out = World::run(p, |r| {
-            let right = (r.id() + 1) % p;
-            let left = (r.id() + p - 1) % p;
-            let src = [r.id() as f32 + 1.0; 4];
-            let mut acc = [10.0f32; 4];
-            r.send_recv_fold(right, left, 0, &src, &mut acc, |a, b| a + b);
-            acc[0]
-        });
-        for (id, v) in out.iter().enumerate() {
-            let left = (id + p - 1) % p;
-            assert_eq!(*v, 10.0 + left as f32 + 1.0);
-        }
     }
 
     #[test]
@@ -1497,7 +1351,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "a rank panicked")]
     fn self_send_rejected() {
-        World::run(2, |r| {
+        World::new(2).execute(|r| {
             if r.id() == 0 {
                 r.send(0, 0, vec![]);
             }
@@ -1506,7 +1360,8 @@ mod tests {
 
     #[test]
     fn parked_messages_are_counted() {
-        let (_, stats) = World::run_with_stats(2, |r| {
+        let mut world = World::new(2);
+        world.execute(|r| {
             if r.id() == 0 {
                 // Tag 2 arrives first but is received second: it parks once.
                 r.send(1, 2, vec![2.0]);
@@ -1516,13 +1371,14 @@ mod tests {
                 let _ = r.recv(0, 2);
             }
         });
+        let stats = world.last_traffic();
         assert_eq!(stats.messages_parked, 1);
         assert_eq!(stats.faults_injected, 0);
     }
 
     #[test]
     fn drain_all_clears_parked_and_in_flight() {
-        let out = World::run(2, |r| {
+        let out = World::new(2).execute(|r| {
             let drained = if r.id() == 0 {
                 r.send(1, 9, vec![1.0; 8]);
                 r.send(1, 10, vec![2.0; 8]);
@@ -1544,10 +1400,10 @@ mod tests {
 
     #[test]
     fn faultless_worlds_report_faults_disabled() {
-        World::run(2, |r| {
-            assert!(!r.faults_enabled());
-            assert!(r.poll_fault_kill().is_ok());
+        World::new(2).execute(|r| {
             r.set_fault_step(3); // no-op without a plane
+            assert!(r.poll_fault_kill().is_ok());
+            assert_eq!(r.traffic(), TrafficStats::default());
             r.barrier();
         });
     }
@@ -1556,13 +1412,14 @@ mod tests {
     fn faulted_drop_surfaces_as_timeout() {
         use crate::faults::TagClass;
         let plan = Arc::new(FaultPlan::empty().drop_message(0, 1, TagClass::Any, 0));
-        let (out, stats) = World::run_with_faults(2, Arc::clone(&plan), |r| {
+        let mut world = World::new(2);
+        let out = world.execute_with_faults(Arc::clone(&plan), |r| {
             let ok = if r.id() == 0 {
                 r.send(1, 5, vec![1.0]);
                 true
             } else {
                 matches!(
-                    r.recv_timeout(0, 5, Duration::from_millis(50)),
+                    r.recv_checked(0, 5, Some(after_ms(50))),
                     Err(CommError::Timeout { from: 0, tag: 5 })
                 )
             };
@@ -1572,7 +1429,7 @@ mod tests {
             ok
         });
         assert!(out[1], "dropped message must time out, not hang");
-        assert_eq!(stats.faults_injected, 1);
+        assert_eq!(world.last_traffic().faults_injected, 1);
         assert_eq!(plan.fired_count(), 1);
     }
 
@@ -1580,13 +1437,13 @@ mod tests {
     fn faulted_corruption_is_detected() {
         use crate::faults::TagClass;
         let plan = Arc::new(FaultPlan::empty().corrupt_message(0, 1, TagClass::Any, 0));
-        let (out, _) = World::run_with_faults(2, plan, |r| {
+        let out = World::new(2).execute_with_faults(plan, |r| {
             if r.id() == 0 {
                 r.send(1, 5, vec![1.0, 2.0, 3.0]);
                 true
             } else {
                 matches!(
-                    r.recv_timeout(0, 5, Duration::from_millis(500)),
+                    r.recv_checked(0, 5, Some(after_ms(500))),
                     Err(CommError::Corrupt { from: 0, tag: 5 })
                 )
             }
@@ -1597,12 +1454,12 @@ mod tests {
     #[test]
     fn clean_messages_pass_checked_receives_under_faults() {
         let plan = Arc::new(FaultPlan::empty());
-        let (out, _) = World::run_with_faults(2, plan, |r| {
+        let out = World::new(2).execute_with_faults(plan, |r| {
             if r.id() == 0 {
                 r.send(1, 5, vec![4.0, 5.0]);
                 vec![]
             } else {
-                r.recv_timeout(0, 5, Duration::from_millis(500)).unwrap()
+                r.recv_checked(0, 5, Some(after_ms(500))).unwrap()
             }
         });
         assert_eq!(out[1], vec![4.0, 5.0]);

@@ -17,7 +17,7 @@ fn random_input(seed: u64, rank: usize, n: usize) -> Vec<f32> {
 }
 
 fn run_allreduce(c: Collective, p: usize, n: usize, seed: u64) -> Vec<Vec<f32>> {
-    World::run(p, |rank| {
+    World::new(p).execute(|rank| {
         let mut buf = random_input(seed, rank.id(), n);
         run(rank, c, &mut buf, ReduceOp::Sum);
         buf
@@ -69,7 +69,7 @@ proptest! {
     /// bounds all ranks.
     #[test]
     fn max_is_attained(p in 1usize..8, n in 1usize..16, seed in 0u64..1000) {
-        let out = World::run(p, |rank| {
+        let out = World::new(p).execute(|rank| {
             let mut buf = random_input(seed, rank.id(), n);
             run(rank, Collective::RING, &mut buf, ReduceOp::Max);
             buf
@@ -91,7 +91,7 @@ proptest! {
         let root = root_seed % p;
         let payload = random_input(seed, root, n);
         let expect = payload.clone();
-        let out = World::run(p, |rank| {
+        let out = World::new(p).execute(|rank| {
             let mut buf = if rank.id() == root { payload.clone() } else { vec![0.0; n] };
             run(rank, Collective::BinomialBroadcast { root }, &mut buf, ReduceOp::Sum);
             buf
@@ -146,10 +146,11 @@ proptest! {
     /// assumption: 2(p-1)·n elements sent in total.
     #[test]
     fn ring_traffic_matches_model(p in 2usize..8, n in 1usize..64) {
-        let (_, stats) = World::run_with_stats(p, |rank| {
+        let mut world = World::new(p);
+        world.execute(|rank| {
             let mut buf = vec![1.0f32; n];
             run(rank, Collective::RING, &mut buf, ReduceOp::Sum);
         });
-        prop_assert_eq!(stats.bytes_sent, (4 * 2 * (p - 1) * n) as u64);
+        prop_assert_eq!(world.last_traffic().bytes_sent, (4 * 2 * (p - 1) * n) as u64);
     }
 }

@@ -312,7 +312,9 @@ impl ElasticCheckpoint {
         let param_count = r.u32()? as usize;
         let slot_count = r.u32()? as usize;
         let params = r.f32_run(param_count)?.to_vec();
-        let mut slots = Vec::with_capacity(slot_count);
+        // The count is untrusted (anyone can recompute the checksum): every
+        // slot takes at least three words, so what remains bounds it.
+        let mut slots = Vec::with_capacity(slot_count.min((body.len() - r.pos) / 3));
         for _ in 0..slot_count {
             let idx = r.u32()?;
             let name = *SLOT_NAMES
@@ -482,6 +484,58 @@ mod tests {
             ElasticCheckpoint::decode(&words[..4]).unwrap_err(),
             CheckpointError::Truncated
         );
+    }
+
+    /// `header` and `rest` as a stream with a valid checksum.
+    fn sealed(header: [u32; 6], rest: &[f32]) -> Vec<f32> {
+        let mut words = Vec::new();
+        header.iter().for_each(|&w| push_word(&mut words, w));
+        words.extend_from_slice(rest);
+        let checksum = fnv1a_words(&words);
+        push_word(&mut words, (checksum >> 32) as u32);
+        push_word(&mut words, checksum as u32);
+        words
+    }
+
+    /// A forged slot count must not size an allocation: 2^32 − 1 slots
+    /// would ask for about 200 GB and abort the process.
+    #[test]
+    fn elastic_decode_rejects_a_forged_slot_count() {
+        let words = sealed([ELASTIC_MAGIC, ELASTIC_VERSION, 0, 0, 0, u32::MAX], &[]);
+        assert_eq!(
+            ElasticCheckpoint::decode(&words).unwrap_err(),
+            CheckpointError::Truncated
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Any stream behind a valid header and checksum decodes to a value
+        /// or an error, never a panic; a value re-encodes to the stream.
+        /// Counts are small (so slots parse) or arbitrary (so they lie),
+        /// and body words are small integers or arbitrary bits.
+        #[test]
+        fn elastic_decode_survives_sealed_random_streams(
+            counts in (0u32..8, 0u32..4, 0u32..=u32::MAX, 0u32..4),
+            steps in (0u32..=u32::MAX, 0u32..=u32::MAX),
+            body in proptest::collection::vec((0u32..=u32::MAX, 0u32..6), 0..48),
+        ) {
+            let (params, slots, huge, pick) = counts;
+            let params = if pick & 1 == 0 { params } else { huge };
+            let slots = if pick & 2 == 0 { slots } else { huge };
+            let rest: Vec<f32> = body
+                .iter()
+                .map(|&(bits, small)| f32::from_bits(if bits & 1 == 0 { small } else { bits }))
+                .collect();
+            let header = [ELASTIC_MAGIC, ELASTIC_VERSION, steps.0, steps.1, params, slots];
+            let words = sealed(header, &rest);
+            if let Ok(ck) = ElasticCheckpoint::decode(&words) {
+                let again: Vec<u32> = ck.encode().iter().map(|w| w.to_bits()).collect();
+                let words: Vec<u32> = words.iter().map(|w| w.to_bits()).collect();
+                proptest::prop_assert_eq!(again, words);
+            }
+        }
     }
 
     #[test]

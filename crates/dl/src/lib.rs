@@ -59,7 +59,7 @@ pub mod transformer;
 pub use checkpoint::{CheckpointError, ElasticCheckpoint};
 pub use compression::{Compressor, GradCompression};
 pub use inference::ServableModel;
-pub use lm::{MultiHeadAttention, TinyLm};
+pub use lm::TinyLm;
 pub use model::{Mlp, MlpSpec};
 pub use optim::{Adam, Lamb, Larc, Lars, Optimizer, OptimizerState, Sgd};
 pub use recovery::{
@@ -70,4 +70,4 @@ pub use schedule::LrSchedule;
 pub use trainer::{
     BucketSchedule, DataParallelTrainer, EpochMetrics, FusionConfig, OverlapConfig, Trainer,
 };
-pub use transformer::{LayerNorm, SelfAttention, SequenceClassifier, TransformerBlock};
+pub use transformer::{LayerNorm, MultiHeadAttention, SequenceClassifier, TransformerBlock};

@@ -1,5 +1,6 @@
-//! A tiny causal language model — multi-head attention over the
-//! single-head core, token embeddings, and next-token training.
+//! A tiny causal language model — token embeddings, the transformer
+//! module's multi-head attention under a causal mask, and next-token
+//! training.
 //!
 //! The paper's forward-looking sections are about exactly this model
 //! family: "transformer-based language models have scaled past the
@@ -11,169 +12,7 @@
 
 use summit_tensor::{ops, Initializer, Matrix};
 
-use crate::transformer::{positional_encoding, LayerNorm};
-
-/// Per-head forward cache: (Q, K, V, attention probabilities).
-type HeadCache = (Matrix, Matrix, Matrix, Matrix);
-
-/// Multi-head causal self-attention: `heads` independent scaled-dot-product
-/// heads of width `dim / heads`, concatenated and mixed by an output
-/// projection. A lower-triangular mask makes it autoregressive.
-#[derive(Debug, Clone)]
-pub struct MultiHeadAttention {
-    heads: usize,
-    head_dim: usize,
-    wq: Matrix,
-    wk: Matrix,
-    wv: Matrix,
-    wo: Matrix,
-    g_wq: Matrix,
-    g_wk: Matrix,
-    g_wv: Matrix,
-    g_wo: Matrix,
-    /// Caches per forward: input X, per-head (Q, K, V, P), concat context.
-    cache: Option<(Matrix, Vec<HeadCache>, Matrix)>,
-    causal: bool,
-}
-
-impl MultiHeadAttention {
-    /// Create with `heads` heads over `dim` features.
-    ///
-    /// # Panics
-    /// Panics unless `heads` divides `dim`.
-    pub fn new(dim: usize, heads: usize, causal: bool, seed: u64) -> Self {
-        assert!(
-            heads > 0 && dim.is_multiple_of(heads),
-            "heads must divide dim"
-        );
-        let init = |salt: u64| Initializer::XavierUniform.init(dim, dim, seed.wrapping_add(salt));
-        MultiHeadAttention {
-            heads,
-            head_dim: dim / heads,
-            wq: init(1),
-            wk: init(2),
-            wv: init(3),
-            wo: init(4),
-            g_wq: Matrix::zeros(dim, dim),
-            g_wk: Matrix::zeros(dim, dim),
-            g_wv: Matrix::zeros(dim, dim),
-            g_wo: Matrix::zeros(dim, dim),
-            cache: None,
-            causal,
-        }
-    }
-
-    fn slice_head(m: &Matrix, head: usize, head_dim: usize) -> Matrix {
-        let mut out = Matrix::zeros(m.rows(), head_dim);
-        for r in 0..m.rows() {
-            for c in 0..head_dim {
-                out.set(r, c, m.get(r, head * head_dim + c));
-            }
-        }
-        out
-    }
-
-    fn write_head(dst: &mut Matrix, src: &Matrix, head: usize, head_dim: usize) {
-        for r in 0..src.rows() {
-            for c in 0..head_dim {
-                dst.set(r, head * head_dim + c, src.get(r, c));
-            }
-        }
-    }
-
-    /// Forward over a `seq × dim` input.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let seq = x.rows();
-        let q_all = x.matmul(&self.wq);
-        let k_all = x.matmul(&self.wk);
-        let v_all = x.matmul(&self.wv);
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let mut concat = Matrix::zeros(seq, self.heads * self.head_dim);
-        let mut head_caches = Vec::with_capacity(self.heads);
-        for h in 0..self.heads {
-            let q = Self::slice_head(&q_all, h, self.head_dim);
-            let k = Self::slice_head(&k_all, h, self.head_dim);
-            let v = Self::slice_head(&v_all, h, self.head_dim);
-            let mut p = q.matmul_a_bt(&k);
-            p.map_inplace(|s| s * scale);
-            if self.causal {
-                for r in 0..seq {
-                    for c in (r + 1)..seq {
-                        p.set(r, c, f32::NEG_INFINITY);
-                    }
-                }
-            }
-            ops::softmax_inplace(&mut p);
-            let o = p.matmul(&v);
-            Self::write_head(&mut concat, &o, h, self.head_dim);
-            head_caches.push((q, k, v, p));
-        }
-        let y = concat.matmul(&self.wo);
-        self.cache = Some((x.clone(), head_caches, concat));
-        y
-    }
-
-    /// Backward; accumulates weight gradients, returns dX.
-    ///
-    /// # Panics
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let (x, head_caches, concat) = self.cache.as_ref().expect("backward before forward");
-        let seq = x.rows();
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-
-        self.g_wo.add_assign(&concat.matmul_at_b(dy));
-        let d_concat = dy.matmul_a_bt(&self.wo);
-
-        let dim = self.heads * self.head_dim;
-        let mut d_q_all = Matrix::zeros(seq, dim);
-        let mut d_k_all = Matrix::zeros(seq, dim);
-        let mut d_v_all = Matrix::zeros(seq, dim);
-        for (h, (q, k, v, p)) in head_caches.iter().enumerate() {
-            let d_o = Self::slice_head(&d_concat, h, self.head_dim);
-            let mut d_p = d_o.matmul_a_bt(v);
-            let d_v = p.matmul_at_b(&d_o);
-            // Softmax backward (rows; masked entries have p = 0 so their
-            // gradient contribution vanishes automatically).
-            for r in 0..seq {
-                let dot: f32 = d_p.row(r).iter().zip(p.row(r)).map(|(a, b)| a * b).sum();
-                for c in 0..seq {
-                    let val = p.get(r, c) * (d_p.get(r, c) - dot);
-                    d_p.set(r, c, val);
-                }
-            }
-            d_p.map_inplace(|s| s * scale);
-            let d_q = d_p.matmul(k);
-            let d_k = d_p.matmul_at_b(q);
-            Self::write_head(&mut d_q_all, &d_q, h, self.head_dim);
-            Self::write_head(&mut d_k_all, &d_k, h, self.head_dim);
-            Self::write_head(&mut d_v_all, &d_v, h, self.head_dim);
-        }
-
-        self.g_wq.add_assign(&x.matmul_at_b(&d_q_all));
-        self.g_wk.add_assign(&x.matmul_at_b(&d_k_all));
-        self.g_wv.add_assign(&x.matmul_at_b(&d_v_all));
-        let mut dx = d_q_all.matmul_a_bt(&self.wq);
-        dx.add_assign(&d_k_all.matmul_a_bt(&self.wk));
-        dx.add_assign(&d_v_all.matmul_a_bt(&self.wv));
-        dx
-    }
-
-    /// Visit (params, grads) pairs.
-    pub fn for_each_group(&mut self, mut f: impl FnMut(&mut [f32], &[f32])) {
-        f(self.wq.as_mut_slice(), self.g_wq.as_slice());
-        f(self.wk.as_mut_slice(), self.g_wk.as_slice());
-        f(self.wv.as_mut_slice(), self.g_wv.as_slice());
-        f(self.wo.as_mut_slice(), self.g_wo.as_slice());
-    }
-
-    fn zero_grads(&mut self) {
-        self.g_wq.map_inplace(|_| 0.0);
-        self.g_wk.map_inplace(|_| 0.0);
-        self.g_wv.map_inplace(|_| 0.0);
-        self.g_wo.map_inplace(|_| 0.0);
-    }
-}
+use crate::transformer::{positional_encoding, LayerNorm, MultiHeadAttention};
 
 /// A tiny causal LM: embedding + positional encoding → pre-norm multi-head
 /// attention block with residual → layer norm → tied-free output head.
@@ -315,43 +154,51 @@ mod tests {
         m
     }
 
-    /// Multi-head output gradients match finite differences (the same
-    /// harness as the single-head block).
+    /// Attention input gradients match finite differences (the same
+    /// harness as the transformer block), for two heads and for the one
+    /// non-causal head the block runs.
     #[test]
     fn multihead_gradients_check() {
-        let mut attn = MultiHeadAttention::new(8, 2, false, 3);
-        let x = seq_input(5, 8, 7);
-        let y0 = attn.forward(&x);
-        let mut w_loss = y0.clone();
-        let mut k = 0.0f32;
-        w_loss.map_inplace(|_| {
-            k += 1.0;
-            (k * 0.31).sin()
-        });
-        let loss = |y: &Matrix| -> f32 {
-            y.as_slice()
-                .iter()
-                .zip(w_loss.as_slice())
-                .map(|(a, b)| a * b)
-                .sum()
-        };
-        attn.zero_grads();
-        let _ = attn.forward(&x);
-        let dx = attn.backward(&w_loss);
-        let eps = 1e-2f32;
-        for idx in [0usize, 17, 39] {
-            let mut xp = x.clone();
-            xp.as_mut_slice()[idx] += eps;
-            let lp = loss(&attn.forward(&xp));
-            let mut xm = x.clone();
-            xm.as_mut_slice()[idx] -= eps;
-            let lm = loss(&attn.forward(&xm));
-            let fd = (lp - lm) / (2.0 * eps);
-            let an = dx.as_slice()[idx];
-            assert!(
-                (fd - an).abs() < 2e-2 * (1.0 + fd.abs()),
-                "input grad {idx}: fd {fd} vs {an}"
-            );
+        // (dim, heads, seed, seq, input seed, probed input entries)
+        let cases = [
+            (8, 2, 3, 5, 7, [0usize, 17, 39]),
+            (6, 1, 11, 4, 13, [0, 12, 23]),
+        ];
+        for (dim, heads, seed, seq, x_seed, probes) in cases {
+            let mut attn = MultiHeadAttention::new(dim, heads, false, seed);
+            let x = seq_input(seq, dim, x_seed);
+            let y0 = attn.forward(&x);
+            let mut w_loss = y0.clone();
+            let mut k = 0.0f32;
+            w_loss.map_inplace(|_| {
+                k += 1.0;
+                (k * 0.31).sin()
+            });
+            let loss = |y: &Matrix| -> f32 {
+                y.as_slice()
+                    .iter()
+                    .zip(w_loss.as_slice())
+                    .map(|(a, b)| a * b)
+                    .sum()
+            };
+            attn.zero_grads();
+            let _ = attn.forward(&x);
+            let dx = attn.backward(&w_loss);
+            let eps = 1e-2f32;
+            for idx in probes {
+                let mut xp = x.clone();
+                xp.as_mut_slice()[idx] += eps;
+                let lp = loss(&attn.forward(&xp));
+                let mut xm = x.clone();
+                xm.as_mut_slice()[idx] -= eps;
+                let lm = loss(&attn.forward(&xm));
+                let fd = (lp - lm) / (2.0 * eps);
+                let an = dx.as_slice()[idx];
+                assert!(
+                    (fd - an).abs() < 2e-2 * (1.0 + fd.abs()),
+                    "{heads} head(s), input grad {idx}: fd {fd} vs {an}"
+                );
+            }
         }
     }
 

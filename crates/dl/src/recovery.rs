@@ -165,7 +165,8 @@ impl DataParallelTrainer {
         );
         let total_steps = epochs * self.steps_per_epoch(x.rows());
 
-        let (mut results, stats) = World::run_with_faults(self.ranks, plan, |rank| {
+        let mut world = World::new(self.ranks);
+        let mut results = world.execute_with_faults(plan, |rank| {
             let mut replica = Replica::new(self, &build_model, &build_optimizer, false);
             // Rollback never changes the membership: the full view at
             // epoch 0, whose collectives are the classic ones on the wire.
@@ -231,7 +232,7 @@ impl DataParallelTrainer {
             params,
             max_divergence,
             drained_messages,
-            faults_injected: stats.faults_injected,
+            faults_injected: world.last_traffic().faults_injected,
             ..results.swap_remove(0)
         }
     }
@@ -430,7 +431,8 @@ impl DataParallelTrainer {
         // Only the size check: steps per epoch re-derive from each view.
         self.steps_per_epoch(x.rows());
 
-        let (results, stats) = World::run_with_faults(self.ranks, plan, |rank| {
+        let mut world = World::new(self.ranks);
+        let results = world.execute_with_faults(plan, |rank| {
             let mut replica = Replica::new(self, &build_model, &build_optimizer, false);
             let mut step = 0u32;
             if let Some(ck) = start_from {
@@ -624,7 +626,7 @@ impl DataParallelTrainer {
             params,
             max_divergence,
             drained_messages,
-            faults_injected: stats.faults_injected,
+            faults_injected: world.last_traffic().faults_injected,
             shard_spans,
             ..actives.swap_remove(0)
         }

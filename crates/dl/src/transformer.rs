@@ -1,10 +1,11 @@
-//! A real (single-head) transformer block with exact backpropagation.
+//! A real transformer block with exact backpropagation.
 //!
 //! The paper's communication analysis is anchored on transformers
 //! (BERT-large, the Blanchard SMILES model, the "past the trillion
 //! parameter mark" outlook). This module implements the transformer's
-//! computational core for real at laptop scale — scaled-dot-product
-//! self-attention, layer normalization, and the residual feed-forward
+//! computational core for real at laptop scale — multi-head
+//! scaled-dot-product self-attention (one implementation, shared with the
+//! causal LM in `lm`), layer normalization, and the residual feed-forward
 //! block — with hand-derived backward passes that are verified against
 //! finite differences. [`SequenceClassifier`] wraps a block with mean
 //! pooling and a linear head and demonstrably learns order-sensitive
@@ -104,10 +105,18 @@ impl LayerNorm {
     }
 }
 
-/// Single-head scaled-dot-product self-attention over one sequence
-/// (`seq × dim` matrices).
+/// Per-head forward cache: (Q, K, V, attention probabilities).
+type HeadCache = (Matrix, Matrix, Matrix, Matrix);
+
+/// Multi-head self-attention over one sequence (`seq × dim` matrices):
+/// `heads` independent scaled-dot-product heads of width `dim / heads`,
+/// concatenated and mixed by an output projection. With `causal` a
+/// lower-triangular mask makes it autoregressive; one non-causal head is
+/// the classic `Y = softmax(QKᵀ/√d) V · Wo`.
 #[derive(Debug, Clone)]
-pub struct SelfAttention {
+pub struct MultiHeadAttention {
+    heads: usize,
+    head_dim: usize,
     wq: Matrix,
     wk: Matrix,
     wv: Matrix,
@@ -116,16 +125,25 @@ pub struct SelfAttention {
     g_wk: Matrix,
     g_wv: Matrix,
     g_wo: Matrix,
-    /// Forward caches: input X, Q, K, V, attention probabilities P, and
-    /// context O = P·V.
-    cache: Option<(Matrix, Matrix, Matrix, Matrix, Matrix, Matrix)>,
+    /// Caches per forward: input X, per-head (Q, K, V, P), concat context.
+    cache: Option<(Matrix, Vec<HeadCache>, Matrix)>,
+    causal: bool,
 }
 
-impl SelfAttention {
-    /// Xavier-initialized attention over `dim` features.
-    pub fn new(dim: usize, seed: u64) -> Self {
+impl MultiHeadAttention {
+    /// Create with `heads` heads over `dim` features.
+    ///
+    /// # Panics
+    /// Panics unless `heads` divides `dim`.
+    pub fn new(dim: usize, heads: usize, causal: bool, seed: u64) -> Self {
+        assert!(
+            heads > 0 && dim.is_multiple_of(heads),
+            "heads must divide dim"
+        );
         let init = |salt: u64| Initializer::XavierUniform.init(dim, dim, seed.wrapping_add(salt));
-        SelfAttention {
+        MultiHeadAttention {
+            heads,
+            head_dim: dim / heads,
             wq: init(1),
             wk: init(2),
             wv: init(3),
@@ -135,71 +153,107 @@ impl SelfAttention {
             g_wv: Matrix::zeros(dim, dim),
             g_wo: Matrix::zeros(dim, dim),
             cache: None,
+            causal,
         }
     }
 
-    /// Model dimension.
-    pub fn dim(&self) -> usize {
-        self.wq.rows()
+    fn slice_head(m: &Matrix, head: usize, head_dim: usize) -> Matrix {
+        let mut out = Matrix::zeros(m.rows(), head_dim);
+        for r in 0..m.rows() {
+            for c in 0..head_dim {
+                out.set(r, c, m.get(r, head * head_dim + c));
+            }
+        }
+        out
     }
 
-    /// Forward: `Y = softmax(QKᵀ/√d) V · Wo` for a `seq × dim` input.
+    fn write_head(dst: &mut Matrix, src: &Matrix, head: usize, head_dim: usize) {
+        for r in 0..src.rows() {
+            for c in 0..head_dim {
+                dst.set(r, head * head_dim + c, src.get(r, c));
+            }
+        }
+    }
+
+    /// Forward over a `seq × dim` input.
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        assert_eq!(x.cols(), self.dim(), "feature dimension mismatch");
-        let scale = 1.0 / (self.dim() as f32).sqrt();
-        let q = x.matmul(&self.wq);
-        let k = x.matmul(&self.wk);
-        let v = x.matmul(&self.wv);
-        let mut p = q.matmul_a_bt(&k); // seq × seq scores
-        p.map_inplace(|s| s * scale);
-        ops::softmax_inplace(&mut p);
-        let o = p.matmul(&v);
-        let y = o.matmul(&self.wo);
-        self.cache = Some((x.clone(), q, k, v, p, o));
+        let seq = x.rows();
+        let q_all = x.matmul(&self.wq);
+        let k_all = x.matmul(&self.wk);
+        let v_all = x.matmul(&self.wv);
+        let scale = 1.0 / (self.head_dim as f32).sqrt();
+        let mut concat = Matrix::zeros(seq, self.heads * self.head_dim);
+        let mut head_caches = Vec::with_capacity(self.heads);
+        for h in 0..self.heads {
+            let q = Self::slice_head(&q_all, h, self.head_dim);
+            let k = Self::slice_head(&k_all, h, self.head_dim);
+            let v = Self::slice_head(&v_all, h, self.head_dim);
+            let mut p = q.matmul_a_bt(&k);
+            p.map_inplace(|s| s * scale);
+            if self.causal {
+                for r in 0..seq {
+                    for c in (r + 1)..seq {
+                        p.set(r, c, f32::NEG_INFINITY);
+                    }
+                }
+            }
+            ops::softmax_inplace(&mut p);
+            let o = p.matmul(&v);
+            Self::write_head(&mut concat, &o, h, self.head_dim);
+            head_caches.push((q, k, v, p));
+        }
+        let y = concat.matmul(&self.wo);
+        self.cache = Some((x.clone(), head_caches, concat));
         y
     }
 
-    /// Backward through the full attention graph; accumulates all four
-    /// weight gradients and returns dX.
+    /// Backward; accumulates weight gradients, returns dX.
     ///
     /// # Panics
     /// Panics if called before `forward`.
     pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let (x, q, k, v, p, o) = self.cache.as_ref().expect("backward before forward");
-        let scale = 1.0 / (self.dim() as f32).sqrt();
+        let (x, head_caches, concat) = self.cache.as_ref().expect("backward before forward");
+        let seq = x.rows();
+        let scale = 1.0 / (self.head_dim as f32).sqrt();
 
-        // Y = O·Wo
-        self.g_wo.add_assign(&o.matmul_at_b(dy));
-        let d_o = dy.matmul_a_bt(&self.wo);
+        self.g_wo.add_assign(&concat.matmul_at_b(dy));
+        let d_concat = dy.matmul_a_bt(&self.wo);
 
-        // O = P·V
-        let mut d_p = d_o.matmul_a_bt(v);
-        let d_v = p.matmul_at_b(&d_o);
-
-        // P = softmax_rows(S): dS_ij = P_ij (dP_ij − Σ_k dP_ik P_ik)
-        for r in 0..d_p.rows() {
-            let dot: f32 = d_p.row(r).iter().zip(p.row(r)).map(|(a, b)| a * b).sum();
-            for c in 0..d_p.cols() {
-                let val = p.get(r, c) * (d_p.get(r, c) - dot);
-                d_p.set(r, c, val);
+        let dim = self.heads * self.head_dim;
+        let mut d_q_all = Matrix::zeros(seq, dim);
+        let mut d_k_all = Matrix::zeros(seq, dim);
+        let mut d_v_all = Matrix::zeros(seq, dim);
+        for (h, (q, k, v, p)) in head_caches.iter().enumerate() {
+            let d_o = Self::slice_head(&d_concat, h, self.head_dim);
+            let mut d_p = d_o.matmul_a_bt(v);
+            let d_v = p.matmul_at_b(&d_o);
+            // Softmax backward (rows; masked entries have p = 0 so their
+            // gradient contribution vanishes automatically).
+            for r in 0..seq {
+                let dot: f32 = d_p.row(r).iter().zip(p.row(r)).map(|(a, b)| a * b).sum();
+                for c in 0..seq {
+                    let val = p.get(r, c) * (d_p.get(r, c) - dot);
+                    d_p.set(r, c, val);
+                }
             }
+            d_p.map_inplace(|s| s * scale);
+            let d_q = d_p.matmul(k);
+            let d_k = d_p.matmul_at_b(q);
+            Self::write_head(&mut d_q_all, &d_q, h, self.head_dim);
+            Self::write_head(&mut d_k_all, &d_k, h, self.head_dim);
+            Self::write_head(&mut d_v_all, &d_v, h, self.head_dim);
         }
-        // S = scale · Q·Kᵀ
-        d_p.map_inplace(|s| s * scale);
-        let d_q = d_p.matmul(k);
-        let d_k = d_p.matmul_at_b(q); // dK = dSᵀ·Q
 
-        // Q = X·Wq etc.
-        self.g_wq.add_assign(&x.matmul_at_b(&d_q));
-        self.g_wk.add_assign(&x.matmul_at_b(&d_k));
-        self.g_wv.add_assign(&x.matmul_at_b(&d_v));
-        let mut dx = d_q.matmul_a_bt(&self.wq);
-        dx.add_assign(&d_k.matmul_a_bt(&self.wk));
-        dx.add_assign(&d_v.matmul_a_bt(&self.wv));
+        self.g_wq.add_assign(&x.matmul_at_b(&d_q_all));
+        self.g_wk.add_assign(&x.matmul_at_b(&d_k_all));
+        self.g_wv.add_assign(&x.matmul_at_b(&d_v_all));
+        let mut dx = d_q_all.matmul_a_bt(&self.wq);
+        dx.add_assign(&d_k_all.matmul_a_bt(&self.wk));
+        dx.add_assign(&d_v_all.matmul_a_bt(&self.wv));
         dx
     }
 
-    /// Visit (params, grads) pairs: Wq, Wk, Wv, Wo.
+    /// Visit (params, grads) pairs.
     pub fn for_each_group(&mut self, mut f: impl FnMut(&mut [f32], &[f32])) {
         f(self.wq.as_mut_slice(), self.g_wq.as_slice());
         f(self.wk.as_mut_slice(), self.g_wk.as_slice());
@@ -207,7 +261,7 @@ impl SelfAttention {
         f(self.wo.as_mut_slice(), self.g_wo.as_slice());
     }
 
-    fn zero_grads(&mut self) {
+    pub(crate) fn zero_grads(&mut self) {
         self.g_wq.map_inplace(|_| 0.0);
         self.g_wk.map_inplace(|_| 0.0);
         self.g_wv.map_inplace(|_| 0.0);
@@ -220,7 +274,7 @@ impl SelfAttention {
 #[derive(Debug, Clone)]
 pub struct TransformerBlock {
     ln1: LayerNorm,
-    attn: SelfAttention,
+    attn: MultiHeadAttention,
     ln2: LayerNorm,
     w_ff1: Matrix,
     w_ff2: Matrix,
@@ -235,7 +289,7 @@ impl TransformerBlock {
     pub fn new(dim: usize, seed: u64) -> Self {
         TransformerBlock {
             ln1: LayerNorm::new(dim),
-            attn: SelfAttention::new(dim, seed),
+            attn: MultiHeadAttention::new(dim, 1, false, seed),
             ln2: LayerNorm::new(dim),
             w_ff1: Initializer::XavierUniform.init(dim, 4 * dim, seed.wrapping_add(10)),
             w_ff2: Initializer::XavierUniform.init(4 * dim, dim, seed.wrapping_add(11)),
@@ -586,7 +640,7 @@ mod tests {
 
     #[test]
     fn attention_gradients_check() {
-        let mut attn = SelfAttention::new(6, 11);
+        let mut attn = MultiHeadAttention::new(6, 1, false, 11);
         let x = seq_input(4, 6, 13);
         grad_check(
             &mut attn,
@@ -614,10 +668,11 @@ mod tests {
 
     #[test]
     fn attention_rows_are_distributions() {
-        let mut attn = SelfAttention::new(8, 5);
+        let mut attn = MultiHeadAttention::new(8, 1, false, 5);
         let x = seq_input(6, 8, 23);
         let _ = attn.forward(&x);
-        let (_, _, _, _, p, _) = attn.cache.as_ref().unwrap();
+        let (_, heads, _) = attn.cache.as_ref().unwrap();
+        let (_, _, _, p) = &heads[0];
         for r in 0..p.rows() {
             let s: f32 = p.row(r).iter().sum();
             assert!((s - 1.0).abs() < 1e-4);

@@ -53,7 +53,7 @@ pub fn serve_sharded(
 ) -> Matrix {
     assert!(cfg.ranks > 0, "need at least one rank");
     assert!(cfg.max_batch > 0, "max_batch must be positive");
-    let results = World::run(cfg.ranks, |rank| {
+    let results = World::new(cfg.ranks).execute(|rank| {
         // Only the root starts with the trained bytes; everyone leaves the
         // broadcast holding an identical copy.
         let mut params = if rank.id() == 0 {

@@ -97,7 +97,7 @@ fn chaos_collectives_complete_or_fail_loudly() {
         // The ring's per-element fold order depends on the chunk schedule,
         // so the bitwise reference is a fault-free execution, not an
         // analytic sum.
-        let fault_free = World::run(p, |rank| {
+        let fault_free = World::new(p).execute(|rank| {
             let mut buf = reference[rank.id()].clone();
             let ring = Collective::RingAllreduce {
                 bucket_elems: bucket,
@@ -106,7 +106,7 @@ fn chaos_collectives_complete_or_fail_loudly() {
             buf
         });
         let plan_run = Arc::clone(&plan);
-        let (out, _) = World::run_with_faults(p, plan_run, move |rank| {
+        let out = World::new(p).execute_with_faults(plan_run, move |rank| {
             let mut results = Vec::new();
             for step in 0..steps {
                 rank.set_fault_step(step);
@@ -157,7 +157,7 @@ fn abandoned_ring_handles_drain_without_leaks() {
     let p = 3;
     let n = 48;
     let bucket = 16;
-    let out = World::run(p, |rank| {
+    let out = World::new(p).execute(|rank| {
         let mut buf = vec![rank.id() as f32 + 0.5; n];
         {
             let mut handles: Vec<RingAllreduceHandle> = buf
@@ -212,7 +212,7 @@ fn chaos_hierarchical_allreduce_drop_and_corrupt_matrix() {
         .map(|r| (0..n).map(|i| ((r * n + i) as f32).cos()).collect())
         .collect();
     let hierarchical = Collective::HierarchicalAllreduce { group_size: group };
-    let fault_free = World::run(p, |rank| {
+    let fault_free = World::new(p).execute(|rank| {
         let mut buf = reference[rank.id()].clone();
         run(rank, hierarchical, &mut buf, ReduceOp::Sum);
         buf
@@ -239,7 +239,7 @@ fn chaos_hierarchical_allreduce_drop_and_corrupt_matrix() {
             };
             let plan = Arc::new(plan);
             let reference = reference.clone();
-            let (out, _) = World::run_with_faults(p, Arc::clone(&plan), move |rank| {
+            let out = World::new(p).execute_with_faults(Arc::clone(&plan), move |rank| {
                 rank.set_fault_step(0);
                 let mut buf = reference[rank.id()].clone();
                 let res = try_run(
@@ -780,7 +780,7 @@ fn chaos_training_randomized_kill_shrinks_bitwise() {
 fn abandoned_handle_alive_across_shrink_quiesce() {
     let p = 4;
     let n = 32;
-    let out = World::run(p, |rank| {
+    let out = World::new(p).execute(|rank| {
         let mut buf = vec![rank.id() as f32 + 1.0; n];
         let mut handle = ring_allreduce_start(
             rank,

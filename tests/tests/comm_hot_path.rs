@@ -55,7 +55,7 @@ fn steady_state_ring_allreduce_does_not_allocate() {
     let warmup = 4;
     let rounds = 32;
 
-    let stats = World::run(p, |rank| {
+    let stats = World::new(p).execute(|rank| {
         let mut buf = vec![rank.id() as f32; n];
         for _ in 0..warmup {
             run(rank, Collective::RING, &mut buf, ReduceOp::Sum);
@@ -103,7 +103,7 @@ fn steady_state_ring_allreduce_does_not_allocate() {
     // The bucketed variant shares the same pooled path: after its own
     // warm-up it must also run allocation-free.
     let bucket = 256;
-    let ok = World::run(p, |rank| {
+    let ok = World::new(p).execute(|rank| {
         let mut buf = vec![rank.id() as f32; n];
         for _ in 0..warmup {
             ring_allreduce_bucketed(rank, &mut buf, ReduceOp::Sum, bucket);

@@ -60,7 +60,7 @@ fn compressed_data_parallel_training_converges() {
     let per_rank = 16usize;
     let spec = MlpSpec::new(6, &[12], 2);
 
-    let results = World::run(ranks, |rank| {
+    let results = World::new(ranks).execute(|rank| {
         let mut model = spec.build(3);
         let mut opt = Sgd::new(0.1, 0.9, 0.0);
         let mut comp = Compressor::new(GradCompression::Fp16, model.param_count());
@@ -156,7 +156,7 @@ fn hierarchical_allreduce_in_training_step() {
     let task = blobs(96, 4, 2, 0.3, 77);
     let spec = MlpSpec::new(4, &[6], 2);
     let grads_with = |hierarchical: bool| -> Vec<Vec<f32>> {
-        World::run(12, |rank| {
+        World::new(12).execute(|rank| {
             let mut model = spec.build(4);
             let start = rank.id() * 8;
             let bx = summit_dl::trainer::slice_rows(&task.x, start, start + 8);

@@ -5,7 +5,7 @@
 //! The exact half of the pin is `model_transport_counts_match_execution`:
 //! the model transport drives the *same* engine schedule the channel
 //! transport drives, so its per-rank message and byte counters must equal
-//! the executed collective's [`summit_comm::RankTraffic`] to the message —
+//! the executed collective's per-rank [`summit_comm::TrafficStats`] to the message —
 //! every algorithm, even and uneven chunk splits, p ∈ {2, 3, 4, 8}.
 
 use summit_comm::{
@@ -13,7 +13,7 @@ use summit_comm::{
     extended::run_slots,
     sim::simulate,
     world::World,
-    Collective, RankTraffic,
+    Collective, TrafficStats,
 };
 use summit_machine::LinkModel;
 
@@ -23,10 +23,12 @@ use summit_machine::LinkModel;
 fn ring_traffic_matches_model_bandwidth_term() {
     for p in [2usize, 3, 5, 8] {
         for n in [16usize, 100, 1024] {
-            let (_, stats) = World::run_with_stats(p, |rank| {
+            let mut world = World::new(p);
+            world.execute(|rank| {
                 let mut buf = vec![1.0f32; n];
                 run(rank, Collective::RING, &mut buf, ReduceOp::Sum);
             });
+            let stats = world.last_traffic();
             // Total across ranks: p · 2(p−1)/p · n elements × 4 bytes,
             // except chunk rounding: with exact chunking the total is
             // exactly 2(p−1)·n elements.
@@ -44,10 +46,12 @@ fn recursive_doubling_traffic_matches_model() {
     for logp in 1u32..4 {
         let p = 1usize << logp;
         let n = 64usize;
-        let (_, stats) = World::run_with_stats(p, |rank| {
+        let mut world = World::new(p);
+        world.execute(|rank| {
             let mut buf = vec![1.0f32; n];
             run(rank, Collective::RecursiveDoubling, &mut buf, ReduceOp::Sum);
         });
+        let stats = world.last_traffic();
         assert_eq!(stats.bytes_sent, (p * logp as usize * n * 4) as u64);
         assert_eq!(stats.messages_sent, (p * logp as usize) as u64);
     }
@@ -55,9 +59,11 @@ fn recursive_doubling_traffic_matches_model() {
 
 /// Run `c` on a live world — through the same generic entries every
 /// caller uses, so the schedule is the one `simulate` builds — and return
-/// every rank's transport counters.
-fn executed_traffic(c: Collective, p: usize, elems: usize) -> Vec<RankTraffic> {
-    World::run(p, move |rank| {
+/// every rank's transport counters, after checking that they sum to the
+/// world's.
+fn executed_traffic(c: Collective, p: usize, elems: usize) -> Vec<TrafficStats> {
+    let mut world = World::new(p);
+    let per_rank = world.execute(move |rank| {
         let me = rank.id();
         if c.personalized() {
             // Every slot populated: the ones a pattern does not send are
@@ -69,7 +75,21 @@ fn executed_traffic(c: Collective, p: usize, elems: usize) -> Vec<RankTraffic> {
             run(rank, c, &mut buf, ReduceOp::Sum);
         }
         rank.traffic()
-    })
+    });
+    let summed = per_rank
+        .iter()
+        .fold(TrafficStats::default(), |a, t| TrafficStats {
+            bytes_sent: a.bytes_sent + t.bytes_sent,
+            messages_sent: a.messages_sent + t.messages_sent,
+            messages_parked: a.messages_parked + t.messages_parked,
+            faults_injected: a.faults_injected + t.faults_injected,
+        });
+    assert_eq!(
+        summed,
+        world.last_traffic(),
+        "{c:?} p={p} n={elems}: rank sums"
+    );
+    per_rank
 }
 
 /// Every collective the engine models, executed and simulated over the
@@ -135,10 +155,12 @@ fn ring_per_rank_traffic_saturates() {
     let n = 840usize; // divisible by all p below: exact chunks
     let mut per_rank: Vec<f64> = Vec::new();
     for p in [2usize, 4, 8] {
-        let (_, stats) = World::run_with_stats(p, |rank| {
+        let mut world = World::new(p);
+        world.execute(|rank| {
             let mut buf = vec![0.5f32; n];
             run(rank, Collective::RING, &mut buf, ReduceOp::Sum);
         });
+        let stats = world.last_traffic();
         per_rank.push(stats.bytes_sent as f64 / p as f64);
     }
     // 2(p-1)/p · n · 4: p=2 → 1·n·4; p=8 → 1.75·n·4. Ratio < 2 and

@@ -24,7 +24,7 @@ use summit_sched::workload::{Workload, WorkloadKind};
 /// rank 0's reduced buffer.
 fn allreduce_kernel(world: &mut World, world_idx: usize) -> (Vec<f32>, u64, u64) {
     let p = world.size();
-    let (results, stats) = world.execute_with_stats(|rank| {
+    let results = world.execute(|rank| {
         let mut buf: Vec<f32> = (0..64)
             .map(|i| ((world_idx * 1000 + rank.id() * 10 + i) as f32).sin())
             .collect();
@@ -35,6 +35,7 @@ fn allreduce_kernel(world: &mut World, world_idx: usize) -> (Vec<f32>, u64, u64)
     for r in 1..p {
         assert_eq!(results[0], results[r], "ranks disagree inside a world");
     }
+    let stats = world.last_traffic();
     (results[0].clone(), stats.messages_sent, stats.bytes_sent)
 }
 
