@@ -51,7 +51,8 @@ pub(crate) const NB_BIT: u64 = 1 << 63;
 /// step, segment)` packed so that the flat path (`segment == 0`) produces
 /// the same tags as the historical unsegmented collectives. The 15-bit
 /// step field covers ring steps on full-Summit worlds (p − 2 = 27,646 at
-/// p = 27,648); the collective id stays at bit 32, which
+/// p = 27,648), and `RingSchedule::new` refuses a ring whose steps would
+/// not fit; the collective id stays at bit 32, which
 /// [`TagClass`](crate::faults::TagClass) decoding relies on.
 pub(crate) fn tag_seg(collective: u64, step: usize, seg: usize) -> u64 {
     debug_assert!(step < 1 << 15, "step out of tag range");
@@ -412,7 +413,6 @@ impl TagScheme {
             }
             TagScheme::Nonblocking { collective } => {
                 debug_assert_eq!(seg, 0, "nonblocking tags carry no segment");
-                debug_assert!(step < 1 << 12, "step out of tag range");
                 let ph = match phase {
                     Phase::Reduce => 0u64,
                     Phase::Gather => 1u64,
@@ -513,6 +513,16 @@ impl RingSchedule {
     ) -> Self {
         assert!(bucket > 0, "bucket must hold at least one element");
         debug_assert!(win_start + win_len <= total_len);
+        // Steps run 0..=p − 2 and must fit the tag's step field; checked
+        // once here so the per-op tag packing stays unchecked in release.
+        let step_bits = match tags {
+            TagScheme::Blocking { .. } => 15,
+            TagScheme::Nonblocking { .. } => 12,
+        };
+        assert!(
+            p <= (1 << step_bits) + 1,
+            "a {p}-rank ring overflows the {step_bits}-bit tag step field"
+        );
         let mut s = RingSchedule {
             p,
             me,
@@ -2360,6 +2370,15 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The largest ring whose steps fit the 15-bit field builds; one rank
+    /// more is refused where the schedule is built, not aliased in release.
+    #[test]
+    #[should_panic(expected = "a 32770-rank ring overflows the 15-bit tag step field")]
+    fn ring_beyond_tag_step_field_is_refused() {
+        let _ = RingSchedule::allreduce((1 << 15) + 1, 0, 1, 1);
+        let _ = RingSchedule::allreduce((1 << 15) + 2, 0, 1, 1);
     }
 
     /// Ring traffic is exact even for uneven chunks: 2(p-1) · n elements

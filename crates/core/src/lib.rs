@@ -83,9 +83,9 @@ pub mod prelude {
         taxonomy::{Domain, MlMethod, Motif, UsageStatus},
     };
     pub use summit_workflow::{
+        campaign::{run_campaign, CampaignConfig, CompoundLibrary},
         engine::{Facility, WorkflowBuilder},
         materials::MaterialsLoop,
-        screening::{CompoundLibrary, FunnelPolicy, ScreeningFunnel},
         steering::{Policy as SteeringPolicy, SteeringConfig, SteeringLoop},
     };
     pub use summit_workloads::Workload;

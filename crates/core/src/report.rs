@@ -25,7 +25,7 @@ use summit_perf::model::ScalingModel;
 use summit_perf::parallelism::{HybridPlanner, ParallelStrategy};
 use summit_perf::roofline::{Kernel, Roofline};
 use summit_survey::{analytics, gordon_bell, portfolio, taxonomy::Motif};
-use summit_workflow::screening::{CompoundLibrary, FunnelPolicy, ScreeningFunnel};
+use summit_workflow::campaign::{run_campaign, CampaignConfig, CompoundLibrary};
 use summit_workloads::{GradPrecision, Workload};
 
 /// Table I: the AI motif taxonomy.
@@ -389,19 +389,25 @@ pub fn ablations() -> String {
 
     out.push_str("[X3] screening policies on a 2000-compound library:\n");
     let library = CompoundLibrary::generate(2000, 8, 11);
-    let funnel = ScreeningFunnel::default();
-    for policy in [
-        FunnelPolicy::BruteForce,
-        FunnelPolicy::Random,
-        FunnelPolicy::Surrogate,
+    let funnel = |batch_per_round, rounds| CampaignConfig {
+        batch_per_round,
+        rounds,
+        k: 50,
+        seed: 7,
+        fit_iters: 300,
+    };
+    for (policy, config) in [
+        ("BruteForce", funnel(library.len(), 0)),
+        ("Random", funnel(400, 0)),
+        ("Surrogate", funnel(200, 1)),
     ] {
-        let run = funnel.run(&library, policy);
+        let run = run_campaign(&library, &config);
+        let last = run.rounds.last().expect("round 0 always runs");
         out.push_str(&format!(
-            "  {:<11} {:>5} expensive evals, recall@{} = {:.0}%\n",
-            format!("{policy:?}"),
-            run.expensive_evaluations,
-            funnel.k,
-            run.recall_at_k * 100.0
+            "  {policy:<11} {:>5} expensive evals, recall@{} = {:.0}%\n",
+            last.docked,
+            config.k,
+            last.recall_at_k * 100.0
         ));
     }
 

@@ -20,8 +20,8 @@
 use summit_comm::world::World;
 use summit_tensor::{ops, Matrix};
 
-use crate::model::Mlp;
-use crate::optim::Optimizer;
+use crate::model::{Mlp, MlpSpec};
+use crate::optim::{Adam, Optimizer};
 use crate::schedule::LrSchedule;
 use crate::step::{lead_params, shard_range, Replica};
 
@@ -137,6 +137,45 @@ impl Trainer {
         self.model.backward(&grad);
         self.apply_step(1.0);
         loss
+    }
+
+    /// The steering loops' surrogate: a scalar regression MLP `inputs →
+    /// hidden → 1` built from `seed`, trained by `adam` at a constant rate.
+    pub fn regressor(inputs: usize, hidden: &[usize], adam: Adam, seed: u64) -> Self {
+        Trainer::new(
+            MlpSpec::new(inputs, hidden, 1).build(seed),
+            Box::new(adam),
+            LrSchedule::Constant,
+        )
+    }
+
+    /// `iters` full-batch regression steps on `(x, targets)`.
+    pub fn fit(&mut self, x: &Matrix, targets: &Matrix, iters: u32) {
+        for _ in 0..iters {
+            self.train_regression_batch(x, targets);
+        }
+    }
+
+    /// Score every row of `candidates` (output column 0) and return the row
+    /// indices best-first: highest score first if `maximise`, lowest first
+    /// otherwise. Rows with equal scores keep their input order (scores
+    /// compare by [`f32::total_cmp`], so −0.0 sits below +0.0).
+    ///
+    /// # Panics
+    /// Panics, at the calling loop's location, if any row scores NaN.
+    #[track_caller]
+    pub fn rank(&mut self, candidates: &Matrix, maximise: bool) -> Vec<usize> {
+        let pred = self.predict(candidates);
+        let score = |i: usize| pred.get(i, 0);
+        if let Some(i) = (0..pred.rows()).find(|&i| score(i).is_nan()) {
+            panic!("surrogate scored candidate {i} NaN");
+        }
+        let mut order: Vec<usize> = (0..pred.rows()).collect();
+        order.sort_by(|&a, &b| {
+            let (lo, hi) = if maximise { (b, a) } else { (a, b) };
+            score(lo).total_cmp(&score(hi))
+        });
+        order
     }
 
     /// Model predictions for a batch (regression or logits).
@@ -920,17 +959,36 @@ mod tests {
     #[test]
     fn regression_fits_teacher() {
         let task = crate::data::teacher_regression(400, 6, 61);
-        let mut t = Trainer::new(
-            MlpSpec::new(6, &[24], 1).build(4),
-            Box::new(Adam::new(0.01, 0.0)),
-            LrSchedule::Constant,
-        );
+        let mut t = Trainer::regressor(6, &[24], Adam::new(0.01, 0.0), 4);
         let before = t.evaluate_regression(&task.x, &task.y);
-        for _ in 0..200 {
-            t.train_regression_batch(&task.x, &task.y);
-        }
+        t.fit(&task.x, &task.y, 200);
         let after = t.evaluate_regression(&task.x, &task.y);
         assert!(after < before / 10.0, "MSE {before} → {after}");
+    }
+
+    /// A ranker whose score is its input: the identity model `x ↦ 1·x + 0`.
+    fn identity_ranker() -> Trainer {
+        let mut t = Trainer::regressor(1, &[], Adam::new(0.01, 0.0), 0);
+        t.model.set_flat_params(&[1.0, 0.0]);
+        t
+    }
+
+    /// Best-first maximises for the workflow loops (predicted affinity,
+    /// progress) and minimises for the facility campaign (predicted energy);
+    /// either way, equal scores keep their input order.
+    #[test]
+    fn rank_maximises_or_minimises_keeping_input_order_among_ties() {
+        let x = Matrix::from_vec(6, 1, vec![0.5, 2.0, 0.5, -1.0, 2.0, 0.5]);
+        let mut t = identity_ranker();
+        assert_eq!(t.rank(&x, true), [1, 4, 0, 2, 5, 3]);
+        assert_eq!(t.rank(&x, false), [3, 0, 2, 5, 1, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "surrogate scored candidate 1 NaN")]
+    fn rank_refuses_a_nan_score() {
+        let x = Matrix::from_vec(3, 1, vec![1.0, f32::NAN, 0.0]);
+        identity_ranker().rank(&x, true);
     }
 
     #[test]

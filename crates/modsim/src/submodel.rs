@@ -36,9 +36,7 @@ impl ReactionSurrogate {
                 total_steps: 5000,
             },
         );
-        for _ in 0..5000 {
-            trainer.train_regression_batch(&x, &y);
-        }
+        trainer.fit(&x, &y, 5000);
         ReactionSurrogate {
             model: std::cell::RefCell::new(trainer),
             training_evaluations: samples,

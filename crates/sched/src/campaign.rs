@@ -21,7 +21,7 @@
 //! billed `nodes × walltime`.
 
 use serde::Serialize;
-use summit_dl::{Adam, LrSchedule, MlpSpec, Trainer};
+use summit_dl::{Adam, Trainer};
 use summit_tensor::Matrix;
 
 use crate::jsrun::{NodeGeometry, ResourceSet};
@@ -197,24 +197,12 @@ fn reorder_by_surrogate(queue: &mut [Workload], done: &[(f32, f64)], seed: u64) 
             .map(|(_, v)| ((*v - mean) / std) as f32)
             .collect(),
     );
-    let mut surrogate = Trainer::new(
-        MlpSpec::new(1, &[16], 1).build(seed),
-        Box::new(Adam::new(0.02, 0.0)),
-        LrSchedule::Constant,
-    );
-    for _ in 0..300 {
-        surrogate.train_regression_batch(&x, &y);
-    }
+    let mut surrogate = Trainer::regressor(1, &[16], Adam::new(0.02, 0.0), seed);
+    surrogate.fit(&x, &y, 300);
 
+    // Lowest predicted objective first.
     let probe = Matrix::from_vec(queue.len(), 1, queue.iter().map(knob).collect());
-    let predicted = surrogate.predict(&probe);
-    let mut order: Vec<usize> = (0..queue.len()).collect();
-    order.sort_by(|&a, &b| {
-        predicted
-            .get(a, 0)
-            .partial_cmp(&predicted.get(b, 0))
-            .expect("surrogate predicted NaN")
-    });
+    let order = surrogate.rank(&probe, false);
     let reordered: Vec<Workload> = order.iter().map(|&i| queue[i]).collect();
     queue.copy_from_slice(&reordered);
 }

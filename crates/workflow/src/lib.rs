@@ -4,9 +4,11 @@
 //! workflow system (Balsam, RAPTOR) orchestrates simulation tasks and ML
 //! components, with the ML model *making decisions* — which conformations
 //! to sample next (DeepDriveMD steering), which compounds deserve expensive
-//! evaluation (the IMPECCABLE funnel), when a statistical-mechanics
-//! surrogate needs retraining (the Liu et al. high-entropy-alloy loop).
-//! This crate implements all four pieces for real, with simulated physics:
+//! evaluation (the IMPECCABLE funnel and campaign), when a
+//! statistical-mechanics surrogate needs retraining (the Liu et al.
+//! high-entropy-alloy loop). This crate implements all five pieces for
+//! real, with simulated physics; the steering loops share one surrogate,
+//! `summit_dl::trainer::Trainer::{regressor, fit, rank}`:
 //!
 //! * [`engine`] — a multi-threaded DAG workflow engine with per-facility
 //!   concurrency limits and a simulated-time scheduler (the Balsam/RAPTOR
@@ -16,15 +18,18 @@
 //!   "CVAE" scores simulated conformations and steers the next round of
 //!   sampling toward rare states; finds rare events with far fewer
 //!   simulations than uniform sampling (tested).
-//! * [`screening`] — an IMPECCABLE-style drug-screening funnel: a surrogate
-//!   ranks a compound library so only a small fraction needs the expensive
-//!   "docking/MD" evaluation, recovering most of the true top-K (tested
-//!   against brute force and random downselection).
+//! * [`campaign`] — the IMPECCABLE loop: a surrogate ranks a compound
+//!   library so only a small fraction needs expensive "docking/MD". Its
+//!   first round is the screening funnel, which beats brute force on cost
+//!   and random downselection on recall; later rounds raise recall (tested).
 //! * [`materials`] — the Liu et al. ML+Monte-Carlo loop: a surrogate
 //!   Hamiltonian drives Metropolis sampling of a 2D alloy lattice, active
 //!   learning retrains it on "first-principles" energies of visited
 //!   states, and the order–disorder transition emerges from the
 //!   magnetization–temperature sweep (tested).
+//! * [`fault`] — the fault-detection motif: an MLP classifier over
+//!   residual-norm telemetry flags faulty solver runs and beats a naive
+//!   threshold rule on F1 (tested).
 //!
 //! # Example: run a three-task pipeline
 //!
@@ -42,12 +47,10 @@ pub mod campaign;
 pub mod engine;
 pub mod fault;
 pub mod materials;
-pub mod screening;
 pub mod steering;
 
-pub use campaign::{run_campaign, CampaignConfig, CampaignOutcome};
+pub use campaign::{run_campaign, CampaignConfig, CampaignOutcome, CompoundLibrary};
 pub use engine::{Facility, TaskId, WorkflowBuilder};
 pub use fault::{FaultDetector, FaultKind};
 pub use materials::{AlloyLattice, MaterialsLoop, MaterialsOutcome};
-pub use screening::{CompoundLibrary, FunnelPolicy, ScreeningFunnel, ScreeningOutcome};
 pub use steering::{Policy as SteeringPolicy, SteeringConfig, SteeringLoop, SteeringOutcome};

@@ -22,7 +22,7 @@
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use serde::Serialize;
-use summit_dl::{model::MlpSpec, optim::Adam, schedule::LrSchedule, trainer::Trainer};
+use summit_dl::{optim::Adam, trainer::Trainer};
 use summit_tensor::Matrix;
 
 /// A periodic 2D Ising lattice of ±1 spins.
@@ -98,7 +98,9 @@ impl AlloyLattice {
         [b, m, m * m]
     }
 
-    /// Descriptors after flipping site (r, c), computed in O(1).
+    /// Descriptors after flipping site (r, c), without flipping it: the
+    /// flip's bond and spin deltas are O(1), but the bond and spin sums
+    /// they apply to are recomputed in O(N).
     fn descriptors_after_flip(&self, r: usize, c: usize) -> [f32; 3] {
         let s = i64::from(self.spins[self.idx(r, c)]);
         let nn = i64::from(self.spins[self.idx(r + 1, c)])
@@ -200,11 +202,7 @@ impl MaterialsLoop {
     pub fn run(&self) -> MaterialsOutcome {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut lattice = AlloyLattice::random(self.lattice_size, self.seed);
-        let mut surrogate = Trainer::new(
-            MlpSpec::new(3, &[16], 1).build(self.seed),
-            Box::new(Adam::new(0.01, 0.0)),
-            LrSchedule::Constant,
-        );
+        let mut surrogate = Trainer::regressor(3, &[16], Adam::new(0.01, 0.0), self.seed);
         // Seed the training set with reference structures of known energy
         // (the ordered ground states and the fully anti-aligned lattice) —
         // real alloy campaigns anchor their models with such references,
@@ -258,9 +256,7 @@ impl MaterialsLoop {
                 x.row_mut(i).copy_from_slice(&desc);
                 y.set(i, 0, e);
             }
-            for _ in 0..150 {
-                surrogate.train_regression_batch(&x, &y);
-            }
+            surrogate.fit(&x, &y, 150);
         }
 
         MaterialsOutcome {
@@ -327,7 +323,8 @@ mod tests {
 
     #[test]
     fn active_learning_reduces_surrogate_error() {
-        let outcome = MaterialsLoop::default().run();
+        let cfg = MaterialsLoop::default();
+        let outcome = cfg.run();
         let first = outcome.rmse_per_iteration[0];
         let last = *outcome.rmse_per_iteration.last().expect("non-empty");
         assert!(
@@ -336,9 +333,9 @@ mod tests {
             outcome.rmse_per_iteration
         );
         assert_eq!(
-            outcome.dft_evaluations as u32,
-            MaterialsLoop::default().iterations
-                * MaterialsLoop::default().sweeps_per_iteration.min(60)
+            outcome.dft_evaluations,
+            cfg.iterations as usize
+                * (cfg.sweeps_per_iteration as usize).min(cfg.labels_per_iteration)
         );
     }
 

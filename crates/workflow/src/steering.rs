@@ -12,7 +12,7 @@
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use serde::Serialize;
-use summit_dl::{model::MlpSpec, optim::Adam, schedule::LrSchedule, trainer::Trainer};
+use summit_dl::{optim::Adam, trainer::Trainer};
 use summit_tensor::Matrix;
 
 use crate::engine::{Facility, WorkflowBuilder};
@@ -72,7 +72,7 @@ fn distance_to_target(x: f32, y: f32) -> f32 {
     ((x - TARGET.0).powi(2) + (y - TARGET.1).powi(2)).sqrt()
 }
 
-/// One "MD" trajectory: a biased-free random walk from a seed point.
+/// One "MD" trajectory: an unbiased random walk from a seed point.
 /// Returns `(x, y, progress)` samples, `progress = −distance` (the
 /// observable the ML model learns to predict).
 fn simulate(seed_point: (f32, f32), steps: u32, rng_seed: u64) -> Vec<(f32, f32, f32)> {
@@ -85,6 +85,15 @@ fn simulate(seed_point: (f32, f32), steps: u32, rng_seed: u64) -> Vec<(f32, f32,
         out.push((x, y, -distance_to_target(x, y)));
     }
     out
+}
+
+/// The archive as a surrogate data set: positions (`n × 2`) and progress
+/// (`n × 1`).
+fn training_set(archive: &[(f32, f32, f32)]) -> (Matrix, Matrix) {
+    let n = archive.len();
+    let x = archive.iter().flat_map(|&(px, py, _)| [px, py]).collect();
+    let y = archive.iter().map(|s| s.2).collect();
+    (Matrix::from_vec(n, 2, x), Matrix::from_vec(n, 1, y))
 }
 
 /// The steering campaign driver.
@@ -108,11 +117,7 @@ impl SteeringLoop {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         // All samples observed so far: (x, y, progress).
         let mut archive: Vec<(f32, f32, f32)> = vec![(0.0, 0.0, -distance_to_target(0.0, 0.0))];
-        let mut model = Trainer::new(
-            MlpSpec::new(2, &[16], 1).build(cfg.seed),
-            Box::new(Adam::new(0.01, 0.0)),
-            LrSchedule::Constant,
-        );
+        let mut model = Trainer::regressor(2, &[16], Adam::new(0.01, 0.0), cfg.seed);
         let mut simulations = 0u32;
 
         for round in 0..cfg.rounds {
@@ -127,19 +132,12 @@ impl SteeringLoop {
                 Policy::MlSteered => {
                     // Predict progress for every archived sample and take
                     // the most promising ones.
-                    let mut x = Matrix::zeros(archive.len(), 2);
-                    for (i, &(px, py, _)) in archive.iter().enumerate() {
-                        x.set(i, 0, px);
-                        x.set(i, 1, py);
-                    }
-                    let pred = model.predict(&x);
-                    let mut scored: Vec<(usize, f32)> =
-                        (0..archive.len()).map(|i| (i, pred.get(i, 0))).collect();
-                    scored.sort_by(|a, b| b.1.total_cmp(&a.1));
-                    scored
-                        .iter()
+                    let (x, _) = training_set(&archive);
+                    model
+                        .rank(&x, true)
+                        .into_iter()
                         .take(cfg.sims_per_round as usize)
-                        .map(|&(i, _)| (archive[i].0, archive[i].1))
+                        .map(|i| (archive[i].0, archive[i].1))
                         .collect()
                 }
             };
@@ -169,16 +167,8 @@ impl SteeringLoop {
             // Train the progress model on everything observed (the "CVAE
             // training on Summit" step).
             if policy == Policy::MlSteered {
-                let mut x = Matrix::zeros(archive.len(), 2);
-                let mut y = Matrix::zeros(archive.len(), 1);
-                for (i, &(px, py, v)) in archive.iter().enumerate() {
-                    x.set(i, 0, px);
-                    x.set(i, 1, py);
-                    y.set(i, 0, v);
-                }
-                for _ in 0..30 {
-                    model.train_regression_batch(&x, &y);
-                }
+                let (x, y) = training_set(&archive);
+                model.fit(&x, &y, 30);
             }
         }
 

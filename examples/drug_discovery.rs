@@ -21,24 +21,27 @@ fn main() {
         "policy", "expensive evals", "recall@50", "cost vs brute"
     );
 
-    let funnel = ScreeningFunnel {
-        seed_set: 300,
-        shortlist: 300,
+    // Brute force and random downselection are the campaign's random
+    // round 0 alone; the funnel adds one surrogate round of equal size.
+    let funnel = |batch_per_round, rounds| CampaignConfig {
+        batch_per_round,
+        rounds,
         k: 50,
         seed: 9,
+        fit_iters: 300,
     };
-    for policy in [
-        FunnelPolicy::BruteForce,
-        FunnelPolicy::Random,
-        FunnelPolicy::Surrogate,
+    for (policy, config) in [
+        ("BruteForce", funnel(library.len(), 0)),
+        ("Random", funnel(600, 0)),
+        ("Surrogate", funnel(300, 1)),
     ] {
-        let out = funnel.run(&library, policy);
+        let out = run_campaign(&library, &config);
+        let last = out.rounds.last().expect("round 0 always runs");
         println!(
-            "{:<12} {:>18} {:>11.0}% {:>13.1}%",
-            format!("{policy:?}"),
-            out.expensive_evaluations,
-            out.recall_at_k * 100.0,
-            out.expensive_evaluations as f64 / library.len() as f64 * 100.0
+            "{policy:<12} {:>18} {:>11.0}% {:>13.1}%",
+            last.docked,
+            last.recall_at_k * 100.0,
+            last.docked as f64 / library.len() as f64 * 100.0
         );
     }
 

@@ -4,27 +4,32 @@
 use std::collections::HashMap;
 
 use summit_workflow::{
+    campaign::{run_campaign, CampaignConfig, CompoundLibrary},
     engine::{simulate_schedule, Facility, WorkflowBuilder},
     materials::MaterialsLoop,
-    screening::{CompoundLibrary, FunnelPolicy, ScreeningFunnel},
     steering::{Policy, SteeringConfig, SteeringLoop},
 };
 
-/// X3: the screening funnel dominates random selection at equal budget and
-/// costs a fraction of brute force.
+/// X3: the screening funnel (one surrogate round after a random seed set)
+/// dominates random selection at equal budget and costs a fraction of brute
+/// force.
 #[test]
 fn screening_funnel_dominates() {
     let library = CompoundLibrary::generate(1500, 8, 23);
-    let funnel = ScreeningFunnel {
-        seed_set: 150,
-        shortlist: 150,
-        k: 40,
-        seed: 5,
+    let screen = |batch_per_round, rounds| {
+        let config = CampaignConfig {
+            batch_per_round,
+            rounds,
+            k: 40,
+            seed: 5,
+            fit_iters: 300,
+        };
+        *run_campaign(&library, &config).rounds.last().unwrap()
     };
-    let surrogate = funnel.run(&library, FunnelPolicy::Surrogate);
-    let random = funnel.run(&library, FunnelPolicy::Random);
+    let surrogate = screen(150, 1);
+    let random = screen(300, 0);
     assert!(surrogate.recall_at_k > random.recall_at_k);
-    assert!(surrogate.expensive_evaluations * 5 <= library.len());
+    assert!(surrogate.docked * 5 <= library.len());
 }
 
 /// X4: the materials active-learning loop reduces surrogate error.
