@@ -1,29 +1,21 @@
-//! Binary model checkpoints with integrity checking.
+//! Model checkpoints with integrity checking.
 //!
 //! The at-scale training runs the paper reviews checkpoint constantly
 //! (Blanchard et al.'s I/O overhead is partly this traffic; the
-//! `summit-io` crate prices it). This module is the serialization half: a
-//! compact binary format for model parameters — little-endian f32 payload,
-//! versioned header, FNV-1a content checksum — over [`bytes::Bytes`]
-//! buffers, with corruption and version-mismatch detection.
+//! `summit-io` crate prices it). This module is the serialization half:
+//! [`ElasticCheckpoint`] captures parameters *and* optimizer state into one
+//! f32 word stream — magic, version, shape counts, FNV-1a checksum — with
+//! corruption, truncation and version-mismatch detection.
 //!
-//! [`ElasticCheckpoint`] is the size-agnostic variant elastic training
-//! needs: it captures parameters *and* optimizer state into one f32 word
-//! stream that can be sharded across any world size with
-//! [`summit_pool::chunk_range`] and reassembled at any other — a snapshot
-//! written at p = 4 restores bit-exactly onto p = 3 (or 8, or 1), because
-//! nothing in the encoding depends on the world size.
+//! The stream is size-agnostic: it can be sharded across any world size
+//! with [`summit_pool::chunk_range`] and reassembled at any other — a
+//! snapshot written at p = 4 restores bit-exactly onto p = 3 (or 8, or 1),
+//! because nothing in the encoding depends on the world size.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use summit_pool::chunk_range;
 
 use crate::model::Mlp;
 use crate::optim::{Optimizer, OptimizerState};
-
-/// Format magic: "SMT1".
-const MAGIC: u32 = 0x534D_5431;
-/// Current format version.
-const VERSION: u16 = 1;
 
 /// Errors from checkpoint decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,75 +60,6 @@ impl std::fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
-
-/// FNV-1a over a byte slice.
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in data {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    hash
-}
-
-/// Serialize a model's parameters (and the training step) to a checkpoint
-/// buffer.
-pub fn save(model: &Mlp, step: u32) -> Bytes {
-    let params = model.flat_params();
-    let mut payload = BytesMut::with_capacity(params.len() * 4);
-    for p in &params {
-        payload.put_f32_le(*p);
-    }
-    let checksum = fnv1a(&payload);
-
-    let mut out = BytesMut::with_capacity(payload.len() + 32);
-    out.put_u32(MAGIC);
-    out.put_u16(VERSION);
-    out.put_u32(step);
-    out.put_u64(params.len() as u64);
-    out.put_u64(checksum);
-    out.put(payload);
-    out.freeze()
-}
-
-/// Restore a model's parameters from a checkpoint. Returns the saved step.
-///
-/// # Errors
-/// Every malformation is detected and reported; the model is only written
-/// on success.
-pub fn load(model: &mut Mlp, mut buf: Bytes) -> Result<u32, CheckpointError> {
-    if buf.remaining() < 4 + 2 + 4 + 8 + 8 {
-        return Err(CheckpointError::Truncated);
-    }
-    if buf.get_u32() != MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    let version = buf.get_u16();
-    if version != VERSION {
-        return Err(CheckpointError::BadVersion(version));
-    }
-    let step = buf.get_u32();
-    let count = buf.get_u64();
-    let checksum = buf.get_u64();
-    if buf.remaining() as u64 != count * 4 {
-        return Err(CheckpointError::Truncated);
-    }
-    if count != model.param_count() as u64 {
-        return Err(CheckpointError::ShapeMismatch {
-            checkpoint: count,
-            model: model.param_count() as u64,
-        });
-    }
-    if fnv1a(buf.chunk()) != checksum {
-        return Err(CheckpointError::ChecksumMismatch);
-    }
-    let mut params = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        params.push(buf.get_f32_le());
-    }
-    model.set_flat_params(&params);
-    Ok(step)
-}
 
 /// Format magic of the elastic word stream: "SMT2".
 const ELASTIC_MAGIC: u32 = 0x534D_5432;
@@ -365,69 +288,6 @@ mod tests {
     use super::*;
     use crate::model::MlpSpec;
 
-    #[test]
-    fn roundtrip_restores_exact_parameters() {
-        let spec = MlpSpec::new(4, &[8, 8], 3);
-        let model = spec.build(42);
-        let bytes = save(&model, 1234);
-        let mut restored = spec.build(99); // different init
-        assert_ne!(restored.flat_params(), model.flat_params());
-        let step = load(&mut restored, bytes).expect("valid checkpoint");
-        assert_eq!(step, 1234);
-        assert_eq!(restored.flat_params(), model.flat_params());
-    }
-
-    #[test]
-    fn corruption_detected() {
-        let model = MlpSpec::new(3, &[4], 2).build(1);
-        let bytes = save(&model, 0);
-        let mut corrupt = bytes.to_vec();
-        let idx = corrupt.len() - 3; // inside the payload
-        corrupt[idx] ^= 0xFF;
-        let mut target = MlpSpec::new(3, &[4], 2).build(2);
-        let err = load(&mut target, Bytes::from(corrupt)).unwrap_err();
-        assert_eq!(err, CheckpointError::ChecksumMismatch);
-    }
-
-    #[test]
-    fn truncation_detected() {
-        let model = MlpSpec::new(3, &[4], 2).build(1);
-        let bytes = save(&model, 0);
-        let mut target = MlpSpec::new(3, &[4], 2).build(2);
-        let before = target.flat_params();
-        let err = load(&mut target, bytes.slice(0..bytes.len() - 5)).unwrap_err();
-        assert_eq!(err, CheckpointError::Truncated);
-        // Target untouched on failure.
-        assert_eq!(target.flat_params(), before);
-    }
-
-    #[test]
-    fn wrong_magic_and_shape_detected() {
-        let model = MlpSpec::new(3, &[4], 2).build(1);
-        let bytes = save(&model, 7);
-
-        let mut junk = bytes.to_vec();
-        junk[0] = 0;
-        let mut target = MlpSpec::new(3, &[4], 2).build(2);
-        assert_eq!(
-            load(&mut target, Bytes::from(junk)).unwrap_err(),
-            CheckpointError::BadMagic
-        );
-
-        let mut other_shape = MlpSpec::new(3, &[5], 2).build(2);
-        match load(&mut other_shape, bytes).unwrap_err() {
-            CheckpointError::ShapeMismatch { .. } => {}
-            e => panic!("expected shape mismatch, got {e}"),
-        }
-    }
-
-    #[test]
-    fn checkpoint_size_is_header_plus_payload() {
-        let model = MlpSpec::new(4, &[8], 2).build(3);
-        let bytes = save(&model, 0);
-        assert_eq!(bytes.len(), 26 + model.param_count() * 4);
-    }
-
     /// An [`ElasticCheckpoint`] with real Adam state (after a few steps,
     /// so `m`/`v` slots and the bias-correction counter are nonzero).
     fn trained_snapshot() -> (ElasticCheckpoint, MlpSpec) {
@@ -483,6 +343,14 @@ mod tests {
         assert_eq!(
             ElasticCheckpoint::decode(&words[..4]).unwrap_err(),
             CheckpointError::Truncated
+        );
+        // A foreign stream behind a valid checksum is caught by its magic.
+        let mut header: [u32; 6] = std::array::from_fn(|i| words[i].to_bits());
+        header[0] ^= 1;
+        let foreign = sealed(header, &words[6..words.len() - 2]);
+        assert_eq!(
+            ElasticCheckpoint::decode(&foreign).unwrap_err(),
+            CheckpointError::BadMagic
         );
     }
 

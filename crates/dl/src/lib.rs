@@ -63,8 +63,8 @@ pub use lm::TinyLm;
 pub use model::{Mlp, MlpSpec};
 pub use optim::{Adam, Lamb, Larc, Lars, Optimizer, OptimizerState, Sgd};
 pub use recovery::{
-    elastic_clock, ElasticConfig, ElasticOutcome, FtOutcome, RecoveryConfig, SUB_COMM, SUB_DRAIN,
-    SUB_PRE, SUB_REPART, SUB_VOTE,
+    fault_clock, RecoveryConfig, RecoveryOutcome, Remediation, SUB_COMM, SUB_DRAIN, SUB_PRE,
+    SUB_REPART, SUB_VOTE,
 };
 pub use schedule::LrSchedule;
 pub use trainer::{

@@ -1,9 +1,9 @@
-//! Fault-tolerant data-parallel training: one step, one control plane, two
-//! remediation policies.
+//! Fault-tolerant data-parallel training: one step, one control plane, one
+//! recovery loop with two remediations.
 //!
-//! The paper's fault motif (Table I, row 1) is *detect → signal → remediate*.
-//! Both drivers here run that loop around the same pieces and differ only in
-//! the last verb:
+//! The paper's fault motif (Table I, row 1) is *detect → signal →
+//! remediate*. [`DataParallelTrainer::run_fault_tolerant`] runs that loop
+//! once, and the [`Remediation`] in its [`RecoveryConfig`] is the last verb:
 //!
 //! 1. **Detect** — every attempt is the shared data-parallel step
 //!    (`crate::step`) on its checked surface: the gradient collectives run
@@ -17,23 +17,22 @@
 //!    commits only if every member's collective finished clean; otherwise
 //!    the members quiesce (view barrier → [`Rank::drain_all`] → view
 //!    barrier), sweeping the half-finished traffic off the data fabric.
-//! 3. **Remediate** — the policy.
-//!    [`run_fault_tolerant`](DataParallelTrainer::run_fault_tolerant)
-//!    keeps the membership (the full view at epoch 0, all run), restores the
-//!    last whole in-memory [`ElasticCheckpoint`] and replays from its step.
-//!    [`run_elastic`](DataParallelTrainer::run_elastic) keeps the step: the
-//!    survivors adopt the vote's mask as a smaller view, re-derive the
-//!    collective schedules and the data sharding at `p-1`, re-take their
-//!    [`chunk_range`] shard of the checkpoint, and retry — and can later
-//!    re-admit a recovered rank at a step boundary (hot join).
+//! 3. **Remediate** — the one place the loop reads its policy.
+//!    [`Remediation::Rollback`] keeps the membership (the full view at
+//!    epoch 0, all run): every rank restores the last whole in-memory
+//!    [`ElasticCheckpoint`] and replays from its step.
+//!    [`Remediation::Shrink`] keeps the step: the survivors adopt the vote's
+//!    mask as a smaller view, re-derive the collective schedules and the data
+//!    sharding at `p-1`, and retry — and can later re-admit the evicted ranks
+//!    at a step boundary (hot join).
 //!
 //! Both are **bit-exact**: sharding is a pure function of `(step, view)`,
 //! fault events are one-shot (a retried step re-executes clean), and the
 //! checked collectives drive the *same* schedule objects as the infallible
 //! path, sharing fold and operand order by construction. A rolled-back run
-//! lands on exactly the fault-free trajectory, and an elastic continuation
-//! on that of a fresh `p-1`-rank run from the same checkpoint; the chaos
-//! and elastic suites in `tests/` pin both.
+//! lands on exactly the fault-free trajectory, and a shrunk continuation on
+//! that of a fresh `p-1`-rank run from the same checkpoint; the chaos and
+//! elastic suites in `tests/` pin both.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -53,57 +52,117 @@ use crate::schedule::LrSchedule;
 use crate::step::{lead_params, shard_range, Replica};
 use crate::trainer::DataParallelTrainer;
 
+/// What a failed commit vote does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Remediation {
+    /// Keep the membership: every rank, a killed one included (a kill is
+    /// one-shot, so it restarts), restores the last whole checkpoint and
+    /// replays from its step.
+    Rollback,
+    /// Keep the step: retry it at the same size if every member is still
+    /// alive, otherwise shrink to the survivors and retry at the new size.
+    Shrink {
+        /// If set, evicted ranks wait as spectators and the surviving
+        /// members re-admit *all* of them at this step boundary (hot join),
+        /// restoring the full world.
+        rejoin_at: Option<u32>,
+    },
+}
+
 /// Recovery policy for [`DataParallelTrainer::run_fault_tolerant`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryConfig {
-    /// Take an in-memory checkpoint every this many committed steps (a
-    /// checkpoint is always taken at step 0, so rollback is always
-    /// possible).
-    pub checkpoint_interval: u32,
     /// Deadline for one step's gradient communication; a step that cannot
-    /// finish its allreduce within this budget is declared failed.
+    /// finish within this budget is declared failed and triggers a vote.
     pub step_timeout: Duration,
-    /// Abort (panic loudly) after this many rollbacks — a guard against a
-    /// fault plan that makes progress impossible.
+    /// Take an in-memory checkpoint every this many committed steps (one is
+    /// always taken at entry, so rollback is always possible).
+    pub checkpoint_interval: u32,
+    /// Abort (panic loudly) after this many failed votes — a guard against
+    /// a fault plan that makes progress impossible.
     pub max_recoveries: u32,
+    /// What a failed vote does.
+    pub remediation: Remediation,
 }
 
 impl Default for RecoveryConfig {
     fn default() -> Self {
         RecoveryConfig {
-            checkpoint_interval: 4,
             step_timeout: Duration::from_secs(2),
+            checkpoint_interval: 4,
             max_recoveries: 64,
+            remediation: Remediation::Rollback,
         }
     }
 }
 
-/// Result of a fault-tolerant run; extends
-/// [`ParallelOutcome`](crate::trainer::ParallelOutcome) with recovery
-/// telemetry.
+/// Result of a fault-tolerant run.
 #[derive(Debug, Clone)]
-pub struct FtOutcome {
-    /// Final flat parameters (rank 0's copy).
+pub struct RecoveryOutcome {
+    /// Final flat parameters (lowest-id active rank's copy).
     pub params: Vec<f32>,
-    /// Mean loss per committed step, from rank 0.
+    /// Mean loss per step committed by this run, from the lead rank.
     pub loss: f32,
-    /// Maximum final parameter divergence across ranks (must be ~0).
+    /// Maximum final parameter divergence across active ranks (must be 0).
     pub max_divergence: f32,
-    /// Committed optimizer steps.
+    /// Final global step (absolute — includes steps from `start_from`).
     pub steps: u32,
-    /// Rollback-and-replay episodes (identical on every rank: the vote is
-    /// global).
+    /// Failed votes, each answered by one remediation (identical on every
+    /// member: the vote is global).
     pub recoveries: u32,
-    /// Stale messages drained from the fabric during recoveries, summed
-    /// over all ranks.
+    /// Membership shrinks this run performed.
+    pub shrinks: u32,
+    /// Hot joins this run performed.
+    pub joins: u32,
+    /// Final member count.
+    pub final_world: usize,
+    /// Final member physical ids, sorted.
+    pub final_members: Vec<usize>,
+    /// Final membership epoch.
+    pub final_epoch: u64,
+    /// Stale messages drained during quiesces, summed over all ranks.
     pub drained_messages: usize,
     /// Faults the plan actually injected, from
     /// [`TrafficStats`](summit_comm::world::TrafficStats).
     pub faults_injected: u64,
-    /// Rank 0's wall-clock seconds for every step *attempt* (failed
+    /// Size-agnostic checkpoint of the final state, from the lead rank —
+    /// feed it to another `run_fault_tolerant` (at any world size) to
+    /// continue.
+    pub checkpoint: ElasticCheckpoint,
+    /// `(step, epoch, members)` at entry and after every membership change.
+    pub membership_log: Vec<(u32, u64, Vec<usize>)>,
+    /// Each active rank's [`chunk_range`] span `(start, end, total)` of its
+    /// final checkpoint's encoded words — the spans must tile `[0, total)`
+    /// exactly.
+    pub shard_spans: Vec<(usize, usize, usize)>,
+    /// The lead rank's wall-clock seconds for every step *attempt* (failed
     /// attempts included) — the raw telemetry the `summit-workflow` fault
     /// detector consumes: a faulted attempt shows up as a latency spike.
     pub step_seconds: Vec<f64>,
+}
+
+/// Substep of the fault clock: during the gradient collective. It is 0, so
+/// a plan keyed on the plain step fires inside that step's collective.
+pub const SUB_COMM: u64 = 0;
+/// Substep of the fault clock: before any step work.
+pub const SUB_PRE: u64 = 1;
+/// Substep of the fault clock: after the collective, at the vote.
+pub const SUB_VOTE: u64 = 2;
+/// Substep of the fault clock: during the quiesce drain of a shrink.
+pub const SUB_DRAIN: u64 = 3;
+/// Substep of the fault clock: during shard re-partitioning.
+pub const SUB_REPART: u64 = 4;
+
+/// The fault clock: `(epoch, step, substep)` packed into the single `u64`
+/// step counter the fault plane keys on, with
+/// `fault_clock(0, s, SUB_COMM) == s`. A [`FaultPlan::kill_rank`] at
+/// `fault_clock(e, k, s)` kills the rank the first time it polls inside
+/// that exact phase — so tests can aim a kill *before* the allreduce
+/// ([`SUB_PRE`]), *during* it ([`SUB_COMM`]), *after* it ([`SUB_VOTE`]),
+/// or at the shrink protocol itself ([`SUB_DRAIN`], [`SUB_REPART`], or the
+/// first post-shrink collective at the next epoch's [`SUB_COMM`]).
+pub fn fault_clock(epoch: u64, step: u32, substep: u64) -> u64 {
+    (epoch << 40) | (substep << 32) | u64::from(step)
 }
 
 /// Control-plane round of exchange `slot` within training step `step`. A
@@ -133,218 +192,6 @@ fn quiesce(rank: &Rank, view: &WorldView, round: u64) -> usize {
     drained
 }
 
-impl DataParallelTrainer {
-    /// [`run`](DataParallelTrainer::run) under a fault plan, with
-    /// checkpointed rollback-and-replay recovery.
-    ///
-    /// Every rank trains exactly as in `run`, but each step's gradient
-    /// allreduce is deadline-bounded and checked; after each attempt the
-    /// ranks vote on the out-of-band control plane, and a failed vote rolls
-    /// every rank back to the last in-memory checkpoint. Because sharding
-    /// is step-indexed and fault events are one-shot, the final parameters
-    /// are bit-identical to a fault-free run.
-    ///
-    /// # Panics
-    /// Panics if the dataset is smaller than one global batch, or if more
-    /// than [`RecoveryConfig::max_recoveries`] rollbacks occur.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_fault_tolerant(
-        &self,
-        build_model: impl Fn() -> Mlp + Sync,
-        build_optimizer: impl Fn() -> Box<dyn Optimizer> + Sync,
-        schedule: LrSchedule,
-        x: &Matrix,
-        labels: &[usize],
-        epochs: u32,
-        plan: Arc<FaultPlan>,
-        cfg: RecoveryConfig,
-    ) -> FtOutcome {
-        assert!(
-            cfg.checkpoint_interval > 0,
-            "checkpoint interval must be positive"
-        );
-        let total_steps = epochs * self.steps_per_epoch(x.rows());
-
-        let mut world = World::new(self.ranks);
-        let mut results = world.execute_with_faults(plan, |rank| {
-            let mut replica = Replica::new(self, &build_model, &build_optimizer, false);
-            // Rollback never changes the membership: the full view at
-            // epoch 0, whose collectives are the classic ones on the wire.
-            let view = WorldView::full(rank);
-            let (mut step, mut loss_sum) = (0u32, 0.0f32);
-            let (mut recoveries, mut drained) = (0u32, 0usize);
-            let mut step_seconds: Vec<f64> = Vec::new();
-            // The rollback target (always one: taken at step 0), with the
-            // loss accumulated up to it.
-            let mut ckpt = (replica.checkpoint(0), 0.0f32);
-
-            while step < total_steps {
-                // The fault clock is the plain step index.
-                rank.set_fault_step(step as u64);
-                let t0 = Instant::now();
-                let shard = shard_range(step, x.rows(), self.ranks, rank.id(), self.per_rank_batch);
-                let (loss, dlogits) = replica.forward_loss(x, labels, shard);
-                let comm =
-                    replica.backward_and_sync(rank, Some((&view, t0 + cfg.step_timeout)), &dlogits);
-
-                let votes = vote_members(rank, &view, comm.is_ok(), round(step, ROUND_COMMIT));
-                if votes.iter().all(|&ok| ok) {
-                    replica.commit(rank, self.ranks, schedule.multiplier(step));
-                    step += 1;
-                    loss_sum += loss;
-                    if step < total_steps && step.is_multiple_of(cfg.checkpoint_interval) {
-                        ckpt = (replica.checkpoint(step), loss_sum);
-                    }
-                } else {
-                    recoveries += 1;
-                    assert!(
-                        recoveries <= cfg.max_recoveries,
-                        "rank {}: recovery limit exceeded ({} rollbacks)",
-                        rank.id(),
-                        cfg.max_recoveries
-                    );
-                    drained += quiesce(rank, &view, round(step, ROUND_QUIESCE));
-                    replica
-                        .restore(&ckpt.0)
-                        .expect("a replica's own checkpoint always fits it");
-                    (step, loss_sum) = (ckpt.0.step, ckpt.1);
-                }
-                step_seconds.push(t0.elapsed().as_secs_f64());
-            }
-            // This rank's view of the outcome; the world-wide fields are
-            // folded into rank 0's copy below.
-            FtOutcome {
-                params: replica.model.flat_params(),
-                loss: loss_sum / step.max(1) as f32,
-                max_divergence: 0.0,
-                steps: step,
-                recoveries,
-                drained_messages: drained,
-                faults_injected: 0,
-                step_seconds,
-            }
-        });
-
-        let drained_messages = results.iter().map(|o| o.drained_messages).sum();
-        let (params, max_divergence) =
-            lead_params(results.iter_mut().map(|o| std::mem::take(&mut o.params)));
-        FtOutcome {
-            params,
-            max_divergence,
-            drained_messages,
-            faults_injected: world.last_traffic().faults_injected,
-            ..results.swap_remove(0)
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Elastic shrink/grow recovery
-// ---------------------------------------------------------------------------
-
-/// Substep of the elastic fault clock: before any step work.
-pub const SUB_PRE: u64 = 0;
-/// Substep of the elastic fault clock: during the gradient collective.
-pub const SUB_COMM: u64 = 1;
-/// Substep of the elastic fault clock: after the collective, at the vote.
-pub const SUB_VOTE: u64 = 2;
-/// Substep of the elastic fault clock: during the quiesce drain.
-pub const SUB_DRAIN: u64 = 3;
-/// Substep of the elastic fault clock: during shard re-partitioning.
-pub const SUB_REPART: u64 = 4;
-
-/// The elastic runner's fault-step encoding: `(epoch, step, substep)`
-/// packed into the single `u64` step counter the fault plane keys on.
-/// A [`FaultPlan::kill_rank`] at `elastic_clock(e, k, s)` kills the rank
-/// the first time it polls inside that exact phase — so tests can aim a
-/// kill *before* the allreduce ([`SUB_PRE`]), *during* it ([`SUB_COMM`]),
-/// *after* it ([`SUB_VOTE`]), or at the shrink protocol itself
-/// ([`SUB_DRAIN`], [`SUB_REPART`], or the first post-shrink collective at
-/// the next epoch's [`SUB_COMM`]).
-pub fn elastic_clock(epoch: u64, step: u32, substep: u64) -> u64 {
-    (epoch << 24) | ((step as u64) << 3) | substep
-}
-
-/// Policy for [`DataParallelTrainer::run_elastic`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ElasticConfig {
-    /// Deadline for one step's gradient communication; a step that cannot
-    /// finish within this budget is declared failed and triggers a vote.
-    pub step_timeout: Duration,
-    /// Refresh the sharded in-memory checkpoint every this many committed
-    /// steps (a shard is always captured at entry and on every membership
-    /// change).
-    pub checkpoint_interval: u32,
-    /// Abort (panic loudly) after this many shrinks — a guard against a
-    /// fault plan that kills the whole world.
-    pub max_shrinks: u32,
-    /// If set, evicted ranks wait as spectators and the surviving members
-    /// re-admit *all* of them at this step boundary (hot join), restoring
-    /// the full world.
-    pub rejoin_at: Option<u32>,
-}
-
-impl Default for ElasticConfig {
-    fn default() -> Self {
-        ElasticConfig {
-            step_timeout: Duration::from_secs(2),
-            checkpoint_interval: 4,
-            max_shrinks: 8,
-            rejoin_at: None,
-        }
-    }
-}
-
-/// Result of an elastic run.
-#[derive(Debug, Clone)]
-pub struct ElasticOutcome {
-    /// Final flat parameters (lowest-id active rank's copy).
-    pub params: Vec<f32>,
-    /// Mean loss per step committed by this run, from the lead rank.
-    pub loss: f32,
-    /// Maximum final parameter divergence across active ranks (must be 0).
-    pub max_divergence: f32,
-    /// Final global step (absolute — includes steps from `start_from`).
-    pub steps: u32,
-    /// Membership shrinks this run performed.
-    pub shrinks: u32,
-    /// Hot joins this run performed.
-    pub joins: u32,
-    /// Final member count.
-    pub final_world: usize,
-    /// Final member physical ids, sorted.
-    pub final_members: Vec<usize>,
-    /// Final membership epoch.
-    pub final_epoch: u64,
-    /// Stale messages drained during quiesces, summed over all ranks.
-    pub drained_messages: usize,
-    /// Faults the plan actually injected.
-    pub faults_injected: u64,
-    /// Size-agnostic checkpoint of the final state, from the lead rank —
-    /// feed it to another `run_elastic` (at any world size) to continue.
-    pub checkpoint: ElasticCheckpoint,
-    /// `(step, epoch, members)` at entry and after every membership change.
-    pub membership_log: Vec<(u32, u64, Vec<usize>)>,
-    /// Each active rank's final checkpoint-shard span `(start, end, total)`
-    /// in encoded words — the spans must tile `[0, total)` exactly.
-    pub shard_spans: Vec<(usize, usize, usize)>,
-}
-
-/// Capture the size-agnostic checkpoint and return this member's
-/// [`chunk_range`] shard of the encoded word stream, plus its span.
-fn capture_shard(
-    step: u32,
-    replica: &Replica,
-    view: &WorldView,
-) -> (Vec<f32>, (usize, usize, usize)) {
-    let words = replica.checkpoint(step).encode();
-    let dense = view
-        .my_index()
-        .expect("only members hold checkpoint shards");
-    let r = chunk_range(words.len(), view.size(), dense);
-    (words[r.clone()].to_vec(), (r.start, r.end, words.len()))
-}
-
 /// Spectator side of the hot join: poll every peer for the join signal
 /// scheduled at step `rejoin`, returning the sender and the membership
 /// epoch to adopt. Panics (loudly, never hangs) if no signal arrives.
@@ -371,44 +218,44 @@ fn wait_for_join(rank: &Rank, rejoin: u32) -> (usize, u64) {
 }
 
 impl DataParallelTrainer {
-    /// Elastic data-parallel training: on a failed step the surviving
-    /// ranks **shrink the world and keep going** instead of rolling back
-    /// and replaying.
+    /// [`run`](DataParallelTrainer::run) under a fault plan: train to the
+    /// absolute step `total_steps`, answering every failed step with
+    /// `cfg.remediation`.
     ///
     /// Each step runs on the current [`WorldView`]: sharding, gradient
     /// averaging, and the collective schedules are all pure functions of
-    /// `(step, view)`, so a run that shrinks from `p` to `p-1` at step `k`
-    /// continues on **exactly** the trajectory a fresh `p-1`-rank run
-    /// would produce from the same step-`k` checkpoint — bit for bit (the
-    /// `tests/` elastic matrix pins this). The shrink protocol on a failed
-    /// vote:
+    /// `(step, view)`, and each step's gradient collective is
+    /// deadline-bounded and checked. After each attempt the members vote
+    /// twice on the out-of-band control plane — aliveness (the survivor
+    /// mask) and commit (did *every* member's collective finish clean). A
+    /// failed commit vote quiesces the members and then:
     ///
-    /// 1. **Quiesce** the old membership: view barrier → [`Rank::drain_all`]
-    ///    → view barrier, sweeping half-finished collective traffic.
-    /// 2. **Adopt** the survivor mask every member computed from the same
-    ///    [`vote_members`] exchange — no leader, no extra round.
-    /// 3. **Re-partition**: data sharding re-derives from the new view,
-    ///    and each survivor re-takes its [`chunk_range`] shard of the
-    ///    size-agnostic checkpoint.
-    /// 4. **Retry** the failed step at the new size, in a fresh tag
-    ///    epoch. Nothing is replayed: no step commits twice.
+    /// * [`Remediation::Rollback`] restores every rank to the last
+    ///   in-memory checkpoint and replays. Because sharding is step-indexed
+    ///   and fault events are one-shot, the final parameters are
+    ///   bit-identical to a fault-free run.
+    /// * [`Remediation::Shrink`] retries the step at the same size if every
+    ///   member is alive. Otherwise the survivors adopt the aliveness mask
+    ///   as a smaller view in a fresh tag epoch, re-derive the data
+    ///   sharding from it, and retry there: nothing is replayed, and a run
+    ///   that shrinks from `p` to `p-1` at step `k` continues on **exactly**
+    ///   the trajectory a fresh `p-1`-rank run would produce from the same
+    ///   step-`k` checkpoint. With `rejoin_at`, evicted ranks wait as
+    ///   spectators and hot-join at that step boundary: dense rank 0
+    ///   transfers the current state as an encoded [`ElasticCheckpoint`],
+    ///   the full view is adopted at a fresh epoch, and training continues
+    ///   at full size.
     ///
-    /// With [`ElasticConfig::rejoin_at`], evicted ranks wait as spectators
-    /// and hot-join at that step boundary: dense rank 0 transfers the
-    /// current state as an encoded [`ElasticCheckpoint`], the full view is
-    /// adopted at a fresh epoch, and training continues at full size.
-    ///
-    /// `total_steps` is absolute; with `start_from`, training resumes at
-    /// the checkpoint's step (captured at any world size — the state is
-    /// size-agnostic).
+    /// With `start_from`, training resumes at the checkpoint's step
+    /// (captured at any world size — the state is size-agnostic).
     ///
     /// # Panics
     /// Panics if the dataset is smaller than one full-world global batch,
-    /// if more than [`ElasticConfig::max_shrinks`] shrinks occur, if the
-    /// whole world votes itself dead, or if a scheduled hot join never
-    /// completes.
+    /// if `total_steps` is 8192 or more, if more than
+    /// [`RecoveryConfig::max_recoveries`] votes fail, if the whole world
+    /// votes itself dead, or if a scheduled hot join never completes.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_elastic(
+    pub fn run_fault_tolerant(
         &self,
         build_model: impl Fn() -> Mlp + Sync,
         build_optimizer: impl Fn() -> Box<dyn Optimizer> + Sync,
@@ -418,15 +265,15 @@ impl DataParallelTrainer {
         total_steps: u32,
         start_from: Option<&ElasticCheckpoint>,
         plan: Arc<FaultPlan>,
-        cfg: ElasticConfig,
-    ) -> ElasticOutcome {
+        cfg: RecoveryConfig,
+    ) -> RecoveryOutcome {
         assert!(
             cfg.checkpoint_interval > 0,
             "checkpoint interval must be positive"
         );
         assert!(
             total_steps < (1 << 13),
-            "elastic clock/round encoding supports at most 8191 steps"
+            "the control-round encoding supports at most 8191 steps"
         );
         // Only the size check: steps per epoch re-derive from each view.
         self.steps_per_epoch(x.rows());
@@ -443,23 +290,28 @@ impl DataParallelTrainer {
             let mut view = WorldView::full(rank);
             let mut loss_sum = 0.0f32;
             let mut committed = 0u32;
+            let mut recoveries = 0u32;
             let mut shrinks = 0u32;
-            let mut retries = 0u32;
             let mut joins = 0u32;
             let mut drained = 0usize;
+            let mut step_seconds: Vec<f64> = Vec::new();
             // A kill claimed outside the collective (pre/vote/drain/repart
-            // polls). A poisoned rank stops computing, votes unhealthy, and
-            // leaves the membership at the next vote.
+            // polls). A poisoned rank stops computing and votes itself dead.
             let mut poisoned = false;
             let mut active = true;
             let mut membership_log: Vec<(u32, u64, Vec<usize>)> =
                 vec![(step, view.epoch(), view.members().to_vec())];
-            let (mut shard, mut shard_span) = capture_shard(step, &replica, &view);
+            // The rollback target (always one: taken at entry), with the
+            // loss and commit count accumulated up to it.
+            let mut ckpt = (replica.checkpoint(step), loss_sum, committed);
 
             while active && step < total_steps {
                 // Hot-join boundary: re-admit every spectator before
                 // attempting this step.
-                if view.size() < rank.size() && cfg.rejoin_at == Some(step) {
+                let join_here = Remediation::Shrink {
+                    rejoin_at: Some(step),
+                };
+                if view.size() < rank.size() && cfg.remediation == join_here {
                     let new_epoch = view.epoch() + 1;
                     if view.my_index() == Some(0) {
                         let words = replica.checkpoint(step).encode();
@@ -473,15 +325,15 @@ impl DataParallelTrainer {
                     view = view.grow_full(rank.size());
                     joins += 1;
                     drained += quiesce(rank, &view, round(step, ROUND_JOIN));
-                    (shard, shard_span) = capture_shard(step, &replica, &view);
                     membership_log.push((step, view.epoch(), view.members().to_vec()));
                     continue;
                 }
 
                 let me = view.my_index().expect("active ranks are members");
-                rank.set_fault_step(elastic_clock(view.epoch(), step, SUB_PRE));
+                rank.set_fault_step(fault_clock(view.epoch(), step, SUB_PRE));
                 poisoned |= rank.poll_fault_kill().is_err();
-                let deadline = Instant::now() + cfg.step_timeout;
+                let t0 = Instant::now();
+                let deadline = t0 + cfg.step_timeout;
 
                 let mut loss = 0.0f32;
                 let (comm_ok, i_am_dead) = if poisoned {
@@ -493,10 +345,10 @@ impl DataParallelTrainer {
                     let shard = shard_range(step, x.rows(), view.size(), me, self.per_rank_batch);
                     let (l, dlogits) = replica.forward_loss(x, labels, shard);
                     loss = l;
-                    rank.set_fault_step(elastic_clock(view.epoch(), step, SUB_COMM));
+                    rank.set_fault_step(fault_clock(view.epoch(), step, SUB_COMM));
                     match replica.backward_and_sync(rank, Some((&view, deadline)), &dlogits) {
                         Ok(_) => (true, false),
-                        // My own scheduled death: I must leave the world.
+                        // My own scheduled death.
                         Err(CommError::RankKilled { .. }) => (false, true),
                         // Someone else's fault surfaced here (timeout
                         // waiting on a dead peer, drop, corruption): I am
@@ -505,13 +357,10 @@ impl DataParallelTrainer {
                     }
                 };
 
-                rank.set_fault_step(elastic_clock(view.epoch(), step, SUB_VOTE));
+                rank.set_fault_step(fault_clock(view.epoch(), step, SUB_VOTE));
                 poisoned |= rank.poll_fault_kill().is_err();
-                // Two votes on the control plane: the aliveness vote is the
-                // survivor mask (who stays in the world); the comm vote
-                // gates the commit (did *every* member's collective finish
-                // clean). A completed vote consumes all its messages, so a
-                // retried step can reuse the same rounds safely.
+                // A completed vote consumes all its messages, so a retried
+                // or replayed step can reuse the same rounds safely.
                 let alive = !(i_am_dead || poisoned);
                 let votes = vote_members(rank, &view, alive, round(step, ROUND_ALIVE));
                 let comm_votes =
@@ -522,82 +371,98 @@ impl DataParallelTrainer {
                     step += 1;
                     committed += 1;
                     loss_sum += loss;
-                    if step.is_multiple_of(cfg.checkpoint_interval) {
-                        (shard, shard_span) = capture_shard(step, &replica, &view);
+                    if step < total_steps && step.is_multiple_of(cfg.checkpoint_interval) {
+                        ckpt = (replica.checkpoint(step), loss_sum, committed);
                     }
-                } else if votes.iter().all(|&v| v) {
-                    // Transient fault (drop/corrupt/delay), nobody dead:
-                    // quiesce and retry the step at the same size. Nothing
-                    // was committed, so nothing is replayed.
-                    retries += 1;
-                    assert!(
-                        retries <= 64,
-                        "rank {}: transient retry limit exceeded",
-                        rank.id()
-                    );
-                    drained += quiesce(rank, &view, round(step, ROUND_QUIESCE));
                 } else {
-                    // Shrink: quiesce the old membership, adopt the
-                    // survivor mask, re-partition, retry at the new size.
-                    shrinks += 1;
+                    recoveries += 1;
                     assert!(
-                        shrinks <= cfg.max_shrinks,
-                        "rank {}: shrink limit exceeded ({} shrinks)",
+                        recoveries <= cfg.max_recoveries,
+                        "rank {}: recovery limit exceeded ({} failed votes)",
                         rank.id(),
-                        cfg.max_shrinks
+                        cfg.max_recoveries
                     );
-                    rank.set_fault_step(elastic_clock(view.epoch(), step, SUB_DRAIN));
-                    poisoned |= rank.poll_fault_kill().is_err();
-                    drained += quiesce(rank, &view, round(step, ROUND_QUIESCE));
-                    let next = view.shrink_to(&votes);
-                    if next.is_member(rank.id()) {
-                        view = next;
-                        rank.set_fault_step(elastic_clock(view.epoch(), step, SUB_REPART));
-                        // A kill claimed here surfaces at the retry's vote.
-                        poisoned |= rank.poll_fault_kill().is_err();
-                        (shard, shard_span) = capture_shard(step, &replica, &view);
-                        membership_log.push((step, view.epoch(), view.members().to_vec()));
-                    } else {
-                        // Evicted. Wait for a hot join if one is scheduled
-                        // at a step the members will actually reach.
-                        active = false;
-                        if let Some(r) = cfg.rejoin_at {
-                            if r >= step && r < total_steps {
-                                let (peer, epoch) = wait_for_join(rank, r);
-                                let ck = rank
-                                    .recv_with(peer, state_tag(r as u64), ElasticCheckpoint::decode)
-                                    .expect("hot-join state transfer rejected");
-                                replica.restore(&ck).expect("hot-join state restore failed");
-                                step = ck.step;
-                                view = WorldView::assemble(
-                                    (0..rank.size()).collect(),
-                                    rank.id(),
-                                    epoch,
-                                );
-                                joins += 1;
-                                active = true;
-                                poisoned = false;
-                                drained += quiesce(rank, &view, round(step, ROUND_JOIN));
-                                (shard, shard_span) = capture_shard(step, &replica, &view);
+                    match cfg.remediation {
+                        Remediation::Rollback => {
+                            drained += quiesce(rank, &view, round(step, ROUND_QUIESCE));
+                            replica
+                                .restore(&ckpt.0)
+                                .expect("a replica's own checkpoint always fits it");
+                            (step, loss_sum, committed) = (ckpt.0.step, ckpt.1, ckpt.2);
+                            // The kill was one-shot: a killed rank restarts.
+                            poisoned = false;
+                        }
+                        // Transient fault (drop/corrupt/delay), nobody dead:
+                        // retry the step at the same size. Nothing was
+                        // committed, so nothing is replayed.
+                        Remediation::Shrink { .. } if votes.iter().all(|&v| v) => {
+                            drained += quiesce(rank, &view, round(step, ROUND_QUIESCE));
+                        }
+                        // Shrink: quiesce the old membership, adopt the
+                        // survivor mask, retry at the new size.
+                        Remediation::Shrink { rejoin_at } => {
+                            shrinks += 1;
+                            rank.set_fault_step(fault_clock(view.epoch(), step, SUB_DRAIN));
+                            poisoned |= rank.poll_fault_kill().is_err();
+                            drained += quiesce(rank, &view, round(step, ROUND_QUIESCE));
+                            let next = view.shrink_to(&votes);
+                            if next.is_member(rank.id()) {
+                                view = next;
+                                rank.set_fault_step(fault_clock(view.epoch(), step, SUB_REPART));
+                                // A kill claimed here surfaces at the retry's
+                                // vote.
+                                poisoned |= rank.poll_fault_kill().is_err();
                                 membership_log.push((step, view.epoch(), view.members().to_vec()));
+                            } else {
+                                // Evicted. Wait for a hot join if one is
+                                // scheduled at a step the members will
+                                // actually reach.
+                                active = false;
+                                if let Some(r) = rejoin_at {
+                                    if r >= step && r < total_steps {
+                                        let (peer, epoch) = wait_for_join(rank, r);
+                                        let ck = rank
+                                            .recv_with(
+                                                peer,
+                                                state_tag(r as u64),
+                                                ElasticCheckpoint::decode,
+                                            )
+                                            .expect("hot-join state transfer rejected");
+                                        replica
+                                            .restore(&ck)
+                                            .expect("hot-join state restore failed");
+                                        step = ck.step;
+                                        view = WorldView::assemble(
+                                            (0..rank.size()).collect(),
+                                            rank.id(),
+                                            epoch,
+                                        );
+                                        joins += 1;
+                                        active = true;
+                                        poisoned = false;
+                                        drained += quiesce(rank, &view, round(step, ROUND_JOIN));
+                                        membership_log.push((
+                                            step,
+                                            view.epoch(),
+                                            view.members().to_vec(),
+                                        ));
+                                    }
+                                }
                             }
                         }
                     }
                 }
+                step_seconds.push(t0.elapsed().as_secs_f64());
             }
 
-            assert_eq!(
-                shard.len(),
-                shard_span.1 - shard_span.0,
-                "checkpoint shard custody out of sync with its span"
-            );
             // This rank's view of the outcome; the world-wide fields are
             // folded into the lead's copy below.
-            let outcome = ElasticOutcome {
+            let outcome = RecoveryOutcome {
                 params: replica.model.flat_params(),
                 loss: loss_sum / committed.max(1) as f32,
                 max_divergence: 0.0,
                 steps: step,
+                recoveries,
                 shrinks,
                 joins,
                 final_world: view.size(),
@@ -607,22 +472,31 @@ impl DataParallelTrainer {
                 faults_injected: 0,
                 checkpoint: replica.checkpoint(step),
                 membership_log,
-                shard_spans: vec![shard_span],
+                shard_spans: Vec::new(),
+                step_seconds,
             };
             (active, outcome)
         });
 
         let drained_messages = results.iter().map(|(_, o)| o.drained_messages).sum();
         // `results` is ordered by physical rank id, so the first active
-        // rank is the lead.
-        let mut actives: Vec<ElasticOutcome> = results
+        // rank is the lead, and the i-th active rank is dense member i.
+        let mut actives: Vec<RecoveryOutcome> = results
             .into_iter()
             .filter_map(|(active, outcome)| active.then_some(outcome))
             .collect();
-        let shard_spans = actives.iter().map(|o| o.shard_spans[0]).collect();
+        let shard_spans = actives
+            .iter()
+            .enumerate()
+            .map(|(i, o)| {
+                let total = o.checkpoint.encode().len();
+                let r = chunk_range(total, o.final_world, i);
+                (r.start, r.end, total)
+            })
+            .collect();
         let (params, max_divergence) =
             lead_params(actives.iter_mut().map(|o| std::mem::take(&mut o.params)));
-        ElasticOutcome {
+        RecoveryOutcome {
             params,
             max_divergence,
             drained_messages,
@@ -654,6 +528,7 @@ mod tests {
             checkpoint_interval: 2,
             step_timeout: Duration::from_millis(400),
             max_recoveries: 16,
+            remediation: Remediation::Rollback,
         }
     }
 
@@ -681,7 +556,8 @@ mod tests {
                 LrSchedule::Constant,
                 &task.x,
                 &task.y,
-                2,
+                plain.steps,
+                None,
                 Arc::new(FaultPlan::empty()),
                 cfg(),
             );
@@ -716,7 +592,8 @@ mod tests {
             LrSchedule::Constant,
             &task.x,
             &task.y,
-            1,
+            plain.steps,
+            None,
             plan,
             cfg(),
         );
@@ -735,16 +612,16 @@ mod tests {
         );
     }
 
-    fn ecfg() -> ElasticConfig {
-        ElasticConfig {
+    fn ecfg() -> RecoveryConfig {
+        RecoveryConfig {
             step_timeout: Duration::from_millis(300),
             checkpoint_interval: 2,
-            max_shrinks: 4,
-            rejoin_at: None,
+            max_recoveries: 4,
+            remediation: Remediation::Shrink { rejoin_at: None },
         }
     }
 
-    /// With an empty plan, the elastic runner is the plain runner: same
+    /// With an empty plan, the shrinking runner is the plain runner: same
     /// trajectory, bit for bit, on both comm paths.
     #[test]
     fn fault_free_elastic_run_matches_plain_run_bitwise() {
@@ -762,7 +639,7 @@ mod tests {
                 &task.y,
                 2,
             );
-            let el = dp.run_elastic(
+            let el = dp.run_fault_tolerant(
                 || spec.build(11),
                 || Box::new(Sgd::new(0.05, 0.9, 0.0)),
                 LrSchedule::Constant,
@@ -788,8 +665,9 @@ mod tests {
         }
     }
 
-    /// `with_threads` reaches the recovery drivers: the shared per-rank
-    /// prologue pins the budget before `build_model` runs.
+    /// `with_threads` reaches the recovery driver under both remediations:
+    /// the shared per-rank prologue pins the budget before `build_model`
+    /// runs.
     #[test]
     fn recovery_drivers_honor_with_threads() {
         let task = blobs(64, 4, 2, 0.3, 41);
@@ -809,11 +687,12 @@ mod tests {
             LrSchedule::Constant,
             &task.x,
             &task.y,
-            1,
+            4,
+            None,
             Arc::new(FaultPlan::empty()),
             cfg(),
         );
-        dp.run_elastic(
+        dp.run_fault_tolerant(
             build_model,
             || Box::new(Sgd::new(0.05, 0.9, 0.0)),
             LrSchedule::Constant,
@@ -834,8 +713,8 @@ mod tests {
         let task = blobs(192, 4, 2, 0.3, 37);
         let spec = MlpSpec::new(4, &[8], 2);
         let dp = DataParallelTrainer::new(3, 4).with_overlap(OverlapConfig { enabled: false });
-        let plan = Arc::new(FaultPlan::empty().kill_rank(1, elastic_clock(0, 3, SUB_COMM)));
-        let el = dp.run_elastic(
+        let plan = Arc::new(FaultPlan::empty().kill_rank(1, fault_clock(0, 3, SUB_COMM)));
+        let el = dp.run_fault_tolerant(
             || spec.build(13),
             || Box::new(Adam::new(0.01, 0.0)),
             LrSchedule::Constant,
@@ -857,7 +736,7 @@ mod tests {
         assert_eq!(el.membership_log[1], (3, 1, vec![0, 2]));
         // The outcome checkpoint continues the run at a different size.
         let dp2 = DataParallelTrainer::new(2, 4).with_overlap(OverlapConfig { enabled: false });
-        let cont = dp2.run_elastic(
+        let cont = dp2.run_fault_tolerant(
             || spec.build(13),
             || Box::new(Adam::new(0.01, 0.0)),
             LrSchedule::Constant,
@@ -897,7 +776,8 @@ mod tests {
             LrSchedule::Constant,
             &task.x,
             &task.y,
-            1,
+            plain.steps,
+            None,
             plan,
             cfg(),
         );
@@ -905,5 +785,23 @@ mod tests {
         assert!(ft.recoveries >= 1);
         assert_eq!(ft.max_divergence, 0.0);
         bitwise_eq(&ft.params, &plain.params);
+    }
+
+    proptest::proptest! {
+        /// The fault clock never maps two phases to one value, and a plan
+        /// keyed on the plain step fires inside that step's collective.
+        #[test]
+        fn fault_clock_is_injective_and_plain_steps_hit_the_collective(
+            a in (0u64..1 << 12, 0u32..1 << 13, 0u64..=SUB_REPART),
+            b in (0u64..1 << 12, 0u32..1 << 13, 0u64..=SUB_REPART),
+        ) {
+            // `b` whole and in each single coordinate, so equal and
+            // one-off phases are both drawn often.
+            let clock = |(epoch, step, sub): (u64, u32, u64)| fault_clock(epoch, step, sub);
+            for c in [a, (b.0, a.1, a.2), (a.0, b.1, a.2), (a.0, a.1, b.2), b] {
+                proptest::prop_assert_eq!(clock(c) == clock(a), c == a, "{:?} vs {:?}", c, a);
+            }
+            proptest::prop_assert_eq!(fault_clock(0, a.1, SUB_COMM), u64::from(a.1));
+        }
     }
 }

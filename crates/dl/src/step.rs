@@ -1,11 +1,12 @@
 //! The one synchronous data-parallel step.
 //!
-//! [`DataParallelTrainer::run_in`], `run_fault_tolerant` and `run_elastic`
-//! are policy loops around the same step: pick this rank's rows
-//! ([`shard_range`]), forward + loss, backward with the gradient collective
-//! overlapped or fused ([`Replica::backward_and_sync`]), then commit
+//! [`DataParallelTrainer::run_in`] and `run_fault_tolerant` are policy
+//! loops around the same step: pick this rank's rows ([`shard_range`]),
+//! forward + loss, backward with the gradient collective overlapped or
+//! fused ([`Replica::backward_and_sync`]), then commit
 //! ([`Replica::commit`]). The step exists here once; what a driver adds is
-//! what happens *between* steps — nothing, rollback, or a membership change.
+//! what happens *between* steps — nothing, or a remediation (rollback or a
+//! membership change).
 //!
 //! The step never moves its gradient. The model's gradient arena
 //! ([`Mlp::backward_with`]) is the fusion buffer: backward writes each
@@ -36,7 +37,7 @@
 //!
 //! [`DataParallelTrainer::run_in`] commits sharded whenever the optimizer
 //! is [elementwise](Optimizer::elementwise) (at `p = 1` that is the
-//! replicated step). The recovery drivers and the trust-ratio optimizers
+//! replicated step). The recovery driver and the trust-ratio optimizers
 //! commit replicated: a shrink must continue from optimizer state only the
 //! dead rank held, and LARS/LARC/LAMB need whole-group norms.
 //!
@@ -95,16 +96,27 @@ fn split_tail<'a>(pending: &mut &'a mut [f32], at: usize) -> &'a mut [f32] {
 
 /// The lead (first) replica's parameters and the largest `|a − b|` of any
 /// other replica against them — synchronous SGD keeps it at exactly zero.
+/// Bit-equal elements count as 0 (so do equal infinities and NaNs); any
+/// other NaN difference makes the divergence NaN, which no bound passes.
 ///
 /// # Panics
 /// Panics if `replicas` is empty.
 pub(crate) fn lead_params(mut replicas: impl Iterator<Item = Vec<f32>>) -> (Vec<f32>, f32) {
     let lead = replicas.next().expect("no active rank finished the run");
     let divergence = replicas.fold(0.0f32, |d, params| {
-        params
-            .iter()
-            .zip(&lead)
-            .fold(d, |d, (a, b)| d.max((a - b).abs()))
+        params.iter().zip(&lead).fold(d, |d, (a, b)| {
+            let diff = if a.to_bits() == b.to_bits() {
+                0.0
+            } else {
+                (a - b).abs()
+            };
+            // `f32::max` would drop a NaN on either side.
+            if diff > d || diff.is_nan() {
+                diff
+            } else {
+                d
+            }
+        })
     });
     (lead, divergence)
 }
@@ -329,6 +341,23 @@ impl Replica {
 mod tests {
     use super::*;
     use crate::model::MlpSpec;
+
+    /// A replica that went NaN shows as a NaN divergence, not a zero one;
+    /// bit-equal replicas, NaNs included, show as zero.
+    #[test]
+    fn lead_params_reports_a_nan_replica() {
+        let div = |other: Vec<f32>| lead_params([vec![1.0, 2.0], other].into_iter()).1;
+        assert!(div(vec![1.0, f32::NAN]).is_nan());
+        assert!(
+            lead_params([vec![f32::NAN], vec![0.0], vec![5.0]].into_iter())
+                .1
+                .is_nan()
+        );
+        assert_eq!(div(vec![1.0, 2.0]), 0.0);
+        assert_eq!(div(vec![1.0, 3.5]), 1.5);
+        let nan = vec![f32::NAN, f32::INFINITY];
+        assert_eq!(lead_params([nan.clone(), nan].into_iter()).1, 0.0);
+    }
 
     /// Driving a real backward the way [`Replica::backward_and_sync`] does,
     /// the windows split off the tail are the fusion buckets — descending,

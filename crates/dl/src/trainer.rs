@@ -455,9 +455,9 @@ impl DataParallelTrainer {
     }
 
     /// Pin every rank's compute-thread budget to `per_rank` instead of the
-    /// arbiter's lease, in every driver (`run`, `run_fault_tolerant`,
-    /// `run_elastic`). Use this to deliberately over- or under-subscribe
-    /// (e.g. scaling studies); the default never oversubscribes.
+    /// arbiter's lease, in every driver (`run`, `run_fault_tolerant`). Use
+    /// this to deliberately over- or under-subscribe (e.g. scaling studies);
+    /// the default never oversubscribes.
     ///
     /// # Panics
     /// Panics if `per_rank` is zero.

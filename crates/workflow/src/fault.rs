@@ -211,8 +211,8 @@ impl FaultDetector {
 
 /// Bridge from the fault-tolerant trainer's real telemetry to the
 /// detector's input: map per-step-attempt wall-clock seconds (e.g.
-/// [`FtOutcome::step_seconds`](summit_dl::recovery::FtOutcome)) onto a
-/// residual-like series.
+/// [`RecoveryOutcome::step_seconds`](summit_dl::recovery::RecoveryOutcome))
+/// onto a residual-like series.
 ///
 /// Healthy step attempts take roughly the median time, so the series decays
 /// like a healthy solver residual (2% per step, scaled by the time ratio);

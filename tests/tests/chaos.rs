@@ -10,8 +10,8 @@
 //! * End-to-end data-parallel training under injected drops, delays,
 //!   corruption, and rank kills recovers — via vote, drain, and in-memory
 //!   checkpoint rollback — to **exactly** the fault-free final parameters;
-//!   the faults that kill nobody also recover through the elastic driver's
-//!   retry-at-the-same-size arm, to the same parameters.
+//!   the faults that kill nobody also recover through the shrinking
+//!   remediation's retry-at-the-same-size arm, to the same parameters.
 //!
 //! Scenario seeds come from the fixed matrix in CI (`CHAOS_SEED`); a failing
 //! randomized case archives its [`FaultPlan`] JSON under `target/chaos/` so
@@ -31,7 +31,7 @@ use summit_dl::{
     data::blobs,
     model::MlpSpec,
     optim::{Adam, Optimizer, Sgd},
-    recovery::{ElasticConfig, RecoveryConfig},
+    recovery::{fault_clock, RecoveryConfig, Remediation, SUB_COMM},
     trainer::{DataParallelTrainer, FusionConfig, OverlapConfig},
     LrSchedule,
 };
@@ -296,15 +296,13 @@ struct Scenario {
     step: u32,
     overlap: bool,
     min_recoveries: u32,
-    /// Also drive the fault through `run_elastic`, where a fault that
-    /// kills nobody must be retried at the same size (kills shrink instead;
-    /// the elastic suites cover those).
+    /// Also drive the fault through [`Remediation::Shrink`], where a fault
+    /// that kills nobody must be retried at the same size (kills shrink
+    /// instead; the elastic suites cover those).
     transient: bool,
 }
 
 fn run_scenario(s: Scenario) {
-    use summit_dl::recovery::{elastic_clock, SUB_COMM};
-
     let task = blobs(256, 4, 2, 0.3, 77);
     let spec = MlpSpec::new(4, &[16, 8], 2);
     let build_opt = || -> Box<dyn Optimizer> { Box::new(Sgd::new(0.05, 0.9, 0.0)) };
@@ -319,94 +317,60 @@ fn run_scenario(s: Scenario) {
         &task.y,
         1,
     );
-    let plan = Arc::new((s.plan)(u64::from(s.step)));
-    let ft = dp.run_fault_tolerant(
-        || spec.build(9),
-        build_opt,
-        LrSchedule::Constant,
-        &task.x,
-        &task.y,
-        1,
-        Arc::clone(&plan),
-        RecoveryConfig {
-            checkpoint_interval: 3,
-            step_timeout: Duration::from_millis(400),
-            max_recoveries: 16,
-        },
-    );
-    let on_fail = || archive_plan(&plan, &format!("scenario-{}", s.label));
-    assert_eq!(ft.steps, plain.steps, "{}: {}", s.label, on_fail());
-    assert!(
-        ft.recoveries >= s.min_recoveries,
-        "{}: expected >= {} recoveries, saw {}; {}",
-        s.label,
-        s.min_recoveries,
-        ft.recoveries,
-        on_fail()
-    );
-    assert!(
-        ft.faults_injected >= u64::from(s.min_recoveries),
-        "{}: plan never fired; {}",
-        s.label,
-        on_fail()
-    );
-    assert_eq!(ft.max_divergence, 0.0, "{}: {}", s.label, on_fail());
-    for (i, (a, b)) in ft.params.iter().zip(&plain.params).enumerate() {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "{} param {i}: {a} vs {b} — recovery must be bit-exact; {}",
-            s.label,
+    let legs = [
+        ("rollback", Remediation::Rollback),
+        ("shrink", Remediation::Shrink { rejoin_at: None }),
+    ];
+    for &(leg, remediation) in &legs[..if s.transient { 2 } else { 1 }] {
+        // One fault clock for both legs: the fault fires inside the step's
+        // gradient collective.
+        let plan = Arc::new((s.plan)(fault_clock(0, s.step, SUB_COMM)));
+        let out = dp.run_fault_tolerant(
+            || spec.build(9),
+            build_opt,
+            LrSchedule::Constant,
+            &task.x,
+            &task.y,
+            plain.steps,
+            None,
+            Arc::clone(&plan),
+            RecoveryConfig {
+                checkpoint_interval: 3,
+                step_timeout: Duration::from_millis(400),
+                max_recoveries: 16,
+                remediation,
+            },
+        );
+        let label = format!("{} ({leg})", s.label);
+        let on_fail = || archive_plan(&plan, &format!("scenario-{}-{leg}", s.label));
+        assert_eq!(out.steps, plain.steps, "{label}: {}", on_fail());
+        assert!(
+            out.recoveries >= s.min_recoveries,
+            "{label}: expected >= {} recoveries, saw {}; {}",
+            s.min_recoveries,
+            out.recoveries,
             on_fail()
         );
-    }
-
-    if !s.transient {
-        return;
-    }
-    // Second leg: the same fault, keyed on the elastic fault clock so it
-    // fires inside the step's gradient collective.
-    let plan = Arc::new((s.plan)(elastic_clock(0, s.step, SUB_COMM)));
-    let el = dp.run_elastic(
-        || spec.build(9),
-        build_opt,
-        LrSchedule::Constant,
-        &task.x,
-        &task.y,
-        plain.steps,
-        None,
-        Arc::clone(&plan),
-        ElasticConfig {
-            step_timeout: Duration::from_millis(400),
-            checkpoint_interval: 3,
-            max_shrinks: 1,
-            rejoin_at: None,
-        },
-    );
-    let on_fail = || archive_plan(&plan, &format!("scenario-{}-elastic", s.label));
-    assert_eq!(el.steps, plain.steps, "{}: {}", s.label, on_fail());
-    assert_eq!(
-        (el.shrinks, el.final_world),
-        (0, 2),
-        "{}: a transient fault must not shrink the world; {}",
-        s.label,
-        on_fail()
-    );
-    assert!(
-        el.faults_injected >= 1,
-        "{}: elastic plan never fired; {}",
-        s.label,
-        on_fail()
-    );
-    assert_eq!(el.max_divergence, 0.0, "{}: {}", s.label, on_fail());
-    for (i, (a, b)) in el.params.iter().zip(&plain.params).enumerate() {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "{} param {i}: {a} vs {b} — the elastic retry must be bit-exact; {}",
-            s.label,
+        assert!(
+            out.faults_injected >= u64::from(s.min_recoveries),
+            "{label}: plan never fired; {}",
             on_fail()
         );
+        assert_eq!(
+            (out.shrinks, out.final_world),
+            (0, 2),
+            "{label}: this fault must not shrink the world; {}",
+            on_fail()
+        );
+        assert_eq!(out.max_divergence, 0.0, "{label}: {}", on_fail());
+        for (i, (a, b)) in out.params.iter().zip(&plain.params).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{label} param {i}: {a} vs {b} — recovery must be bit-exact; {}",
+                on_fail()
+            );
+        }
     }
 }
 
@@ -496,12 +460,14 @@ fn chaos_training_randomized_plans_recover_bitwise() {
             LrSchedule::Constant,
             &task.x,
             &task.y,
-            2,
+            plain.steps,
+            None,
             Arc::clone(&plan),
             RecoveryConfig {
                 checkpoint_interval: 4,
                 step_timeout: Duration::from_millis(300),
                 max_recoveries: budget,
+                remediation: Remediation::Rollback,
             },
         );
         assert_eq!(ft.steps, plain.steps);
@@ -535,6 +501,7 @@ fn injected_fault_telemetry_drives_detector() {
         checkpoint_interval: 4,
         step_timeout: Duration::from_millis(500),
         max_recoveries: 8,
+        remediation: Remediation::Rollback,
     };
     let run = |plan: FaultPlan| {
         dp.run_fault_tolerant(
@@ -543,7 +510,8 @@ fn injected_fault_telemetry_drives_detector() {
             LrSchedule::Constant,
             &task.x,
             &task.y,
-            2,
+            32,
+            None,
             Arc::new(plan),
             cfg,
         )
@@ -594,7 +562,7 @@ fn injected_fault_telemetry_drives_detector() {
 /// — never hang.
 #[test]
 fn chaos_kills_in_every_shrink_phase_complete_or_fail_loudly() {
-    use summit_dl::recovery::{elastic_clock, SUB_COMM, SUB_DRAIN, SUB_REPART, SUB_VOTE};
+    use summit_dl::recovery::{SUB_DRAIN, SUB_REPART, SUB_VOTE};
 
     let task = blobs(48, 4, 2, 0.3, 59);
     let spec = MlpSpec::new(4, &[8], 2);
@@ -603,17 +571,17 @@ fn chaos_kills_in_every_shrink_phase_complete_or_fail_loudly() {
     let build_opt = || -> Box<dyn Optimizer> { Box::new(Adam::new(0.01, 0.0)) };
     const K: u32 = 3;
     const T: u32 = 8;
-    let ecfg = ElasticConfig {
+    let ecfg = RecoveryConfig {
         step_timeout: Duration::from_millis(400),
         checkpoint_interval: 2,
-        max_shrinks: 4,
-        rejoin_at: None,
+        max_recoveries: 4,
+        remediation: Remediation::Shrink { rejoin_at: None },
     };
     let dp4 = DataParallelTrainer::new(4, 4).with_overlap(OverlapConfig { enabled: false });
     let dp2 = DataParallelTrainer::new(2, 4).with_overlap(OverlapConfig { enabled: false });
 
     let ck = dp4
-        .run_elastic(
+        .run_fault_tolerant(
             &build_model,
             build_opt,
             LrSchedule::Constant,
@@ -627,7 +595,7 @@ fn chaos_kills_in_every_shrink_phase_complete_or_fail_loudly() {
         .checkpoint;
     // Ground truth: both kills land, so the run ends as a fresh 2-rank
     // world (members {0, 3}) continuing from the step-K state.
-    let fresh = dp2.run_elastic(
+    let fresh = dp2.run_fault_tolerant(
         &build_model,
         build_opt,
         LrSchedule::Constant,
@@ -640,20 +608,17 @@ fn chaos_kills_in_every_shrink_phase_complete_or_fail_loudly() {
     );
 
     for (label, second_kill) in [
-        ("vote", elastic_clock(0, K, SUB_VOTE)),
-        ("quiesce drain", elastic_clock(0, K, SUB_DRAIN)),
-        ("re-partition", elastic_clock(1, K, SUB_REPART)),
-        (
-            "first post-shrink collective",
-            elastic_clock(1, K, SUB_COMM),
-        ),
+        ("vote", fault_clock(0, K, SUB_VOTE)),
+        ("quiesce drain", fault_clock(0, K, SUB_DRAIN)),
+        ("re-partition", fault_clock(1, K, SUB_REPART)),
+        ("first post-shrink collective", fault_clock(1, K, SUB_COMM)),
     ] {
         let plan = Arc::new(
             FaultPlan::empty()
-                .kill_rank(2, elastic_clock(0, K, SUB_COMM))
+                .kill_rank(2, fault_clock(0, K, SUB_COMM))
                 .kill_rank(1, second_kill),
         );
-        let el = dp4.run_elastic(
+        let el = dp4.run_fault_tolerant(
             &build_model,
             build_opt,
             LrSchedule::Constant,
@@ -691,7 +656,7 @@ fn chaos_kills_in_every_shrink_phase_complete_or_fail_loudly() {
 /// failing case archives its fault plan under `target/chaos/`.
 #[test]
 fn chaos_training_randomized_kill_shrinks_bitwise() {
-    use summit_dl::recovery::{elastic_clock, SUB_COMM, SUB_PRE, SUB_VOTE};
+    use summit_dl::recovery::{SUB_PRE, SUB_VOTE};
 
     let base = chaos_seed();
     let task = blobs(48, 4, 2, 0.3, 61);
@@ -699,11 +664,11 @@ fn chaos_training_randomized_kill_shrinks_bitwise() {
     let model_spec = spec.clone();
     let build_model = move || model_spec.build(31);
     let build_opt = || -> Box<dyn Optimizer> { Box::new(Sgd::new(0.05, 0.9, 0.0)) };
-    let ecfg = ElasticConfig {
+    let ecfg = RecoveryConfig {
         step_timeout: Duration::from_millis(400),
         checkpoint_interval: 2,
-        max_shrinks: 4,
-        rejoin_at: None,
+        max_recoveries: 4,
+        remediation: Remediation::Shrink { rejoin_at: None },
     };
     for case in 0..3u64 {
         let seed = base.wrapping_mul(424_243).wrapping_add(case);
@@ -718,7 +683,7 @@ fn chaos_training_randomized_kill_shrinks_bitwise() {
             .with_fusion(FusionConfig { bucket_bytes: 64 })
             .with_overlap(OverlapConfig { enabled: overlap });
         let ck = dp4
-            .run_elastic(
+            .run_fault_tolerant(
                 &build_model,
                 build_opt,
                 LrSchedule::Constant,
@@ -730,7 +695,7 @@ fn chaos_training_randomized_kill_shrinks_bitwise() {
                 ecfg,
             )
             .checkpoint;
-        let fresh = dp3.run_elastic(
+        let fresh = dp3.run_fault_tolerant(
             &build_model,
             build_opt,
             LrSchedule::Constant,
@@ -741,8 +706,8 @@ fn chaos_training_randomized_kill_shrinks_bitwise() {
             Arc::new(FaultPlan::empty()),
             ecfg,
         );
-        let plan = Arc::new(FaultPlan::empty().kill_rank(victim, elastic_clock(0, k, sub)));
-        let el = dp4.run_elastic(
+        let plan = Arc::new(FaultPlan::empty().kill_rank(victim, fault_clock(0, k, sub)));
+        let el = dp4.run_fault_tolerant(
             &build_model,
             build_opt,
             LrSchedule::Constant,

@@ -27,7 +27,7 @@ use summit_dl::{
     data::blobs,
     model::{Mlp, MlpSpec},
     optim::{Adam, Lamb, Larc, Lars, Optimizer, Sgd},
-    recovery::{elastic_clock, ElasticConfig, SUB_COMM, SUB_PRE, SUB_VOTE},
+    recovery::{fault_clock, RecoveryConfig, Remediation, SUB_COMM, SUB_PRE, SUB_VOTE},
     trainer::{DataParallelTrainer, FusionConfig, OverlapConfig},
     ElasticCheckpoint, LrSchedule,
 };
@@ -46,12 +46,12 @@ fn build_opt(name: &str) -> Box<dyn Optimizer> {
     }
 }
 
-fn ecfg() -> ElasticConfig {
-    ElasticConfig {
+fn ecfg() -> RecoveryConfig {
+    RecoveryConfig {
         step_timeout: Duration::from_millis(400),
         checkpoint_interval: 2,
-        max_shrinks: 4,
-        rejoin_at: None,
+        max_recoveries: 4,
+        remediation: Remediation::Shrink { rejoin_at: None },
     }
 }
 
@@ -96,7 +96,7 @@ fn shrink_matrix_for(opt_name: &'static str) {
 
         // Checkpoint at the kill step, from a clean full-world run.
         let ck = dp4
-            .run_elastic(
+            .run_fault_tolerant(
                 &build_model,
                 || build_opt(opt_name),
                 LrSchedule::Constant,
@@ -111,7 +111,7 @@ fn shrink_matrix_for(opt_name: &'static str) {
         assert_eq!(ck.step, K);
 
         // Ground truth: a fresh 3-rank world continuing from that state.
-        let fresh = dp3.run_elastic(
+        let fresh = dp3.run_fault_tolerant(
             &build_model,
             || build_opt(opt_name),
             LrSchedule::Constant,
@@ -128,8 +128,8 @@ fn shrink_matrix_for(opt_name: &'static str) {
 
         for sub in [SUB_PRE, SUB_COMM, SUB_VOTE] {
             let label = format!("{opt_name} overlap={overlap} substep={sub}");
-            let plan = Arc::new(FaultPlan::empty().kill_rank(2, elastic_clock(0, K, sub)));
-            let el = dp4.run_elastic(
+            let plan = Arc::new(FaultPlan::empty().kill_rank(2, fault_clock(0, K, sub)));
+            let el = dp4.run_fault_tolerant(
                 &build_model,
                 || build_opt(opt_name),
                 LrSchedule::Constant,
@@ -205,7 +205,7 @@ fn elastic_hot_join_is_bit_identical_to_composed_baseline() {
             .with_fusion(FusionConfig { bucket_bytes: 64 })
             .with_overlap(OverlapConfig { enabled: overlap });
         let run4 = |total, from: Option<&ElasticCheckpoint>, plan, cfg| {
-            dp4.run_elastic(
+            dp4.run_fault_tolerant(
                 &build_model,
                 || build_opt("adam"),
                 LrSchedule::Constant,
@@ -219,13 +219,13 @@ fn elastic_hot_join_is_bit_identical_to_composed_baseline() {
         };
 
         // Elastic run: kill rank 2 at step K, re-admit it at step R.
-        let plan = Arc::new(FaultPlan::empty().kill_rank(2, elastic_clock(0, K, SUB_COMM)));
+        let plan = Arc::new(FaultPlan::empty().kill_rank(2, fault_clock(0, K, SUB_COMM)));
         let el = run4(
             T,
             None,
             plan,
-            ElasticConfig {
-                rejoin_at: Some(R),
+            RecoveryConfig {
+                remediation: Remediation::Shrink { rejoin_at: Some(R) },
                 ..ecfg()
             },
         );
@@ -251,7 +251,7 @@ fn elastic_hot_join_is_bit_identical_to_composed_baseline() {
         // Composed baseline: p=4 to K, p=3 over K..R, p=4 over R..T.
         let ck_k = run4(K, None, Arc::new(FaultPlan::empty()), ecfg()).checkpoint;
         let ck_r = dp3
-            .run_elastic(
+            .run_fault_tolerant(
                 &build_model,
                 || build_opt("adam"),
                 LrSchedule::Constant,
@@ -287,7 +287,7 @@ fn checkpoint_is_size_agnostic_across_world_sizes() {
     let build_model = move || -> Mlp { model_spec.build(23) };
     let dp4 = DataParallelTrainer::new(4, 2).with_overlap(OverlapConfig { enabled: false });
     let ck = dp4
-        .run_elastic(
+        .run_fault_tolerant(
             &build_model,
             || build_opt("lamb"),
             LrSchedule::Constant,
@@ -324,7 +324,7 @@ fn checkpoint_is_size_agnostic_across_world_sizes() {
     // Run level: the p=4 checkpoint drives worlds of every size.
     for ranks in [2usize, 3, 4, 8] {
         let dp = DataParallelTrainer::new(ranks, 2).with_overlap(OverlapConfig { enabled: false });
-        let out = dp.run_elastic(
+        let out = dp.run_fault_tolerant(
             &build_model,
             || build_opt("lamb"),
             LrSchedule::Constant,

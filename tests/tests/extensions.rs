@@ -10,13 +10,13 @@ use summit_comm::{
     Collective,
 };
 use summit_dl::{
-    checkpoint,
     compression::{Compressor, GradCompression},
     data::blobs,
-    model::MlpSpec,
+    model::{Mlp, MlpSpec},
     optim::{Optimizer, Sgd},
     schedule::LrSchedule,
-    trainer::Trainer,
+    trainer::slice_rows,
+    ElasticCheckpoint,
 };
 use summit_machine::{spec::NodeSpec, ClusterModel, LinkModel};
 use summit_tensor::ops;
@@ -101,51 +101,50 @@ fn compressed_data_parallel_training_converges() {
     assert!(results[0].1 < 0.35, "loss {}", results[0].1);
 }
 
-/// Checkpoint/restore mid-training: restoring a checkpoint and replaying
-/// the same batches reproduces the original trajectory exactly (momentum
-/// state excluded — we restart with fresh momentum, as production restart
-/// scripts that only save weights do, then verify loss continuity).
+/// Checkpoint/restore mid-training: restoring a checkpoint — parameters
+/// *and* momentum — and replaying the same batches reproduces the original
+/// trajectory bit for bit.
 #[test]
 fn checkpoint_resume_reproduces_trajectory() {
     let task = blobs(128, 4, 2, 0.4, 66);
-    let build = || {
-        Trainer::new(
-            MlpSpec::new(4, &[8], 2).build(9),
-            Box::new(Sgd::new(0.05, 0.0, 0.0)) as Box<dyn Optimizer>,
-            LrSchedule::Constant,
-        )
+    let spec = MlpSpec::new(4, &[8], 2);
+    let build =
+        || -> (Mlp, Box<dyn Optimizer>) { (spec.build(9), Box::new(Sgd::new(0.05, 0.9, 0.0))) };
+    // One pass over the dataset in order, one SGD step per 32 rows at the
+    // base learning rate (multiplier 1).
+    let epoch = |model: &mut Mlp, opt: &mut dyn Optimizer| {
+        for start in (0..task.x.rows()).step_by(32) {
+            let bx = slice_rows(&task.x, start, start + 32);
+            let logits = model.forward(&bx);
+            let (_, dlogits) = ops::softmax_cross_entropy(logits, &task.y[start..start + 32]);
+            model.zero_grads();
+            model.backward(&dlogits);
+            model.for_each_group(|id, params, grads| opt.step_group(id, 1.0, params, grads));
+            opt.advance();
+        }
     };
 
     // Train 5 epochs, checkpoint, train 5 more.
-    let mut original = build();
+    let (mut model, mut opt) = build();
     for _ in 0..5 {
-        original.train_epoch(&task.x, &task.y, 32);
+        epoch(&mut model, opt.as_mut());
     }
-    let ckpt = checkpoint::save(&original.model, original.step());
-    let mut first_half_params = original.model.flat_params();
+    let ckpt = ElasticCheckpoint::capture(20, &model, opt.as_ref());
+    assert!(!ckpt.opt.slots.is_empty(), "momentum must be captured");
     for _ in 0..5 {
-        original.train_epoch(&task.x, &task.y, 32);
+        epoch(&mut model, opt.as_mut());
     }
 
-    // Restore into a fresh trainer and replay the last 5 epochs.
-    let mut resumed = build();
-    let step = checkpoint::load(&mut resumed.model, ckpt).expect("valid checkpoint");
-    assert_eq!(step, original.step() - original.step() / 2);
-    assert_eq!(resumed.model.flat_params(), {
-        std::mem::take(&mut first_half_params)
-    });
+    // Restore into a fresh model and optimizer and replay the last 5 epochs.
+    let (mut resumed, mut resumed_opt) = build();
+    ckpt.restore(&mut resumed, resumed_opt.as_mut())
+        .expect("valid checkpoint");
+    assert_eq!(resumed.flat_params(), ckpt.params);
     for _ in 0..5 {
-        resumed.train_epoch(&task.x, &task.y, 32);
+        epoch(&mut resumed, resumed_opt.as_mut());
     }
-    // Plain SGD (no momentum) has no optimizer state, so the trajectories
-    // must match exactly.
-    for (a, b) in original
-        .model
-        .flat_params()
-        .iter()
-        .zip(resumed.model.flat_params())
-    {
-        assert!((a - b).abs() < 1e-6, "resume diverged: {a} vs {b}");
+    for (a, b) in model.flat_params().iter().zip(resumed.flat_params()) {
+        assert_eq!(a.to_bits(), b.to_bits(), "resume diverged: {a} vs {b}");
     }
 }
 

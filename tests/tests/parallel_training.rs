@@ -8,7 +8,7 @@ use summit_dl::{
     data::blobs,
     model::MlpSpec,
     optim::{Adam, Lamb, Larc, Lars, Optimizer, Sgd},
-    recovery::RecoveryConfig,
+    recovery::{RecoveryConfig, Remediation},
     schedule::LrSchedule,
     trainer::{slice_rows, DataParallelTrainer, FusionConfig, OverlapConfig, Trainer},
 };
@@ -94,7 +94,8 @@ fn larc_data_parallel_converges() {
 /// The sharded commit — reduce-scatter, each rank updating only the chunk
 /// it owns, parameter allgather — lands on the bits of the replicated one.
 /// `run_in` shards for the elementwise optimizers and `run_fault_tolerant`
-/// never does, so under an empty fault plan the two agree bitwise: SGD
+/// (here with [`Remediation::Rollback`]) never does, so under an empty
+/// fault plan the two agree bitwise: SGD
 /// without and with momentum (both with weight decay) and Adam, at p = 2,
 /// 3 and 4, with and without overlap, for a bucket that straddles chunk and
 /// group boundaries, the default bucket, and one larger than the model.
@@ -123,9 +124,22 @@ fn sharded_step_is_bitwise_the_replicated_step() {
             1,
         );
         let plan = Arc::new(FaultPlan::empty());
-        let cfg = RecoveryConfig::default();
-        let replicated =
-            dp.run_fault_tolerant(|| spec.build(9), build, schedule, x, y, 1, plan, cfg);
+        let cfg = RecoveryConfig {
+            remediation: Remediation::Rollback,
+            ..RecoveryConfig::default()
+        };
+        let steps = sharded.steps;
+        let replicated = dp.run_fault_tolerant(
+            || spec.build(9),
+            build,
+            schedule,
+            x,
+            y,
+            steps,
+            None,
+            plan,
+            cfg,
+        );
         let case = format!("{name} p={ranks} overlap={overlap} bucket={bucket_bytes}B");
         assert_eq!(replicated.recoveries, 0, "{case}");
         assert_eq!(sharded.max_divergence, 0.0, "{case}");
