@@ -361,6 +361,12 @@ impl Mlp {
         self.params.clone()
     }
 
+    /// The parameter arena itself, moved out: [`Mlp::flat_params`] without
+    /// the copy, for a caller done with the model.
+    pub(crate) fn into_params(self) -> Vec<f32> {
+        self.params
+    }
+
     /// Overwrite all parameters from a flat vector.
     ///
     /// # Panics

@@ -457,8 +457,9 @@ impl DataParallelTrainer {
 
             // This rank's view of the outcome; the world-wide fields are
             // folded into the lead's copy below.
+            let checkpoint = replica.checkpoint(step);
             let outcome = RecoveryOutcome {
-                params: replica.model.flat_params(),
+                params: replica.model.into_params(),
                 loss: loss_sum / committed.max(1) as f32,
                 max_divergence: 0.0,
                 steps: step,
@@ -470,7 +471,7 @@ impl DataParallelTrainer {
                 final_epoch: view.epoch(),
                 drained_messages: drained,
                 faults_injected: 0,
-                checkpoint: replica.checkpoint(step),
+                checkpoint,
                 membership_log,
                 shard_spans: Vec::new(),
                 step_seconds,

@@ -546,7 +546,7 @@ impl DataParallelTrainer {
                 loss_sum += loss;
             }
             (
-                replica.model.flat_params(),
+                replica.model.into_params(),
                 (
                     loss_sum / total_steps.max(1) as f32,
                     comm_seconds,

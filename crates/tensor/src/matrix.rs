@@ -9,58 +9,76 @@
 //!   scoped `thread::spawn` per call. The exact partition
 //!   ([`summit_pool::chunk_range`]) handles `rows % threads != 0` tails in
 //!   one shared place instead of three copy-pasted chunking blocks.
-//! * **Packed, cache-blocked microkernel** — the strided operand is packed
-//!   once per call into a reused thread-local scratch (`B` in 16-column,
-//!   `k`-contiguous micro-panels for [`Matrix::matmul`], `Aᵀ` for
-//!   [`Matrix::matmul_at_b`]; [`Matrix::matmul_a_bt`] reads both operands
-//!   in place, and so does an f32 SIMD `matmul` of at most 16 rows, where
-//!   the pack would cost more than the product — same per-element chain,
-//!   so the same bits), and the inner loop runs on one of two backends
-//!   selected once per call: an explicit AVX2+FMA microkernel on the [`crate::simd`]
-//!   `f32x8` wrapper (runtime-detected; register tiles of 6 rows × 16
-//!   columns over 256-step shared-dimension blocks for `matmul`, 4 × 16
-//!   for `matmul_at_b`, 4 a-rows × 3 b-rows of lane-wise accumulators for
-//!   `matmul_a_bt`), or the branch-free scalar loops as the guaranteed
-//!   fallback (4×-unrolled for the transposed variants, a 2-row × 16-column
-//!   local tile over the same micro-panels for `matmul`).
+//! * **Packed, cache-blocked microkernel** — `matmul` packs `B` one slice
+//!   at a time: per 256-step block of the shared dimension and per tile's
+//!   worth of columns, a `256 × (16, or 48 at 512 bits)` slice goes into
+//!   16-column, `k`-contiguous micro-panels in a buffer on the kernel's
+//!   stack right before the chunk's row tiles run over it, so it stays in
+//!   L1/L2 and no copy of the whole of `B` is ever made. An f32 SIMD
+//!   `matmul` of at most 16 rows reads `B` in place instead (the pack would
+//!   cost more than the product — same per-element chain, so the same
+//!   bits). [`Matrix::matmul_at_b`] packs `Aᵀ` once per call into a reused
+//!   thread-local scratch; [`Matrix::matmul_a_bt`] reads both operands in
+//!   place. The inner loop runs on one of three backends selected once per
+//!   call: the SIMD microkernels at 512 bits (AVX-512F, [`crate::simd::F32x16`])
+//!   or 256 bits (AVX2+FMA, [`crate::simd::F32x8`]) — one generic source
+//!   over [`crate::simd::Lanes`], compiled once per width, the width the
+//!   host's (runtime-detected, no setting) — or the branch-free scalar
+//!   loops as the guaranteed fallback (4×-unrolled for the transposed
+//!   variants, a 2-row × 16-column local tile over the same micro-panels
+//!   for `matmul`). Register tiles, rows × columns:
+//!
+//!   | kernel | 256 bits | 512 bits |
+//!   |---|---|---|
+//!   | `matmul` | 6 × 16 (12 ymm accumulators) | 8 × 48 (24 zmm, three panels) |
+//!   | `matmul` ≤ 16 rows, pack-free | 2 × 8 per vector, 4 `k` steps | 2 × 16 per vector, 4 `k` steps |
+//!   | `matmul_at_b` | 4 × 16 | 8 × 32 |
+//!   | `matmul_a_bt` (8-lane chains) | 4 a-rows × 3 b-rows in 16 ymm | 4 × 6 in 32 ymm (AVX-512VL) |
+//!
+//!   Remainder rows take 4-, 2- and 1-row tiles of the same chains; the
+//!   last columns take fewer vectors and a masked partial one.
 //! * **Mixed precision** — every variant has a bf16-storage twin (the
 //!   [`Precision`] knob on the `*_into_prec` entry points, e.g.
 //!   [`Matrix::matmul_into_prec`]): the packed operand is stored as
 //!   bf16 (`u16`, round-to-nearest-even at pack time), converted back to
 //!   f32 on load (exact), and **accumulated in f32** — the paper's
 //!   mixed-precision storage lever with full-precision arithmetic.
-//! * **Bit-identity across pool sizes** — every output element accumulates
-//!   its terms in the same order on every path at every worker count: the
-//!   row partition never splits an element's accumulation chain, and each
-//!   SIMD kernel gives every output element one chain whose shape depends
-//!   only on the shared dimension and global block boundaries, never on
-//!   the chunk split or on which register tile (full or remainder)
-//!   computed it. The chains: `matmul` — one FMA per ascending `k`, carried
+//! * **Bit-identity across pool sizes and widths** — every output element
+//!   accumulates its terms in the same order on every path at every worker
+//!   count: the row partition never splits an element's accumulation
+//!   chain, and each SIMD kernel gives every output element one chain
+//!   whose shape depends only on the shared dimension and global block
+//!   boundaries, never on the chunk split, on which register tile (full or
+//!   remainder) computed it, or on how many lanes that tile's registers
+//!   hold. The chains: `matmul` — one FMA per ascending `k`, carried
 //!   through the output between shared-dimension blocks; `matmul_at_b` —
 //!   one FMA chain per 64-row block of the shared dimension, each added
 //!   into the output in block order (the overwriting entry's first block
-//!   is added to `+0.0` and stored, so the output's old contents are
-//!   never read); `matmul_a_bt` — eight lane accumulators stepped over
-//!   ascending `k`, one fixed
-//!   [`F32x8::hsum`] tree, then a scalar FMA tail over `k % 8`. Pooled
-//!   results are therefore **bitwise equal** to the serial (`parts = 1`)
-//!   kernel for every budget and both precisions, and row `i` of an
-//!   `M`-row `matmul` / `matmul_a_bt` is bitwise the one-row product (what
-//!   batched serving relies on). The scalar backend is additionally the
-//!   cross-platform reference: SIMD results differ from it only within a
-//!   documented ULP bound (FMA contraction + lane-tree reductions); see
-//!   `tests/simd_properties.rs`, which also pins the `matmul` and
-//!   `matmul_a_bt` chains against plain-Rust transcriptions.
+//!   is added to `+0.0` and stored, so the output's old contents are never
+//!   read); `matmul_a_bt` — eight lane accumulators stepped over ascending
+//!   `k`, one fixed [`F32x8::hsum`] tree, then a scalar FMA tail over
+//!   `k % 8` (at both widths). Pooled results are therefore **bitwise
+//!   equal** to the serial (`parts = 1`) kernel for every budget and both
+//!   precisions, the 512-bit kernels are **bit-identical** to the 256-bit
+//!   ones, and row `i` of an `M`-row `matmul` / `matmul_a_bt` is bitwise
+//!   the one-row product (what batched serving relies on). The scalar
+//!   backend is additionally the cross-platform reference: SIMD results
+//!   differ from it only within a documented ULP bound (FMA contraction +
+//!   lane-tree reductions); see `tests/simd_properties.rs`, which also pins
+//!   the `matmul` and `matmul_a_bt` chains against plain-Rust
+//!   transcriptions and the two widths against each other.
 //!
 //! The `*_into` variants write into a caller-owned output matrix; combined
-//! with the thread-local packing scratches (one f32, one bf16), a
-//! steady-state pooled matmul at either precision performs **zero heap
-//! allocations** (counting-allocator tests in `tests/tests/gemm_alloc.rs`).
+//! with the thread-local packing scratches (one f32, one bf16) and the
+//! stack-held `matmul` slice, a steady-state pooled matmul at either
+//! precision performs **zero heap allocations** (counting-allocator tests
+//! in `tests/tests/gemm_alloc.rs`).
 
 use std::cell::RefCell;
+use std::mem::MaybeUninit;
 use std::ops::Range;
 
-use crate::simd::{self, Element, F32x8};
+use crate::simd::{self, Element, F32x16, F32x8, Lanes};
 
 /// A dense, row-major `rows × cols` matrix of `f32`.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,48 +134,62 @@ pub enum Precision {
     Mixed,
 }
 
-/// Kernel backend selector — test hook for pinning SIMD-vs-scalar
-/// agreement; production callers always use `Auto`.
+/// Kernel backend selector — test hook for pinning SIMD-vs-scalar and
+/// 512-vs-256-bit agreement; production callers always use `Auto`.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// SIMD when the host supports it ([`simd::active`]), scalar otherwise.
+    /// The widest kernels the host supports ([`simd::wide`], then
+    /// [`simd::active`]), scalar otherwise.
     #[default]
     Auto,
     /// Force the scalar reference path.
     Scalar,
+    /// The 256-bit kernels where the host has AVX2+FMA (scalar otherwise),
+    /// even on an AVX-512 host.
+    Avx2,
+}
+
+/// The kernels one GEMM call runs, resolved once per call so a single
+/// product never mixes them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Isa {
+    Scalar,
+    Avx2,
+    Avx512,
 }
 
 impl Backend {
-    /// Resolve once per GEMM call so a single product never mixes kernels.
-    fn use_simd(self) -> bool {
-        self == Backend::Auto && simd::active()
+    fn isa(self) -> Isa {
+        match self {
+            Backend::Scalar => Isa::Scalar,
+            _ if !simd::active() => Isa::Scalar,
+            Backend::Auto if simd::wide() => Isa::Avx512,
+            _ => Isa::Avx2,
+        }
     }
 }
 
 /// Row count above which matmuls parallelize over the compute pool.
 const PAR_THRESHOLD: usize = 128;
 
-/// Packed-`B` micro-panel width for [`Matrix::matmul`]: panel `p` holds
-/// columns `[16p, 16p + 16)` with the shared dimension contiguous, so one
-/// `k` step of the microkernel reads one 64-byte line and the next step
-/// reads the next line. The last panel is narrower when `n % 16 != 0`.
+/// Packed-`B` micro-panel width for [`Matrix::matmul`]: a panel holds 16
+/// columns with the shared dimension contiguous, so one `k` step of a tile
+/// reads one 64-byte line per panel and the next step the next line.
 const MM_NR: usize = 16;
 
-/// Rows of `B` packed into one micro-panel before moving to the next: each
-/// visit reads eight 64-byte row pieces and writes 512 contiguous bytes,
-/// which keeps both sides of the copy local when `k` or `n` is a power of
-/// two (one row at a time, the panels' write streams alias in L1).
-const PACK_ROWS: usize = 8;
-
-/// Shared-dimension block of the SIMD `matmul` kernel: a 256 × 16 f32 slice
-/// of a micro-panel (16 KB) stays in L1 across every row tile of the chunk.
+/// Shared-dimension block of the `matmul` kernels: one packed slice is at
+/// most `MM_KC` rows of [`MM_SLICE_COLS`] columns (48 KB f32), so it stays
+/// in L1/L2 across every row tile of the chunk.
 const MM_KC: usize = 256;
 
 /// Row count up to which the f32 SIMD [`Matrix::matmul`] reads `B` in place
 /// instead of packing it. Packing pays for itself by reuse across row
-/// tiles; at 16 rows there are at most three, and the pack's read + write
-/// + re-read of `k·n` costs more than the product.
+/// tiles; below this, streaming `B` once in row order beats the pack.
+/// Re-measured at 512 bits (µs, pack-free vs packed, one thread): on a
+/// 512 × 512 `B`, M = 1 23 vs 113, M = 16 142 vs 170, M = 20 204 vs 193;
+/// on 1024 × 1024, M = 1 255 vs 559, M = 16 1,029 vs 1,012, M = 20 1,200
+/// vs 1,060.
 const MM_SKINNY_ROWS: usize = 16;
 
 /// Column block of the pack-free skinny `matmul`: the `M × 256` f32 output
@@ -169,79 +201,52 @@ const MM_SKINNY_NC: usize = 256;
 /// leaving room for the output row being accumulated.
 const BLOCK_ROWS: usize = 64;
 
-/// Row-block height of the SIMD `matmul` microkernel: 6 rows × two f32x8
-/// column vectors = 12 in-register accumulators (plus 2 loaded B vectors
-/// and 1 broadcast), filling the 16 ymm registers without spilling.
-const MM_MR: usize = 6;
+// Register tiles, rows × column vectors (see the module doc's table). Each
+// fills its register file without spilling: `matmul` 6 × 2 ymm (12
+// accumulators of 16) and 8 × 3 zmm (24 of 32, three 16-column panels per
+// slice); `matmul_at_b` 4 × 2 ymm and 8 × 2 zmm; `matmul_a_bt` 4 a-rows × 3
+// b-rows of 8-lane accumulators in 16 ymm and 4 × 6 in the 32 ymm
+// AVX-512VL gives.
+const MM_MR_256: usize = 6;
+const MM_NV_256: usize = 2;
+const MM_MR_512: usize = 8;
+const MM_NV_512: usize = 3;
+const ATB_MR_256: usize = 4;
+const ATB_MR_512: usize = 8;
+const ATB_NV: usize = 2;
+const ABT_MR_256: usize = 4;
+const ABT_NR_256: usize = 3;
+const ABT_MR_512: usize = 4;
+const ABT_NR_512: usize = 6;
 
-/// Row-block height of the SIMD `matmul_at_b` microkernel: 4 output rows ×
-/// two f32x8 vectors = 8 accumulators, with two B-row loads and four
-/// broadcasts per shared-dimension step.
-const ATB_MR: usize = 4;
+/// Widest `matmul` slice: the 512-bit tile's three panels.
+const MM_SLICE_COLS: usize = MM_NV_512 * 16;
 
-/// Register tile of the SIMD `matmul_a_bt` microkernel: 4 a-rows × 3 b-rows
-/// = 12 lane-wise accumulators, plus the 3 loaded b-vectors and 1 a-vector
-/// — all 16 ymm registers.
-const ABT_MR: usize = 4;
-const ABT_NR: usize = 3;
+/// Elements of the per-chunk slice buffer (on the kernel's stack).
+const MM_SLICE: usize = MM_KC * MM_SLICE_COLS;
 
 /// Rows of `other` per cache block of the SIMD `matmul_a_bt` kernel (a
-/// multiple of [`ABT_NR`]): 48 rows × 1024 f32 = 192 KB sits in L2 while
-/// every a-strip of the chunk visits it.
+/// multiple of both b-row tile widths): 48 rows × 1024 f32 = 192 KB sits in
+/// L2 while every a-strip of the chunk visits it.
 const ABT_JB: usize = 48;
 
 thread_local! {
-    /// Per-thread f32 packing scratch, reused across calls so steady-state
-    /// matmuls never allocate. Packing always happens on the dispatching
-    /// thread (workers only read the packed panel through the kernel
-    /// closure), so one scratch per thread suffices.
+    /// Per-thread f32 packing scratch (`matmul_at_b`'s `Aᵀ`), reused across
+    /// calls so steady-state products never allocate. Packing always
+    /// happens on the dispatching thread (workers only read the packed
+    /// operand through the kernel closure), so one scratch per thread
+    /// suffices.
     static PACK_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// Per-thread bf16 packing scratch for the mixed-precision path.
     static BF16_SCRATCH: RefCell<Vec<u16>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A packable GEMM storage element: ties the [`Element`] conversions to a
-/// per-type thread-local scratch and the type's target-feature SIMD kernel
-/// entry points (free functions, since `#[target_feature]` cannot sit on
-/// trait methods).
+/// per-type thread-local scratch.
 trait PanelElem: Element {
     /// Borrow this thread's packing scratch for `Self` at `len` elements
     /// (growing it once if needed) for the duration of `f`.
     fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [Self]) -> R) -> R;
-
-    /// # Safety
-    /// CPU must support AVX2+FMA (callers check [`simd::active`]).
-    unsafe fn mm_chunk_simd(
-        a: &[f32],
-        k: usize,
-        bp: &[Self],
-        n: usize,
-        chunk: &mut [f32],
-        range: Range<usize>,
-    );
-
-    /// # Safety
-    /// CPU must support AVX2+FMA (callers check [`simd::active`]).
-    unsafe fn atb_chunk_simd(
-        at: &[Self],
-        m: usize,
-        b: &[f32],
-        n: usize,
-        chunk: &mut [f32],
-        range: Range<usize>,
-        accumulate: bool,
-    );
-
-    /// # Safety
-    /// CPU must support AVX2+FMA (callers check [`simd::active`]).
-    unsafe fn abt_chunk_simd(
-        a: &[f32],
-        k: usize,
-        b: &[Self],
-        n: usize,
-        chunk: &mut [f32],
-        range: Range<usize>,
-    );
 }
 
 impl PanelElem for f32 {
@@ -254,40 +259,6 @@ impl PanelElem for f32 {
             f(&mut buf[..len])
         })
     }
-
-    unsafe fn mm_chunk_simd(
-        a: &[f32],
-        k: usize,
-        bp: &[f32],
-        n: usize,
-        chunk: &mut [f32],
-        range: Range<usize>,
-    ) {
-        unsafe { mm_chunk_simd_f32(a, k, bp, n, chunk, range) }
-    }
-
-    unsafe fn atb_chunk_simd(
-        at: &[f32],
-        m: usize,
-        b: &[f32],
-        n: usize,
-        chunk: &mut [f32],
-        range: Range<usize>,
-        accumulate: bool,
-    ) {
-        unsafe { atb_chunk_simd_f32(at, m, b, n, chunk, range, accumulate) }
-    }
-
-    unsafe fn abt_chunk_simd(
-        a: &[f32],
-        k: usize,
-        b: &[f32],
-        n: usize,
-        chunk: &mut [f32],
-        range: Range<usize>,
-    ) {
-        unsafe { abt_chunk_simd_f32(a, k, b, n, chunk, range) }
-    }
 }
 
 impl PanelElem for u16 {
@@ -299,40 +270,6 @@ impl PanelElem for u16 {
             }
             f(&mut buf[..len])
         })
-    }
-
-    unsafe fn mm_chunk_simd(
-        a: &[f32],
-        k: usize,
-        bp: &[u16],
-        n: usize,
-        chunk: &mut [f32],
-        range: Range<usize>,
-    ) {
-        unsafe { mm_chunk_simd_bf16(a, k, bp, n, chunk, range) }
-    }
-
-    unsafe fn atb_chunk_simd(
-        at: &[u16],
-        m: usize,
-        b: &[f32],
-        n: usize,
-        chunk: &mut [f32],
-        range: Range<usize>,
-        accumulate: bool,
-    ) {
-        unsafe { atb_chunk_simd_bf16(at, m, b, n, chunk, range, accumulate) }
-    }
-
-    unsafe fn abt_chunk_simd(
-        a: &[f32],
-        k: usize,
-        b: &[u16],
-        n: usize,
-        chunk: &mut [f32],
-        range: Range<usize>,
-    ) {
-        unsafe { abt_chunk_simd_bf16(a, k, b, n, chunk, range) }
     }
 }
 
@@ -473,22 +410,23 @@ impl Matrix {
         out: &mut Matrix,
         prec: Precision,
     ) {
-        let (other, parts) = (other.into(), auto_parts(self.rows));
-        match prec {
-            Precision::F32 => self.matmul_f32_impl(other, out, parts, Backend::Auto),
-            Precision::Mixed => self.matmul_impl::<u16>(other, out, parts, Backend::Auto),
-        }
+        self.matmul_impl(
+            other.into(),
+            out,
+            auto_parts(self.rows),
+            prec,
+            Backend::Auto,
+        );
     }
 
     /// [`Matrix::matmul_into`] with an explicit chunk count — `parts = 1`
     /// is the serial reference path the property tests compare against.
     #[doc(hidden)]
     pub fn matmul_into_parts(&self, other: &Matrix, out: &mut Matrix, parts: usize) {
-        self.matmul_f32_impl(other.into(), out, parts, Backend::Auto);
+        self.matmul_impl(other.into(), out, parts, Precision::F32, Backend::Auto);
     }
 
-    /// Full control (tests): precision via the element type, explicit
-    /// parts, forced backend.
+    /// Full control (tests): precision, explicit parts, forced backend.
     #[doc(hidden)]
     pub fn matmul_into_parts_backend(
         &self,
@@ -498,82 +436,73 @@ impl Matrix {
         prec: Precision,
         backend: Backend,
     ) {
-        let other = other.into();
-        match prec {
-            Precision::F32 => self.matmul_f32_impl(other, out, parts, backend),
-            Precision::Mixed => self.matmul_impl::<u16>(other, out, parts, backend),
-        }
+        self.matmul_impl(other.into(), out, parts, prec, backend);
     }
 
-    fn matmul_assert(&self, other: MatRef<'_>, out: &Matrix) {
+    /// An f32 skinny product on a SIMD backend reads `B` in place (per
+    /// element the same single FMA chain over ascending `k` from zero as
+    /// the packed kernel, so the two are bitwise interchangeable);
+    /// everything else packs.
+    fn matmul_impl(
+        &self,
+        other: MatRef<'_>,
+        out: &mut Matrix,
+        parts: usize,
+        prec: Precision,
+        backend: Backend,
+    ) {
         assert_eq!(self.cols, other.rows, "matmul inner dimension mismatch");
         assert_eq!(
             (out.rows, out.cols),
             (self.rows, other.cols),
             "matmul output shape mismatch"
         );
-    }
-
-    /// f32 path: a skinny product on the SIMD backend reads `B` in place
-    /// (per element the same single FMA chain over ascending `k` from zero
-    /// as the packed kernel, so the two are bitwise interchangeable);
-    /// everything else packs.
-    fn matmul_f32_impl(&self, other: MatRef<'_>, out: &mut Matrix, parts: usize, backend: Backend) {
-        if self.rows > MM_SKINNY_ROWS || !backend.use_simd() {
-            return self.matmul_impl::<f32>(other, out, parts, backend);
+        let isa = backend.isa();
+        match prec {
+            Precision::Mixed => return self.matmul_packed::<u16>(other, out, parts, isa),
+            _ if self.rows > MM_SKINNY_ROWS || isa == Isa::Scalar => {
+                return self.matmul_packed::<f32>(other, out, parts, isa)
+            }
+            _ => {}
         }
-        self.matmul_assert(other, out);
         let (k, n) = (self.cols, other.cols);
         let (a, b) = (&self.data, other.data);
         summit_pool::global().run_rows(&mut out.data, n, parts, |chunk, range| {
-            // SAFETY: `use_simd` above implies `simd::active()` verified
-            // AVX2+FMA on this CPU.
-            unsafe { mm_skinny_chunk_simd(a, k, b, n, chunk, range) }
+            // SAFETY: a non-scalar `isa` means `simd::active()` verified
+            // AVX2+FMA on this CPU, and `Avx512` that `simd::wide()`
+            // verified AVX-512 F and VL.
+            unsafe {
+                match isa {
+                    Isa::Avx512 => mm_skinny_512(a, k, b, n, chunk, range),
+                    _ => mm_skinny_256(a, k, b, n, chunk, range),
+                }
+            }
         });
     }
 
-    fn matmul_impl<E: PanelElem>(
+    /// The packed path: every chunk packs `B` one slice at a time, right
+    /// before its row tiles run over it (see [`pack_slice`]), so no copy of
+    /// the whole of `B` is ever made. The mixed path rounds to bf16 there.
+    /// Every kernel overwrites `out`, so it is not cleared first.
+    fn matmul_packed<E: Element>(
         &self,
         other: MatRef<'_>,
         out: &mut Matrix,
         parts: usize,
-        backend: Backend,
+        isa: Isa,
     ) {
-        self.matmul_assert(other, out);
-        let k = self.cols;
-        let n = other.cols;
-        let use_simd = backend.use_simd();
-        // Pack B once per call into micro-panels: panel `jb / MM_NR` holds
-        // columns [jb, jb + jw) row-major at width jw, contiguous at offset
-        // jb·k (every preceding full panel contributes MM_NR·k elements).
-        // The mixed path rounds to bf16 here, once per element, and
-        // PACK_ROWS rows of B go into each panel at a time. Both kernels
-        // overwrite `out`, so it is not cleared first.
-        E::with_scratch(k * n, |bp| {
-            for kb in (0..k).step_by(PACK_ROWS) {
-                let kend = (kb + PACK_ROWS).min(k);
-                for jb in (0..n).step_by(MM_NR) {
-                    let jw = (n - jb).min(MM_NR);
-                    for kk in kb..kend {
-                        let src = &other.data[kk * n + jb..kk * n + jb + jw];
-                        let dst = &mut bp[jb * k + kk * jw..jb * k + (kk + 1) * jw];
-                        for (d, &s) in dst.iter_mut().zip(src) {
-                            *d = E::pack(s);
-                        }
-                    }
+        let (k, n) = (self.cols, other.cols);
+        let (a, b) = (&self.data, other.data);
+        summit_pool::global().run_rows(&mut out.data, n, parts, |chunk, range| {
+            // SAFETY: `isa` names only kernels whose features were verified
+            // on this CPU (see `Backend::isa`).
+            unsafe {
+                match isa {
+                    Isa::Avx512 => mm_chunk_512::<E>(a, k, b, n, chunk, range),
+                    Isa::Avx2 => mm_chunk_256::<E>(a, k, b, n, chunk, range),
+                    Isa::Scalar => matmul_chunk::<E>(a, k, b, n, chunk, range),
                 }
             }
-            let a = &self.data;
-            let bp = &*bp;
-            summit_pool::global().run_rows(&mut out.data, n, parts, |chunk, range| {
-                if use_simd {
-                    // SAFETY: `use_simd` implies `simd::active()` verified
-                    // AVX2+FMA on this CPU.
-                    unsafe { E::mm_chunk_simd(a, k, bp, n, chunk, range) }
-                } else {
-                    matmul_chunk(a, k, bp, n, chunk, range);
-                }
-            });
         });
     }
 
@@ -708,11 +637,11 @@ impl Matrix {
         let m = self.rows;
         let k = self.cols;
         let n = other.cols;
-        let use_simd = backend.use_simd();
-        // The scalar kernel only ever adds into `out`; the SIMD kernel
-        // stores its first shared-dimension block when overwriting, so it
-        // neither needs nor reads the old contents.
-        if !accumulate && !use_simd {
+        let isa = backend.isa();
+        // The scalar kernel only ever adds into `out`; the SIMD kernels
+        // store their first shared-dimension block when overwriting, so
+        // they neither need nor read the old contents.
+        if !accumulate && isa == Isa::Scalar {
             out.fill(0.0);
         }
         // Pack Aᵀ once per call: at[kk·m + i] = A[i, kk], so output row kk
@@ -728,12 +657,14 @@ impl Matrix {
             let b = &other.data;
             let at = &*at;
             summit_pool::global().run_rows(out, n, parts, |chunk, range| {
-                if use_simd {
-                    // SAFETY: `use_simd` implies `simd::active()` verified
-                    // AVX2+FMA on this CPU.
-                    unsafe { E::atb_chunk_simd(at, m, b, n, chunk, range, accumulate) }
-                } else {
-                    matmul_at_b_chunk(at, m, b, n, chunk, range);
+                // SAFETY: `isa` names only kernels whose features were
+                // verified on this CPU (see `Backend::isa`).
+                unsafe {
+                    match isa {
+                        Isa::Avx512 => atb_chunk_512::<E>(at, m, b, n, chunk, range, accumulate),
+                        Isa::Avx2 => atb_chunk_256::<E>(at, m, b, n, chunk, range, accumulate),
+                        Isa::Scalar => matmul_at_b_chunk(at, m, b, n, chunk, range),
+                    }
                 }
             });
         });
@@ -777,17 +708,19 @@ impl Matrix {
         out: &mut Matrix,
         prec: Precision,
     ) {
-        let (other, parts) = (other.into(), auto_parts(self.rows));
-        match prec {
-            Precision::F32 => self.matmul_a_bt_f32_impl(other, out, parts, Backend::Auto),
-            Precision::Mixed => self.matmul_a_bt_mixed_impl(other, out, parts, Backend::Auto),
-        }
+        self.matmul_a_bt_impl(
+            other.into(),
+            out,
+            auto_parts(self.rows),
+            prec,
+            Backend::Auto,
+        );
     }
 
     /// [`Matrix::matmul_a_bt_into`] with an explicit chunk count.
     #[doc(hidden)]
     pub fn matmul_a_bt_into_parts(&self, other: &Matrix, out: &mut Matrix, parts: usize) {
-        self.matmul_a_bt_f32_impl(other.into(), out, parts, Backend::Auto);
+        self.matmul_a_bt_impl(other.into(), out, parts, Precision::F32, Backend::Auto);
     }
 
     /// Full control (tests): precision, explicit parts, forced backend.
@@ -800,73 +733,58 @@ impl Matrix {
         prec: Precision,
         backend: Backend,
     ) {
-        let other = other.into();
-        match prec {
-            Precision::F32 => self.matmul_a_bt_f32_impl(other, out, parts, backend),
-            Precision::Mixed => self.matmul_a_bt_mixed_impl(other, out, parts, backend),
-        }
+        self.matmul_a_bt_impl(other.into(), out, parts, prec, backend);
     }
 
-    fn matmul_a_bt_assert(&self, other: MatRef<'_>, out: &Matrix) {
+    /// f32: both operands are row-contiguous, no packing or copies. Mixed:
+    /// `other` is converted once (row-contiguous, bf16) into the reused
+    /// bf16 scratch — the only copy this variant makes.
+    fn matmul_a_bt_impl(
+        &self,
+        other: MatRef<'_>,
+        out: &mut Matrix,
+        parts: usize,
+        prec: Precision,
+        backend: Backend,
+    ) {
         assert_eq!(self.cols, other.cols, "matmul_a_bt column mismatch");
         assert_eq!(
             (out.rows, out.cols),
             (self.rows, other.rows),
             "matmul_a_bt output shape mismatch"
         );
-    }
-
-    /// f32 path: both operands are row-contiguous, no packing or copies.
-    fn matmul_a_bt_f32_impl(
-        &self,
-        other: MatRef<'_>,
-        out: &mut Matrix,
-        parts: usize,
-        backend: Backend,
-    ) {
-        self.matmul_a_bt_assert(other, out);
-        let k = self.cols;
-        let n = other.rows;
-        let use_simd = backend.use_simd();
-        let a = &self.data;
-        let b = other.data;
-        summit_pool::global().run_rows(&mut out.data, n, parts, |chunk, range| {
-            if use_simd {
-                // SAFETY: `use_simd` implies AVX2+FMA verified.
-                unsafe { <f32 as PanelElem>::abt_chunk_simd(a, k, b, n, chunk, range) }
-            } else {
-                matmul_a_bt_chunk(a, k, b, n, chunk, range);
-            }
-        });
-    }
-
-    /// Mixed path: `other` is converted once (row-contiguous, bf16) into
-    /// the reused bf16 scratch — the only copy this variant makes.
-    fn matmul_a_bt_mixed_impl(
-        &self,
-        other: MatRef<'_>,
-        out: &mut Matrix,
-        parts: usize,
-        backend: Backend,
-    ) {
-        self.matmul_a_bt_assert(other, out);
-        let k = self.cols;
-        let n = other.rows;
-        let use_simd = backend.use_simd();
-        <u16 as PanelElem>::with_scratch(n * k, |bh| {
-            for (d, &s) in bh.iter_mut().zip(other.data) {
-                *d = simd::f32_to_bf16(s);
-            }
-            let a = &self.data;
-            let bh = &*bh;
-            summit_pool::global().run_rows(&mut out.data, n, parts, |chunk, range| {
-                if use_simd {
-                    // SAFETY: `use_simd` implies AVX2+FMA verified.
-                    unsafe { <u16 as PanelElem>::abt_chunk_simd(a, k, bh, n, chunk, range) }
-                } else {
-                    matmul_a_bt_chunk(a, k, bh, n, chunk, range);
+        let (n, isa) = (other.rows, backend.isa());
+        match prec {
+            Precision::F32 => self.matmul_a_bt_run(other.data, n, out, parts, isa),
+            Precision::Mixed => <u16 as PanelElem>::with_scratch(other.data.len(), |bh| {
+                for (d, &s) in bh.iter_mut().zip(other.data) {
+                    *d = simd::f32_to_bf16(s);
                 }
-            });
+                self.matmul_a_bt_run(bh, n, out, parts, isa);
+            }),
+        }
+    }
+
+    /// `self · bᵀ` for a row-major `n × k` operand `b` at either precision.
+    fn matmul_a_bt_run<E: Element>(
+        &self,
+        b: &[E],
+        n: usize,
+        out: &mut Matrix,
+        parts: usize,
+        isa: Isa,
+    ) {
+        let (a, k) = (&self.data, self.cols);
+        summit_pool::global().run_rows(&mut out.data, n, parts, |chunk, range| {
+            // SAFETY: `isa` names only kernels whose features were verified
+            // on this CPU (see `Backend::isa`).
+            unsafe {
+                match isa {
+                    Isa::Avx512 => abt_chunk_512::<E>(a, k, b, n, chunk, range),
+                    Isa::Avx2 => abt_chunk_256::<E>(a, k, b, n, chunk, range),
+                    Isa::Scalar => matmul_a_bt_chunk(a, k, b, n, chunk, range),
+                }
+            }
         });
     }
 
@@ -912,71 +830,117 @@ impl Matrix {
 // pre-SIMD kernel unchanged — `to_f32` is the identity there).
 // ---------------------------------------------------------------------------
 
-/// `matmul` kernel for one chunk of output rows: for each micro-panel of
-/// packed `B` and each pair of rows (then a last single row), the two
-/// `1 × jw` output segments accumulate in locals across the whole shared
-/// dimension, streaming the panel once, and are stored once. Per output
-/// element the adds run in ascending-`kk` order from zero — one product at
-/// a time into the same accumulator — whichever tile the row falls in.
+/// Pack rows `ks` and columns `jb .. jb + cols` of the row-major `b` (`n`
+/// columns) into [`MM_NR`]-column panels: panel `q` holds columns
+/// `jb + 16q ..` at offset `16q·|ks|`, each block row 16 elements after the
+/// last, zero-padded to whole panels (so a tile always loads whole
+/// vectors). The mixed path rounds to bf16 here. Returns the packed prefix
+/// of `buf`.
+///
+/// # Panics
+/// Panics if the slice exceeds `buf` (`|ks| ≤ MM_KC`, `cols ≤ MM_SLICE_COLS`).
+fn pack_slice<'s, E: Element>(
+    b: &[f32],
+    n: usize,
+    ks: Range<usize>,
+    jb: usize,
+    cols: usize,
+    buf: &'s mut [MaybeUninit<E>; MM_SLICE],
+) -> &'s [E] {
+    let kc = ks.len();
+    let dst = &mut buf[..cols.div_ceil(MM_NR) * MM_NR * kc];
+    for (kk, row) in ks.enumerate() {
+        #[cfg(target_arch = "x86_64")]
+        for line in 0..=cols / 16 {
+            let ahead = b.as_ptr().wrapping_add(row * n + jb + cols + line * 16);
+            // SAFETY: a prefetch is a hint: it never faults or writes,
+            // whatever the address.
+            unsafe {
+                std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(ahead.cast())
+            };
+        }
+        for (q, piece) in b[row * n + jb..][..cols].chunks(MM_NR).enumerate() {
+            let d = &mut dst[(q * kc + kk) * MM_NR..][..MM_NR];
+            for (slot, &v) in d.iter_mut().zip(piece) {
+                slot.write(E::pack(v));
+            }
+            for slot in &mut d[piece.len()..] {
+                slot.write(E::pack(0.0));
+            }
+        }
+    }
+    // SAFETY: the loops above wrote all of `dst` — `kc` block rows of every
+    // panel, each `piece.len()` values plus zero padding to `MM_NR` — and
+    // `MaybeUninit<E>` has `E`'s layout.
+    unsafe { &*(dst as *const [MaybeUninit<E>] as *const [E]) }
+}
+
+/// `matmul` kernel for one chunk of output rows: per shared-dimension block
+/// and 16-column panel (packed by [`pack_slice`]), each pair of rows (then
+/// a last single row) accumulates its `1 × 16` segments in locals across
+/// the block and stores them once. Per output element the adds run in
+/// ascending-`kk` order, one product at a time into the same accumulator:
+/// from zero on the first block, from the stored value after (exact).
 fn matmul_chunk<E: Element>(
     a: &[f32],
     k: usize,
-    bp: &[E],
+    b: &[f32],
     n: usize,
     chunk: &mut [f32],
     range: Range<usize>,
 ) {
-    for jb in (0..n).step_by(MM_NR) {
-        let jw = (n - jb).min(MM_NR);
-        let panel = &bp[jb * k..jb * k + k * jw];
-        let mut local = 0;
-        while local + 2 <= range.len() {
-            let i = range.start + local;
-            let acc = matmul_tile::<E, 2>(&a[i * k..(i + 2) * k], k, panel, jw);
-            for (t, row) in acc.iter().enumerate() {
-                let at = (local + t) * n + jb;
-                chunk[at..at + jw].copy_from_slice(&row[..jw]);
+    let mut buf = [MaybeUninit::<E>::uninit(); MM_SLICE];
+    for kb in (0..k).step_by(MM_KC) {
+        let kc = (k - kb).min(MM_KC);
+        for jb in (0..n).step_by(MM_NR) {
+            let jw = (n - jb).min(MM_NR);
+            let panel = pack_slice(b, n, kb..kb + kc, jb, jw, &mut buf);
+            let mut local = 0;
+            while local < range.len() {
+                let i = range.start + local;
+                let (a_rows, c) = (&a[i * k + kb..], &mut chunk[local * n + jb..]);
+                if local + 2 <= range.len() {
+                    matmul_tile::<E, 2>(a_rows, k, panel, c, n, jw, kb == 0);
+                    local += 2;
+                } else {
+                    matmul_tile::<E, 1>(a_rows, k, panel, c, n, jw, kb == 0);
+                    local += 1;
+                }
             }
-            local += 2;
-        }
-        if local < range.len() {
-            let i = range.start + local;
-            let acc = matmul_tile::<E, 1>(&a[i * k..(i + 1) * k], k, panel, jw);
-            let at = local * n + jb;
-            chunk[at..at + jw].copy_from_slice(&acc[0][..jw]);
         }
     }
 }
 
-/// `RB` rows of `a` (row-major, `RB × k`) times one packed `k × jw`
-/// micro-panel, `jw ≤ MM_NR`; columns past `jw` of the result stay zero.
+/// `RB` rows of `a` (row stride `k`, from the block's first column) times
+/// one packed `kc × 16` panel into the `RB × jw` window of `c` (row stride
+/// `n`), starting from zero when `first` and from `c` otherwise.
 #[inline(always)]
 fn matmul_tile<E: Element, const RB: usize>(
     a: &[f32],
     k: usize,
     panel: &[E],
+    c: &mut [f32],
+    n: usize,
     jw: usize,
-) -> [[f32; MM_NR]; RB] {
+    first: bool,
+) {
     let mut acc = [[0.0f32; MM_NR]; RB];
-    let mut step = |kk: usize, b_row: &[E]| {
+    if !first {
+        for (t, row) in acc.iter_mut().enumerate() {
+            row[..jw].copy_from_slice(&c[t * n..t * n + jw]);
+        }
+    }
+    for (kk, b_row) in panel.chunks_exact(MM_NR).enumerate() {
         for (t, row) in acc.iter_mut().enumerate() {
             let av = a[t * k + kk];
             for (o, &v) in row.iter_mut().zip(b_row) {
                 *o += av * v.to_f32();
             }
         }
-    };
-    if jw == MM_NR {
-        // Constant trip count: the accumulators stay in vector registers.
-        for (kk, b_row) in panel.chunks_exact(MM_NR).enumerate() {
-            step(kk, b_row);
-        }
-    } else {
-        for (kk, b_row) in panel.chunks_exact(jw).enumerate() {
-            step(kk, b_row);
-        }
     }
-    acc
+    for (t, row) in acc.iter().enumerate() {
+        c[t * n..t * n + jw].copy_from_slice(&row[..jw]);
+    }
 }
 
 /// `matmul_at_b` kernel for one chunk of output rows (a `kk` band): stream
@@ -1082,145 +1046,145 @@ fn matmul_a_bt_chunk<E: Element>(
 }
 
 // ---------------------------------------------------------------------------
-// SIMD microkernels (AVX2+FMA via the f32x8 wrapper; called only when
-// `simd::active()`). Each output element's accumulation chain depends only
-// on global geometry (panel offsets, j-tile boundaries, shared-dimension
-// blocks), never on how rows were chunked — that is the bit-identity-
-// across-pool-sizes argument.
+// SIMD microkernels, one source for both widths: generic over the register
+// type `V` ([`F32x8`] or [`F32x16`]) and compiled once per width inside the
+// `simd_entry!` entries below (called only when `Backend::isa` verified the
+// features). Each output element's accumulation chain depends only on
+// global geometry (shared-dimension blocks), never on how rows were chunked
+// or which register tile (full or remainder, 8 or 16 lanes) computed it —
+// the bit-identity argument across pool sizes and across widths.
 // ---------------------------------------------------------------------------
 
-/// `matmul` register tile: `RB` rows × one micro-panel (16 columns, or
-/// 8 + scalar columns of a narrower last panel) over one shared-dimension
-/// block of `kc` steps. The accumulators start from zero on the first
-/// block and from the stored `C` tile on later ones, so per output element
-/// the chain is `acc = fma(a[i,kk], b[kk,j], acc)` over ascending `kk`
-/// across the whole shared dimension — blocking stores and reloads the
-/// running value (exact) and never splits the chain, and the chain is the
-/// same in every tile height, so chunk splits can't change bits.
+/// `matmul` register tile: `RB` rows × `NV` vectors of a packed slice over
+/// one shared-dimension block of `kc` steps, writing the first `cols`
+/// columns of the `C` window. Vector `v` covers slice columns `c = v·LANES
+/// ..`: panel `c / 16` at offset `c % 16`. The accumulators start from zero
+/// on the first block and from the stored `C` tile on later ones, so per
+/// output element the chain is `acc = fma(a[i,kk], b[kk,j], acc)` over
+/// ascending `kk` across the whole shared dimension — blocking stores and
+/// reloads the running value (exact) and never splits the chain.
 ///
 /// # Safety
-/// Requires AVX2+FMA context. `ap` must be valid for `RB` rows of `kc`
-/// reads at row stride `k`, `panel` for `kc × jw` reads, `cp` for an
-/// `RB × jw` tile of reads and writes at row stride `n`; `jw ≤ MM_NR`.
+/// Requires the context's features for `V`. `ap` must be valid for `RB`
+/// rows of `kc` reads at row stride `k`, `slice` for the packed panels of
+/// `ceil(cols / 16)` columns × `kc` rows, `cp` for an `RB × cols` tile of
+/// reads and writes at row stride `n`; `cols > (NV - 1)·LANES`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn mm_tile_simd<E: Element, const RB: usize>(
+unsafe fn mm_tile<V: Lanes, E: Element, const RB: usize, const NV: usize>(
     ap: *const f32,
     k: usize,
-    panel: *const E,
-    jw: usize,
+    slice: *const E,
     kc: usize,
     cp: *mut f32,
     n: usize,
+    cols: usize,
     first: bool,
 ) {
+    // SAFETY: this function's `# Safety` contract: the caller verified
+    // the features and keeps every pointer in bounds.
     unsafe {
-        if jw == MM_NR {
-            let mut acc = [[F32x8::zero(); 2]; RB];
-            if !first {
-                for (t, av) in acc.iter_mut().enumerate() {
-                    av[0] = F32x8::load(cp.add(t * n));
-                    av[1] = F32x8::load(cp.add(t * n + 8));
-                }
-            }
-            for kk in 0..kc {
-                let bk = panel.add(kk * MM_NR);
-                let b0 = E::load8(bk);
-                let b1 = E::load8(bk.add(8));
-                for (t, av) in acc.iter_mut().enumerate() {
-                    let a = F32x8::splat(*ap.add(t * k + kk));
-                    av[0] = a.mul_add(b0, av[0]);
-                    av[1] = a.mul_add(b1, av[1]);
-                }
-            }
-            for (t, av) in acc.iter().enumerate() {
-                av[0].store(cp.add(t * n));
-                av[1].store(cp.add(t * n + 8));
-            }
-            return;
+        let mut bp = [slice; NV];
+        for (v, p) in bp.iter_mut().enumerate() {
+            let c = v * V::LANES;
+            *p = slice.add(c / MM_NR * kc * MM_NR + c % MM_NR);
         }
-        let mut j = 0;
-        if jw >= 8 {
-            let mut acc = [F32x8::zero(); RB];
-            if !first {
-                for (t, av) in acc.iter_mut().enumerate() {
-                    *av = F32x8::load(cp.add(t * n));
+        let mut acc = [[V::zero(); NV]; RB];
+        if !first {
+            for (t, row) in acc.iter_mut().enumerate() {
+                for (v, x) in row.iter_mut().enumerate() {
+                    *x = V::load_n(cp.add(t * n + v * V::LANES), cols - v * V::LANES);
                 }
             }
-            for kk in 0..kc {
-                let b0 = E::load8(panel.add(kk * jw));
-                for (t, av) in acc.iter_mut().enumerate() {
-                    let a = F32x8::splat(*ap.add(t * k + kk));
-                    *av = a.mul_add(b0, *av);
-                }
-            }
-            for (t, av) in acc.iter().enumerate() {
-                av.store(cp.add(t * n));
-            }
-            j = 8;
         }
-        while j < jw {
-            for t in 0..RB {
-                let o = cp.add(t * n + j);
-                let mut s = if first { 0.0 } else { *o };
-                for kk in 0..kc {
-                    s = (*ap.add(t * k + kk)).mul_add((*panel.add(kk * jw + j)).to_f32(), s);
-                }
-                *o = s;
+        for kk in 0..kc {
+            let mut b = [V::zero(); NV];
+            for (x, p) in b.iter_mut().zip(&bp) {
+                *x = E::load::<V>(p.add(kk * MM_NR));
             }
-            j += 1;
+            for (t, row) in acc.iter_mut().enumerate() {
+                let a = V::splat(*ap.add(t * k + kk));
+                for (x, &bv) in row.iter_mut().zip(&b) {
+                    *x = a.mul_add(bv, *x);
+                }
+            }
+        }
+        for (t, row) in acc.iter().enumerate() {
+            for (v, x) in row.iter().enumerate() {
+                x.store_n(cp.add(t * n + v * V::LANES), cols - v * V::LANES);
+            }
         }
     }
 }
 
 /// `matmul` SIMD chunk kernel: shared-dimension blocks outermost, then
-/// micro-panels, then the chunk's rows in [`MM_MR`]-high register tiles
-/// with one 4-, 2- and 1-row tile for `rows % MM_MR`.
+/// slices of `NV · LANES` columns, each packed by [`pack_slice`] right
+/// before the chunk's rows run over it; the last slice's tiles hold only
+/// as many vectors as its columns need.
+///
+/// # Safety
+/// Requires the context's features for `V`.
 #[inline(always)]
-unsafe fn mm_chunk_simd_impl<E: Element>(
+unsafe fn mm_chunk_impl<V: Lanes, E: Element, const MR: usize, const NV: usize>(
     a: &[f32],
     k: usize,
-    bp: &[E],
+    b: &[f32],
     n: usize,
     chunk: &mut [f32],
     range: Range<usize>,
 ) {
     let rows = range.len();
-    assert!(a.len() >= range.end * k && bp.len() == k * n && chunk.len() == rows * n);
-    let cp = chunk.as_mut_ptr();
-    // SAFETY: AVX2+FMA per this function's contract. The lengths asserted
-    // above bound every access: a tile reads a-rows `range.start + r ..
-    // + RB ≤ range.end` at columns `kb .. kb + kc ≤ k`, rows `kb .. kb +
-    // kc` of the `k × jw` panel at `jb·k`, and the `RB × jw` window at
-    // column `jb` of the chunk's `rows × n` outputs.
-    unsafe {
-        let ap = a.as_ptr().add(range.start * k);
-        for kb in (0..k).step_by(MM_KC) {
-            let kc = (k - kb).min(MM_KC);
-            let first = kb == 0;
-            for jb in (0..n).step_by(MM_NR) {
-                let jw = (n - jb).min(MM_NR);
-                let panel = bp.as_ptr().add(jb * k + kb * jw);
-                let (ab, cb) = (ap.add(kb), cp.add(jb));
-                let mut r = 0;
+    assert!(a.len() >= range.end * k && b.len() == k * n && chunk.len() == rows * n);
+    let width = NV * V::LANES;
+    let mut buf = [MaybeUninit::<E>::uninit(); MM_SLICE];
+    for kb in (0..k).step_by(MM_KC) {
+        let kc = (k - kb).min(MM_KC);
+        let first = kb == 0;
+        for jb in (0..n).step_by(width) {
+            let cols = (n - jb).min(width);
+            let slice = pack_slice(b, n, kb..kb + kc, jb, cols, &mut buf).as_ptr();
+            // SAFETY: the context's features per this function's contract.
+            // The lengths asserted above bound every access: the tiles read
+            // a-rows `range.start .. range.end` at columns `kb .. kb + kc ≤
+            // k`, the packed slice `pack_slice` just wrote for exactly these
+            // `kc` rows and `cols` columns, and the `rows × cols` window at
+            // column `jb` of the chunk's `rows × n` outputs.
+            unsafe {
+                let (ab, cb) = (
+                    a.as_ptr().add(range.start * k + kb),
+                    chunk.as_mut_ptr().add(jb),
+                );
+                // The chunk's rows over the slice: `MR`-row tiles, then one
+                // 4-, 2- and 1-row tile for `rows % MR`.
                 macro_rules! tile {
-                    ($rb:expr) => {{
-                        let (at, ct) = (ab.add(r * k), cb.add(r * n));
-                        mm_tile_simd::<E, { $rb }>(at, k, panel, jw, kc, ct, n, first);
-                        r += $rb;
+                    ($r:expr, $rb:expr, $nv:expr, $cols:expr) => {{
+                        let (at, ct) = (ab.add($r * k), cb.add($r * n));
+                        mm_tile::<V, E, { $rb }, { $nv }>(at, k, slice, kc, ct, n, $cols, first);
+                        $r += $rb;
                     }};
                 }
-                while r + MM_MR <= rows {
-                    tile!(MM_MR);
+                macro_rules! rows {
+                    ($nv:expr, $cols:expr) => {{
+                        let mut r = 0;
+                        while r + MR <= rows {
+                            tile!(r, MR, $nv, $cols);
+                        }
+                        if r + 4 <= rows {
+                            tile!(r, 4, $nv, $cols);
+                        }
+                        if r + 2 <= rows {
+                            tile!(r, 2, $nv, $cols);
+                        }
+                        while r < rows {
+                            tile!(r, 1, $nv, $cols);
+                        }
+                    }};
                 }
-                if r + 4 <= rows {
-                    tile!(4);
-                }
-                if r + 2 <= rows {
-                    tile!(2);
-                }
-                while r < rows {
-                    tile!(1);
+                match cols.div_ceil(V::LANES) {
+                    _ if cols == width => rows!(NV, width),
+                    1 => rows!(1, cols),
+                    2 => rows!(2, cols),
+                    _ => rows!(NV, cols),
                 }
             }
         }
@@ -1232,14 +1196,15 @@ unsafe fn mm_chunk_simd_impl<E: Element>(
 /// place (contiguous `jw`-element pieces), each output vector is loaded
 /// once (or started from zero when `first`), takes its `KU` FMAs in
 /// ascending `k` and is stored back into the L1-resident output tile; the
-/// `jw % 8` columns run the same chain on scalar `mul_add`.
+/// `jw % LANES` columns run the same chain on a partial vector.
 ///
 /// # Safety
-/// Requires AVX2+FMA context. `ap` must be valid for `RB` rows of `KU`
-/// reads at row stride `k`, `bp` for `KU` rows of `jw` reads at row stride
-/// `n`, `cp` for an `RB × jw` tile of reads and writes at row stride `n`.
+/// Requires the context's features for `V`. `ap` must be valid for `RB`
+/// rows of `KU` reads at row stride `k`, `bp` for `KU` rows of `jw` reads
+/// at row stride `n`, `cp` for an `RB × jw` tile of reads and writes at row
+/// stride `n`.
 #[inline(always)]
-unsafe fn mm_skinny_tile_simd<const RB: usize, const KU: usize>(
+unsafe fn mm_skinny_tile<V: Lanes, const RB: usize, const KU: usize>(
     ap: *const f32,
     k: usize,
     bp: *const f32,
@@ -1248,39 +1213,54 @@ unsafe fn mm_skinny_tile_simd<const RB: usize, const KU: usize>(
     cp: *mut f32,
     first: bool,
 ) {
+    // SAFETY: this function's `# Safety` contract: the caller verified
+    // the features and keeps every pointer in bounds.
     unsafe {
-        let mut a = [[F32x8::zero(); KU]; RB];
+        let mut a = [[V::zero(); KU]; RB];
         for (t, row) in a.iter_mut().enumerate() {
             for (u, v) in row.iter_mut().enumerate() {
-                *v = F32x8::splat(*ap.add(t * k + u));
+                *v = V::splat(*ap.add(t * k + u));
             }
         }
         let mut j = 0;
-        while j + simd::LANES <= jw {
-            let mut bv = [F32x8::zero(); KU];
-            for (u, v) in bv.iter_mut().enumerate() {
-                *v = F32x8::load(bp.add(u * n + j));
-            }
-            for (t, row) in a.iter().enumerate() {
-                let o = cp.add(t * n + j);
-                let mut c = if first { F32x8::zero() } else { F32x8::load(o) };
-                for (&av, &b) in row.iter().zip(&bv) {
-                    c = av.mul_add(b, c);
-                }
-                c.store(o);
-            }
-            j += simd::LANES;
+        while j + V::LANES <= jw {
+            mm_skinny_cols::<V, RB, KU>(&a, bp.add(j), n, cp.add(j), V::LANES, first);
+            j += V::LANES;
         }
-        while j < jw {
-            for t in 0..RB {
-                let o = cp.add(t * n + j);
-                let mut c = if first { 0.0 } else { *o };
-                for u in 0..KU {
-                    c = (*ap.add(t * k + u)).mul_add(*bp.add(u * n + j), c);
-                }
-                *o = c;
+        if j < jw {
+            mm_skinny_cols::<V, RB, KU>(&a, bp.add(j), n, cp.add(j), jw - j, first);
+        }
+    }
+}
+
+/// One vector column (`len ≤ LANES` lanes) of [`mm_skinny_tile`], with the
+/// tile's broadcast `a` values.
+///
+/// # Safety
+/// As [`mm_skinny_tile`], for `len` columns.
+#[inline(always)]
+unsafe fn mm_skinny_cols<V: Lanes, const RB: usize, const KU: usize>(
+    a: &[[V; KU]; RB],
+    bp: *const f32,
+    n: usize,
+    cp: *mut f32,
+    len: usize,
+    first: bool,
+) {
+    // SAFETY: this function's `# Safety` contract: the caller verified
+    // the features and keeps every pointer in bounds.
+    unsafe {
+        let mut bv = [V::zero(); KU];
+        for (u, v) in bv.iter_mut().enumerate() {
+            *v = V::load_n(bp.add(u * n), len);
+        }
+        for (t, row) in a.iter().enumerate() {
+            let o = cp.add(t * n);
+            let mut c = if first { V::zero() } else { V::load_n(o, len) };
+            for (&av, &b) in row.iter().zip(&bv) {
+                c = av.mul_add(b, c);
             }
-            j += 1;
+            c.store_n(o, len);
         }
     }
 }
@@ -1292,9 +1272,9 @@ unsafe fn mm_skinny_tile_simd<const RB: usize, const KU: usize>(
 /// in row order.
 ///
 /// # Safety
-/// The executing CPU must support AVX2+FMA.
-#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2,fma"))]
-unsafe fn mm_skinny_chunk_simd(
+/// Requires the context's features for `V`.
+#[inline(always)]
+unsafe fn mm_skinny_impl<V: Lanes>(
     a: &[f32],
     k: usize,
     b: &[f32],
@@ -1305,11 +1285,11 @@ unsafe fn mm_skinny_chunk_simd(
     let rows = range.len();
     assert!(a.len() >= range.end * k && b.len() == k * n && chunk.len() == rows * n);
     let cp = chunk.as_mut_ptr();
-    // SAFETY: AVX2+FMA per this function's contract. The lengths asserted
-    // above bound every access: a tile reads a-rows `range.start + r ..
-    // + RB ≤ range.end` at columns `kk .. kk + KU ≤ k`, rows `kk .. kk + KU`
-    // of `b` at columns `jb .. jb + jw ≤ n`, and the `RB × jw` window at
-    // column `jb` of the chunk's `rows × n` outputs.
+    // SAFETY: the context's features per this function's contract. The
+    // lengths asserted above bound every access: a tile reads a-rows
+    // `range.start + r .. + RB ≤ range.end` at columns `kk .. kk + KU ≤ k`,
+    // rows `kk .. kk + KU` of `b` at columns `jb .. jb + jw ≤ n`, and the
+    // `RB × jw` window at column `jb` of the chunk's `rows × n` outputs.
     unsafe {
         let ap = a.as_ptr().add(range.start * k);
         let bp = b.as_ptr();
@@ -1322,12 +1302,12 @@ unsafe fn mm_skinny_chunk_simd(
                     let mut r = 0;
                     while r + 2 <= rows {
                         let (at, ct) = (ap.add(r * k + kk), cp.add(r * n + jb));
-                        mm_skinny_tile_simd::<2, { $ku }>(at, k, bk, n, jw, ct, first);
+                        mm_skinny_tile::<V, 2, { $ku }>(at, k, bk, n, jw, ct, first);
                         r += 2;
                     }
                     if r < rows {
                         let (at, ct) = (ap.add(r * k + kk), cp.add(r * n + jb));
-                        mm_skinny_tile_simd::<1, { $ku }>(at, k, bk, n, jw, ct, first);
+                        mm_skinny_tile::<V, 1, { $ku }>(at, k, bk, n, jw, ct, first);
                     }
                     kk += $ku;
                 }};
@@ -1342,93 +1322,74 @@ unsafe fn mm_skinny_chunk_simd(
     }
 }
 
-/// `matmul_at_b` row block: `RB` output rows × 16/8/1 columns over one
-/// shared-dimension cache block, register accumulation then one `+=` into
-/// the output — or, with `store` set, into `+0.0` instead of the old
-/// contents, which are then never read (the overwriting entry's first
-/// block). Per element: per block, `o += (fma chain over ascending i)` —
-/// block boundaries are global ([`BLOCK_ROWS`]), so the chain shape is
-/// chunk-independent, and `store` is bitwise the add into a zeroed output.
+/// `matmul_at_b` register tile: `RB` output rows × `NV` vectors (the first
+/// `cols` columns from `j`) over one shared-dimension cache block,
+/// register accumulation then one `+=` into the output — or, with `store`
+/// set, into `+0.0` instead of the old contents, which are then never read
+/// (the overwriting entry's first block). Per element: per block, `o +=
+/// (fma chain over ascending i)` — block boundaries are global
+/// ([`BLOCK_ROWS`]), so the chain shape is chunk- and width-independent,
+/// and `store` is bitwise the add into a zeroed output. `rows` is the
+/// block's shared-dimension range `ib .. iend`, then the tile's first `Aᵀ`
+/// row and first output row.
 ///
 /// # Safety
-/// Requires AVX2+FMA context; all indices in bounds (caller-maintained).
+/// Requires the context's features for `V`; all indices in bounds
+/// (asserted by [`atb_chunk_impl`]); `cols > (NV - 1)·LANES`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn atb_rows_simd<E: Element, const RB: usize>(
+unsafe fn atb_tile<V: Lanes, E: Element, const RB: usize, const NV: usize>(
     at: *const E,
     m: usize,
     bp: *const f32,
     n: usize,
     cp: *mut f32,
-    ib: usize,
-    iend: usize,
-    at_row0: usize,
-    c_row0: usize,
+    rows: (usize, usize, usize, usize),
+    j: usize,
+    cols: usize,
     store: bool,
 ) {
+    let (ib, iend, at_row0, c_row0) = rows;
+    // SAFETY: this function's `# Safety` contract: the caller verified
+    // the features and keeps every pointer in bounds.
     unsafe {
-        let prior = |o: *const f32| {
-            if store {
-                F32x8::zero()
-            } else {
-                F32x8::load(o)
+        let mut acc = [[V::zero(); NV]; RB];
+        for i in ib..iend {
+            let b_row = bp.add(i * n + j);
+            let mut b = [V::zero(); NV];
+            for (v, x) in b.iter_mut().enumerate() {
+                *x = V::load_n(b_row.add(v * V::LANES), cols - v * V::LANES);
             }
-        };
-        let mut j = 0;
-        while j + 16 <= n {
-            let mut acc = [[F32x8::zero(); 2]; RB];
-            for i in ib..iend {
-                let b = bp.add(i * n + j);
-                let b0 = F32x8::load(b);
-                let b1 = F32x8::load(b.add(8));
-                for (t, av) in acc.iter_mut().enumerate() {
-                    let a = F32x8::splat((*at.add((at_row0 + t) * m + i)).to_f32());
-                    av[0] = a.mul_add(b0, av[0]);
-                    av[1] = a.mul_add(b1, av[1]);
+            for (t, row) in acc.iter_mut().enumerate() {
+                let a = V::splat((*at.add((at_row0 + t) * m + i)).to_f32());
+                for (x, &bv) in row.iter_mut().zip(&b) {
+                    *x = a.mul_add(bv, *x);
                 }
             }
-            for (t, av) in acc.iter().enumerate() {
-                let o = cp.add((c_row0 + t) * n + j);
-                prior(o).add(av[0]).store(o);
-                prior(o.add(8)).add(av[1]).store(o.add(8));
-            }
-            j += 16;
         }
-        while j + 8 <= n {
-            let mut acc = [F32x8::zero(); RB];
-            for i in ib..iend {
-                let b0 = F32x8::load(bp.add(i * n + j));
-                for (t, av) in acc.iter_mut().enumerate() {
-                    let a = F32x8::splat((*at.add((at_row0 + t) * m + i)).to_f32());
-                    *av = a.mul_add(b0, *av);
-                }
+        for (t, row) in acc.iter().enumerate() {
+            for (v, x) in row.iter().enumerate() {
+                let (o, len) = (
+                    cp.add((c_row0 + t) * n + j + v * V::LANES),
+                    cols - v * V::LANES,
+                );
+                let prior = if store { V::zero() } else { V::load_n(o, len) };
+                prior.add(*x).store_n(o, len);
             }
-            for (t, av) in acc.iter().enumerate() {
-                let o = cp.add((c_row0 + t) * n + j);
-                prior(o).add(*av).store(o);
-            }
-            j += 8;
-        }
-        while j < n {
-            for t in 0..RB {
-                let mut s = 0.0f32;
-                for i in ib..iend {
-                    s = ((*at.add((at_row0 + t) * m + i)).to_f32()).mul_add(*bp.add(i * n + j), s);
-                }
-                let o = cp.add((c_row0 + t) * n + j);
-                *o = if store { 0.0 } else { *o } + s;
-            }
-            j += 1;
         }
     }
 }
 
 /// `matmul_at_b` SIMD chunk kernel: shared-dimension blocks outermost (as
-/// in the scalar kernel), output rows in [`ATB_MR`]-high register tiles.
-/// Unless accumulating, the first block stores and later blocks add, so
-/// the output's old contents are never loaded.
+/// in the scalar kernel), output rows in `MR`-high bands, then one 4-, 2-
+/// and 1-row band for `rows % MR`. Unless accumulating, the first block
+/// stores and later blocks add, so the output's old contents are never
+/// loaded.
+///
+/// # Safety
+/// Requires the context's features for `V`.
 #[inline(always)]
-unsafe fn atb_chunk_simd_impl<E: Element>(
+unsafe fn atb_chunk_impl<V: Lanes, E: Element, const MR: usize>(
     at: &[E],
     m: usize,
     b: &[f32],
@@ -1438,32 +1399,58 @@ unsafe fn atb_chunk_simd_impl<E: Element>(
     accumulate: bool,
 ) {
     let rows = range.len();
-    let atp = at.as_ptr();
-    let bp = b.as_ptr();
-    let cp = chunk.as_mut_ptr();
+    assert!(at.len() >= range.end * m && b.len() == m * n && chunk.len() == rows * n);
+    let (atp, bp, cp) = (at.as_ptr(), b.as_ptr(), chunk.as_mut_ptr());
     for ib in (0..m).step_by(BLOCK_ROWS) {
-        let iend = (ib + BLOCK_ROWS).min(m);
-        let store = ib == 0 && !accumulate;
-        let mut r = 0;
+        let (iend, store) = ((ib + BLOCK_ROWS).min(m), ib == 0 && !accumulate);
+        // SAFETY: the context's features per this function's contract. The
+        // lengths asserted above bound every access: a band reads `Aᵀ` rows
+        // `range.start + r .. + RB ≤ range.end` at columns `ib .. iend ≤ m`,
+        // those rows of `b`, and its `RB × n` rows of the chunk's outputs.
         unsafe {
-            while r + ATB_MR <= rows {
-                atb_rows_simd::<E, ATB_MR>(atp, m, bp, n, cp, ib, iend, range.start + r, r, store);
-                r += ATB_MR;
+            let (mut r, wide, one) = (0, ATB_NV * V::LANES, V::LANES);
+            // One band of `$rb` rows: `ATB_NV`-vector tiles across the
+            // columns, then single vectors, then a partial one for the rest.
+            macro_rules! band {
+                ($rb:expr) => {{
+                    let (rows, mut j) = ((ib, iend, range.start + r, r), 0);
+                    while j + wide <= n {
+                        atb_tile::<V, E, { $rb }, ATB_NV>(atp, m, bp, n, cp, rows, j, wide, store);
+                        j += wide;
+                    }
+                    while j + one <= n {
+                        atb_tile::<V, E, { $rb }, 1>(atp, m, bp, n, cp, rows, j, one, store);
+                        j += one;
+                    }
+                    if j < n {
+                        atb_tile::<V, E, { $rb }, 1>(atp, m, bp, n, cp, rows, j, n - j, store);
+                    }
+                    r += $rb;
+                }};
+            }
+            while r + MR <= rows {
+                band!(MR);
+            }
+            if r + 4 <= rows {
+                band!(4);
+            }
+            if r + 2 <= rows {
+                band!(2);
             }
             while r < rows {
-                atb_rows_simd::<E, 1>(atp, m, bp, n, cp, ib, iend, range.start + r, r, store);
-                r += 1;
+                band!(1);
             }
         }
     }
 }
 
-/// `matmul_a_bt` register tile: `MR` a-rows × `NR` b-rows of lane-wise
+/// `matmul_a_bt` register tile: `MR` a-rows × `NR` b-rows of 8-lane
 /// accumulators over the shared dimension — at 4×3, seven loads feed
 /// twelve FMAs per eight-wide `k` step. Each output element is one 8-lane
 /// FMA chain over ascending `k`, reduced by the fixed [`F32x8::hsum`] tree
 /// and finished by a scalar `mul_add` tail over `k % 8`; the chain's shape
-/// depends on `k` alone, so every tile shape produces the same bits.
+/// depends on `k` alone, so every tile shape (and the 512-bit entry, which
+/// runs these same 8-lane chains in more registers) produces the same bits.
 ///
 /// # Safety
 /// Requires AVX2+FMA context. `ap` must be valid for `MR` rows and `bp`
@@ -1483,7 +1470,7 @@ unsafe fn abt_tile_simd<E: Element, const MR: usize, const NR: usize>(
         while kk + simd::LANES <= k {
             let mut bv = [F32x8::zero(); NR];
             for (c, b) in bv.iter_mut().enumerate() {
-                *b = E::load8(bp.add(c * k + kk));
+                *b = E::load::<F32x8>(bp.add(c * k + kk));
             }
             for (r, row) in acc.iter_mut().enumerate() {
                 let av = F32x8::load(ap.add(r * k + kk));
@@ -1505,13 +1492,13 @@ unsafe fn abt_tile_simd<E: Element, const MR: usize, const NR: usize>(
     }
 }
 
-/// One `MR`-row strip of a column block: [`ABT_NR`]-wide tiles, then
-/// 1-wide tiles for `cols % ABT_NR`.
+/// One `MR`-row strip of a column block: `NR`-wide tiles, then 1-wide
+/// tiles for `cols % NR`.
 ///
 /// # Safety
 /// As [`abt_tile_simd`], for `cols` b-rows and output columns.
 #[inline(always)]
-unsafe fn abt_strip_simd<E: Element, const MR: usize>(
+unsafe fn abt_strip_simd<E: Element, const MR: usize, const NR: usize>(
     ap: *const f32,
     bp: *const E,
     cols: usize,
@@ -1521,9 +1508,9 @@ unsafe fn abt_strip_simd<E: Element, const MR: usize>(
 ) {
     unsafe {
         let mut j = 0;
-        while j + ABT_NR <= cols {
-            abt_tile_simd::<E, MR, ABT_NR>(ap, bp.add(j * k), k, cp.add(j), n);
-            j += ABT_NR;
+        while j + NR <= cols {
+            abt_tile_simd::<E, MR, NR>(ap, bp.add(j * k), k, cp.add(j), n);
+            j += NR;
         }
         while j < cols {
             abt_tile_simd::<E, MR, 1>(ap, bp.add(j * k), k, cp.add(j), n);
@@ -1533,11 +1520,15 @@ unsafe fn abt_strip_simd<E: Element, const MR: usize>(
 }
 
 /// `matmul_a_bt` SIMD chunk kernel: both operands are read in place. Per
-/// [`ABT_JB`]-row block of `b` (L2-resident), each [`ABT_MR`]-row strip of
-/// `a` stays in L1 while the block's b-rows stream past it; `rows % ABT_MR`
-/// strips are 1-row.
+/// [`ABT_JB`]-row block of `b` (L2-resident), each `MR`-row strip of `a`
+/// stays in L1 while the block's b-rows stream past it; `rows % MR` strips
+/// are 1-row.
+///
+/// # Safety
+/// Requires AVX2+FMA context (and AVX-512VL for more than 16 registers'
+/// worth of tile).
 #[inline(always)]
-unsafe fn abt_chunk_simd_impl<E: Element>(
+unsafe fn abt_chunk_impl<E: Element, const MR: usize, const NR: usize>(
     a: &[f32],
     k: usize,
     b: &[E],
@@ -1549,58 +1540,65 @@ unsafe fn abt_chunk_simd_impl<E: Element>(
     assert!(a.len() >= range.end * k && b.len() == n * k && chunk.len() == rows * n);
     let bp = b.as_ptr();
     let cp = chunk.as_mut_ptr();
-    // SAFETY: AVX2+FMA per this function's contract. The lengths asserted
-    // above bound every access: a strip reads a-rows `range.start + r ..
-    // + MR ≤ range.end`, b-rows `jb .. jb + cols ≤ n`, and writes that
-    // `MR × cols` window of the chunk's `rows × n` outputs.
+    // SAFETY: the context's features per this function's contract. The
+    // lengths asserted above bound every access: a strip reads a-rows
+    // `range.start + r .. + MR ≤ range.end`, b-rows `jb .. jb + cols ≤ n`,
+    // and writes that `MR × cols` window of the chunk's `rows × n` outputs.
     unsafe {
         let ap = a.as_ptr().add(range.start * k);
         for jb in (0..n).step_by(ABT_JB) {
             let cols = (n - jb).min(ABT_JB);
             let (bj, cj) = (bp.add(jb * k), cp.add(jb));
             let mut r = 0;
-            while r + ABT_MR <= rows {
-                abt_strip_simd::<E, ABT_MR>(ap.add(r * k), bj, cols, k, cj.add(r * n), n);
-                r += ABT_MR;
+            while r + MR <= rows {
+                abt_strip_simd::<E, MR, NR>(ap.add(r * k), bj, cols, k, cj.add(r * n), n);
+                r += MR;
             }
             while r < rows {
-                abt_strip_simd::<E, 1>(ap.add(r * k), bj, cols, k, cj.add(r * n), n);
+                abt_strip_simd::<E, 1, NR>(ap.add(r * k), bj, cols, k, cj.add(r * n), n);
                 r += 1;
             }
         }
     }
 }
 
-// Target-feature entry points: `#[target_feature]` cannot sit on trait
-// methods or (portably) on generic fns, so each (kernel, element) pair
-// gets a monomorphic wrapper the `PanelElem` impls forward to. The
+// Target-feature entry points, one per (kernel, width), generic over the
+// storage element: `#[target_feature]` cannot sit on trait methods, and the
 // `#[inline(always)]` impl bodies compile *inside* these wrappers and so
-// inherit the enabled features.
+// inherit the enabled features. The tile shapes are the module doc's table.
 macro_rules! simd_entry {
-    ($name:ident, $impl_fn:ident, $e:ty, ($($arg:ident: $ty:ty),*)) => {
+    ($features:literal, $name:ident $(<$e:ident>)?, $impl_fn:ident::<$($p:tt),*>,
+     ($($arg:ident: $ty:ty),*)) => {
         /// # Safety
-        /// The executing CPU must support AVX2+FMA.
-        #[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2,fma"))]
-        unsafe fn $name($($arg: $ty),*) {
-            unsafe { $impl_fn::<$e>($($arg),*) }
+        /// The executing CPU must support every feature this entry enables.
+        #[cfg_attr(target_arch = "x86_64", target_feature(enable = $features))]
+        unsafe fn $name$(<$e: Element>)?($($arg: $ty),*) {
+            $impl_fn::<$($p),*>($($arg),*)
         }
     };
 }
 
-simd_entry!(mm_chunk_simd_f32, mm_chunk_simd_impl, f32,
-    (a: &[f32], k: usize, bp: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>));
-simd_entry!(mm_chunk_simd_bf16, mm_chunk_simd_impl, u16,
-    (a: &[f32], k: usize, bp: &[u16], n: usize, chunk: &mut [f32], range: Range<usize>));
-simd_entry!(atb_chunk_simd_f32, atb_chunk_simd_impl, f32,
-    (at: &[f32], m: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>,
-     accumulate: bool));
-simd_entry!(atb_chunk_simd_bf16, atb_chunk_simd_impl, u16,
-    (at: &[u16], m: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>,
-     accumulate: bool));
-simd_entry!(abt_chunk_simd_f32, abt_chunk_simd_impl, f32,
+simd_entry!("avx2,fma", mm_chunk_256<E>, mm_chunk_impl::<F32x8, E, MM_MR_256, MM_NV_256>,
     (a: &[f32], k: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>));
-simd_entry!(abt_chunk_simd_bf16, abt_chunk_simd_impl, u16,
-    (a: &[f32], k: usize, b: &[u16], n: usize, chunk: &mut [f32], range: Range<usize>));
+simd_entry!("avx2,fma,avx512f,avx512vl", mm_chunk_512<E>,
+    mm_chunk_impl::<F32x16, E, MM_MR_512, MM_NV_512>,
+    (a: &[f32], k: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>));
+simd_entry!("avx2,fma", mm_skinny_256, mm_skinny_impl::<F32x8>,
+    (a: &[f32], k: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>));
+simd_entry!("avx2,fma,avx512f,avx512vl", mm_skinny_512, mm_skinny_impl::<F32x16>,
+    (a: &[f32], k: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>));
+simd_entry!("avx2,fma", atb_chunk_256<E>, atb_chunk_impl::<F32x8, E, ATB_MR_256>,
+    (at: &[E], m: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>,
+     accumulate: bool));
+simd_entry!("avx2,fma,avx512f,avx512vl", atb_chunk_512<E>,
+    atb_chunk_impl::<F32x16, E, ATB_MR_512>,
+    (at: &[E], m: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>,
+     accumulate: bool));
+simd_entry!("avx2,fma", abt_chunk_256<E>, abt_chunk_impl::<E, ABT_MR_256, ABT_NR_256>,
+    (a: &[f32], k: usize, b: &[E], n: usize, chunk: &mut [f32], range: Range<usize>));
+simd_entry!("avx2,fma,avx512f,avx512vl", abt_chunk_512<E>,
+    abt_chunk_impl::<E, ABT_MR_512, ABT_NR_512>,
+    (a: &[f32], k: usize, b: &[E], n: usize, chunk: &mut [f32], range: Range<usize>));
 
 #[cfg(test)]
 mod tests {

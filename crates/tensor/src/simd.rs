@@ -1,32 +1,40 @@
-//! Thin portable `f32x8` SIMD wrapper over `std::arch` x86-64 AVX2+FMA.
+//! Thin portable SIMD wrappers over `std::arch` x86-64: [`F32x8`] (AVX2+FMA,
+//! 256 bits) and [`F32x16`] (AVX-512F, 512 bits).
 //!
 //! The GEMM microkernels and BLAS-1 hot loops in this crate are written
-//! against [`F32x8`] — eight `f32` lanes with fused multiply-add — instead
-//! of raw intrinsics, so exactly one module knows the ISA. The dispatch
+//! against the [`Lanes`] trait — a register of `f32` lanes with fused
+//! multiply-add, bf16 widening loads and masked partial loads/stores —
+//! instead of raw intrinsics, so exactly one module knows the ISA. The GEMM
+//! tiles are generic over it and compile once per width; the BLAS-1 loops
+//! and `matmul_a_bt`'s lane-wise chains stay on [`F32x8`]. The dispatch
 //! policy is:
 //!
 //! * [`active`] reports (once, cached) whether the vector path may run:
 //!   x86-64 with AVX2 **and** FMA detected at runtime, and the
-//!   `force-scalar` cargo feature off. Every kernel keeps the scalar
-//!   4×-unrolled path as the guaranteed fallback; callers read `active()`
-//!   once per operation so a single call never mixes backends.
-//! * On non-x86-64 targets [`F32x8`] falls back to a plain `[f32; 8]`
-//!   array (compiled, never selected — `active()` is `false` there), so
-//!   the kernels stay portable source.
+//!   `force-scalar` cargo feature off. Every kernel keeps the scalar path
+//!   as the guaranteed fallback; callers read `active()` once per
+//!   operation so a single call never mixes backends.
+//! * [`wide`] reports (once, cached) whether the GEMMs may use 512 bits:
+//!   `active()` plus AVX-512 F and VL detected at runtime. There is no
+//!   setting: the width is the host's.
+//! * On non-x86-64 targets both types fall back to plain arrays (compiled,
+//!   never selected — `active()` is `false` there), so the kernels stay
+//!   portable source.
 //!
 //! **Determinism contract** (see DESIGN.md): the scalar path is the
-//! cross-platform reference; the SIMD path is deterministic *per ISA* —
-//! the same machine always produces the same bits at every pool size, but
-//! SIMD bits differ from scalar bits within a documented ULP bound because
-//! FMA skips the intermediate product rounding and the lane reductions
-//! associate differently.
+//! cross-platform reference; the SIMD path is deterministic *per ISA
+//! family* — the same bits at every pool size, and **the same bits at 256
+//! and 512 bits**, because a wider register only computes more output
+//! elements side by side and never changes one element's chain. SIMD bits
+//! differ from scalar bits within a documented ULP bound because FMA skips
+//! the intermediate product rounding and the lane reductions associate
+//! differently.
 //!
 //! The module also owns the **bf16 storage type** used by the
 //! mixed-precision GEMM path: pure-Rust `u16` round-to-nearest-even
-//! conversion (no dependencies), widening loads that convert eight bf16
-//! values to `f32` lanes (exact — bf16 is a prefix of f32), and the
-//! [`Element`] trait that lets one packed-panel kernel serve both storage
-//! types.
+//! conversion (no dependencies), widening loads that convert bf16 values
+//! to `f32` lanes (exact — bf16 is a prefix of f32), and the [`Element`]
+//! trait that lets one packed-panel kernel serve both storage types.
 
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::*;
@@ -53,82 +61,219 @@ pub fn active() -> bool {
     }
 }
 
-/// Eight `f32` lanes. On x86-64 this is an AVX `__m256`; elsewhere a plain
-/// array so the kernels compile unchanged (and are never selected).
+/// Whether the GEMMs may run their 512-bit kernels on this host: [`active`]
+/// and AVX-512 F and VL detected at runtime. Cached after the first call.
+pub fn wide() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static WIDE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        active()
+            && *WIDE.get_or_init(|| {
+                std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx512vl")
+            })
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// A register of `f32` lanes: the one interface the GEMM tiles are written
+/// against, so a tile compiles at either width without a second source.
 ///
 /// # Safety
 /// Every method is `unsafe`: on x86-64 the caller must guarantee the
-/// executing CPU supports AVX2+FMA (i.e. [`active`] returned `true`) and
-/// must call from within a `#[target_feature(enable = "avx2,fma")]`
-/// context for the intrinsics to compile to single instructions.
+/// executing CPU supports the type's instruction set ([`active`] for
+/// [`F32x8`], [`wide`] for [`F32x16`]) and must call from within a
+/// matching `#[target_feature]` context for the intrinsics to compile to
+/// single instructions. Pointer arguments must be valid for the reads or
+/// writes each method names.
+#[allow(clippy::missing_safety_doc)]
+pub trait Lanes: Copy {
+    /// Lanes per register.
+    const LANES: usize;
+    /// All lanes zero.
+    unsafe fn zero() -> Self;
+    /// All lanes `v`.
+    unsafe fn splat(v: f32) -> Self;
+    /// Unaligned load of `LANES` values from `p`.
+    unsafe fn load(p: *const f32) -> Self;
+    /// Widening load of `LANES` bf16 values: each `u16` becomes the high
+    /// half of an `f32` bit pattern — an exact conversion, no rounding.
+    unsafe fn load_bf16(p: *const u16) -> Self;
+    /// Unaligned store of `LANES` values to `p`.
+    unsafe fn store(self, p: *mut f32);
+    /// The first `len.min(LANES)` lanes from `p`, the rest zero; only those
+    /// `len` values need be readable.
+    unsafe fn load_n(p: *const f32, len: usize) -> Self;
+    /// Store the first `len.min(LANES)` lanes to `p`; nothing past them is
+    /// written.
+    unsafe fn store_n(self, p: *mut f32, len: usize);
+    /// Fused `self * m + a`, one rounding per lane.
+    unsafe fn mul_add(self, m: Self, a: Self) -> Self;
+    /// Lane-wise sum.
+    unsafe fn add(self, o: Self) -> Self;
+}
+
+/// Eight `f32` lanes. On x86-64 this is an AVX `__m256`; elsewhere a plain
+/// array so the kernels compile unchanged (and are never selected). Safety
+/// contract: [`Lanes`]'s, with AVX2+FMA ([`active`]).
 #[derive(Debug, Clone, Copy)]
 #[cfg(target_arch = "x86_64")]
 pub struct F32x8(__m256);
+
+/// Sixteen `f32` lanes. On x86-64 this is an AVX-512 `__m512`; elsewhere a
+/// plain array. Safety contract: [`Lanes`]'s, with AVX-512F ([`wide`]).
+#[derive(Debug, Clone, Copy)]
+#[cfg(target_arch = "x86_64")]
+pub struct F32x16(__m512);
 
 #[derive(Debug, Clone, Copy)]
 #[cfg(not(target_arch = "x86_64"))]
 pub struct F32x8([f32; 8]);
 
-// The safety contract for every method is the type-level one above
-// (AVX2+FMA verified via `active()`, called inside a `target_feature`
-// context); per-method `# Safety` sections would repeat it verbatim.
-#[allow(clippy::missing_safety_doc)]
+#[derive(Debug, Clone, Copy)]
+#[cfg(not(target_arch = "x86_64"))]
+pub struct F32x16([f32; 16]);
+
 #[cfg(target_arch = "x86_64")]
-impl F32x8 {
-    /// All lanes zero.
+impl Lanes for F32x8 {
+    const LANES: usize = 8;
+
     #[inline(always)]
-    pub unsafe fn zero() -> Self {
+    unsafe fn zero() -> Self {
         F32x8(_mm256_setzero_ps())
     }
 
-    /// All lanes `v`.
     #[inline(always)]
-    pub unsafe fn splat(v: f32) -> Self {
+    unsafe fn splat(v: f32) -> Self {
         F32x8(_mm256_set1_ps(v))
     }
 
-    /// Unaligned load of eight lanes from `p`.
-    ///
-    /// # Safety
-    /// `p` must be valid for eight `f32` reads.
     #[inline(always)]
-    pub unsafe fn load(p: *const f32) -> Self {
+    unsafe fn load(p: *const f32) -> Self {
         F32x8(_mm256_loadu_ps(p))
     }
 
-    /// Widening load of eight bf16 values: each `u16` becomes the high half
-    /// of an `f32` bit pattern — an exact conversion, no rounding.
-    ///
-    /// # Safety
-    /// `p` must be valid for eight `u16` reads.
     #[inline(always)]
-    pub unsafe fn load_bf16(p: *const u16) -> Self {
+    unsafe fn load_bf16(p: *const u16) -> Self {
         let half = _mm_loadu_si128(p.cast());
         let wide = _mm256_cvtepu16_epi32(half);
         F32x8(_mm256_castsi256_ps(_mm256_slli_epi32(wide, 16)))
     }
 
-    /// Unaligned store of eight lanes to `p`.
-    ///
-    /// # Safety
-    /// `p` must be valid for eight `f32` writes.
     #[inline(always)]
-    pub unsafe fn store(self, p: *mut f32) {
+    unsafe fn store(self, p: *mut f32) {
         _mm256_storeu_ps(p, self.0)
     }
 
-    /// Fused `self * m + a`, one rounding per lane.
     #[inline(always)]
-    pub unsafe fn mul_add(self, m: Self, a: Self) -> Self {
+    unsafe fn load_n(p: *const f32, len: usize) -> Self {
+        if len >= 8 {
+            return Self::load(p);
+        }
+        // Masked-off lanes are neither read nor faulted.
+        F32x8(_mm256_maskload_ps(p, mask8(len)))
+    }
+
+    #[inline(always)]
+    unsafe fn store_n(self, p: *mut f32, len: usize) {
+        if len >= 8 {
+            return self.store(p);
+        }
+        _mm256_maskstore_ps(p, mask8(len), self.0)
+    }
+
+    #[inline(always)]
+    unsafe fn mul_add(self, m: Self, a: Self) -> Self {
         F32x8(_mm256_fmadd_ps(self.0, m.0, a.0))
     }
 
-    /// Lane-wise sum.
     #[inline(always)]
-    pub unsafe fn add(self, o: Self) -> Self {
+    unsafe fn add(self, o: Self) -> Self {
         F32x8(_mm256_add_ps(self.0, o.0))
     }
+}
 
+/// The AVX2 lane mask selecting lanes `0 .. len` (`len < 8`).
+///
+/// # Safety
+/// As [`Lanes`] for [`F32x8`].
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn mask8(len: usize) -> __m256i {
+    _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(len as i32),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+    )
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes for F32x16 {
+    const LANES: usize = 16;
+
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        F32x16(_mm512_setzero_ps())
+    }
+
+    #[inline(always)]
+    unsafe fn splat(v: f32) -> Self {
+        F32x16(_mm512_set1_ps(v))
+    }
+
+    #[inline(always)]
+    unsafe fn load(p: *const f32) -> Self {
+        F32x16(_mm512_loadu_ps(p))
+    }
+
+    #[inline(always)]
+    unsafe fn load_bf16(p: *const u16) -> Self {
+        let half = _mm256_loadu_si256(p.cast());
+        let wide = _mm512_cvtepu16_epi32(half);
+        F32x16(_mm512_castsi512_ps(_mm512_slli_epi32::<16>(wide)))
+    }
+
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f32) {
+        _mm512_storeu_ps(p, self.0)
+    }
+
+    #[inline(always)]
+    unsafe fn load_n(p: *const f32, len: usize) -> Self {
+        if len >= 16 {
+            return Self::load(p);
+        }
+        // Masked-off lanes are neither read nor faulted.
+        F32x16(_mm512_maskz_loadu_ps((1 << len) - 1, p))
+    }
+
+    #[inline(always)]
+    unsafe fn store_n(self, p: *mut f32, len: usize) {
+        if len >= 16 {
+            return self.store(p);
+        }
+        _mm512_mask_storeu_ps(p, (1 << len) - 1, self.0)
+    }
+
+    #[inline(always)]
+    unsafe fn mul_add(self, m: Self, a: Self) -> Self {
+        F32x16(_mm512_fmadd_ps(self.0, m.0, a.0))
+    }
+
+    #[inline(always)]
+    unsafe fn add(self, o: Self) -> Self {
+        F32x16(_mm512_add_ps(self.0, o.0))
+    }
+}
+
+// The safety contract for every method is the type-level one on `Lanes`
+// (AVX2+FMA verified via `active()`, called inside a `target_feature`
+// context); per-method `# Safety` sections would repeat it verbatim.
+#[allow(clippy::missing_safety_doc)]
+#[cfg(target_arch = "x86_64")]
+impl F32x8 {
     /// Lane-wise product.
     #[inline(always)]
     pub unsafe fn mul(self, o: Self) -> Self {
@@ -140,6 +285,15 @@ impl F32x8 {
     #[inline(always)]
     pub unsafe fn max(self, o: Self) -> Self {
         F32x8(_mm256_max_ps(o.0, self.0))
+    }
+
+    /// `self` with `+0.0` in every lane whose `key` is `<= 0.0`. The
+    /// compare is ordered, so a NaN `key` keeps its lane — the select
+    /// `if key <= 0.0 { 0.0 } else { self }`, lane by lane.
+    #[inline(always)]
+    pub unsafe fn zero_where_le_zero(self, key: Self) -> Self {
+        let le = _mm256_cmp_ps::<_CMP_LE_OQ>(key.0, _mm256_setzero_ps());
+        F32x8(_mm256_andnot_ps(le, self.0))
     }
 
     /// Horizontal sum with a fixed pairwise tree:
@@ -156,90 +310,101 @@ impl F32x8 {
     }
 }
 
+/// The array fallback of one lane type: plain per-lane arithmetic (the
+/// same contract, never selected at run time).
+#[cfg(not(target_arch = "x86_64"))]
+macro_rules! array_lanes {
+    ($t:ident, $n:expr) => {
+        impl Lanes for $t {
+            const LANES: usize = $n;
+
+            #[inline(always)]
+            unsafe fn zero() -> Self {
+                $t([0.0; $n])
+            }
+
+            #[inline(always)]
+            unsafe fn splat(v: f32) -> Self {
+                $t([v; $n])
+            }
+
+            #[inline(always)]
+            unsafe fn load(p: *const f32) -> Self {
+                Self::load_n(p, $n)
+            }
+
+            #[inline(always)]
+            unsafe fn load_bf16(p: *const u16) -> Self {
+                $t(std::array::from_fn(|i| bf16_to_f32(*p.add(i))))
+            }
+
+            #[inline(always)]
+            unsafe fn store(self, p: *mut f32) {
+                self.store_n(p, $n)
+            }
+
+            #[inline(always)]
+            unsafe fn load_n(p: *const f32, len: usize) -> Self {
+                $t(std::array::from_fn(
+                    |i| if i < len { *p.add(i) } else { 0.0 },
+                ))
+            }
+
+            #[inline(always)]
+            unsafe fn store_n(self, p: *mut f32, len: usize) {
+                for (i, v) in self.0.iter().enumerate().take(len) {
+                    *p.add(i) = *v;
+                }
+            }
+
+            #[inline(always)]
+            unsafe fn mul_add(self, m: Self, a: Self) -> Self {
+                $t(std::array::from_fn(|i| self.0[i].mul_add(m.0[i], a.0[i])))
+            }
+
+            #[inline(always)]
+            unsafe fn add(self, o: Self) -> Self {
+                $t(std::array::from_fn(|i| self.0[i] + o.0[i]))
+            }
+        }
+    };
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+array_lanes!(F32x8, 8);
+#[cfg(not(target_arch = "x86_64"))]
+array_lanes!(F32x16, 16);
+
 // Same type-level safety contract as the x86-64 impl (and this fallback
-// is plain safe arithmetic besides the raw pointer loads/stores).
+// is plain safe arithmetic).
 #[allow(clippy::missing_safety_doc)]
 #[cfg(not(target_arch = "x86_64"))]
 impl F32x8 {
     #[inline(always)]
-    pub unsafe fn zero() -> Self {
-        F32x8([0.0; 8])
-    }
-
-    #[inline(always)]
-    pub unsafe fn splat(v: f32) -> Self {
-        F32x8([v; 8])
-    }
-
-    /// # Safety
-    /// `p` must be valid for eight `f32` reads.
-    #[inline(always)]
-    pub unsafe fn load(p: *const f32) -> Self {
-        let mut out = [0.0; 8];
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = unsafe { *p.add(i) };
-        }
-        F32x8(out)
-    }
-
-    /// # Safety
-    /// `p` must be valid for eight `u16` reads.
-    #[inline(always)]
-    pub unsafe fn load_bf16(p: *const u16) -> Self {
-        let mut out = [0.0; 8];
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = bf16_to_f32(unsafe { *p.add(i) });
-        }
-        F32x8(out)
-    }
-
-    /// # Safety
-    /// `p` must be valid for eight `f32` writes.
-    #[inline(always)]
-    pub unsafe fn store(self, p: *mut f32) {
-        for (i, v) in self.0.iter().enumerate() {
-            unsafe { *p.add(i) = *v };
-        }
-    }
-
-    #[inline(always)]
-    pub unsafe fn mul_add(self, m: Self, a: Self) -> Self {
-        let mut out = [0.0; 8];
-        for i in 0..8 {
-            out[i] = self.0[i].mul_add(m.0[i], a.0[i]);
-        }
-        F32x8(out)
-    }
-
-    #[inline(always)]
-    pub unsafe fn add(self, o: Self) -> Self {
-        let mut out = [0.0; 8];
-        for i in 0..8 {
-            out[i] = self.0[i] + o.0[i];
-        }
-        F32x8(out)
-    }
-
-    #[inline(always)]
     pub unsafe fn mul(self, o: Self) -> Self {
-        let mut out = [0.0; 8];
-        for i in 0..8 {
-            out[i] = self.0[i] * o.0[i];
-        }
-        F32x8(out)
+        F32x8(std::array::from_fn(|i| self.0[i] * o.0[i]))
     }
 
     #[inline(always)]
     pub unsafe fn max(self, o: Self) -> Self {
-        let mut out = [0.0; 8];
-        for i in 0..8 {
-            out[i] = if self.0[i].is_nan() || o.0[i] > self.0[i] {
+        F32x8(std::array::from_fn(|i| {
+            if self.0[i].is_nan() || o.0[i] > self.0[i] {
                 o.0[i]
             } else {
                 self.0[i]
-            };
-        }
-        F32x8(out)
+            }
+        }))
+    }
+
+    #[inline(always)]
+    pub unsafe fn zero_where_le_zero(self, key: Self) -> Self {
+        F32x8(std::array::from_fn(|i| {
+            if key.0[i] <= 0.0 {
+                0.0
+            } else {
+                self.0[i]
+            }
+        }))
     }
 
     /// Same pairwise tree as the x86 path.
@@ -272,18 +437,20 @@ pub fn bf16_to_f32(b: u16) -> f32 {
 
 /// A packed-panel storage element: `f32` for the full-precision path, bf16
 /// (`u16`) for the mixed path. Panels are written with [`Element::pack`]
-/// and read back (scalar or eight lanes at once) as `f32`, so one kernel
-/// body serves both precisions with accumulation always in `f32`.
+/// and read back (scalar or a register of [`Lanes`] at once) as `f32`, so
+/// one kernel body serves both precisions with accumulation always in
+/// `f32`.
 pub trait Element: Copy + Send + Sync + 'static {
     /// Convert an `f32` into storage (rounds for bf16).
     fn pack(v: f32) -> Self;
     /// Convert storage back to `f32` (exact for both types).
     fn to_f32(self) -> f32;
-    /// Load eight consecutive storage values as `f32` lanes.
+    /// Load `V::LANES` consecutive storage values as `f32` lanes.
     ///
     /// # Safety
-    /// `p` must be valid for eight reads; see [`F32x8`]'s safety contract.
-    unsafe fn load8(p: *const Self) -> F32x8;
+    /// `p` must be valid for `V::LANES` reads; see [`Lanes`]'s safety
+    /// contract.
+    unsafe fn load<V: Lanes>(p: *const Self) -> V;
 }
 
 impl Element for f32 {
@@ -298,8 +465,9 @@ impl Element for f32 {
     }
 
     #[inline(always)]
-    unsafe fn load8(p: *const Self) -> F32x8 {
-        unsafe { F32x8::load(p) }
+    unsafe fn load<V: Lanes>(p: *const Self) -> V {
+        // SAFETY: the caller upholds `load`'s contract, which is `V::load`'s.
+        unsafe { V::load(p) }
     }
 }
 
@@ -315,8 +483,9 @@ impl Element for u16 {
     }
 
     #[inline(always)]
-    unsafe fn load8(p: *const Self) -> F32x8 {
-        unsafe { F32x8::load_bf16(p) }
+    unsafe fn load<V: Lanes>(p: *const Self) -> V {
+        // SAFETY: as for `f32`, with `V::load_bf16`'s identical contract.
+        unsafe { V::load_bf16(p) }
     }
 }
 
@@ -429,6 +598,34 @@ pub unsafe fn relu_dispatch(a: &mut [f32]) {
         }
         while i < n {
             *ap.add(i) = (*ap.add(i)).max(0.0);
+            i += 1;
+        }
+    }
+}
+
+/// Vectorized ReLU backward: `g = if o <= 0.0 { 0.0 } else { g }` per
+/// element as a branch-free select — bit-identical to that scalar select
+/// (a NaN `o` keeps its gradient, `±0.0` zeroes it).
+///
+/// # Safety
+/// The executing CPU must support AVX2+FMA (guaranteed by [`active`]).
+#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2,fma"))]
+pub unsafe fn relu_backward_dispatch(out: &[f32], grad: &mut [f32]) {
+    assert_eq!(out.len(), grad.len());
+    let n = grad.len();
+    let (op, gp) = (out.as_ptr(), grad.as_mut_ptr());
+    // SAFETY: AVX2+FMA per this function's contract; every index is below
+    // `n`, the (asserted equal) length of both slices.
+    unsafe {
+        let mut i = 0;
+        while i + LANES <= n {
+            F32x8::load(gp.add(i))
+                .zero_where_le_zero(F32x8::load(op.add(i)))
+                .store(gp.add(i));
+            i += LANES;
+        }
+        while i < n {
+            *gp.add(i) = if *op.add(i) <= 0.0 { 0.0 } else { *gp.add(i) };
             i += 1;
         }
     }

@@ -433,3 +433,59 @@ fn boundary_shapes_hold_every_gemm_contract() {
         }
     }
 }
+
+/// Announce once per process that the width-agreement property has nothing
+/// to compare on this host.
+fn wide_or_skip() -> bool {
+    static SKIP: std::sync::Once = std::sync::Once::new();
+    let wide = summit_tensor::simd::wide();
+    if !wide {
+        SKIP.call_once(|| eprintln!("skip: no AVX-512 on this host, one SIMD width to compare"));
+    }
+    wide
+}
+
+/// Shared dimensions off the 8-lane step and on both sides of the 64-row
+/// and 256-step blocks.
+const SHARED: [usize; 11] = [1, 7, 9, 63, 64, 65, 100, 255, 256, 257, 515];
+/// Output columns off 32, 16 and 8, below and across a 48-column slice.
+const COLS: [usize; 14] = [1, 7, 8, 9, 15, 16, 17, 31, 33, 47, 48, 49, 97, 261];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The 512-bit kernels are bitwise the 256-bit kernels: all three GEMMs,
+    /// both precisions, parts 1–4. The shapes reach every tail of both
+    /// widths — `n` off 32, 16 and 8 columns, the shared dimension off the
+    /// 8-lane step and across the 64-row and 256-step blocks, `m` off
+    /// every tile height and across the row count where `matmul` stops
+    /// reading `B` in place.
+    #[test]
+    fn wide_kernels_are_bitwise_the_avx2_kernels(
+        m in 1usize..=27,
+        s in (0..SHARED.len()).prop_map(|i| SHARED[i]),
+        n in (0..COLS.len()).prop_map(|i| COLS[i]),
+        variant in 0usize..3,
+        seed in 0u64..1000,
+    ) {
+        if !wide_or_skip() {
+            return Ok(());
+        }
+        let (a, b) = operands(variant, m, s, n, seed);
+        let bits = |x: &Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for prec in [Precision::F32, Precision::Mixed] {
+            for parts in 1..=4 {
+                let mut wide = Matrix::zeros(m, n);
+                let mut narrow = Matrix::zeros(m, n);
+                run(&a, &b, &mut wide, variant, parts, prec, Backend::Auto);
+                run(&a, &b, &mut narrow, variant, parts, prec, Backend::Avx2);
+                prop_assert_eq!(
+                    bits(&wide),
+                    bits(&narrow),
+                    "variant {} {:?} {}x{}x{} parts {}",
+                    variant, prec, m, s, n, parts
+                );
+            }
+        }
+    }
+}
