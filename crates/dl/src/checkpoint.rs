@@ -14,8 +14,8 @@
 
 use summit_pool::chunk_range;
 
-use crate::model::Mlp;
 use crate::optim::{Optimizer, OptimizerState};
+use crate::params::Params;
 
 /// Errors from checkpoint decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,6 +37,14 @@ pub enum CheckpointError {
     },
     /// An optimizer slot name index outside the known registry.
     UnknownSlot(u32),
+    /// An optimizer slot for a group the model does not have, or of
+    /// another length than its group.
+    SlotMismatch {
+        /// The slot's group id.
+        group: u64,
+        /// Values in the slot.
+        len: u64,
+    },
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -54,6 +62,9 @@ impl std::fmt::Display for CheckpointError {
             }
             CheckpointError::UnknownSlot(idx) => {
                 write!(f, "unknown optimizer slot index {idx}")
+            }
+            CheckpointError::SlotMismatch { group, len } => {
+                write!(f, "optimizer slot of {len} values fits no group {group}")
             }
         }
     }
@@ -136,32 +147,42 @@ fn fnv1a_words(words: &[f32]) -> u64 {
 }
 
 impl ElasticCheckpoint {
-    /// Snapshot a model and its optimizer at `step`.
-    pub fn capture(step: u32, model: &Mlp, optimizer: &dyn Optimizer) -> Self {
+    /// Snapshot a model's arena and its optimizer at `step`.
+    pub fn capture(step: u32, arena: &Params, optimizer: &dyn Optimizer) -> Self {
         Self {
             step,
-            params: model.flat_params(),
+            params: arena.params().to_vec(),
             opt: optimizer.export_state(),
         }
     }
 
-    /// Write this snapshot back into a model and optimizer.
+    /// Write this snapshot back into a model's arena and its optimizer.
     ///
     /// # Errors
-    /// [`CheckpointError::ShapeMismatch`] if the parameter counts differ;
-    /// the targets are only written on success.
+    /// [`CheckpointError::ShapeMismatch`] if the parameter counts differ,
+    /// [`CheckpointError::SlotMismatch`] unless every optimizer slot covers
+    /// one whole group of the arena (the recovery driver checkpoints only
+    /// replicated replicas); the targets are only written on success.
     pub fn restore(
         &self,
-        model: &mut Mlp,
+        arena: &mut Params,
         optimizer: &mut dyn Optimizer,
     ) -> Result<(), CheckpointError> {
-        if self.params.len() != model.param_count() {
+        if self.params.len() != arena.param_count() {
             return Err(CheckpointError::ShapeMismatch {
                 checkpoint: self.params.len() as u64,
-                model: model.param_count() as u64,
+                model: arena.param_count() as u64,
             });
         }
-        model.set_flat_params(&self.params);
+        for (_, group, values) in &self.opt.slots {
+            if *group >= arena.group_count() || arena.range(*group).len() != values.len() {
+                return Err(CheckpointError::SlotMismatch {
+                    group: *group as u64,
+                    len: values.len() as u64,
+                });
+            }
+        }
+        arena.set_flat_params(&self.params);
         optimizer.import_state(&self.opt);
         Ok(())
     }
@@ -302,7 +323,7 @@ mod tests {
             model.for_each_group(|id, params, grads| opt.step_group(id, 0.01, params, grads));
             opt.advance();
         }
-        (ElasticCheckpoint::capture(9, &model, &opt), spec)
+        (ElasticCheckpoint::capture(9, model.arena(), &opt), spec)
     }
 
     #[test]
@@ -412,12 +433,39 @@ mod tests {
         let (ck, spec) = trained_snapshot();
         let mut right = spec.build(1);
         let mut opt: Box<dyn crate::optim::Optimizer> = Box::new(Adam::new(0.01, 0.0));
-        ck.restore(&mut right, opt.as_mut()).expect("shapes match");
+        ck.restore(right.arena_mut(), opt.as_mut())
+            .expect("shapes match");
         assert_eq!(right.flat_params(), ck.params);
         let mut wrong = MlpSpec::new(4, &[9], 3).build(1);
         assert!(matches!(
-            ck.restore(&mut wrong, opt.as_mut()),
+            ck.restore(wrong.arena_mut(), opt.as_mut()),
             Err(CheckpointError::ShapeMismatch { .. })
         ));
+    }
+
+    /// A decoded checkpoint whose optimizer slot is one element short of
+    /// its group, or names a group the model lacks, is refused and leaves
+    /// model and optimizer as they were — SGD would otherwise update only
+    /// a prefix of the group, and Adam would panic without naming it.
+    #[test]
+    fn elastic_restore_rejects_a_slot_that_fits_no_group() {
+        use crate::optim::Sgd;
+        let spec = MlpSpec::new(4, &[8], 3);
+        let mut model = spec.build(5);
+        let mut sgd = Sgd::new(0.1, 0.9, 0.0);
+        model.for_each_group(|id, p, g| sgd.step_group(id, 1.0, p, g));
+        let ck = ElasticCheckpoint::capture(1, model.arena(), &sgd);
+        assert_eq!((ck.opt.slots[0].1, ck.opt.slots[0].2.len()), (0, 32));
+        let (mut short, mut foreign) = (ck.clone(), ck);
+        short.opt.slots[0].2.pop();
+        foreign.opt.slots[0].1 = 4;
+        for (forged, (group, len)) in [(short, (0, 31)), (foreign, (4, 32))] {
+            let decoded = ElasticCheckpoint::decode(&forged.encode()).expect("valid stream");
+            let (mut target, mut opt) = (spec.build(1), Sgd::new(0.1, 0.9, 0.0));
+            let err = decoded.restore(target.arena_mut(), &mut opt);
+            assert_eq!(err, Err(CheckpointError::SlotMismatch { group, len }));
+            assert_eq!(target.flat_params(), spec.build(1).flat_params());
+            assert!(opt.export_state().slots.is_empty());
+        }
     }
 }

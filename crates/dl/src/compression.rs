@@ -317,7 +317,7 @@ mod tests {
                 loss = l;
                 model.zero_grads();
                 model.backward(&d);
-                let mut flat = model.flat_grads();
+                let mut flat = model.arena().flat_grads();
                 comp.compress(&mut flat);
                 model.set_flat_grads(&flat);
                 let lr = sched.multiplier(step);

@@ -69,10 +69,7 @@ impl ServableModel {
     /// # Panics
     /// Panics if `flat.len()` does not match the spec's parameter count.
     pub fn from_spec_params(spec: &MlpSpec, flat: &[f32]) -> Self {
-        let mut dims = Vec::with_capacity(spec.hidden.len() + 2);
-        dims.push(spec.inputs);
-        dims.extend_from_slice(&spec.hidden);
-        dims.push(spec.outputs);
+        let dims = spec.dims();
         Self::from_shapes_params(dims.windows(2).map(|d| (d[0], d[1])), flat)
     }
 

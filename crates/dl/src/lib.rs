@@ -8,9 +8,11 @@
 //! This crate implements that core for real, at CPU/laptop scale:
 //!
 //! * [`model`] — multi-layer perceptrons with explicit forward/backward
-//!   passes over [`summit_tensor::Matrix`] batches, flat parameter/gradient
-//!   views for allreduce, and per-layer parameter groups for the layer-wise
-//!   optimizers.
+//!   passes over [`summit_tensor::Matrix`] batches; [`transformer`] and
+//!   [`lm`] — attention models with exact backprop.
+//! * [`params`] — the one parameter/gradient arena every model keeps:
+//!   flat views for allreduce and checkpoints, and parameter groups for the
+//!   layer-wise optimizers.
 //! * [`optim`] — SGD (+momentum, +weight decay), Adam, LARS, LARC and LAMB,
 //!   all sharing the [`optim::Optimizer`] trait; the trust-ratio math
 //!   follows You et al. (LARS/LAMB) and the LARC clipping variant.
@@ -50,6 +52,7 @@ pub mod inference;
 pub mod lm;
 pub mod model;
 pub mod optim;
+pub mod params;
 pub mod recovery;
 pub mod schedule;
 mod step;
@@ -62,6 +65,7 @@ pub use inference::ServableModel;
 pub use lm::TinyLm;
 pub use model::{Mlp, MlpSpec};
 pub use optim::{Adam, Lamb, Larc, Lars, Optimizer, OptimizerState, Sgd};
+pub use params::Params;
 pub use recovery::{
     fault_clock, RecoveryConfig, RecoveryOutcome, Remediation, SUB_COMM, SUB_DRAIN, SUB_PRE,
     SUB_REPART, SUB_VOTE,

@@ -8,23 +8,29 @@
 //! strings. This module provides the executable miniature: a causal
 //! multi-head transformer LM over a small vocabulary that demonstrably
 //! learns synthetic grammars, with every gradient path verified by finite
-//! differences in the underlying modules.
+//! differences in the underlying modules. Its parameters — embedding,
+//! layer norm, attention and head — are groups of one [`Params`] arena, so
+//! it trains under any [`Optimizer`].
 
-use summit_tensor::{ops, Initializer, Matrix};
+use summit_tensor::{ops, Matrix};
 
-use crate::transformer::{positional_encoding, LayerNorm, MultiHeadAttention};
+use crate::optim::Optimizer;
+use crate::params::Params;
+use crate::transformer::{
+    add_weight_grad, mul, mul_t, positional_encoding, push_xavier, LayerNorm, MultiHeadAttention,
+};
 
 /// A tiny causal LM: embedding + positional encoding → pre-norm multi-head
 /// attention block with residual → layer norm → tied-free output head.
 pub struct TinyLm {
     vocab: usize,
     dim: usize,
-    embedding: Matrix,
-    g_embedding: Matrix,
+    arena: Params,
+    /// Group ids of the `vocab × dim` embedding and the `dim × vocab` head.
+    embedding: usize,
+    head: usize,
     ln: LayerNorm,
     attn: MultiHeadAttention,
-    head: Matrix,
-    g_head: Matrix,
     /// Caches: token ids and the post-attention hidden states.
     cache: Option<(Vec<usize>, Matrix)>,
 }
@@ -32,22 +38,26 @@ pub struct TinyLm {
 impl TinyLm {
     /// Create an LM over `vocab` tokens with width `dim` and `heads` heads.
     pub fn new(vocab: usize, dim: usize, heads: usize, seed: u64) -> Self {
+        let mut arena = Params::default();
+        let embedding = push_xavier(&mut arena, vocab, dim, seed);
+        let ln = LayerNorm::new(dim, &mut arena);
+        let attn = MultiHeadAttention::new(dim, heads, true, seed.wrapping_add(5), &mut arena);
+        let head = push_xavier(&mut arena, dim, vocab, seed.wrapping_add(9));
         TinyLm {
             vocab,
             dim,
-            embedding: Initializer::XavierUniform.init(vocab, dim, seed),
-            g_embedding: Matrix::zeros(vocab, dim),
-            ln: LayerNorm::new(dim),
-            attn: MultiHeadAttention::new(dim, heads, true, seed.wrapping_add(5)),
-            head: Initializer::XavierUniform.init(dim, vocab, seed.wrapping_add(9)),
-            g_head: Matrix::zeros(dim, vocab),
+            arena,
+            embedding,
+            head,
+            ln,
+            attn,
             cache: None,
         }
     }
 
-    /// Vocabulary size.
-    pub fn vocab(&self) -> usize {
-        self.vocab
+    /// The parameter and gradient arena.
+    pub fn arena(&self) -> &Params {
+        &self.arena
     }
 
     /// Logits (`seq × vocab`) for a token sequence: position `t` predicts
@@ -57,70 +67,58 @@ impl TinyLm {
     /// Panics on empty input or out-of-range tokens.
     pub fn forward(&mut self, tokens: &[usize]) -> Matrix {
         assert!(!tokens.is_empty(), "need tokens");
-        let seq = tokens.len();
-        let mut x = Matrix::zeros(seq, self.dim);
+        let (seq, dim) = (tokens.len(), self.dim);
+        let embedding = self.arena.group(self.embedding);
+        let mut x = Matrix::zeros(seq, dim);
         for (t, &tok) in tokens.iter().enumerate() {
             assert!(tok < self.vocab, "token out of range");
-            for d in 0..self.dim {
-                x.set(t, d, self.embedding.get(tok, d));
-            }
+            x.row_mut(t)
+                .copy_from_slice(&embedding[tok * dim..(tok + 1) * dim]);
         }
-        x.add_assign(&positional_encoding(seq, self.dim));
-        let normed = self.ln.forward(&x);
-        let attn_out = self.attn.forward(&normed);
+        x.add_assign(&positional_encoding(seq, dim));
+        let normed = self.ln.forward(&self.arena, &x);
+        let attn_out = self.attn.forward(&self.arena, &normed);
         let mut h = x;
         h.add_assign(&attn_out);
-        let logits = h.matmul(&self.head);
+        let logits = mul(&self.arena, &h, self.head, self.vocab);
         self.cache = Some((tokens.to_vec(), h));
         logits
     }
 
-    /// One training step on a sequence: next-token cross-entropy over all
-    /// positions. Returns the mean loss.
+    /// One training step on a sequence under `optimizer`, group by group at
+    /// the base learning rate: next-token cross-entropy over all positions.
+    /// Returns the mean loss.
     ///
     /// # Panics
     /// Panics on sequences shorter than 2 tokens.
-    pub fn train_step(&mut self, tokens: &[usize], lr: f32) -> f32 {
+    pub fn train_step(&mut self, tokens: &[usize], optimizer: &mut dyn Optimizer) -> f32 {
         assert!(tokens.len() >= 2, "need at least two tokens");
         let inputs = &tokens[..tokens.len() - 1];
         let targets = &tokens[1..];
         let logits = self.forward(inputs);
         let (loss, dlogits) = ops::softmax_cross_entropy(logits, targets);
-
-        // Zero grads.
-        self.g_embedding.map_inplace(|_| 0.0);
-        self.g_head.map_inplace(|_| 0.0);
-        self.ln.zero_grads();
-        self.attn.zero_grads();
+        self.arena.zero_grads();
         let (cached_tokens, h) = self.cache.take().expect("forward cached");
 
         // Head.
-        self.g_head.add_assign(&h.matmul_at_b(&dlogits));
-        let dh = dlogits.matmul_a_bt(&self.head);
+        add_weight_grad(&mut self.arena, &h, &dlogits, self.head);
+        let dh = mul_t(&self.arena, &dlogits, self.head, self.vocab);
         // Residual: dh flows to attention branch and to the embedding sum.
-        let d_attn = self.attn.backward(&dh);
-        let mut dx = self.ln.backward(&d_attn);
+        let d_attn = self.attn.backward(&mut self.arena, &dh);
+        let mut dx = self.ln.backward(&mut self.arena, &d_attn);
         dx.add_assign(&dh);
         // Embedding gradient: scatter-add rows.
+        let (dim, grads) = (self.dim, self.arena.grad_mut(self.embedding));
         for (t, &tok) in cached_tokens.iter().enumerate() {
-            for d in 0..self.dim {
-                let v = self.g_embedding.get(tok, d) + dx.get(t, d);
-                self.g_embedding.set(tok, d, v);
+            let row = &mut grads[tok * dim..(tok + 1) * dim];
+            for (g, d) in row.iter_mut().zip(dx.row(t)) {
+                *g += d;
             }
         }
 
-        // Plain SGD update over every group.
-        let mut apply = |p: &mut [f32], g: &[f32]| {
-            for (pi, gi) in p.iter_mut().zip(g) {
-                *pi -= lr * gi;
-            }
-        };
-        let g_emb = self.g_embedding.as_slice().to_vec();
-        apply(self.embedding.as_mut_slice(), &g_emb);
-        self.ln.for_each_group(&mut apply);
-        self.attn.for_each_group(&mut apply);
-        let g_head = self.g_head.as_slice().to_vec();
-        apply(self.head.as_mut_slice(), &g_head);
+        self.arena
+            .for_each_group(|id, p, g| optimizer.step_group(id, 1.0, p, g));
+        optimizer.advance();
         loss
     }
 
@@ -141,79 +139,33 @@ impl TinyLm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optim::Sgd;
+    use crate::transformer::tests::{grad_check, seq_input};
 
-    fn seq_input(seq: usize, dim: usize, seed: u64) -> Matrix {
-        let mut m = Matrix::zeros(seq, dim);
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-        m.map_inplace(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as f32 / 2.0f32.powi(31)) - 0.5
-        });
-        m
-    }
-
-    /// Attention input gradients match finite differences (the same
-    /// harness as the transformer block), for two heads and for the one
-    /// non-causal head the block runs.
+    /// Two-head attention gradients, input and parameters, match finite
+    /// differences through the transformer block's harness, with and
+    /// without the causal mask (one head: `attention_gradients_check`).
     #[test]
     fn multihead_gradients_check() {
-        // (dim, heads, seed, seq, input seed, probed input entries)
-        let cases = [
-            (8, 2, 3, 5, 7, [0usize, 17, 39]),
-            (6, 1, 11, 4, 13, [0, 12, 23]),
-        ];
-        for (dim, heads, seed, seq, x_seed, probes) in cases {
-            let mut attn = MultiHeadAttention::new(dim, heads, false, seed);
-            let x = seq_input(seq, dim, x_seed);
-            let y0 = attn.forward(&x);
-            let mut w_loss = y0.clone();
-            let mut k = 0.0f32;
-            w_loss.map_inplace(|_| {
-                k += 1.0;
-                (k * 0.31).sin()
-            });
-            let loss = |y: &Matrix| -> f32 {
-                y.as_slice()
-                    .iter()
-                    .zip(w_loss.as_slice())
-                    .map(|(a, b)| a * b)
-                    .sum()
-            };
-            attn.zero_grads();
-            let _ = attn.forward(&x);
-            let dx = attn.backward(&w_loss);
-            let eps = 1e-2f32;
-            for idx in probes {
-                let mut xp = x.clone();
-                xp.as_mut_slice()[idx] += eps;
-                let lp = loss(&attn.forward(&xp));
-                let mut xm = x.clone();
-                xm.as_mut_slice()[idx] -= eps;
-                let lm = loss(&attn.forward(&xm));
-                let fd = (lp - lm) / (2.0 * eps);
-                let an = dx.as_slice()[idx];
-                assert!(
-                    (fd - an).abs() < 2e-2 * (1.0 + fd.abs()),
-                    "{heads} head(s), input grad {idx}: fd {fd} vs {an}"
-                );
-            }
+        for causal in [false, true] {
+            let mut arena = Params::default();
+            let mut attn = MultiHeadAttention::new(8, 2, causal, 3, &mut arena);
+            let (fwd, bwd) = (MultiHeadAttention::forward, MultiHeadAttention::backward);
+            grad_check(&mut attn, &mut arena, fwd, bwd, &seq_input(5, 8, 7));
         }
     }
 
     /// Causality: position t's output must not depend on tokens after t.
     #[test]
     fn causal_mask_blocks_the_future() {
-        let mut attn = MultiHeadAttention::new(8, 2, true, 11);
+        let mut arena = Params::default();
+        let mut attn = MultiHeadAttention::new(8, 2, true, 11, &mut arena);
         let x = seq_input(6, 8, 13);
-        let y = attn.forward(&x);
+        let y = attn.forward(&arena, &x);
         let mut x2 = x.clone();
         // Perturb the LAST row only.
-        for c in 0..8 {
-            x2.set(5, c, x2.get(5, c) + 1.0);
-        }
-        let y2 = attn.forward(&x2);
+        x2.row_mut(5).iter_mut().for_each(|v| *v += 1.0);
+        let y2 = attn.forward(&arena, &x2);
         for r in 0..5 {
             for c in 0..8 {
                 assert!(
@@ -231,10 +183,11 @@ mod tests {
     #[test]
     fn causal_flag_matters() {
         let x = seq_input(4, 8, 17);
-        let mut causal = MultiHeadAttention::new(8, 2, true, 19);
-        let mut full = MultiHeadAttention::new(8, 2, false, 19);
-        let yc = causal.forward(&x);
-        let yf = full.forward(&x);
+        let (mut arena_c, mut arena_f) = (Params::default(), Params::default());
+        let mut causal = MultiHeadAttention::new(8, 2, true, 19, &mut arena_c);
+        let mut full = MultiHeadAttention::new(8, 2, false, 19, &mut arena_f);
+        let yc = causal.forward(&arena_c, &x);
+        let yf = full.forward(&arena_f, &x);
         let diff: f32 = yc
             .as_slice()
             .iter()
@@ -250,13 +203,14 @@ mod tests {
         let vocab = 7usize;
         let stride = 3usize;
         let mut lm = TinyLm::new(vocab, 16, 2, 2026);
+        let mut sgd = Sgd::new(0.01, 0.0, 0.0);
         let make_seq = |start: usize| -> Vec<usize> {
             (0..12).map(|i| (start + i * stride) % vocab).collect()
         };
         let mut loss = f32::NAN;
         for epoch in 0..400 {
             for start in 0..vocab {
-                loss = lm.train_step(&make_seq(start + epoch % 2), 0.01);
+                loss = lm.train_step(&make_seq(start + epoch % 2), &mut sgd);
             }
         }
         assert!(loss < 0.2, "LM failed to learn the grammar: loss {loss}");
@@ -272,6 +226,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "heads must divide dim")]
     fn bad_head_count_rejected() {
-        let _ = MultiHeadAttention::new(8, 3, true, 0);
+        let _ = MultiHeadAttention::new(8, 3, true, 0, &mut Params::default());
     }
 }

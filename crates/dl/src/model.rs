@@ -1,32 +1,20 @@
 //! Multi-layer perceptrons with explicit backprop.
 //!
-//! An [`Mlp`] keeps its parameters and its gradient in **two** flat arenas
-//! of the same layout (`params` and `grads`, layer-major, weights then bias
-//! — the layout [`Mlp::flat_params`] and [`Mlp::flat_grads`] have always
-//! exposed), not in per-layer buffers. A `Linear` layer holds only its
-//! shape, its cached input and its precision; its GEMMs read the weights as
-//! a borrowed view of the parameter arena ([`MatRef`]). Backward writes each
-//! layer's `Xᵀ·dY` straight into its gradient window, a data-parallel step
-//! reduces gradient windows in place ([`Mlp::backward_with`]), the optimizer
-//! reads and writes arena slices ([`Mlp::for_each_group`], or
-//! [`Mlp::for_each_group_in`] for the one chunk a rank owns under the
-//! sharded commit), and that step's parameter allgather moves windows of the
-//! parameter arena in place: nothing is produced, reduced, updated or
+//! An [`Mlp`] keeps its parameters and gradients in one [`Params`] arena
+//! (layer-major, weights then bias, each its own group). A `Linear` layer
+//! holds only its shape, its cached input and its precision; its GEMMs read
+//! the weights as a borrowed view of the parameter arena ([`MatRef`]).
+//! Backward writes each layer's `Xᵀ·dY` straight into its gradient window,
+//! and a data-parallel step reduces gradient windows in place
+//! ([`Mlp::backward_with`]): nothing is produced, reduced, updated or
 //! gathered anywhere but where it lies.
-//!
-//! [`Mlp::zero_grads`] does not write zeros. It marks the arena *clean*; the
-//! next backward then stores its products instead of load-add-storing them
-//! (bitwise `0.0 + product`), and any reader that arrives first
-//! materialises the zeros. A second backward without `zero_grads` in
-//! between accumulates, as before.
-
-use std::ops::Range;
 
 use crate::inference::{dense_forward_into, ServableModel};
+use crate::params::Params;
 use summit_tensor::{ops, Initializer, MatRef, Matrix, Precision};
 
 /// A fully-connected layer `in_dim → out_dim`. Its parameters and gradient
-/// live in caller-provided `[weights, bias]` windows of an [`Mlp`]'s arenas.
+/// live in caller-provided `[weights, bias]` windows of an [`Mlp`]'s arena.
 #[derive(Debug, Clone)]
 struct Linear {
     in_dim: usize,
@@ -119,22 +107,22 @@ impl MlpSpec {
         }
     }
 
+    /// Layer widths, input to output.
+    pub(crate) fn dims(&self) -> Vec<usize> {
+        [&[self.inputs][..], &self.hidden, &[self.outputs]].concat()
+    }
+
     /// Materialize the model with deterministic weights.
     pub fn build(&self, seed: u64) -> Mlp {
-        let mut dims = Vec::with_capacity(self.hidden.len() + 2);
-        dims.push(self.inputs);
-        dims.extend_from_slice(&self.hidden);
-        dims.push(self.outputs);
+        let dims = self.dims();
         let depth = dims.len() - 1;
         let total: usize = dims.windows(2).map(|d| d[0] * d[1] + d[1]).sum();
-        let (mut layers, mut params) = (Vec::with_capacity(depth), Vec::with_capacity(total));
-        let mut layer_starts = Vec::with_capacity(depth + 1);
+        let (mut layers, mut arena) = (Vec::with_capacity(depth), Params::with_capacity(total));
         for (i, d) in dims.windows(2).enumerate() {
             let (in_dim, out_dim) = (d[0], d[1]);
-            layer_starts.push(params.len());
             let seed = seed.wrapping_add(i as u64 * 7919);
-            params.extend_from_slice(Initializer::HeNormal.init(in_dim, out_dim, seed).as_slice());
-            params.resize(params.len() + out_dim, 0.0);
+            arena.push(Initializer::HeNormal.init(in_dim, out_dim, seed).as_slice());
+            arena.push(&vec![0.0; out_dim]);
             layers.push(Linear {
                 in_dim,
                 out_dim,
@@ -142,32 +130,21 @@ impl MlpSpec {
                 precision: Precision::F32,
             });
         }
-        layer_starts.push(total);
-        Mlp {
-            layers,
-            params,
-            grads: vec![0.0; total],
-            layer_starts,
-            grads_clean: false,
-        }
+        Mlp { layers, arena }
     }
+}
+
+/// Layer `i`'s `[weights, bias]` window of an [`Mlp`]'s parameter arena:
+/// groups `2i` and `2i + 1`.
+fn layer_params(arena: &Params, i: usize) -> &[f32] {
+    &arena.params()[arena.range(2 * i).start..arena.range(2 * i + 1).end]
 }
 
 /// An MLP with ReLU activations between layers and linear (logit) output.
 #[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Linear>,
-    /// The parameter arena: every layer's `[weights, bias]`, in layer order.
-    params: Vec<f32>,
-    /// The gradient arena, laid out like `params`.
-    grads: Vec<f32>,
-    /// Start of each layer's window in both arenas; `layer_starts[depth]`
-    /// is the arena length.
-    layer_starts: Vec<usize>,
-    /// Set by [`Mlp::zero_grads`]: the arena *means* all zeros, whatever it
-    /// holds. The next backward overwrites it; a reader that comes first
-    /// writes the zeros.
-    grads_clean: bool,
+    arena: Params,
 }
 
 impl Mlp {
@@ -194,12 +171,22 @@ impl Mlp {
 
     /// Total scalar parameter count.
     pub fn param_count(&self) -> usize {
-        self.params.len()
+        self.arena.param_count()
     }
 
-    /// Layer `i`'s `[weights, bias]` window of the parameter arena.
-    fn layer_params(&self, i: usize) -> &[f32] {
-        &self.params[self.layer_starts[i]..self.layer_starts[i + 1]]
+    /// The parameter and gradient arena.
+    pub fn arena(&self) -> &Params {
+        &self.arena
+    }
+
+    /// The parameter and gradient arena, mutably.
+    pub fn arena_mut(&mut self) -> &mut Params {
+        &mut self.arena
+    }
+
+    /// The arena, moved out, for a caller done with the model.
+    pub(crate) fn into_arena(self) -> Params {
+        self.arena
     }
 
     /// Forward pass: returns logits for a `batch × inputs` matrix. Each
@@ -211,8 +198,7 @@ impl Mlp {
             if i > 0 {
                 ops::relu_inplace(&mut h);
             }
-            let params = &self.params[self.layer_starts[i]..self.layer_starts[i + 1]];
-            h = self.layers[i].forward(params, h);
+            h = self.layers[i].forward(layer_params(&self.arena, i), h);
         }
         h
     }
@@ -236,7 +222,7 @@ impl Mlp {
     /// Panics if called before `forward`.
     pub fn backward_input(&mut self, dlogits: &Matrix) -> Matrix {
         let dy0 = self.backward_with(dlogits, |_, _| {});
-        self.layers[0].input_grad(self.layer_params(0), &dy0)
+        self.layers[0].input_grad(layer_params(&self.arena, 0), &dy0)
     }
 
     /// Backward pass with a per-layer gradient-readiness callback — the
@@ -270,18 +256,16 @@ impl Mlp {
         dlogits: &Matrix,
         mut on_layer_ready: impl FnMut(usize, &mut &'a mut [f32]),
     ) -> Matrix {
-        let overwrite = std::mem::take(&mut self.grads_clean);
-        let mut pending: &'a mut [f32] = &mut self.grads;
+        let (params, mut pending, overwrite) = self.arena.split_for_backward();
         let mut grad = dlogits.clone();
-        for i in (0..self.layers.len()).rev() {
-            let (layer, window) = (
-                &self.layers[i],
-                self.layer_starts[i]..self.layer_starts[i + 1],
-            );
+        let mut end = params.len();
+        for (i, layer) in self.layers.iter().enumerate().rev() {
+            let window = end - layer.param_count()..end;
+            end = window.start;
             layer.param_grads(&grad, &mut pending[window.clone()], overwrite);
             on_layer_ready(i, &mut pending);
             if i > 0 {
-                grad = layer.input_grad(&self.params[window], &grad);
+                grad = layer.input_grad(&params[window], &grad);
                 let mask = layer.input.as_ref().expect("checked by param_grads");
                 ops::relu_backward(mask, &mut grad);
             }
@@ -296,88 +280,24 @@ impl Mlp {
         self.layers.iter().map(Linear::param_count).collect()
     }
 
-    /// Zero all gradients — by marking the arena clean, not by writing it
-    /// (see the module doc).
+    /// [`Params::zero_grads`].
     pub fn zero_grads(&mut self) {
-        self.grads_clean = true;
+        self.arena.zero_grads();
     }
 
-    /// Write out the zeros a pending [`Mlp::zero_grads`] stands for.
-    fn materialize_zeros(&mut self) {
-        if std::mem::take(&mut self.grads_clean) {
-            self.grads.fill(0.0);
-        }
-    }
-
-    /// The gradient arena itself — what a data-parallel step reduces in
-    /// place.
-    pub(crate) fn grads_mut(&mut self) -> &mut [f32] {
-        self.materialize_zeros();
-        &mut self.grads
-    }
-
-    /// The parameter arena itself — what the sharded commit allgathers in
-    /// place.
-    pub(crate) fn params_mut(&mut self) -> &mut [f32] {
-        &mut self.params
-    }
-
-    /// Copy all gradients into one flat vector (layer-major, weights then
-    /// bias per layer) — a copy of the arena.
-    pub fn flat_grads(&self) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.flat_grads_into(&mut out);
-        out
-    }
-
-    /// [`Mlp::flat_grads`] into a caller-owned buffer: `out` is cleared and
-    /// refilled, reusing its capacity.
+    /// [`Params::flat_grads_into`].
     pub fn flat_grads_into(&self, out: &mut Vec<f32>) {
-        out.clear();
-        if self.grads_clean {
-            out.resize(self.grads.len(), 0.0);
-        } else {
-            out.extend_from_slice(&self.grads);
-        }
+        self.arena.flat_grads_into(out);
     }
 
-    /// Overwrite all gradients from a flat vector (inverse of
-    /// [`Mlp::flat_grads`]).
-    ///
-    /// # Panics
-    /// Panics if `flat.len() != param_count()`.
+    /// [`Params::set_flat_grads`].
     pub fn set_flat_grads(&mut self, flat: &[f32]) {
-        assert_eq!(
-            flat.len(),
-            self.param_count(),
-            "flat gradient length mismatch"
-        );
-        self.grads.copy_from_slice(flat);
-        self.grads_clean = false;
+        self.arena.set_flat_grads(flat);
     }
 
-    /// Copy all parameters into one flat vector — a copy of the arena.
+    /// A copy of the parameter arena.
     pub fn flat_params(&self) -> Vec<f32> {
-        self.params.clone()
-    }
-
-    /// The parameter arena itself, moved out: [`Mlp::flat_params`] without
-    /// the copy, for a caller done with the model.
-    pub(crate) fn into_params(self) -> Vec<f32> {
-        self.params
-    }
-
-    /// Overwrite all parameters from a flat vector.
-    ///
-    /// # Panics
-    /// Panics if `flat.len() != param_count()`.
-    pub fn set_flat_params(&mut self, flat: &[f32]) {
-        assert_eq!(
-            flat.len(),
-            self.param_count(),
-            "flat parameter length mismatch"
-        );
-        self.params.copy_from_slice(flat);
+        self.arena.params().to_vec()
     }
 
     /// Snapshot the forward-only serving state of this model: weights,
@@ -386,39 +306,14 @@ impl Mlp {
     /// and what a weight broadcast ships.
     pub fn servable(&self) -> ServableModel {
         let shapes = self.layers.iter().map(|l| (l.in_dim, l.out_dim));
-        ServableModel::from_shapes_params(shapes, &self.params).with_precision(self.precision())
+        ServableModel::from_shapes_params(shapes, self.arena.params())
+            .with_precision(self.precision())
     }
 
-    /// Visit each parameter group (per-layer weights and biases separately,
-    /// as LARS/LAMB prescribe) with `(group_id, params, grads)`.
+    /// [`Params::for_each_group`]: per-layer weights and biases separately,
+    /// as LARS/LAMB prescribe.
     pub fn for_each_group(&mut self, f: impl FnMut(usize, &mut [f32], &[f32])) {
-        self.for_each_group_in(0..self.param_count(), f);
-    }
-
-    /// [`Mlp::for_each_group`] restricted to the arena range `range`: each
-    /// group that meets it is visited once, cut to the intersection, under
-    /// its own id. The sharded commit updates the chunk a rank owns this
-    /// way, so an elementwise optimizer touches every element exactly as
-    /// the whole-group visit would.
-    pub fn for_each_group_in(
-        &mut self,
-        range: Range<usize>,
-        mut f: impl FnMut(usize, &mut [f32], &[f32]),
-    ) {
-        self.materialize_zeros();
-        for (i, layer) in self.layers.iter().enumerate() {
-            let (start, end) = (self.layer_starts[i], self.layer_starts[i + 1]);
-            let groups = [
-                start..start + layer.in_dim * layer.out_dim,
-                start + layer.in_dim * layer.out_dim..end,
-            ];
-            for (g, group) in groups.into_iter().enumerate() {
-                let (lo, hi) = (group.start.max(range.start), group.end.min(range.end));
-                if lo < hi {
-                    f(2 * i + g, &mut self.params[lo..hi], &self.grads[lo..hi]);
-                }
-            }
-        }
+        self.arena.for_each_group(f);
     }
 }
 
@@ -442,9 +337,9 @@ mod tests {
         let p = m.flat_params();
         let mut p2 = p.clone();
         p2[0] += 1.0;
-        m.set_flat_params(&p2);
+        m.arena_mut().set_flat_params(&p2);
         assert_eq!(m.flat_params(), p2);
-        m.set_flat_params(&p);
+        m.arena_mut().set_flat_params(&p);
         assert_eq!(m.flat_params(), p);
     }
 
@@ -458,18 +353,18 @@ mod tests {
         let (_, dlogits) = softmax_cross_entropy(logits, &labels);
         m.zero_grads();
         m.backward(&dlogits);
-        let analytic = m.flat_grads();
+        let analytic = m.arena().flat_grads();
 
         let base = m.flat_params();
         let eps = 1e-3f32;
         for idx in (0..base.len()).step_by(5) {
             let mut plus = base.clone();
             plus[idx] += eps;
-            m.set_flat_params(&plus);
+            m.arena_mut().set_flat_params(&plus);
             let (lp, _) = softmax_cross_entropy(m.forward(&x), &labels);
             let mut minus = base.clone();
             minus[idx] -= eps;
-            m.set_flat_params(&minus);
+            m.arena_mut().set_flat_params(&minus);
             let (lm, _) = softmax_cross_entropy(m.forward(&x), &labels);
             let fd = (lp - lm) / (2.0 * eps);
             assert!(
@@ -499,9 +394,9 @@ mod tests {
         let mut chain_grads = vec![0.0f32; chain.param_count()];
         let mut dx = dlogits.clone();
         for i in (0..chain.layers.len()).rev() {
-            let window = chain.layer_starts[i]..chain.layer_starts[i + 1];
-            chain.layers[i].param_grads(&dx, &mut chain_grads[window.clone()], false);
-            dx = chain.layers[i].input_grad(&chain.params[window], &dx);
+            let window = chain.arena.range(2 * i).start..chain.arena.range(2 * i + 1).end;
+            chain.layers[i].param_grads(&dx, &mut chain_grads[window], false);
+            dx = chain.layers[i].input_grad(layer_params(&chain.arena, i), &dx);
             if i > 0 {
                 let mask = chain.layers[i].input.as_ref().unwrap();
                 ops::relu_backward(mask, &mut dx);
@@ -515,8 +410,8 @@ mod tests {
 
         assert_eq!((got.rows(), got.cols()), (4, 5));
         assert_eq!(got.as_slice(), dx.as_slice());
-        assert_eq!(m.flat_grads(), chain_grads);
-        assert_eq!(params_only.flat_grads(), chain_grads);
+        assert_eq!(m.arena().flat_grads(), chain_grads);
+        assert_eq!(params_only.arena().flat_grads(), chain_grads);
         // `backward_with` stops one GEMM short: dL/d(layer-0 output).
         assert_eq!((dy0.rows(), dy0.cols()), (4, 7));
     }
@@ -530,12 +425,12 @@ mod tests {
         let n = m.param_count();
         let stale: Vec<f32> = (0..n).map(|i| i as f32 - 7.5).collect();
         m.set_flat_grads(&stale);
-        assert_eq!(m.flat_grads(), stale);
+        assert_eq!(m.arena().flat_grads(), stale);
         let zeros = vec![0.0f32.to_bits(); n];
         let bits = |v: &[f32]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
 
         m.zero_grads();
-        assert_eq!(bits(&m.flat_grads()), zeros);
+        assert_eq!(bits(&m.arena().flat_grads()), zeros);
         let mut into = vec![1.0; 3];
         m.flat_grads_into(&mut into);
         assert_eq!(bits(&into), zeros);
@@ -551,7 +446,7 @@ mod tests {
         let mut stepped = m.clone();
         stepped.for_each_group(|id, p, g| sgd.step_scaled(id, 1.0, 3.0, p, g));
         assert_eq!(bits(&stepped.flat_params()), bits(&m.flat_params()));
-        assert_eq!(bits(m.clone().grads_mut()), zeros);
+        assert_eq!(bits(m.clone().arena_mut().grads_mut()), zeros);
 
         // Writing gradients ends the clean state, and the entry reads them
         // scaled: one multiply per element, as a separate sweep would.
@@ -574,17 +469,17 @@ mod tests {
         let (_, d) = softmax_cross_entropy(logits, &[0]);
         m.zero_grads();
         m.backward(&d);
-        let once = m.flat_grads();
+        let once = m.arena().flat_grads();
         // Second backward without zeroing doubles the gradients.
         let logits = m.forward(&x);
         let (_, d) = softmax_cross_entropy(logits, &[0]);
         m.backward(&d);
-        let twice = m.flat_grads();
+        let twice = m.arena().flat_grads();
         for (a, b) in once.iter().zip(&twice) {
             assert!((2.0 * a - b).abs() < 1e-5);
         }
         m.zero_grads();
-        assert!(m.flat_grads().iter().all(|&g| g == 0.0));
+        assert!(m.arena().flat_grads().iter().all(|&g| g == 0.0));
     }
 
     #[test]
@@ -605,10 +500,10 @@ mod tests {
         let d = Matrix::from_vec(4, 3, vec![0.1; 12]);
         mixed.zero_grads();
         mixed.backward(&d);
-        let gm = mixed.flat_grads();
+        let gm = mixed.arena().flat_grads();
         full.zero_grads();
         full.backward(&d);
-        let gf = full.flat_grads();
+        let gf = full.arena().flat_grads();
         assert!(gm.iter().all(|g| g.is_finite()));
         // Gradients track the f32 path within the same storage tolerance.
         for (a, b) in gf.iter().zip(&gm) {
@@ -621,6 +516,18 @@ mod tests {
         let a = MlpSpec::new(4, &[8], 2).build(9);
         let b = MlpSpec::new(4, &[8], 2).build(9);
         assert_eq!(a.flat_params(), b.flat_params());
+    }
+
+    /// `(element, group id)` for every element a visit of `range`
+    /// reaches, in visit order, on an arena whose parameters are their own
+    /// indices.
+    fn visit(arena: &mut Params, range: std::ops::Range<usize>) -> Vec<(usize, usize)> {
+        let mut seen = Vec::new();
+        arena.for_each_group_in(range, |id, p, g| {
+            assert_eq!(p.len(), g.len());
+            seen.extend(p.iter().map(|&i| (i as usize, id)));
+        });
+        seen
     }
 
     #[test]
@@ -636,21 +543,30 @@ mod tests {
         assert_eq!(seen, m.param_count());
         assert_eq!(ids, vec![0, 1, 2, 3, 4, 5]);
 
-        // A range cutting groups [12, 16), [16, 36) and [36, 41) visits
-        // exactly its slice of each arena, under the groups' own ids.
-        let (flat, mut visits) = (m.flat_params(), Vec::new());
-        m.for_each_group_in(14..38, |id, p, g| {
-            assert_eq!(p.len(), g.len());
-            visits.push((id, p.to_vec()));
-            p.fill(0.0);
-        });
-        let want = [(1, &flat[14..16]), (2, &flat[16..36]), (3, &flat[36..38])];
-        assert_eq!(visits.len(), want.len());
-        for ((id, got), (want_id, want)) in visits.iter().zip(want) {
-            assert_eq!((*id, got.as_slice()), (want_id, want));
+        // On the MLP's, the transformer's and the LM's arenas, the chunks
+        // of every partition visit each element exactly once, in its own
+        // window, under the id the whole-arena visit reports.
+        let arenas = [
+            m.into_arena(),
+            crate::SequenceClassifier::new(4, 3, 1).arena().clone(),
+            crate::TinyLm::new(5, 4, 2, 1).arena().clone(),
+        ];
+        for mut arena in arenas {
+            let n = arena.param_count();
+            arena.set_flat_params(&(0..n).map(|i| i as f32).collect::<Vec<_>>());
+            let whole = visit(&mut arena, 0..n);
+            assert!(whole.iter().map(|&(i, _)| i).eq(0..n));
+            assert!(whole.iter().all(|&(i, id)| arena.range(id).contains(&i)));
+            assert_eq!(
+                whole.last().map(|&(_, id)| id + 1),
+                Some(arena.group_count())
+            );
+            for parts in 1..=4 {
+                let chunks: Vec<_> = (0..parts)
+                    .flat_map(|c| visit(&mut arena, summit_pool::chunk_range(n, parts, c)))
+                    .collect();
+                assert_eq!(chunks, whole, "{parts} parts");
+            }
         }
-        let after = m.flat_params();
-        assert!(after[14..38].iter().all(|&v| v == 0.0));
-        assert_eq!((&after[..14], &after[38..]), (&flat[..14], &flat[38..]));
     }
 }

@@ -104,8 +104,12 @@ pub trait Optimizer: Send {
     fn name(&self) -> &'static str;
 }
 
+/// Group `group`'s state slot, zeros on first use. A slot imported for
+/// another length panics here rather than update a prefix of the group.
 fn state(map: &mut HashMap<usize, Vec<f32>>, group: usize, len: usize) -> &mut Vec<f32> {
-    map.entry(group).or_insert_with(|| vec![0.0; len])
+    let slot = map.entry(group).or_insert_with(|| vec![0.0; len]);
+    assert_eq!(slot.len(), len, "group {group} state misfits");
+    slot
 }
 
 /// SGD with momentum and decoupled weight decay.

@@ -459,7 +459,7 @@ impl DataParallelTrainer {
             // folded into the lead's copy below.
             let checkpoint = replica.checkpoint(step);
             let outcome = RecoveryOutcome {
-                params: replica.model.into_params(),
+                params: replica.model.into_arena().into_params(),
                 loss: loss_sum / committed.max(1) as f32,
                 max_divergence: 0.0,
                 steps: step,

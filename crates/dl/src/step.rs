@@ -27,8 +27,8 @@
 //! fully reduced chunk `(i + 1) mod p` of the global partition
 //! ([`chunk_range`]). So the windows run only the reduce-scatter, each rank
 //! updates only the chunk it owns (cut at parameter-group boundaries, by
-//! [`Mlp::for_each_group_in`]), and then allgathers the *parameters* — the
-//! model's parameter arena — in the same bucket windows. The two halves
+//! the arena's `for_each_group_in`), and then allgathers the *parameters* —
+//! the model's parameter arena — in the same bucket windows. The two halves
 //! send exactly the messages and bytes of one allreduce; optimizer work and
 //! optimizer state per rank fall by `p`. Either commit folds the `1/world`
 //! average into the optimizer's own sweep ([`Optimizer::step_scaled`]), and
@@ -164,7 +164,7 @@ impl Replica {
 
     /// Snapshot parameters and optimizer state at `step`.
     pub(crate) fn checkpoint(&self, step: u32) -> ElasticCheckpoint {
-        ElasticCheckpoint::capture(step, &self.model, self.optimizer.as_ref())
+        ElasticCheckpoint::capture(step, self.model.arena(), self.optimizer.as_ref())
     }
 
     /// Write a snapshot back into this replica.
@@ -172,7 +172,7 @@ impl Replica {
     /// # Errors
     /// [`CheckpointError::ShapeMismatch`] if it was taken from another model.
     pub(crate) fn restore(&mut self, ck: &ElasticCheckpoint) -> Result<(), CheckpointError> {
-        ck.restore(&mut self.model, self.optimizer.as_mut())
+        ck.restore(self.model.arena_mut(), self.optimizer.as_mut())
     }
 
     /// Forward pass and loss on rows `shard` of `(x, labels)`, leaving the
@@ -283,7 +283,7 @@ impl Replica {
             // Serial fused path: full backward, then one bucketed
             // allreduce over the whole arena.
             model.backward(dlogits);
-            let flat = model.grads_mut();
+            let flat = model.arena_mut().grads_mut();
             let t0 = Instant::now();
             match checked {
                 None => ring_allreduce_bucketed(rank, flat, ReduceOp::Sum, m),
@@ -315,18 +315,21 @@ impl Replica {
             0..n
         };
         let (opt, scale) = (&mut self.optimizer, 1.0 / world as f32);
-        self.model.for_each_group_in(owned, |id, params, grads| {
-            opt.step_scaled(id, lr, scale, params, grads)
-        });
+        self.model
+            .arena_mut()
+            .for_each_group_in(owned, |id, params, grads| {
+                opt.step_scaled(id, lr, scale, params, grads)
+            });
         let gather_s = if self.sharded && world > 1 {
             let (t0, m) = (Instant::now(), self.bucket_elems);
-            let mut handles: Vec<RingAllreduceHandle> = (self.model.params_mut().chunks_mut(m))
-                .enumerate()
-                .map(|(b, window)| {
-                    let (op, phase) = (ReduceOp::Sum, RingPhase::Allgather);
-                    ring_allreduce_start(rank, None, window, op, b as u64, n, b * m, phase)
-                })
-                .collect();
+            let mut handles: Vec<RingAllreduceHandle> =
+                (self.model.arena_mut().params_mut().chunks_mut(m))
+                    .enumerate()
+                    .map(|(b, window)| {
+                        let (op, phase) = (ReduceOp::Sum, RingPhase::Allgather);
+                        ring_allreduce_start(rank, None, window, op, b as u64, n, b * m, phase)
+                    })
+                    .collect();
             handles.iter_mut().for_each(RingAllreduceHandle::wait);
             t0.elapsed().as_secs_f64()
         } else {
@@ -374,7 +377,7 @@ mod tests {
         let mut reference = model.clone();
         reference.zero_grads();
         reference.backward(&dlogits);
-        let want = reference.flat_grads();
+        let want = reference.arena().flat_grads();
         let n = want.len();
         assert_eq!(n, 111);
 

@@ -546,7 +546,7 @@ impl DataParallelTrainer {
                 loss_sum += loss;
             }
             (
-                replica.model.into_params(),
+                replica.model.into_arena().into_params(),
                 (
                     loss_sum / total_steps.max(1) as f32,
                     comm_seconds,
@@ -969,7 +969,7 @@ mod tests {
     /// A ranker whose score is its input: the identity model `x ↦ 1·x + 0`.
     fn identity_ranker() -> Trainer {
         let mut t = Trainer::regressor(1, &[], Adam::new(0.01, 0.0), 0);
-        t.model.set_flat_params(&[1.0, 0.0]);
+        t.model.arena_mut().set_flat_params(&[1.0, 0.0]);
         t
     }
 

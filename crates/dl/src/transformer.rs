@@ -10,40 +10,72 @@
 //! finite differences. [`SequenceClassifier`] wraps a block with mean
 //! pooling and a linear head and demonstrably learns order-sensitive
 //! sequence tasks a bag-of-tokens model cannot.
+//!
+//! A model's parameters live in its one [`Params`] arena, as `Mlp`'s do:
+//! each sub-module appends its groups when built and keeps only its shape,
+//! its group ids and its forward cache. So a model trains under any
+//! [`Optimizer`] and checkpoints like any other.
 
-use summit_tensor::{ops, Initializer, Matrix};
+use summit_tensor::{ops, Initializer, Matrix, Precision};
+
+use crate::optim::Optimizer;
+use crate::params::Params;
+
+/// `x · W` for group `w` of `arena`, a matrix `cols` columns wide.
+pub(crate) fn mul(arena: &Params, x: &Matrix, w: usize, cols: usize) -> Matrix {
+    let mut y = Matrix::zeros(x.rows(), cols);
+    x.matmul_into_prec(arena.view(w, cols), &mut y, Precision::F32);
+    y
+}
+
+/// `dy · Wᵀ` for group `w` of `arena`, a matrix `cols` columns wide.
+pub(crate) fn mul_t(arena: &Params, dy: &Matrix, w: usize, cols: usize) -> Matrix {
+    let mut dx = Matrix::zeros(dy.rows(), arena.range(w).len() / cols);
+    dy.matmul_a_bt_into_prec(arena.view(w, cols), &mut dx, Precision::F32);
+    dx
+}
+
+/// `gW += xᵀ · dy` into group `w`'s gradient window.
+pub(crate) fn add_weight_grad(arena: &mut Params, x: &Matrix, dy: &Matrix, w: usize) {
+    x.matmul_at_b_into_slice(dy, arena.grad_mut(w), true, Precision::F32);
+}
+
+/// Append a Xavier-initialized `rows × cols` weight group to `arena`.
+pub(crate) fn push_xavier(arena: &mut Params, rows: usize, cols: usize, seed: u64) -> usize {
+    arena.push(Initializer::XavierUniform.init(rows, cols, seed).as_slice())
+}
 
 /// Row-wise layer normalization with learnable scale and shift.
 #[derive(Debug, Clone)]
 pub struct LayerNorm {
-    gamma: Vec<f32>,
-    beta: Vec<f32>,
-    g_gamma: Vec<f32>,
-    g_beta: Vec<f32>,
+    /// Group ids of γ and β.
+    gamma: usize,
+    beta: usize,
     /// Cached normalized input and per-row inverse stddev from forward.
     cache: Option<(Matrix, Vec<f32>)>,
-    eps: f32,
 }
 
+/// The variance floor of [`LayerNorm`].
+const LN_EPS: f32 = 1e-5;
+
 impl LayerNorm {
-    /// Identity-initialized layer norm over `dim` features.
-    pub fn new(dim: usize) -> Self {
+    /// Identity-initialized layer norm over `dim` features; γ and β are
+    /// appended to `arena`.
+    pub fn new(dim: usize, arena: &mut Params) -> Self {
         assert!(dim > 0, "dimension must be positive");
         LayerNorm {
-            gamma: vec![1.0; dim],
-            beta: vec![0.0; dim],
-            g_gamma: vec![0.0; dim],
-            g_beta: vec![0.0; dim],
+            gamma: arena.push(&vec![1.0; dim]),
+            beta: arena.push(&vec![0.0; dim]),
             cache: None,
-            eps: 1e-5,
         }
     }
 
     /// Forward: normalize each row to zero mean / unit variance, then scale
     /// and shift.
     #[allow(clippy::needless_range_loop)] // parallel indexing of x, xhat, y
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        assert_eq!(x.cols(), self.gamma.len(), "feature dimension mismatch");
+    pub fn forward(&mut self, arena: &Params, x: &Matrix) -> Matrix {
+        let (gamma, beta) = (arena.group(self.gamma), arena.group(self.beta));
+        assert_eq!(x.cols(), gamma.len(), "feature dimension mismatch");
         let d = x.cols() as f32;
         let mut xhat = Matrix::zeros(x.rows(), x.cols());
         let mut inv_std = Vec::with_capacity(x.rows());
@@ -52,12 +84,12 @@ impl LayerNorm {
             let row = x.row(r);
             let mean: f32 = row.iter().sum::<f32>() / d;
             let var: f32 = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / d;
-            let istd = 1.0 / (var + self.eps).sqrt();
+            let istd = 1.0 / (var + LN_EPS).sqrt();
             inv_std.push(istd);
             for c in 0..x.cols() {
                 let xh = (row[c] - mean) * istd;
                 xhat.set(r, c, xh);
-                y.set(r, c, self.gamma[c] * xh + self.beta[c]);
+                y.set(r, c, gamma[c] * xh + beta[c]);
             }
         }
         self.cache = Some((xhat, inv_std));
@@ -69,39 +101,32 @@ impl LayerNorm {
     /// # Panics
     /// Panics if called before `forward`.
     #[allow(clippy::needless_range_loop)] // parallel indexing of dy, xhat, dx
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
+    pub fn backward(&mut self, arena: &mut Params, dy: &Matrix) -> Matrix {
         let (xhat, inv_std) = self.cache.as_ref().expect("backward before forward");
         let d = dy.cols() as f32;
         let mut dx = Matrix::zeros(dy.rows(), dy.cols());
+        let gamma = arena.group(self.gamma);
         for r in 0..dy.rows() {
-            let dyr = dy.row(r);
-            let xhr = xhat.row(r);
-            // Parameter gradients.
-            for c in 0..dy.cols() {
-                self.g_gamma[c] += dyr[c] * xhr[c];
-                self.g_beta[c] += dyr[c];
-            }
+            let (dyr, xhr) = (dy.row(r), xhat.row(r));
             // dx = (γ·dy − mean(γ·dy) − x̂ · mean(γ·dy ⊙ x̂)) · inv_std
-            let gdy: Vec<f32> = (0..dy.cols()).map(|c| self.gamma[c] * dyr[c]).collect();
+            let gdy: Vec<f32> = (0..dy.cols()).map(|c| gamma[c] * dyr[c]).collect();
             let m1: f32 = gdy.iter().sum::<f32>() / d;
             let m2: f32 = gdy.iter().zip(xhr).map(|(a, b)| a * b).sum::<f32>() / d;
             for c in 0..dy.cols() {
                 dx.set(r, c, (gdy[c] - m1 - xhr[c] * m2) * inv_std[r]);
             }
         }
+        let grads = arena.grad_mut(self.gamma);
+        for r in 0..dy.rows() {
+            for ((g, a), b) in grads.iter_mut().zip(dy.row(r)).zip(xhat.row(r)) {
+                *g += a * b;
+            }
+        }
+        let grads = arena.grad_mut(self.beta);
+        for (g, s) in grads.iter_mut().zip(ops::column_sums(dy)) {
+            *g += s;
+        }
         dx
-    }
-
-    /// Visit (params, grads) pairs: γ then β.
-    pub fn for_each_group(&mut self, mut f: impl FnMut(&mut [f32], &[f32])) {
-        f(&mut self.gamma, &self.g_gamma);
-        f(&mut self.beta, &self.g_beta);
-    }
-
-    /// Zero the γ/β gradient buffers.
-    pub fn zero_grads(&mut self) {
-        self.g_gamma.iter_mut().for_each(|g| *g = 0.0);
-        self.g_beta.iter_mut().for_each(|g| *g = 0.0);
     }
 }
 
@@ -117,30 +142,29 @@ type HeadCache = (Matrix, Matrix, Matrix, Matrix);
 pub struct MultiHeadAttention {
     heads: usize,
     head_dim: usize,
-    wq: Matrix,
-    wk: Matrix,
-    wv: Matrix,
-    wo: Matrix,
-    g_wq: Matrix,
-    g_wk: Matrix,
-    g_wv: Matrix,
-    g_wo: Matrix,
+    /// Group ids of the `dim × dim` query, key, value and output
+    /// projections.
+    wq: usize,
+    wk: usize,
+    wv: usize,
+    wo: usize,
     /// Caches per forward: input X, per-head (Q, K, V, P), concat context.
     cache: Option<(Matrix, Vec<HeadCache>, Matrix)>,
     causal: bool,
 }
 
 impl MultiHeadAttention {
-    /// Create with `heads` heads over `dim` features.
+    /// Create with `heads` heads over `dim` features; the four projections
+    /// are appended to `arena`.
     ///
     /// # Panics
     /// Panics unless `heads` divides `dim`.
-    pub fn new(dim: usize, heads: usize, causal: bool, seed: u64) -> Self {
+    pub fn new(dim: usize, heads: usize, causal: bool, seed: u64, arena: &mut Params) -> Self {
         assert!(
             heads > 0 && dim.is_multiple_of(heads),
             "heads must divide dim"
         );
-        let init = |salt: u64| Initializer::XavierUniform.init(dim, dim, seed.wrapping_add(salt));
+        let mut init = |salt: u64| push_xavier(arena, dim, dim, seed.wrapping_add(salt));
         MultiHeadAttention {
             heads,
             head_dim: dim / heads,
@@ -148,10 +172,6 @@ impl MultiHeadAttention {
             wk: init(2),
             wv: init(3),
             wo: init(4),
-            g_wq: Matrix::zeros(dim, dim),
-            g_wk: Matrix::zeros(dim, dim),
-            g_wv: Matrix::zeros(dim, dim),
-            g_wo: Matrix::zeros(dim, dim),
             cache: None,
             causal,
         }
@@ -160,29 +180,26 @@ impl MultiHeadAttention {
     fn slice_head(m: &Matrix, head: usize, head_dim: usize) -> Matrix {
         let mut out = Matrix::zeros(m.rows(), head_dim);
         for r in 0..m.rows() {
-            for c in 0..head_dim {
-                out.set(r, c, m.get(r, head * head_dim + c));
-            }
+            out.row_mut(r)
+                .copy_from_slice(&m.row(r)[head * head_dim..][..head_dim]);
         }
         out
     }
 
     fn write_head(dst: &mut Matrix, src: &Matrix, head: usize, head_dim: usize) {
         for r in 0..src.rows() {
-            for c in 0..head_dim {
-                dst.set(r, head * head_dim + c, src.get(r, c));
-            }
+            dst.row_mut(r)[head * head_dim..][..head_dim].copy_from_slice(src.row(r));
         }
     }
 
     /// Forward over a `seq × dim` input.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let seq = x.rows();
-        let q_all = x.matmul(&self.wq);
-        let k_all = x.matmul(&self.wk);
-        let v_all = x.matmul(&self.wv);
+    pub fn forward(&mut self, arena: &Params, x: &Matrix) -> Matrix {
+        let (seq, dim) = (x.rows(), self.heads * self.head_dim);
+        let q_all = mul(arena, x, self.wq, dim);
+        let k_all = mul(arena, x, self.wk, dim);
+        let v_all = mul(arena, x, self.wv, dim);
         let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let mut concat = Matrix::zeros(seq, self.heads * self.head_dim);
+        let mut concat = Matrix::zeros(seq, dim);
         let mut head_caches = Vec::with_capacity(self.heads);
         for h in 0..self.heads {
             let q = Self::slice_head(&q_all, h, self.head_dim);
@@ -202,7 +219,7 @@ impl MultiHeadAttention {
             Self::write_head(&mut concat, &o, h, self.head_dim);
             head_caches.push((q, k, v, p));
         }
-        let y = concat.matmul(&self.wo);
+        let y = mul(arena, &concat, self.wo, dim);
         self.cache = Some((x.clone(), head_caches, concat));
         y
     }
@@ -211,15 +228,14 @@ impl MultiHeadAttention {
     ///
     /// # Panics
     /// Panics if called before `forward`.
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
+    pub fn backward(&mut self, arena: &mut Params, dy: &Matrix) -> Matrix {
         let (x, head_caches, concat) = self.cache.as_ref().expect("backward before forward");
-        let seq = x.rows();
+        let (seq, dim) = (x.rows(), self.heads * self.head_dim);
         let scale = 1.0 / (self.head_dim as f32).sqrt();
 
-        self.g_wo.add_assign(&concat.matmul_at_b(dy));
-        let d_concat = dy.matmul_a_bt(&self.wo);
+        add_weight_grad(arena, concat, dy, self.wo);
+        let d_concat = mul_t(arena, dy, self.wo, dim);
 
-        let dim = self.heads * self.head_dim;
         let mut d_q_all = Matrix::zeros(seq, dim);
         let mut d_k_all = Matrix::zeros(seq, dim);
         let mut d_v_all = Matrix::zeros(seq, dim);
@@ -244,28 +260,13 @@ impl MultiHeadAttention {
             Self::write_head(&mut d_v_all, &d_v, h, self.head_dim);
         }
 
-        self.g_wq.add_assign(&x.matmul_at_b(&d_q_all));
-        self.g_wk.add_assign(&x.matmul_at_b(&d_k_all));
-        self.g_wv.add_assign(&x.matmul_at_b(&d_v_all));
-        let mut dx = d_q_all.matmul_a_bt(&self.wq);
-        dx.add_assign(&d_k_all.matmul_a_bt(&self.wk));
-        dx.add_assign(&d_v_all.matmul_a_bt(&self.wv));
+        add_weight_grad(arena, x, &d_q_all, self.wq);
+        add_weight_grad(arena, x, &d_k_all, self.wk);
+        add_weight_grad(arena, x, &d_v_all, self.wv);
+        let mut dx = mul_t(arena, &d_q_all, self.wq, dim);
+        dx.add_assign(&mul_t(arena, &d_k_all, self.wk, dim));
+        dx.add_assign(&mul_t(arena, &d_v_all, self.wv, dim));
         dx
-    }
-
-    /// Visit (params, grads) pairs.
-    pub fn for_each_group(&mut self, mut f: impl FnMut(&mut [f32], &[f32])) {
-        f(self.wq.as_mut_slice(), self.g_wq.as_slice());
-        f(self.wk.as_mut_slice(), self.g_wk.as_slice());
-        f(self.wv.as_mut_slice(), self.g_wv.as_slice());
-        f(self.wo.as_mut_slice(), self.g_wo.as_slice());
-    }
-
-    pub(crate) fn zero_grads(&mut self) {
-        self.g_wq.map_inplace(|_| 0.0);
-        self.g_wk.map_inplace(|_| 0.0);
-        self.g_wv.map_inplace(|_| 0.0);
-        self.g_wo.map_inplace(|_| 0.0);
     }
 }
 
@@ -273,132 +274,69 @@ impl MultiHeadAttention {
 /// with a ReLU feed-forward of width `4·dim`.
 #[derive(Debug, Clone)]
 pub struct TransformerBlock {
+    dim: usize,
     ln1: LayerNorm,
     attn: MultiHeadAttention,
     ln2: LayerNorm,
-    w_ff1: Matrix,
-    w_ff2: Matrix,
-    g_ff1: Matrix,
-    g_ff2: Matrix,
+    /// Group ids of the `dim × 4·dim` and `4·dim × dim` feed-forward
+    /// weights.
+    ff1: usize,
+    ff2: usize,
     /// Caches: LN2 output and the post-ReLU hidden activation.
     ff_cache: Option<(Matrix, Matrix)>,
 }
 
 impl TransformerBlock {
-    /// A block over `dim` features.
-    pub fn new(dim: usize, seed: u64) -> Self {
+    /// A block over `dim` features; its ten parameter groups are appended
+    /// to `arena` (LN1 γ, β; Wq, Wk, Wv, Wo; LN2 γ, β; FF1; FF2).
+    pub fn new(dim: usize, seed: u64, arena: &mut Params) -> Self {
         TransformerBlock {
-            ln1: LayerNorm::new(dim),
-            attn: MultiHeadAttention::new(dim, 1, false, seed),
-            ln2: LayerNorm::new(dim),
-            w_ff1: Initializer::XavierUniform.init(dim, 4 * dim, seed.wrapping_add(10)),
-            w_ff2: Initializer::XavierUniform.init(4 * dim, dim, seed.wrapping_add(11)),
-            g_ff1: Matrix::zeros(dim, 4 * dim),
-            g_ff2: Matrix::zeros(4 * dim, dim),
+            dim,
+            ln1: LayerNorm::new(dim, arena),
+            attn: MultiHeadAttention::new(dim, 1, false, seed, arena),
+            ln2: LayerNorm::new(dim, arena),
+            ff1: push_xavier(arena, dim, 4 * dim, seed.wrapping_add(10)),
+            ff2: push_xavier(arena, 4 * dim, dim, seed.wrapping_add(11)),
             ff_cache: None,
         }
     }
 
     /// Forward over one `seq × dim` sequence.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
+    pub fn forward(&mut self, arena: &Params, x: &Matrix) -> Matrix {
         // Attention sub-layer with residual.
-        let normed = self.ln1.forward(x);
-        let attn_out = self.attn.forward(&normed);
+        let normed = self.ln1.forward(arena, x);
+        let attn_out = self.attn.forward(arena, &normed);
         let mut h = x.clone();
         h.add_assign(&attn_out);
         // Feed-forward sub-layer with residual.
-        let normed2 = self.ln2.forward(&h);
-        let mut hidden = normed2.matmul(&self.w_ff1);
+        let normed2 = self.ln2.forward(arena, &h);
+        let mut hidden = mul(arena, &normed2, self.ff1, 4 * self.dim);
         ops::relu_inplace(&mut hidden);
-        let ff_out = hidden.matmul(&self.w_ff2);
+        h.add_assign(&mul(arena, &hidden, self.ff2, self.dim));
         self.ff_cache = Some((normed2, hidden));
-        let mut y = h;
-        y.add_assign(&ff_out);
-        y
+        h
     }
 
     /// Backward; returns dX and accumulates all parameter gradients.
     ///
     /// # Panics
     /// Panics if called before `forward`.
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        self.backward_with(dy, |_, _| {})
-    }
-
-    /// Backward with a per-group gradient-readiness callback, the
-    /// transformer's half of the overlap hook (see [`Mlp::backward_with`]).
-    /// Group indices follow [`TransformerBlock::for_each_group`] order
-    /// (0 = LN1 γ … 9 = FF2), and because backpropagation walks the block
-    /// back to front, groups become ready in strictly descending index
-    /// order — the growing-suffix property a bucket schedule needs.
-    ///
-    /// # Panics
-    /// Panics if called before `forward`.
-    ///
-    /// [`Mlp::backward_with`]: crate::model::Mlp::backward_with
-    pub fn backward_with(
-        &mut self,
-        dy: &Matrix,
-        mut on_group_ready: impl FnMut(usize, &[f32]),
-    ) -> Matrix {
+    pub fn backward(&mut self, arena: &mut Params, dy: &Matrix) -> Matrix {
         let (normed2, hidden) = self.ff_cache.as_ref().expect("backward before forward");
         // y = h + FF(LN2(h)); dy flows to both branches.
-        self.g_ff2.add_assign(&hidden.matmul_at_b(dy));
-        on_group_ready(9, self.g_ff2.as_slice());
-        let mut d_hidden = dy.matmul_a_bt(&self.w_ff2);
+        add_weight_grad(arena, hidden, dy, self.ff2);
+        let mut d_hidden = mul_t(arena, dy, self.ff2, self.dim);
         ops::relu_backward(hidden, &mut d_hidden);
-        self.g_ff1.add_assign(&normed2.matmul_at_b(&d_hidden));
-        on_group_ready(8, self.g_ff1.as_slice());
-        let d_normed2 = d_hidden.matmul_a_bt(&self.w_ff1);
-        let mut dh = self.ln2.backward(&d_normed2);
-        on_group_ready(7, &self.ln2.g_beta);
-        on_group_ready(6, &self.ln2.g_gamma);
+        add_weight_grad(arena, normed2, &d_hidden, self.ff1);
+        let d_normed2 = mul_t(arena, &d_hidden, self.ff1, 4 * self.dim);
+        let mut dh = self.ln2.backward(arena, &d_normed2);
         dh.add_assign(dy); // residual path
 
         // h = x + Attn(LN1(x)); dh flows to both branches.
-        let d_attn = self.attn.backward(&dh);
-        on_group_ready(5, self.attn.g_wo.as_slice());
-        on_group_ready(4, self.attn.g_wv.as_slice());
-        on_group_ready(3, self.attn.g_wk.as_slice());
-        on_group_ready(2, self.attn.g_wq.as_slice());
-        let mut dx = self.ln1.backward(&d_attn);
-        on_group_ready(1, &self.ln1.g_beta);
-        on_group_ready(0, &self.ln1.g_gamma);
+        let d_attn = self.attn.backward(arena, &dh);
+        let mut dx = self.ln1.backward(arena, &d_attn);
         dx.add_assign(&dh); // residual path
         dx
-    }
-
-    /// Per-group scalar parameter counts in [`TransformerBlock::for_each_group`]
-    /// order — the bucket-schedule input for a transformer replica.
-    pub fn group_param_sizes(&mut self) -> Vec<usize> {
-        let mut sizes = Vec::new();
-        self.for_each_group(|p, _| sizes.push(p.len()));
-        sizes
-    }
-
-    /// Visit every (params, grads) pair in the block.
-    pub fn for_each_group(&mut self, mut f: impl FnMut(&mut [f32], &[f32])) {
-        self.ln1.for_each_group(&mut f);
-        self.attn.for_each_group(&mut f);
-        self.ln2.for_each_group(&mut f);
-        f(self.w_ff1.as_mut_slice(), self.g_ff1.as_slice());
-        f(self.w_ff2.as_mut_slice(), self.g_ff2.as_slice());
-    }
-
-    /// Zero all gradient buffers.
-    pub fn zero_grads(&mut self) {
-        self.ln1.zero_grads();
-        self.attn.zero_grads();
-        self.ln2.zero_grads();
-        self.g_ff1.map_inplace(|_| 0.0);
-        self.g_ff2.map_inplace(|_| 0.0);
-    }
-
-    /// Total parameter count.
-    pub fn param_count(&mut self) -> usize {
-        let mut n = 0;
-        self.for_each_group(|p, _| n += p.len());
-        n
     }
 }
 
@@ -417,24 +355,40 @@ pub fn positional_encoding(seq: usize, dim: usize) -> Matrix {
 }
 
 /// A sequence classifier: positional encoding → transformer block → mean
-/// pooling → linear head.
+/// pooling → linear head, over one arena.
 #[derive(Debug, Clone)]
 pub struct SequenceClassifier {
+    arena: Params,
     block: TransformerBlock,
-    head: Matrix,
-    g_head: Matrix,
+    /// Group id of the `dim × classes` head.
+    head: usize,
+    classes: usize,
     cache: Option<(usize, Matrix)>,
 }
 
 impl SequenceClassifier {
     /// A classifier over `dim`-feature tokens into `classes` classes.
     pub fn new(dim: usize, classes: usize, seed: u64) -> Self {
+        let mut arena = Params::default();
+        let block = TransformerBlock::new(dim, seed, &mut arena);
+        let head = push_xavier(&mut arena, dim, classes, seed.wrapping_add(20));
         SequenceClassifier {
-            block: TransformerBlock::new(dim, seed),
-            head: Initializer::XavierUniform.init(dim, classes, seed.wrapping_add(20)),
-            g_head: Matrix::zeros(dim, classes),
+            arena,
+            block,
+            head,
+            classes,
             cache: None,
         }
+    }
+
+    /// The parameter and gradient arena.
+    pub fn arena(&self) -> &Params {
+        &self.arena
+    }
+
+    /// The parameter and gradient arena, mutably.
+    pub fn arena_mut(&mut self) -> &mut Params {
+        &mut self.arena
     }
 
     /// Logits for one `seq × dim` sequence (a `1 × classes` matrix).
@@ -443,18 +397,18 @@ impl SequenceClassifier {
         // backward pass is unchanged.
         let mut x_pe = x.clone();
         x_pe.add_assign(&positional_encoding(x.rows(), x.cols()));
-        let y = self.block.forward(&x_pe);
+        let y = self.block.forward(&self.arena, &x_pe);
         // Mean-pool over sequence positions.
         let seq = y.rows();
         let mut pooled = Matrix::zeros(1, y.cols());
         for r in 0..seq {
-            for c in 0..y.cols() {
-                let v = pooled.get(0, c) + y.get(r, c) / seq as f32;
-                pooled.set(0, c, v);
+            for (p, v) in pooled.row_mut(0).iter_mut().zip(y.row(r)) {
+                *p += v / seq as f32;
             }
         }
-        self.cache = Some((seq, pooled.clone()));
-        pooled.matmul(&self.head)
+        let logits = mul(&self.arena, &pooled, self.head, self.classes);
+        self.cache = Some((seq, pooled));
+        logits
     }
 
     /// Backward from the logits gradient.
@@ -463,50 +417,38 @@ impl SequenceClassifier {
     /// Panics if called before `forward`.
     pub fn backward(&mut self, dlogits: &Matrix) {
         let (seq, pooled) = self.cache.as_ref().expect("backward before forward");
-        self.g_head.add_assign(&pooled.matmul_at_b(dlogits));
-        let d_pooled = dlogits.matmul_a_bt(&self.head);
+        add_weight_grad(&mut self.arena, pooled, dlogits, self.head);
+        let d_pooled = mul_t(&self.arena, dlogits, self.head, self.classes);
         // Un-pool: every position receives d_pooled / seq.
         let mut dy = Matrix::zeros(*seq, d_pooled.cols());
         for r in 0..*seq {
-            for c in 0..d_pooled.cols() {
-                dy.set(r, c, d_pooled.get(0, c) / *seq as f32);
+            for (d, p) in dy.row_mut(r).iter_mut().zip(d_pooled.row(0)) {
+                *d = p / *seq as f32;
             }
         }
-        self.block.backward(&dy);
+        self.block.backward(&mut self.arena, &dy);
     }
 
-    /// Zero all gradients.
-    pub fn zero_grads(&mut self) {
-        self.block.zero_grads();
-        self.g_head.map_inplace(|_| 0.0);
-    }
-
-    /// Visit every (params, grads) pair.
-    pub fn for_each_group(&mut self, mut f: impl FnMut(&mut [f32], &[f32])) {
-        self.block.for_each_group(&mut f);
-        f(self.head.as_mut_slice(), self.g_head.as_slice());
-    }
-
-    /// One plain-SGD training step on a single sequence; returns the loss.
-    pub fn train_step(&mut self, x: &Matrix, label: usize, lr: f32) -> f32 {
+    /// One training step on a single sequence under `optimizer`, group by
+    /// group at the base learning rate; returns the loss.
+    pub fn train_step(&mut self, x: &Matrix, label: usize, optimizer: &mut dyn Optimizer) -> f32 {
         let logits = self.forward(x);
         let (loss, dlogits) = ops::softmax_cross_entropy(logits, &[label]);
-        self.zero_grads();
+        self.arena.zero_grads();
         self.backward(&dlogits);
-        self.for_each_group(|params, grads| {
-            for (p, g) in params.iter_mut().zip(grads) {
-                *p -= lr * g;
-            }
-        });
+        self.arena
+            .for_each_group(|id, p, g| optimizer.step_group(id, 1.0, p, g));
+        optimizer.advance();
         loss
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::optim::Sgd;
 
-    fn seq_input(seq: usize, dim: usize, seed: u64) -> Matrix {
+    pub(crate) fn seq_input(seq: usize, dim: usize, seed: u64) -> Matrix {
         let mut m = Matrix::zeros(seq, dim);
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
         m.map_inplace(|_| {
@@ -519,43 +461,34 @@ mod tests {
     }
 
     /// Generic finite-difference gradient check driven through a scalar
-    /// loss `L = Σ y ⊙ w_loss` so dL/dy is a known constant matrix.
-    fn grad_check<M>(
+    /// loss `L = Σ y ⊙ w_loss` so dL/dy is a known constant matrix: the
+    /// input gradient at three entries, and one parameter per group of
+    /// `arena`, perturbed where it lies.
+    pub(crate) fn grad_check<M>(
         model: &mut M,
-        forward: impl Fn(&mut M, &Matrix) -> Matrix,
-        backward: impl Fn(&mut M, &Matrix) -> Matrix,
-        zero: impl Fn(&mut M),
-        groups: impl Fn(&mut M, &mut dyn FnMut(&mut [f32], &[f32])),
+        arena: &mut Params,
+        forward: fn(&mut M, &Params, &Matrix) -> Matrix,
+        backward: fn(&mut M, &mut Params, &Matrix) -> Matrix,
         x: &Matrix,
     ) {
-        let y0 = forward(model, x);
+        let y0 = forward(model, arena, x);
         // Fixed loss weights.
-        let mut w_loss = y0.clone();
-        let mut k = 0.0f32;
-        w_loss.map_inplace(|_| {
-            k += 1.0;
-            (k * 0.37).sin()
-        });
-        let loss = |y: &Matrix| -> f32 {
-            y.as_slice()
-                .iter()
-                .zip(w_loss.as_slice())
-                .map(|(a, b)| a * b)
-                .sum()
-        };
-        zero(model);
-        let _ = forward(model, x);
-        let dx = backward(model, &w_loss);
+        let weights = (1..=y0.as_slice().len()).map(|k| (k as f32 * 0.37).sin());
+        let w_loss = Matrix::from_vec(y0.rows(), y0.cols(), weights.collect());
+        let loss = |y: &Matrix| summit_tensor::dot(y.as_slice(), w_loss.as_slice());
+        arena.zero_grads();
+        let _ = forward(model, arena, x);
+        let dx = backward(model, arena, &w_loss);
 
         // Check input gradient at a few entries.
         let eps = 1e-2f32;
         for idx in [0usize, x.as_slice().len() / 2, x.as_slice().len() - 1] {
             let mut xp = x.clone();
             xp.as_mut_slice()[idx] += eps;
-            let lp = loss(&forward(model, &xp));
+            let lp = loss(&forward(model, arena, &xp));
             let mut xm = x.clone();
             xm.as_mut_slice()[idx] -= eps;
-            let lm = loss(&forward(model, &xm));
+            let lm = loss(&forward(model, arena, &xm));
             let fd = (lp - lm) / (2.0 * eps);
             let an = dx.as_slice()[idx];
             assert!(
@@ -564,58 +497,31 @@ mod tests {
             );
         }
 
-        // Check a few parameter gradients per group.
-        // Snapshot analytic grads first.
-        let mut analytic: Vec<Vec<f32>> = Vec::new();
-        groups(model, &mut |_, g| analytic.push(g.to_vec()));
-        let n_groups = analytic.len();
-        #[allow(clippy::needless_range_loop)] // gi drives closure dispatch
-        for gi in 0..n_groups {
-            let probe = analytic[gi].len() / 2;
-            let an = analytic[gi][probe];
-            // Perturb +eps.
-            groups(model, &mut {
-                let mut seen = 0;
-                move |p, _| {
-                    if seen == gi {
-                        p[probe] += eps;
-                    }
-                    seen += 1;
-                }
-            });
-            let lp = loss(&forward(model, x));
-            groups(model, &mut {
-                let mut seen = 0;
-                move |p, _| {
-                    if seen == gi {
-                        p[probe] -= 2.0 * eps;
-                    }
-                    seen += 1;
-                }
-            });
-            let lm = loss(&forward(model, x));
-            groups(model, &mut {
-                let mut seen = 0;
-                move |p, _| {
-                    if seen == gi {
-                        p[probe] += eps;
-                    }
-                    seen += 1;
-                }
-            });
+        // Check the middle parameter of every group.
+        let analytic = arena.flat_grads();
+        for id in 0..arena.group_count() {
+            let range = arena.range(id);
+            let i = range.start + range.len() / 2;
+            arena.params_mut()[i] += eps;
+            let lp = loss(&forward(model, arena, x));
+            arena.params_mut()[i] -= 2.0 * eps;
+            let lm = loss(&forward(model, arena, x));
+            arena.params_mut()[i] += eps;
             let fd = (lp - lm) / (2.0 * eps);
             assert!(
-                (fd - an).abs() < 3e-2 * (1.0 + fd.abs()),
-                "group {gi} param grad: fd {fd} vs analytic {an}"
+                (fd - analytic[i]).abs() < 3e-2 * (1.0 + fd.abs()),
+                "group {id} param grad: fd {fd} vs analytic {}",
+                analytic[i]
             );
         }
     }
 
     #[test]
     fn layernorm_rows_are_normalized() {
-        let mut ln = LayerNorm::new(8);
+        let mut arena = Params::default();
+        let mut ln = LayerNorm::new(8, &mut arena);
         let x = seq_input(4, 8, 3);
-        let y = ln.forward(&x);
+        let y = ln.forward(&arena, &x);
         for r in 0..4 {
             let mean: f32 = y.row(r).iter().sum::<f32>() / 8.0;
             let var: f32 = y.row(r).iter().map(|v| (v - mean).powi(2)).sum::<f32>() / 8.0;
@@ -626,51 +532,37 @@ mod tests {
 
     #[test]
     fn layernorm_gradients_check() {
-        let mut ln = LayerNorm::new(6);
+        let mut arena = Params::default();
+        let mut ln = LayerNorm::new(6, &mut arena);
         let x = seq_input(3, 6, 7);
-        grad_check(
-            &mut ln,
-            |m, x| m.forward(x),
-            |m, dy| m.backward(dy),
-            |m| m.zero_grads(),
-            |m, f| m.for_each_group(f),
-            &x,
-        );
+        let (fwd, bwd) = (LayerNorm::forward, LayerNorm::backward);
+        grad_check(&mut ln, &mut arena, fwd, bwd, &x);
     }
 
     #[test]
     fn attention_gradients_check() {
-        let mut attn = MultiHeadAttention::new(6, 1, false, 11);
+        let mut arena = Params::default();
+        let mut attn = MultiHeadAttention::new(6, 1, false, 11, &mut arena);
         let x = seq_input(4, 6, 13);
-        grad_check(
-            &mut attn,
-            |m, x| m.forward(x),
-            |m, dy| m.backward(dy),
-            |m| m.zero_grads(),
-            |m, f| m.for_each_group(f),
-            &x,
-        );
+        let (fwd, bwd) = (MultiHeadAttention::forward, MultiHeadAttention::backward);
+        grad_check(&mut attn, &mut arena, fwd, bwd, &x);
     }
 
     #[test]
     fn transformer_block_gradients_check() {
-        let mut block = TransformerBlock::new(4, 17);
+        let mut arena = Params::default();
+        let mut block = TransformerBlock::new(4, 17, &mut arena);
         let x = seq_input(5, 4, 19);
-        grad_check(
-            &mut block,
-            |m, x| m.forward(x),
-            |m, dy| m.backward(dy),
-            |m| m.zero_grads(),
-            |m, f| m.for_each_group(f),
-            &x,
-        );
+        let (fwd, bwd) = (TransformerBlock::forward, TransformerBlock::backward);
+        grad_check(&mut block, &mut arena, fwd, bwd, &x);
     }
 
     #[test]
     fn attention_rows_are_distributions() {
-        let mut attn = MultiHeadAttention::new(8, 1, false, 5);
+        let mut arena = Params::default();
+        let mut attn = MultiHeadAttention::new(8, 1, false, 5, &mut arena);
         let x = seq_input(6, 8, 23);
-        let _ = attn.forward(&x);
+        let _ = attn.forward(&arena, &x);
         let (_, heads, _) = attn.cache.as_ref().unwrap();
         let (_, _, _, p) = &heads[0];
         for r in 0..p.rows() {
@@ -681,12 +573,14 @@ mod tests {
 
     #[test]
     fn block_preserves_shape_and_param_count() {
-        let mut block = TransformerBlock::new(8, 1);
+        let mut arena = Params::default();
+        let mut block = TransformerBlock::new(8, 1, &mut arena);
         let x = seq_input(10, 8, 2);
-        let y = block.forward(&x);
+        let y = block.forward(&arena, &x);
         assert_eq!((y.rows(), y.cols()), (10, 8));
         // 2 LN (2·8 each) + 4 attention (64 each) + FF (8·32 + 32·8).
-        assert_eq!(block.param_count(), 2 * 16 + 4 * 64 + 2 * 256);
+        assert_eq!(arena.param_count(), 2 * 16 + 4 * 64 + 2 * 256);
+        assert_eq!(arena.group_count(), 10);
     }
 
     /// Without positional encodings the block is permutation-equivariant:
@@ -694,17 +588,15 @@ mod tests {
     /// why `SequenceClassifier` injects positional encodings.
     #[test]
     fn block_is_permutation_equivariant() {
-        let mut block = TransformerBlock::new(6, 31);
+        let mut arena = Params::default();
+        let mut block = TransformerBlock::new(6, 31, &mut arena);
         let x = seq_input(5, 6, 37);
-        let y = block.forward(&x);
+        let y = block.forward(&arena, &x);
         // Swap rows 1 and 3 of the input.
         let mut xs = x.clone();
-        for c in 0..6 {
-            let (a, b) = (x.get(1, c), x.get(3, c));
-            xs.set(1, c, b);
-            xs.set(3, c, a);
-        }
-        let ys = block.forward(&xs);
+        xs.row_mut(1).copy_from_slice(x.row(3));
+        xs.row_mut(3).copy_from_slice(x.row(1));
+        let ys = block.forward(&arena, &xs);
         for c in 0..6 {
             assert!((y.get(1, c) - ys.get(3, c)).abs() < 1e-5);
             assert!((y.get(3, c) - ys.get(1, c)).abs() < 1e-5);
@@ -720,30 +612,6 @@ mod tests {
             assert!(diff > 1e-3, "positions 0 and {r} indistinguishable");
         }
         assert!(pe.as_slice().iter().all(|v| v.abs() <= 1.0));
-    }
-
-    /// `backward_with` must report every parameter group exactly once, in
-    /// strictly descending flat-layout order, with the group's *final*
-    /// gradient values — the contract the overlap bucket schedule builds on.
-    #[test]
-    fn backward_with_reports_groups_in_reverse_layout_order() {
-        let mut block = TransformerBlock::new(4, 23);
-        let x = seq_input(5, 4, 29);
-        let _ = block.forward(&x);
-        block.zero_grads();
-        let dy = seq_input(5, 4, 31);
-        let mut order = Vec::new();
-        let mut reported: Vec<Vec<f32>> = Vec::new();
-        let _ = block.backward_with(&dy, |g, grads| {
-            order.push(g);
-            reported.push(grads.to_vec());
-        });
-        assert_eq!(order, (0..10).rev().collect::<Vec<_>>());
-        // The gradients visible at readiness time are the final ones.
-        let mut finals: Vec<Vec<f32>> = Vec::new();
-        block.for_each_group(|_, g| finals.push(g.to_vec()));
-        finals.reverse();
-        assert_eq!(reported, finals);
     }
 
     /// The classifier learns "which third of the sequence holds the peak
@@ -762,12 +630,13 @@ mod tests {
         };
         let train_n = 120;
         let mut model = SequenceClassifier::new(dim, 3, 2026);
+        let mut sgd = Sgd::new(0.1, 0.0, 0.0);
         let mut last_losses = Vec::new();
         for epoch in 0..120 {
             let mut epoch_loss = 0.0;
             for i in 0..train_n {
                 let (x, label) = make_example(i);
-                epoch_loss += model.train_step(&x, label, 0.1);
+                epoch_loss += model.train_step(&x, label, &mut sgd);
             }
             if epoch >= 115 {
                 last_losses.push(epoch_loss / train_n as f32);

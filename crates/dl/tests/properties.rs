@@ -23,7 +23,7 @@ proptest! {
         let p = m.flat_params();
         prop_assert_eq!(p.len(), m.param_count());
         let shifted: Vec<f32> = p.iter().map(|v| v + 1.0).collect();
-        m.set_flat_params(&shifted);
+        m.arena_mut().set_flat_params(&shifted);
         prop_assert_eq!(m.flat_params(), shifted);
     }
 
@@ -40,7 +40,7 @@ proptest! {
         prop_assert!(loss.is_finite());
         m.zero_grads();
         m.backward(&d);
-        prop_assert!(m.flat_grads().iter().all(|g| g.is_finite()));
+        prop_assert!(m.arena().flat_grads().iter().all(|g| g.is_finite()));
     }
 
     /// LARS first-step update norm equals lr·η·‖w‖ for any gradient (no

@@ -310,7 +310,9 @@ fn checkpoint_is_size_agnostic_across_world_sizes() {
         bitwise_eq(&reassembled.encode(), &words, "reassembled stream");
         let mut model = spec.build(99);
         let mut opt = build_opt("lamb");
-        reassembled.restore(&mut model, opt.as_mut()).unwrap();
+        reassembled
+            .restore(model.arena_mut(), opt.as_mut())
+            .unwrap();
         bitwise_eq(&model.flat_params(), &ck.params, "restored params");
         let state = opt.export_state();
         assert_eq!(state.step, ck.opt.step);

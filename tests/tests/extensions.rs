@@ -13,13 +13,13 @@ use summit_dl::{
     compression::{Compressor, GradCompression},
     data::blobs,
     model::{Mlp, MlpSpec},
-    optim::{Optimizer, Sgd},
+    optim::{Adam, Optimizer, Sgd},
     schedule::LrSchedule,
     trainer::slice_rows,
-    ElasticCheckpoint,
+    ElasticCheckpoint, Params, SequenceClassifier,
 };
 use summit_machine::{spec::NodeSpec, ClusterModel, LinkModel};
-use summit_tensor::ops;
+use summit_tensor::{ops, Matrix};
 
 /// The routed fabric (one rank per node over the fat tree's NIC and
 /// uplink reservations) and the α–β model agree on the ring allreduce
@@ -77,7 +77,7 @@ fn compressed_data_parallel_training_converges() {
                 loss = l;
                 model.zero_grads();
                 model.backward(&d);
-                let mut flat = model.flat_grads();
+                let mut flat = model.arena().flat_grads();
                 comp.compress(&mut flat);
                 run(rank, Collective::RING, &mut flat, ReduceOp::Sum);
                 let inv = 1.0 / ranks as f32;
@@ -101,9 +101,44 @@ fn compressed_data_parallel_training_converges() {
     assert!(results[0].1 < 0.35, "loss {}", results[0].1);
 }
 
+/// Train `first` rounds, checkpoint through the encoded word stream, and
+/// train `second` more; a fresh model and optimizer restored from the
+/// stream and trained the same `second` rounds land on the same bits.
+fn resume_reproduces<M>(
+    build: impl Fn() -> (M, Box<dyn Optimizer>),
+    arena: fn(&mut M) -> &mut Params,
+    round: impl Fn(usize, &mut M, &mut dyn Optimizer),
+    (first, second): (usize, usize),
+) {
+    let (mut model, mut opt) = build();
+    for r in 0..first {
+        round(r, &mut model, opt.as_mut());
+    }
+    let ckpt = ElasticCheckpoint::capture(first as u32, arena(&mut model), opt.as_ref());
+    assert!(
+        !ckpt.opt.slots.is_empty(),
+        "optimizer state must be captured"
+    );
+    let ckpt = ElasticCheckpoint::decode(&ckpt.encode()).expect("valid stream");
+    for r in first..first + second {
+        round(r, &mut model, opt.as_mut());
+    }
+
+    let (mut resumed, mut resumed_opt) = build();
+    ckpt.restore(arena(&mut resumed), resumed_opt.as_mut())
+        .expect("valid checkpoint");
+    assert_eq!(arena(&mut resumed).params(), ckpt.params);
+    for r in first..first + second {
+        round(r, &mut resumed, resumed_opt.as_mut());
+    }
+    let bits = |m: &mut M| -> Vec<u32> { arena(m).params().iter().map(|v| v.to_bits()).collect() };
+    assert_eq!(bits(&mut model), bits(&mut resumed), "resume diverged");
+}
+
 /// Checkpoint/restore mid-training: restoring a checkpoint — parameters
-/// *and* momentum — and replaying the same batches reproduces the original
-/// trajectory bit for bit.
+/// *and* optimizer state — and replaying the same batches reproduces the
+/// original trajectory bit for bit, for an MLP under SGD momentum and for
+/// a transformer classifier under Adam.
 #[test]
 fn checkpoint_resume_reproduces_trajectory() {
     let task = blobs(128, 4, 2, 0.4, 66);
@@ -112,7 +147,7 @@ fn checkpoint_resume_reproduces_trajectory() {
         || -> (Mlp, Box<dyn Optimizer>) { (spec.build(9), Box::new(Sgd::new(0.05, 0.9, 0.0))) };
     // One pass over the dataset in order, one SGD step per 32 rows at the
     // base learning rate (multiplier 1).
-    let epoch = |model: &mut Mlp, opt: &mut dyn Optimizer| {
+    let epoch = |_: usize, model: &mut Mlp, opt: &mut dyn Optimizer| {
         for start in (0..task.x.rows()).step_by(32) {
             let bx = slice_rows(&task.x, start, start + 32);
             let logits = model.forward(&bx);
@@ -123,29 +158,26 @@ fn checkpoint_resume_reproduces_trajectory() {
             opt.advance();
         }
     };
+    resume_reproduces(build, Mlp::arena_mut, epoch, (5, 5));
 
-    // Train 5 epochs, checkpoint, train 5 more.
-    let (mut model, mut opt) = build();
-    for _ in 0..5 {
-        epoch(&mut model, opt.as_mut());
-    }
-    let ckpt = ElasticCheckpoint::capture(20, &model, opt.as_ref());
-    assert!(!ckpt.opt.slots.is_empty(), "momentum must be captured");
-    for _ in 0..5 {
-        epoch(&mut model, opt.as_mut());
-    }
-
-    // Restore into a fresh model and optimizer and replay the last 5 epochs.
-    let (mut resumed, mut resumed_opt) = build();
-    ckpt.restore(&mut resumed, resumed_opt.as_mut())
-        .expect("valid checkpoint");
-    assert_eq!(resumed.flat_params(), ckpt.params);
-    for _ in 0..5 {
-        epoch(&mut resumed, resumed_opt.as_mut());
-    }
-    for (a, b) in model.flat_params().iter().zip(resumed.flat_params()) {
-        assert_eq!(a.to_bits(), b.to_bits(), "resume diverged: {a} vs {b}");
-    }
+    // One sequence per step: 9 tokens of 6 features, class = the third of
+    // the sequence holding a marker.
+    let build = || -> (SequenceClassifier, Box<dyn Optimizer>) {
+        (
+            SequenceClassifier::new(6, 3, 5),
+            Box::new(Adam::new(0.01, 0.0)),
+        )
+    };
+    let step = |i: usize, model: &mut SequenceClassifier, opt: &mut dyn Optimizer| {
+        let mut x = Matrix::from_vec(
+            9,
+            6,
+            (0..54).map(|k| ((i * 54 + k) as f32).sin() * 0.1).collect(),
+        );
+        x.set(3 * (i % 3) + i % 2, 0, 3.0);
+        model.train_step(&x, i % 3, opt);
+    };
+    resume_reproduces(build, SequenceClassifier::arena_mut, step, (10, 10));
 }
 
 /// Hierarchical allreduce (NVLink-style groups of 3 over 4 "nodes")
@@ -163,7 +195,7 @@ fn hierarchical_allreduce_in_training_step() {
             let (_, d) = ops::softmax_cross_entropy(logits, &task.y[start..start + 8]);
             model.zero_grads();
             model.backward(&d);
-            let mut flat = model.flat_grads();
+            let mut flat = model.arena().flat_grads();
             let c = if hierarchical {
                 Collective::HierarchicalAllreduce { group_size: 3 }
             } else {

@@ -173,7 +173,7 @@ fn steady_state_pooled_matmul_does_not_allocate() {
         "Mlp::backward requested {largest} bytes in one allocation; \
          the smallest weight matrix is {smallest_weight_bytes}"
     );
-    assert!(model.flat_grads().iter().any(|&g| g != 0.0));
+    assert!(model.arena().flat_grads().iter().any(|&g| g != 0.0));
 
     training_run_holds_its_gradient_once();
 }
