@@ -2,9 +2,9 @@
 //!
 //! Training needs gradient buffers, cached activations, and `&mut`
 //! forward passes; serving needs none of that. A [`ServableModel`] is the
-//! immutable half of an [`Mlp`](crate::model::Mlp): weights, biases, and a
-//! GEMM precision knob, with a `&self` forward pass so any number of
-//! worker threads can run inference against one replica concurrently.
+//! immutable half of an [`Mlp`](crate::model::Mlp): weights and biases,
+//! with a `&self` forward pass so any number of worker threads can run
+//! inference against one replica concurrently.
 //!
 //! Two entry points matter to the serving plane:
 //!
@@ -18,27 +18,21 @@
 //!   per-row accumulation chains of the packed GEMM depend only on the
 //!   shared dimension — so row `i` of a batched forward is **bit-identical**
 //!   to the single-request forward of row `i` (pinned by
-//!   `summit-serve`'s identity tests for both [`Precision`] modes).
+//!   `summit-serve`'s identity tests).
 //!
 //! The training and serving forwards share one routine
 //! ([`dense_forward_into`]), so a served logit is bitwise the logit the
 //! trainer would have computed.
 
 use crate::model::MlpSpec;
-use summit_tensor::{ops, MatRef, Matrix, Precision};
+use summit_tensor::{ops, MatRef, Matrix};
 
 /// Shared dense-layer forward: `out = x·W + b`. Both the trainer's layers
 /// (whose `W` is a view of the model's parameter arena) and
 /// [`ServableModel`] call this, so training-time and serving-time
 /// activations are bitwise identical.
-pub(crate) fn dense_forward_into(
-    x: &Matrix,
-    w: MatRef<'_>,
-    b: &[f32],
-    precision: Precision,
-    out: &mut Matrix,
-) {
-    x.matmul_into_prec(w, out, precision);
+pub(crate) fn dense_forward_into(x: &Matrix, w: MatRef<'_>, b: &[f32], out: &mut Matrix) {
+    x.matmul_into(w, out);
     ops::add_bias(out, b);
 }
 
@@ -57,7 +51,6 @@ struct ServableLayer {
 #[derive(Debug, Clone)]
 pub struct ServableModel {
     layers: Vec<ServableLayer>,
-    precision: Precision,
 }
 
 impl ServableModel {
@@ -95,22 +88,7 @@ impl ServableModel {
                 ServableLayer { w, b: b.to_vec() }
             })
             .collect();
-        ServableModel {
-            layers,
-            precision: Precision::F32,
-        }
-    }
-
-    /// Set the GEMM storage precision of every layer (builder style).
-    #[must_use]
-    pub fn with_precision(mut self, p: Precision) -> Self {
-        self.precision = p;
-        self
-    }
-
-    /// The GEMM storage precision used by every forward.
-    pub fn precision(&self) -> Precision {
-        self.precision
+        ServableModel { layers }
     }
 
     /// Input feature count.
@@ -158,7 +136,7 @@ impl ServableModel {
         let depth = self.layers.len();
         for (i, layer) in self.layers.iter().enumerate() {
             let mut y = Matrix::zeros(h.rows(), layer.w.cols());
-            dense_forward_into(&h, (&layer.w).into(), &layer.b, self.precision, &mut y);
+            dense_forward_into(&h, (&layer.w).into(), &layer.b, &mut y);
             if i + 1 < depth {
                 ops::relu_inplace(&mut y);
             }

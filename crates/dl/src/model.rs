@@ -2,7 +2,7 @@
 //!
 //! An [`Mlp`] keeps its parameters and gradients in one [`Params`] arena
 //! (layer-major, weights then bias, each its own group). A `Linear` layer
-//! holds only its shape, its cached input and its precision; its GEMMs read
+//! holds only its shape and its cached input; its GEMMs read
 //! the weights as a borrowed view of the parameter arena ([`MatRef`]).
 //! Backward writes each layer's `Xᵀ·dY` straight into its gradient window,
 //! and a data-parallel step reduces gradient windows in place
@@ -11,7 +11,7 @@
 
 use crate::inference::{dense_forward_into, ServableModel};
 use crate::params::Params;
-use summit_tensor::{ops, Initializer, MatRef, Matrix, Precision};
+use summit_tensor::{ops, Initializer, MatRef, Matrix};
 
 /// A fully-connected layer `in_dim → out_dim`. Its parameters and gradient
 /// live in caller-provided `[weights, bias]` windows of an [`Mlp`]'s arena.
@@ -21,10 +21,6 @@ struct Linear {
     out_dim: usize,
     /// Input cached by the last forward pass, consumed by backward.
     input: Option<Matrix>,
-    /// GEMM storage precision for this layer's three products (f32
-    /// accumulation either way — the mixed-precision lever from the
-    /// paper's rate assumptions).
-    precision: Precision,
 }
 
 impl Linear {
@@ -41,7 +37,7 @@ impl Linear {
     fn forward(&mut self, params: &[f32], x: Matrix) -> Matrix {
         let mut y = Matrix::zeros(x.rows(), self.out_dim);
         let bias = &params[self.in_dim * self.out_dim..];
-        dense_forward_into(&x, self.weights(params), bias, self.precision, &mut y);
+        dense_forward_into(&x, self.weights(params), bias, &mut y);
         self.input = Some(x);
         y
     }
@@ -57,7 +53,7 @@ impl Linear {
         let x = self.input.as_ref().expect("backward called before forward");
         assert_eq!(grads.len(), self.param_count(), "gradient window mismatch");
         let (gw, gb) = grads.split_at_mut(self.in_dim * self.out_dim);
-        x.matmul_at_b_into_slice(dy, gw, !overwrite, self.precision);
+        x.matmul_at_b_into_slice(dy, gw, !overwrite);
         if overwrite {
             gb.fill(0.0);
         }
@@ -69,7 +65,7 @@ impl Linear {
     /// `dx = dy·Wᵀ` over this layer's parameter window.
     fn input_grad(&self, params: &[f32], dy: &Matrix) -> Matrix {
         let mut dx = Matrix::zeros(dy.rows(), self.in_dim);
-        dy.matmul_a_bt_into_prec(self.weights(params), &mut dx, self.precision);
+        dy.matmul_a_bt_into(self.weights(params), &mut dx);
         dx
     }
 
@@ -127,7 +123,6 @@ impl MlpSpec {
                 in_dim,
                 out_dim,
                 input: None,
-                precision: Precision::F32,
             });
         }
         Mlp { layers, arena }
@@ -151,22 +146,6 @@ impl Mlp {
     /// Number of layers.
     pub fn depth(&self) -> usize {
         self.layers.len()
-    }
-
-    /// Set the GEMM storage precision of every layer (forward and both
-    /// backward products). `Precision::Mixed` stores the packed operand in
-    /// bf16 and accumulates in f32 — training throughput goes up, weights
-    /// and gradients stay f32 end to end.
-    pub fn set_precision(&mut self, p: Precision) {
-        for layer in &mut self.layers {
-            layer.precision = p;
-        }
-    }
-
-    /// The GEMM precision of the first layer (all layers agree after
-    /// [`Mlp::set_precision`]).
-    pub fn precision(&self) -> Precision {
-        self.layers.first().map_or(Precision::F32, |l| l.precision)
     }
 
     /// Total scalar parameter count.
@@ -301,13 +280,11 @@ impl Mlp {
     }
 
     /// Snapshot the forward-only serving state of this model: weights,
-    /// biases, and the precision knob — none of the gradient buffers or
-    /// cached activations. The snapshot is what a serving replica holds
+    /// biases — none of the gradient buffers or cached activations. The snapshot is what a serving replica holds
     /// and what a weight broadcast ships.
     pub fn servable(&self) -> ServableModel {
         let shapes = self.layers.iter().map(|l| (l.in_dim, l.out_dim));
         ServableModel::from_shapes_params(shapes, self.arena.params())
-            .with_precision(self.precision())
     }
 
     /// [`Params::for_each_group`]: per-layer weights and biases separately,
@@ -480,35 +457,6 @@ mod tests {
         }
         m.zero_grads();
         assert!(m.arena().flat_grads().iter().all(|&g| g == 0.0));
-    }
-
-    #[test]
-    fn mixed_precision_training_tracks_f32() {
-        let mut full = MlpSpec::new(6, &[16], 3).build(11);
-        let mut mixed = full.clone();
-        mixed.set_precision(Precision::Mixed);
-        assert_eq!(mixed.precision(), Precision::Mixed);
-        assert_eq!(full.precision(), Precision::F32);
-        let x = Matrix::from_vec(4, 6, (0..24).map(|i| (i as f32 * 0.37).sin()).collect());
-        let yf = full.forward(&x);
-        let ym = mixed.forward(&x);
-        // bf16 storage keeps 8 mantissa bits on one operand per product:
-        // activations agree to ~1% through one hidden layer.
-        for (a, b) in yf.as_slice().iter().zip(ym.as_slice()) {
-            assert!((a - b).abs() <= a.abs() * 0.02 + 0.02, "{a} vs {b}");
-        }
-        let d = Matrix::from_vec(4, 3, vec![0.1; 12]);
-        mixed.zero_grads();
-        mixed.backward(&d);
-        let gm = mixed.arena().flat_grads();
-        full.zero_grads();
-        full.backward(&d);
-        let gf = full.arena().flat_grads();
-        assert!(gm.iter().all(|g| g.is_finite()));
-        // Gradients track the f32 path within the same storage tolerance.
-        for (a, b) in gf.iter().zip(&gm) {
-            assert!((a - b).abs() <= a.abs() * 0.05 + 0.02, "{a} vs {b}");
-        }
     }
 
     #[test]

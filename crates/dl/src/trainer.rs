@@ -184,9 +184,8 @@ impl Trainer {
     }
 
     /// Snapshot the forward-only serving state of the model being trained
-    /// — what a serving plane deploys at a step boundary (weights and the
-    /// precision knob; no optimizer state, gradients, or cached
-    /// activations).
+    /// — what a serving plane deploys at a step boundary (weights and biases; no
+    /// optimizer state, gradients, or cached activations).
     pub fn servable(&self) -> crate::inference::ServableModel {
         self.model.servable()
     }

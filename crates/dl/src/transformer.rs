@@ -16,7 +16,7 @@
 //! its group ids and its forward cache. So a model trains under any
 //! [`Optimizer`] and checkpoints like any other.
 
-use summit_tensor::{ops, Initializer, Matrix, Precision};
+use summit_tensor::{ops, Initializer, Matrix};
 
 use crate::optim::Optimizer;
 use crate::params::Params;
@@ -24,20 +24,20 @@ use crate::params::Params;
 /// `x · W` for group `w` of `arena`, a matrix `cols` columns wide.
 pub(crate) fn mul(arena: &Params, x: &Matrix, w: usize, cols: usize) -> Matrix {
     let mut y = Matrix::zeros(x.rows(), cols);
-    x.matmul_into_prec(arena.view(w, cols), &mut y, Precision::F32);
+    x.matmul_into(arena.view(w, cols), &mut y);
     y
 }
 
 /// `dy · Wᵀ` for group `w` of `arena`, a matrix `cols` columns wide.
 pub(crate) fn mul_t(arena: &Params, dy: &Matrix, w: usize, cols: usize) -> Matrix {
     let mut dx = Matrix::zeros(dy.rows(), arena.range(w).len() / cols);
-    dy.matmul_a_bt_into_prec(arena.view(w, cols), &mut dx, Precision::F32);
+    dy.matmul_a_bt_into(arena.view(w, cols), &mut dx);
     dx
 }
 
 /// `gW += xᵀ · dy` into group `w`'s gradient window.
 pub(crate) fn add_weight_grad(arena: &mut Params, x: &Matrix, dy: &Matrix, w: usize) {
-    x.matmul_at_b_into_slice(dy, arena.grad_mut(w), true, Precision::F32);
+    x.matmul_at_b_into_slice(dy, arena.grad_mut(w), true);
 }
 
 /// Append a Xavier-initialized `rows × cols` weight group to `arena`.

@@ -66,16 +66,6 @@ impl Kernel {
             arithmetic_intensity: f64::from(n) / 6.0,
         }
     }
-
-    /// Mixed-precision matmul with bf16 storage of one operand and f32
-    /// accumulation — the reproduction's `Precision::Mixed` matmul: `2n³` FLOPs over
-    /// `(4 + 2 + 4)·n²` bytes → intensity `n/5`.
-    pub fn matmul_mixed_bf16(n: u32) -> Kernel {
-        Kernel {
-            name: "matmul (mixed bf16 storage)",
-            arithmetic_intensity: f64::from(n) / 5.0,
-        }
-    }
 }
 
 /// Roofline verdict for one kernel on one device.
@@ -208,11 +198,8 @@ mod tests {
         // The scalar fallback roofline is 8× lower.
         let s = Roofline::of_cpu(1, 2.1, 1, 2, 2.5e10);
         assert!((s.peak_flops * 8.0 - r.peak_flops).abs() < 1e3);
-        // Mixed storage raises intensity n/6 → n/5 (fewer operand bytes).
         let f = Kernel::matmul_f32(256).arithmetic_intensity;
-        let m = Kernel::matmul_mixed_bf16(256).arithmetic_intensity;
         assert!((f * 6.0 - 256.0).abs() < 1e-9);
-        assert!((m * 5.0 - 256.0).abs() < 1e-9);
     }
 
     /// Attainable performance is monotone in intensity and capped at peak.

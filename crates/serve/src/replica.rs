@@ -11,8 +11,7 @@
 //! Because every replica is built from the *broadcast* bytes and the
 //! forward is the shared packed-GEMM path, the sharded result is
 //! **bit-identical** to a single-replica `forward_batch` over the whole
-//! request list — pinned by this module's tests for 1–4 ranks and both
-//! precisions.
+//! request list — pinned by this module's tests for 1–4 ranks.
 
 use summit_comm::collectives::run;
 use summit_comm::extended::run_slots;
@@ -20,7 +19,7 @@ use summit_comm::world::World;
 use summit_comm::{Collective, ReduceOp};
 use summit_dl::inference::ServableModel;
 use summit_dl::model::MlpSpec;
-use summit_tensor::{Matrix, Precision};
+use summit_tensor::Matrix;
 
 use crate::service::{batch_matrix, feature_pool};
 
@@ -44,13 +43,7 @@ pub struct ShardedConfig {
 /// # Panics
 /// Panics if `flat` does not match `spec`, `cfg.ranks == 0`, or
 /// `cfg.max_batch == 0`.
-pub fn serve_sharded(
-    spec: &MlpSpec,
-    flat: &[f32],
-    precision: Precision,
-    ids: &[u64],
-    cfg: &ShardedConfig,
-) -> Matrix {
+pub fn serve_sharded(spec: &MlpSpec, flat: &[f32], ids: &[u64], cfg: &ShardedConfig) -> Matrix {
     assert!(cfg.ranks > 0, "need at least one rank");
     assert!(cfg.max_batch > 0, "max_batch must be positive");
     let results = World::new(cfg.ranks).execute(|rank| {
@@ -63,7 +56,7 @@ pub fn serve_sharded(
         };
         let bcast = Collective::BinomialBroadcast { root: 0 };
         run(rank, bcast, &mut params, ReduceOp::Sum);
-        let model = ServableModel::from_spec_params(spec, &params).with_precision(precision);
+        let model = ServableModel::from_spec_params(spec, &params);
         let pool = feature_pool(spec.inputs, cfg.pool, cfg.seed);
         let mine = summit_pool::chunk_range(ids.len(), rank.size(), rank.id());
         let mut out = Vec::with_capacity(mine.len() * spec.outputs);
@@ -95,14 +88,8 @@ pub fn serve_sharded(
 mod tests {
     use super::*;
 
-    fn single_plane(
-        spec: &MlpSpec,
-        flat: &[f32],
-        precision: Precision,
-        ids: &[u64],
-        cfg: &ShardedConfig,
-    ) -> Matrix {
-        let model = ServableModel::from_spec_params(spec, flat).with_precision(precision);
+    fn single_plane(spec: &MlpSpec, flat: &[f32], ids: &[u64], cfg: &ShardedConfig) -> Matrix {
+        let model = ServableModel::from_spec_params(spec, flat);
         let pool = feature_pool(spec.inputs, cfg.pool, cfg.seed);
         let mut rows = Vec::with_capacity(ids.len() * spec.outputs);
         for chunk in ids.chunks(cfg.max_batch) {
@@ -117,22 +104,16 @@ mod tests {
         let spec = MlpSpec::new(12, &[24, 16], 5);
         let flat = spec.build(21).flat_params();
         let ids: Vec<u64> = (0..53).collect();
-        for precision in [Precision::F32, Precision::Mixed] {
-            for ranks in 1..=4usize {
-                let cfg = ShardedConfig {
-                    ranks,
-                    max_batch: 8,
-                    pool: 32,
-                    seed: 99,
-                };
-                let sharded = serve_sharded(&spec, &flat, precision, &ids, &cfg);
-                let single = single_plane(&spec, &flat, precision, &ids, &cfg);
-                assert_eq!(
-                    sharded.as_slice(),
-                    single.as_slice(),
-                    "p={ranks} {precision:?}"
-                );
-            }
+        for ranks in 1..=4usize {
+            let cfg = ShardedConfig {
+                ranks,
+                max_batch: 8,
+                pool: 32,
+                seed: 99,
+            };
+            let sharded = serve_sharded(&spec, &flat, &ids, &cfg);
+            let single = single_plane(&spec, &flat, &ids, &cfg);
+            assert_eq!(sharded.as_slice(), single.as_slice(), "p={ranks}");
         }
     }
 
@@ -148,10 +129,10 @@ mod tests {
             pool: 8,
             seed: 1,
         };
-        let out = serve_sharded(&spec, &flat, Precision::F32, &ids, &cfg);
+        let out = serve_sharded(&spec, &flat, &ids, &cfg);
         assert_eq!(out.rows(), 7);
         assert_eq!(out.cols(), 3);
-        let single = single_plane(&spec, &flat, Precision::F32, &ids, &cfg);
+        let single = single_plane(&spec, &flat, &ids, &cfg);
         assert_eq!(out.as_slice(), single.as_slice());
     }
 }

@@ -36,7 +36,7 @@ pub mod ops;
 pub mod simd;
 
 pub use init::Initializer;
-pub use matrix::{MatRef, Matrix, Precision};
+pub use matrix::{MatRef, Matrix};
 
 /// Dot product of two equal-length slices.
 ///

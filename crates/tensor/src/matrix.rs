@@ -14,9 +14,9 @@
 //!   worth of columns, a `256 × (16, or 48 at 512 bits)` slice goes into
 //!   16-column, `k`-contiguous micro-panels in a buffer on the kernel's
 //!   stack right before the chunk's row tiles run over it, so it stays in
-//!   L1/L2 and no copy of the whole of `B` is ever made. An f32 SIMD
-//!   `matmul` of at most 16 rows reads `B` in place instead (the pack would
-//!   cost more than the product — same per-element chain, so the same
+//!   L1/L2 and no copy of the whole of `B` is ever made. A SIMD `matmul`
+//!   of at most 16 rows reads `B` in place instead (the pack would cost
+//!   more than the product — same per-element chain, so the same
 //!   bits). [`Matrix::matmul_at_b`] packs `Aᵀ` once per call into a reused
 //!   thread-local scratch; [`Matrix::matmul_a_bt`] reads both operands in
 //!   place. The inner loop runs on one of three backends selected once per
@@ -37,12 +37,6 @@
 //!
 //!   Remainder rows take 4-, 2- and 1-row tiles of the same chains; the
 //!   last columns take fewer vectors and a masked partial one.
-//! * **Mixed precision** — every variant has a bf16-storage twin (the
-//!   [`Precision`] knob on the `*_into_prec` entry points, e.g.
-//!   [`Matrix::matmul_into_prec`]): the packed operand is stored as
-//!   bf16 (`u16`, round-to-nearest-even at pack time), converted back to
-//!   f32 on load (exact), and **accumulated in f32** — the paper's
-//!   mixed-precision storage lever with full-precision arithmetic.
 //! * **Bit-identity across pool sizes and widths** — every output element
 //!   accumulates its terms in the same order on every path at every worker
 //!   count: the row partition never splits an element's accumulation
@@ -58,10 +52,10 @@
 //!   read); `matmul_a_bt` — eight lane accumulators stepped over ascending
 //!   `k`, one fixed [`F32x8::hsum`] tree, then a scalar FMA tail over
 //!   `k % 8` (at both widths). Pooled results are therefore **bitwise
-//!   equal** to the serial (`parts = 1`) kernel for every budget and both
-//!   precisions, the 512-bit kernels are **bit-identical** to the 256-bit
-//!   ones, and row `i` of an `M`-row `matmul` / `matmul_a_bt` is bitwise
-//!   the one-row product (what batched serving relies on). The scalar
+//!   equal** to the serial (`parts = 1`) kernel for every budget, the
+//!   512-bit kernels are **bit-identical** to the 256-bit ones, and row
+//!   `i` of an `M`-row `matmul` / `matmul_a_bt` is bitwise the one-row
+//!   product (what batched serving relies on). The scalar
 //!   backend is additionally the cross-platform reference: SIMD results
 //!   differ from it only within a documented ULP bound (FMA contraction +
 //!   lane-tree reductions); see `tests/simd_properties.rs`, which also pins
@@ -69,16 +63,15 @@
 //!   transcriptions and the two widths against each other.
 //!
 //! The `*_into` variants write into a caller-owned output matrix; combined
-//! with the thread-local packing scratches (one f32, one bf16) and the
-//! stack-held `matmul` slice, a steady-state pooled matmul at either
-//! precision performs **zero heap allocations** (counting-allocator tests
-//! in `tests/tests/gemm_alloc.rs`).
+//! with the thread-local packing scratch and the stack-held `matmul` slice,
+//! a steady-state pooled matmul performs **zero heap allocations**
+//! (counting-allocator tests in `tests/tests/gemm_alloc.rs`).
 
 use std::cell::RefCell;
 use std::mem::MaybeUninit;
 use std::ops::Range;
 
-use crate::simd::{self, Element, F32x16, F32x8, Lanes};
+use crate::simd::{self, F32x16, F32x8, Lanes};
 
 /// A dense, row-major `rows × cols` matrix of `f32`.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,10 +81,10 @@ pub struct Matrix {
     data: Vec<f32>,
 }
 
-/// A borrowed row-major `rows × cols` view: the `B` operand of the
-/// `*_into_prec` GEMMs, so a weight can live in a slice of a larger buffer
-/// (a model's parameter arena) instead of a [`Matrix`] of its own. Every
-/// `&Matrix` converts into one.
+/// A borrowed row-major `rows × cols` view: the `B` operand of
+/// [`Matrix::matmul_into`] and [`Matrix::matmul_a_bt_into`], so a weight
+/// can live in a slice of a larger buffer (a model's parameter arena)
+/// instead of a [`Matrix`] of its own. Every `&Matrix` converts into one.
 #[derive(Debug, Clone, Copy)]
 pub struct MatRef<'a> {
     rows: usize,
@@ -119,19 +112,6 @@ impl<'a> From<&'a Matrix> for MatRef<'a> {
             data: &m.data,
         }
     }
-}
-
-/// Storage precision of a GEMM's packed operand. Accumulation is always
-/// f32; `Mixed` halves the packed panel's bytes (bf16 storage), mirroring
-/// the paper's mixed-precision rate assumptions for the memory-bound side
-/// of the roofline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Precision {
-    /// Full f32 storage end to end.
-    #[default]
-    F32,
-    /// bf16 storage for the packed operand, f32 accumulation.
-    Mixed,
 }
 
 /// Kernel backend selector — test hook for pinning SIMD-vs-scalar and
@@ -231,46 +211,24 @@ const MM_SLICE: usize = MM_KC * MM_SLICE_COLS;
 const ABT_JB: usize = 48;
 
 thread_local! {
-    /// Per-thread f32 packing scratch (`matmul_at_b`'s `Aᵀ`), reused across
+    /// Per-thread packing scratch (`matmul_at_b`'s `Aᵀ`), reused across
     /// calls so steady-state products never allocate. Packing always
     /// happens on the dispatching thread (workers only read the packed
     /// operand through the kernel closure), so one scratch per thread
     /// suffices.
     static PACK_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread bf16 packing scratch for the mixed-precision path.
-    static BF16_SCRATCH: RefCell<Vec<u16>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A packable GEMM storage element: ties the [`Element`] conversions to a
-/// per-type thread-local scratch.
-trait PanelElem: Element {
-    /// Borrow this thread's packing scratch for `Self` at `len` elements
-    /// (growing it once if needed) for the duration of `f`.
-    fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [Self]) -> R) -> R;
-}
-
-impl PanelElem for f32 {
-    fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
-        PACK_SCRATCH.with(|s| {
-            let mut buf = s.borrow_mut();
-            if buf.len() < len {
-                buf.resize(len, 0.0);
-            }
-            f(&mut buf[..len])
-        })
-    }
-}
-
-impl PanelElem for u16 {
-    fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [u16]) -> R) -> R {
-        BF16_SCRATCH.with(|s| {
-            let mut buf = s.borrow_mut();
-            if buf.len() < len {
-                buf.resize(len, 0);
-            }
-            f(&mut buf[..len])
-        })
-    }
+/// Borrow this thread's packing scratch at `len` elements (growing it once
+/// if needed) for the duration of `f`.
+fn with_pack_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    PACK_SCRATCH.with(|s| {
+        let mut buf = s.borrow_mut();
+        if buf.len() < len {
+            buf.resize(len, 0.0);
+        }
+        f(&mut buf[..len])
+    })
 }
 
 /// The chunk count for a product with `rows` output rows: serial below the
@@ -392,65 +350,39 @@ impl Matrix {
     }
 
     /// [`Matrix::matmul`] into a caller-owned output (overwritten), the
-    /// allocation-free steady-state entry point.
+    /// allocation-free steady-state entry point. `B` is any [`MatRef`]:
+    /// a `&Matrix`, or a view into a larger buffer.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch or if `out` is not `m×n`.
-    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
-        self.matmul_into_parts(other, out, auto_parts(self.rows));
-    }
-
-    /// [`Matrix::matmul_into`] with an explicit [`Precision`] knob and a
-    /// borrowed `B` ([`MatRef`]): [`Precision::Mixed`] stores the packed `B`
-    /// operand as bf16 and accumulates in f32, allocation-free in steady
-    /// state like the f32 path.
-    pub fn matmul_into_prec<'b>(
-        &self,
-        other: impl Into<MatRef<'b>>,
-        out: &mut Matrix,
-        prec: Precision,
-    ) {
-        self.matmul_impl(
-            other.into(),
-            out,
-            auto_parts(self.rows),
-            prec,
-            Backend::Auto,
-        );
+    pub fn matmul_into<'b>(&self, other: impl Into<MatRef<'b>>, out: &mut Matrix) {
+        self.matmul_impl(other.into(), out, auto_parts(self.rows), Backend::Auto);
     }
 
     /// [`Matrix::matmul_into`] with an explicit chunk count — `parts = 1`
     /// is the serial reference path the property tests compare against.
     #[doc(hidden)]
     pub fn matmul_into_parts(&self, other: &Matrix, out: &mut Matrix, parts: usize) {
-        self.matmul_impl(other.into(), out, parts, Precision::F32, Backend::Auto);
+        self.matmul_impl(other.into(), out, parts, Backend::Auto);
     }
 
-    /// Full control (tests): precision, explicit parts, forced backend.
+    /// Full control (tests): explicit parts, forced backend.
     #[doc(hidden)]
     pub fn matmul_into_parts_backend(
         &self,
         other: &Matrix,
         out: &mut Matrix,
         parts: usize,
-        prec: Precision,
         backend: Backend,
     ) {
-        self.matmul_impl(other.into(), out, parts, prec, backend);
+        self.matmul_impl(other.into(), out, parts, backend);
     }
 
-    /// An f32 skinny product on a SIMD backend reads `B` in place (per
-    /// element the same single FMA chain over ascending `k` from zero as
-    /// the packed kernel, so the two are bitwise interchangeable);
-    /// everything else packs.
-    fn matmul_impl(
-        &self,
-        other: MatRef<'_>,
-        out: &mut Matrix,
-        parts: usize,
-        prec: Precision,
-        backend: Backend,
-    ) {
+    /// A skinny product on a SIMD backend reads `B` in place (per element
+    /// the same single FMA chain over ascending `k` from zero as the packed
+    /// kernel, so the two are bitwise interchangeable); everything else
+    /// packs.
+    fn matmul_impl(&self, other: MatRef<'_>, out: &mut Matrix, parts: usize, backend: Backend) {
         assert_eq!(self.cols, other.rows, "matmul inner dimension mismatch");
         assert_eq!(
             (out.rows, out.cols),
@@ -458,12 +390,8 @@ impl Matrix {
             "matmul output shape mismatch"
         );
         let isa = backend.isa();
-        match prec {
-            Precision::Mixed => return self.matmul_packed::<u16>(other, out, parts, isa),
-            _ if self.rows > MM_SKINNY_ROWS || isa == Isa::Scalar => {
-                return self.matmul_packed::<f32>(other, out, parts, isa)
-            }
-            _ => {}
+        if self.rows > MM_SKINNY_ROWS || isa == Isa::Scalar {
+            return self.matmul_packed(other, out, parts, isa);
         }
         let (k, n) = (self.cols, other.cols);
         let (a, b) = (&self.data, other.data);
@@ -482,15 +410,9 @@ impl Matrix {
 
     /// The packed path: every chunk packs `B` one slice at a time, right
     /// before its row tiles run over it (see [`pack_slice`]), so no copy of
-    /// the whole of `B` is ever made. The mixed path rounds to bf16 there.
-    /// Every kernel overwrites `out`, so it is not cleared first.
-    fn matmul_packed<E: Element>(
-        &self,
-        other: MatRef<'_>,
-        out: &mut Matrix,
-        parts: usize,
-        isa: Isa,
-    ) {
+    /// the whole of `B` is ever made. Every kernel overwrites `out`, so it
+    /// is not cleared first.
+    fn matmul_packed(&self, other: MatRef<'_>, out: &mut Matrix, parts: usize, isa: Isa) {
         let (k, n) = (self.cols, other.cols);
         let (a, b) = (&self.data, other.data);
         summit_pool::global().run_rows(&mut out.data, n, parts, |chunk, range| {
@@ -498,9 +420,9 @@ impl Matrix {
             // on this CPU (see `Backend::isa`).
             unsafe {
                 match isa {
-                    Isa::Avx512 => mm_chunk_512::<E>(a, k, b, n, chunk, range),
-                    Isa::Avx2 => mm_chunk_256::<E>(a, k, b, n, chunk, range),
-                    Isa::Scalar => matmul_chunk::<E>(a, k, b, n, chunk, range),
+                    Isa::Avx512 => mm_chunk_512(a, k, b, n, chunk, range),
+                    Isa::Avx2 => mm_chunk_256(a, k, b, n, chunk, range),
+                    Isa::Scalar => matmul_chunk(a, k, b, n, chunk, range),
                 }
             }
         });
@@ -531,14 +453,6 @@ impl Matrix {
         self.matmul_at_b_into_parts(other, out, auto_parts(self.cols));
     }
 
-    /// [`Matrix::matmul_at_b_into`] with an explicit [`Precision`] knob:
-    /// [`Precision::Mixed`] stores the packed `Aᵀ` operand as bf16 and
-    /// accumulates in f32.
-    pub fn matmul_at_b_into_prec(&self, other: &Matrix, out: &mut Matrix, prec: Precision) {
-        let parts = auto_parts(self.cols);
-        self.matmul_at_b_backend(other, out, parts, prec, Backend::Auto, false);
-    }
-
     /// `selfᵀ · other` into a row-major `k×n` slice of a larger buffer —
     /// the weight-gradient product writing straight into its window of a
     /// flat gradient arena. `accumulate` selects `out += …` over `out = …`;
@@ -547,41 +461,27 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics on row-count mismatch or if `out.len() != k·n`.
-    pub fn matmul_at_b_into_slice(
-        &self,
-        other: &Matrix,
-        out: &mut [f32],
-        accumulate: bool,
-        prec: Precision,
-    ) {
+    pub fn matmul_at_b_into_slice(&self, other: &Matrix, out: &mut [f32], accumulate: bool) {
         let parts = auto_parts(self.cols);
-        match prec {
-            Precision::F32 => {
-                self.matmul_at_b_impl::<f32>(other, out, parts, Backend::Auto, accumulate)
-            }
-            Precision::Mixed => {
-                self.matmul_at_b_impl::<u16>(other, out, parts, Backend::Auto, accumulate)
-            }
-        }
+        self.matmul_at_b_impl(other, out, parts, Backend::Auto, accumulate);
     }
 
     /// [`Matrix::matmul_at_b_into`] with an explicit chunk count.
     #[doc(hidden)]
     pub fn matmul_at_b_into_parts(&self, other: &Matrix, out: &mut Matrix, parts: usize) {
-        self.matmul_at_b_backend(other, out, parts, Precision::F32, Backend::Auto, false);
+        self.matmul_at_b_backend(other, out, parts, Backend::Auto, false);
     }
 
-    /// Full control (tests): precision, explicit parts, forced backend.
+    /// Full control (tests): explicit parts, forced backend.
     #[doc(hidden)]
     pub fn matmul_at_b_into_parts_backend(
         &self,
         other: &Matrix,
         out: &mut Matrix,
         parts: usize,
-        prec: Precision,
         backend: Backend,
     ) {
-        self.matmul_at_b_backend(other, out, parts, prec, backend, false);
+        self.matmul_at_b_backend(other, out, parts, backend, false);
     }
 
     /// `out += selfᵀ · other` with full control (tests).
@@ -591,10 +491,9 @@ impl Matrix {
         other: &Matrix,
         out: &mut Matrix,
         parts: usize,
-        prec: Precision,
         backend: Backend,
     ) {
-        self.matmul_at_b_backend(other, out, parts, prec, backend, true);
+        self.matmul_at_b_backend(other, out, parts, backend, true);
     }
 
     fn matmul_at_b_backend(
@@ -602,7 +501,6 @@ impl Matrix {
         other: &Matrix,
         out: &mut Matrix,
         parts: usize,
-        prec: Precision,
         backend: Backend,
         accumulate: bool,
     ) {
@@ -611,16 +509,10 @@ impl Matrix {
             (self.cols, other.cols),
             "matmul_at_b output shape mismatch"
         );
-        let out = &mut out.data;
-        match prec {
-            Precision::F32 => self.matmul_at_b_impl::<f32>(other, out, parts, backend, accumulate),
-            Precision::Mixed => {
-                self.matmul_at_b_impl::<u16>(other, out, parts, backend, accumulate)
-            }
-        }
+        self.matmul_at_b_impl(other, &mut out.data, parts, backend, accumulate);
     }
 
-    fn matmul_at_b_impl<E: PanelElem>(
+    fn matmul_at_b_impl(
         &self,
         other: &Matrix,
         out: &mut [f32],
@@ -645,13 +537,12 @@ impl Matrix {
             out.fill(0.0);
         }
         // Pack Aᵀ once per call: at[kk·m + i] = A[i, kk], so output row kk
-        // reads its m coefficients contiguously (bf16-rounded on the mixed
-        // path).
-        E::with_scratch(m * k, |at| {
+        // reads its m coefficients contiguously.
+        with_pack_scratch(m * k, |at| {
             for i in 0..m {
                 let a_row = &self.data[i * k..(i + 1) * k];
                 for (kk, &v) in a_row.iter().enumerate() {
-                    at[kk * m + i] = E::pack(v);
+                    at[kk * m + i] = v;
                 }
             }
             let b = &other.data;
@@ -661,8 +552,8 @@ impl Matrix {
                 // verified on this CPU (see `Backend::isa`).
                 unsafe {
                     match isa {
-                        Isa::Avx512 => atb_chunk_512::<E>(at, m, b, n, chunk, range, accumulate),
-                        Isa::Avx2 => atb_chunk_256::<E>(at, m, b, n, chunk, range, accumulate),
+                        Isa::Avx512 => atb_chunk_512(at, m, b, n, chunk, range, accumulate),
+                        Isa::Avx2 => atb_chunk_256(at, m, b, n, chunk, range, accumulate),
                         Isa::Scalar => matmul_at_b_chunk(at, m, b, n, chunk, range),
                     }
                 }
@@ -691,60 +582,39 @@ impl Matrix {
     }
 
     /// [`Matrix::matmul_a_bt`] into a caller-owned output (overwritten).
+    /// `other` is any [`MatRef`]: a `&Matrix`, or a view into a larger
+    /// buffer.
     ///
     /// # Panics
     /// Panics on column-count mismatch or if `out` is not `m×n`.
-    pub fn matmul_a_bt_into(&self, other: &Matrix, out: &mut Matrix) {
-        self.matmul_a_bt_into_parts(other, out, auto_parts(self.rows));
-    }
-
-    /// [`Matrix::matmul_a_bt_into`] with an explicit [`Precision`] knob and
-    /// a borrowed `other` ([`MatRef`]): [`Precision::Mixed`] stores the
-    /// `other` operand as bf16 (converted once into the packing scratch)
-    /// and accumulates in f32.
-    pub fn matmul_a_bt_into_prec<'b>(
-        &self,
-        other: impl Into<MatRef<'b>>,
-        out: &mut Matrix,
-        prec: Precision,
-    ) {
-        self.matmul_a_bt_impl(
-            other.into(),
-            out,
-            auto_parts(self.rows),
-            prec,
-            Backend::Auto,
-        );
+    pub fn matmul_a_bt_into<'b>(&self, other: impl Into<MatRef<'b>>, out: &mut Matrix) {
+        self.matmul_a_bt_impl(other.into(), out, auto_parts(self.rows), Backend::Auto);
     }
 
     /// [`Matrix::matmul_a_bt_into`] with an explicit chunk count.
     #[doc(hidden)]
     pub fn matmul_a_bt_into_parts(&self, other: &Matrix, out: &mut Matrix, parts: usize) {
-        self.matmul_a_bt_impl(other.into(), out, parts, Precision::F32, Backend::Auto);
+        self.matmul_a_bt_impl(other.into(), out, parts, Backend::Auto);
     }
 
-    /// Full control (tests): precision, explicit parts, forced backend.
+    /// Full control (tests): explicit parts, forced backend.
     #[doc(hidden)]
     pub fn matmul_a_bt_into_parts_backend(
         &self,
         other: &Matrix,
         out: &mut Matrix,
         parts: usize,
-        prec: Precision,
         backend: Backend,
     ) {
-        self.matmul_a_bt_impl(other.into(), out, parts, prec, backend);
+        self.matmul_a_bt_impl(other.into(), out, parts, backend);
     }
 
-    /// f32: both operands are row-contiguous, no packing or copies. Mixed:
-    /// `other` is converted once (row-contiguous, bf16) into the reused
-    /// bf16 scratch — the only copy this variant makes.
+    /// Both operands are row-contiguous: no packing or copies.
     fn matmul_a_bt_impl(
         &self,
         other: MatRef<'_>,
         out: &mut Matrix,
         parts: usize,
-        prec: Precision,
         backend: Backend,
     ) {
         assert_eq!(self.cols, other.cols, "matmul_a_bt column mismatch");
@@ -754,34 +624,14 @@ impl Matrix {
             "matmul_a_bt output shape mismatch"
         );
         let (n, isa) = (other.rows, backend.isa());
-        match prec {
-            Precision::F32 => self.matmul_a_bt_run(other.data, n, out, parts, isa),
-            Precision::Mixed => <u16 as PanelElem>::with_scratch(other.data.len(), |bh| {
-                for (d, &s) in bh.iter_mut().zip(other.data) {
-                    *d = simd::f32_to_bf16(s);
-                }
-                self.matmul_a_bt_run(bh, n, out, parts, isa);
-            }),
-        }
-    }
-
-    /// `self · bᵀ` for a row-major `n × k` operand `b` at either precision.
-    fn matmul_a_bt_run<E: Element>(
-        &self,
-        b: &[E],
-        n: usize,
-        out: &mut Matrix,
-        parts: usize,
-        isa: Isa,
-    ) {
-        let (a, k) = (&self.data, self.cols);
+        let (a, k, b) = (&self.data, self.cols, other.data);
         summit_pool::global().run_rows(&mut out.data, n, parts, |chunk, range| {
             // SAFETY: `isa` names only kernels whose features were verified
             // on this CPU (see `Backend::isa`).
             unsafe {
                 match isa {
-                    Isa::Avx512 => abt_chunk_512::<E>(a, k, b, n, chunk, range),
-                    Isa::Avx2 => abt_chunk_256::<E>(a, k, b, n, chunk, range),
+                    Isa::Avx512 => abt_chunk_512(a, k, b, n, chunk, range),
+                    Isa::Avx2 => abt_chunk_256(a, k, b, n, chunk, range),
                     Isa::Scalar => matmul_a_bt_chunk(a, k, b, n, chunk, range),
                 }
             }
@@ -826,27 +676,25 @@ impl Matrix {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar reference kernels (generic over panel storage; `E = f32` is the
-// pre-SIMD kernel unchanged — `to_f32` is the identity there).
+// Scalar reference kernels.
 // ---------------------------------------------------------------------------
 
 /// Pack rows `ks` and columns `jb .. jb + cols` of the row-major `b` (`n`
 /// columns) into [`MM_NR`]-column panels: panel `q` holds columns
 /// `jb + 16q ..` at offset `16q·|ks|`, each block row 16 elements after the
 /// last, zero-padded to whole panels (so a tile always loads whole
-/// vectors). The mixed path rounds to bf16 here. Returns the packed prefix
-/// of `buf`.
+/// vectors). Returns the packed prefix of `buf`.
 ///
 /// # Panics
 /// Panics if the slice exceeds `buf` (`|ks| ≤ MM_KC`, `cols ≤ MM_SLICE_COLS`).
-fn pack_slice<'s, E: Element>(
+fn pack_slice<'s>(
     b: &[f32],
     n: usize,
     ks: Range<usize>,
     jb: usize,
     cols: usize,
-    buf: &'s mut [MaybeUninit<E>; MM_SLICE],
-) -> &'s [E] {
+    buf: &'s mut [MaybeUninit<f32>; MM_SLICE],
+) -> &'s [f32] {
     let kc = ks.len();
     let dst = &mut buf[..cols.div_ceil(MM_NR) * MM_NR * kc];
     for (kk, row) in ks.enumerate() {
@@ -862,17 +710,17 @@ fn pack_slice<'s, E: Element>(
         for (q, piece) in b[row * n + jb..][..cols].chunks(MM_NR).enumerate() {
             let d = &mut dst[(q * kc + kk) * MM_NR..][..MM_NR];
             for (slot, &v) in d.iter_mut().zip(piece) {
-                slot.write(E::pack(v));
+                slot.write(v);
             }
             for slot in &mut d[piece.len()..] {
-                slot.write(E::pack(0.0));
+                slot.write(0.0);
             }
         }
     }
     // SAFETY: the loops above wrote all of `dst` — `kc` block rows of every
     // panel, each `piece.len()` values plus zero padding to `MM_NR` — and
-    // `MaybeUninit<E>` has `E`'s layout.
-    unsafe { &*(dst as *const [MaybeUninit<E>] as *const [E]) }
+    // `MaybeUninit<f32>` has `f32`'s layout.
+    unsafe { &*(dst as *const [MaybeUninit<f32>] as *const [f32]) }
 }
 
 /// `matmul` kernel for one chunk of output rows: per shared-dimension block
@@ -881,15 +729,8 @@ fn pack_slice<'s, E: Element>(
 /// the block and stores them once. Per output element the adds run in
 /// ascending-`kk` order, one product at a time into the same accumulator:
 /// from zero on the first block, from the stored value after (exact).
-fn matmul_chunk<E: Element>(
-    a: &[f32],
-    k: usize,
-    b: &[f32],
-    n: usize,
-    chunk: &mut [f32],
-    range: Range<usize>,
-) {
-    let mut buf = [MaybeUninit::<E>::uninit(); MM_SLICE];
+fn matmul_chunk(a: &[f32], k: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>) {
+    let mut buf = [MaybeUninit::<f32>::uninit(); MM_SLICE];
     for kb in (0..k).step_by(MM_KC) {
         let kc = (k - kb).min(MM_KC);
         for jb in (0..n).step_by(MM_NR) {
@@ -900,10 +741,10 @@ fn matmul_chunk<E: Element>(
                 let i = range.start + local;
                 let (a_rows, c) = (&a[i * k + kb..], &mut chunk[local * n + jb..]);
                 if local + 2 <= range.len() {
-                    matmul_tile::<E, 2>(a_rows, k, panel, c, n, jw, kb == 0);
+                    matmul_tile::<2>(a_rows, k, panel, c, n, jw, kb == 0);
                     local += 2;
                 } else {
-                    matmul_tile::<E, 1>(a_rows, k, panel, c, n, jw, kb == 0);
+                    matmul_tile::<1>(a_rows, k, panel, c, n, jw, kb == 0);
                     local += 1;
                 }
             }
@@ -915,10 +756,10 @@ fn matmul_chunk<E: Element>(
 /// one packed `kc × 16` panel into the `RB × jw` window of `c` (row stride
 /// `n`), starting from zero when `first` and from `c` otherwise.
 #[inline(always)]
-fn matmul_tile<E: Element, const RB: usize>(
+fn matmul_tile<const RB: usize>(
     a: &[f32],
     k: usize,
-    panel: &[E],
+    panel: &[f32],
     c: &mut [f32],
     n: usize,
     jw: usize,
@@ -934,7 +775,7 @@ fn matmul_tile<E: Element, const RB: usize>(
         for (t, row) in acc.iter_mut().enumerate() {
             let av = a[t * k + kk];
             for (o, &v) in row.iter_mut().zip(b_row) {
-                *o += av * v.to_f32();
+                *o += av * v;
             }
         }
     }
@@ -947,8 +788,8 @@ fn matmul_tile<E: Element, const RB: usize>(
 /// the shared `m` dimension in cache blocks, four input rows per pass. The
 /// packed `Aᵀ` makes each output row's coefficients contiguous; per output
 /// element the accumulation order is ascending `i` on every path.
-fn matmul_at_b_chunk<E: Element>(
-    at: &[E],
+fn matmul_at_b_chunk(
+    at: &[f32],
     m: usize,
     b: &[f32],
     n: usize,
@@ -962,10 +803,10 @@ fn matmul_at_b_chunk<E: Element>(
             let out_row = &mut chunk[local * n..(local + 1) * n];
             let mut i = ib;
             while i + 4 <= iend {
-                let a0 = a_col[i].to_f32();
-                let a1 = a_col[i + 1].to_f32();
-                let a2 = a_col[i + 2].to_f32();
-                let a3 = a_col[i + 3].to_f32();
+                let a0 = a_col[i];
+                let a1 = a_col[i + 1];
+                let a2 = a_col[i + 2];
+                let a3 = a_col[i + 3];
                 let b0 = &b[i * n..(i + 1) * n];
                 let b1 = &b[(i + 1) * n..(i + 2) * n];
                 let b2 = &b[(i + 2) * n..(i + 3) * n];
@@ -981,7 +822,7 @@ fn matmul_at_b_chunk<E: Element>(
                 i += 4;
             }
             while i < iend {
-                let a0 = a_col[i].to_f32();
+                let a0 = a_col[i];
                 let b0 = &b[i * n..(i + 1) * n];
                 for (o, &v0) in out_row.iter_mut().zip(b0) {
                     *o += a0 * v0;
@@ -996,10 +837,10 @@ fn matmul_at_b_chunk<E: Element>(
 /// cache-blocked, and within a block four output columns are produced per
 /// pass with four independent accumulators (each one ascending-`k`
 /// product-then-add chain).
-fn matmul_a_bt_chunk<E: Element>(
+fn matmul_a_bt_chunk(
     a: &[f32],
     k: usize,
-    b: &[E],
+    b: &[f32],
     n: usize,
     chunk: &mut [f32],
     range: Range<usize>,
@@ -1021,10 +862,10 @@ fn matmul_a_bt_chunk<E: Element>(
                 let mut c3 = 0.0f32;
                 for ((((&av, &v0), &v1), &v2), &v3) in a_row.iter().zip(b0).zip(b1).zip(b2).zip(b3)
                 {
-                    c0 += av * v0.to_f32();
-                    c1 += av * v1.to_f32();
-                    c2 += av * v2.to_f32();
-                    c3 += av * v3.to_f32();
+                    c0 += av * v0;
+                    c1 += av * v1;
+                    c2 += av * v2;
+                    c3 += av * v3;
                 }
                 out_row[j] = c0;
                 out_row[j + 1] = c1;
@@ -1036,7 +877,7 @@ fn matmul_a_bt_chunk<E: Element>(
                 let b0 = &b[j * k..(j + 1) * k];
                 let mut c0 = 0.0f32;
                 for (&av, &v0) in a_row.iter().zip(b0) {
-                    c0 += av * v0.to_f32();
+                    c0 += av * v0;
                 }
                 out_row[j] = c0;
                 j += 1;
@@ -1071,10 +912,10 @@ fn matmul_a_bt_chunk<E: Element>(
 /// reads and writes at row stride `n`; `cols > (NV - 1)·LANES`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn mm_tile<V: Lanes, E: Element, const RB: usize, const NV: usize>(
+unsafe fn mm_tile<V: Lanes, const RB: usize, const NV: usize>(
     ap: *const f32,
     k: usize,
-    slice: *const E,
+    slice: *const f32,
     kc: usize,
     cp: *mut f32,
     n: usize,
@@ -1100,7 +941,7 @@ unsafe fn mm_tile<V: Lanes, E: Element, const RB: usize, const NV: usize>(
         for kk in 0..kc {
             let mut b = [V::zero(); NV];
             for (x, p) in b.iter_mut().zip(&bp) {
-                *x = E::load::<V>(p.add(kk * MM_NR));
+                *x = V::load(p.add(kk * MM_NR));
             }
             for (t, row) in acc.iter_mut().enumerate() {
                 let a = V::splat(*ap.add(t * k + kk));
@@ -1125,7 +966,7 @@ unsafe fn mm_tile<V: Lanes, E: Element, const RB: usize, const NV: usize>(
 /// # Safety
 /// Requires the context's features for `V`.
 #[inline(always)]
-unsafe fn mm_chunk_impl<V: Lanes, E: Element, const MR: usize, const NV: usize>(
+unsafe fn mm_chunk_impl<V: Lanes, const MR: usize, const NV: usize>(
     a: &[f32],
     k: usize,
     b: &[f32],
@@ -1136,7 +977,7 @@ unsafe fn mm_chunk_impl<V: Lanes, E: Element, const MR: usize, const NV: usize>(
     let rows = range.len();
     assert!(a.len() >= range.end * k && b.len() == k * n && chunk.len() == rows * n);
     let width = NV * V::LANES;
-    let mut buf = [MaybeUninit::<E>::uninit(); MM_SLICE];
+    let mut buf = [MaybeUninit::<f32>::uninit(); MM_SLICE];
     for kb in (0..k).step_by(MM_KC) {
         let kc = (k - kb).min(MM_KC);
         let first = kb == 0;
@@ -1159,7 +1000,7 @@ unsafe fn mm_chunk_impl<V: Lanes, E: Element, const MR: usize, const NV: usize>(
                 macro_rules! tile {
                     ($r:expr, $rb:expr, $nv:expr, $cols:expr) => {{
                         let (at, ct) = (ab.add($r * k), cb.add($r * n));
-                        mm_tile::<V, E, { $rb }, { $nv }>(at, k, slice, kc, ct, n, $cols, first);
+                        mm_tile::<V, { $rb }, { $nv }>(at, k, slice, kc, ct, n, $cols, first);
                         $r += $rb;
                     }};
                 }
@@ -1338,8 +1179,8 @@ unsafe fn mm_skinny_impl<V: Lanes>(
 /// (asserted by [`atb_chunk_impl`]); `cols > (NV - 1)·LANES`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn atb_tile<V: Lanes, E: Element, const RB: usize, const NV: usize>(
-    at: *const E,
+unsafe fn atb_tile<V: Lanes, const RB: usize, const NV: usize>(
+    at: *const f32,
     m: usize,
     bp: *const f32,
     n: usize,
@@ -1361,7 +1202,7 @@ unsafe fn atb_tile<V: Lanes, E: Element, const RB: usize, const NV: usize>(
                 *x = V::load_n(b_row.add(v * V::LANES), cols - v * V::LANES);
             }
             for (t, row) in acc.iter_mut().enumerate() {
-                let a = V::splat((*at.add((at_row0 + t) * m + i)).to_f32());
+                let a = V::splat(*at.add((at_row0 + t) * m + i));
                 for (x, &bv) in row.iter_mut().zip(&b) {
                     *x = a.mul_add(bv, *x);
                 }
@@ -1389,8 +1230,8 @@ unsafe fn atb_tile<V: Lanes, E: Element, const RB: usize, const NV: usize>(
 /// # Safety
 /// Requires the context's features for `V`.
 #[inline(always)]
-unsafe fn atb_chunk_impl<V: Lanes, E: Element, const MR: usize>(
-    at: &[E],
+unsafe fn atb_chunk_impl<V: Lanes, const MR: usize>(
+    at: &[f32],
     m: usize,
     b: &[f32],
     n: usize,
@@ -1415,15 +1256,15 @@ unsafe fn atb_chunk_impl<V: Lanes, E: Element, const MR: usize>(
                 ($rb:expr) => {{
                     let (rows, mut j) = ((ib, iend, range.start + r, r), 0);
                     while j + wide <= n {
-                        atb_tile::<V, E, { $rb }, ATB_NV>(atp, m, bp, n, cp, rows, j, wide, store);
+                        atb_tile::<V, { $rb }, ATB_NV>(atp, m, bp, n, cp, rows, j, wide, store);
                         j += wide;
                     }
                     while j + one <= n {
-                        atb_tile::<V, E, { $rb }, 1>(atp, m, bp, n, cp, rows, j, one, store);
+                        atb_tile::<V, { $rb }, 1>(atp, m, bp, n, cp, rows, j, one, store);
                         j += one;
                     }
                     if j < n {
-                        atb_tile::<V, E, { $rb }, 1>(atp, m, bp, n, cp, rows, j, n - j, store);
+                        atb_tile::<V, { $rb }, 1>(atp, m, bp, n, cp, rows, j, n - j, store);
                     }
                     r += $rb;
                 }};
@@ -1457,9 +1298,9 @@ unsafe fn atb_chunk_impl<V: Lanes, E: Element, const MR: usize>(
 /// for `NR` rows of `k` reads each, `cp` for an `MR × NR` tile of writes at
 /// row stride `n`.
 #[inline(always)]
-unsafe fn abt_tile_simd<E: Element, const MR: usize, const NR: usize>(
+unsafe fn abt_tile_simd<const MR: usize, const NR: usize>(
     ap: *const f32,
-    bp: *const E,
+    bp: *const f32,
     k: usize,
     cp: *mut f32,
     n: usize,
@@ -1470,7 +1311,7 @@ unsafe fn abt_tile_simd<E: Element, const MR: usize, const NR: usize>(
         while kk + simd::LANES <= k {
             let mut bv = [F32x8::zero(); NR];
             for (c, b) in bv.iter_mut().enumerate() {
-                *b = E::load::<F32x8>(bp.add(c * k + kk));
+                *b = F32x8::load(bp.add(c * k + kk));
             }
             for (r, row) in acc.iter_mut().enumerate() {
                 let av = F32x8::load(ap.add(r * k + kk));
@@ -1484,7 +1325,7 @@ unsafe fn abt_tile_simd<E: Element, const MR: usize, const NR: usize>(
             for (c, cell) in row.iter().enumerate() {
                 let mut s = cell.hsum();
                 for t in kk..k {
-                    s = (*ap.add(r * k + t)).mul_add((*bp.add(c * k + t)).to_f32(), s);
+                    s = (*ap.add(r * k + t)).mul_add(*bp.add(c * k + t), s);
                 }
                 *cp.add(r * n + c) = s;
             }
@@ -1498,9 +1339,9 @@ unsafe fn abt_tile_simd<E: Element, const MR: usize, const NR: usize>(
 /// # Safety
 /// As [`abt_tile_simd`], for `cols` b-rows and output columns.
 #[inline(always)]
-unsafe fn abt_strip_simd<E: Element, const MR: usize, const NR: usize>(
+unsafe fn abt_strip_simd<const MR: usize, const NR: usize>(
     ap: *const f32,
-    bp: *const E,
+    bp: *const f32,
     cols: usize,
     k: usize,
     cp: *mut f32,
@@ -1509,11 +1350,11 @@ unsafe fn abt_strip_simd<E: Element, const MR: usize, const NR: usize>(
     unsafe {
         let mut j = 0;
         while j + NR <= cols {
-            abt_tile_simd::<E, MR, NR>(ap, bp.add(j * k), k, cp.add(j), n);
+            abt_tile_simd::<MR, NR>(ap, bp.add(j * k), k, cp.add(j), n);
             j += NR;
         }
         while j < cols {
-            abt_tile_simd::<E, MR, 1>(ap, bp.add(j * k), k, cp.add(j), n);
+            abt_tile_simd::<MR, 1>(ap, bp.add(j * k), k, cp.add(j), n);
             j += 1;
         }
     }
@@ -1528,10 +1369,10 @@ unsafe fn abt_strip_simd<E: Element, const MR: usize, const NR: usize>(
 /// Requires AVX2+FMA context (and AVX-512VL for more than 16 registers'
 /// worth of tile).
 #[inline(always)]
-unsafe fn abt_chunk_impl<E: Element, const MR: usize, const NR: usize>(
+unsafe fn abt_chunk_impl<const MR: usize, const NR: usize>(
     a: &[f32],
     k: usize,
-    b: &[E],
+    b: &[f32],
     n: usize,
     chunk: &mut [f32],
     range: Range<usize>,
@@ -1551,54 +1392,54 @@ unsafe fn abt_chunk_impl<E: Element, const MR: usize, const NR: usize>(
             let (bj, cj) = (bp.add(jb * k), cp.add(jb));
             let mut r = 0;
             while r + MR <= rows {
-                abt_strip_simd::<E, MR, NR>(ap.add(r * k), bj, cols, k, cj.add(r * n), n);
+                abt_strip_simd::<MR, NR>(ap.add(r * k), bj, cols, k, cj.add(r * n), n);
                 r += MR;
             }
             while r < rows {
-                abt_strip_simd::<E, 1, NR>(ap.add(r * k), bj, cols, k, cj.add(r * n), n);
+                abt_strip_simd::<1, NR>(ap.add(r * k), bj, cols, k, cj.add(r * n), n);
                 r += 1;
             }
         }
     }
 }
 
-// Target-feature entry points, one per (kernel, width), generic over the
-// storage element: `#[target_feature]` cannot sit on trait methods, and the
-// `#[inline(always)]` impl bodies compile *inside* these wrappers and so
-// inherit the enabled features. The tile shapes are the module doc's table.
+// Target-feature entry points, one per (kernel, width): `#[target_feature]`
+// cannot sit on trait methods, and the `#[inline(always)]` impl bodies
+// compile *inside* these wrappers and so inherit the enabled features. The
+// tile shapes are the module doc's table.
 macro_rules! simd_entry {
-    ($features:literal, $name:ident $(<$e:ident>)?, $impl_fn:ident::<$($p:tt),*>,
+    ($features:literal, $name:ident, $impl_fn:ident::<$($p:tt),*>,
      ($($arg:ident: $ty:ty),*)) => {
         /// # Safety
         /// The executing CPU must support every feature this entry enables.
         #[cfg_attr(target_arch = "x86_64", target_feature(enable = $features))]
-        unsafe fn $name$(<$e: Element>)?($($arg: $ty),*) {
+        unsafe fn $name($($arg: $ty),*) {
             $impl_fn::<$($p),*>($($arg),*)
         }
     };
 }
 
-simd_entry!("avx2,fma", mm_chunk_256<E>, mm_chunk_impl::<F32x8, E, MM_MR_256, MM_NV_256>,
+simd_entry!("avx2,fma", mm_chunk_256, mm_chunk_impl::<F32x8, MM_MR_256, MM_NV_256>,
     (a: &[f32], k: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>));
-simd_entry!("avx2,fma,avx512f,avx512vl", mm_chunk_512<E>,
-    mm_chunk_impl::<F32x16, E, MM_MR_512, MM_NV_512>,
+simd_entry!("avx2,fma,avx512f,avx512vl", mm_chunk_512,
+    mm_chunk_impl::<F32x16, MM_MR_512, MM_NV_512>,
     (a: &[f32], k: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>));
 simd_entry!("avx2,fma", mm_skinny_256, mm_skinny_impl::<F32x8>,
     (a: &[f32], k: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>));
 simd_entry!("avx2,fma,avx512f,avx512vl", mm_skinny_512, mm_skinny_impl::<F32x16>,
     (a: &[f32], k: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>));
-simd_entry!("avx2,fma", atb_chunk_256<E>, atb_chunk_impl::<F32x8, E, ATB_MR_256>,
-    (at: &[E], m: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>,
+simd_entry!("avx2,fma", atb_chunk_256, atb_chunk_impl::<F32x8, ATB_MR_256>,
+    (at: &[f32], m: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>,
      accumulate: bool));
-simd_entry!("avx2,fma,avx512f,avx512vl", atb_chunk_512<E>,
-    atb_chunk_impl::<F32x16, E, ATB_MR_512>,
-    (at: &[E], m: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>,
+simd_entry!("avx2,fma,avx512f,avx512vl", atb_chunk_512,
+    atb_chunk_impl::<F32x16, ATB_MR_512>,
+    (at: &[f32], m: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>,
      accumulate: bool));
-simd_entry!("avx2,fma", abt_chunk_256<E>, abt_chunk_impl::<E, ABT_MR_256, ABT_NR_256>,
-    (a: &[f32], k: usize, b: &[E], n: usize, chunk: &mut [f32], range: Range<usize>));
-simd_entry!("avx2,fma,avx512f,avx512vl", abt_chunk_512<E>,
-    abt_chunk_impl::<E, ABT_MR_512, ABT_NR_512>,
-    (a: &[f32], k: usize, b: &[E], n: usize, chunk: &mut [f32], range: Range<usize>));
+simd_entry!("avx2,fma", abt_chunk_256, abt_chunk_impl::<ABT_MR_256, ABT_NR_256>,
+    (a: &[f32], k: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>));
+simd_entry!("avx2,fma,avx512f,avx512vl", abt_chunk_512,
+    abt_chunk_impl::<ABT_MR_512, ABT_NR_512>,
+    (a: &[f32], k: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>));
 
 #[cfg(test)]
 mod tests {
@@ -1755,62 +1596,35 @@ mod tests {
         assert_eq!(out, a.matmul(&b.transpose()));
     }
 
+    /// A weight reaches the GEMMs as a view into the middle of a larger
+    /// buffer (a model's parameter arena): the product must be bitwise the
+    /// product with the equal owned matrix, on the pack-free (≤ 16 rows)
+    /// and packed `matmul` paths and on `matmul_a_bt`. A view of the wrong
+    /// length is refused.
     #[test]
-    fn mixed_matmuls_agree_with_f32_within_bf16_tolerance() {
-        // bf16 keeps 8 mantissa bits → relative error ~2^-8 per stored
-        // element of the packed operand; the identity-`B` product is exact.
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let id = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
-        let mut out = Matrix::from_rows(&[&[9.0, 9.0], &[9.0, 9.0]]);
-        a.matmul_into_prec(&id, &mut out, Precision::Mixed);
-        assert_eq!(out, a, "identity is exact in bf16");
-        a.matmul_at_b_into_prec(&id, &mut out, Precision::Mixed);
-        assert_eq!(out, a.transpose(), "Aᵀ·I with bf16 Aᵀ of exact values");
-        a.matmul_a_bt_into_prec(&id, &mut out, Precision::Mixed);
-        assert_eq!(out, a);
-
-        // Random-ish values: relative tolerance 2^-7 (one bf16 ulp of the
-        // operand plus accumulation slack).
-        let m = 50;
-        let k = 40;
-        let n = 30;
-        let x = Matrix::from_vec(
-            m,
-            k,
-            (0..m * k).map(|i| (i % 23) as f32 * 0.21 - 2.0).collect(),
+    #[should_panic(expected = "buffer length mismatch")]
+    fn matref_at_an_offset_is_bitwise_the_owned_matrix() {
+        let (k, n, off) = (37, 29, 5);
+        let buf: Vec<f32> = (0..off + k * n + 3)
+            .map(|i| (i as f32 * 0.37).sin())
+            .collect();
+        let w = &buf[off..off + k * n];
+        let (owned, owned_t) = (
+            Matrix::from_vec(k, n, w.to_vec()),
+            Matrix::from_vec(n, k, w.to_vec()),
         );
-        let w = Matrix::from_vec(
-            k,
-            n,
-            (0..k * n).map(|i| (i % 17) as f32 * 0.13 - 1.0).collect(),
-        );
-        let full = x.matmul(&w);
-        let mut mixed = Matrix::zeros(m, n);
-        x.matmul_into_prec(&w, &mut mixed, Precision::Mixed);
-        for (f, g) in full.as_slice().iter().zip(mixed.as_slice()) {
-            assert!(
-                (f - g).abs() <= f.abs() * (1.0 / 128.0) + 0.05,
-                "{f} vs {g}"
-            );
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for m in [3, MM_SKINNY_ROWS + 4] {
+            let x = Matrix::from_vec(m, k, (0..m * k).map(|i| (i as f32 * 0.11).cos()).collect());
+            let (mut got, mut want) = (Matrix::zeros(m, n), Matrix::zeros(m, n));
+            x.matmul_into(MatRef::new(k, n, w), &mut got);
+            x.matmul_into(&owned, &mut want);
+            assert_eq!(bits(&got), bits(&want), "matmul, {m} rows");
+            x.matmul_a_bt_into(MatRef::new(n, k, w), &mut got);
+            x.matmul_a_bt_into(&owned_t, &mut want);
+            assert_eq!(bits(&got), bits(&want), "matmul_a_bt, {m} rows");
         }
-    }
-
-    #[test]
-    fn precision_knob_dispatches() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
-        let mut f32_out = Matrix::zeros(2, 2);
-        let mut mixed_out = Matrix::zeros(2, 2);
-        a.matmul_into_prec(&b, &mut f32_out, Precision::F32);
-        a.matmul_into_prec(&b, &mut mixed_out, Precision::Mixed);
-        assert_eq!(f32_out, a);
-        assert_eq!(mixed_out, a);
-        a.matmul_at_b_into_prec(&b, &mut f32_out, Precision::F32);
-        a.matmul_at_b_into_prec(&b, &mut mixed_out, Precision::Mixed);
-        assert_eq!(f32_out, mixed_out);
-        a.matmul_a_bt_into_prec(&b, &mut f32_out, Precision::F32);
-        a.matmul_a_bt_into_prec(&b, &mut mixed_out, Precision::Mixed);
-        assert_eq!(f32_out, mixed_out);
+        MatRef::new(k, n, &buf[off..off + k * n + 1]);
     }
 
     #[test]

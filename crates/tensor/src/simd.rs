@@ -3,9 +3,9 @@
 //!
 //! The GEMM microkernels and BLAS-1 hot loops in this crate are written
 //! against the [`Lanes`] trait — a register of `f32` lanes with fused
-//! multiply-add, bf16 widening loads and masked partial loads/stores —
-//! instead of raw intrinsics, so exactly one module knows the ISA. The GEMM
-//! tiles are generic over it and compile once per width; the BLAS-1 loops
+//! multiply-add and masked partial loads/stores — instead of raw
+//! intrinsics, so exactly one module knows the ISA. The GEMM tiles are
+//! generic over it and compile once per width; the BLAS-1 loops
 //! and `matmul_a_bt`'s lane-wise chains stay on [`F32x8`]. The dispatch
 //! policy is:
 //!
@@ -29,12 +29,6 @@
 //! differ from scalar bits within a documented ULP bound because FMA skips
 //! the intermediate product rounding and the lane reductions associate
 //! differently.
-//!
-//! The module also owns the **bf16 storage type** used by the
-//! mixed-precision GEMM path: pure-Rust `u16` round-to-nearest-even
-//! conversion (no dependencies), widening loads that convert bf16 values
-//! to `f32` lanes (exact — bf16 is a prefix of f32), and the [`Element`]
-//! trait that lets one packed-panel kernel serve both storage types.
 
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::*;
@@ -99,9 +93,6 @@ pub trait Lanes: Copy {
     unsafe fn splat(v: f32) -> Self;
     /// Unaligned load of `LANES` values from `p`.
     unsafe fn load(p: *const f32) -> Self;
-    /// Widening load of `LANES` bf16 values: each `u16` becomes the high
-    /// half of an `f32` bit pattern — an exact conversion, no rounding.
-    unsafe fn load_bf16(p: *const u16) -> Self;
     /// Unaligned store of `LANES` values to `p`.
     unsafe fn store(self, p: *mut f32);
     /// The first `len.min(LANES)` lanes from `p`, the rest zero; only those
@@ -154,13 +145,6 @@ impl Lanes for F32x8 {
     #[inline(always)]
     unsafe fn load(p: *const f32) -> Self {
         F32x8(_mm256_loadu_ps(p))
-    }
-
-    #[inline(always)]
-    unsafe fn load_bf16(p: *const u16) -> Self {
-        let half = _mm_loadu_si128(p.cast());
-        let wide = _mm256_cvtepu16_epi32(half);
-        F32x8(_mm256_castsi256_ps(_mm256_slli_epi32(wide, 16)))
     }
 
     #[inline(always)]
@@ -226,13 +210,6 @@ impl Lanes for F32x16 {
     #[inline(always)]
     unsafe fn load(p: *const f32) -> Self {
         F32x16(_mm512_loadu_ps(p))
-    }
-
-    #[inline(always)]
-    unsafe fn load_bf16(p: *const u16) -> Self {
-        let half = _mm256_loadu_si256(p.cast());
-        let wide = _mm512_cvtepu16_epi32(half);
-        F32x16(_mm512_castsi512_ps(_mm512_slli_epi32::<16>(wide)))
     }
 
     #[inline(always)]
@@ -334,11 +311,6 @@ macro_rules! array_lanes {
             }
 
             #[inline(always)]
-            unsafe fn load_bf16(p: *const u16) -> Self {
-                $t(std::array::from_fn(|i| bf16_to_f32(*p.add(i))))
-            }
-
-            #[inline(always)]
             unsafe fn store(self, p: *mut f32) {
                 self.store_n(p, $n)
             }
@@ -412,80 +384,6 @@ impl F32x8 {
     pub unsafe fn hsum(self) -> f32 {
         let l = self.0;
         ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]))
-    }
-}
-
-/// Round an `f32` to bf16 storage with round-to-nearest-even. NaNs are
-/// quieted (the payload's top mantissa bit is forced on) so a NaN never
-/// rounds to infinity.
-#[inline]
-pub fn f32_to_bf16(v: f32) -> u16 {
-    let bits = v.to_bits();
-    if v.is_nan() {
-        return ((bits >> 16) as u16) | 0x0040;
-    }
-    let round_bit = (bits >> 16) & 1;
-    ((bits.wrapping_add(0x7FFF + round_bit)) >> 16) as u16
-}
-
-/// Widen bf16 storage back to `f32` — exact, the stored bits become the
-/// high half of the `f32` pattern.
-#[inline]
-pub fn bf16_to_f32(b: u16) -> f32 {
-    f32::from_bits(u32::from(b) << 16)
-}
-
-/// A packed-panel storage element: `f32` for the full-precision path, bf16
-/// (`u16`) for the mixed path. Panels are written with [`Element::pack`]
-/// and read back (scalar or a register of [`Lanes`] at once) as `f32`, so
-/// one kernel body serves both precisions with accumulation always in
-/// `f32`.
-pub trait Element: Copy + Send + Sync + 'static {
-    /// Convert an `f32` into storage (rounds for bf16).
-    fn pack(v: f32) -> Self;
-    /// Convert storage back to `f32` (exact for both types).
-    fn to_f32(self) -> f32;
-    /// Load `V::LANES` consecutive storage values as `f32` lanes.
-    ///
-    /// # Safety
-    /// `p` must be valid for `V::LANES` reads; see [`Lanes`]'s safety
-    /// contract.
-    unsafe fn load<V: Lanes>(p: *const Self) -> V;
-}
-
-impl Element for f32 {
-    #[inline(always)]
-    fn pack(v: f32) -> Self {
-        v
-    }
-
-    #[inline(always)]
-    fn to_f32(self) -> f32 {
-        self
-    }
-
-    #[inline(always)]
-    unsafe fn load<V: Lanes>(p: *const Self) -> V {
-        // SAFETY: the caller upholds `load`'s contract, which is `V::load`'s.
-        unsafe { V::load(p) }
-    }
-}
-
-impl Element for u16 {
-    #[inline(always)]
-    fn pack(v: f32) -> Self {
-        f32_to_bf16(v)
-    }
-
-    #[inline(always)]
-    fn to_f32(self) -> f32 {
-        bf16_to_f32(self)
-    }
-
-    #[inline(always)]
-    unsafe fn load<V: Lanes>(p: *const Self) -> V {
-        // SAFETY: as for `f32`, with `V::load_bf16`'s identical contract.
-        unsafe { V::load_bf16(p) }
     }
 }
 
@@ -661,54 +559,6 @@ pub unsafe fn add_bias_dispatch(chunk: &mut [f32], bias: &[f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bf16_round_trip_golden_vectors() {
-        // Values exactly representable in bf16 survive the round trip.
-        for v in [0.0f32, -0.0, 1.0, -1.0, 0.5, 2.0, 96.0, -0.15625] {
-            assert_eq!(bf16_to_f32(f32_to_bf16(v)), v, "round trip of {v}");
-        }
-        // Infinities survive; NaN stays NaN (quieted, never infinity).
-        assert_eq!(bf16_to_f32(f32_to_bf16(f32::INFINITY)), f32::INFINITY);
-        assert_eq!(
-            bf16_to_f32(f32_to_bf16(f32::NEG_INFINITY)),
-            f32::NEG_INFINITY
-        );
-        assert!(bf16_to_f32(f32_to_bf16(f32::NAN)).is_nan());
-    }
-
-    #[test]
-    fn bf16_rounds_to_nearest_even() {
-        // 1.0 + 2^-8 is exactly halfway between bf16(1.0) (0x3F80) and the
-        // next bf16 (0x3F81): ties-to-even keeps the even 0x3F80.
-        assert_eq!(f32_to_bf16(f32::from_bits(0x3F80_8000)), 0x3F80);
-        // 1.0 + 3·2^-9 rounds up to 0x3F81 (nearest, not a tie).
-        assert_eq!(f32_to_bf16(f32::from_bits(0x3F80_C000)), 0x3F81);
-        // Just below halfway rounds down.
-        assert_eq!(f32_to_bf16(f32::from_bits(0x3F80_7FFF)), 0x3F80);
-        // Just above halfway rounds up.
-        assert_eq!(f32_to_bf16(f32::from_bits(0x3F80_8001)), 0x3F81);
-        // Odd-mantissa tie rounds up to even: 1.5 + 2^-8 halfway between
-        // 0x3FC0 and 0x3FC1 from an odd low bit? 0x3FC0_8000's tie partner
-        // is even 0x3FC0 → stays. 0x3FC1_8000 (odd) ties up to 0x3FC2.
-        assert_eq!(f32_to_bf16(f32::from_bits(0x3FC1_8000)), 0x3FC2);
-        // Max-magnitude rounding never overflows to infinity incorrectly:
-        // f32::MAX rounds to bf16 infinity by design (beyond bf16::MAX).
-        assert_eq!(bf16_to_f32(f32_to_bf16(f32::MAX)), f32::INFINITY);
-    }
-
-    #[test]
-    fn bf16_error_is_bounded_relative() {
-        // bf16 keeps 8 mantissa bits: relative error ≤ 2^-8 after RNE.
-        for i in 0..10_000u32 {
-            let v = (i as f32 - 5_000.0) * 0.37 + 0.001;
-            let r = bf16_to_f32(f32_to_bf16(v));
-            assert!(
-                (r - v).abs() <= v.abs() * (1.0 / 256.0) + f32::MIN_POSITIVE,
-                "bf16({v}) = {r}"
-            );
-        }
-    }
 
     #[test]
     fn detection_is_stable() {

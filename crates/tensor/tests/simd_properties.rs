@@ -4,8 +4,8 @@
 //!    with the forced scalar reference within the documented bound on
 //!    random shapes, including every remainder path (cols % 16, % 8 ≠ 0,
 //!    rows below the register-tile height).
-//! 2. **Bit-identity across pool sizes 1→8** — for both precisions and
-//!    both backends, the chunked result equals the `parts = 1` result
+//! 2. **Bit-identity across pool sizes 1→8** — for both backends, the
+//!    chunked result equals the `parts = 1` result
 //!    bitwise at every worker count.
 //! 3. **BLAS-1 dispatch agreement** — `dot`/`axpy`/`scale`/`l2_norm` and
 //!    the elementwise kernels match their scalar definitions within the
@@ -29,7 +29,7 @@
 
 use proptest::prelude::*;
 use summit_tensor::matrix::Backend;
-use summit_tensor::{Matrix, Precision};
+use summit_tensor::Matrix;
 
 fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
     let data = (0..rows * cols)
@@ -55,19 +55,11 @@ fn assert_close(auto: &Matrix, scalar: &Matrix, k: usize, what: &str) {
 }
 
 /// Run one variant with full control.
-fn run(
-    a: &Matrix,
-    b: &Matrix,
-    out: &mut Matrix,
-    variant: usize,
-    parts: usize,
-    prec: Precision,
-    backend: Backend,
-) {
+fn run(a: &Matrix, b: &Matrix, out: &mut Matrix, variant: usize, parts: usize, backend: Backend) {
     match variant {
-        0 => a.matmul_into_parts_backend(b, out, parts, prec, backend),
-        1 => a.matmul_at_b_into_parts_backend(b, out, parts, prec, backend),
-        _ => a.matmul_a_bt_into_parts_backend(b, out, parts, prec, backend),
+        0 => a.matmul_into_parts_backend(b, out, parts, backend),
+        1 => a.matmul_at_b_into_parts_backend(b, out, parts, backend),
+        _ => a.matmul_a_bt_into_parts_backend(b, out, parts, backend),
     }
 }
 
@@ -93,8 +85,8 @@ fn out_shape(a: &Matrix, b: &Matrix, variant: usize) -> (usize, usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Auto (SIMD where detected) vs forced scalar, all three variants,
-    /// f32: within the ULP bound on shapes that hit every remainder lane
+    /// Auto (SIMD where detected) vs forced scalar, all three variants:
+    /// within the ULP bound on shapes that hit every remainder lane
     /// (cols % 8 ≠ 0 included by the range, rows < the 6/4-row tiles
     /// included by the minimum).
     #[test]
@@ -109,35 +101,14 @@ proptest! {
         let (or, oc) = out_shape(&a, &b, variant);
         let mut auto = Matrix::zeros(or, oc);
         let mut scalar = Matrix::zeros(or, oc);
-        run(&a, &b, &mut auto, variant, 1, Precision::F32, Backend::Auto);
-        run(&a, &b, &mut scalar, variant, 1, Precision::F32, Backend::Scalar);
+        run(&a, &b, &mut auto, variant, 1, Backend::Auto);
+        run(&a, &b, &mut scalar, variant, 1, Backend::Scalar);
         let shared = if variant == 1 { a.rows() } else { a.cols() };
         assert_close(&auto, &scalar, shared, "f32");
     }
 
-    /// Same agreement for the mixed path: both backends see identical
-    /// bf16-rounded panels, so the only divergence is again FMA/reduction
-    /// order.
-    #[test]
-    fn mixed_simd_agrees_with_mixed_scalar(
-        m in 1usize..32,
-        k in 1usize..48,
-        n in 1usize..32,
-        variant in 0usize..3,
-        seed in 0u64..1000,
-    ) {
-        let (a, b) = operands(variant, m, k, n, seed);
-        let (or, oc) = out_shape(&a, &b, variant);
-        let mut auto = Matrix::zeros(or, oc);
-        let mut scalar = Matrix::zeros(or, oc);
-        run(&a, &b, &mut auto, variant, 1, Precision::Mixed, Backend::Auto);
-        run(&a, &b, &mut scalar, variant, 1, Precision::Mixed, Backend::Scalar);
-        let shared = if variant == 1 { a.rows() } else { a.cols() };
-        assert_close(&auto, &scalar, shared, "mixed");
-    }
-
-    /// Bit-identity across pool sizes 1→8 for every (variant, precision,
-    /// backend) combination: the chunk split must never change a single
+    /// Bit-identity across pool sizes 1→8 for every (variant, backend)
+    /// combination: the chunk split must never change a single
     /// bit of any output element.
     #[test]
     fn bit_identical_across_pool_sizes_1_to_8(
@@ -149,20 +120,18 @@ proptest! {
     ) {
         let (a, b) = operands(variant, m, k, n, seed);
         let (or, oc) = out_shape(&a, &b, variant);
-        for prec in [Precision::F32, Precision::Mixed] {
-            for backend in [Backend::Auto, Backend::Scalar] {
-                let mut serial = Matrix::zeros(or, oc);
-                run(&a, &b, &mut serial, variant, 1, prec, backend);
-                for parts in 2..=8 {
-                    let mut pooled = Matrix::zeros(or, oc);
-                    run(&a, &b, &mut pooled, variant, parts, prec, backend);
-                    prop_assert_eq!(
-                        pooled.as_slice(),
-                        serial.as_slice(),
-                        "variant {} {:?} {:?} differs at parts = {}",
-                        variant, prec, backend, parts
-                    );
-                }
+        for backend in [Backend::Auto, Backend::Scalar] {
+            let mut serial = Matrix::zeros(or, oc);
+            run(&a, &b, &mut serial, variant, 1, backend);
+            for parts in 2..=8 {
+                let mut pooled = Matrix::zeros(or, oc);
+                run(&a, &b, &mut pooled, variant, parts, backend);
+                prop_assert_eq!(
+                    pooled.as_slice(),
+                    serial.as_slice(),
+                    "variant {} {:?} differs at parts = {}",
+                    variant, backend, parts
+                );
             }
         }
     }
@@ -231,30 +200,6 @@ proptest! {
     }
 }
 
-/// The mixed path's storage error is exactly bf16 rounding of the packed
-/// operand: with the other operand an identity, the product recovers the
-/// bf16-rounded values bit-for-bit.
-#[test]
-fn mixed_storage_error_is_exactly_bf16_rounding() {
-    let k = 37;
-    let vals: Vec<f32> = (0..k).map(|i| (i as f32 * 0.617).tan()).collect();
-    let b = Matrix::from_vec(k, 1, vals.clone());
-    let mut ident = Matrix::zeros(k, k);
-    for i in 0..k {
-        ident.set(i, i, 1.0);
-    }
-    let mut got = Matrix::zeros(k, 1);
-    ident.matmul_into_prec(&b, &mut got, Precision::Mixed);
-    for (g, &v) in got.as_slice().iter().zip(&vals) {
-        let want = summit_tensor::simd::bf16_to_f32(summit_tensor::simd::f32_to_bf16(v));
-        assert_eq!(
-            g.to_bits(),
-            want.to_bits(),
-            "{v} stored as {g}, want {want}"
-        );
-    }
-}
-
 /// The slice of `a` that output row `i` depends on, as a matrix of its
 /// own: row `i` for `matmul` / `matmul_a_bt`, column `i` for `matmul_at_b`.
 fn single_row_operand(a: &Matrix, variant: usize, i: usize) -> Matrix {
@@ -266,21 +211,13 @@ fn single_row_operand(a: &Matrix, variant: usize, i: usize) -> Matrix {
     }
 }
 
-/// What the packed operand of a product stores for `v`.
-fn stored(v: f32, prec: Precision) -> f32 {
-    match prec {
-        Precision::F32 => v,
-        Precision::Mixed => summit_tensor::simd::bf16_to_f32(summit_tensor::simd::f32_to_bf16(v)),
-    }
-}
-
 /// `matmul`'s documented chain for one output element: one accumulator
 /// over ascending `k`, fused on the SIMD backend, product-then-add on the
 /// scalar one — no trace of the 256-step blocking.
-fn matmul_chain(a_row: &[f32], b: &Matrix, j: usize, prec: Precision, simd: bool) -> f32 {
+fn matmul_chain(a_row: &[f32], b: &Matrix, j: usize, simd: bool) -> f32 {
     let mut acc = 0.0f32;
     for (kk, &av) in a_row.iter().enumerate() {
-        let bv = stored(b.get(kk, j), prec);
+        let bv = b.get(kk, j);
         acc = if simd {
             av.mul_add(bv, acc)
         } else {
@@ -294,21 +231,21 @@ fn matmul_chain(a_row: &[f32], b: &Matrix, j: usize, prec: Precision, simd: bool
 /// lane accumulators stepped over ascending `k`, the fixed reduction tree,
 /// then a fused scalar tail over `k % 8`. Scalar: one ascending-`k`
 /// product-then-add accumulator.
-fn a_bt_chain(a_row: &[f32], b_row: &[f32], prec: Precision, simd: bool) -> f32 {
+fn a_bt_chain(a_row: &[f32], b_row: &[f32], simd: bool) -> f32 {
     if !simd {
         return a_row
             .iter()
             .zip(b_row)
-            .fold(0.0f32, |acc, (&x, &y)| acc + x * stored(y, prec));
+            .fold(0.0f32, |acc, (&x, &y)| acc + x * y);
     }
     let mut l = [0.0f32; 8];
     let full = a_row.len() / 8 * 8;
     for kk in 0..full {
-        l[kk % 8] = a_row[kk].mul_add(stored(b_row[kk], prec), l[kk % 8]);
+        l[kk % 8] = a_row[kk].mul_add(b_row[kk], l[kk % 8]);
     }
     let mut sum = ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]));
     for kk in full..a_row.len() {
-        sum = a_row[kk].mul_add(stored(b_row[kk], prec), sum);
+        sum = a_row[kk].mul_add(b_row[kk], sum);
     }
     sum
 }
@@ -348,87 +285,79 @@ fn boundary_shapes_hold_every_gemm_contract() {
     for (si, &(m, s, n)) in shapes.iter().enumerate() {
         for variant in 0..3 {
             let (a, b) = operands(variant, m, s, n, 17 * si as u64 + variant as u64);
-            for prec in [Precision::F32, Precision::Mixed] {
-                let what = format!("variant {variant} {prec:?} {m}x{s}x{n}");
-                let mut by_backend = Vec::new();
-                for backend in [Backend::Auto, Backend::Scalar] {
-                    let what = format!("{what} {backend:?}");
-                    let simd = backend == Backend::Auto && summit_tensor::simd::active();
-                    let mut serial = Matrix::zeros(m, n);
-                    run(&a, &b, &mut serial, variant, 1, prec, backend);
+            let what = format!("variant {variant} {m}x{s}x{n}");
+            let mut by_backend = Vec::new();
+            for backend in [Backend::Auto, Backend::Scalar] {
+                let what = format!("{what} {backend:?}");
+                let simd = backend == Backend::Auto && summit_tensor::simd::active();
+                let mut serial = Matrix::zeros(m, n);
+                run(&a, &b, &mut serial, variant, 1, backend);
 
-                    // Pooled = serial, bitwise, at every part count.
-                    for parts in 2..=8 {
-                        let mut pooled = Matrix::zeros(m, n);
-                        run(&a, &b, &mut pooled, variant, parts, prec, backend);
-                        assert_eq!(pooled.as_slice(), serial.as_slice(), "{what} parts {parts}");
-                    }
-
-                    // Row i of the batched product = the one-row product.
-                    let row_step = if m <= 32 { 1 } else { m.div_ceil(5) };
-                    for i in (0..m).step_by(row_step) {
-                        let mut one = Matrix::zeros(1, n);
-                        let a_i = single_row_operand(&a, variant, i);
-                        run(&a_i, &b, &mut one, variant, 1, prec, backend);
-                        assert_eq!(one.as_slice(), serial.row(i), "{what} row {i}");
-                    }
-
-                    // The documented chains, transcribed.
-                    for i in 0..m {
-                        for j in 0..n {
-                            let want = match variant {
-                                0 => matmul_chain(a.row(i), &b, j, prec, simd),
-                                2 => a_bt_chain(a.row(i), b.row(j), prec, simd),
-                                _ => continue,
-                            };
-                            let got = serial.get(i, j);
-                            assert_eq!(got.to_bits(), want.to_bits(), "{what} ({i},{j})");
-                        }
-                    }
-
-                    // Accumulating into zeros = overwrite + add_assign.
-                    if variant == 1 {
-                        for parts in [1, 3] {
-                            let mut acc = Matrix::zeros(m, n);
-                            a.matmul_at_b_acc_into_parts_backend(
-                                &b, &mut acc, parts, prec, backend,
-                            );
-                            let mut sum = Matrix::zeros(m, n);
-                            sum.add_assign(&serial);
-                            assert_eq!(acc.as_slice(), sum.as_slice(), "{what} acc");
-                            // A second pass adds the product once more.
-                            a.matmul_at_b_acc_into_parts_backend(
-                                &b, &mut acc, parts, prec, backend,
-                            );
-                            for (twice, once) in acc.as_slice().iter().zip(serial.as_slice()) {
-                                assert!((twice - 2.0 * once).abs() <= once.abs() * 1e-5 + 1e-5);
-                            }
-                        }
-                    }
-                    by_backend.push(serial);
+                // Pooled = serial, bitwise, at every part count.
+                for parts in 2..=8 {
+                    let mut pooled = Matrix::zeros(m, n);
+                    run(&a, &b, &mut pooled, variant, parts, backend);
+                    assert_eq!(pooled.as_slice(), serial.as_slice(), "{what} parts {parts}");
                 }
-                assert_close(&by_backend[0], &by_backend[1], s, &what);
+
+                // Row i of the batched product = the one-row product.
+                let row_step = if m <= 32 { 1 } else { m.div_ceil(5) };
+                for i in (0..m).step_by(row_step) {
+                    let mut one = Matrix::zeros(1, n);
+                    let a_i = single_row_operand(&a, variant, i);
+                    run(&a_i, &b, &mut one, variant, 1, backend);
+                    assert_eq!(one.as_slice(), serial.row(i), "{what} row {i}");
+                }
+
+                // The documented chains, transcribed.
+                for i in 0..m {
+                    for j in 0..n {
+                        let want = match variant {
+                            0 => matmul_chain(a.row(i), &b, j, simd),
+                            2 => a_bt_chain(a.row(i), b.row(j), simd),
+                            _ => continue,
+                        };
+                        let got = serial.get(i, j);
+                        assert_eq!(got.to_bits(), want.to_bits(), "{what} ({i},{j})");
+                    }
+                }
+
+                // Accumulating into zeros = overwrite + add_assign.
+                if variant == 1 {
+                    for parts in [1, 3] {
+                        let mut acc = Matrix::zeros(m, n);
+                        a.matmul_at_b_acc_into_parts_backend(&b, &mut acc, parts, backend);
+                        let mut sum = Matrix::zeros(m, n);
+                        sum.add_assign(&serial);
+                        assert_eq!(acc.as_slice(), sum.as_slice(), "{what} acc");
+                        // A second pass adds the product once more.
+                        a.matmul_at_b_acc_into_parts_backend(&b, &mut acc, parts, backend);
+                        for (twice, once) in acc.as_slice().iter().zip(serial.as_slice()) {
+                            assert!((twice - 2.0 * once).abs() <= once.abs() * 1e-5 + 1e-5);
+                        }
+                    }
+                }
+                by_backend.push(serial);
             }
+            assert_close(&by_backend[0], &by_backend[1], s, &what);
         }
     }
 
     for (si, s) in [1usize, 63, 64, 65, 130].into_iter().enumerate() {
         let (a, b) = operands(1, 13, s, 35, 90 + si as u64);
-        for prec in [Precision::F32, Precision::Mixed] {
-            for backend in [Backend::Auto, Backend::Scalar] {
-                let mut on_zeros = Matrix::zeros(13, 35);
-                run(&a, &b, &mut on_zeros, 1, 1, prec, backend);
-                for parts in 1..=8 {
-                    let mut over_nan = Matrix::from_vec(13, 35, vec![f32::NAN; 13 * 35]);
-                    run(&a, &b, &mut over_nan, 1, parts, prec, backend);
-                    let bits =
-                        |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(
-                        bits(&over_nan),
-                        bits(&on_zeros),
-                        "at_b over NaN, shared {s} {prec:?} {backend:?} parts {parts}"
-                    );
-                }
+        for backend in [Backend::Auto, Backend::Scalar] {
+            let mut on_zeros = Matrix::zeros(13, 35);
+            run(&a, &b, &mut on_zeros, 1, 1, backend);
+            for parts in 1..=8 {
+                let mut over_nan = Matrix::from_vec(13, 35, vec![f32::NAN; 13 * 35]);
+                run(&a, &b, &mut over_nan, 1, parts, backend);
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&over_nan),
+                    bits(&on_zeros),
+                    "at_b over NaN, shared {s} {backend:?} parts {parts}"
+                );
             }
         }
     }
@@ -455,7 +384,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The 512-bit kernels are bitwise the 256-bit kernels: all three GEMMs,
-    /// both precisions, parts 1–4. The shapes reach every tail of both
+    /// parts 1–4. The shapes reach every tail of both
     /// widths — `n` off 32, 16 and 8 columns, the shared dimension off the
     /// 8-lane step and across the 64-row and 256-step blocks, `m` off
     /// every tile height and across the row count where `matmul` stops
@@ -473,19 +402,17 @@ proptest! {
         }
         let (a, b) = operands(variant, m, s, n, seed);
         let bits = |x: &Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for prec in [Precision::F32, Precision::Mixed] {
-            for parts in 1..=4 {
-                let mut wide = Matrix::zeros(m, n);
-                let mut narrow = Matrix::zeros(m, n);
-                run(&a, &b, &mut wide, variant, parts, prec, Backend::Auto);
-                run(&a, &b, &mut narrow, variant, parts, prec, Backend::Avx2);
-                prop_assert_eq!(
-                    bits(&wide),
-                    bits(&narrow),
-                    "variant {} {:?} {}x{}x{} parts {}",
-                    variant, prec, m, s, n, parts
-                );
-            }
+        for parts in 1..=4 {
+            let mut wide = Matrix::zeros(m, n);
+            let mut narrow = Matrix::zeros(m, n);
+            run(&a, &b, &mut wide, variant, parts, Backend::Auto);
+            run(&a, &b, &mut narrow, variant, parts, Backend::Avx2);
+            prop_assert_eq!(
+                bits(&wide),
+                bits(&narrow),
+                "variant {} {}x{}x{} parts {}",
+                variant, m, s, n, parts
+            );
         }
     }
 }

@@ -24,7 +24,6 @@
 //! assert!(gb > 1.3 && gb < 1.5);
 //! ```
 
-pub mod precision;
 pub mod zoo;
 
 pub use zoo::Workload;
