@@ -459,6 +459,33 @@ mod tests {
         assert!(m.arena().flat_grads().iter().all(|&g| g == 0.0));
     }
 
+    /// A confident sample's softmax underflows; the flushed loss gradient
+    /// keeps every subnormal out of the backward pass (288 of the 1,666
+    /// gradients here are subnormal without the flush).
+    #[test]
+    fn a_confident_sample_leaves_no_subnormal_gradient() {
+        let task = crate::data::blobs(2, 16, 2, 0.1, 6);
+        let mut m = MlpSpec::new(16, &[32, 32], 2).build(7);
+        let mut sgd = Sgd::new(0.1, 0.9, 0.0);
+        for step in 0.. {
+            m.zero_grads();
+            let logits = m.forward(&task.x);
+            let mut probs = logits.clone();
+            summit_tensor::ops::softmax_inplace(&mut probs);
+            let (_, dlogits) = softmax_cross_entropy(logits, &task.y);
+            m.backward(&dlogits);
+            // A probability below the normal range marks a confident sample.
+            if probs.as_slice().iter().any(|&p| p < f32::MIN_POSITIVE) {
+                break;
+            }
+            assert!(step < 100, "no sample became confident");
+            m.for_each_group(|id, p, g| sgd.step_group(id, 1.0, p, g));
+            sgd.advance();
+        }
+        let grads = m.arena().flat_grads();
+        assert!(grads.iter().all(|g| !g.is_subnormal()));
+    }
+
     #[test]
     fn deterministic_build() {
         let a = MlpSpec::new(4, &[8], 2).build(9);

@@ -178,6 +178,8 @@ pub struct Adam {
     step: u32,
     m: HashMap<usize, Vec<f32>>,
     v: HashMap<usize, Vec<f32>>,
+    /// The direction of the group being stepped, reused across groups.
+    dir: Vec<f32>,
 }
 
 impl Adam {
@@ -199,17 +201,19 @@ impl Adam {
             step: 0,
             m: HashMap::new(),
             v: HashMap::new(),
+            dir: Vec::new(),
         }
     }
 
     /// The bias-corrected Adam direction for a group's gradient
-    /// `scale · grads`, written into `out`.
-    fn direction(&mut self, group: usize, scale: f32, grads: &[f32], out: &mut Vec<f32>) {
+    /// `scale · grads`, written into `self.dir`.
+    fn direction(&mut self, group: usize, scale: f32, grads: &[f32]) {
         let t = (self.step + 1) as i32;
         let bc1 = 1.0 - self.beta1.powi(t);
         let bc2 = 1.0 - self.beta2.powi(t);
         let m = state(&mut self.m, group, grads.len());
         let v = state(&mut self.v, group, grads.len());
+        let out = &mut self.dir;
         out.clear();
         out.reserve(grads.len());
         for ((mi, vi), &g) in m.iter_mut().zip(v.iter_mut()).zip(grads) {
@@ -227,12 +231,11 @@ impl Optimizer for Adam {
     fn step_scaled(&mut self, id: usize, lr: f32, scale: f32, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), grads.len(), "group shape mismatch");
         let eff = self.lr * lr;
-        let mut dir = Vec::new();
-        self.direction(id, scale, grads, &mut dir);
-        for (d, &p) in dir.iter_mut().zip(params.iter()) {
+        self.direction(id, scale, grads);
+        for (d, &p) in self.dir.iter_mut().zip(params.iter()) {
             *d += self.weight_decay * p;
         }
-        axpy(-eff, &dir, params);
+        axpy(-eff, &self.dir, params);
     }
 
     fn elementwise(&self) -> bool {
@@ -273,6 +276,8 @@ pub struct Lars {
     pub eta: f32,
     weight_decay: f32,
     eps: f32,
+    /// The regularized gradient of the group being stepped.
+    reg: Vec<f32>,
 }
 
 impl Lars {
@@ -284,6 +289,7 @@ impl Lars {
             eta,
             weight_decay,
             eps: 1e-9,
+            reg: Vec::new(),
         }
     }
 
@@ -300,13 +306,14 @@ impl Lars {
 impl Optimizer for Lars {
     fn step_scaled(&mut self, id: usize, lr: f32, scale: f32, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), grads.len(), "group shape mismatch");
-        let mut reg: Vec<f32> = grads.iter().map(|g| g * scale).collect();
-        let trust = self.trust_ratio(l2_norm(params), l2_norm(&reg));
+        self.reg.clear();
+        self.reg.extend(grads.iter().map(|g| g * scale));
+        let trust = self.trust_ratio(l2_norm(params), l2_norm(&self.reg));
         // Regularized gradient, scaled by the trust ratio, fed to SGD.
-        for (r, &p) in reg.iter_mut().zip(params.iter()) {
+        for (r, &p) in self.reg.iter_mut().zip(params.iter()) {
             *r = trust * (*r + self.weight_decay * p);
         }
-        self.inner.step_group(id, lr, params, &reg);
+        self.inner.step_group(id, lr, params, &self.reg);
     }
 
     fn export_state(&self) -> OptimizerState {
@@ -331,6 +338,8 @@ pub struct Larc {
     pub eta: f32,
     weight_decay: f32,
     eps: f32,
+    /// The regularized gradient of the group being stepped.
+    reg: Vec<f32>,
 }
 
 impl Larc {
@@ -342,6 +351,7 @@ impl Larc {
             eta,
             weight_decay,
             eps: 1e-9,
+            reg: Vec::new(),
         }
     }
 
@@ -358,12 +368,13 @@ impl Larc {
 impl Optimizer for Larc {
     fn step_scaled(&mut self, id: usize, lr: f32, scale: f32, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), grads.len(), "group shape mismatch");
-        let mut reg: Vec<f32> = grads.iter().map(|g| g * scale).collect();
-        let rate = self.local_rate(l2_norm(params), l2_norm(&reg));
-        for (r, &p) in reg.iter_mut().zip(params.iter()) {
+        self.reg.clear();
+        self.reg.extend(grads.iter().map(|g| g * scale));
+        let rate = self.local_rate(l2_norm(params), l2_norm(&self.reg));
+        for (r, &p) in self.reg.iter_mut().zip(params.iter()) {
             *r = rate * (*r + self.weight_decay * p);
         }
-        self.inner.step_group(id, lr, params, &reg);
+        self.inner.step_group(id, lr, params, &self.reg);
     }
 
     fn export_state(&self) -> OptimizerState {
@@ -399,20 +410,20 @@ impl Lamb {
 impl Optimizer for Lamb {
     fn step_scaled(&mut self, id: usize, lr: f32, scale: f32, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), grads.len(), "group shape mismatch");
-        let mut update = Vec::new();
-        self.inner.direction(id, scale, grads, &mut update);
+        self.inner.direction(id, scale, grads);
+        let update = &mut self.inner.dir;
         for (u, &p) in update.iter_mut().zip(params.iter()) {
             *u += self.weight_decay * p;
         }
         let w_norm = l2_norm(params);
-        let u_norm = l2_norm(&update);
+        let u_norm = l2_norm(update);
         let trust = if w_norm == 0.0 || u_norm == 0.0 {
             1.0
         } else {
             w_norm / u_norm
         };
         let eff = self.inner.lr * lr * trust;
-        axpy(-eff, &update, params);
+        axpy(-eff, update, params);
     }
 
     fn advance(&mut self) {

@@ -108,8 +108,23 @@ pub fn column_sums(x: &Matrix) -> Vec<f32> {
     out
 }
 
-/// Numerically stable row-wise softmax, in place. Rows are independent, so
-/// row chunks run on the pool above the elementwise threshold.
+/// `v`, or a zero of its sign where `v` is subnormal; NaN and ±∞ pass
+/// through. Applied where the training stack makes values that can
+/// underflow (softmax outputs and the loss gradients), so a confident
+/// sample feeds no subnormal operand, and no microcode assist, to every
+/// FMA downstream of it. Per element, so bitwise the same on every
+/// backend, thread and pool partition.
+fn flush_subnormal(v: f32) -> f32 {
+    if v.abs() < f32::MIN_POSITIVE {
+        0.0f32.copysign(v)
+    } else {
+        v
+    }
+}
+
+/// Numerically stable row-wise softmax, in place, with subnormal outputs
+/// flushed to zero. Rows are independent, so row chunks run on the pool
+/// above the elementwise threshold.
 pub fn softmax_inplace(x: &mut Matrix) {
     let (rows, cols) = (x.rows(), x.cols());
     let parts = elem_parts(rows * cols, rows);
@@ -122,14 +137,15 @@ pub fn softmax_inplace(x: &mut Matrix) {
                 sum += *v;
             }
             for v in row.iter_mut() {
-                *v /= sum;
+                *v = flush_subnormal(*v / sum);
             }
         }
     });
 }
 
 /// Mean cross-entropy loss of row-wise softmax probabilities against integer
-/// labels, plus the logits gradient `(softmax - onehot) / batch`.
+/// labels, plus the logits gradient `(softmax - onehot) / batch` with
+/// subnormal entries flushed to zero.
 ///
 /// `logits` is consumed as scratch and returned as the gradient.
 ///
@@ -148,7 +164,7 @@ pub fn softmax_cross_entropy(mut logits: Matrix, labels: &[usize]) -> (f32, Matr
         row[label] -= 1.0;
     }
     // Scale to mean gradient.
-    logits.map_inplace(|v| v / batch);
+    logits.map_inplace(|v| flush_subnormal(v / batch));
     (loss / batch, logits)
 }
 
@@ -174,7 +190,8 @@ pub fn accuracy(logits: &Matrix, labels: &[usize]) -> f32 {
     correct as f32 / labels.len() as f32
 }
 
-/// Mean squared error loss and gradient `2(pred - target)/n_elements`.
+/// Mean squared error loss and gradient `2(pred - target)/n_elements`,
+/// with subnormal gradient entries flushed to zero.
 ///
 /// # Panics
 /// Panics on shape mismatch.
@@ -195,7 +212,7 @@ pub fn mse(pred: &Matrix, target: &Matrix) -> (f32, Matrix) {
     {
         let d = p - t;
         loss += d * d;
-        *g = 2.0 * d / n;
+        *g = flush_subnormal(2.0 * d / n);
     }
     (loss / n, grad)
 }
