@@ -180,35 +180,12 @@ impl CollectiveModel {
             .expect("ALL is non-empty")
     }
 
-    /// Effective allreduce "algorithm bandwidth" in bytes/s: message size
-    /// divided by completion time. For a large-p ring this approaches β/2 —
-    /// the paper's 12.5 GB/s on Summit.
-    pub fn algorithm_bandwidth(&self, alg: Algorithm, p: u64, bytes: f64) -> f64 {
-        assert!(bytes > 0.0, "bandwidth needs a positive message");
-        let t = self.allreduce_time(alg, p, bytes);
-        if t == 0.0 {
-            f64::INFINITY
-        } else {
-            bytes / t
-        }
-    }
-
     /// Broadcast time (binomial tree).
     pub fn broadcast_time(&self, p: u64, bytes: f64) -> f64 {
         if p <= 1 {
             return 0.0;
         }
         (p as f64).log2().ceil() * self.link.transfer_time(bytes)
-    }
-
-    /// Allgather time (ring): each rank ends with `p × bytes` of data having
-    /// contributed `bytes`.
-    pub fn allgather_time(&self, p: u64, bytes: f64) -> f64 {
-        if p <= 1 {
-            return 0.0;
-        }
-        let pf = p as f64;
-        (pf - 1.0) * (self.link.alpha + bytes / self.link.beta)
     }
 
     /// Barrier time: a dissemination barrier costs ⌈log2 p⌉ rounds of α.

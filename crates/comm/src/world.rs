@@ -792,11 +792,6 @@ impl WorldView {
         self.members[dense]
     }
 
-    /// Map a physical rank id to its dense index, if a member.
-    pub fn dense_of(&self, physical: usize) -> Option<usize> {
-        self.members.binary_search(&physical).ok()
-    }
-
     /// The shrunk view: keep only `survivors` (given as a membership mask
     /// over the *current* dense ids), bump the epoch.
     ///

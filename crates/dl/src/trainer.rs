@@ -341,11 +341,6 @@ impl BucketSchedule {
         self.total_elems().div_ceil(self.bucket_elems)
     }
 
-    /// Start offset of layer `i`'s region in the flat gradient.
-    pub fn layer_start(&self, layer: usize) -> usize {
-        self.layer_starts[layer]
-    }
-
     /// Record that layer `layer`'s gradient is final and return the newly
     /// launchable buckets as a range of bucket indices. Launch them in
     /// `.rev()` order: the highest-offset bucket completed first.

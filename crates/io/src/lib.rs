@@ -9,9 +9,8 @@
 //! job start and sharding/shuffling complications. This crate implements
 //! each of those pieces:
 //!
-//! * [`tier`] — storage tiers (shared parallel FS, node-local NVMe, host
-//!   memory) with capacity and bandwidth derived from
-//!   [`summit_machine::MachineSpec`].
+//! * [`tier`] — storage tiers (shared parallel FS, node-local NVMe) with
+//!   capacity and bandwidth derived from [`summit_machine::MachineSpec`].
 //! * [`dataset`] — dataset descriptions and node-sharding plans.
 //! * [`shuffle`] — per-epoch shuffle strategies (none / within-shard /
 //!   global reshard) with both a *real* index-level implementation used to

@@ -61,14 +61,6 @@ impl ShuffleStrategy {
     pub fn epoch_traffic_bytes(self, plan: &ShardPlan) -> f64 {
         self.cross_node_fraction(plan.nodes) * plan.total_bytes()
     }
-
-    /// Statistical quality proxy: does the strategy decorrelate the sample
-    /// order across epochs at global scope? (The paper's "per-epoch data
-    /// shuffling is enforced" refers to exactly this requirement from
-    /// convergence folklore.)
-    pub fn globally_random(self) -> bool {
-        matches!(self, ShuffleStrategy::GlobalReshard)
-    }
 }
 
 /// The node assignment and visit order of every sample for one epoch.

@@ -58,33 +58,10 @@ impl StorageTier {
         }
     }
 
-    /// Host DRAM used as an in-memory cache for a job on `nodes` nodes.
-    /// Bandwidth is effectively unbounded relative to training demand; we
-    /// model it as 100 GB/s per node of streaming read bandwidth.
-    pub fn host_memory(machine: &MachineSpec, nodes: u32) -> Self {
-        assert!(nodes > 0, "a job needs at least one node");
-        assert!(nodes <= machine.nodes, "job larger than machine");
-        let n = f64::from(nodes);
-        StorageTier {
-            name: "host memory",
-            read_bw: n * 100.0e9,
-            write_bw: n * 100.0e9,
-            capacity: n * machine.node.dram_bytes,
-            persistent: false,
-            node_local: true,
-        }
-    }
-
     /// Time in seconds to read `bytes` once at full aggregate bandwidth.
     pub fn read_time(&self, bytes: f64) -> f64 {
         debug_assert!(bytes >= 0.0);
         bytes / self.read_bw
-    }
-
-    /// Time in seconds to write `bytes` once at full aggregate bandwidth.
-    pub fn write_time(&self, bytes: f64) -> f64 {
-        debug_assert!(bytes >= 0.0);
-        bytes / self.write_bw
     }
 
     /// Whether a dataset of `bytes` fits on this tier.

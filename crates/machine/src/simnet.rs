@@ -73,16 +73,6 @@ impl ClusterModel {
     pub fn capacity(&self) -> u64 {
         u64::from(self.tree.capacity()) * u64::from(self.gpus_per_node)
     }
-
-    /// Node hosting `rank`.
-    pub fn node_of(&self, rank: u64) -> u32 {
-        u32::try_from(rank / u64::from(self.gpus_per_node)).expect("node index fits u32")
-    }
-
-    /// Node-local GPU slot of `rank`.
-    pub fn gpu_of(&self, rank: u64) -> u32 {
-        (rank % u64::from(self.gpus_per_node)) as u32
-    }
 }
 
 /// Continuous-time contention state over a [`ClusterModel`]: the per-link

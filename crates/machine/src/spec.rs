@@ -301,24 +301,9 @@ impl MachineSpec {
         f64::from(self.nodes) * self.node.peak_mixed_precision_flops()
     }
 
-    /// Peak machine-wide double-precision rate in FLOP/s.
-    pub fn peak_fp64_flops(&self) -> f64 {
-        f64::from(self.nodes) * f64::from(self.node.gpus_per_node) * self.node.gpu.fp64_flops
-    }
-
     /// Aggregate node-local NVMe read bandwidth in bytes/s.
     pub fn aggregate_nvme_read_bw(&self) -> f64 {
         f64::from(self.nodes) * self.storage.nvme_read_bw
-    }
-
-    /// Aggregate NVMe capacity in bytes.
-    pub fn aggregate_nvme_bytes(&self) -> f64 {
-        f64::from(self.nodes) * self.storage.nvme_bytes
-    }
-
-    /// Aggregate GPU HBM in bytes.
-    pub fn aggregate_hbm_bytes(&self) -> f64 {
-        f64::from(self.nodes) * self.node.hbm_bytes()
     }
 }
 

@@ -115,11 +115,6 @@ impl FatTree {
         let nodes = f64::from(self.capacity());
         nodes / 2.0 * self.injection.beta / self.taper * self.adaptive_routing_quality
     }
-
-    /// Effective per-node bandwidth under adversarial all-to-all traffic.
-    pub fn effective_alltoall_bandwidth(&self) -> f64 {
-        self.injection.beta / self.taper * self.adaptive_routing_quality
-    }
 }
 
 /// Position of a GPU within an AC922 node.

@@ -36,6 +36,8 @@
 //! thread once the job has fully drained, so a poisoned kernel cannot
 //! deadlock the pool or tear down a worker.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -30,6 +30,8 @@
 //! assert_eq!(c.get(0, 0), 19.0);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod init;
 pub mod matrix;
 pub mod ops;
@@ -49,24 +51,20 @@ pub use matrix::{MatRef, Matrix};
 /// # Panics
 /// Panics if lengths differ.
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "dot length mismatch");
-    if simd::active() {
-        // SAFETY: `active()` verified AVX2+FMA on this CPU.
-        unsafe { simd::dot_dispatch(a, b) }
-    } else {
-        a.iter().zip(b).map(|(x, y)| x * y).sum()
+    match simd::avx2() {
+        // SAFETY: the token proves AVX2+FMA on this CPU.
+        Some(t) => unsafe { simd::dot_dispatch(t, a, b) },
+        None => {
+            assert_eq!(a.len(), b.len(), "dot length mismatch");
+            a.iter().zip(b).map(|(x, y)| x * y).sum()
+        }
     }
 }
 
 /// Euclidean norm of a slice — the self-dot on the same backend as
 /// [`dot`], so optimizer norms see the same speedup.
 pub fn l2_norm(a: &[f32]) -> f32 {
-    if simd::active() {
-        // SAFETY: `active()` verified AVX2+FMA on this CPU.
-        unsafe { simd::dot_dispatch(a, a) }.sqrt()
-    } else {
-        a.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
+    dot(a, a).sqrt()
 }
 
 /// `y += alpha * x` over equal-length slices.
@@ -78,13 +76,14 @@ pub fn l2_norm(a: &[f32]) -> f32 {
 /// # Panics
 /// Panics if lengths differ.
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    if simd::active() {
-        // SAFETY: `active()` verified AVX2+FMA on this CPU.
-        unsafe { simd::axpy_dispatch(alpha, x, y) }
-    } else {
-        for (yi, xi) in y.iter_mut().zip(x) {
-            *yi += alpha * xi;
+    match simd::avx2() {
+        // SAFETY: the token proves AVX2+FMA on this CPU.
+        Some(t) => unsafe { simd::axpy_dispatch(t, alpha, x, y) },
+        None => {
+            assert_eq!(x.len(), y.len(), "axpy length mismatch");
+            for (yi, xi) in y.iter_mut().zip(x) {
+                *yi += alpha * xi;
+            }
         }
     }
 }
@@ -92,13 +91,10 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
 /// Scale a slice in place. Both backends perform exactly one multiply per
 /// element, so this is bit-identical across them.
 pub fn scale(a: &mut [f32], s: f32) {
-    if simd::active() {
-        // SAFETY: `active()` verified AVX2+FMA on this CPU.
-        unsafe { simd::scale_dispatch(a, s) }
-    } else {
-        for v in a {
-            *v *= s;
-        }
+    match simd::avx2() {
+        // SAFETY: the token proves AVX2+FMA on this CPU.
+        Some(t) => unsafe { simd::scale_dispatch(t, a, s) },
+        None => a.iter_mut().for_each(|v| *v *= s),
     }
 }
 

@@ -11,6 +11,7 @@
 //! stay serial: their accumulation order is part of the numeric contract.
 
 use crate::matrix::Matrix;
+use crate::simd;
 
 /// Element count above which in-place elementwise kernels parallelize —
 /// below this the pool dispatch overhead exceeds the memory-bound work.
@@ -31,16 +32,11 @@ fn elem_parts(elems: usize, rows: usize) -> usize {
 pub fn relu_inplace(x: &mut Matrix) {
     let (rows, cols) = (x.rows(), x.cols());
     let parts = elem_parts(rows * cols, rows);
-    let use_simd = crate::simd::active();
-    summit_pool::global().run_rows(x.as_mut_slice(), cols, parts, |chunk, _| {
-        if use_simd {
-            // SAFETY: `active()` verified AVX2+FMA on this CPU.
-            unsafe { crate::simd::relu_dispatch(chunk) }
-        } else {
-            for v in chunk.iter_mut() {
-                *v = v.max(0.0);
-            }
-        }
+    let avx2 = simd::avx2();
+    summit_pool::global().run_rows(x.as_mut_slice(), cols, parts, |chunk, _| match avx2 {
+        // SAFETY: the token proves AVX2+FMA on this CPU.
+        Some(t) => unsafe { simd::relu_dispatch(t, chunk) },
+        None => chunk.iter_mut().for_each(|v| *v = v.max(0.0)),
     });
 }
 
@@ -59,15 +55,16 @@ pub fn relu_backward(output: &Matrix, grad: &mut Matrix) {
     let (rows, cols) = (grad.rows(), grad.cols());
     let parts = elem_parts(rows * cols, rows);
     let out = output.as_slice();
-    let use_simd = crate::simd::active();
+    let avx2 = simd::avx2();
     summit_pool::global().run_rows(grad.as_mut_slice(), cols, parts, |chunk, range| {
         let o = &out[range.start * cols..range.end * cols];
-        if use_simd {
-            // SAFETY: `active()` verified AVX2+FMA on this CPU.
-            unsafe { crate::simd::relu_backward_dispatch(o, chunk) }
-        } else {
-            for (g, &ov) in chunk.iter_mut().zip(o) {
-                *g = if ov <= 0.0 { 0.0 } else { *g };
+        match avx2 {
+            // SAFETY: the token proves AVX2+FMA on this CPU.
+            Some(t) => unsafe { simd::relu_backward_dispatch(t, o, chunk) },
+            None => {
+                for (g, &ov) in chunk.iter_mut().zip(o) {
+                    *g = if ov <= 0.0 { 0.0 } else { *g };
+                }
             }
         }
     });
@@ -81,13 +78,12 @@ pub fn add_bias(x: &mut Matrix, bias: &[f32]) {
     assert_eq!(bias.len(), x.cols(), "bias length mismatch");
     let (rows, cols) = (x.rows(), x.cols());
     let parts = elem_parts(rows * cols, rows);
-    let use_simd = crate::simd::active();
-    summit_pool::global().run_rows(x.as_mut_slice(), cols, parts, |chunk, _| {
-        if use_simd {
-            // SAFETY: `active()` verified AVX2+FMA on this CPU (one add per
-            // element — bit-identical to the scalar loop).
-            unsafe { crate::simd::add_bias_dispatch(chunk, bias) }
-        } else {
+    let avx2 = simd::avx2();
+    summit_pool::global().run_rows(x.as_mut_slice(), cols, parts, |chunk, _| match avx2 {
+        // SAFETY: the token proves AVX2+FMA on this CPU (one add per
+        // element — bit-identical to the scalar loop).
+        Some(t) => unsafe { simd::add_bias_dispatch(t, chunk, bias) },
+        None => {
             for row in chunk.chunks_exact_mut(cols) {
                 for (v, b) in row.iter_mut().zip(bias) {
                     *v += b;

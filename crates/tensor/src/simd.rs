@@ -1,25 +1,29 @@
-//! Thin portable SIMD wrappers over `std::arch` x86-64: [`F32x8`] (AVX2+FMA,
-//! 256 bits) and [`F32x16`] (AVX-512F, 512 bits).
+//! Safe SIMD lanes over `std::arch` x86-64, `F32x8` (AVX2+FMA, 256 bits)
+//! and `F32x16` (AVX-512 F+VL, 512 bits), and the BLAS-1 kernels on them.
 //!
-//! The GEMM microkernels and BLAS-1 hot loops in this crate are written
-//! against the [`Lanes`] trait — a register of `f32` lanes with fused
-//! multiply-add and masked partial loads/stores — instead of raw
-//! intrinsics, so exactly one module knows the ISA. The GEMM tiles are
-//! generic over it and compile once per width; the BLAS-1 loops
-//! and `matmul_a_bt`'s lane-wise chains stay on [`F32x8`]. The dispatch
-//! policy is:
+//! **The token invariant.** A lane value is built only from a zero-sized
+//! proof token, `Avx2` or `Avx512`, and only runtime detection
+//! (`avx2`, `avx512`) makes a token. So a lane value that exists proves
+//! that this CPU runs its instructions, and every lane method is a safe
+//! function whose one `unsafe` block leans on nothing but that value and
+//! the slice it was handed. Loads and stores take slices and touch no lane
+//! past the slice's end. The kernels are `#[target_feature]` functions,
+//! safe to call from one another and entered from plain code once per
+//! dispatch, right after detection handed out the token they take. Off x86-64 the tokens are uninhabited: detection returns `None`
+//! and the kernel entry points are unreachable stubs.
+//!
+//! The GEMM tiles in `matrix` are generic over `Lanes` and compile once
+//! per width; the BLAS-1 loops and `matmul_a_bt`'s lane-wise chains stay on
+//! `F32x8`. The dispatch policy is:
 //!
 //! * [`active`] reports (once, cached) whether the vector path may run:
 //!   x86-64 with AVX2 **and** FMA detected at runtime, and the
 //!   `force-scalar` cargo feature off. Every kernel keeps the scalar path
-//!   as the guaranteed fallback; callers read `active()` once per
-//!   operation so a single call never mixes backends.
+//!   as the guaranteed fallback; callers detect once per operation so a
+//!   single call never mixes backends.
 //! * [`wide`] reports (once, cached) whether the GEMMs may use 512 bits:
 //!   `active()` plus AVX-512 F and VL detected at runtime. There is no
 //!   setting: the width is the host's.
-//! * On non-x86-64 targets both types fall back to plain arrays (compiled,
-//!   never selected — `active()` is `false` there), so the kernels stay
-//!   portable source.
 //!
 //! **Determinism contract** (see DESIGN.md): the scalar path is the
 //! cross-platform reference; the SIMD path is deterministic *per ISA
@@ -32,9 +36,6 @@
 
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::*;
-
-/// Lane count of [`F32x8`].
-pub const LANES: usize = 8;
 
 /// Whether the AVX2+FMA vector path may be used on this host. Cached after
 /// the first call; `false` on non-x86-64 targets and under the
@@ -73,120 +74,154 @@ pub fn wide() -> bool {
     }
 }
 
-/// A register of `f32` lanes: the one interface the GEMM tiles are written
-/// against, so a tile compiles at either width without a second source.
-///
-/// # Safety
-/// Every method is `unsafe`: on x86-64 the caller must guarantee the
-/// executing CPU supports the type's instruction set ([`active`] for
-/// [`F32x8`], [`wide`] for [`F32x16`]) and must call from within a
-/// matching `#[target_feature]` context for the intrinsics to compile to
-/// single instructions. Pointer arguments must be valid for the reads or
-/// writes each method names.
-#[allow(clippy::missing_safety_doc)]
-pub trait Lanes: Copy {
-    /// Lanes per register.
-    const LANES: usize;
-    /// All lanes zero.
-    unsafe fn zero() -> Self;
-    /// All lanes `v`.
-    unsafe fn splat(v: f32) -> Self;
-    /// Unaligned load of `LANES` values from `p`.
-    unsafe fn load(p: *const f32) -> Self;
-    /// Unaligned store of `LANES` values to `p`.
-    unsafe fn store(self, p: *mut f32);
-    /// The first `len.min(LANES)` lanes from `p`, the rest zero; only those
-    /// `len` values need be readable.
-    unsafe fn load_n(p: *const f32, len: usize) -> Self;
-    /// Store the first `len.min(LANES)` lanes to `p`; nothing past them is
-    /// written.
-    unsafe fn store_n(self, p: *mut f32, len: usize);
-    /// Fused `self * m + a`, one rounding per lane.
-    unsafe fn mul_add(self, m: Self, a: Self) -> Self;
-    /// Lane-wise sum.
-    unsafe fn add(self, o: Self) -> Self;
+/// Proof that this CPU runs AVX2 and FMA; only `avx2` makes one.
+#[cfg(target_arch = "x86_64")]
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Avx2(());
+
+/// Proof that this CPU runs AVX-512 F and VL; only `avx512` makes one.
+#[cfg(target_arch = "x86_64")]
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Avx512(());
+
+#[cfg(not(target_arch = "x86_64"))]
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Avx2 {}
+
+#[cfg(not(target_arch = "x86_64"))]
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Avx512 {}
+
+/// The AVX2+FMA proof, when [`active`].
+pub(crate) fn avx2() -> Option<Avx2> {
+    #[cfg(target_arch = "x86_64")]
+    if active() {
+        return Some(Avx2(()));
+    }
+    None
 }
 
-/// Eight `f32` lanes. On x86-64 this is an AVX `__m256`; elsewhere a plain
-/// array so the kernels compile unchanged (and are never selected). Safety
-/// contract: [`Lanes`]'s, with AVX2+FMA ([`active`]).
-#[derive(Debug, Clone, Copy)]
+/// The AVX-512 F+VL proof, when [`wide`].
+pub(crate) fn avx512() -> Option<Avx512> {
+    #[cfg(target_arch = "x86_64")]
+    if wide() {
+        return Some(Avx512(()));
+    }
+    None
+}
+
+/// A register of `f32` lanes: the one interface the GEMM tiles are written
+/// against, so a tile compiles at either width without a second source.
+/// Values are built only from the width's proof token (the token
+/// invariant), so every method is safe.
+pub(crate) trait Lanes: Copy {
+    /// The proof a value is built from.
+    type Token: Copy;
+    /// Lanes per register.
+    const LANES: usize;
+    /// All lanes `v`.
+    fn splat(t: Self::Token, v: f32) -> Self;
+    /// The first `s.len().min(LANES)` values of `s`, the other lanes zero.
+    fn load_n(t: Self::Token, s: &[f32]) -> Self;
+    /// Store the first `s.len().min(LANES)` lanes to `s`.
+    fn store_n(self, s: &mut [f32]);
+    /// Fused `self * m + a`, one rounding per lane.
+    fn mul_add(self, m: Self, a: Self) -> Self;
+    /// Lane-wise sum.
+    fn add(self, o: Self) -> Self;
+
+    /// All lanes `+0.0`.
+    #[inline(always)]
+    fn zero(t: Self::Token) -> Self {
+        Self::splat(t, 0.0)
+    }
+
+    /// The first `LANES` values of `s`.
+    ///
+    /// # Panics
+    /// Panics if `s` is shorter.
+    #[inline(always)]
+    fn load(t: Self::Token, s: &[f32]) -> Self {
+        Self::load_n(t, &s[..Self::LANES])
+    }
+
+    /// Store every lane to the front of `s`.
+    ///
+    /// # Panics
+    /// Panics if `s` is shorter than `LANES`.
+    #[inline(always)]
+    fn store(self, s: &mut [f32]) {
+        self.store_n(&mut s[..Self::LANES])
+    }
+}
+
+/// Eight `f32` lanes in an AVX `__m256`, built from an `Avx2` proof.
 #[cfg(target_arch = "x86_64")]
-pub struct F32x8(__m256);
-
-/// Sixteen `f32` lanes. On x86-64 this is an AVX-512 `__m512`; elsewhere a
-/// plain array. Safety contract: [`Lanes`]'s, with AVX-512F ([`wide`]).
 #[derive(Debug, Clone, Copy)]
+pub(crate) struct F32x8(__m256);
+
+/// Sixteen `f32` lanes in an AVX-512 `__m512`, built from an `Avx512`
+/// proof.
 #[cfg(target_arch = "x86_64")]
-pub struct F32x16(__m512);
-
 #[derive(Debug, Clone, Copy)]
-#[cfg(not(target_arch = "x86_64"))]
-pub struct F32x8([f32; 8]);
-
-#[derive(Debug, Clone, Copy)]
-#[cfg(not(target_arch = "x86_64"))]
-pub struct F32x16([f32; 16]);
+pub(crate) struct F32x16(__m512);
 
 #[cfg(target_arch = "x86_64")]
 impl Lanes for F32x8 {
+    type Token = Avx2;
     const LANES: usize = 8;
 
     #[inline(always)]
-    unsafe fn zero() -> Self {
-        F32x8(_mm256_setzero_ps())
+    fn splat(_: Avx2, v: f32) -> Self {
+        // SAFETY: the token proves AVX.
+        F32x8(unsafe { _mm256_set1_ps(v) })
     }
 
     #[inline(always)]
-    unsafe fn splat(v: f32) -> Self {
-        F32x8(_mm256_set1_ps(v))
+    fn load_n(_: Avx2, s: &[f32]) -> Self {
+        let p = s.as_ptr();
+        // SAFETY: the token proves AVX2. The full load reads `s[..8]`; the
+        // masked one only lanes below `s.len()`, and a masked-off lane is
+        // neither read nor faulted.
+        F32x8(unsafe {
+            match s.len() {
+                8.. => _mm256_loadu_ps(p),
+                len => _mm256_maskload_ps(p, mask8(len)),
+            }
+        })
     }
 
     #[inline(always)]
-    unsafe fn load(p: *const f32) -> Self {
-        F32x8(_mm256_loadu_ps(p))
-    }
-
-    #[inline(always)]
-    unsafe fn store(self, p: *mut f32) {
-        _mm256_storeu_ps(p, self.0)
-    }
-
-    #[inline(always)]
-    unsafe fn load_n(p: *const f32, len: usize) -> Self {
-        if len >= 8 {
-            return Self::load(p);
+    fn store_n(self, s: &mut [f32]) {
+        let p = s.as_mut_ptr();
+        // SAFETY: `self` proves AVX2 (the token invariant). The full store
+        // writes `s[..8]`; the masked one only lanes below `s.len()`.
+        unsafe {
+            match s.len() {
+                8.. => _mm256_storeu_ps(p, self.0),
+                len => _mm256_maskstore_ps(p, mask8(len), self.0),
+            }
         }
-        // Masked-off lanes are neither read nor faulted.
-        F32x8(_mm256_maskload_ps(p, mask8(len)))
     }
 
     #[inline(always)]
-    unsafe fn store_n(self, p: *mut f32, len: usize) {
-        if len >= 8 {
-            return self.store(p);
-        }
-        _mm256_maskstore_ps(p, mask8(len), self.0)
+    fn mul_add(self, m: Self, a: Self) -> Self {
+        // SAFETY: `self` proves FMA (the token invariant).
+        F32x8(unsafe { _mm256_fmadd_ps(self.0, m.0, a.0) })
     }
 
     #[inline(always)]
-    unsafe fn mul_add(self, m: Self, a: Self) -> Self {
-        F32x8(_mm256_fmadd_ps(self.0, m.0, a.0))
-    }
-
-    #[inline(always)]
-    unsafe fn add(self, o: Self) -> Self {
-        F32x8(_mm256_add_ps(self.0, o.0))
+    fn add(self, o: Self) -> Self {
+        // SAFETY: `self` proves AVX (the token invariant).
+        F32x8(unsafe { _mm256_add_ps(self.0, o.0) })
     }
 }
 
 /// The AVX2 lane mask selecting lanes `0 .. len` (`len < 8`).
-///
-/// # Safety
-/// As [`Lanes`] for [`F32x8`].
 #[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn mask8(len: usize) -> __m256i {
+#[target_feature(enable = "avx2")]
+#[inline]
+fn mask8(len: usize) -> __m256i {
     _mm256_cmpgt_epi32(
         _mm256_set1_epi32(len as i32),
         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
@@ -195,195 +230,96 @@ unsafe fn mask8(len: usize) -> __m256i {
 
 #[cfg(target_arch = "x86_64")]
 impl Lanes for F32x16 {
+    type Token = Avx512;
     const LANES: usize = 16;
 
     #[inline(always)]
-    unsafe fn zero() -> Self {
-        F32x16(_mm512_setzero_ps())
+    fn splat(_: Avx512, v: f32) -> Self {
+        // SAFETY: the token proves AVX-512F.
+        F32x16(unsafe { _mm512_set1_ps(v) })
     }
 
     #[inline(always)]
-    unsafe fn splat(v: f32) -> Self {
-        F32x16(_mm512_set1_ps(v))
+    fn load_n(_: Avx512, s: &[f32]) -> Self {
+        let p = s.as_ptr();
+        // SAFETY: the token proves AVX-512F. The full load reads `s[..16]`;
+        // the masked one only lanes below `s.len()`, and a masked-off lane
+        // is neither read nor faulted.
+        F32x16(unsafe {
+            match s.len() {
+                16.. => _mm512_loadu_ps(p),
+                len => _mm512_maskz_loadu_ps((1 << len) - 1, p),
+            }
+        })
     }
 
     #[inline(always)]
-    unsafe fn load(p: *const f32) -> Self {
-        F32x16(_mm512_loadu_ps(p))
-    }
-
-    #[inline(always)]
-    unsafe fn store(self, p: *mut f32) {
-        _mm512_storeu_ps(p, self.0)
-    }
-
-    #[inline(always)]
-    unsafe fn load_n(p: *const f32, len: usize) -> Self {
-        if len >= 16 {
-            return Self::load(p);
+    fn store_n(self, s: &mut [f32]) {
+        let p = s.as_mut_ptr();
+        // SAFETY: `self` proves AVX-512F (the token invariant). The full
+        // store writes `s[..16]`; the masked one only lanes below `s.len()`.
+        unsafe {
+            match s.len() {
+                16.. => _mm512_storeu_ps(p, self.0),
+                len => _mm512_mask_storeu_ps(p, (1 << len) - 1, self.0),
+            }
         }
-        // Masked-off lanes are neither read nor faulted.
-        F32x16(_mm512_maskz_loadu_ps((1 << len) - 1, p))
     }
 
     #[inline(always)]
-    unsafe fn store_n(self, p: *mut f32, len: usize) {
-        if len >= 16 {
-            return self.store(p);
-        }
-        _mm512_mask_storeu_ps(p, (1 << len) - 1, self.0)
+    fn mul_add(self, m: Self, a: Self) -> Self {
+        // SAFETY: `self` proves AVX-512F (the token invariant).
+        F32x16(unsafe { _mm512_fmadd_ps(self.0, m.0, a.0) })
     }
 
     #[inline(always)]
-    unsafe fn mul_add(self, m: Self, a: Self) -> Self {
-        F32x16(_mm512_fmadd_ps(self.0, m.0, a.0))
-    }
-
-    #[inline(always)]
-    unsafe fn add(self, o: Self) -> Self {
-        F32x16(_mm512_add_ps(self.0, o.0))
+    fn add(self, o: Self) -> Self {
+        // SAFETY: `self` proves AVX-512F (the token invariant).
+        F32x16(unsafe { _mm512_add_ps(self.0, o.0) })
     }
 }
 
-// The safety contract for every method is the type-level one on `Lanes`
-// (AVX2+FMA verified via `active()`, called inside a `target_feature`
-// context); per-method `# Safety` sections would repeat it verbatim.
-#[allow(clippy::missing_safety_doc)]
 #[cfg(target_arch = "x86_64")]
 impl F32x8 {
-    /// Lane-wise product.
+    /// Horizontal sum with a fixed pairwise tree:
+    /// `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))` — part of the per-ISA
+    /// determinism contract for reductions.
     #[inline(always)]
-    pub unsafe fn mul(self, o: Self) -> Self {
+    pub(crate) fn hsum(self) -> f32 {
+        // SAFETY: `self` proves AVX (the token invariant).
+        unsafe {
+            let lo = _mm256_castps256_ps128(self.0);
+            let hi = _mm256_extractf128_ps(self.0, 1);
+            let q = _mm_add_ps(lo, hi); // (l0+l4, l1+l5, l2+l6, l3+l7)
+            let d = _mm_add_ps(q, _mm_movehl_ps(q, q)); // (q0+q2, q1+q3, ..)
+            let s = _mm_add_ss(d, _mm_shuffle_ps(d, d, 0b01));
+            _mm_cvtss_f32(s)
+        }
+    }
+
+    /// Lane-wise product.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn mul(self, o: Self) -> Self {
         F32x8(_mm256_mul_ps(self.0, o.0))
     }
 
     /// Lane-wise maximum (returns the second operand on NaN, matching
     /// `f32::max`'s non-NaN result for a NaN input against a number).
-    #[inline(always)]
-    pub unsafe fn max(self, o: Self) -> Self {
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn max(self, o: Self) -> Self {
         F32x8(_mm256_max_ps(o.0, self.0))
     }
 
     /// `self` with `+0.0` in every lane whose `key` is `<= 0.0`. The
     /// compare is ordered, so a NaN `key` keeps its lane — the select
     /// `if key <= 0.0 { 0.0 } else { self }`, lane by lane.
-    #[inline(always)]
-    pub unsafe fn zero_where_le_zero(self, key: Self) -> Self {
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn zero_where_le_zero(self, key: Self) -> Self {
         let le = _mm256_cmp_ps::<_CMP_LE_OQ>(key.0, _mm256_setzero_ps());
         F32x8(_mm256_andnot_ps(le, self.0))
-    }
-
-    /// Horizontal sum with a fixed pairwise tree:
-    /// `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))` — part of the per-ISA
-    /// determinism contract for reductions.
-    #[inline(always)]
-    pub unsafe fn hsum(self) -> f32 {
-        let lo = _mm256_castps256_ps128(self.0);
-        let hi = _mm256_extractf128_ps(self.0, 1);
-        let q = _mm_add_ps(lo, hi); // (l0+l4, l1+l5, l2+l6, l3+l7)
-        let d = _mm_add_ps(q, _mm_movehl_ps(q, q)); // (q0+q2, q1+q3, ..)
-        let s = _mm_add_ss(d, _mm_shuffle_ps(d, d, 0b01));
-        _mm_cvtss_f32(s)
-    }
-}
-
-/// The array fallback of one lane type: plain per-lane arithmetic (the
-/// same contract, never selected at run time).
-#[cfg(not(target_arch = "x86_64"))]
-macro_rules! array_lanes {
-    ($t:ident, $n:expr) => {
-        impl Lanes for $t {
-            const LANES: usize = $n;
-
-            #[inline(always)]
-            unsafe fn zero() -> Self {
-                $t([0.0; $n])
-            }
-
-            #[inline(always)]
-            unsafe fn splat(v: f32) -> Self {
-                $t([v; $n])
-            }
-
-            #[inline(always)]
-            unsafe fn load(p: *const f32) -> Self {
-                Self::load_n(p, $n)
-            }
-
-            #[inline(always)]
-            unsafe fn store(self, p: *mut f32) {
-                self.store_n(p, $n)
-            }
-
-            #[inline(always)]
-            unsafe fn load_n(p: *const f32, len: usize) -> Self {
-                $t(std::array::from_fn(
-                    |i| if i < len { *p.add(i) } else { 0.0 },
-                ))
-            }
-
-            #[inline(always)]
-            unsafe fn store_n(self, p: *mut f32, len: usize) {
-                for (i, v) in self.0.iter().enumerate().take(len) {
-                    *p.add(i) = *v;
-                }
-            }
-
-            #[inline(always)]
-            unsafe fn mul_add(self, m: Self, a: Self) -> Self {
-                $t(std::array::from_fn(|i| self.0[i].mul_add(m.0[i], a.0[i])))
-            }
-
-            #[inline(always)]
-            unsafe fn add(self, o: Self) -> Self {
-                $t(std::array::from_fn(|i| self.0[i] + o.0[i]))
-            }
-        }
-    };
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-array_lanes!(F32x8, 8);
-#[cfg(not(target_arch = "x86_64"))]
-array_lanes!(F32x16, 16);
-
-// Same type-level safety contract as the x86-64 impl (and this fallback
-// is plain safe arithmetic).
-#[allow(clippy::missing_safety_doc)]
-#[cfg(not(target_arch = "x86_64"))]
-impl F32x8 {
-    #[inline(always)]
-    pub unsafe fn mul(self, o: Self) -> Self {
-        F32x8(std::array::from_fn(|i| self.0[i] * o.0[i]))
-    }
-
-    #[inline(always)]
-    pub unsafe fn max(self, o: Self) -> Self {
-        F32x8(std::array::from_fn(|i| {
-            if self.0[i].is_nan() || o.0[i] > self.0[i] {
-                o.0[i]
-            } else {
-                self.0[i]
-            }
-        }))
-    }
-
-    #[inline(always)]
-    pub unsafe fn zero_where_le_zero(self, key: Self) -> Self {
-        F32x8(std::array::from_fn(|i| {
-            if key.0[i] <= 0.0 {
-                0.0
-            } else {
-                self.0[i]
-            }
-        }))
-    }
-
-    /// Same pairwise tree as the x86 path.
-    #[inline(always)]
-    pub unsafe fn hsum(self) -> f32 {
-        let l = self.0;
-        ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]))
     }
 }
 
@@ -392,112 +328,76 @@ impl F32x8 {
 /// eight-lane tail chain into the first accumulator, a fixed pairwise
 /// reduction, and a scalar `mul_add` tail.
 ///
-/// # Safety
-/// The executing CPU must support AVX2+FMA (guaranteed by [`active`]).
-///
 /// # Panics
-/// Debug-asserts equal lengths (the safe wrappers check).
-#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2,fma"))]
-pub unsafe fn dot_dispatch(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len();
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
-    unsafe {
-        let mut acc0 = F32x8::zero();
-        let mut acc1 = F32x8::zero();
-        let mut acc2 = F32x8::zero();
-        let mut acc3 = F32x8::zero();
-        let mut i = 0;
-        while i + 4 * LANES <= n {
-            acc0 = F32x8::load(ap.add(i)).mul_add(F32x8::load(bp.add(i)), acc0);
-            acc1 = F32x8::load(ap.add(i + 8)).mul_add(F32x8::load(bp.add(i + 8)), acc1);
-            acc2 = F32x8::load(ap.add(i + 16)).mul_add(F32x8::load(bp.add(i + 16)), acc2);
-            acc3 = F32x8::load(ap.add(i + 24)).mul_add(F32x8::load(bp.add(i + 24)), acc3);
-            i += 4 * LANES;
+/// Panics if the lengths differ.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+pub(crate) fn dot_dispatch(t: Avx2, a: &[f32], b: &[f32]) -> f32 {
+    assert_eq!(a.len(), b.len(), "dot length mismatch");
+    let ((a32, a), (b32, b)) = (a.as_chunks::<32>(), b.as_chunks::<32>());
+    let mut acc = [F32x8::zero(t); 4];
+    for (x, y) in a32.iter().zip(b32) {
+        for (q, acc) in acc.iter_mut().enumerate() {
+            *acc = F32x8::load(t, &x[8 * q..]).mul_add(F32x8::load(t, &y[8 * q..]), *acc);
         }
-        while i + LANES <= n {
-            acc0 = F32x8::load(ap.add(i)).mul_add(F32x8::load(bp.add(i)), acc0);
-            i += LANES;
-        }
-        let mut sum = acc0.add(acc1).add(acc2.add(acc3)).hsum();
-        while i < n {
-            sum = (*ap.add(i)).mul_add(*bp.add(i), sum);
-            i += 1;
-        }
-        sum
     }
+    let ((a8, a), (b8, b)) = (a.as_chunks::<8>(), b.as_chunks::<8>());
+    for (x, y) in a8.iter().zip(b8) {
+        acc[0] = F32x8::load(t, x).mul_add(F32x8::load(t, y), acc[0]);
+    }
+    let mut sum = acc[0].add(acc[1]).add(acc[2].add(acc[3])).hsum();
+    for (x, y) in a.iter().zip(b) {
+        sum = x.mul_add(*y, sum);
+    }
+    sum
 }
 
 /// Vectorized `y += alpha * x` (fused per element; the scalar fallback's
 /// `y + alpha*x` rounds the product first — documented ULP difference).
 ///
-/// # Safety
-/// The executing CPU must support AVX2+FMA (guaranteed by [`active`]).
-#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2,fma"))]
-pub unsafe fn axpy_dispatch(alpha: f32, x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    let n = x.len();
-    let xp = x.as_ptr();
-    let yp = y.as_mut_ptr();
-    unsafe {
-        let av = F32x8::splat(alpha);
-        let mut i = 0;
-        while i + LANES <= n {
-            av.mul_add(F32x8::load(xp.add(i)), F32x8::load(yp.add(i)))
-                .store(yp.add(i));
-            i += LANES;
-        }
-        while i < n {
-            *yp.add(i) = alpha.mul_add(*xp.add(i), *yp.add(i));
-            i += 1;
-        }
+/// # Panics
+/// Panics if the lengths differ.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+pub(crate) fn axpy_dispatch(t: Avx2, alpha: f32, x: &[f32], y: &mut [f32]) {
+    assert_eq!(x.len(), y.len(), "axpy length mismatch");
+    let ((x8, x), (y8, y)) = (x.as_chunks::<8>(), y.as_chunks_mut::<8>());
+    let av = F32x8::splat(t, alpha);
+    for (xv, yv) in x8.iter().zip(y8) {
+        av.mul_add(F32x8::load(t, xv), F32x8::load(t, yv)).store(yv);
+    }
+    for (xi, yi) in x.iter().zip(y) {
+        *yi = alpha.mul_add(*xi, *yi);
     }
 }
 
 /// Vectorized in-place scale — bit-identical to the scalar loop (one
 /// multiply per element, no reassociation).
-///
-/// # Safety
-/// The executing CPU must support AVX2+FMA (guaranteed by [`active`]).
-#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2,fma"))]
-pub unsafe fn scale_dispatch(a: &mut [f32], s: f32) {
-    let n = a.len();
-    let ap = a.as_mut_ptr();
-    unsafe {
-        let sv = F32x8::splat(s);
-        let mut i = 0;
-        while i + LANES <= n {
-            F32x8::load(ap.add(i)).mul(sv).store(ap.add(i));
-            i += LANES;
-        }
-        while i < n {
-            *ap.add(i) *= s;
-            i += 1;
-        }
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+pub(crate) fn scale_dispatch(t: Avx2, a: &mut [f32], s: f32) {
+    let (a8, a) = a.as_chunks_mut::<8>();
+    let sv = F32x8::splat(t, s);
+    for v in a8 {
+        F32x8::load(t, v).mul(sv).store(v);
+    }
+    for v in a {
+        *v *= s;
     }
 }
 
 /// Vectorized in-place ReLU — bit-identical to the scalar `v.max(0.0)`
 /// loop (`max` with a constant, no reassociation).
-///
-/// # Safety
-/// The executing CPU must support AVX2+FMA (guaranteed by [`active`]).
-#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2,fma"))]
-pub unsafe fn relu_dispatch(a: &mut [f32]) {
-    let n = a.len();
-    let ap = a.as_mut_ptr();
-    unsafe {
-        let z = F32x8::zero();
-        let mut i = 0;
-        while i + LANES <= n {
-            F32x8::load(ap.add(i)).max(z).store(ap.add(i));
-            i += LANES;
-        }
-        while i < n {
-            *ap.add(i) = (*ap.add(i)).max(0.0);
-            i += 1;
-        }
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+pub(crate) fn relu_dispatch(t: Avx2, a: &mut [f32]) {
+    let (a8, a) = a.as_chunks_mut::<8>();
+    let z = F32x8::zero(t);
+    for v in a8 {
+        F32x8::load(t, v).max(z).store(v);
+    }
+    for v in a {
+        *v = v.max(0.0);
     }
 }
 
@@ -505,56 +405,66 @@ pub unsafe fn relu_dispatch(a: &mut [f32]) {
 /// element as a branch-free select — bit-identical to that scalar select
 /// (a NaN `o` keeps its gradient, `±0.0` zeroes it).
 ///
-/// # Safety
-/// The executing CPU must support AVX2+FMA (guaranteed by [`active`]).
-#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2,fma"))]
-pub unsafe fn relu_backward_dispatch(out: &[f32], grad: &mut [f32]) {
+/// # Panics
+/// Panics if the lengths differ.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+pub(crate) fn relu_backward_dispatch(t: Avx2, out: &[f32], grad: &mut [f32]) {
     assert_eq!(out.len(), grad.len());
-    let n = grad.len();
-    let (op, gp) = (out.as_ptr(), grad.as_mut_ptr());
-    // SAFETY: AVX2+FMA per this function's contract; every index is below
-    // `n`, the (asserted equal) length of both slices.
-    unsafe {
-        let mut i = 0;
-        while i + LANES <= n {
-            F32x8::load(gp.add(i))
-                .zero_where_le_zero(F32x8::load(op.add(i)))
-                .store(gp.add(i));
-            i += LANES;
-        }
-        while i < n {
-            *gp.add(i) = if *op.add(i) <= 0.0 { 0.0 } else { *gp.add(i) };
-            i += 1;
-        }
+    let ((o8, out), (g8, grad)) = (out.as_chunks::<8>(), grad.as_chunks_mut::<8>());
+    for (o, g) in o8.iter().zip(g8) {
+        F32x8::load(t, g)
+            .zero_where_le_zero(F32x8::load(t, o))
+            .store(g);
+    }
+    for (o, g) in out.iter().zip(grad) {
+        *g = if *o <= 0.0 { 0.0 } else { *g };
     }
 }
 
 /// Vectorized `row += bias` for each row of a row-major chunk —
 /// bit-identical to the scalar loop (one add per element).
-///
-/// # Safety
-/// The executing CPU must support AVX2+FMA (guaranteed by [`active`]).
-#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2,fma"))]
-pub unsafe fn add_bias_dispatch(chunk: &mut [f32], bias: &[f32]) {
-    let cols = bias.len();
-    let bp = bias.as_ptr();
-    for row in chunk.chunks_exact_mut(cols) {
-        let rp = row.as_mut_ptr();
-        unsafe {
-            let mut i = 0;
-            while i + LANES <= cols {
-                F32x8::load(rp.add(i))
-                    .add(F32x8::load(bp.add(i)))
-                    .store(rp.add(i));
-                i += LANES;
-            }
-            while i < cols {
-                *rp.add(i) += *bp.add(i);
-                i += 1;
-            }
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+pub(crate) fn add_bias_dispatch(t: Avx2, chunk: &mut [f32], bias: &[f32]) {
+    let (b8, b_tail) = bias.as_chunks::<8>();
+    for row in chunk.chunks_exact_mut(bias.len()) {
+        let (r8, r_tail) = row.as_chunks_mut::<8>();
+        for (r, b) in r8.iter_mut().zip(b8) {
+            F32x8::load(t, r).add(F32x8::load(t, b)).store(r);
+        }
+        for (r, b) in r_tail.iter_mut().zip(b_tail) {
+            *r += *b;
         }
     }
 }
+
+/// Off x86-64 no token exists, so no kernel can be entered.
+#[cfg(not(target_arch = "x86_64"))]
+mod unreachable {
+    use super::Avx2;
+
+    pub(crate) fn dot_dispatch(t: Avx2, _: &[f32], _: &[f32]) -> f32 {
+        match t {}
+    }
+    pub(crate) fn axpy_dispatch(t: Avx2, _: f32, _: &[f32], _: &mut [f32]) {
+        match t {}
+    }
+    pub(crate) fn scale_dispatch(t: Avx2, _: &mut [f32], _: f32) {
+        match t {}
+    }
+    pub(crate) fn relu_dispatch(t: Avx2, _: &mut [f32]) {
+        match t {}
+    }
+    pub(crate) fn relu_backward_dispatch(t: Avx2, _: &[f32], _: &mut [f32]) {
+        match t {}
+    }
+    pub(crate) fn add_bias_dispatch(t: Avx2, _: &mut [f32], _: &[f32]) {
+        match t {}
+    }
+}
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) use unreachable::*;
 
 #[cfg(test)]
 mod tests {
@@ -564,6 +474,8 @@ mod tests {
     fn detection_is_stable() {
         // Whatever the host supports, repeated queries agree (cached).
         assert_eq!(active(), active());
+        assert_eq!(avx2().is_some(), active());
+        assert_eq!(avx512().is_some(), wide());
         #[cfg(feature = "force-scalar")]
         assert!(!active(), "force-scalar must disable the vector path");
     }
@@ -577,12 +489,21 @@ mod tests {
             let a: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin()).collect();
             let b: Vec<f32> = (0..n).map(|i| (i as f32 * 0.11).cos()).collect();
             let scalar: f32 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-            let simd = unsafe { dot_dispatch(&a, &b) };
+            let simd = crate::dot(&a, &b);
             let bound = (n as f32) * f32::EPSILON + 1e-6;
             assert!(
                 (simd - scalar).abs() <= bound.max(scalar.abs() * 1e-4),
                 "n={n}: simd {simd} vs scalar {scalar}"
             );
         }
+    }
+
+    /// `dot` and `axpy` leave the length check to the kernel they enter,
+    /// so on an AVX2 host this reaches the kernels' own checks.
+    #[test]
+    fn unequal_lengths_panic_on_every_path() {
+        let dot = std::panic::catch_unwind(|| crate::dot(&[1.0; 9], &[1.0; 8]));
+        let axpy = std::panic::catch_unwind(|| crate::axpy(1.0, &[1.0; 9], &mut [0.0; 8]));
+        assert!(dot.is_err() && axpy.is_err());
     }
 }
