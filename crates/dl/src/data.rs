@@ -1,7 +1,7 @@
 //! Deterministic synthetic tasks for convergence tests and examples.
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use summit_tensor::Matrix;
+use summit_tensor::{init::fill_normal, Matrix};
 
 /// A supervised classification task.
 #[derive(Debug, Clone)]
@@ -17,10 +17,11 @@ pub struct ClassificationTask {
 /// Gaussian blobs: `classes` isotropic clusters at random centers in
 /// `[-3, 3]^features` with the given noise stddev. Linearly separable for
 /// small noise, overlapping for large — a controllable difficulty dial.
+/// The jitter comes from [`fill_normal`], so the bits depend on the seed
+/// alone.
 ///
 /// # Panics
 /// Panics if any count is zero or `noise < 0`.
-#[allow(clippy::needless_range_loop)] // indexing two parallel structures
 pub fn blobs(
     samples: usize,
     features: usize,
@@ -38,20 +39,13 @@ pub fn blobs(
         .map(|_| (0..features).map(|_| rng.gen_range(-3.0f32..3.0)).collect())
         .collect();
     let mut x = Matrix::zeros(samples, features);
-    let mut y = Vec::with_capacity(samples);
-    for s in 0..samples {
-        let class = s % classes;
-        y.push(class);
-        for f in 0..features {
-            let jitter: f32 = if noise > 0.0 {
-                // Box-Muller normal.
-                let u1: f32 = rng.gen_range(1e-7f32..1.0);
-                let u2: f32 = rng.gen_range(0.0f32..1.0);
-                noise * (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
-            } else {
-                0.0
-            };
-            x.set(s, f, centers[class][f] + jitter);
+    if noise > 0.0 {
+        fill_normal(&mut rng, noise, x.as_mut_slice());
+    }
+    let y: Vec<usize> = (0..samples).map(|s| s % classes).collect();
+    for (row, &class) in x.as_mut_slice().chunks_exact_mut(features).zip(&y) {
+        for (v, c) in row.iter_mut().zip(&centers[class]) {
+            *v += c;
         }
     }
     ClassificationTask { x, y, classes }

@@ -117,8 +117,10 @@ impl MlpSpec {
         for (i, d) in dims.windows(2).enumerate() {
             let (in_dim, out_dim) = (d[0], d[1]);
             let seed = seed.wrapping_add(i as u64 * 7919);
-            arena.push(Initializer::HeNormal.init(in_dim, out_dim, seed).as_slice());
-            arena.push(&vec![0.0; out_dim]);
+            arena.push(in_dim * out_dim, |w| {
+                Initializer::HeNormal.fill(in_dim, out_dim, seed, w)
+            });
+            arena.push(out_dim, |_| {});
             layers.push(Linear {
                 in_dim,
                 out_dim,
@@ -460,28 +462,33 @@ mod tests {
     }
 
     /// A confident sample's softmax underflows; the flushed loss gradient
-    /// keeps every subnormal out of the backward pass (288 of the 1,666
-    /// gradients here are subnormal without the flush).
+    /// keeps every subnormal out of the backward pass. The output layer is
+    /// scaled so that one sample's margin for its own label is 95, which
+    /// puts `e⁻⁹⁵ ≈ 5.5e-42`, a subnormal, among the unflushed
+    /// probabilities and the output gradient.
     #[test]
     fn a_confident_sample_leaves_no_subnormal_gradient() {
         let task = crate::data::blobs(2, 16, 2, 0.1, 6);
         let mut m = MlpSpec::new(16, &[32, 32], 2).build(7);
-        let mut sgd = Sgd::new(0.1, 0.9, 0.0);
-        for step in 0.. {
-            m.zero_grads();
-            let logits = m.forward(&task.x);
-            let mut probs = logits.clone();
-            summit_tensor::ops::softmax_inplace(&mut probs);
-            let (_, dlogits) = softmax_cross_entropy(logits, &task.y);
-            m.backward(&dlogits);
-            // A probability below the normal range marks a confident sample.
-            if probs.as_slice().iter().any(|&p| p < f32::MIN_POSITIVE) {
-                break;
+        let logits = m.forward(&task.x);
+        let margins = [0, 1].map(|r| logits.get(r, task.y[r]) - logits.get(r, 1 - task.y[r]));
+        let widest = margins[(margins[1].abs() > margins[0].abs()) as usize];
+        let output_layer = 2 * (m.depth() - 1);
+        m.for_each_group(|id, p, _| {
+            if id >= output_layer {
+                p.iter_mut().for_each(|v| *v *= 95.0 / widest);
             }
-            assert!(step < 100, "no sample became confident");
-            m.for_each_group(|id, p, g| sgd.step_group(id, 1.0, p, g));
-            sgd.advance();
-        }
+        });
+        m.zero_grads();
+        let logits = m.forward(&task.x);
+        let mut probs = logits.clone();
+        summit_tensor::ops::softmax_inplace(&mut probs);
+        assert!(
+            probs.as_slice().iter().any(|&p| p < f32::MIN_POSITIVE),
+            "no sample is confident"
+        );
+        let (_, dlogits) = softmax_cross_entropy(logits, &task.y);
+        m.backward(&dlogits);
         let grads = m.arena().flat_grads();
         assert!(grads.iter().all(|g| !g.is_subnormal()));
     }

@@ -50,10 +50,13 @@ impl Params {
         }
     }
 
-    /// Append a group holding `values` and return its id. Every gradient
-    /// reads as zero afterwards.
-    pub(crate) fn push(&mut self, values: &[f32]) -> usize {
-        self.params.extend_from_slice(values);
+    /// Append a group of `len` parameters, which `fill` writes in place
+    /// (they read as zero before), and return its id. Every gradient reads
+    /// as zero afterwards.
+    pub(crate) fn push(&mut self, len: usize, fill: impl FnOnce(&mut [f32])) -> usize {
+        let start = self.params.len();
+        self.params.resize(start + len, 0.0);
+        fill(&mut self.params[start..]);
         self.grads_clean = true;
         self.bounds.push(self.params.len());
         self.bounds.len() - 2

@@ -98,12 +98,15 @@ fn split_tail<'a>(pending: &mut &'a mut [f32], at: usize) -> &'a mut [f32] {
 /// other replica against them — synchronous SGD keeps it at exactly zero.
 /// Bit-equal elements count as 0 (so do equal infinities and NaNs); any
 /// other NaN difference makes the divergence NaN, which no bound passes.
+/// A replica bit-equal to the lead, the outcome synchronous SGD always
+/// produces, is recognised by one vectorised sweep and skips the fold.
 ///
 /// # Panics
 /// Panics if `replicas` is empty.
 pub(crate) fn lead_params(mut replicas: impl Iterator<Item = Vec<f32>>) -> (Vec<f32>, f32) {
     let lead = replicas.next().expect("no active rank finished the run");
-    let divergence = replicas.fold(0.0f32, |d, params| {
+    let differing = replicas.filter(|params| !bit_equal(params, &lead));
+    let divergence = differing.fold(0.0f32, |d, params| {
         params.iter().zip(&lead).fold(d, |d, (a, b)| {
             let diff = if a.to_bits() == b.to_bits() {
                 0.0
@@ -119,6 +122,18 @@ pub(crate) fn lead_params(mut replicas: impl Iterator<Item = Vec<f32>>) -> (Vec<
         })
     });
     (lead, divergence)
+}
+
+/// Whether `a` and `b` hold the same bits: an OR of XORs over 64-element
+/// blocks, branch-free inside each block.
+fn bit_equal(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len()
+        && a.chunks(64).zip(b.chunks(64)).all(|(x, y)| {
+            x.iter()
+                .zip(y)
+                .fold(0, |acc, (p, q)| acc | (p.to_bits() ^ q.to_bits()))
+                == 0
+        })
 }
 
 /// One rank's model replica. The model's gradient arena is the fusion
@@ -360,6 +375,26 @@ mod tests {
         assert_eq!(div(vec![1.0, 3.5]), 1.5);
         let nan = vec![f32::NAN, f32::INFINITY];
         assert_eq!(lead_params([nan.clone(), nan].into_iter()).1, 0.0);
+    }
+
+    /// At the `train_compute` model's size (2,378,768 parameters), a
+    /// replica that differs from the lead in one element — first, middle or
+    /// last, by a value or only by a NaN payload — reports that element's
+    /// divergence, as the fold alone does; equal replicas report zero.
+    #[test]
+    fn lead_params_finds_a_single_differing_element() {
+        let base: Vec<f32> = (0..2_378_768).map(|i| (i % 1000) as f32 * 1e-3).collect();
+        let div = |at: usize, (a, b): (f32, f32)| {
+            let (mut lead, mut other) = (base.clone(), base.clone());
+            (lead[at], other[at]) = (a, b);
+            lead_params([lead.clone(), lead, other].into_iter()).1
+        };
+        assert_eq!(lead_params([base.clone(), base.clone()].into_iter()).1, 0.0);
+        let payload = f32::from_bits(f32::NAN.to_bits() | 1);
+        for at in [0, base.len() / 2, base.len() - 1] {
+            assert_eq!(div(at, (0.5, 0.75)), 0.25, "element {at}");
+            assert!(div(at, (f32::NAN, payload)).is_nan(), "element {at}");
+        }
     }
 
     /// Driving a real backward the way [`Replica::backward_and_sync`] does,

@@ -42,7 +42,9 @@ pub(crate) fn add_weight_grad(arena: &mut Params, x: &Matrix, dy: &Matrix, w: us
 
 /// Append a Xavier-initialized `rows × cols` weight group to `arena`.
 pub(crate) fn push_xavier(arena: &mut Params, rows: usize, cols: usize, seed: u64) -> usize {
-    arena.push(Initializer::XavierUniform.init(rows, cols, seed).as_slice())
+    arena.push(rows * cols, |w| {
+        Initializer::XavierUniform.fill(rows, cols, seed, w)
+    })
 }
 
 /// Row-wise layer normalization with learnable scale and shift.
@@ -64,8 +66,8 @@ impl LayerNorm {
     pub fn new(dim: usize, arena: &mut Params) -> Self {
         assert!(dim > 0, "dimension must be positive");
         LayerNorm {
-            gamma: arena.push(&vec![1.0; dim]),
-            beta: arena.push(&vec![0.0; dim]),
+            gamma: arena.push(dim, |g| g.fill(1.0)),
+            beta: arena.push(dim, |_| {}),
             cache: None,
         }
     }

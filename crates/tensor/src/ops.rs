@@ -27,8 +27,8 @@ fn elem_parts(elems: usize, rows: usize) -> usize {
     }
 }
 
-/// ReLU forward, in place. The SIMD backend (`max` against zero, no
-/// reassociation) is bit-identical to the scalar loop.
+/// ReLU forward, in place: `if 0.0 > x { 0.0 } else { x }` per element on
+/// both backends, so a NaN propagates and `−0.0` stays `−0.0`.
 pub fn relu_inplace(x: &mut Matrix) {
     let (rows, cols) = (x.rows(), x.cols());
     let parts = elem_parts(rows * cols, rows);
@@ -36,7 +36,9 @@ pub fn relu_inplace(x: &mut Matrix) {
     summit_pool::global().run_rows(x.as_mut_slice(), cols, parts, |chunk, _| match avx2 {
         // SAFETY: the token proves AVX2+FMA on this CPU.
         Some(t) => unsafe { simd::relu_dispatch(t, chunk) },
-        None => chunk.iter_mut().for_each(|v| *v = v.max(0.0)),
+        None => chunk
+            .iter_mut()
+            .for_each(|v| *v = if 0.0 > *v { 0.0 } else { *v }),
     });
 }
 
@@ -226,6 +228,17 @@ mod tests {
         relu_backward(&x, &mut g);
         assert_eq!(g.row(0), &[0.0, 1.0]);
         assert_eq!(g.row(1), &[1.0, 0.0]);
+    }
+
+    #[test]
+    fn relu_keeps_nan_and_signed_zeros() {
+        // 19 columns: two full vectors and a scalar tail on the SIMD path.
+        let (keys, want) = ([f32::NAN, 0.0, -0.0, -1.0], [f32::NAN, 0.0, -0.0, 0.0]);
+        let mut x = Matrix::from_vec(1, 19, (0..19).map(|i| keys[i % 4]).collect());
+        relu_inplace(&mut x);
+        for (i, got) in x.as_slice().iter().enumerate() {
+            assert_eq!(got.to_bits(), want[i % 4].to_bits(), "column {i}");
+        }
     }
 
     #[test]

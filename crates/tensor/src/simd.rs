@@ -304,8 +304,8 @@ impl F32x8 {
         F32x8(_mm256_mul_ps(self.0, o.0))
     }
 
-    /// Lane-wise maximum (returns the second operand on NaN, matching
-    /// `f32::max`'s non-NaN result for a NaN input against a number).
+    /// `if o > self { o } else { self }`, lane by lane: a NaN or a signed
+    /// zero in `self` comes back as it is.
     #[target_feature(enable = "avx2,fma")]
     #[inline]
     fn max(self, o: Self) -> Self {
@@ -386,8 +386,9 @@ pub(crate) fn scale_dispatch(t: Avx2, a: &mut [f32], s: f32) {
     }
 }
 
-/// Vectorized in-place ReLU — bit-identical to the scalar `v.max(0.0)`
-/// loop (`max` with a constant, no reassociation).
+/// Vectorized in-place ReLU: `maxps(0, x)` is the select
+/// `if 0.0 > x { 0.0 } else { x }`, which the tail and the scalar backend
+/// spell out, so NaN and `−0.0` pass through on every path.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 pub(crate) fn relu_dispatch(t: Avx2, a: &mut [f32]) {
@@ -397,7 +398,7 @@ pub(crate) fn relu_dispatch(t: Avx2, a: &mut [f32]) {
         F32x8::load(t, v).max(z).store(v);
     }
     for v in a {
-        *v = v.max(0.0);
+        *v = if 0.0 > *v { 0.0 } else { *v };
     }
 }
 

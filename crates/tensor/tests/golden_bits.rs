@@ -11,7 +11,9 @@
 //!   the host has them — at the host's width (`Backend::Auto`) and at 256
 //!   bits (`Backend::Avx2`), which by contract give the same bits;
 //! * the BLAS-1 and elementwise kernels on whichever backend the host
-//!   selects (`force-scalar` runs their scalar leg).
+//!   selects (`force-scalar` runs their scalar leg);
+//! * `relu` and `relu_backward` over NaN, ±0, ±∞ and subnormal inputs,
+//!   with one constant for both backends.
 //!
 //! Shapes: the shared dimension on both sides of the 256-step `matmul`
 //! block and of the 64-row `matmul_at_b` block, with `k % 4` and `k % 8`
@@ -180,6 +182,47 @@ const BLAS1_SIMD: [u64; 7] = [
     0x10cb_f8ec_9648_7b25,
 ];
 
+/// NaN (two payloads, both signs), ±0, ±∞, subnormals, the smallest
+/// normals and two plain numbers, for the ReLU pins.
+const SPECIALS: [f32; 14] = [
+    f32::NAN,
+    -f32::NAN,
+    f32::from_bits(0x7fc0_0001),
+    0.0,
+    -0.0,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    1e-40,
+    -1e-40,
+    f32::MIN_POSITIVE,
+    -f32::MIN_POSITIVE,
+    1.5,
+    -2.5,
+    f32::from_bits(1),
+];
+
+/// `relu` and `relu_backward` over rows of 1–40 special values, each value
+/// landing in the vector lanes and in the scalar tail.
+fn relu_special_hashes() -> [u64; 2] {
+    let mut h: [Fnv; 2] = std::array::from_fn(|_| Fnv::new());
+    for len in 1..=40usize {
+        let x: Vec<f32> = (0..len)
+            .map(|i| SPECIALS[(i + len) % SPECIALS.len()])
+            .collect();
+        let mut r = Matrix::from_vec(1, len, x.clone());
+        ops::relu_inplace(&mut r);
+        h[0].eat(r.as_slice());
+        let mut g = Matrix::from_vec(1, len, values(len, 14 + len as u64));
+        ops::relu_backward(&Matrix::from_vec(1, len, x), &mut g);
+        h[1].eat(g.as_slice());
+    }
+    h.map(|f| f.0)
+}
+
+/// One constant for every backend: the scalar select and the vector lanes
+/// agree on every special value.
+const RELU_SPECIAL: [u64; 2] = [0x3869_0d56_f77a_a538, 0xc9d6_0b81_3ae4_4125];
+
 fn check(leg: &str, names: &[&str], got: &[u64], want: &[u64]) {
     let diffs: Vec<String> = names
         .iter()
@@ -232,4 +275,19 @@ fn blas1_bits_are_pinned() {
         ("scalar BLAS-1", &BLAS1_SCALAR)
     };
     check(leg, &BLAS1_NAMES, &blas1_hashes(), want);
+}
+
+#[test]
+fn relu_special_value_bits_are_pinned() {
+    let leg = if simd::active() {
+        "SIMD ReLU"
+    } else {
+        "scalar ReLU"
+    };
+    check(
+        leg,
+        &["relu", "relu_backward"],
+        &relu_special_hashes(),
+        &RELU_SPECIAL,
+    );
 }
