@@ -1,7 +1,8 @@
 //! Deterministic synthetic tasks for convergence tests and examples.
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use summit_tensor::{init::fill_normal, Matrix};
+use summit_tensor::init::{cos_sin_turns, fill_normal, tanh};
+use summit_tensor::Matrix;
 
 /// A supervised classification task.
 #[derive(Debug, Clone)]
@@ -52,7 +53,9 @@ pub fn blobs(
 }
 
 /// Two interleaved spirals — a classic task an MLP must be nonlinear to
-/// solve (a linear model gets ≈50%).
+/// solve (a linear model gets ≈50%). Sample `t` of class `c` sits at
+/// `1.5·t + c/2` turns; the sine and cosine are [`cos_sin_turns`], so the
+/// bits depend on the seed alone.
 ///
 /// # Panics
 /// Panics if `samples == 0`.
@@ -65,11 +68,11 @@ pub fn spirals(samples: usize, noise: f32, seed: u64) -> ClassificationTask {
         let class = s % 2;
         let t = (s / 2) as f32 / (samples / 2).max(1) as f32;
         let r = 0.2 + t * 2.0;
-        let angle = t * 3.0 * std::f32::consts::PI + (class as f32) * std::f32::consts::PI;
+        let (cos, sin) = cos_sin_turns((1.5 * t + class as f32 * 0.5).fract());
         let nx: f32 = rng.gen_range(-noise..=noise.max(1e-9));
         let ny: f32 = rng.gen_range(-noise..=noise.max(1e-9));
-        x.set(s, 0, r * angle.cos() + nx);
-        x.set(s, 1, r * angle.sin() + ny);
+        x.set(s, 0, r * cos + nx);
+        x.set(s, 1, r * sin + ny);
         y.push(class);
     }
     ClassificationTask { x, y, classes: 2 }
@@ -85,7 +88,8 @@ pub struct RegressionTask {
     pub y: Matrix,
 }
 
-/// Generate a teacher-network regression task.
+/// Generate a teacher-network regression task. The teacher's `tanh` is the
+/// in-crate [`tanh`], so the bits depend on the seed alone.
 ///
 /// # Panics
 /// Panics if counts are zero.
@@ -104,7 +108,7 @@ pub fn teacher_regression(samples: usize, features: usize, seed: u64) -> Regress
             acc += w[f] * v;
         }
         // Nonlinear teacher: tanh of the linear form plus mild noise.
-        y.set(s, 0, acc.tanh() + rng.gen_range(-0.01f32..0.01));
+        y.set(s, 0, tanh(acc) + rng.gen_range(-0.01f32..0.01));
     }
     RegressionTask { x, y }
 }

@@ -3,9 +3,10 @@
 //! Seeded values are a function of the seed alone. The normal sampler
 //! ([`fill_normal`]) is a two-pass Box–Muller built only from `+ − × ÷` and
 //! `sqrt`, which IEEE 754 rounds exactly on every host, plus bit
-//! manipulation: its `ln` and its quarter-turn `sin`/`cos` are in-crate
-//! polynomials, not libm's `logf`/`cosf`, whose last bits differ between
-//! libm builds.
+//! manipulation: its `ln` and its quarter-turn `sin`/`cos`
+//! ([`cos_sin_turns`]) are in-crate polynomials, not libm's `logf`/`cosf`,
+//! whose last bits differ between libm builds. [`tanh`] is built the same
+//! way, for the seeded datasets of `summit-dl`.
 
 use std::f32::consts::FRAC_PI_2;
 
@@ -90,13 +91,14 @@ fn ln(x: f32) -> f32 {
     e * LN2_HI + (e * LN2_LO + 2.0 * s * series)
 }
 
-/// `(cos 2πv, sin 2πv)` for `v` on the `k · 2⁻²⁴` grid of `[0, 1)`: the
-/// nearest quarter turn `q` and the rest `x` in `[−π/4, π/4]` come from the
-/// integer `k` exactly, Taylor series through `x⁹` and `x¹⁰` (the first
-/// omitted terms are below `2⁻²⁸`) give `(cos x, sin x)`, and `q` swaps and
-/// negates them.
+/// `(cos 2πv, sin 2πv)` for `v` in `[0, 1)`, taken down to the `k · 2⁻²⁴`
+/// grid (where `rng.gen::<f32>()` draws): the nearest quarter turn `q` and
+/// the rest `x` in `[−π/4, π/4]` come from the integer `k` exactly, Taylor
+/// series through `x⁹` and `x¹⁰` (the first omitted terms are below
+/// `2⁻²⁸`) give `(cos x, sin x)`, and `q` swaps and negates them. Within
+/// `2⁻²¹` of the exact values at the grid point.
 #[inline(always)]
-fn cos_sin_turns(v: f32) -> (f32, f32) {
+pub fn cos_sin_turns(v: f32) -> (f32, f32) {
     let k = (v * 16_777_216.0) as i32;
     let q = (k + (1 << 21)) >> 22;
     let x = (k - (q << 22)) as f32 * (FRAC_PI_2 / 4_194_304.0);
@@ -115,6 +117,34 @@ fn cos_sin_turns(v: f32) -> (f32, f32) {
         f32::from_bits(c.to_bits() ^ cos_sign),
         f32::from_bits(s.to_bits() ^ sin_sign),
     )
+}
+
+/// `eˣ` for `x` in `[−87, 88]`: `x = n·ln 2 + r` with `n` the integer
+/// nearest `x / ln 2` and `|r| ≤ ln 2 / 2` (ln 2 split as in [`ln`], so
+/// `n · LN2_HI` and the first subtraction are exact), `eʳ` a Taylor
+/// polynomial through `r⁷` (the first omitted term is below `2⁻²⁷`), and
+/// `2ⁿ` built from its bits. Within `2⁻²⁰` relative.
+#[inline(always)]
+fn exp(x: f32) -> f32 {
+    const LN2_HI: f32 = 355.0 / 512.0;
+    const LN2_LO: f32 = (std::f64::consts::LN_2 - 355.0 / 512.0) as f32;
+    let n = (x * std::f32::consts::LOG2_E).round();
+    let r = (x - n * LN2_HI) - n * LN2_LO;
+    let p = 1.0
+        + r * (1.0
+            + r * (1.0 / 2.0
+                + r * (1.0 / 6.0
+                    + r * (1.0 / 24.0 + r * (1.0 / 120.0 + r * (1.0 / 720.0 + r / 5040.0))))));
+    p * f32::from_bits(((n as i32 + 127) as u32) << 23)
+}
+
+/// `tanh x` for finite `x`, as `1 − 2 / (e^{2|x|} + 1)` with the sign of
+/// `x` and `|x|` capped at 20 (where `tanh` is 1 in `f32`). From the
+/// `2⁻²⁰` bound on [`exp`] and three more roundings, within `2⁻¹⁹`
+/// absolute.
+pub fn tanh(x: f32) -> f32 {
+    let e = exp(2.0 * x.abs().min(20.0));
+    (1.0 - 2.0 / (e + 1.0)).copysign(x)
 }
 
 #[cfg(test)]
@@ -155,26 +185,37 @@ mod tests {
     }
 
     /// Every point of the 2²⁴-point uniform grid (a stride of it in debug
-    /// builds) against an f64 reference. The bound is set from the
+    /// builds) against an f64 reference, the grid also mapped onto
+    /// `[−24, 24)` for `exp` and `tanh`. The bounds are set from the
     /// construction, not from a measurement: each result is a handful of
     /// correctly rounded operations, so `ln` stays within 2⁻²¹ relative
-    /// (4 half-ulps) and `sin`/`cos` within 2⁻²¹ absolute.
+    /// (4 half-ulps), `sin`/`cos` within 2⁻²¹ absolute, `exp` within 2⁻²⁰
+    /// relative and `tanh` within 2⁻¹⁹ absolute.
     #[test]
     fn polynomials_match_an_f64_reference_on_the_uniform_grid() {
         let stride = if cfg!(debug_assertions) { 61 } else { 1 };
-        let (mut worst_ln, mut worst_trig) = (0.0f64, 0.0f64);
+        let mut worst = [0.0f64; 4];
         for k in (0..1u32 << 24).step_by(stride) {
             let (v, x) = (k as f32 / 16_777_216.0, 1.0 - k as f32 / 16_777_216.0);
             let (got, want) = (f64::from(ln(x)), f64::from(x).ln());
             assert!(got <= 0.0 && (want != 0.0 || got == 0.0), "ln({x}) = {got}");
-            worst_ln = worst_ln.max(((got - want) / want.min(-f64::MIN_POSITIVE)).abs());
+            worst[0] = worst[0].max(((got - want) / want.min(-f64::MIN_POSITIVE)).abs());
             let ((c, s), theta) = (cos_sin_turns(v), std::f64::consts::TAU * f64::from(v));
             let trig = (f64::from(c) - theta.cos())
                 .abs()
                 .max((f64::from(s) - theta.sin()).abs());
-            worst_trig = worst_trig.max(trig);
+            worst[1] = worst[1].max(trig);
+            let y = 48.0 * v - 24.0;
+            let want = f64::from(y).exp();
+            worst[2] = worst[2].max(((f64::from(exp(y)) - want) / want).abs());
+            worst[3] = worst[3].max((f64::from(tanh(y)) - f64::from(y).tanh()).abs());
         }
-        eprintln!("ln relative error ≤ {worst_ln:e}, sin/cos ≤ {worst_trig:e}");
-        assert!(worst_ln.max(worst_trig) <= 1.0 / f64::from(1u32 << 21));
+        eprintln!("ln, sin/cos, exp, tanh error ≤ {worst:?}");
+        let bounds = [21, 21, 20, 19].map(|e| 1.0 / f64::from(1u32 << e));
+        assert!(worst.iter().zip(bounds).all(|(w, b)| *w <= b));
+        assert_eq!(
+            (tanh(0.0), tanh(-0.0).to_bits()),
+            (0.0, (-0.0f32).to_bits())
+        );
     }
 }

@@ -5,15 +5,17 @@
 //! backpropagation needs, element-wise activations, reductions, and the
 //! standard initializers. Large kernels dispatch row chunks onto the
 //! persistent [`summit-pool`] compute runtime under the calling thread's
-//! core budget — no per-call thread spawns — and the matmuls pack their
-//! strided operand once per call into reused thread-local scratch, so the
-//! steady state allocates nothing. Pooled results are bitwise identical to
-//! the serial path at every worker count.
+//! core budget — no per-call thread spawns — and the three matmuls share
+//! one microkernel, packing their operands a slab at a time into reused
+//! thread-local scratch, so the steady state allocates nothing. Pooled
+//! results are bitwise identical to the serial path at every worker count,
+//! and `matmul_at_b`/`matmul_a_bt` bitwise `matmul` on the materialised
+//! transpose.
 //!
 //! This crate is deliberately small — it is a substrate for the paper
 //! reproduction, not a BLAS. Kernels are written for clarity first and
-//! cache-friendliness second (packed panels, blocked loops, 4×-unrolled
-//! accumulation, no allocation inside loops).
+//! cache-friendliness second (packed panels, blocked loops, register
+//! tiles, no allocation inside loops).
 //!
 //! [`summit-pool`]: ../summit_pool/index.html
 //!

@@ -1,79 +1,67 @@
 //! Row-major dense matrix with the matmul variants backprop needs.
 //!
-//! The three matmuls (`matmul`, `matmul_at_b`, `matmul_a_bt`) share one
-//! compute discipline:
+//! **One GEMM.** The three products — `matmul` (`A·B`), `matmul_at_b`
+//! (`Aᵀ·B`) and `matmul_a_bt` (`A·Bᵀ`) — run one register-blocked
+//! microkernel and differ only in how their operands reach it:
 //!
-//! * **Persistent pool, no per-call spawn** — large products dispatch row
-//!   chunks onto [`summit_pool::global`]'s parked workers under the calling
-//!   thread's core budget ([`summit_pool::core_budget`]), replacing the old
-//!   scoped `thread::spawn` per call. The exact partition
-//!   ([`summit_pool::chunk_range`]) handles `rows % threads != 0` tails in
-//!   one shared place instead of three copy-pasted chunking blocks.
-//! * **Packed, cache-blocked microkernel** — `matmul` packs `B` one slice
-//!   at a time: per 256-step block of the shared dimension and per tile's
-//!   worth of columns, a `256 × (16, or 48 at 512 bits)` slice goes into
-//!   16-column, `k`-contiguous micro-panels in a buffer on the kernel's
-//!   stack right before the chunk's row tiles run over it, so it stays in
-//!   L1/L2 and no copy of the whole of `B` is ever made. A SIMD `matmul`
-//!   of at most 16 rows reads `B` in place instead (the pack would cost
-//!   more than the product — same per-element chain, so the same
-//!   bits). [`Matrix::matmul_at_b`]'s SIMD kernels copy, per band of
-//!   output rows and shared-dimension block, one contiguous piece of each
-//!   `A` row to the stack instead of packing `Aᵀ`, which only its scalar
-//!   kernel does (once per call, into a reused thread-local scratch);
-//!   [`Matrix::matmul_a_bt`] reads both operands in place. The inner loop runs on one of three backends selected once per
-//!   call: the SIMD microkernels at 512 bits (AVX-512F, `F32x16`)
-//!   or 256 bits (AVX2+FMA, `F32x8`) — one generic source
-//!   over the crate-private `Lanes`, compiled once per width, the width the
-//!   host's (runtime-detected, no setting) — or the branch-free scalar
-//!   loops as the guaranteed fallback (4×-unrolled for the transposed
-//!   variants, a 2-row × 16-column local tile over the same micro-panels
-//!   for `matmul`). Register tiles, rows × columns:
+//! * **Packers.** Per 256-step block of the shared dimension, the `B` side
+//!   is packed one L1-sized slab at a time into 16-column, `k`-contiguous
+//!   micro-panels: straight from the rows of `B` (`matmul`, `matmul_at_b`),
+//!   or, for `matmul_a_bt`, transposed from them in `LANES × LANES` register
+//!   blocks. The `A` side is read in place (`matmul`, `matmul_a_bt`) or, for
+//!   `matmul_at_b`, copied per register tile and block from one contiguous
+//!   piece of each row of `A` (a band of `Aᵀ`). The packing scratch is one
+//!   reused buffer per thread, so no steady-state product allocates and no
+//!   pack buffer sits in a stack frame.
+//! * **One size-selected variant, same chains.** With at most 16 output
+//!   rows, `matmul` reads `B` in place: the pack would cost more than the
+//!   product.
+//! * **Microkernel.** One source generic over the crate-private `Lanes`,
+//!   compiled at 512 bits (AVX-512F, `F32x16`), 256 bits (AVX2+FMA,
+//!   `F32x8`) and on the scalar backend's plain-array `Scalar16` — the
+//!   width the host's (runtime-detected, no setting). Register tiles, rows
+//!   × columns:
 //!
-//!   | kernel | 256 bits | 512 bits |
+//!   | backend | packed tile | pack-free `matmul` tile (≤ 16 rows) |
 //!   |---|---|---|
-//!   | `matmul` | 6 × 16 (12 ymm accumulators) | 8 × 48 (24 zmm, three panels) |
-//!   | `matmul` ≤ 16 rows, pack-free | 2 × 8 per vector, 4 `k` steps | 2 × 16 per vector, 4 `k` steps |
-//!   | `matmul_at_b` | 4 × 16 | 8 × 32 |
-//!   | `matmul_a_bt` (8-lane chains) | 4 a-rows × 3 b-rows in 16 ymm | 4 × 6 in 32 ymm (AVX-512VL) |
+//!   | 512 bits | 8 × 48 (24 zmm accumulators) | 2 × 16 per vector, 4 `k` steps |
+//!   | 256 bits | 6 × 16 (12 ymm) | 2 × 8 per vector, 4 `k` steps |
+//!   | scalar | 4 × 16 | 2 × 16, 4 `k` steps |
 //!
-//!   Remainder rows take 4-, 2- and 1-row tiles of the same chains; the
-//!   last columns take fewer vectors and a masked partial one.
-//! * **Bit-identity across pool sizes and widths** — every output element
-//!   accumulates its terms in the same order on every path at every worker
-//!   count: the row partition never splits an element's accumulation
-//!   chain, and each SIMD kernel gives every output element one chain
-//!   whose shape depends only on the shared dimension and global block
-//!   boundaries, never on the chunk split, on which register tile (full or
-//!   remainder) computed it, or on how many lanes that tile's registers
-//!   hold. The chains: `matmul` — one FMA per ascending `k`, carried
-//!   through the output between shared-dimension blocks; `matmul_at_b` —
-//!   one FMA chain per 64-row block of the shared dimension, each added
-//!   into the output in block order (the overwriting entry's first block
-//!   is added to `+0.0` and stored, so the output's old contents are never
-//!   read); `matmul_a_bt` — eight lane accumulators stepped over ascending
-//!   `k`, one fixed `F32x8::hsum` tree, then a scalar FMA tail over
-//!   `k % 8` (at both widths). Pooled results are therefore **bitwise
-//!   equal** to the serial (`parts = 1`) kernel for every budget, the
-//!   512-bit kernels are **bit-identical** to the 256-bit ones, and row
-//!   `i` of an `M`-row `matmul` / `matmul_a_bt` is bitwise the one-row
-//!   product (what batched serving relies on). The scalar
-//!   backend is additionally the cross-platform reference: SIMD results
-//!   differ from it only within a documented ULP bound (FMA contraction +
-//!   lane-tree reductions); see `tests/simd_properties.rs`, which also pins
-//!   the `matmul` and `matmul_a_bt` chains against plain-Rust
-//!   transcriptions and the two widths against each other.
+//!   Remainder rows take 4-, 2- and 1-row tiles; the last columns take
+//!   fewer vectors and a masked partial one. Products with a short shared
+//!   dimension pack slabs several tiles wide, so each row tile sweeps them
+//!   before the next.
+//! * **Persistent pool, no per-call spawn.** Large products dispatch row
+//!   chunks onto [`summit_pool::global`]'s parked workers under the
+//!   calling thread's core budget ([`summit_pool::core_budget`]).
 //!
-//! The `*_into` variants write into a caller-owned output matrix; combined
-//! with the thread-local packing scratch and the stack-held `matmul` slice,
-//! a steady-state pooled matmul performs **zero heap allocations**
+//! **One relation.** Every output element is one chain over ascending `k`,
+//! `acc = a[i,k]·b[k,j] + acc` (fused on SIMD, product-then-add on the
+//! scalar backend), from `+0.0` — or, for the accumulating `matmul_at_b`,
+//! from the value stored — and carried through the output between
+//! shared-dimension blocks. Its shape depends on nothing else: not on the
+//! pool partition, the register tile, the register width, the packer or the
+//! row count. So, bitwise, on each backend:
+//!
+//! * `a.matmul_at_b(b) == a.transpose().matmul(b)` and
+//!   `a.matmul_a_bt(b) == a.matmul(&b.transpose())`;
+//! * pooled = serial at every part count, 512 bits = 256 bits;
+//! * row `i` of an `M`-row product is the one-row product (batched
+//!   serving relies on it).
+//!
+//! The scalar backend is the cross-platform reference: SIMD results differ
+//! from it only by FMA contraction, within the ULP bound pinned in
+//! `tests/simd_properties.rs`.
+//!
+//! The `*_into` variants write into a caller-owned output matrix, and a
+//! steady-state pooled matmul performs **zero heap allocations**
 //! (counting-allocator tests in `tests/tests/gemm_alloc.rs`).
 
 use std::cell::RefCell;
-use std::mem::MaybeUninit;
 use std::ops::Range;
 
-use crate::simd::{self, Avx2, Avx512, Lanes};
+use crate::simd::{self, Avx2, Avx512, Lanes, Scalar16};
 #[cfg(target_arch = "x86_64")]
 use crate::simd::{F32x16, F32x8};
 
@@ -134,22 +122,33 @@ pub enum Backend {
     Avx2,
 }
 
+/// Which operand of a product is read transposed — the test hook's
+/// selector; production callers use the named entry points.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Transpose {
+    /// `a · b`, [`Matrix::matmul`].
+    None,
+    /// `aᵀ · b`, [`Matrix::matmul_at_b`].
+    A,
+    /// `a · bᵀ`, [`Matrix::matmul_a_bt`].
+    B,
+}
+
 /// The kernels one GEMM call runs, resolved once per call so a single
-/// product never mixes them, with the proofs that let them run: the
-/// 512-bit set also carries the AVX2 proof its 8-lane `matmul_a_bt` chains
-/// are built from.
+/// product never mixes them, with the proof that lets them run.
 #[derive(Debug, Clone, Copy)]
 enum Isa {
     Scalar,
     Avx2(Avx2),
-    Avx512(Avx2, Avx512),
+    Avx512(Avx512),
 }
 
 impl Backend {
     fn isa(self) -> Isa {
         match (self, simd::avx2(), simd::avx512()) {
             (Backend::Scalar, ..) | (_, None, _) => Isa::Scalar,
-            (Backend::Auto, Some(t), Some(w)) => Isa::Avx512(t, w),
+            (Backend::Auto, _, Some(w)) => Isa::Avx512(w),
             (_, Some(t), _) => Isa::Avx2(t),
         }
     }
@@ -158,76 +157,52 @@ impl Backend {
 /// Row count above which matmuls parallelize over the compute pool.
 const PAR_THRESHOLD: usize = 128;
 
-/// Packed-`B` micro-panel width for [`Matrix::matmul`]: a panel holds 16
-/// columns with the shared dimension contiguous, so one `k` step of a tile
-/// reads one 64-byte line per panel and the next step the next line.
+/// Micro-panel width: a packed panel holds 16 columns with the shared
+/// dimension contiguous, so one `k` step of a tile reads one 64-byte line
+/// per panel and the next step the next line.
 const MM_NR: usize = 16;
 
-/// Shared-dimension block of the `matmul` kernels: one packed slice is at
-/// most `MM_KC` rows of [`MM_SLICE_COLS`] columns (48 KB f32), so it stays
-/// in L1/L2 across every row tile of the chunk.
+/// Shared-dimension block: each element's chain is stored and reloaded
+/// (exactly) at its boundaries.
 const MM_KC: usize = 256;
 
-/// Row count up to which the f32 SIMD [`Matrix::matmul`] reads `B` in place
-/// instead of packing it. Packing pays for itself by reuse across row
-/// tiles; below this, streaming `B` once in row order beats the pack.
-/// Re-measured at 512 bits (µs, pack-free vs packed, one thread): on a
-/// 512 × 512 `B`, M = 1 23 vs 113, M = 16 142 vs 170, M = 20 204 vs 193;
-/// on 1024 × 1024, M = 1 255 vs 559, M = 16 1,029 vs 1,012, M = 20 1,200
-/// vs 1,060.
+/// Floats in one packed slab (48 KB): a full block of 48 columns, or a
+/// shorter block of proportionally more, stays in L1/L2 while every row
+/// tile of the chunk runs over it.
+const MM_SLICE: usize = MM_KC * 48;
+
+/// Output row count up to which `matmul` reads `B` in place. Packing `B`
+/// pays for itself by reuse across row tiles; below this, streaming `B`
+/// once in row order beats the pack. Re-measured at 512 bits (µs, pack-free vs packed, one thread):
+/// on a 512 × 512 `B`, M = 1 23 vs 113, M = 16 142 vs 170, M = 20 204 vs
+/// 193; on 1024 × 1024, M = 1 255 vs 559, M = 16 1,029 vs 1,012, M = 20
+/// 1,200 vs 1,060.
 const MM_SKINNY_ROWS: usize = 16;
 
-/// Column block of the pack-free skinny `matmul`: the `M × 256` f32 output
-/// tile (16 KB at `M = 16`) stays in L1 while rows of `B` stream past it.
+/// Column block of the pack-free `matmul`: the `M × 256` f32 output tile
+/// (16 KB at `M = 16`) stays in L1 while rows of `B` stream past it.
 const MM_SKINNY_NC: usize = 256;
 
-/// Cache-blocking tile for the shared dimension of the transposed matmuls:
-/// 64 rows × up to ~256 f32 columns ≈ 64 KB, comfortably inside L2 while
-/// leaving room for the output row being accumulated.
-const BLOCK_ROWS: usize = 64;
-
-// Register tiles, rows × column vectors (see the module doc's table). Each
-// fills its register file without spilling: `matmul` 6 × 2 ymm (12
-// accumulators of 16) and 8 × 3 zmm (24 of 32, three 16-column panels per
-// slice); `matmul_at_b` 4 × 2 ymm and 8 × 2 zmm; `matmul_a_bt` 4 a-rows × 3
-// b-rows of 8-lane accumulators in 16 ymm and 4 × 6 in the 32 ymm
-// AVX-512VL gives.
+// Packed register tiles, rows × column vectors (see the module doc's
+// table). Each fills its register file without spilling: 6 × 2 ymm (12
+// accumulators of 16) and 8 × 3 zmm (24 of 32, three 16-column panels).
 const MM_MR_256: usize = 6;
 const MM_NV_256: usize = 2;
 const MM_MR_512: usize = 8;
 const MM_NV_512: usize = 3;
-const ATB_MR_256: usize = 4;
-const ATB_MR_512: usize = 8;
-const ATB_NV: usize = 2;
-const ABT_MR_256: usize = 4;
-const ABT_NR_256: usize = 3;
-const ABT_MR_512: usize = 4;
-const ABT_NR_512: usize = 6;
-
-/// Widest `matmul` slice: the 512-bit tile's three panels.
-const MM_SLICE_COLS: usize = MM_NV_512 * 16;
-
-/// Elements of the per-chunk slice buffer (on the kernel's stack).
-const MM_SLICE: usize = MM_KC * MM_SLICE_COLS;
-
-/// Rows of `other` per cache block of the SIMD `matmul_a_bt` kernel (a
-/// multiple of both b-row tile widths): 48 rows × 1024 f32 = 192 KB sits in
-/// L2 while every a-strip of the chunk visits it.
-const ABT_JB: usize = 48;
 
 thread_local! {
-    /// Per-thread packing scratch (the scalar `matmul_at_b`'s `Aᵀ`), reused across
-    /// calls so steady-state products never allocate. Packing always
-    /// happens on the dispatching thread (workers only read the packed
-    /// operand through the kernel closure), so one scratch per thread
-    /// suffices.
-    static PACK_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// This thread's packing scratch — the `B` slab and the `A` band of
+    /// the chunks it runs — grown to the largest product it has run, so
+    /// steady-state products never allocate and no pack buffer lands in
+    /// the stack frame of every thread that multiplies.
+    static SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Borrow this thread's packing scratch at `len` elements (growing it once
 /// if needed) for the duration of `f`.
-fn with_pack_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
-    PACK_SCRATCH.with(|s| {
+fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    SCRATCH.with(|s| {
         let mut buf = s.borrow_mut();
         if buf.len() < len {
             buf.resize(len, 0.0);
@@ -361,68 +336,24 @@ impl Matrix {
     /// # Panics
     /// Panics on inner-dimension mismatch or if `out` is not `m×n`.
     pub fn matmul_into<'b>(&self, other: impl Into<MatRef<'b>>, out: &mut Matrix) {
-        self.matmul_impl(other.into(), out, auto_parts(self.rows), Backend::Auto);
-    }
-
-    /// [`Matrix::matmul_into`] with an explicit chunk count — `parts = 1`
-    /// is the serial reference path the property tests compare against.
-    #[doc(hidden)]
-    pub fn matmul_into_parts(&self, other: &Matrix, out: &mut Matrix, parts: usize) {
-        self.matmul_impl(other.into(), out, parts, Backend::Auto);
-    }
-
-    /// Full control (tests): explicit parts, forced backend.
-    #[doc(hidden)]
-    pub fn matmul_into_parts_backend(
-        &self,
-        other: &Matrix,
-        out: &mut Matrix,
-        parts: usize,
-        backend: Backend,
-    ) {
-        self.matmul_impl(other.into(), out, parts, backend);
-    }
-
-    /// A skinny product on a SIMD backend reads `B` in place (per element
-    /// the same single FMA chain over ascending `k` from zero as the packed
-    /// kernel, so the two are bitwise interchangeable); everything else
-    /// packs `B` one slice at a time, right before its row tiles run over
-    /// it (see [`pack_slice`]), so no copy of the whole of `B` is ever
-    /// made. Every kernel overwrites `out`, so it is not cleared first.
-    fn matmul_impl(&self, other: MatRef<'_>, out: &mut Matrix, parts: usize, backend: Backend) {
-        assert_eq!(self.cols, other.rows, "matmul inner dimension mismatch");
-        assert_eq!(
-            (out.rows, out.cols),
-            (self.rows, other.cols),
-            "matmul output shape mismatch"
+        let other = other.into();
+        out.check_shape(self.rows, other.cols, "matmul");
+        let parts = auto_parts(self.rows);
+        self.gemm(
+            other,
+            Transpose::None,
+            &mut out.data,
+            parts,
+            Backend::Auto,
+            false,
         );
-        let (isa, skinny) = (backend.isa(), self.rows <= MM_SKINNY_ROWS);
-        let (k, n) = (self.cols, other.cols);
-        let (a, b) = (&self.data, other.data);
-        summit_pool::global().run_rows(&mut out.data, n, parts, |chunk, range| {
-            // SAFETY: `Backend::isa` hands out a proof only after detecting
-            // its features on this CPU.
-            unsafe {
-                match isa {
-                    Isa::Avx512(_, w) if skinny => mm_skinny_512(w, a, k, b, n, chunk, range),
-                    Isa::Avx2(t) if skinny => mm_skinny_256(t, a, k, b, n, chunk, range),
-                    Isa::Avx512(_, w) => mm_chunk_512(w, a, k, b, n, chunk, range),
-                    Isa::Avx2(t) => mm_chunk_256(t, a, k, b, n, chunk, range),
-                    Isa::Scalar => matmul_chunk(a, k, b, n, chunk, range),
-                }
-            }
-        });
     }
 
     /// `selfᵀ · other` (`(m×k)ᵀ · m×n → k×n`). This is the weight-gradient
-    /// product `Xᵀ · dY`, the backward-pass hot kernel: output rows are
-    /// chunked over the pool and the shared `m` dimension is cache-blocked
-    /// (SIMD bands copy their pieces of `A`'s rows; the 4×-unrolled scalar
-    /// fallback packs `Aᵀ` once per call so each output row streams a
-    /// contiguous operand).
-    ///
-    /// Every output element accumulates its `m` terms in ascending-`i`
-    /// order on every path, so pooled and serial results are bit-identical.
+    /// product `Xᵀ · dY`, the backward-pass hot kernel: bitwise
+    /// `self.transpose().matmul(other)` without materializing the
+    /// transpose (each register tile copies its band of `Aᵀ` from the rows
+    /// of `self`).
     ///
     /// # Panics
     /// Panics on row-count mismatch.
@@ -437,129 +368,30 @@ impl Matrix {
     /// # Panics
     /// Panics on row-count mismatch or if `out` is not `k×n`.
     pub fn matmul_at_b_into(&self, other: &Matrix, out: &mut Matrix) {
-        self.matmul_at_b_into_parts(other, out, auto_parts(self.cols));
+        out.check_shape(self.cols, other.cols, "matmul_at_b");
+        self.matmul_at_b_into_slice(other, &mut out.data, false);
     }
 
     /// `selfᵀ · other` into a row-major `k×n` slice of a larger buffer —
     /// the weight-gradient product writing straight into its window of a
-    /// flat gradient arena. `accumulate` selects `out += …` over `out = …`;
-    /// on a zeroed `out` the two are bitwise equal (the overwriting kernel
-    /// stores `0.0 + first block` where the accumulating one adds it).
+    /// flat gradient arena. `accumulate` selects `out += …` over `out = …`:
+    /// each element's chain then continues from the value stored instead
+    /// of starting from `+0.0`, so on a zeroed `out` the two are bitwise
+    /// equal.
     ///
     /// # Panics
     /// Panics on row-count mismatch or if `out.len() != k·n`.
     pub fn matmul_at_b_into_slice(&self, other: &Matrix, out: &mut [f32], accumulate: bool) {
         let parts = auto_parts(self.cols);
-        self.matmul_at_b_impl(other, out, parts, Backend::Auto, accumulate);
+        let other = other.into();
+        self.gemm(other, Transpose::A, out, parts, Backend::Auto, accumulate);
     }
 
-    /// [`Matrix::matmul_at_b_into`] with an explicit chunk count.
-    #[doc(hidden)]
-    pub fn matmul_at_b_into_parts(&self, other: &Matrix, out: &mut Matrix, parts: usize) {
-        self.matmul_at_b_backend(other, out, parts, Backend::Auto, false);
-    }
-
-    /// Full control (tests): explicit parts, forced backend.
-    #[doc(hidden)]
-    pub fn matmul_at_b_into_parts_backend(
-        &self,
-        other: &Matrix,
-        out: &mut Matrix,
-        parts: usize,
-        backend: Backend,
-    ) {
-        self.matmul_at_b_backend(other, out, parts, backend, false);
-    }
-
-    /// `out += selfᵀ · other` with full control (tests).
-    #[doc(hidden)]
-    pub fn matmul_at_b_acc_into_parts_backend(
-        &self,
-        other: &Matrix,
-        out: &mut Matrix,
-        parts: usize,
-        backend: Backend,
-    ) {
-        self.matmul_at_b_backend(other, out, parts, backend, true);
-    }
-
-    fn matmul_at_b_backend(
-        &self,
-        other: &Matrix,
-        out: &mut Matrix,
-        parts: usize,
-        backend: Backend,
-        accumulate: bool,
-    ) {
-        assert_eq!(
-            (out.rows, out.cols),
-            (self.cols, other.cols),
-            "matmul_at_b output shape mismatch"
-        );
-        self.matmul_at_b_impl(other, &mut out.data, parts, backend, accumulate);
-    }
-
-    fn matmul_at_b_impl(
-        &self,
-        other: &Matrix,
-        out: &mut [f32],
-        parts: usize,
-        backend: Backend,
-        accumulate: bool,
-    ) {
-        assert_eq!(self.rows, other.rows, "matmul_at_b row mismatch");
-        assert_eq!(
-            out.len(),
-            self.cols * other.cols,
-            "matmul_at_b output shape mismatch"
-        );
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        let (a, b, isa) = (&self.data, &other.data, backend.isa());
-        let scalar = matches!(isa, Isa::Scalar);
-        // The scalar kernel only ever adds into `out`; the SIMD kernels
-        // store their first shared-dimension block when overwriting, so
-        // they neither need nor read the old contents.
-        if !accumulate && scalar {
-            out.fill(0.0);
-        }
-        // The scalar kernel reads Aᵀ packed once per call, at[kk·m + i] =
-        // A[i, kk], so output row kk's m coefficients are contiguous. A SIMD
-        // band of output rows kk0.. needs A[i, kk0..] at each step i, which
-        // is contiguous in A itself: those kernels take it from A.
-        with_pack_scratch(if scalar { m * k } else { 0 }, |at| {
-            if scalar {
-                for (i, a_row) in a.chunks_exact(k).enumerate() {
-                    for (kk, &v) in a_row.iter().enumerate() {
-                        at[kk * m + i] = v;
-                    }
-                }
-            }
-            let at = &*at;
-            summit_pool::global().run_rows(out, n, parts, |chunk, range| {
-                // SAFETY: `Backend::isa` hands out a proof only after
-                // detecting its features on this CPU.
-                unsafe {
-                    match isa {
-                        Isa::Avx512(_, w) => atb_chunk_512(w, a, k, b, n, chunk, range, accumulate),
-                        Isa::Avx2(t) => atb_chunk_256(t, a, k, b, n, chunk, range, accumulate),
-                        Isa::Scalar => matmul_at_b_chunk(at, m, b, n, chunk, range),
-                    }
-                }
-            });
-        });
-    }
-
-    /// `self · otherᵀ` (`m×k · (n×k)ᵀ → m×n`) without materializing the
-    /// transpose. This is the input-gradient product `dY · Wᵀ`, the other
-    /// backward-pass hot kernel: both operands are row-contiguous already,
-    /// so no packing is needed — output rows are chunked over the pool and
-    /// the `other`-row loop is cache-blocked.
-    ///
-    /// Each output element is one chain over ascending `k` whose shape
-    /// depends on `k` alone (scalar backend: one accumulator; SIMD: eight
-    /// lane accumulators, a fixed reduction tree, a scalar tail), so
-    /// pooled and serial results are bit-identical and a row of a batched
-    /// product is bitwise the one-row product.
+    /// `self · otherᵀ` (`m×k · (n×k)ᵀ → m×n`). This is the input-gradient
+    /// product `dY · Wᵀ`, the other backward-pass hot kernel: bitwise
+    /// `self.matmul(&other.transpose())` without materializing the
+    /// transpose (the packer transposes the rows of `other` into panel
+    /// columns one slab at a time).
     ///
     /// # Panics
     /// Panics on column-count mismatch.
@@ -576,53 +408,129 @@ impl Matrix {
     /// # Panics
     /// Panics on column-count mismatch or if `out` is not `m×n`.
     pub fn matmul_a_bt_into<'b>(&self, other: impl Into<MatRef<'b>>, out: &mut Matrix) {
-        self.matmul_a_bt_impl(other.into(), out, auto_parts(self.rows), Backend::Auto);
+        let other = other.into();
+        out.check_shape(self.rows, other.rows, "matmul_a_bt");
+        let parts = auto_parts(self.rows);
+        self.gemm(
+            other,
+            Transpose::B,
+            &mut out.data,
+            parts,
+            Backend::Auto,
+            false,
+        );
     }
 
-    /// [`Matrix::matmul_a_bt_into`] with an explicit chunk count.
+    /// The one test hook behind all three products: `transpose` picks the
+    /// product, `parts` the chunk count (`1` is the serial reference),
+    /// `backend` the kernels, and `accumulate` continues each element's
+    /// chain from `out` instead of overwriting it.
+    ///
+    /// # Panics
+    /// Panics on an operand or output shape mismatch.
     #[doc(hidden)]
-    pub fn matmul_a_bt_into_parts(&self, other: &Matrix, out: &mut Matrix, parts: usize) {
-        self.matmul_a_bt_impl(other.into(), out, parts, Backend::Auto);
-    }
-
-    /// Full control (tests): explicit parts, forced backend.
-    #[doc(hidden)]
-    pub fn matmul_a_bt_into_parts_backend(
+    pub fn gemm_into_parts(
         &self,
         other: &Matrix,
+        transpose: Transpose,
         out: &mut Matrix,
         parts: usize,
         backend: Backend,
+        accumulate: bool,
     ) {
-        self.matmul_a_bt_impl(other.into(), out, parts, backend);
+        let (m, n) = match transpose {
+            Transpose::None => (self.rows, other.cols),
+            Transpose::A => (self.cols, other.cols),
+            Transpose::B => (self.rows, other.rows),
+        };
+        out.check_shape(m, n, "gemm");
+        self.gemm(
+            other.into(),
+            transpose,
+            &mut out.data,
+            parts,
+            backend,
+            accumulate,
+        );
     }
 
-    /// Both operands are row-contiguous: no packing or copies.
-    fn matmul_a_bt_impl(
+    fn check_shape(&self, rows: usize, cols: usize, what: &str) {
+        assert_eq!(
+            (self.rows, self.cols),
+            (rows, cols),
+            "{what} output shape mismatch"
+        );
+    }
+
+    /// Every product: `self` is the `A` operand and `other` the `B`
+    /// operand, either read transposed as `transpose` says. Each chunk of
+    /// output rows becomes one [`Gemm`] for the kernels. The pack-free
+    /// `matmul` is chosen from the total row count, so every chunk of a
+    /// call takes the same path; it overwrites, so an accumulating product
+    /// takes the packed one.
+    fn gemm(
         &self,
         other: MatRef<'_>,
-        out: &mut Matrix,
+        transpose: Transpose,
+        out: &mut [f32],
         parts: usize,
         backend: Backend,
+        accumulate: bool,
     ) {
-        assert_eq!(self.cols, other.cols, "matmul_a_bt column mismatch");
-        assert_eq!(
-            (out.rows, out.cols),
-            (self.rows, other.rows),
-            "matmul_a_bt output shape mismatch"
-        );
-        let (n, isa) = (other.rows, backend.isa());
-        let (a, k, b) = (&self.data, self.cols, other.data);
-        summit_pool::global().run_rows(&mut out.data, n, parts, |chunk, range| {
-            // SAFETY: `Backend::isa` hands out a proof only after detecting
-            // its features on this CPU.
-            unsafe {
-                match isa {
-                    Isa::Avx512(t, _) => abt_chunk_512(t, a, k, b, n, chunk, range),
-                    Isa::Avx2(t) => abt_chunk_256(t, a, k, b, n, chunk, range),
-                    Isa::Scalar => matmul_a_bt_chunk(a, k, b, n, chunk, range),
-                }
+        let (m, k, n) = match transpose {
+            Transpose::None => {
+                assert_eq!(self.cols, other.rows, "matmul inner dimension mismatch");
+                (self.rows, self.cols, other.cols)
             }
+            Transpose::A => {
+                assert_eq!(self.rows, other.rows, "matmul_at_b row mismatch");
+                (self.cols, self.rows, other.cols)
+            }
+            Transpose::B => {
+                assert_eq!(self.cols, other.cols, "matmul_a_bt column mismatch");
+                (self.rows, self.cols, other.rows)
+            }
+        };
+        assert_eq!(out.len(), m * n, "output shape mismatch");
+        let (isa, skinny) = (backend.isa(), m <= MM_SKINNY_ROWS);
+        let (a, b) = (&self.data[..], other.data);
+        summit_pool::global().run_rows(out, n, parts, |chunk, range| {
+            let op = |data, ld, trans| Operand { data, ld, trans };
+            let in_place = || op(&a[range.start * k..range.end * k], k, false);
+            let (a, b) = match transpose {
+                Transpose::None => (in_place(), op(b, n, false)),
+                Transpose::A => (op(&a[range.start..], m, true), op(b, n, false)),
+                Transpose::B => (in_place(), op(b, k, true)),
+            };
+            let g = Gemm {
+                a,
+                b,
+                rows: range.len(),
+                cols: n,
+                k,
+                accumulate,
+            };
+            if skinny && transpose == Transpose::None && !accumulate {
+                // SAFETY: `Backend::isa` hands out a proof only after
+                // detecting its features on this CPU.
+                return unsafe {
+                    match isa {
+                        Isa::Avx512(w) => skinny_512(w, g, chunk),
+                        Isa::Avx2(t) => skinny_256(t, g, chunk),
+                        Isa::Scalar => mm_skinny_impl::<Scalar16>((), g, chunk),
+                    }
+                };
+            }
+            with_scratch(g.scratch_len(), |s| {
+                // SAFETY: as above.
+                unsafe {
+                    match isa {
+                        Isa::Avx512(w) => gemm_512(w, g, chunk, s),
+                        Isa::Avx2(t) => gemm_256(t, g, chunk, s),
+                        Isa::Scalar => gemm_chunk::<Scalar16, 4, 1>((), g, chunk, s),
+                    }
+                }
+            })
         });
     }
 
@@ -664,268 +572,187 @@ impl Matrix {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar reference kernels.
+// The kernels: one source for every backend, generic over the register type
+// `V` (`F32x16`, `F32x8` or `Scalar16`) and compiled once per SIMD width
+// inside the `simd_entry!` entries below. They are safe functions: a SIMD
+// lane value exists only by the proof token the dispatch passed in (see
+// `crate::simd`), and every load and store goes through a slice, cut once
+// per row or panel so the inner loops index within known lengths.
 // ---------------------------------------------------------------------------
 
-/// Pack rows `ks` and columns `jb .. jb + cols` of the row-major `b` (`n`
-/// columns) into [`MM_NR`]-column panels: panel `q` holds columns
-/// `jb + 16q ..` at offset `16q·|ks|`, each block row 16 elements after the
-/// last, zero-padded to whole panels (so a tile always loads whole
-/// vectors). Returns the packed prefix of `buf`.
-///
-/// # Panics
-/// Panics if the slice exceeds `buf` (`|ks| ≤ MM_KC`, `cols ≤ MM_SLICE_COLS`).
-fn pack_slice<'s>(
-    b: &[f32],
-    n: usize,
-    ks: Range<usize>,
-    jb: usize,
+/// One operand as the kernels read it. On the `A` side element `(i, kk)` is
+/// `data[i·ld + kk]`, or `data[kk·ld + i]` when `trans`; on the `B` side
+/// element `(kk, j)` is `data[kk·ld + j]`, or `data[j·ld + kk]` when
+/// `trans`.
+#[derive(Debug, Clone, Copy)]
+struct Operand<'a> {
+    data: &'a [f32],
+    ld: usize,
+    trans: bool,
+}
+
+/// One chunk's product: `rows × cols` row-major outputs over a shared
+/// dimension of `k`. Each output's chain starts from `+0.0`, or, when
+/// `accumulate`, from the value stored.
+#[derive(Debug, Clone, Copy)]
+struct Gemm<'a> {
+    a: Operand<'a>,
+    b: Operand<'a>,
+    rows: usize,
     cols: usize,
-    buf: &'s mut [MaybeUninit<f32>; MM_SLICE],
-) -> &'s [f32] {
+    k: usize,
+    accumulate: bool,
+}
+
+impl Gemm<'_> {
+    /// Columns of a slab over a `kc`-step block: as many whole
+    /// `group`-column tiles as fill [`MM_SLICE`], one at least.
+    fn slab_cols(kc: usize, group: usize) -> usize {
+        (MM_SLICE / kc / group).max(1) * group
+    }
+
+    /// Scratch floats for the bands of `Aᵀ` the row tiles copy, one block
+    /// of every row.
+    fn band_len(&self) -> usize {
+        if self.a.trans {
+            self.k.min(MM_KC) * self.rows
+        } else {
+            0
+        }
+    }
+
+    /// Scratch floats [`gemm_chunk`] needs: its widest slab (every tile
+    /// width is a multiple of [`MM_NR`] and at most 48, so a slab holds at
+    /// most `MM_SLICE` floats), then the band.
+    fn scratch_len(&self) -> usize {
+        let slab = self.cols.next_multiple_of(MM_NR) * self.k.min(MM_KC);
+        slab.min(MM_SLICE) + self.band_len()
+    }
+}
+
+/// Pack block rows `ks` and columns `cols` of the `B` side of a product
+/// into [`MM_NR`]-column panels: panel `q` holds columns `cols.start + 16q
+/// ..`, one row of 16 per step from `q·|ks|` on, zero-padded to whole
+/// panels (so a tile always loads whole vectors). Straight `B` is copied
+/// one row piece at a time. `Bᵀ` is read along its rows, which are the
+/// slab's columns, `LANES` rows × `LANES` steps at a time: one vector per
+/// row, transposed in registers into one per step. Returns the packed
+/// prefix of `buf`.
+#[inline(always)]
+fn pack_b<'s, V: Lanes>(
+    t: V::Token,
+    b: Operand<'_>,
+    ks: Range<usize>,
+    cols: Range<usize>,
+    buf: &'s mut [f32],
+) -> &'s [[f32; MM_NR]] {
     let kc = ks.len();
-    let dst = &mut buf[..cols.div_ceil(MM_NR) * MM_NR * kc];
+    let slab = &mut buf.as_chunks_mut::<MM_NR>().0[..cols.len().div_ceil(MM_NR) * kc];
+    if b.trans {
+        static ZERO: [f32; MM_KC] = [0.0; MM_KC];
+        for (panel, jq) in slab.chunks_exact_mut(kc).zip(cols.clone().step_by(MM_NR)) {
+            for l in (0..MM_NR).step_by(V::LANES) {
+                let first = ((jq + l) * b.ld + ks.start).min(b.data.len());
+                let mut src = b.data[first..].chunks(b.ld);
+                let rows: [&[f32]; MM_NR] = std::array::from_fn(|r| match src.next() {
+                    Some(row) if jq + l + r < cols.end => &row[..kc],
+                    _ => &ZERO[..kc],
+                });
+                for (kk, dst) in (0..kc).step_by(V::LANES).zip(panel.chunks_mut(V::LANES)) {
+                    if dst.len() < V::LANES {
+                        // The last `kc % LANES` steps, one value at a time.
+                        for (s, dst) in dst.iter_mut().enumerate() {
+                            for (x, row) in dst[l..][..V::LANES].iter_mut().zip(&rows) {
+                                *x = row[kk + s];
+                            }
+                        }
+                        continue;
+                    }
+                    let mut block = [V::zero(t); MM_NR];
+                    for (r, x) in block.iter_mut().enumerate().take(V::LANES) {
+                        *x = V::load(t, &rows[r][kk..]);
+                    }
+                    V::transpose(&mut block[..V::LANES]);
+                    for (s, x) in block.iter().enumerate().take(V::LANES) {
+                        x.store(&mut dst[s][l..]);
+                    }
+                }
+            }
+        }
+        return slab;
+    }
     for (kk, row) in ks.enumerate() {
         #[cfg(target_arch = "x86_64")]
-        for line in 0..=cols / 16 {
-            let ahead = b.as_ptr().wrapping_add(row * n + jb + cols + line * 16);
+        for line in 0..=cols.len() / 16 {
+            let ahead = b
+                .data
+                .as_ptr()
+                .wrapping_add(row * b.ld + cols.end + line * 16);
             // SAFETY: a prefetch is a hint: it never faults or writes,
             // whatever the address.
             unsafe {
                 std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(ahead.cast())
             };
         }
-        for (q, piece) in b[row * n + jb..][..cols].chunks(MM_NR).enumerate() {
-            let d = &mut dst[(q * kc + kk) * MM_NR..][..MM_NR];
-            for (slot, &v) in d.iter_mut().zip(piece) {
-                slot.write(v);
-            }
-            for slot in &mut d[piece.len()..] {
-                slot.write(0.0);
-            }
+        let pieces = b.data[row * b.ld + cols.start..][..cols.len()].chunks(MM_NR);
+        for (q, piece) in pieces.enumerate() {
+            let dst = &mut slab[q * kc + kk];
+            dst[..piece.len()].copy_from_slice(piece);
+            dst[piece.len()..].fill(0.0);
         }
     }
-    // SAFETY: the loops above wrote all of `dst` — `kc` block rows of every
-    // panel, each `piece.len()` values plus zero padding to `MM_NR` — and
-    // `MaybeUninit<f32>` has `f32`'s layout.
-    unsafe { &*(dst as *const [MaybeUninit<f32>] as *const [f32]) }
+    slab
 }
 
-/// `matmul` kernel for one chunk of output rows: per shared-dimension block
-/// and 16-column panel (packed by [`pack_slice`]), each pair of rows (then
-/// a last single row) accumulates its `1 × 16` segments in locals across
-/// the block and stores them once. Per output element the adds run in
-/// ascending-`kk` order, one product at a time into the same accumulator:
-/// from zero on the first block, from the stored value after (exact).
-///
-/// Never inlined: its 48 KB slice buffer would land in the frame of the
-/// dispatch closure, whose pack-free SIMD calls would then touch it on
-/// every call and every thread (`facility_wave` peak RSS 12.6 → 22.1 MB).
-#[inline(never)]
-fn matmul_chunk(a: &[f32], k: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>) {
-    let mut buf = [MaybeUninit::<f32>::uninit(); MM_SLICE];
-    for kb in (0..k).step_by(MM_KC) {
-        let kc = (k - kb).min(MM_KC);
-        for jb in (0..n).step_by(MM_NR) {
-            let jw = (n - jb).min(MM_NR);
-            let panel = pack_slice(b, n, kb..kb + kc, jb, jw, &mut buf);
-            let mut local = 0;
-            while local < range.len() {
-                let i = range.start + local;
-                let (a_rows, c) = (&a[i * k + kb..], &mut chunk[local * n + jb..]);
-                if local + 2 <= range.len() {
-                    matmul_tile::<2>(a_rows, k, panel, c, n, jw, kb == 0);
-                    local += 2;
-                } else {
-                    matmul_tile::<1>(a_rows, k, panel, c, n, jw, kb == 0);
-                    local += 1;
-                }
-            }
-        }
+/// The `A` values of a register tile's `RB` rows over one block: the rows
+/// read in place, or a band of `Aᵀ` holding one group of `RB` per step.
+trait TileA<const RB: usize>: Copy {
+    /// Row `q`'s value at step `kk`.
+    fn at(self, q: usize, kk: usize) -> f32;
+}
+
+impl<const RB: usize> TileA<RB> for [&[f32]; RB] {
+    #[inline(always)]
+    fn at(self, q: usize, kk: usize) -> f32 {
+        self[q][kk]
     }
 }
 
-/// `RB` rows of `a` (row stride `k`, from the block's first column) times
-/// one packed `kc × 16` panel into the `RB × jw` window of `c` (row stride
-/// `n`), starting from zero when `first` and from `c` otherwise.
-#[inline(always)]
-fn matmul_tile<const RB: usize>(
-    a: &[f32],
-    k: usize,
-    panel: &[f32],
-    c: &mut [f32],
-    n: usize,
-    jw: usize,
-    first: bool,
-) {
-    let mut acc = [[0.0f32; MM_NR]; RB];
-    if !first {
-        for (t, row) in acc.iter_mut().enumerate() {
-            row[..jw].copy_from_slice(&c[t * n..t * n + jw]);
-        }
-    }
-    for (kk, b_row) in panel.chunks_exact(MM_NR).enumerate() {
-        for (t, row) in acc.iter_mut().enumerate() {
-            let av = a[t * k + kk];
-            for (o, &v) in row.iter_mut().zip(b_row) {
-                *o += av * v;
-            }
-        }
-    }
-    for (t, row) in acc.iter().enumerate() {
-        c[t * n..t * n + jw].copy_from_slice(&row[..jw]);
+impl<const RB: usize> TileA<RB> for &[[f32; RB]] {
+    #[inline(always)]
+    fn at(self, q: usize, kk: usize) -> f32 {
+        self[kk][q]
     }
 }
 
-/// `matmul_at_b` kernel for one chunk of output rows (a `kk` band): stream
-/// the shared `m` dimension in cache blocks, four input rows per pass. The
-/// packed `Aᵀ` makes each output row's coefficients contiguous; per output
-/// element the accumulation order is ascending `i` on every path.
-fn matmul_at_b_chunk(
-    at: &[f32],
-    m: usize,
-    b: &[f32],
-    n: usize,
-    chunk: &mut [f32],
-    range: Range<usize>,
-) {
-    for ib in (0..m).step_by(BLOCK_ROWS) {
-        let iend = (ib + BLOCK_ROWS).min(m);
-        for (local, kk) in range.clone().enumerate() {
-            let a_col = &at[kk * m..(kk + 1) * m];
-            let out_row = &mut chunk[local * n..(local + 1) * n];
-            let mut i = ib;
-            while i + 4 <= iend {
-                let a0 = a_col[i];
-                let a1 = a_col[i + 1];
-                let a2 = a_col[i + 2];
-                let a3 = a_col[i + 3];
-                let b0 = &b[i * n..(i + 1) * n];
-                let b1 = &b[(i + 1) * n..(i + 2) * n];
-                let b2 = &b[(i + 2) * n..(i + 3) * n];
-                let b3 = &b[(i + 3) * n..(i + 4) * n];
-                for ((((o, &v0), &v1), &v2), &v3) in
-                    out_row.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3)
-                {
-                    *o += a0 * v0;
-                    *o += a1 * v1;
-                    *o += a2 * v2;
-                    *o += a3 * v3;
-                }
-                i += 4;
-            }
-            while i < iend {
-                let a0 = a_col[i];
-                let b0 = &b[i * n..(i + 1) * n];
-                for (o, &v0) in out_row.iter_mut().zip(b0) {
-                    *o += a0 * v0;
-                }
-                i += 1;
-            }
-        }
-    }
-}
-
-/// `matmul_a_bt` kernel for one chunk of output rows: `other`-rows are
-/// cache-blocked, and within a block four output columns are produced per
-/// pass with four independent accumulators (each one ascending-`k`
-/// product-then-add chain).
-fn matmul_a_bt_chunk(
-    a: &[f32],
-    k: usize,
-    b: &[f32],
-    n: usize,
-    chunk: &mut [f32],
-    range: Range<usize>,
-) {
-    for jb in (0..n).step_by(BLOCK_ROWS) {
-        let jend = (jb + BLOCK_ROWS).min(n);
-        for (local, i) in range.clone().enumerate() {
-            let a_row = &a[i * k..(i + 1) * k];
-            let out_row = &mut chunk[local * n..(local + 1) * n];
-            let mut j = jb;
-            while j + 4 <= jend {
-                let b0 = &b[j * k..(j + 1) * k];
-                let b1 = &b[(j + 1) * k..(j + 2) * k];
-                let b2 = &b[(j + 2) * k..(j + 3) * k];
-                let b3 = &b[(j + 3) * k..(j + 4) * k];
-                let mut c0 = 0.0f32;
-                let mut c1 = 0.0f32;
-                let mut c2 = 0.0f32;
-                let mut c3 = 0.0f32;
-                for ((((&av, &v0), &v1), &v2), &v3) in a_row.iter().zip(b0).zip(b1).zip(b2).zip(b3)
-                {
-                    c0 += av * v0;
-                    c1 += av * v1;
-                    c2 += av * v2;
-                    c3 += av * v3;
-                }
-                out_row[j] = c0;
-                out_row[j + 1] = c1;
-                out_row[j + 2] = c2;
-                out_row[j + 3] = c3;
-                j += 4;
-            }
-            while j < jend {
-                let b0 = &b[j * k..(j + 1) * k];
-                let mut c0 = 0.0f32;
-                for (&av, &v0) in a_row.iter().zip(b0) {
-                    c0 += av * v0;
-                }
-                out_row[j] = c0;
-                j += 1;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// SIMD microkernels, one source for both widths: generic over the register
-// type `V` (`F32x8` or `F32x16`) and compiled once per width inside the
-// `simd_entry!` entries below. They are safe functions: a lane value exists
-// only by the proof token the dispatch passed in (see `crate::simd`), and
-// every load and store goes through a slice, cut once per row or panel so
-// the inner loops index within known lengths. Each output element's
-// accumulation chain depends only on global geometry (shared-dimension
-// blocks), never on how rows were chunked or which register tile (full or
-// remainder, 8 or 16 lanes) computed it — the bit-identity argument across
-// pool sizes and across widths.
-// ---------------------------------------------------------------------------
-
-/// `matmul` register tile: `RB` rows × `NV` vectors of a packed slice over
-/// one shared-dimension block of `kc` steps, writing the first `cols`
-/// columns of the `C` window. Vector `v` covers slice columns `c = v·LANES
-/// ..`: panel `c / 16` at offset `c % 16`. The accumulators start from zero
-/// on the first block and from the stored `C` tile on later ones, so per
-/// output element the chain is `acc = fma(a[i,kk], b[kk,j], acc)` over
-/// ascending `kk` across the whole shared dimension — blocking stores and
-/// reloads the running value (exact) and never splits the chain.
-///
-/// `a` holds the tile's rows from the block's first column at row stride
-/// `k`, `slice` the packed panels (panel `q`'s row `kk` at `q·kc + kk`),
-/// and `c` the tile's window of `C` at row stride `n`; `cols > (NV -
-/// 1)·LANES`.
+/// The microkernel: `RB` rows × `NV` vectors of a packed slab over one
+/// shared-dimension block of `kc` steps, into the first `cols` columns
+/// (more than `(NV - 1)·LANES`) of the output window `c` at row stride
+/// `ldc`. Vector `v` covers slab columns `v·LANES ..`: panel `v·LANES /
+/// 16` at offset `v·LANES % 16`. The accumulators start from zero on the
+/// first block and from the stored outputs otherwise, so per output
+/// element the chain is `acc = a[i,kk]·b[kk,j] + acc` over ascending `kk`
+/// across the whole shared dimension — blocking stores and reloads the
+/// running value (exact) and never splits the chain.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn mm_tile<V: Lanes, const RB: usize, const NV: usize>(
+fn mm_tile<V: Lanes, const RB: usize, const NV: usize, A: TileA<RB>>(
     t: V::Token,
-    a: &[f32],
-    k: usize,
-    slice: &[[f32; MM_NR]],
+    a: A,
+    slab: &[[f32; MM_NR]],
     kc: usize,
     c: &mut [f32],
-    n: usize,
+    ldc: usize,
     cols: usize,
     first: bool,
 ) {
-    let a: [&[f32]; RB] = std::array::from_fn(|r| &a[r * k..][..kc]);
     let b: [&[[f32; MM_NR]]; NV] =
-        std::array::from_fn(|v| &slice[v * V::LANES / MM_NR * kc..][..kc]);
+        std::array::from_fn(|v| &slab[v * V::LANES / MM_NR * kc..][..kc]);
     let mut acc = [[V::zero(t); NV]; RB];
     if !first {
-        for (r, row) in acc.iter_mut().enumerate() {
+        for (q, row) in acc.iter_mut().enumerate() {
             for (v, x) in row.iter_mut().enumerate() {
-                *x = V::load_n(t, &c[r * n + v * V::LANES..][..cols - v * V::LANES]);
+                *x = V::load_n(t, &c[q * ldc + v * V::LANES..][..cols - v * V::LANES]);
             }
         }
     }
@@ -934,81 +761,142 @@ fn mm_tile<V: Lanes, const RB: usize, const NV: usize>(
         for (v, (x, b)) in bv.iter_mut().zip(&b).enumerate() {
             *x = V::load(t, &b[kk][v * V::LANES % MM_NR..]);
         }
-        for (row, a) in acc.iter_mut().zip(&a) {
-            let av = V::splat(t, a[kk]);
+        for (q, row) in acc.iter_mut().enumerate() {
+            let av = V::splat(t, a.at(q, kk));
             for (x, &bv) in row.iter_mut().zip(&bv) {
                 *x = av.mul_add(bv, *x);
             }
         }
     }
-    for (r, row) in acc.iter().enumerate() {
+    for (q, row) in acc.iter().enumerate() {
         for (v, x) in row.iter().enumerate() {
-            x.store_n(&mut c[r * n + v * V::LANES..][..cols - v * V::LANES]);
+            x.store_n(&mut c[q * ldc + v * V::LANES..][..cols - v * V::LANES]);
         }
     }
 }
 
-/// `matmul` SIMD chunk kernel: shared-dimension blocks outermost, then
-/// slices of `NV · LANES` columns, each packed by [`pack_slice`] right
-/// before the chunk's rows run over it; the last slice's tiles hold only
-/// as many vectors as its columns need.
+/// Rows `i .. i + RB` over one slab (block steps `ks`, output columns
+/// `cols`). The rows' `A` values are read in place or, for `Aᵀ`, from
+/// `band`: one contiguous `RB`-value piece of each row of `A` per step,
+/// copied on the block's first slab (read in place, the pieces sit one `A`
+/// row apart, which at 4 KB rows is one L1 set).
 #[inline(always)]
-fn mm_chunk_impl<V: Lanes, const MR: usize, const NV: usize>(
+#[allow(clippy::too_many_arguments)]
+fn row_tile<V: Lanes, const RB: usize, const NV: usize>(
     t: V::Token,
-    a: &[f32],
-    k: usize,
-    b: &[f32],
-    n: usize,
-    chunk: &mut [f32],
-    range: Range<usize>,
+    g: &Gemm<'_>,
+    i: usize,
+    ks: Range<usize>,
+    slab: &[[f32; MM_NR]],
+    cols: Range<usize>,
+    c: &mut [f32],
+    band: &mut [f32],
 ) {
-    let (rows, a) = (range.len(), &a[range.start * k..range.end * k]);
-    let width = NV * V::LANES;
-    let mut buf = [MaybeUninit::<f32>::uninit(); MM_SLICE];
-    for kb in (0..k).step_by(MM_KC) {
-        let kc = (k - kb).min(MM_KC);
-        let first = kb == 0;
-        for jb in (0..n).step_by(width) {
-            let cols = (n - jb).min(width);
-            let slice = pack_slice(b, n, kb..kb + kc, jb, cols, &mut buf);
-            let slice = slice.as_chunks::<MM_NR>().0;
-            // The chunk's rows over the slice: `MR`-row tiles, then one
-            // 4-, 2- and 1-row tile for `rows % MR`.
-            macro_rules! tile {
-                ($r:expr, $rb:expr, $nv:expr, $cols:expr) => {{
-                    let (at, ct) = (&a[$r * k + kb..], &mut chunk[$r * n + jb..]);
-                    mm_tile::<V, { $rb }, { $nv }>(t, at, k, slice, kc, ct, n, $cols, first);
-                    $r += $rb;
-                }};
+    let (kc, first) = (ks.len(), ks.start == 0 && !g.accumulate);
+    if g.a.trans {
+        let band = band[..RB * kc].as_chunks_mut::<RB>().0;
+        if cols.start == 0 {
+            let pieces = g.a.data[ks.start * g.a.ld + i..].chunks(g.a.ld);
+            for (dst, piece) in band.iter_mut().zip(pieces) {
+                dst.copy_from_slice(&piece[..RB]);
             }
-            macro_rules! rows {
-                ($nv:expr, $cols:expr) => {{
-                    let mut r = 0;
-                    while r + MR <= rows {
-                        tile!(r, MR, $nv, $cols);
-                    }
-                    if r + 4 <= rows {
-                        tile!(r, 4, $nv, $cols);
-                    }
-                    if r + 2 <= rows {
-                        tile!(r, 2, $nv, $cols);
-                    }
-                    while r < rows {
-                        tile!(r, 1, $nv, $cols);
-                    }
-                }};
-            }
-            match cols.div_ceil(V::LANES) {
-                _ if cols == width => rows!(NV, width),
-                1 => rows!(1, cols),
-                2 => rows!(2, cols),
-                _ => rows!(NV, cols),
-            }
+        }
+        col_tiles::<V, RB, NV, _>(t, g, &*band, slab, kc, c, (i, cols), first);
+    } else {
+        let ld = g.a.ld;
+        let rows: [&[f32]; RB] =
+            std::array::from_fn(|q| &g.a.data[(i + q) * ld + ks.start..][..kc]);
+        col_tiles::<V, RB, NV, _>(t, g, rows, slab, kc, c, (i, cols), first);
+    }
+}
+
+/// One row tile's `NV`-vector tiles across the slab, then one tile of as
+/// many vectors as the last columns need.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn col_tiles<V: Lanes, const RB: usize, const NV: usize, A: TileA<RB>>(
+    t: V::Token,
+    g: &Gemm<'_>,
+    a: A,
+    slab: &[[f32; MM_NR]],
+    kc: usize,
+    c: &mut [f32],
+    (i, cols): (usize, Range<usize>),
+    first: bool,
+) {
+    let (group, mut j) = (NV * V::LANES, 0);
+    macro_rules! tile {
+        ($nv:expr, $w:expr) => {{
+            let c = &mut c[i * g.cols + cols.start + j..];
+            let slab = &slab[j / MM_NR * kc..];
+            mm_tile::<V, RB, { $nv }, A>(t, a, slab, kc, c, g.cols, $w, first);
+        }};
+    }
+    while j + group <= cols.len() {
+        tile!(NV, group);
+        j += group;
+    }
+    match (cols.len() - j).div_ceil(V::LANES) {
+        0 => {}
+        1 => tile!(1, cols.len() - j),
+        2 => tile!(2, cols.len() - j),
+        _ => tile!(NV, cols.len() - j),
+    }
+}
+
+/// The packed chunk kernel: the `B` side is packed one slab (one
+/// shared-dimension block of a column range, see [`pack_b`]) at a time,
+/// right before the chunk's row tiles run over it — `MR`-row tiles, then
+/// one 4-, 2- and 1-row tile for `rows % MR` — so no copy of the whole of
+/// `B` is ever made. Each packer walks its source in memory order: blocks
+/// outermost for straight `B`, whose block rows then stay hot across its
+/// slabs, and column ranges outermost for `Bᵀ`, whose rows then stream
+/// along the shared dimension.
+#[inline(always)]
+fn gemm_chunk<V: Lanes, const MR: usize, const NV: usize>(
+    t: V::Token,
+    g: Gemm<'_>,
+    c: &mut [f32],
+    scratch: &mut [f32],
+) {
+    let (slab_buf, band) = scratch.split_at_mut(scratch.len() - g.band_len());
+    let width = Gemm::slab_cols(g.k.min(MM_KC), NV * V::LANES);
+    let (blocks, slabs) = (g.k.div_ceil(MM_KC), g.cols.div_ceil(width));
+    for step in 0..blocks * slabs {
+        let (kb, jb) = match g.b.trans {
+            false => (step / slabs * MM_KC, step % slabs * width),
+            true => (step % blocks * MM_KC, step / blocks * width),
+        };
+        let (ks, cols) = (kb..(kb + MM_KC).min(g.k), jb..(jb + width).min(g.cols));
+        let slab = pack_b::<V>(t, g.b, ks.clone(), cols.clone(), slab_buf);
+        let mut i = 0;
+        macro_rules! rows {
+            ($rb:expr) => {{
+                // With several slabs per block, each row tile keeps its own
+                // band for the block's later slabs.
+                let keep = g.a.trans && slabs > 1;
+                let band = &mut band[if keep { i * ks.len() } else { 0 }..];
+                let (ks, cols) = (ks.clone(), cols.clone());
+                row_tile::<V, { $rb }, NV>(t, &g, i, ks, slab, cols, c, band);
+                i += $rb;
+            }};
+        }
+        while i + MR <= g.rows {
+            rows!(MR);
+        }
+        if i + 4 <= g.rows {
+            rows!(4);
+        }
+        if i + 2 <= g.rows {
+            rows!(2);
+        }
+        while i < g.rows {
+            rows!(1);
         }
     }
 }
 
-/// Pack-free skinny `matmul` tile: `RB` output rows × `jw` columns, `KU`
+/// Pack-free `matmul` tile: `RB` output rows × `jw` columns, `KU`
 /// consecutive shared-dimension steps. The `KU` rows of `B` are read in
 /// place (contiguous `jw`-element pieces), each output vector is loaded
 /// once (or started from zero when `first`), takes its `KU` FMAs in
@@ -1074,22 +962,14 @@ fn mm_skinny_cols<V: Lanes, const RB: usize, const KU: usize>(
     }
 }
 
-/// Pack-free skinny `matmul` chunk kernel (at most [`MM_SKINNY_ROWS`] rows
-/// in all): per [`MM_SKINNY_NC`]-column block, the shared dimension
-/// outermost in steps of four (then single steps for `k % 4`), rows in
-/// pairs (then one). Every element of `B` is read exactly once per chunk,
-/// in row order.
+/// Pack-free `matmul` chunk kernel (at most [`MM_SKINNY_ROWS`] rows in
+/// all, overwriting): per [`MM_SKINNY_NC`]-column block, the shared
+/// dimension outermost in steps of four (then single steps for `k % 4`),
+/// rows in pairs (then one). Every element of `B` is read exactly once per
+/// chunk, in row order.
 #[inline(always)]
-fn mm_skinny_impl<V: Lanes>(
-    t: V::Token,
-    a: &[f32],
-    k: usize,
-    b: &[f32],
-    n: usize,
-    chunk: &mut [f32],
-    range: Range<usize>,
-) {
-    let (rows, a) = (range.len(), &a[range.start * k..range.end * k]);
+fn mm_skinny_impl<V: Lanes>(t: V::Token, g: Gemm<'_>, chunk: &mut [f32]) {
+    let (rows, k, n, a, b) = (g.rows, g.k, g.cols, g.a.data, g.b.data);
     for jb in (0..n).step_by(MM_SKINNY_NC) {
         let jw = (n - jb).min(MM_SKINNY_NC);
         let mut kk = 0;
@@ -1119,275 +999,36 @@ fn mm_skinny_impl<V: Lanes>(
     }
 }
 
-/// `matmul_at_b` register tile: `RB` output rows × `NV` vectors (columns
-/// `cols`, more than `(NV - 1)·LANES` of them) over one shared-dimension
-/// cache block, register accumulation then one `+=` into the output — or,
-/// with `store` set, into `+0.0` instead of the old contents, which are
-/// then never read (the overwriting entry's first block). Per element: per
-/// block, `o += (fma chain over ascending i)` — block boundaries are global
-/// ([`BLOCK_ROWS`]), so the chain shape is chunk- and width-independent,
-/// and `store` is bitwise the add into a zeroed output.
-///
-/// `a` holds the tile rows' `A` values, one group per step of the block,
-/// `b` the block's rows of `B` and `c` the tile's rows of the output, both
-/// at row stride `n`.
-#[inline(always)]
-fn atb_tile<V: Lanes, const RB: usize, const NV: usize>(
-    t: V::Token,
-    a: &[[f32; RB]],
-    b: &[f32],
-    n: usize,
-    c: &mut [f32],
-    cols: Range<usize>,
-    store: bool,
-) {
-    let (mut b, mut acc) = (b, [[V::zero(t); NV]; RB]);
-    for a_row in a {
-        // `split_at`, not `chunks_exact`, which would divide by `n` on
-        // every tile.
-        let (b_row, b_next) = b.split_at(n);
-        b = b_next;
-        let b_row = &b_row[cols.clone()];
-        let mut bv = [V::zero(t); NV];
-        for (v, x) in bv.iter_mut().enumerate() {
-            *x = V::load_n(t, &b_row[v * V::LANES..]);
-        }
-        for (row, &a) in acc.iter_mut().zip(a_row) {
-            let a = V::splat(t, a);
-            for (x, &bv) in row.iter_mut().zip(&bv) {
-                *x = a.mul_add(bv, *x);
-            }
-        }
-    }
-    for (r, row) in acc.iter().enumerate() {
-        for (v, x) in row.iter().enumerate() {
-            let o = &mut c[r * n + cols.start + v * V::LANES..cols.end + r * n];
-            let prior = if store { V::zero(t) } else { V::load_n(t, o) };
-            prior.add(*x).store_n(o);
-        }
-    }
-}
-
-/// `matmul_at_b` SIMD chunk kernel: shared-dimension blocks outermost (as
-/// in the scalar kernel), output rows in `MR`-high bands, then one 4-, 2-
-/// and 1-row band for `rows % MR`. A band first copies its `A` values over
-/// the block, one contiguous piece of each `A` row, into a stack array its
-/// tiles read at fixed offsets (read in place, the pieces sit one `A` row
-/// apart, which at 4 KB rows is one L1 set). Unless accumulating, the
-/// first block stores and later blocks add, so the output's old contents
-/// are never loaded.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn atb_chunk_impl<V: Lanes, const MR: usize>(
-    t: V::Token,
-    a: &[f32],
-    k: usize,
-    b: &[f32],
-    n: usize,
-    chunk: &mut [f32],
-    range: Range<usize>,
-    accumulate: bool,
-) {
-    let (m, rows) = (b.len() / n, range.len());
-    for ib in (0..m).step_by(BLOCK_ROWS) {
-        let (iend, store) = ((ib + BLOCK_ROWS).min(m), ib == 0 && !accumulate);
-        let (a, b) = (&a[ib * k..iend * k], &b[ib * n..iend * n]);
-        let (mut r, wide, one) = (0, ATB_NV * V::LANES, V::LANES);
-        // One band of `$rb` rows: `ATB_NV`-vector tiles across the
-        // columns, then single vectors, then a partial one for the rest.
-        macro_rules! band {
-            ($rb:expr) => {{
-                let (kk, mut a_blk) = (range.start + r, [[0.0f32; $rb]; BLOCK_ROWS]);
-                for (dst, a_row) in a_blk.iter_mut().zip(a.chunks_exact(k)) {
-                    dst.copy_from_slice(&a_row[kk..kk + $rb]);
-                }
-                let (a, c) = (&a_blk[..iend - ib], &mut chunk[r * n..]);
-                let mut j = 0;
-                macro_rules! tile {
-                    ($nv:expr, $cols:expr) => {
-                        atb_tile::<V, { $rb }, { $nv }>(t, a, b, n, c, j..j + $cols, store)
-                    };
-                }
-                while j + wide <= n {
-                    tile!(ATB_NV, wide);
-                    j += wide;
-                }
-                while j + one <= n {
-                    tile!(1, one);
-                    j += one;
-                }
-                if j < n {
-                    tile!(1, n - j);
-                }
-                r += $rb;
-            }};
-        }
-        while r + MR <= rows {
-            band!(MR);
-        }
-        if r + 4 <= rows {
-            band!(4);
-        }
-        if r + 2 <= rows {
-            band!(2);
-        }
-        while r < rows {
-            band!(1);
-        }
-    }
-}
-
-/// `matmul_a_bt` register tile: `MR` a-rows × `NR` b-rows of 8-lane
-/// accumulators over the shared dimension — at 4×3, seven loads feed
-/// twelve FMAs per eight-wide `k` step. Each output element is one 8-lane
-/// FMA chain over ascending `k`, reduced by the fixed `F32x8::hsum` tree
-/// and finished by a scalar `mul_add` tail over `k % 8`; the chain's shape
-/// depends on `k` alone, so every tile shape (and the 512-bit entry, which
-/// runs these same 8-lane chains in more registers) produces the same bits.
-///
-/// `a` holds the strip's rows split into 8-wide steps and a tail, `b` the
-/// tile's `NR` rows of length `k`, and `c` the strip's output rows, of
-/// which the tile writes columns `j .. j + NR`.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn abt_tile_simd<const MR: usize, const NR: usize>(
-    t: Avx2,
-    a: &[(&[[f32; 8]], &[f32]); MR],
-    b: &[f32],
-    k: usize,
-    c: &mut [&mut [f32]; MR],
-    j: usize,
-) {
-    let b: [_; NR] = std::array::from_fn(|q| b[q * k..][..k].as_chunks::<8>());
-    let mut acc = [[F32x8::zero(t); NR]; MR];
-    for q in 0..k / 8 {
-        let mut bv = [F32x8::zero(t); NR];
-        for (x, b) in bv.iter_mut().zip(&b) {
-            *x = F32x8::load(t, &b.0[q]);
-        }
-        for (row, a) in acc.iter_mut().zip(a) {
-            let av = F32x8::load(t, &a.0[q]);
-            for (cell, &b) in row.iter_mut().zip(&bv) {
-                *cell = av.mul_add(b, *cell);
-            }
-        }
-    }
-    for ((row, a), c) in acc.iter().zip(a).zip(c) {
-        for ((cell, b), o) in row.iter().zip(&b).zip(&mut c[j..j + NR]) {
-            let mut s = cell.hsum();
-            for (x, y) in a.1.iter().zip(b.1) {
-                s = x.mul_add(*y, s);
-            }
-            *o = s;
-        }
-    }
-}
-
-/// One `MR`-row strip of a column block: `NR`-wide tiles, then 1-wide
-/// tiles for `cols % NR`. `a` holds the strip's rows of length `k`, `b`
-/// the block's `cols` rows, and `c` the strip's window of the output at
-/// row stride `n`.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn abt_strip_simd<const MR: usize, const NR: usize>(
-    t: Avx2,
-    a: &[f32],
-    b: &[f32],
-    cols: usize,
-    k: usize,
-    c: &mut [f32],
-    n: usize,
-) {
-    let a: [_; MR] = std::array::from_fn(|r| a[r * k..][..k].as_chunks::<8>());
-    let mut rows = c.chunks_mut(n);
-    let mut c: [&mut [f32]; MR] =
-        std::array::from_fn(|_| &mut rows.next().expect("a row per strip row")[..cols]);
-    let mut j = 0;
-    while j + NR <= cols {
-        abt_tile_simd::<MR, NR>(t, &a, &b[j * k..(j + NR) * k], k, &mut c, j);
-        j += NR;
-    }
-    while j < cols {
-        abt_tile_simd::<MR, 1>(t, &a, &b[j * k..(j + 1) * k], k, &mut c, j);
-        j += 1;
-    }
-}
-
-/// `matmul_a_bt` SIMD chunk kernel: both operands are read in place. Per
-/// [`ABT_JB`]-row block of `b` (L2-resident), each `MR`-row strip of `a`
-/// stays in L1 while the block's b-rows stream past it; `rows % MR` strips
-/// are 1-row.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn abt_chunk_impl<const MR: usize, const NR: usize>(
-    t: Avx2,
-    a: &[f32],
-    k: usize,
-    b: &[f32],
-    n: usize,
-    chunk: &mut [f32],
-    range: Range<usize>,
-) {
-    let (rows, a) = (range.len(), &a[range.start * k..range.end * k]);
-    for jb in (0..n).step_by(ABT_JB) {
-        let (cols, bj) = ((n - jb).min(ABT_JB), &b[jb * k..]);
-        let mut r = 0;
-        while r + MR <= rows {
-            abt_strip_simd::<MR, NR>(t, &a[r * k..], bj, cols, k, &mut chunk[r * n + jb..], n);
-            r += MR;
-        }
-        while r < rows {
-            abt_strip_simd::<1, NR>(t, &a[r * k..], bj, cols, k, &mut chunk[r * n + jb..], n);
-            r += 1;
-        }
-    }
-}
-
 // Target-feature entry points, one per (kernel, width): `#[target_feature]`
 // cannot sit on safe trait methods, so the generic `#[inline(always)]`
 // bodies compile *inside* these wrappers and inherit the enabled features.
 // The entries are safe `#[target_feature]` functions, each entered once
 // per dispatch after `Backend::isa` produced the proof it takes; off
-// x86-64 no proof exists and they are unreachable stubs. The tile shapes are the
-// module doc's table.
+// x86-64 no proof exists and they are unreachable stubs. The scalar
+// backend calls the generic bodies directly.
 macro_rules! simd_entry {
     ($features:literal, $name:ident, $body:path,
      ($t:ident: $tok:ty, $($arg:ident: $ty:ty),*)) => {
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = $features)]
-        #[allow(clippy::too_many_arguments)]
         fn $name($t: $tok, $($arg: $ty),*) {
             $body($t, $($arg),*)
         }
         #[cfg(not(target_arch = "x86_64"))]
-        #[allow(clippy::too_many_arguments, unused_variables)]
+        #[allow(unused_variables)]
         fn $name($t: $tok, $($arg: $ty),*) {
             match $t {}
         }
     };
 }
 
-simd_entry!("avx2,fma", mm_chunk_256, mm_chunk_impl::<F32x8, MM_MR_256, MM_NV_256>,
-    (t: Avx2, a: &[f32], k: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>));
-simd_entry!("avx2,fma,avx512f,avx512vl", mm_chunk_512,
-    mm_chunk_impl::<F32x16, MM_MR_512, MM_NV_512>,
-    (t: Avx512, a: &[f32], k: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>));
-simd_entry!("avx2,fma", mm_skinny_256, mm_skinny_impl::<F32x8>,
-    (t: Avx2, a: &[f32], k: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>));
-simd_entry!("avx2,fma,avx512f,avx512vl", mm_skinny_512, mm_skinny_impl::<F32x16>,
-    (t: Avx512, a: &[f32], k: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>));
-simd_entry!("avx2,fma", atb_chunk_256, atb_chunk_impl::<F32x8, ATB_MR_256>,
-    (t: Avx2, a: &[f32], k: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>,
-     accumulate: bool));
-simd_entry!("avx2,fma,avx512f,avx512vl", atb_chunk_512,
-    atb_chunk_impl::<F32x16, ATB_MR_512>,
-    (t: Avx512, a: &[f32], k: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>,
-     accumulate: bool));
-simd_entry!("avx2,fma", abt_chunk_256, abt_chunk_impl::<ABT_MR_256, ABT_NR_256>,
-    (t: Avx2, a: &[f32], k: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>));
-simd_entry!("avx2,fma,avx512f,avx512vl", abt_chunk_512,
-    abt_chunk_impl::<ABT_MR_512, ABT_NR_512>,
-    (t: Avx2, a: &[f32], k: usize, b: &[f32], n: usize, chunk: &mut [f32], range: Range<usize>));
+simd_entry!("avx2,fma", gemm_256, gemm_chunk::<F32x8, MM_MR_256, MM_NV_256>,
+    (t: Avx2, g: Gemm<'_>, c: &mut [f32], scratch: &mut [f32]));
+simd_entry!("avx2,fma,avx512f,avx512vl", gemm_512, gemm_chunk::<F32x16, MM_MR_512, MM_NV_512>,
+    (t: Avx512, g: Gemm<'_>, c: &mut [f32], scratch: &mut [f32]));
+simd_entry!("avx2,fma", skinny_256, mm_skinny_impl::<F32x8>, (t: Avx2, g: Gemm<'_>, c: &mut [f32]));
+simd_entry!("avx2,fma,avx512f,avx512vl", skinny_512, mm_skinny_impl::<F32x16>,
+    (t: Avx512, g: Gemm<'_>, c: &mut [f32]));
 
 #[cfg(test)]
 mod tests {
@@ -1446,7 +1087,7 @@ mod tests {
     #[test]
     fn parallel_matmul_at_b_bit_identical_to_serial() {
         // Force the parallel path with > PAR_THRESHOLD output rows
-        // (self.cols) and > BLOCK_ROWS shared rows so blocking engages.
+        // (self.cols).
         let m = 150;
         let k = 160;
         let n = 19;
@@ -1473,40 +1114,19 @@ mod tests {
         let par = a.matmul_at_b(&b);
         // The pooled auto-backend result must match the serial (parts = 1)
         // auto-backend result bit-for-bit — the pool-invariance contract
-        // holds on whichever backend the host selects.
+        // holds on whichever backend the host selects — and both are
+        // bitwise `matmul` on the materialised transpose.
         let mut serial = Matrix::zeros(k, n);
-        a.matmul_at_b_into_parts(&b, &mut serial, 1);
+        a.gemm_into_parts(&b, Transpose::A, &mut serial, 1, Backend::Auto, false);
         assert_eq!(par, serial);
-        // And the scalar reference (branch-free ascending-i accumulation)
-        // agrees within the documented tolerance — bitwise when the host
-        // has no SIMD, within the FMA/reduction ULP bound otherwise.
-        let mut reference = Matrix::zeros(k, n);
-        for i in 0..m {
-            for kk in 0..k {
-                let av = a.get(i, kk);
-                for j in 0..n {
-                    let v = reference.get(kk, j) + av * b.get(i, j);
-                    reference.set(kk, j, v);
-                }
-            }
-        }
-        for kk in 0..k {
-            for j in 0..n {
-                let (x, y) = (par.get(kk, j), reference.get(kk, j));
-                assert!(
-                    (x - y).abs() <= 1e-3 + y.abs() * 1e-5,
-                    "({kk},{j}): {x} vs {y}"
-                );
-            }
-        }
+        assert_eq!(par, a.transpose().matmul(&b));
     }
 
     #[test]
     fn parallel_matmul_a_bt_bit_identical_to_serial() {
-        // Force the parallel path with > PAR_THRESHOLD rows; 141 % ABT_MR,
-        // 131 % ABT_NR and 100 % 8 are all non-zero and 131 > 2·ABT_JB, so
-        // the pooled chunks cut through full tiles, both remainder tiles,
-        // the scalar tail and several column blocks.
+        // Force the parallel path with > PAR_THRESHOLD rows; 141 is off
+        // every tile height and 131 off every tile width, so the pooled
+        // chunks cut through full and remainder tiles.
         let m = 141;
         let k = 100;
         let n = 131;
@@ -1518,7 +1138,7 @@ mod tests {
         let b = Matrix::from_vec(n, k, (0..n * k).map(|i| (i % 9) as f32 - 4.0).collect());
         let par = a.matmul_a_bt(&b);
         let mut serial = Matrix::zeros(m, n);
-        a.matmul_a_bt_into_parts(&b, &mut serial, 1);
+        a.gemm_into_parts(&b, Transpose::B, &mut serial, 1, Backend::Auto, false);
         assert_eq!(par, serial);
         // These operands are small multiples of 0.5, so every product and
         // partial sum is exact in f32 and any summation order must land on

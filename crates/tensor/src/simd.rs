@@ -13,8 +13,9 @@
 //! and the kernel entry points are unreachable stubs.
 //!
 //! The GEMM tiles in `matrix` are generic over `Lanes` and compile once
-//! per width; the BLAS-1 loops and `matmul_a_bt`'s lane-wise chains stay on
-//! `F32x8`. The dispatch policy is:
+//! per width, and once more on [`Scalar16`], the scalar backend's plain
+//! array register; the BLAS-1 loops stay on `F32x8`. The dispatch policy
+//! is:
 //!
 //! * [`active`] reports (once, cached) whether the vector path may run:
 //!   x86-64 with AVX2 **and** FMA detected at runtime, and the
@@ -125,10 +126,15 @@ pub(crate) trait Lanes: Copy {
     fn load_n(t: Self::Token, s: &[f32]) -> Self;
     /// Store the first `s.len().min(LANES)` lanes to `s`.
     fn store_n(self, s: &mut [f32]);
-    /// Fused `self * m + a`, one rounding per lane.
+    /// `self * m + a` per lane: fused (one rounding) on the SIMD
+    /// registers, the product rounded and then the sum on [`Scalar16`].
     fn mul_add(self, m: Self, a: Self) -> Self;
-    /// Lane-wise sum.
-    fn add(self, o: Self) -> Self;
+    /// Transpose the square block of `m`'s `LANES` vectors in place: lane
+    /// `l` of vector `r` moves to lane `r` of vector `l`.
+    ///
+    /// # Panics
+    /// Panics if `m` does not hold `LANES` vectors.
+    fn transpose(m: &mut [Self]);
 
     /// All lanes `+0.0`.
     #[inline(always)]
@@ -152,6 +158,55 @@ pub(crate) trait Lanes: Copy {
     #[inline(always)]
     fn store(self, s: &mut [f32]) {
         self.store_n(&mut s[..Self::LANES])
+    }
+}
+
+/// Sixteen `f32` lanes in a plain array: the scalar backend's register.
+/// It needs no proof, and its `mul_add` is product-then-add, so a GEMM tile
+/// built on it computes the scalar reference's chains.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Scalar16([f32; 16]);
+
+impl Lanes for Scalar16 {
+    type Token = ();
+    const LANES: usize = 16;
+
+    #[inline(always)]
+    fn splat(_: (), v: f32) -> Self {
+        Scalar16([v; 16])
+    }
+
+    #[inline(always)]
+    fn load_n(_: (), s: &[f32]) -> Self {
+        let mut x = [0.0; 16];
+        let len = s.len().min(16);
+        x[..len].copy_from_slice(&s[..len]);
+        Scalar16(x)
+    }
+
+    #[inline(always)]
+    fn store_n(self, s: &mut [f32]) {
+        let len = s.len().min(16);
+        s[..len].copy_from_slice(&self.0[..len]);
+    }
+
+    #[inline(always)]
+    fn mul_add(self, m: Self, a: Self) -> Self {
+        let mut x = a.0;
+        for ((x, s), m) in x.iter_mut().zip(self.0).zip(m.0) {
+            *x += s * m;
+        }
+        Scalar16(x)
+    }
+
+    #[inline(always)]
+    fn transpose(m: &mut [Self]) {
+        let m: &mut [Self; 16] = m.try_into().expect("a block of 16 vectors");
+        for r in 0..16 {
+            for l in r + 1..16 {
+                (m[r].0[l], m[l].0[r]) = (m[l].0[r], m[r].0[l]);
+            }
+        }
     }
 }
 
@@ -211,9 +266,29 @@ impl Lanes for F32x8 {
     }
 
     #[inline(always)]
-    fn add(self, o: Self) -> Self {
-        // SAFETY: `self` proves AVX (the token invariant).
-        F32x8(unsafe { _mm256_add_ps(self.0, o.0) })
+    fn transpose(m: &mut [Self]) {
+        let m: &mut [Self; 8] = m.try_into().expect("a block of 8 vectors");
+        let r = m.map(|x| x.0);
+        // SAFETY: the vectors prove AVX (the token invariant).
+        unsafe {
+            // Pairs of rows interleaved, then 4 × 4 blocks per 128-bit
+            // half, then the halves swapped into place.
+            let mut s = [_mm256_setzero_ps(); 8];
+            for g in 0..2 {
+                let (a, b) = (r[4 * g], r[4 * g + 1]);
+                let (c, d) = (r[4 * g + 2], r[4 * g + 3]);
+                let (lo, hi) = (_mm256_unpacklo_ps(a, b), _mm256_unpackhi_ps(a, b));
+                let (lo2, hi2) = (_mm256_unpacklo_ps(c, d), _mm256_unpackhi_ps(c, d));
+                s[4 * g] = _mm256_shuffle_ps::<0x44>(lo, lo2);
+                s[4 * g + 1] = _mm256_shuffle_ps::<0xee>(lo, lo2);
+                s[4 * g + 2] = _mm256_shuffle_ps::<0x44>(hi, hi2);
+                s[4 * g + 3] = _mm256_shuffle_ps::<0xee>(hi, hi2);
+            }
+            for c in 0..4 {
+                m[c] = F32x8(_mm256_permute2f128_ps::<0x20>(s[c], s[c + 4]));
+                m[c + 4] = F32x8(_mm256_permute2f128_ps::<0x31>(s[c], s[c + 4]));
+            }
+        }
     }
 }
 
@@ -273,9 +348,37 @@ impl Lanes for F32x16 {
     }
 
     #[inline(always)]
-    fn add(self, o: Self) -> Self {
-        // SAFETY: `self` proves AVX-512F (the token invariant).
-        F32x16(unsafe { _mm512_add_ps(self.0, o.0) })
+    fn transpose(m: &mut [Self]) {
+        let m: &mut [Self; 16] = m.try_into().expect("a block of 16 vectors");
+        let r = m.map(|x| x.0);
+        // SAFETY: the vectors prove AVX-512F (the token invariant).
+        unsafe {
+            // Per 128-bit block, the 4 × 4 transposes of `F32x8::transpose`:
+            // `s[4g + c]` holds, in block `b`, column `4b + c` of rows `4g
+            // ..`. Then per column `c` a 4 × 4 transpose of blocks over `g`.
+            let mut s = [_mm512_setzero_ps(); 16];
+            for g in 0..4 {
+                let (a, b) = (r[4 * g], r[4 * g + 1]);
+                let (c, d) = (r[4 * g + 2], r[4 * g + 3]);
+                let (lo, hi) = (_mm512_unpacklo_ps(a, b), _mm512_unpackhi_ps(a, b));
+                let (lo2, hi2) = (_mm512_unpacklo_ps(c, d), _mm512_unpackhi_ps(c, d));
+                s[4 * g] = _mm512_shuffle_ps::<0x44>(lo, lo2);
+                s[4 * g + 1] = _mm512_shuffle_ps::<0xee>(lo, lo2);
+                s[4 * g + 2] = _mm512_shuffle_ps::<0x44>(hi, hi2);
+                s[4 * g + 3] = _mm512_shuffle_ps::<0xee>(hi, hi2);
+            }
+            for c in 0..4 {
+                let (s0, s1, s2, s3) = (s[c], s[4 + c], s[8 + c], s[12 + c]);
+                let u0 = _mm512_shuffle_f32x4::<0x44>(s0, s1);
+                let u1 = _mm512_shuffle_f32x4::<0xee>(s0, s1);
+                let u2 = _mm512_shuffle_f32x4::<0x44>(s2, s3);
+                let u3 = _mm512_shuffle_f32x4::<0xee>(s2, s3);
+                m[c] = F32x16(_mm512_shuffle_f32x4::<0x88>(u0, u2));
+                m[4 + c] = F32x16(_mm512_shuffle_f32x4::<0xdd>(u0, u2));
+                m[8 + c] = F32x16(_mm512_shuffle_f32x4::<0x88>(u1, u3));
+                m[12 + c] = F32x16(_mm512_shuffle_f32x4::<0xdd>(u1, u3));
+            }
+        }
     }
 }
 
@@ -295,6 +398,13 @@ impl F32x8 {
             let s = _mm_add_ss(d, _mm_shuffle_ps(d, d, 0b01));
             _mm_cvtss_f32(s)
         }
+    }
+
+    /// Lane-wise sum.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn add(self, o: Self) -> Self {
+        F32x8(_mm256_add_ps(self.0, o.0))
     }
 
     /// Lane-wise product.

@@ -15,14 +15,14 @@
 //! * `relu` and `relu_backward` over NaN, ±0, ±∞ and subnormal inputs,
 //!   with one constant for both backends.
 //!
-//! Shapes: the shared dimension on both sides of the 256-step `matmul`
-//! block and of the 64-row `matmul_at_b` block, with `k % 4` and `k % 8`
-//! tails; column counts past the 48-column `matmul` slice with one, two and
+//! Shapes: the shared dimension on both sides of the 256-step block (for
+//! `matmul_at_b` 37 and 130, around the 64-row block its SIMD kernel once
+//! had), with `k % 4` and `k % 8` tails; column counts past the 48-column `matmul` slice with one, two and
 //! three vectors left over, and past the 256-column pack-free block; row
 //! counts 1–17 and 70 (the pack-free `matmul` up to 16 rows, every
 //! register-tile remainder after); BLAS-1 lengths 0–40.
 
-use summit_tensor::matrix::Backend;
+use summit_tensor::matrix::{Backend, Transpose};
 use summit_tensor::{ops, simd, Matrix};
 
 /// FNV-1a over the bit patterns of every value fed to it.
@@ -73,28 +73,28 @@ fn gemm_hashes(backend: Backend) -> [u64; 5] {
             for &n in &[53usize, 68, 88, 261] {
                 let (a, b) = (mat(m, s, 1 + m as u64), mat(s, n, 2 + n as u64));
                 let mut out = mat(m, n, 3);
-                a.matmul_into_parts_backend(&b, &mut out, 1, backend);
+                a.gemm_into_parts(&b, Transpose::None, &mut out, 1, backend, false);
                 h[if m <= 16 { 1 } else { 0 }].eat(out.as_slice());
             }
             // `matmul_a_bt`: m × s · (n × s)ᵀ.
             for &n in &[53usize, 100] {
                 let (a, b) = (mat(m, s, 4 + m as u64), mat(n, s, 5 + n as u64));
                 let mut out = mat(m, n, 6);
-                a.matmul_a_bt_into_parts_backend(&b, &mut out, 1, backend);
+                a.gemm_into_parts(&b, Transpose::B, &mut out, 1, backend, false);
                 h[4].eat(out.as_slice());
             }
         }
-        // `matmul_at_b`: (rows × m)ᵀ · rows × n with `m` output rows; the
-        // shared dimension `rows` crosses one or two 64-row blocks.
+        // `matmul_at_b`: (rows × m)ᵀ · rows × n with `m` output rows and
+        // a shared dimension of 37 or 130 rows.
         let rows = [37usize, 130][si];
         for &m in &ROWS {
             for &n in &[53usize, 88] {
                 let (a, b) = (mat(rows, m, 7 + m as u64), mat(rows, n, 8 + n as u64));
                 let mut out = mat(m, n, 9);
-                a.matmul_at_b_into_parts_backend(&b, &mut out, 1, backend);
+                a.gemm_into_parts(&b, Transpose::A, &mut out, 1, backend, false);
                 h[2].eat(out.as_slice());
                 let mut acc = mat(m, n, 10);
-                a.matmul_at_b_acc_into_parts_backend(&b, &mut acc, 1, backend);
+                a.gemm_into_parts(&b, Transpose::A, &mut acc, 1, backend, true);
                 h[3].eat(acc.as_slice());
             }
         }
@@ -159,9 +159,9 @@ const GEMM_SCALAR: [u64; 5] = [
 const GEMM_SIMD: [u64; 5] = [
     0x4194_1024_a01c_4a99,
     0x34ae_ed71_562b_0701,
-    0x0568_4067_70f8_80e0,
-    0x5ac6_4914_5c1b_1936,
-    0xb28b_59a1_6f94_54e5,
+    0xa5e6_bedc_f8d9_fae1,
+    0x758e_ee3e_d86d_c8f6,
+    0x650a_5163_69c4_af1d,
 ];
 const BLAS1_SCALAR: [u64; 7] = [
     0xd885_bfa8_8760_7957,

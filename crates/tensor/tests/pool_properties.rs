@@ -4,16 +4,16 @@
 //! result: the row partition never splits a single output element's
 //! accumulation chain, so for every shape and every worker count the pooled
 //! product must equal the serial (`parts = 1`) product **bitwise** — not
-//! within a tolerance. These tests drive the `*_into_parts` hooks directly
+//! within a tolerance. These tests drive the `gemm_into_parts` hook directly
 //! across random shapes (including degenerate ones: a single row,
 //! tall/skinny, shapes straddling the parallelism threshold) and pool
 //! sizes 1..8, and the public auto-dispatch API under explicit core
-//! budgets. The shared dimension ranges past every kernel's block size
-//! (`matmul`'s 256-step blocks, the transposed kernels' 64-row blocks and
-//! 8-lane steps), so the chunk split is tried against every remainder
-//! path a chain can take.
+//! budgets. The shared dimension reaches past the 256-step block every
+//! product shares (`matmul`'s property and the pinned shapes at 1024), so
+//! the chunk split is tried against every remainder path a chain can take.
 
 use proptest::prelude::*;
+use summit_tensor::matrix::{Backend, Transpose};
 use summit_tensor::Matrix;
 
 /// Deterministic test matrix: a mix of negatives, positives, and exact
@@ -53,8 +53,8 @@ proptest! {
         let b = fill(k, n, seed ^ 0x9e37);
         let mut serial = Matrix::zeros(m, n);
         let mut pooled = Matrix::zeros(m, n);
-        a.matmul_into_parts(&b, &mut serial, 1);
-        a.matmul_into_parts(&b, &mut pooled, parts);
+        a.gemm_into_parts(&b, Transpose::None, &mut serial, 1, Backend::Auto, false);
+        a.gemm_into_parts(&b, Transpose::None, &mut pooled, parts, Backend::Auto, false);
         prop_assert_eq!(bits(&serial), bits(&pooled));
     }
 
@@ -70,8 +70,8 @@ proptest! {
         let b = fill(m, n, seed ^ 0x517c);
         let mut serial = Matrix::zeros(k, n);
         let mut pooled = Matrix::zeros(k, n);
-        a.matmul_at_b_into_parts(&b, &mut serial, 1);
-        a.matmul_at_b_into_parts(&b, &mut pooled, parts);
+        a.gemm_into_parts(&b, Transpose::A, &mut serial, 1, Backend::Auto, false);
+        a.gemm_into_parts(&b, Transpose::A, &mut pooled, parts, Backend::Auto, false);
         prop_assert_eq!(bits(&serial), bits(&pooled));
     }
 
@@ -87,8 +87,8 @@ proptest! {
         let b = fill(n, k, seed ^ 0x2ad1);
         let mut serial = Matrix::zeros(m, n);
         let mut pooled = Matrix::zeros(m, n);
-        a.matmul_a_bt_into_parts(&b, &mut serial, 1);
-        a.matmul_a_bt_into_parts(&b, &mut pooled, parts);
+        a.gemm_into_parts(&b, Transpose::B, &mut serial, 1, Backend::Auto, false);
+        a.gemm_into_parts(&b, Transpose::B, &mut pooled, parts, Backend::Auto, false);
         prop_assert_eq!(bits(&serial), bits(&pooled));
     }
 }
@@ -119,29 +119,29 @@ fn degenerate_shapes_bit_identical_across_pool_sizes() {
         let c = fill(m, n, (m * 7 + k) as u64);
 
         let mut mm_serial = Matrix::zeros(m, n);
-        a.matmul_into_parts(&b, &mut mm_serial, 1);
+        a.gemm_into_parts(&b, Transpose::None, &mut mm_serial, 1, Backend::Auto, false);
         let mut atb_serial = Matrix::zeros(k, n);
-        a.matmul_at_b_into_parts(&c, &mut atb_serial, 1);
+        a.gemm_into_parts(&c, Transpose::A, &mut atb_serial, 1, Backend::Auto, false);
         let mut abt_serial = Matrix::zeros(m, n);
-        a.matmul_a_bt_into_parts(&bt, &mut abt_serial, 1);
+        a.gemm_into_parts(&bt, Transpose::B, &mut abt_serial, 1, Backend::Auto, false);
 
         for parts in 1..=8 {
             let mut out = Matrix::zeros(m, n);
-            a.matmul_into_parts(&b, &mut out, parts);
+            a.gemm_into_parts(&b, Transpose::None, &mut out, parts, Backend::Auto, false);
             assert_eq!(
                 bits(&out),
                 bits(&mm_serial),
                 "matmul {m}x{k}x{n} parts={parts}"
             );
             let mut out = Matrix::zeros(k, n);
-            a.matmul_at_b_into_parts(&c, &mut out, parts);
+            a.gemm_into_parts(&c, Transpose::A, &mut out, parts, Backend::Auto, false);
             assert_eq!(
                 bits(&out),
                 bits(&atb_serial),
                 "matmul_at_b {m}x{k}x{n} parts={parts}"
             );
             let mut out = Matrix::zeros(m, n);
-            a.matmul_a_bt_into_parts(&bt, &mut out, parts);
+            a.gemm_into_parts(&bt, Transpose::B, &mut out, parts, Backend::Auto, false);
             assert_eq!(
                 bits(&out),
                 bits(&abt_serial),
@@ -165,11 +165,11 @@ fn public_api_bit_identical_under_every_budget() {
     let c = fill(m, n, 4);
 
     let mut mm_serial = Matrix::zeros(m, n);
-    a.matmul_into_parts(&b, &mut mm_serial, 1);
+    a.gemm_into_parts(&b, Transpose::None, &mut mm_serial, 1, Backend::Auto, false);
     let mut atb_serial = Matrix::zeros(k, n);
-    a.matmul_at_b_into_parts(&c, &mut atb_serial, 1);
+    a.gemm_into_parts(&c, Transpose::A, &mut atb_serial, 1, Backend::Auto, false);
     let mut abt_serial = Matrix::zeros(m, n);
-    a.matmul_a_bt_into_parts(&bt, &mut abt_serial, 1);
+    a.gemm_into_parts(&bt, Transpose::B, &mut abt_serial, 1, Backend::Auto, false);
 
     for budget in 1..=8 {
         summit_pool::with_core_budget(budget, || {

@@ -10,25 +10,23 @@
 //! 3. **BLAS-1 dispatch agreement** — `dot`/`axpy`/`scale`/`l2_norm` and
 //!    the elementwise kernels match their scalar definitions within the
 //!    same bound (`scale`, `relu`, `add_bias` exactly).
-//! 4. **The chain itself** — on shapes that reach every tile, remainder
-//!    and block boundary of the kernels, `matmul` and `matmul_a_bt` equal a
-//!    plain-Rust transcription of their documented per-element chains
-//!    bitwise, a row of a batched product equals the one-row product
-//!    bitwise (also across the row count where `matmul` switches from
-//!    reading `B` in place to packing it), `matmul_at_b`'s accumulate
-//!    entry equals overwrite + `add_assign`, and its overwrite entry never
-//!    reads what the output held.
+//! 4. **One chain, one relation** — every product is bitwise `matmul` on
+//!    the materialised transpose, overwriting and accumulating, on every
+//!    backend, width and partition; `matmul` equals a plain-Rust
+//!    transcription of its per-element chain; a row of a batched product
+//!    equals the one-row product (also across the row count where `matmul`
+//!    switches from reading `B` in place to packing it); and the
+//!    overwriting entries never read what the output held.
 //!
-//! The documented ULP bound: each output element is one length-`k` fused
-//! chain per backend; FMA contraction and the 8-lane reduction tree
-//! reassociate, so SIMD-vs-scalar error is bounded by a small multiple of
-//! `k·ε·|a|·|b|`. We assert `|simd − scalar| ≤ rel·|scalar| + abs` with
-//! `rel = 16·k·ε` and a small absolute floor — loose enough to be
-//! portable, tight enough that a wrong element (not a rounding
-//! difference) fails instantly.
+//! The documented ULP bound: each output element is one length-`k` chain
+//! per backend, fused on SIMD and product-then-add on scalar, so
+//! SIMD-vs-scalar error is bounded by a small multiple of `k·ε·|a|·|b|`.
+//! We assert `|simd − scalar| ≤ rel·|scalar| + abs` with `rel = 16·k·ε` and
+//! a small absolute floor — loose enough to be portable, tight enough that
+//! a wrong element (not a rounding difference) fails instantly.
 
 use proptest::prelude::*;
-use summit_tensor::matrix::Backend;
+use summit_tensor::matrix::{Backend, Transpose};
 use summit_tensor::Matrix;
 
 fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -54,13 +52,12 @@ fn assert_close(auto: &Matrix, scalar: &Matrix, k: usize, what: &str) {
     }
 }
 
+/// The product a variant index selects.
+const VARIANTS: [Transpose; 3] = [Transpose::None, Transpose::A, Transpose::B];
+
 /// Run one variant with full control.
 fn run(a: &Matrix, b: &Matrix, out: &mut Matrix, variant: usize, parts: usize, backend: Backend) {
-    match variant {
-        0 => a.matmul_into_parts_backend(b, out, parts, backend),
-        1 => a.matmul_at_b_into_parts_backend(b, out, parts, backend),
-        _ => a.matmul_a_bt_into_parts_backend(b, out, parts, backend),
-    }
+    a.gemm_into_parts(b, VARIANTS[variant], out, parts, backend, false);
 }
 
 /// Operands of one `m × s × n` product (`s` the shared dimension) in the
@@ -211,11 +208,11 @@ fn single_row_operand(a: &Matrix, variant: usize, i: usize) -> Matrix {
     }
 }
 
-/// `matmul`'s documented chain for one output element: one accumulator
-/// over ascending `k`, fused on the SIMD backend, product-then-add on the
-/// scalar one — no trace of the 256-step blocking.
-fn matmul_chain(a_row: &[f32], b: &Matrix, j: usize, simd: bool) -> f32 {
-    let mut acc = 0.0f32;
+/// The documented chain for one output element of every product: one
+/// accumulator over ascending `k` from `init`, fused on the SIMD backend,
+/// product-then-add on the scalar one — no trace of the 256-step blocking.
+fn matmul_chain(a_row: &[f32], b: &Matrix, j: usize, init: f32, simd: bool) -> f32 {
+    let mut acc = init;
     for (kk, &av) in a_row.iter().enumerate() {
         let bv = b.get(kk, j);
         acc = if simd {
@@ -227,44 +224,31 @@ fn matmul_chain(a_row: &[f32], b: &Matrix, j: usize, simd: bool) -> f32 {
     acc
 }
 
-/// `matmul_a_bt`'s documented chain for one output element. SIMD: eight
-/// lane accumulators stepped over ascending `k`, the fixed reduction tree,
-/// then a fused scalar tail over `k % 8`. Scalar: one ascending-`k`
-/// product-then-add accumulator.
-fn a_bt_chain(a_row: &[f32], b_row: &[f32], simd: bool) -> f32 {
-    if !simd {
-        return a_row
-            .iter()
-            .zip(b_row)
-            .fold(0.0f32, |acc, (&x, &y)| acc + x * y);
+/// `m`'s operand of a variant materialised: `a` itself for `matmul` and
+/// `matmul_a_bt`, `aᵀ` for `matmul_at_b`; and `b`'s, `bᵀ` for
+/// `matmul_a_bt`. The relation: every variant is bitwise `matmul` on these.
+fn materialised(a: &Matrix, b: &Matrix, variant: usize) -> (Matrix, Matrix) {
+    match VARIANTS[variant] {
+        Transpose::None => (a.clone(), b.clone()),
+        Transpose::A => (a.transpose(), b.clone()),
+        Transpose::B => (a.clone(), b.transpose()),
     }
-    let mut l = [0.0f32; 8];
-    let full = a_row.len() / 8 * 8;
-    for kk in 0..full {
-        l[kk % 8] = a_row[kk].mul_add(b_row[kk], l[kk % 8]);
-    }
-    let mut sum = ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]));
-    for kk in full..a_row.len() {
-        sum = a_row[kk].mul_add(b_row[kk], sum);
-    }
-    sum
 }
 
 /// Every GEMM contract on the shapes that reach the kernels' edges: shared
-/// dimension 7 (no full SIMD step), 64, 100 (steps + scalar tail), 300 and
-/// 1024 (two and four `matmul` blocks, several 64-row blocks of the
-/// transposed kernels); `m` off the 6/4/2-row and 4-row tile heights; `n`
-/// off the 3-wide tile, the 8-lane vector, the 16-column micro-panel and
-/// the 48-row column block. The second half of the list walks `m` across
-/// the row count at which `matmul` stops reading `B` in place and packs it
-/// (16 | 17), with `k % 4 ≠ 0` and `n % 8 ≠ 0`, below and above the
-/// pack-free kernel's 256-column block: every row of every product must
-/// still be the one-row product, which always takes the pack-free path.
+/// dimension 7 (no full SIMD step), 64, 100, 300 and 1024 (two and four
+/// 256-step blocks); `m` off the 8/6/4/2-row tile heights; `n` off the
+/// 8-lane vector, the 16-column micro-panel and the 48-column tile. The
+/// second half of the list walks `m` across the row count at which
+/// `matmul` stops reading `B` in place and packs it (16 | 17), with `k % 4
+/// ≠ 0` and `n % 8 ≠ 0`, below and above the pack-free kernel's 256-column
+/// block: every row of every product must still be the one-row product,
+/// and every element the transcribed chain on the materialised operands.
 ///
-/// Last, the overwriting `matmul_at_b` entry must not depend on what its
-/// output held: over NaN it equals the product on zeros, for shared
-/// dimensions on both sides of the 64-row block whose first visit stores
-/// and whose later visits add.
+/// Last, the overwriting entries must not depend on what their output
+/// held: over NaN they equal the product on zeros, for shared dimensions
+/// on both sides of the 256-step block whose first visit starts from zero
+/// and whose later visits continue from the stored value.
 #[test]
 fn boundary_shapes_hold_every_gemm_contract() {
     let shapes = [
@@ -285,6 +269,7 @@ fn boundary_shapes_hold_every_gemm_contract() {
     for (si, &(m, s, n)) in shapes.iter().enumerate() {
         for variant in 0..3 {
             let (a, b) = operands(variant, m, s, n, 17 * si as u64 + variant as u64);
+            let (am, bm) = materialised(&a, &b, variant);
             let what = format!("variant {variant} {m}x{s}x{n}");
             let mut by_backend = Vec::new();
             for backend in [Backend::Auto, Backend::Scalar] {
@@ -309,32 +294,13 @@ fn boundary_shapes_hold_every_gemm_contract() {
                     assert_eq!(one.as_slice(), serial.row(i), "{what} row {i}");
                 }
 
-                // The documented chains, transcribed.
+                // The documented chain, transcribed, on the materialised
+                // operands.
                 for i in 0..m {
                     for j in 0..n {
-                        let want = match variant {
-                            0 => matmul_chain(a.row(i), &b, j, simd),
-                            2 => a_bt_chain(a.row(i), b.row(j), simd),
-                            _ => continue,
-                        };
+                        let want = matmul_chain(am.row(i), &bm, j, 0.0, simd);
                         let got = serial.get(i, j);
                         assert_eq!(got.to_bits(), want.to_bits(), "{what} ({i},{j})");
-                    }
-                }
-
-                // Accumulating into zeros = overwrite + add_assign.
-                if variant == 1 {
-                    for parts in [1, 3] {
-                        let mut acc = Matrix::zeros(m, n);
-                        a.matmul_at_b_acc_into_parts_backend(&b, &mut acc, parts, backend);
-                        let mut sum = Matrix::zeros(m, n);
-                        sum.add_assign(&serial);
-                        assert_eq!(acc.as_slice(), sum.as_slice(), "{what} acc");
-                        // A second pass adds the product once more.
-                        a.matmul_at_b_acc_into_parts_backend(&b, &mut acc, parts, backend);
-                        for (twice, once) in acc.as_slice().iter().zip(serial.as_slice()) {
-                            assert!((twice - 2.0 * once).abs() <= once.abs() * 1e-5 + 1e-5);
-                        }
                     }
                 }
                 by_backend.push(serial);
@@ -343,21 +309,124 @@ fn boundary_shapes_hold_every_gemm_contract() {
         }
     }
 
-    for (si, s) in [1usize, 63, 64, 65, 130].into_iter().enumerate() {
-        let (a, b) = operands(1, 13, s, 35, 90 + si as u64);
-        for backend in [Backend::Auto, Backend::Scalar] {
-            let mut on_zeros = Matrix::zeros(13, 35);
-            run(&a, &b, &mut on_zeros, 1, 1, backend);
-            for parts in 1..=8 {
-                let mut over_nan = Matrix::from_vec(13, 35, vec![f32::NAN; 13 * 35]);
-                run(&a, &b, &mut over_nan, 1, parts, backend);
-                let bits =
-                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(
-                    bits(&over_nan),
-                    bits(&on_zeros),
-                    "at_b over NaN, shared {s} {backend:?} parts {parts}"
-                );
+    for (si, s) in [1usize, 255, 256, 257, 600].into_iter().enumerate() {
+        for variant in 0..3 {
+            let (a, b) = operands(variant, 13, s, 35, 90 + si as u64);
+            for backend in [Backend::Auto, Backend::Scalar] {
+                let mut on_zeros = Matrix::zeros(13, 35);
+                run(&a, &b, &mut on_zeros, variant, 1, backend);
+                for parts in 1..=8 {
+                    let mut over_nan = Matrix::from_vec(13, 35, vec![f32::NAN; 13 * 35]);
+                    run(&a, &b, &mut over_nan, variant, parts, backend);
+                    let bits =
+                        |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&over_nan),
+                        bits(&on_zeros),
+                        "variant {variant} over NaN, shared {s} {backend:?} parts {parts}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Output rows around the register-tile heights (8, 6, 4, 2) and the
+/// 16-row switch to the pack-free `matmul`.
+const REL_ROWS: [usize; 12] = [1, 2, 3, 5, 6, 7, 8, 9, 15, 16, 17, 33];
+/// Output columns around the 16-column panel and the 48-column tile.
+const REL_COLS: [usize; 9] = [1, 2, 15, 16, 17, 47, 48, 49, 97];
+/// Shared dimensions 1, 2 and 16 and around the 256-step block.
+const REL_SHARED: [usize; 8] = [1, 2, 15, 16, 17, 255, 256, 257];
+
+/// One case of the relation: on `backend` at `parts`, `matmul_at_b` and
+/// `matmul_a_bt` are bitwise `matmul` on the materialised transpose, both
+/// overwriting and accumulating (`β = 1`) into the same starting output;
+/// and the accumulating form is each element's chain continued from the
+/// stored value, transcribed.
+fn check_relation(m: usize, s: usize, n: usize, seed: u64, backend: Backend, parts: usize) {
+    let simd = backend != Backend::Scalar && summit_tensor::simd::active();
+    let start = mat(m, n, seed + 7);
+    for variant in [1, 2] {
+        let (a, b) = operands(variant, m, s, n, seed + variant as u64);
+        let (am, bm) = materialised(&a, &b, variant);
+        for accumulate in [false, true] {
+            let what =
+                format!("variant {variant} {m}x{s}x{n} {backend:?} parts {parts} acc {accumulate}");
+            let (mut got, mut want) = (start.clone(), start.clone());
+            a.gemm_into_parts(&b, VARIANTS[variant], &mut got, parts, backend, accumulate);
+            am.gemm_into_parts(&bm, Transpose::None, &mut want, 1, backend, accumulate);
+            assert_eq!(got.as_slice(), want.as_slice(), "{what}");
+            if accumulate && s <= 17 {
+                for i in 0..m {
+                    for j in 0..n {
+                        let chain = matmul_chain(am.row(i), &bm, j, start.get(i, j), simd);
+                        assert_eq!(got.get(i, j).to_bits(), chain.to_bits(), "{what} ({i},{j})");
+                    }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The relation on tail-hitting shapes, on every backend, at parts
+    /// 1–4.
+    #[test]
+    fn transposed_products_are_matmul_on_the_materialised_transpose(
+        m in (0..REL_ROWS.len()).prop_map(|i| REL_ROWS[i]),
+        s in (0..REL_SHARED.len()).prop_map(|i| REL_SHARED[i]),
+        n in (0..REL_COLS.len()).prop_map(|i| REL_COLS[i]),
+        seed in 0u64..1000,
+    ) {
+        for backend in [Backend::Scalar, Backend::Avx2, Backend::Auto] {
+            for parts in 1..=4 {
+                check_relation(m, s, n, seed, backend, parts);
+            }
+        }
+    }
+}
+
+/// The relation at the benchmark's training shapes small enough for a
+/// debug build: the output layer's products at batch 64, and every hidden
+/// and output layer's at `train_sync`'s batch of 2.
+#[test]
+fn the_relation_holds_at_the_training_shapes() {
+    // (rows of the output, shared dimension, columns of the output)
+    let shapes = [
+        (64, 16, 1024),
+        (1024, 64, 16),
+        (2, 1024, 1024),
+        (2, 16, 1024),
+        (1024, 2, 1024),
+        (256, 2, 1024),
+        (1024, 2, 16),
+    ];
+    for (si, &(m, s, n)) in shapes.iter().enumerate() {
+        for backend in [Backend::Scalar, Backend::Avx2, Backend::Auto] {
+            check_relation(m, s, n, 300 + si as u64, backend, 2);
+        }
+    }
+}
+
+/// Row `i` of an `M`-row `matmul_a_bt` is bitwise the one-row product for
+/// every `M` up to the 16-row switch of `matmul` and past it, so batched
+/// serving and the backward pass see one chain whatever the batch.
+#[test]
+fn a_bt_rows_are_the_one_row_product() {
+    let (s, n) = (259, 53);
+    let b = mat(n, s, 11);
+    for m in (1..=17).chain([64]) {
+        let a = mat(m, s, 100 + m as u64);
+        for backend in [Backend::Scalar, Backend::Avx2, Backend::Auto] {
+            let mut all = Matrix::zeros(m, n);
+            run(&a, &b, &mut all, 2, 1, backend);
+            for i in 0..m {
+                let mut one = Matrix::zeros(1, n);
+                run(&single_row_operand(&a, 2, i), &b, &mut one, 2, 1, backend);
+                assert_eq!(one.as_slice(), all.row(i), "M = {m} row {i} {backend:?}");
             }
         }
     }
@@ -374,8 +443,8 @@ fn wide_or_skip() -> bool {
     wide
 }
 
-/// Shared dimensions off the 8-lane step and on both sides of the 64-row
-/// and 256-step blocks.
+/// Shared dimensions off the 8-lane step and on both sides of the 256-step
+/// block.
 const SHARED: [usize; 11] = [1, 7, 9, 63, 64, 65, 100, 255, 256, 257, 515];
 /// Output columns off 32, 16 and 8, below and across a 48-column slice.
 const COLS: [usize; 14] = [1, 7, 8, 9, 15, 16, 17, 31, 33, 47, 48, 49, 97, 261];
@@ -385,10 +454,10 @@ proptest! {
 
     /// The 512-bit kernels are bitwise the 256-bit kernels: all three GEMMs,
     /// parts 1–4. The shapes reach every tail of both
-    /// widths — `n` off 32, 16 and 8 columns, the shared dimension off the
-    /// 8-lane step and across the 64-row and 256-step blocks, `m` off
-    /// every tile height and across the row count where `matmul` stops
-    /// reading `B` in place.
+    /// widths — `n` off 48, 16 and 8 columns, the shared dimension off the
+    /// 8-lane step and across the 256-step block, `m` off every tile
+    /// height and across the row count where `matmul` stops reading `B` in
+    /// place.
     #[test]
     fn wide_kernels_are_bitwise_the_avx2_kernels(
         m in 1usize..=27,

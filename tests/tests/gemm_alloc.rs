@@ -11,6 +11,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use summit_comm::world::World;
 use summit_dl::{Adam, DataParallelTrainer, LrSchedule, MlpSpec, Optimizer, OptimizerState, Sgd};
+use summit_tensor::matrix::{Backend, Transpose};
 use summit_tensor::Matrix;
 
 struct CountingAllocator;
@@ -145,7 +146,7 @@ fn steady_state_pooled_matmul_does_not_allocate() {
     // The results must still be right after all that (spot check against
     // the serial reference).
     let mut serial = Matrix::zeros(m, n);
-    a.matmul_into_parts(&b, &mut serial, 1);
+    a.gemm_into_parts(&b, Transpose::None, &mut serial, 1, Backend::Auto, false);
     assert_eq!(out_mm, serial);
 
     let mut model = MlpSpec::new(64, &[96, 96], 32).build(7);
