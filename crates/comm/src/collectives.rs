@@ -92,26 +92,6 @@ impl ReduceOp {
     }
 }
 
-/// Chunk boundaries that partition `n` elements into `p` nearly equal chunks
-/// (first `n % p` chunks get one extra element).
-///
-/// This is the **global partition** every surface shares: the blocking and
-/// fallible collectives, the nonblocking windowed handles (which intersect
-/// it with per-bucket windows so overlapped per-bucket allreduces keep the
-/// serial fold order), and the model transport. Delegates to
-/// [`summit_pool::chunk_range`] — the workspace's one canonical "first
-/// `n % p` chunks get one extra element" rule, shared with the compute
-/// pool's row partitioner. (The issue suggested hoisting it into
-/// `summit-core`, but `summit-core` sits *above* this crate in the layering;
-/// `summit-pool` is the common dependency both crates already share.)
-///
-/// # Panics
-/// Panics if `p == 0` or `chunk >= p`.
-pub fn chunk_bounds(n: usize, p: usize, chunk: usize) -> (usize, usize) {
-    let r = summit_pool::chunk_range(n, p, chunk);
-    (r.start, r.end)
-}
-
 /// This rank's schedule for the window collective `c` over `n` elements.
 fn window_schedule(rank: &Rank, c: Collective, n: usize) -> AnySchedule {
     assert!(
@@ -177,7 +157,8 @@ pub fn ring_allreduce_bucketed(rank: &Rank, buf: &mut [f32], op: ReduceOp, bucke
 /// element range of the fully reduced chunk this rank owns afterwards.
 pub fn reduce_scatter(rank: &Rank, buf: &mut [f32], op: ReduceOp) -> (usize, usize) {
     run(rank, Collective::ReduceScatter, buf, op);
-    chunk_bounds(buf.len(), rank.size(), (rank.id() + 1) % rank.size())
+    let owned = summit_pool::chunk_range(buf.len(), rank.size(), (rank.id() + 1) % rank.size());
+    (owned.start, owned.end)
 }
 
 #[cfg(test)]

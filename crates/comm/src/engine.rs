@@ -5,8 +5,8 @@
 //! [`current`](Schedule::current) method names the single next transport
 //! operation ([`Op`]) — send a window, or receive a window and fold/copy it —
 //! and whose [`advance`](Schedule::advance) method moves to the next one.
-//! `current` is pure arithmetic over `chunk_bounds` windows; all mutation
-//! lives in `advance`.
+//! `current` is pure arithmetic over [`summit_pool::chunk_range`] windows;
+//! all mutation lives in `advance`.
 //!
 //! [`schedule`] is the one mapping from a [`Collective`] value to its
 //! schedule. The executed entries ([`crate::collectives::run`],
@@ -38,7 +38,7 @@ use std::time::Instant;
 
 use summit_machine::LinkModel;
 
-use crate::collectives::{chunk_bounds, ReduceOp};
+use crate::collectives::ReduceOp;
 use crate::faults::CommError;
 use crate::world::Rank;
 
@@ -640,7 +640,7 @@ impl RingSchedule {
     }
 
     /// Standalone ring allgather (id 3): each rank contributes its own
-    /// `chunk_bounds` chunk and receives everyone else's.
+    /// `chunk_range` chunk and receives everyone else's.
     pub(crate) fn allgather(p: usize, me: usize, n: usize) -> Self {
         Self::new(
             p,
@@ -661,11 +661,11 @@ impl RingSchedule {
     /// This schedule's window of global chunk `c`, in buffer-local
     /// coordinates (`(0, 0)` when the chunk misses the window).
     fn window(&self, c: usize) -> (usize, usize) {
-        // Division-free `chunk_bounds(self.total_len, self.p, c)`: the
+        // Division-free `chunk_range(self.total_len, self.p, c)`: the
         // first `rem` chunks get `base + 1` elements, the rest `base`.
         let cs = c * self.base + c.min(self.rem);
         let ce = cs + self.base + usize::from(c < self.rem);
-        debug_assert_eq!((cs, ce), chunk_bounds(self.total_len, self.p, c));
+        debug_assert_eq!(cs..ce, summit_pool::chunk_range(self.total_len, self.p, c));
         let lo = cs.max(self.win_start);
         let hi = ce.min(self.win_start + self.win_len);
         if lo < hi {
@@ -1516,7 +1516,8 @@ impl HierarchicalSchedule {
 
     /// Leader-ring chunk bounds: the buffer partitioned over the *groups*.
     fn gbounds(&self, chunk: usize) -> (usize, usize) {
-        chunk_bounds(self.n, self.groups, chunk)
+        let r = summit_pool::chunk_range(self.n, self.groups, chunk);
+        (r.start, r.end)
     }
 
     /// Settle the cursor on the next real op, skipping phases this rank
@@ -1895,7 +1896,7 @@ pub enum Collective {
     /// Ring reduce-scatter: afterwards rank `i` holds the fully reduced
     /// chunk `(i + 1) mod p`; other chunks are unspecified.
     ReduceScatter,
-    /// Ring allgather: each rank contributes its own `chunk_bounds` chunk
+    /// Ring allgather: each rank contributes its own `chunk_range` chunk
     /// and receives everyone else's.
     RingAllgather,
     /// Recursive doubling: `log2 p` full-buffer exchanges (non-power-of-two

@@ -195,7 +195,7 @@ impl FaultEvent {
 
     /// Whether the event has already fired (events are one-shot so a
     /// recovery retry of the same step runs clean).
-    pub fn has_fired(&self) -> bool {
+    fn has_fired(&self) -> bool {
         self.fired.load(Ordering::Relaxed)
     }
 

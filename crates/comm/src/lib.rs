@@ -63,7 +63,7 @@ pub use elastic::{try_ring_allreduce_view, view_barrier, vote_members};
 pub use engine::{simulate_reference, Collective, ModelReport, RingPhase};
 pub use faults::{CommError, FaultKind, FaultPlan, FaultRates, TagClass, CONTROL_BIT};
 pub use model::{Algorithm, CollectiveModel};
-pub use nonblocking::{ring_allreduce_start, RecvHandle, RingAllreduceHandle, SendHandle};
+pub use nonblocking::{ring_allreduce_start, RingAllreduceHandle};
 pub use sim::{elastic_shrink_study, simulate, simulate_on, ElasticStudy, FabricReport};
 pub use summit_machine::LinkModel;
 pub use world::{Rank, TrafficStats, World, WorldView};

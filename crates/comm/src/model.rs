@@ -170,31 +170,6 @@ impl CollectiveModel {
         memo.lock().expect("sim memo poisoned").insert(key, t);
         Some(t)
     }
-
-    /// The fastest algorithm and its time for the given size.
-    pub fn best_allreduce(&self, p: u64, bytes: f64) -> (Algorithm, f64) {
-        Algorithm::ALL
-            .iter()
-            .map(|&alg| (alg, self.allreduce_time(alg, p, bytes)))
-            .min_by(|x, y| x.1.total_cmp(&y.1))
-            .expect("ALL is non-empty")
-    }
-
-    /// Broadcast time (binomial tree).
-    pub fn broadcast_time(&self, p: u64, bytes: f64) -> f64 {
-        if p <= 1 {
-            return 0.0;
-        }
-        (p as f64).log2().ceil() * self.link.transfer_time(bytes)
-    }
-
-    /// Barrier time: a dissemination barrier costs ⌈log2 p⌉ rounds of α.
-    pub fn barrier_time(&self, p: u64) -> f64 {
-        if p <= 1 {
-            return 0.0;
-        }
-        (p as f64).log2().ceil() * self.link.alpha
-    }
 }
 
 /// Two-level (hierarchical) allreduce: intra-node reduction over NVLink,
@@ -278,7 +253,11 @@ mod tests {
     #[test]
     fn small_messages_favor_low_latency_algorithms() {
         let m = summit_model();
-        let (best, _) = m.best_allreduce(1024, 8.0);
+        let t = |alg| m.allreduce_time(alg, 1024, 8.0);
+        let best = Algorithm::ALL
+            .into_iter()
+            .min_by(|&a, &b| t(a).total_cmp(&t(b)))
+            .unwrap();
         assert!(
             matches!(best, Algorithm::RecursiveDoubling | Algorithm::Rabenseifner),
             "tiny message picked {best:?}"
@@ -288,7 +267,11 @@ mod tests {
     #[test]
     fn large_messages_favor_bandwidth_optimal_algorithms() {
         let m = summit_model();
-        let (best, _) = m.best_allreduce(1024, 1.0e9);
+        let t = |alg| m.allreduce_time(alg, 1024, 1.0e9);
+        let best = Algorithm::ALL
+            .into_iter()
+            .min_by(|&a, &b| t(a).total_cmp(&t(b)))
+            .unwrap();
         assert!(
             matches!(best, Algorithm::Ring | Algorithm::Rabenseifner),
             "large message picked {best:?}"
@@ -398,14 +381,5 @@ mod tests {
         assert!(m
             .simulated_allreduce_time(Algorithm::BinomialTree, 8, 4096.0)
             .is_some());
-    }
-
-    #[test]
-    fn broadcast_and_barrier_scale_logarithmically() {
-        let m = summit_model();
-        let b256 = m.barrier_time(256);
-        let b512 = m.barrier_time(512);
-        assert!((b512 - b256 - m.link.alpha).abs() < 1e-12);
-        assert!(m.broadcast_time(2, 1e6) < m.broadcast_time(1024, 1e6));
     }
 }

@@ -1,11 +1,10 @@
-//! Nonblocking point-to-point handles and a progress-driven ring allreduce.
+//! A progress-driven ring allreduce.
 //!
 //! MPI hides communication behind computation with `MPI_Isend`/`MPI_Irecv`
 //! plus `MPI_Test`/`MPI_Wait`; NCCL does it with streams. This module is the
-//! threads-as-ranks analogue: [`Rank::isend`]/[`Rank::irecv`] return handles,
-//! and [`RingAllreduceHandle`] advances a full bucketed ring allreduce one
-//! message at a time from explicit [`progress`](RingAllreduceHandle::progress)
-//! calls, so a trainer can interleave collective steps with backpropagation
+//! threads-as-ranks analogue: [`RingAllreduceHandle`] advances a full
+//! bucketed ring allreduce one message at a time from explicit
+//! [`progress`](RingAllreduceHandle::progress) calls, so a trainer can interleave collective steps with backpropagation
 //! (the PyTorch-DDP / Horovod bucket-overlap discipline).
 //!
 //! # Why a polled state machine, not a background thread
@@ -54,116 +53,6 @@ use crate::collectives::ReduceOp;
 use crate::engine::{self, RemapSchedule, RingPhase, RingSchedule, Schedule};
 use crate::faults::CommError;
 use crate::world::{Rank, WorldView};
-
-impl Rank {
-    /// Nonblocking send: enqueue a copy of `src` for rank `to` and return a
-    /// completion handle. The payload is drawn from this rank's
-    /// [`BufferPool`](crate::world::BufferPool); because the transport is an
-    /// unbounded channel the send buffers eagerly and the handle is already
-    /// complete — it exists so call sites keep MPI's request discipline.
-    ///
-    /// # Panics
-    /// Panics if `to` is out of range or equals this rank.
-    #[must_use = "isend returns a completion handle; call wait() or drop it knowingly"]
-    pub fn isend(&self, to: usize, tag: u64, src: &[f32]) -> SendHandle {
-        self.send_from(to, tag, src);
-        SendHandle { _priv: () }
-    }
-
-    /// Nonblocking receive: return a handle that will match the next message
-    /// from rank `from` carrying `tag`. Nothing is consumed until
-    /// [`RecvHandle::test`] or [`RecvHandle::wait`] runs.
-    ///
-    /// # Panics
-    /// `test`/`wait` panic if `from` is out of range, equals this rank, or
-    /// the sender disconnected.
-    pub fn irecv(&self, from: usize, tag: u64) -> RecvHandle<'_> {
-        RecvHandle {
-            rank: self,
-            from,
-            tag,
-            payload: None,
-        }
-    }
-}
-
-/// Completion handle for [`Rank::isend`].
-///
-/// Sends over the unbounded channel transport complete at post time, so
-/// `test` is always true and `wait` returns immediately; the type keeps the
-/// isend/wait pairing explicit at call sites.
-#[derive(Debug)]
-pub struct SendHandle {
-    _priv: (),
-}
-
-impl SendHandle {
-    /// Whether the send has completed (always true on this transport).
-    pub fn test(&self) -> bool {
-        true
-    }
-
-    /// Block until the send has completed (returns immediately).
-    pub fn wait(self) {}
-}
-
-/// In-flight receive started by [`Rank::irecv`].
-pub struct RecvHandle<'a> {
-    rank: &'a Rank,
-    from: usize,
-    tag: u64,
-    payload: Option<Vec<f32>>,
-}
-
-impl RecvHandle<'_> {
-    /// Poll for the matching message; returns whether it has arrived. Once
-    /// true, `wait`/`wait_into` will not block.
-    pub fn test(&mut self) -> bool {
-        if self.payload.is_none() {
-            self.payload = self.rank.try_recv(self.from, self.tag);
-        }
-        self.payload.is_some()
-    }
-
-    /// Block until the message arrives and take its payload. The caller
-    /// owns the buffer; recycling it is the caller's choice.
-    pub fn wait(mut self) -> Vec<f32> {
-        match self.payload.take() {
-            Some(p) => p,
-            None => self.rank.recv(self.from, self.tag),
-        }
-    }
-
-    /// Block until the message arrives, copy it into `dst`, and recycle the
-    /// transport buffer into the rank's pool (the zero-allocation receive).
-    ///
-    /// # Panics
-    /// Panics if the payload length differs from `dst.len()`.
-    pub fn wait_into(mut self, dst: &mut [f32]) {
-        let payload = match self.payload.take() {
-            Some(p) => p,
-            None => self.rank.recv(self.from, self.tag),
-        };
-        assert_eq!(
-            payload.len(),
-            dst.len(),
-            "wait_into: payload length mismatch"
-        );
-        dst.copy_from_slice(&payload);
-        self.rank.release_payload(payload);
-    }
-}
-
-impl Drop for RecvHandle<'_> {
-    fn drop(&mut self) {
-        // A handle abandoned after `test` fetched its message still owns a
-        // pooled payload; recycle it so `PoolStats::outstanding` stays
-        // balanced across teardown.
-        if let Some(p) = self.payload.take() {
-            self.rank.release_payload(p);
-        }
-    }
-}
 
 /// An in-flight ring allreduce advanced by [`progress`] / [`wait`].
 ///
@@ -301,7 +190,7 @@ impl RingAllreduceHandle<'_> {
     }
 
     /// Drive every step whose message has already arrived, without
-    /// blocking. Returns [`is_complete`](Self::is_complete).
+    /// blocking. Returns whether the collective has completed.
     pub fn progress(&mut self) -> bool {
         self.progress_checked()
             .expect("communication failure in infallible nonblocking path")
@@ -309,7 +198,7 @@ impl RingAllreduceHandle<'_> {
 
     /// Fallible [`progress`](Self::progress) for chaos runs: checksum
     /// failures and scheduled rank kills surface as [`CommError`] instead
-    /// of panicking. Returns [`is_complete`](Self::is_complete) on success.
+    /// of panicking. Returns whether the collective has completed.
     ///
     /// # Errors
     /// [`CommError::Corrupt`] or [`CommError::RankKilled`].
@@ -339,7 +228,7 @@ impl RingAllreduceHandle<'_> {
     }
 
     /// Whether the collective has completed.
-    pub fn is_complete(&self) -> bool {
+    fn is_complete(&self) -> bool {
         self.sched.current().is_none()
     }
 }
@@ -391,49 +280,6 @@ mod tests {
         (0..p)
             .map(|_| (0..n).map(|_| rng.gen_range(-1e3f32..1e3)).collect())
             .collect()
-    }
-
-    #[test]
-    fn isend_irecv_roundtrip() {
-        let out = World::new(2).execute(|r| {
-            if r.id() == 0 {
-                let s = r.isend(1, 5, &[1.0, 2.0, 3.0]);
-                assert!(s.test());
-                s.wait();
-                r.irecv(1, 6).wait()
-            } else {
-                let mut h = r.irecv(0, 5);
-                // Drain until it lands; unbounded channels make this finite.
-                while !h.test() {
-                    std::hint::spin_loop();
-                }
-                let got = h.wait();
-                r.isend(0, 6, &got).wait();
-                vec![]
-            }
-        });
-        assert_eq!(out[0], vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn irecv_wait_into_recycles_buffer() {
-        let out = World::new(2).execute(|r| {
-            if r.id() == 0 {
-                r.isend(1, 0, &[4.0; 8]).wait();
-                let _ = r.recv(1, 1);
-                0
-            } else {
-                let mut dst = [0.0f32; 8];
-                r.irecv(0, 0).wait_into(&mut dst);
-                assert_eq!(dst, [4.0; 8]);
-                // The transport buffer must now sit in the pool: the next
-                // pooled send reuses it.
-                let before = r.pool_stats();
-                r.isend(0, 1, &[0.0; 8]).wait();
-                (r.pool_stats().hits - before.hits) as i32
-            }
-        });
-        assert_eq!(out[1], 1, "recycled payload not reused");
     }
 
     #[test]
@@ -629,32 +475,6 @@ mod tests {
         assert!(
             out.iter().any(|&e| e),
             "a dropped handle message must surface as an error, not a hang"
-        );
-    }
-
-    #[test]
-    fn abandoned_recv_handle_releases_its_payload() {
-        let out = World::new(2).execute(|r| {
-            if r.id() == 0 {
-                r.isend(1, 0, &[2.0; 16]).wait();
-            } else {
-                r.barrier();
-                let mut h = r.irecv(0, 0);
-                assert!(h.test(), "message already delivered");
-                // Dropped here while holding the fetched payload.
-            }
-            if r.id() == 0 {
-                r.barrier();
-            }
-            r.barrier();
-            r.pool_stats().outstanding
-        });
-        // The buffer migrated pools (acquired on rank 0, released on rank
-        // 1), so only the world-wide sum is balanced.
-        assert_eq!(
-            out.iter().sum::<i64>(),
-            0,
-            "dropped RecvHandle leaked a pooled buffer: {out:?}"
         );
     }
 

@@ -72,9 +72,9 @@ const PARKED_WARN_THRESHOLD: usize = 1024;
 /// class (next power of two).
 ///
 /// `send_from` draws its payload here instead of allocating, and
-/// `recv_into`/`recv_with` return the received payload here instead of
-/// dropping it. Under a ring collective every rank hands one buffer to its
-/// right neighbour and recycles one from its left each step, so after a
+/// `recv_with` returns the received payload here instead of dropping it.
+/// Under a ring collective every rank hands one buffer to its right
+/// neighbour and recycles one from its left each step, so after a
 /// one-round warm-up the pools circulate a fixed set of buffers and the
 /// steady state allocates nothing.
 #[derive(Debug, Default)]
@@ -266,7 +266,6 @@ impl Fabric {
 pub struct Rank {
     id: usize,
     size: usize,
-    world_id: u64,
     fabric: Arc<Fabric>,
     senders: Vec<OnceCell<Sender<Envelope>>>,
     receivers: Vec<OnceCell<Receiver<Envelope>>>,
@@ -303,12 +302,6 @@ impl Rank {
     /// Number of ranks in the world.
     pub fn size(&self) -> usize {
         self.size
-    }
-
-    /// Id of the [`World`] this rank belongs to (process-unique). Multi-
-    /// world failures are attributed with this id.
-    pub fn world_id(&self) -> u64 {
-        self.world_id
     }
 
     /// The sender endpoint toward rank `to`, claimed from the fabric on
@@ -635,23 +628,6 @@ impl Rank {
         self.send(to, tag, payload);
     }
 
-    /// Receive the next message from rank `from` carrying `tag` into `dst`,
-    /// recycling the transport buffer into this rank's [`BufferPool`].
-    ///
-    /// # Panics
-    /// Panics on the same conditions as [`Rank::recv`], or if the payload
-    /// length differs from `dst.len()`.
-    pub fn recv_into(&self, from: usize, tag: u64, dst: &mut [f32]) {
-        let payload = self.recv(from, tag);
-        assert_eq!(
-            payload.len(),
-            dst.len(),
-            "recv_into: payload length mismatch"
-        );
-        dst.copy_from_slice(&payload);
-        self.pool.release(payload);
-    }
-
     /// Receive from rank `from` with `tag` and hand the payload to `f` by
     /// reference, recycling the transport buffer afterwards. This is the
     /// zero-copy receive: reductions fold straight out of the payload
@@ -903,8 +879,8 @@ impl World {
         self.size
     }
 
-    /// Process-unique id of this world (also reported by
-    /// [`Rank::world_id`] and in join-failure panics).
+    /// Process-unique id of this world (also reported in join-failure
+    /// panics).
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -989,7 +965,6 @@ impl World {
             let rank = Rank {
                 id,
                 size: p,
-                world_id,
                 fabric: Arc::clone(fabric),
                 senders: (0..p).map(|_| OnceCell::new()).collect(),
                 receivers: (0..p).map(|_| OnceCell::new()).collect(),
@@ -1199,14 +1174,10 @@ mod tests {
     }
 
     #[test]
-    fn worlds_have_unique_ids_and_ranks_know_theirs() {
+    fn worlds_have_unique_ids() {
         let a = World::new(2);
         let b = World::new(2);
         assert_ne!(a.id(), b.id());
-        let mut c = World::new(2);
-        let cid = c.id();
-        let seen = c.execute(|r| r.world_id());
-        assert!(seen.iter().all(|&w| w == cid));
     }
 
     #[test]
@@ -1287,7 +1258,7 @@ mod tests {
             let mut dst = vec![0.0f32; 256];
             for round in 0..rounds {
                 r.send_from(right, round, &src);
-                r.recv_into(left, round, &mut dst);
+                r.recv_with(left, round, |p| dst.copy_from_slice(p));
                 assert_eq!(dst[0], left as f32);
             }
             r.barrier();
@@ -1299,21 +1270,6 @@ mod tests {
             assert_eq!(stats.misses, 1, "pool stats: {stats:?}");
             assert_eq!(stats.hits, rounds - 1, "pool stats: {stats:?}");
         }
-    }
-
-    #[test]
-    fn recv_into_checks_length() {
-        let result = std::panic::catch_unwind(|| {
-            World::new(2).execute(|r| {
-                if r.id() == 0 {
-                    r.send_from(1, 0, &[1.0, 2.0]);
-                } else {
-                    let mut dst = [0.0f32; 3];
-                    r.recv_into(0, 0, &mut dst);
-                }
-            });
-        });
-        assert!(result.is_err(), "length mismatch must panic");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use summit_comm::{
-    collectives::{chunk_bounds, run, ReduceOp},
+    collectives::{run, ReduceOp},
     model::{Algorithm, CollectiveModel},
     world::World,
     Collective,
@@ -101,7 +101,8 @@ proptest! {
         }
     }
 
-    /// The canonical partition helper covers `0..n` with `p` disjoint,
+    /// The partition rule every collective chunks by
+    /// (`summit_pool::chunk_range`) covers `0..n` with `p` disjoint,
     /// contiguous, ascending chunks whose sizes differ by at most one —
     /// and agrees with the legacy closed-form split every call site used
     /// before deduplication.
@@ -109,7 +110,8 @@ proptest! {
     fn chunk_bounds_partitions_exactly(n in 0usize..512, p in 1usize..32) {
         let mut cursor = 0usize;
         for chunk in 0..p {
-            let (start, end) = chunk_bounds(n, p, chunk);
+            let range = summit_pool::chunk_range(n, p, chunk);
+            let (start, end) = (range.start, range.end);
             prop_assert_eq!(start, cursor);
             prop_assert!(end >= start);
             let len = end - start;
@@ -120,8 +122,6 @@ proptest! {
             let legacy_start = chunk * base + chunk.min(extra);
             let legacy_end = legacy_start + base + usize::from(chunk < extra);
             prop_assert_eq!((start, end), (legacy_start, legacy_end));
-            let range = summit_pool::chunk_range(n, p, chunk);
-            prop_assert_eq!((range.start, range.end), (start, end));
             cursor = end;
         }
         prop_assert_eq!(cursor, n);

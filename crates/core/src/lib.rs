@@ -7,7 +7,7 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`machine`] | Summit/Rhea/Andes hardware models, fat-tree topology, α–β links |
+//! | [`machine`] | Summit hardware models, fat-tree topology, α–β links |
 //! | [`comm`] | threaded communicator, executable collectives, cost models |
 //! | [`io`] | storage tiers, sharding/shuffling/staging, bandwidth requirements |
 //! | [`tensor`] | dense f32 kernels for the trainer |

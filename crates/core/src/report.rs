@@ -1,10 +1,10 @@
 //! The paper-reproduction report generator.
 //!
-//! One function per table/figure/analysis of the paper, each returning the
-//! rendered artifact as text, plus [`full_report`] which assembles them all
-//! in paper order. The `repro` binary (`src/bin/repro.rs`) is a thin CLI
+//! One private function per table/figure/analysis of the paper, each
+//! returning the rendered artifact as text; [`artifacts`] lists them by id
+//! and [`full_report`] assembles them all in paper order. The `repro` binary (`src/bin/repro.rs`) is a thin CLI
 //! over this module (`repro fig1`, `repro case-studies`, `repro all`, …).
-//! [`ablations`] and [`crossover`] go beyond the paper: the design-choice
+//! `ablations` and `crossover` go beyond the paper: the design-choice
 //! tables of EXPERIMENTS.md and the simulated allreduce-algorithm study.
 
 use summit_comm::model::{Algorithm, CollectiveModel};
@@ -29,7 +29,7 @@ use summit_workflow::campaign::{run_campaign, CampaignConfig, CompoundLibrary};
 use summit_workloads::{GradPrecision, Workload};
 
 /// Table I: the AI motif taxonomy.
-pub fn table1() -> String {
+fn table1() -> String {
     let mut out = String::from("TABLE I. SCIENCE APPLICATION AI MOTIFS\n");
     for m in Motif::table1_rows() {
         out.push_str(&format!(
@@ -43,7 +43,7 @@ pub fn table1() -> String {
 }
 
 /// Table II: science domains and subdomains.
-pub fn table2() -> String {
+fn table2() -> String {
     let mut out = String::from("TABLE II. SCIENCE DOMAINS AND SUBDOMAINS\n");
     for d in summit_survey::taxonomy::Domain::ALL {
         out.push_str(&format!("{:<18} {}\n", d.name(), d.subdomains().join(", ")));
@@ -52,7 +52,7 @@ pub fn table2() -> String {
 }
 
 /// Table III: Gordon Bell finalist counts.
-pub fn table3() -> String {
+fn table3() -> String {
     let mut out = String::from("TABLE III. GORDON BELL AWARD FINALIST PROJECT COUNTS\n");
     out.push_str(&gordon_bell::render_table3());
     out.push_str("\nAI/ML finalist catalog (Section IV-A):\n");
@@ -69,43 +69,43 @@ pub fn table3() -> String {
 }
 
 /// Figure 1: overall AI/ML usage.
-pub fn fig1() -> String {
+fn fig1() -> String {
     let records = portfolio::build();
     analytics::render_fig1(&analytics::overall_usage(&records))
 }
 
 /// Figure 2: usage by program and year.
-pub fn fig2() -> String {
+fn fig2() -> String {
     let records = portfolio::build();
     analytics::render_fig2(&analytics::usage_by_program_year(&records))
 }
 
 /// Figure 3: usage by ML method.
-pub fn fig3() -> String {
+fn fig3() -> String {
     let records = portfolio::build();
     analytics::render_fig3(&analytics::usage_by_method(&records))
 }
 
 /// Figure 4: usage by science domain.
-pub fn fig4() -> String {
+fn fig4() -> String {
     let records = portfolio::build();
     analytics::render_fig4(&analytics::usage_by_domain(&records))
 }
 
 /// Figure 5: usage by AI motif.
-pub fn fig5() -> String {
+fn fig5() -> String {
     let records = portfolio::build();
     analytics::render_fig5(&analytics::usage_by_motif(&records))
 }
 
 /// Figure 6: motif × domain cross-tabulation.
-pub fn fig6() -> String {
+fn fig6() -> String {
     let records = portfolio::build();
     analytics::render_fig6(&analytics::motif_by_domain(&records))
 }
 
 /// Section IV-B: the extreme-scale case-study table (model vs paper).
-pub fn case_studies() -> String {
+fn case_studies() -> String {
     let results: Vec<CaseStudyResult> = CaseStudy::all().iter().map(CaseStudy::evaluate).collect();
     let mut out = String::from("SECTION IV-B. AI/ML METHODS AT EXTREME SCALE\n");
     out.push_str(&render_table(&results));
@@ -121,7 +121,7 @@ pub fn case_studies() -> String {
 }
 
 /// Section VI-B: the I/O requirement analysis.
-pub fn io_analysis() -> String {
+fn io_analysis() -> String {
     let summit = MachineSpec::summit();
     let demand = resnet50_full_summit_demand();
     let gpfs = demand.feasibility(&StorageTier::shared_fs(&summit));
@@ -149,7 +149,7 @@ pub fn io_analysis() -> String {
 }
 
 /// Section VI-B: the communication analysis and crossover.
-pub fn comm_analysis() -> String {
+fn comm_analysis() -> String {
     let link = LinkModel::inter_node(&NodeSpec::summit());
     let model = CollectiveModel::new(link);
     let p = 4608;
@@ -180,7 +180,7 @@ pub fn comm_analysis() -> String {
 
 /// Section VI-B outlook: "generic model parallelization is essential" —
 /// the hybrid planner's verdicts for the beyond-BERT model series.
-pub fn parallelism_analysis() -> String {
+fn parallelism_analysis() -> String {
     let mut out = String::from(
         "SECTION VI-B OUTLOOK. MODEL PARALLELISM BEYOND BERT-LARGE
 ",
@@ -229,7 +229,7 @@ pub fn parallelism_analysis() -> String {
 
 /// Section VI-B ¶1: the device-level roofline — why "these applications
 /// are typically computational bound at the device level" and when not.
-pub fn roofline_analysis() -> String {
+fn roofline_analysis() -> String {
     let gpu = summit_machine::spec::GpuSpec::v100();
     let r = Roofline::of_gpu(&gpu);
     let mut out = String::from(
@@ -274,7 +274,7 @@ pub fn roofline_analysis() -> String {
 /// The design-choice ablations 1–8 of EXPERIMENTS.md plus experiments X3
 /// and X5: every number is computed (models, simulated traffic, seeded
 /// training runs), none is a wall-clock timing.
-pub fn ablations() -> String {
+fn ablations() -> String {
     let mut out = String::from("ABLATIONS (EXPERIMENTS.md; computed, not timed)\n");
 
     out.push_str("[1] allreduce algorithm times at p=4608 (ms):\n");
@@ -434,7 +434,7 @@ pub fn ablations() -> String {
 /// Which allreduce algorithm wins at each (world size, message size) cell,
 /// every cell simulated on Summit's links
 /// ([`AlgorithmCrossoverStudy::summit`]).
-pub fn crossover() -> String {
+fn crossover() -> String {
     let mut out = String::from("ALLREDUCE ALGORITHM CROSSOVER (simulated schedules, seconds)\n");
     out.push_str(&format!(
         "{:>6} {:>10} {:>11} {:>11} {:>11} {:>11}  winner\n",

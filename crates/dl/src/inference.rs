@@ -96,11 +96,6 @@ impl ServableModel {
         self.layers.first().map_or(0, |l| l.w.rows())
     }
 
-    /// Output (logit) dimension.
-    pub fn output_dim(&self) -> usize {
-        self.layers.last().map_or(0, |l| l.w.cols())
-    }
-
     /// Number of layers.
     pub fn depth(&self) -> usize {
         self.layers.len()
@@ -190,7 +185,6 @@ mod tests {
         assert_eq!(servable.flat_params(), flat);
         assert_eq!(servable.param_count(), mlp.param_count());
         assert_eq!(servable.input_dim(), 4);
-        assert_eq!(servable.output_dim(), 3);
         assert_eq!(servable.depth(), 2);
     }
 

@@ -21,7 +21,7 @@
 //!   project used).
 //! * [`data`] — deterministic synthetic classification/regression tasks, so
 //!   convergence tests are reproducible.
-//! * [`trainer`] — a single-process trainer with gradient accumulation, and
+//! * [`trainer`] — a single-process trainer, and
 //!   [`trainer::DataParallelTrainer`] which replicates the model over
 //!   `summit-comm` ranks, allreduces real gradients every step, and is
 //!   bit-for-bit equivalent to large-batch single-process training (tested).

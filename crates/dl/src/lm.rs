@@ -121,19 +121,6 @@ impl TinyLm {
         optimizer.advance();
         loss
     }
-
-    /// Greedy next-token prediction after a prefix.
-    pub fn predict_next(&mut self, prefix: &[usize]) -> usize {
-        let logits = self.forward(prefix);
-        let last = logits.rows() - 1;
-        logits
-            .row(last)
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .expect("non-empty vocab")
-    }
 }
 
 #[cfg(test)]
@@ -217,7 +204,11 @@ mod tests {
         // Greedy generation follows the rule from any prefix.
         for start in 0..vocab {
             let prefix = make_seq(start)[..4].to_vec();
-            let next = lm.predict_next(&prefix);
+            let logits = lm.forward(&prefix);
+            let last = logits.row(logits.rows() - 1);
+            let next = (0..vocab)
+                .max_by(|&a, &b| last[a].total_cmp(&last[b]))
+                .unwrap();
             let want = (prefix[3] + stride) % vocab;
             assert_eq!(next, want, "prefix {prefix:?}");
         }

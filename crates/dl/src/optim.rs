@@ -189,7 +189,7 @@ impl Adam {
     }
 
     /// Create Adam with explicit hyperparameters.
-    pub fn with_betas(lr: f32, beta1: f32, beta2: f32, eps: f32, weight_decay: f32) -> Self {
+    fn with_betas(lr: f32, beta1: f32, beta2: f32, eps: f32, weight_decay: f32) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
         assert!((0.0..1.0).contains(&beta1) && (0.0..1.0).contains(&beta2));
         Adam {
@@ -294,7 +294,7 @@ impl Lars {
     }
 
     /// The layer trust ratio for given weight and gradient norms.
-    pub fn trust_ratio(&self, w_norm: f32, g_norm: f32) -> f32 {
+    fn trust_ratio(&self, w_norm: f32, g_norm: f32) -> f32 {
         if w_norm == 0.0 || g_norm == 0.0 {
             1.0
         } else {
@@ -356,7 +356,7 @@ impl Larc {
     }
 
     /// The clipped local rate multiplier.
-    pub fn local_rate(&self, w_norm: f32, g_norm: f32) -> f32 {
+    fn local_rate(&self, w_norm: f32, g_norm: f32) -> f32 {
         if w_norm == 0.0 || g_norm == 0.0 {
             1.0
         } else {

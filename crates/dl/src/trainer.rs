@@ -72,29 +72,8 @@ impl Trainer {
         let (loss, dlogits) = ops::softmax_cross_entropy(logits, labels);
         self.model.zero_grads();
         self.model.backward(&dlogits);
-        self.apply_step(1.0);
+        self.apply_step();
         (loss, acc)
-    }
-
-    /// One optimizer step over `micro_batches` forward/backward passes whose
-    /// gradients are accumulated then averaged — the gradient-accumulation
-    /// trick Blanchard et al. use to reach a 5.8 M global batch.
-    ///
-    /// # Panics
-    /// Panics if the micro-batch list is empty or shapes mismatch.
-    pub fn train_accumulated(&mut self, micro_batches: &[(&Matrix, &[usize])]) -> f32 {
-        assert!(!micro_batches.is_empty(), "need at least one micro-batch");
-        self.model.zero_grads();
-        let mut total_loss = 0.0;
-        for (x, labels) in micro_batches {
-            let logits = self.model.forward(x);
-            let (loss, dlogits) = ops::softmax_cross_entropy(logits, labels);
-            total_loss += loss;
-            self.model.backward(&dlogits);
-        }
-        let k = micro_batches.len() as f32;
-        self.apply_step(1.0 / k);
-        total_loss / k
     }
 
     /// One pass over the dataset in order, stepping every `batch_size` rows.
@@ -129,13 +108,13 @@ impl Trainer {
     ///
     /// # Panics
     /// Panics on shape mismatch.
-    pub fn train_regression_batch(&mut self, x: &Matrix, targets: &Matrix) -> f32 {
+    fn train_regression_batch(&mut self, x: &Matrix, targets: &Matrix) -> f32 {
         assert_eq!(x.rows(), targets.rows(), "batch shape mismatch");
         let pred = self.model.forward(x);
         let (loss, grad) = ops::mse(&pred, targets);
         self.model.zero_grads();
         self.model.backward(&grad);
-        self.apply_step(1.0);
+        self.apply_step();
         loss
     }
 
@@ -190,12 +169,6 @@ impl Trainer {
         self.model.servable()
     }
 
-    /// Mean-squared error of the model on a dataset, without updating.
-    pub fn evaluate_regression(&mut self, x: &Matrix, targets: &Matrix) -> f32 {
-        let pred = self.model.forward(x);
-        ops::mse(&pred, targets).0
-    }
-
     /// Evaluate loss and accuracy without updating.
     pub fn evaluate(&mut self, x: &Matrix, labels: &[usize]) -> EpochMetrics {
         let logits = self.model.forward(x);
@@ -208,12 +181,12 @@ impl Trainer {
         }
     }
 
-    /// One optimizer step from the gradient arena scaled by `scale`.
-    fn apply_step(&mut self, scale: f32) {
+    /// One optimizer step from the gradient arena.
+    fn apply_step(&mut self) {
         let lr = self.schedule.multiplier(self.step);
         let opt = &mut self.optimizer;
         self.model
-            .for_each_group(|id, params, grads| opt.step_scaled(id, lr, scale, params, grads));
+            .for_each_group(|id, params, grads| opt.step_group(id, lr, params, grads));
         self.optimizer.advance();
         self.step += 1;
     }
@@ -332,7 +305,7 @@ impl BucketSchedule {
     }
 
     /// Total flat gradient length.
-    pub fn total_elems(&self) -> usize {
+    fn total_elems(&self) -> usize {
         *self.layer_starts.last().expect("always one entry")
     }
 
@@ -623,38 +596,6 @@ mod tests {
         let non = mlp.evaluate(&task.x, &task.y).accuracy;
         assert!(lin < 0.8, "linear model should struggle, got {lin}");
         assert!(non > 0.9, "MLP should solve spirals, got {non}");
-    }
-
-    #[test]
-    fn gradient_accumulation_equals_large_batch() {
-        let task = blobs(64, 4, 2, 0.3, 21);
-        let build = || MlpSpec::new(4, &[8], 2).build(3);
-        // One big batch of 64.
-        let mut big = Trainer::new(
-            build(),
-            Box::new(Sgd::new(0.1, 0.0, 0.0)),
-            LrSchedule::Constant,
-        );
-        big.train_batch(&task.x, &task.y);
-        // 4 accumulated micro-batches of 16.
-        let mut acc = Trainer::new(
-            build(),
-            Box::new(Sgd::new(0.1, 0.0, 0.0)),
-            LrSchedule::Constant,
-        );
-        let mb: Vec<(Matrix, Vec<usize>)> = (0..4)
-            .map(|i| {
-                (
-                    slice_rows(&task.x, i * 16, (i + 1) * 16),
-                    task.y[i * 16..(i + 1) * 16].to_vec(),
-                )
-            })
-            .collect();
-        let refs: Vec<(&Matrix, &[usize])> = mb.iter().map(|(x, y)| (x, y.as_slice())).collect();
-        acc.train_accumulated(&refs);
-        for (a, b) in big.model.flat_params().iter().zip(acc.model.flat_params()) {
-            assert!((a - b).abs() < 1e-5, "accumulation diverged: {a} vs {b}");
-        }
     }
 
     #[test]
@@ -954,9 +895,9 @@ mod tests {
     fn regression_fits_teacher() {
         let task = crate::data::teacher_regression(400, 6, 61);
         let mut t = Trainer::regressor(6, &[24], Adam::new(0.01, 0.0), 4);
-        let before = t.evaluate_regression(&task.x, &task.y);
+        let before = ops::mse(&t.predict(&task.x), &task.y).0;
         t.fit(&task.x, &task.y, 200);
-        let after = t.evaluate_regression(&task.x, &task.y);
+        let after = ops::mse(&t.predict(&task.x), &task.y).0;
         assert!(after < before / 10.0, "MSE {before} → {after}");
     }
 

@@ -43,13 +43,8 @@ impl CheckpointModel {
     }
 
     /// Seconds to write one checkpoint.
-    pub fn checkpoint_seconds(&self) -> f64 {
+    fn checkpoint_seconds(&self) -> f64 {
         self.state_bytes / self.write_bw
-    }
-
-    /// The Young–Daly optimal checkpoint interval in seconds.
-    pub fn optimal_interval(&self) -> f64 {
-        (2.0 * self.checkpoint_seconds() * self.mtbf_seconds).sqrt()
     }
 
     /// Expected overhead fraction at interval `tau`: checkpoint writes
@@ -60,11 +55,6 @@ impl CheckpointModel {
     pub fn overhead_fraction(&self, tau: f64) -> f64 {
         assert!(tau > 0.0, "interval must be positive");
         self.checkpoint_seconds() / tau + tau / (2.0 * self.mtbf_seconds)
-    }
-
-    /// Overhead at the optimal interval: `√(2δ/M)`.
-    pub fn optimal_overhead_fraction(&self) -> f64 {
-        self.overhead_fraction(self.optimal_interval())
     }
 }
 
@@ -86,10 +76,15 @@ mod tests {
         )
     }
 
+    /// The Young–Daly interval `τ* = √(2·δ·M)`.
+    fn young_daly(m: &CheckpointModel) -> f64 {
+        (2.0 * m.checkpoint_seconds() * m.mtbf_seconds).sqrt()
+    }
+
     #[test]
     fn optimum_is_a_minimum() {
         let m = model(4608, 10.0);
-        let tau = m.optimal_interval();
+        let tau = young_daly(&m);
         let at_opt = m.overhead_fraction(tau);
         for factor in [0.25, 0.5, 2.0, 4.0] {
             assert!(
@@ -110,26 +105,31 @@ mod tests {
         assert!((m.checkpoint_seconds() - 4.0).abs() < 1e-9);
         let mtbf_hours = m.mtbf_seconds / 3600.0;
         assert!(mtbf_hours > 8.0 && mtbf_hours < 11.0, "{mtbf_hours}");
-        let tau_min = m.optimal_interval() / 60.0;
+        let tau_min = young_daly(&m) / 60.0;
         assert!(tau_min > 5.0 && tau_min < 15.0, "{tau_min}");
-        assert!(m.optimal_overhead_fraction() < 0.03);
+        assert!(m.overhead_fraction(young_daly(&m)) < 0.03);
     }
 
     #[test]
     fn bigger_jobs_checkpoint_more_often() {
         let small = model(64, 10.0);
         let big = model(4608, 10.0);
-        assert!(big.optimal_interval() < small.optimal_interval());
-        assert!(big.optimal_overhead_fraction() > small.optimal_overhead_fraction());
+        assert!(young_daly(&big) < young_daly(&small));
+        assert!(
+            big.overhead_fraction(young_daly(&big)) > small.overhead_fraction(young_daly(&small))
+        );
     }
 
     #[test]
     fn bigger_state_costs_more() {
         let lean = model(1024, 1.0);
         let fat = model(1024, 100.0);
-        assert!(fat.optimal_overhead_fraction() > lean.optimal_overhead_fraction());
+        assert!(
+            fat.overhead_fraction(young_daly(&fat)) > lean.overhead_fraction(young_daly(&lean))
+        );
         // Overhead scales as √state: 100× state → 10× overhead.
-        let ratio = fat.optimal_overhead_fraction() / lean.optimal_overhead_fraction();
+        let ratio =
+            fat.overhead_fraction(young_daly(&fat)) / lean.overhead_fraction(young_daly(&lean));
         assert!((ratio - 10.0).abs() < 1e-6, "{ratio}");
     }
 }

@@ -114,11 +114,6 @@ impl ShardPlan {
     pub fn total_bytes(&self) -> f64 {
         self.stored_samples() as f64 * self.bytes_per_sample
     }
-
-    /// Whether this plan is a partition (every sample stored exactly once).
-    pub fn is_partition(&self, dataset: &DatasetSpec) -> bool {
-        self.stored_samples() == dataset.samples
-    }
 }
 
 #[cfg(test)]
@@ -145,7 +140,7 @@ mod tests {
     fn partition_is_exact_and_balanced() {
         let d = DatasetSpec::new("t", 1003, 10.0);
         let p = ShardPlan::partition(&d, 8);
-        assert!(p.is_partition(&d));
+        assert_eq!(p.stored_samples(), d.samples);
         let max = p.counts.iter().max().unwrap();
         let min = p.counts.iter().min().unwrap();
         assert!(max - min <= 1);
@@ -156,7 +151,7 @@ mod tests {
         let d = DatasetSpec::new("t", 100, 10.0);
         let r = ShardPlan::replicate(&d, 4);
         assert_eq!(r.stored_samples(), 400);
-        assert!(!r.is_partition(&d));
+        assert_ne!(r.stored_samples(), d.samples);
         assert!((r.total_bytes() - 4000.0).abs() < 1e-9);
     }
 

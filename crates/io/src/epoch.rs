@@ -61,13 +61,6 @@ pub struct EpochTimeline {
     pub feasible: bool,
 }
 
-impl EpochTimeline {
-    /// Total wall seconds for `epochs` epochs.
-    pub fn total_seconds(&self, epochs: u32) -> f64 {
-        self.staging_seconds + f64::from(epochs) * self.epoch.wall_seconds
-    }
-}
-
 impl EpochPlan {
     /// Simulate the timeline on a machine's tiers.
     ///
@@ -149,7 +142,8 @@ mod tests {
         assert!(t_st.epoch.read_seconds < p_st.compute_seconds);
         // One epoch: streaming may win (no staging cost); ten epochs: NVMe
         // must win.
-        assert!(t_st.total_seconds(10) < t_fs.total_seconds(10));
+        let ten_epochs = |t: &EpochTimeline| t.staging_seconds + 10.0 * t.epoch.wall_seconds;
+        assert!(ten_epochs(&t_st) < ten_epochs(&t_fs));
     }
 
     #[test]

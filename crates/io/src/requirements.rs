@@ -45,11 +45,6 @@ impl ReadDemand {
         self.samples_per_sec_per_device * self.bytes_per_sample * self.devices as f64
     }
 
-    /// Per-device read bandwidth (bytes/s).
-    pub fn per_device_read_bw(&self) -> f64 {
-        self.samples_per_sec_per_device * self.bytes_per_sample
-    }
-
     /// Judge a storage tier against this demand.
     pub fn feasibility(&self, tier: &StorageTier) -> Feasibility {
         let supply = tier.read_bw;
@@ -63,11 +58,6 @@ impl ReadDemand {
             // supply/demand of ideal.
             achievable_fraction: (supply / demand).min(1.0),
         }
-    }
-
-    /// The maximum device count this tier can feed at full speed.
-    pub fn max_devices_at_full_speed(&self, tier: &StorageTier) -> u64 {
-        (tier.read_bw / self.per_device_read_bw()).floor() as u64
     }
 }
 
@@ -125,7 +115,8 @@ mod tests {
         // The crossover: GPFS can feed 2.5/20 of the machine ≈ 3,456 GPUs.
         let summit = MachineSpec::summit();
         let d = resnet50_full_summit_demand();
-        let max = d.max_devices_at_full_speed(&StorageTier::shared_fs(&summit));
+        let gpfs = d.feasibility(&StorageTier::shared_fs(&summit));
+        let max = (gpfs.achievable_fraction * d.devices as f64).floor() as u64;
         assert!(max > 3000 && max < 3600, "got {max}");
     }
 

@@ -47,7 +47,7 @@ impl ShuffleStrategy {
 
     /// Expected fraction of stored bytes that must cross the network per
     /// epoch under this strategy on `nodes` nodes.
-    pub fn cross_node_fraction(self, nodes: u32) -> f64 {
+    fn cross_node_fraction(self, nodes: u32) -> f64 {
         match self {
             ShuffleStrategy::None | ShuffleStrategy::LocalInShard => 0.0,
             ShuffleStrategy::GlobalReshard => {
@@ -132,9 +132,15 @@ impl Shuffler {
             order,
         }
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dataset::DatasetSpec;
 
     /// Measured fraction of samples whose owner changed between two epochs.
-    pub fn moved_fraction(before: &EpochOrder, after: &EpochOrder) -> f64 {
+    fn moved_fraction(before: &EpochOrder, after: &EpochOrder) -> f64 {
         assert_eq!(before.owner.len(), after.owner.len());
         let moved = before
             .owner
@@ -144,12 +150,6 @@ impl Shuffler {
             .count();
         moved as f64 / before.owner.len() as f64
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::dataset::DatasetSpec;
 
     fn epoch_covers_all(order: &EpochOrder, samples: u64) -> bool {
         let mut seen = vec![false; samples as usize];
@@ -180,7 +180,7 @@ mod tests {
         let mut sh = Shuffler::new(500, 5, 1);
         let e1 = sh.next_epoch(ShuffleStrategy::LocalInShard);
         let e2 = sh.next_epoch(ShuffleStrategy::LocalInShard);
-        assert_eq!(Shuffler::moved_fraction(&e1, &e2), 0.0);
+        assert_eq!(moved_fraction(&e1, &e2), 0.0);
     }
 
     #[test]
@@ -197,7 +197,7 @@ mod tests {
         let mut sh = Shuffler::new(20_000, nodes, 7);
         let e1 = sh.next_epoch(ShuffleStrategy::GlobalReshard);
         let e2 = sh.next_epoch(ShuffleStrategy::GlobalReshard);
-        let measured = Shuffler::moved_fraction(&e1, &e2);
+        let measured = moved_fraction(&e1, &e2);
         let expected = ShuffleStrategy::GlobalReshard.cross_node_fraction(nodes);
         assert!(
             (measured - expected).abs() < 0.02,

@@ -1,15 +1,14 @@
-//! Hardware models of the OLCF Summit system and its companion clusters.
+//! Hardware models of the OLCF Summit system.
 //!
 //! This crate encodes, as data and small cost models, everything the paper
 //! *Learning to Scale the Summit* (Joubert et al., 2022) assumes about the
 //! machines it discusses:
 //!
-//! * [`spec`] — node, CPU, GPU, memory and storage specifications for Summit,
-//!   the Summit high-memory nodes, and the Rhea/Andes companion clusters
+//! * [`spec`] — node, CPU, GPU, memory and storage specifications for Summit
 //!   (paper Section II-A).
 //! * [`topology`] — a two-level non-blocking fat-tree model of Summit's
-//!   dual-rail EDR InfiniBand fabric, with hop counting and bisection
-//!   bandwidth, and an intra-node NVLink graph.
+//!   dual-rail EDR InfiniBand fabric, with hop counting, and an intra-node
+//!   NVLink graph.
 //! * [`link`] — the α–β (latency–bandwidth) link cost model used by the
 //!   communication and scaling analyses.
 //!

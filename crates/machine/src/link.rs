@@ -75,12 +75,6 @@ impl LinkModel {
         bytes / self.transfer_time(bytes)
     }
 
-    /// The message size (bytes) at which half of peak bandwidth is achieved
-    /// (the classic `n_1/2` metric).
-    pub fn n_half(&self) -> f64 {
-        self.alpha * self.beta
-    }
-
     /// A copy of this link with the latency term dropped (`α = 0`).
     ///
     /// Production collectives pipeline chunks so the serialized latency of
@@ -128,13 +122,6 @@ mod tests {
         let l = LinkModel::new(1e-6, 25e9);
         assert!(l.effective_bandwidth(1e9) / l.beta > 0.99);
         assert!(l.effective_bandwidth(1e3) / l.beta < 0.1);
-    }
-
-    #[test]
-    fn n_half_reaches_half_bandwidth() {
-        let l = LinkModel::new(2e-6, 12.5e9);
-        let half = l.effective_bandwidth(l.n_half());
-        assert!((half - l.beta / 2.0).abs() / l.beta < 1e-9);
     }
 
     #[test]

@@ -40,29 +40,6 @@ impl GpuSpec {
             hbm_bw: 900.0 * GB,
         }
     }
-
-    /// V100 32 GB variant used in the 54 high-memory nodes added in 2020
-    /// (paper: 192 GB HBM2 per node over six GPUs).
-    pub fn v100_32gb() -> Self {
-        GpuSpec {
-            hbm_bytes: 32.0 * GIB,
-            name: "NVIDIA Tesla V100 32GB",
-            ..GpuSpec::v100()
-        }
-    }
-
-    /// NVIDIA K80 as in the Rhea GPU partition.
-    pub fn k80() -> Self {
-        GpuSpec {
-            name: "NVIDIA K80",
-            fp64_flops: 2.9e12,
-            fp32_flops: 8.7e12,
-            // No tensor cores; mixed == fp32.
-            mixed_flops: 8.7e12,
-            hbm_bytes: 24.0 * GIB,
-            hbm_bw: 480.0 * GB,
-        }
-    }
 }
 
 /// Node-local and shared storage characteristics.
@@ -92,25 +69,6 @@ impl StorageSpec {
             nvme_write_bw: 2.1 * GB,
             shared_fs_read_bw: 2.5 * TB,
             shared_fs_write_bw: 2.5 * TB,
-        }
-    }
-
-    /// High-memory node variant: 6.4 TB NVMe (paper Section II-A).
-    pub fn summit_high_mem() -> Self {
-        StorageSpec {
-            nvme_bytes: 6.4 * TB,
-            ..StorageSpec::summit()
-        }
-    }
-
-    /// Commodity cluster with shared filesystem only.
-    pub fn cluster(shared_bw: f64) -> Self {
-        StorageSpec {
-            nvme_bytes: 0.0,
-            nvme_read_bw: 0.0,
-            nvme_write_bw: 0.0,
-            shared_fs_read_bw: shared_bw,
-            shared_fs_write_bw: shared_bw,
         }
     }
 }
@@ -156,61 +114,6 @@ impl NodeSpec {
         }
     }
 
-    /// A Summit high-memory node: 2 TB DDR4, 32 GB V100s.
-    pub fn summit_high_mem() -> Self {
-        NodeSpec {
-            dram_bytes: 2.0 * TB,
-            gpu: GpuSpec::v100_32gb(),
-            ..NodeSpec::summit()
-        }
-    }
-
-    /// A Rhea CPU-partition node: 2×8-core Xeon, 128 GB.
-    pub fn rhea_cpu() -> Self {
-        NodeSpec {
-            cpu_sockets: 2,
-            cores_per_socket: 8,
-            reserved_cores_per_socket: 0,
-            dram_bytes: 128.0 * GIB,
-            gpus_per_node: 0,
-            gpu: GpuSpec::k80(),
-            nvlink_bw: 0.0,
-            injection_bw: 7.0 * GB,
-            injection_latency: 2.0e-6,
-        }
-    }
-
-    /// A Rhea GPU-partition node: 2×14-core Xeon, 1 TB, 2 K80s. These nodes
-    /// were later folded into Andes (paper Section II-A).
-    pub fn rhea_gpu() -> Self {
-        NodeSpec {
-            cpu_sockets: 2,
-            cores_per_socket: 14,
-            reserved_cores_per_socket: 0,
-            dram_bytes: 1.0 * TB,
-            gpus_per_node: 2,
-            gpu: GpuSpec::k80(),
-            nvlink_bw: 0.0,
-            injection_bw: 7.0 * GB,
-            injection_latency: 2.0e-6,
-        }
-    }
-
-    /// An Andes node: 2×16-core AMD EPYC, 256 GB.
-    pub fn andes() -> Self {
-        NodeSpec {
-            cpu_sockets: 2,
-            cores_per_socket: 16,
-            reserved_cores_per_socket: 0,
-            dram_bytes: 256.0 * GIB,
-            gpus_per_node: 0,
-            gpu: GpuSpec::k80(),
-            nvlink_bw: 0.0,
-            injection_bw: 12.5 * GB,
-            injection_latency: 2.0e-6,
-        }
-    }
-
     /// Cores available to user processes per node.
     pub fn user_cores(&self) -> u32 {
         self.cpu_sockets * (self.cores_per_socket - self.reserved_cores_per_socket)
@@ -251,36 +154,6 @@ impl MachineSpec {
         }
     }
 
-    /// The 54-node high-memory partition added in Summer 2020.
-    pub fn summit_high_mem() -> Self {
-        MachineSpec {
-            name: "Summit high-memory partition",
-            nodes: 54,
-            node: NodeSpec::summit_high_mem(),
-            storage: StorageSpec::summit_high_mem(),
-        }
-    }
-
-    /// Rhea CPU partition (512 nodes).
-    pub fn rhea() -> Self {
-        MachineSpec {
-            name: "Rhea",
-            nodes: 512,
-            node: NodeSpec::rhea_cpu(),
-            storage: StorageSpec::cluster(200.0 * GB),
-        }
-    }
-
-    /// Andes (704 nodes, late 2020).
-    pub fn andes() -> Self {
-        MachineSpec {
-            name: "Andes",
-            nodes: 704,
-            node: NodeSpec::andes(),
-            storage: StorageSpec::cluster(200.0 * GB),
-        }
-    }
-
     /// A custom machine for sweeps: Summit-like nodes at an arbitrary size.
     pub fn summit_like(nodes: u32) -> Self {
         MachineSpec {
@@ -299,11 +172,6 @@ impl MachineSpec {
     /// Peak machine-wide mixed-precision rate in FLOP/s.
     pub fn peak_mixed_precision_flops(&self) -> f64 {
         f64::from(self.nodes) * self.node.peak_mixed_precision_flops()
-    }
-
-    /// Aggregate node-local NVMe read bandwidth in bytes/s.
-    pub fn aggregate_nvme_read_bw(&self) -> f64 {
-        f64::from(self.nodes) * self.storage.nvme_read_bw
     }
 }
 
@@ -333,38 +201,9 @@ mod tests {
         // "over 3 AI-ExaOps mixed precision peak performance"
         assert!(m.peak_mixed_precision_flops() > 3.0e18);
         // "node-local NVMe has aggregate read bandwidth over 27 TB/s"
-        assert!(m.aggregate_nvme_read_bw() > 27.0 * TB);
+        assert!(f64::from(m.nodes) * m.storage.nvme_read_bw > 27.0 * TB);
         // GPFS read bandwidth "only 2.5 TB/s"
         assert!((m.storage.shared_fs_read_bw - 2.5 * TB).abs() < 1.0);
-    }
-
-    #[test]
-    fn high_mem_nodes_match_paper() {
-        let m = MachineSpec::summit_high_mem();
-        assert_eq!(m.nodes, 54);
-        // 192 GB HBM2, 2 TB DDR4, 6.4 TB NVMe per node.
-        assert!((m.node.hbm_bytes() / GIB - 192.0).abs() < 1e-9);
-        assert!((m.node.dram_bytes - 2.0 * TB).abs() < 1.0);
-        assert!((m.storage.nvme_bytes - 6.4 * TB).abs() < 1.0);
-    }
-
-    #[test]
-    fn companion_clusters_match_paper() {
-        let rhea = MachineSpec::rhea();
-        assert_eq!(rhea.nodes, 512);
-        assert_eq!(rhea.node.user_cores(), 16);
-        let andes = MachineSpec::andes();
-        assert_eq!(andes.nodes, 704);
-        assert_eq!(andes.node.user_cores(), 32);
-        assert!((andes.node.dram_bytes / GIB - 256.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rhea_gpu_partition_matches_paper() {
-        let n = NodeSpec::rhea_gpu();
-        assert_eq!(n.gpus_per_node, 2);
-        assert!((n.dram_bytes - 1.0 * TB).abs() < 1.0);
-        assert_eq!(n.user_cores(), 28);
     }
 
     #[test]

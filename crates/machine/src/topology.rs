@@ -1,9 +1,9 @@
 //! Interconnect topology models.
 //!
 //! * [`FatTree`] — Summit's dual-rail EDR InfiniBand fabric as a two-level
-//!   non-blocking fat tree: hop counts, per-pair latency, and bisection
-//!   bandwidth. Adaptive routing is modelled as a contention derate that
-//!   improves (approaches 1.0) with the routing quality parameter.
+//!   non-blocking fat tree: hop counts and per-pair latency. Adaptive
+//!   routing is modelled as a contention derate that improves (approaches
+//!   1.0) with the routing quality parameter.
 //! * [`NvLinkGraph`] — the intra-node NVLink connectivity of an AC922 node:
 //!   two triplets of V100s, each triplet fully connected and attached to one
 //!   POWER9 socket, sockets joined by an X-bus.
@@ -108,13 +108,6 @@ impl FatTree {
         };
         LinkModel::new(self.latency(a, b), bw)
     }
-
-    /// Full-machine bisection bandwidth in bytes/s, accounting for taper and
-    /// adaptive routing quality.
-    pub fn bisection_bandwidth(&self) -> f64 {
-        let nodes = f64::from(self.capacity());
-        nodes / 2.0 * self.injection.beta / self.taper * self.adaptive_routing_quality
-    }
 }
 
 /// Position of a GPU within an AC922 node.
@@ -153,7 +146,7 @@ impl NvLinkGraph {
     }
 
     /// Total GPUs in the node.
-    pub fn gpu_count(&self) -> u32 {
+    fn gpu_count(&self) -> u32 {
         self.sockets * self.gpus_per_socket
     }
 
@@ -224,14 +217,6 @@ mod tests {
         let t = FatTree::summit();
         assert!(t.latency(0, 18) > t.latency(0, 1));
         assert_eq!(t.latency(5, 5), 0.0);
-    }
-
-    #[test]
-    fn non_blocking_bisection() {
-        let t = FatTree::summit();
-        // Non-blocking: bisection ≈ N/2 × injection × routing quality.
-        let expect = f64::from(t.capacity()) / 2.0 * 25.0e9 * 0.96;
-        assert!((t.bisection_bandwidth() - expect).abs() < 1.0);
     }
 
     #[test]

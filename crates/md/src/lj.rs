@@ -38,7 +38,7 @@ impl LennardJones {
     }
 
     /// Magnitude of the pair force `−dU/dr` (positive = repulsive).
-    pub fn pair_force(&self, r: f64) -> f64 {
+    fn pair_force(&self, r: f64) -> f64 {
         if r >= self.cutoff {
             return 0.0;
         }

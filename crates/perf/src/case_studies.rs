@@ -97,7 +97,7 @@ impl CaseStudy {
     ///
     /// Calibration: the GAN's model-parallel coordination appears as a
     /// 0.76 ms·ln(n) per-step overhead.
-    pub fn yang() -> Self {
+    fn yang() -> Self {
         CaseStudy {
             name: "Yang et al. PI-GAN (subsurface flow)",
             reference: "4,584 nodes, >1.2 EF, 93% efficiency",
@@ -119,7 +119,7 @@ impl CaseStudy {
     ///
     /// Calibration: their "novel optimizations for gradient reduction" are
     /// modelled as 50% compute/communication overlap.
-    pub fn laanait() -> Self {
+    fn laanait() -> Self {
         CaseStudy {
             name: "Laanait et al. microscopy (FC-DenseNet)",
             reference: "4,600 nodes, 2.15 EF peak, global batch 27,600",
@@ -139,7 +139,7 @@ impl CaseStudy {
     ///
     /// Calibration: full α–β model (latency exposed at scale) plus
     /// 1.056 ms·ln(n) software overhead (LAMB bookkeeping, input pipeline).
-    pub fn khan() -> Self {
+    fn khan() -> Self {
         CaseStudy {
             name: "Khan et al. black holes (WaveNet)",
             reference: "80% scaling efficiency from 8 to 1,024 nodes (LAMB)",
@@ -164,7 +164,7 @@ impl CaseStudy {
     /// Calibration: 13.19 ms·ln(n) software overhead and 35.4 ms·ln(n) I/O
     /// overhead (tokenized-shard loading and checkpointing; the raw SMILES
     /// byte demand itself is tiny).
-    pub fn blanchard() -> Self {
+    fn blanchard() -> Self {
         CaseStudy {
             name: "Blanchard et al. drug LM (BERT-SMILES)",
             reference: "1→4,032 nodes 68% (83.3% w/o I/O), 603 PF peak",
@@ -184,7 +184,7 @@ impl CaseStudy {
 
     /// The Blanchard case with I/O costs removed — the paper's "without I/O
     /// costs the figure is 83.3%".
-    pub fn blanchard_no_io() -> Self {
+    fn blanchard_no_io() -> Self {
         let mut cs = CaseStudy::blanchard();
         cs.name = "Blanchard et al. drug LM (no I/O)";
         cs.reference = "1→4,032 nodes, 83.3% without I/O costs";

@@ -52,12 +52,6 @@ impl CommCrossover {
         model.bandwidth_term(Algorithm::Ring, self.ranks, params * self.precision.bytes())
     }
 
-    /// Whether a model of `params` parameters is communication-bound
-    /// (allreduce time exceeds per-batch compute).
-    pub fn comm_bound(&self, params: f64) -> bool {
-        self.comm_seconds(params) > self.step_compute_seconds
-    }
-
     /// The crossover parameter count: the model size at which allreduce
     /// time equals compute time. Closed form because both sides are linear:
     /// `params* = t_compute · β / (2 · bytes_per_param · (p−1)/p)`.
@@ -207,9 +201,11 @@ mod tests {
     #[test]
     fn resnet_below_bert_above() {
         let x = CommCrossover::summit_bert_anchor();
-        assert!(!x.comm_bound(Workload::resnet50().params));
+        // Communication-bound: allreduce time exceeds per-batch compute.
+        let comm_limited = |params| x.comm_seconds(params) > x.step_compute_seconds;
+        assert!(!comm_limited(Workload::resnet50().params));
         // A model 2× BERT-large is communication-bound.
-        assert!(x.comm_bound(2.0 * Workload::bert_large().params));
+        assert!(comm_limited(2.0 * Workload::bert_large().params));
     }
 
     #[test]
@@ -245,8 +241,8 @@ mod tests {
     fn boundary_consistency() {
         let x = CommCrossover::summit_bert_anchor();
         let p = x.crossover_params();
-        assert!(!x.comm_bound(p * 0.999));
-        assert!(x.comm_bound(p * 1.001));
+        assert!(x.comm_seconds(p * 0.999) <= x.step_compute_seconds);
+        assert!(x.comm_seconds(p * 1.001) > x.step_compute_seconds);
     }
 
     /// Down-scaled algorithm crossover: the textbook regimes emerge from

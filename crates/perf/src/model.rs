@@ -150,7 +150,7 @@ impl ScalingModel {
 
     /// Hierarchical allreduce time (NVLink ring inside the node, the chosen
     /// algorithm between nodes) for the workload's gradient message.
-    pub fn allreduce_seconds(&self, nodes: u32) -> f64 {
+    fn allreduce_seconds(&self, nodes: u32) -> f64 {
         assert!(self.compression_factor >= 1.0, "compression cannot inflate");
         let msg = self.workload.gradient_message_bytes() / self.compression_factor;
         let g = u64::from(self.machine.node.gpus_per_node);

@@ -99,7 +99,7 @@ impl MemoryModel {
     }
 
     /// The largest micro-batch that fits, if any.
-    pub fn max_micro_batch(&self, strategy: &ParallelStrategy, hbm_bytes: f64) -> Option<u32> {
+    fn max_micro_batch(&self, strategy: &ParallelStrategy, hbm_bytes: f64) -> Option<u32> {
         if !self.fits(strategy, 1, hbm_bytes) {
             return None;
         }
@@ -142,7 +142,7 @@ impl ParallelStrategy {
     }
 
     /// The pipeline bubble fraction `(pp−1)/(mb+pp−1)` (GPipe schedule).
-    pub fn bubble_fraction(&self) -> f64 {
+    fn bubble_fraction(&self) -> f64 {
         if self.pipeline <= 1 {
             return 0.0;
         }

@@ -57,15 +57,6 @@ impl Kernel {
             arithmetic_intensity: 0.125,
         }
     }
-
-    /// Dense matmul of square `n×n` tiles in f32 — the reproduction's CPU
-    /// GEMM: `2n³` FLOPs over `3·4·n²` bytes → intensity `n/6`.
-    pub fn matmul_f32(n: u32) -> Kernel {
-        Kernel {
-            name: "matmul (f32)",
-            arithmetic_intensity: f64::from(n) / 6.0,
-        }
-    }
 }
 
 /// Roofline verdict for one kernel on one device.
@@ -96,25 +87,6 @@ impl Roofline {
         Roofline {
             peak_flops: gpu.mixed_flops,
             mem_bw: gpu.hbm_bw,
-        }
-    }
-
-    /// The roofline of a CPU running SIMD FMA kernels: peak is
-    /// `cores × GHz × lanes × fma_units × 2` FLOP/s (two FLOPs per fused
-    /// multiply-add per lane per issue port). The gemm bench queries this
-    /// to turn measured GFLOP/s into percent-of-roofline: `lanes = 8` for
-    /// the AVX2 f32x8 path, `lanes = 1` for the scalar fallback, and
-    /// `fma_units` is the core's FMA issue width (2 on every x86-64
-    /// server part since Haswell).
-    pub fn of_cpu(cores: u32, ghz: f64, lanes: u32, fma_units: u32, mem_bw: f64) -> Self {
-        Roofline {
-            peak_flops: f64::from(cores)
-                * ghz
-                * 1e9
-                * f64::from(lanes)
-                * f64::from(fma_units)
-                * 2.0,
-            mem_bw,
         }
     }
 
@@ -181,25 +153,6 @@ mod tests {
             rec.peak_fraction
         );
         assert!(!r.evaluate(Kernel::elementwise_fp32()).compute_bound);
-    }
-
-    /// The CPU roofline the gemm bench queries: a 1-core 2.1 GHz AVX2 part
-    /// with two FMA ports peaks at 2.1 × 8 × 2 × 2 = 67.2 GFLOP/s, and
-    /// paper-scale f32 tiles are compute-bound on it.
-    #[test]
-    fn cpu_roofline_matches_hand_arithmetic() {
-        let r = Roofline::of_cpu(1, 2.1, 8, 2, 2.5e10);
-        assert!((r.peak_flops - 67.2e9).abs() < 1e6, "{}", r.peak_flops);
-        // f32 512³ intensity 512/6 ≈ 85.3 FLOP/byte clears the balance
-        // (67.2e9 / 2.5e10 ≈ 2.7), so the ceiling is compute.
-        let p = r.evaluate(Kernel::matmul_f32(512));
-        assert!(p.compute_bound);
-        assert!((p.attainable_flops - r.peak_flops).abs() < 1.0);
-        // The scalar fallback roofline is 8× lower.
-        let s = Roofline::of_cpu(1, 2.1, 1, 2, 2.5e10);
-        assert!((s.peak_flops * 8.0 - r.peak_flops).abs() < 1e3);
-        let f = Kernel::matmul_f32(256).arithmetic_intensity;
-        assert!((f * 6.0 - 256.0).abs() < 1e-9);
     }
 
     /// Attainable performance is monotone in intensity and capped at peak.

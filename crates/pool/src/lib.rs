@@ -598,12 +598,6 @@ pub fn set_core_budget(n: usize) {
     BUDGET.with(|b| b.set(Some(n.clamp(1, MAX_WORKERS))));
 }
 
-/// Remove this thread's explicit budget, falling back to the process
-/// default.
-pub fn clear_core_budget() {
-    BUDGET.with(|b| b.set(None));
-}
-
 /// Run `f` under a temporary core budget, restoring the previous setting
 /// afterwards. The restore runs in a drop guard, so it happens even if `f`
 /// panics and the panic is later caught — the temporary budget never leaks
@@ -938,9 +932,8 @@ mod tests {
         let inside = with_core_budget(3, core_budget);
         assert_eq!(inside, 3);
         assert_eq!(core_budget(), base, "budget must restore after scope");
-        set_core_budget(0); // clamped up to 1
-        assert_eq!(core_budget(), 1);
-        clear_core_budget();
+        // Clamped up to 1.
+        assert_eq!(with_core_budget(0, core_budget), 1);
         assert_eq!(core_budget(), base);
     }
 
@@ -976,20 +969,13 @@ mod tests {
 
     #[test]
     fn budgets_are_per_thread() {
-        set_core_budget(2);
-        let other = std::thread::spawn(core_budget).join().expect("thread ok");
+        let other = with_core_budget(2, || std::thread::spawn(core_budget).join());
+        let other = other.expect("thread ok");
         assert_ne!(other, 0);
         // The spawned thread saw the default, not this thread's override
         // (unless the default happens to equal 2 on a 2-core box — compare
         // against the actual default instead).
-        let default = std::thread::spawn(|| {
-            clear_core_budget();
-            core_budget()
-        })
-        .join()
-        .expect("thread ok");
-        assert_eq!(other, default);
-        clear_core_budget();
+        assert_eq!(other, default_budget());
     }
 
     #[test]

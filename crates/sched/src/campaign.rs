@@ -73,7 +73,7 @@ pub struct CampaignOutcome {
 /// The candidate list for a campaign: MD workloads sweeping the velocity
 /// knob, in a seed-shuffled submission order (a real campaign's queue is
 /// not sorted by the answer). Deterministic in `config.seed`.
-pub fn candidate_queue(config: &CampaignConfig) -> Vec<Workload> {
+fn candidate_queue(config: &CampaignConfig) -> Vec<Workload> {
     assert!(config.candidates > 0, "campaign needs candidates");
     // Seeds 0..candidates sweep v_scale cyclically (seed % 16 sets the
     // knob); a multiplicative shuffle decorrelates submission order from
@@ -207,19 +207,18 @@ fn reorder_by_surrogate(queue: &mut [Workload], done: &[(f32, f64)], seed: u64) 
     queue.copy_from_slice(&reordered);
 }
 
-/// Ground-truth objectives of every candidate (each run once, solo). Used
-/// by gates and tests to derive a defensible target quantile before racing
-/// the two modes.
-pub fn ground_truth(config: &CampaignConfig) -> Vec<f64> {
-    candidate_queue(config)
-        .iter()
-        .map(|w| w.execute().objective)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Ground-truth objectives of every candidate (each run once, solo), to
+    /// derive a defensible target quantile before racing the two modes.
+    fn ground_truth(config: &CampaignConfig) -> Vec<f64> {
+        candidate_queue(config)
+            .iter()
+            .map(|w| w.execute().objective)
+            .collect()
+    }
 
     fn test_config() -> CampaignConfig {
         CampaignConfig {

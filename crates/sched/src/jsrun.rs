@@ -80,24 +80,8 @@ impl ResourceSet {
     }
 
     /// Cores one set occupies.
-    pub fn cores_per_set(&self) -> u32 {
+    fn cores_per_set(&self) -> u32 {
         self.tasks_per_set * self.cores_per_task
-    }
-
-    /// Total tasks across all sets.
-    pub fn total_tasks(&self) -> u32 {
-        self.nsets * self.tasks_per_set
-    }
-
-    /// The jsrun launch options, exactly as signac-flow templates them.
-    pub fn jsrun_options(&self) -> String {
-        format!(
-            "-n {} -a {} -c {} -g {}",
-            self.nsets,
-            self.tasks_per_set,
-            self.cores_per_set(),
-            self.gpus_per_set
-        )
     }
 
     /// Nodes this request occupies: signac-flow's `calc_num_nodes`
@@ -147,7 +131,6 @@ mod tests {
         // The canonical Summit shape: one rank per GPU → 6 sets of 1×1.
         let r = ResourceSet::guess(6, 6, NodeGeometry::summit());
         assert_eq!((r.nsets, r.tasks_per_set, r.gpus_per_set), (6, 1, 1));
-        assert_eq!(r.jsrun_options(), "-n 6 -a 1 -c 1 -g 1");
         assert_eq!(r.nodes_needed(NodeGeometry::summit()), 1);
     }
 
@@ -196,7 +179,7 @@ mod tests {
         // minimum; gcd reduction then splits per-GPU.
         let g = NodeGeometry::summit();
         let r = ResourceSet::guess(84, 84, g);
-        assert_eq!(r.total_tasks(), 84);
+        assert_eq!(r.nsets * r.tasks_per_set, 84);
         assert_eq!(r.nodes_needed(g), 14);
     }
 
@@ -205,7 +188,7 @@ mod tests {
         let g = NodeGeometry::summit();
         let r = ResourceSet::guess(100, 0, g);
         // 100 ranks / 42 cores → 3 sets minimum, reduced to per-rank sets.
-        assert!(r.total_tasks() <= 100);
+        assert!(r.nsets * r.tasks_per_set <= 100);
         assert!(r.nodes_needed(g) >= 2);
     }
 }

@@ -64,11 +64,6 @@ impl Program {
             Program::CovidConsortium | Program::GordonBell => 0.0,
         }
     }
-
-    /// Whether proposals undergo a formal computational-readiness review.
-    pub fn has_readiness_review(self) -> bool {
-        matches!(self, Program::Incite)
-    }
 }
 
 /// A node-hour allocation to a project for one program year.
@@ -103,16 +98,6 @@ impl Allocation {
     }
 }
 
-/// Split one year of allocable node-hours across the primary programs by
-/// their target shares. Returns `(program, node_hours)` triples.
-pub fn split_allocable_hours(total_node_hours: f64) -> Vec<(Program, f64)> {
-    assert!(total_node_hours > 0.0, "total hours must be positive");
-    Program::PRIMARY
-        .iter()
-        .map(|&p| (p, p.target_share() * total_node_hours))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,23 +115,6 @@ mod tests {
                 .abs()
                 < 1e-12
         );
-    }
-
-    #[test]
-    fn only_incite_has_readiness_review() {
-        for p in Program::ALL {
-            assert_eq!(p.has_readiness_review(), p == Program::Incite);
-        }
-    }
-
-    #[test]
-    fn split_respects_shares() {
-        let split = split_allocable_hours(1_000_000.0);
-        assert_eq!(split.len(), 3);
-        let incite = split.iter().find(|(p, _)| *p == Program::Incite).unwrap();
-        assert!((incite.1 - 600_000.0).abs() < 1e-6);
-        let total: f64 = split.iter().map(|(_, h)| h).sum();
-        assert!((total - 1_000_000.0).abs() < 1e-6);
     }
 
     #[test]

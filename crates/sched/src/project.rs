@@ -27,7 +27,7 @@ impl Project {
 
     /// Record usage of `node_hours`. Leadership centers allow overruns to
     /// be charged (projects can exceed allocation at reduced priority), so
-    /// this never fails; check [`Project::over_allocation`].
+    /// this never fails; check [`Project::utilization`].
     ///
     /// # Panics
     /// Panics on negative usage.
@@ -44,11 +44,6 @@ impl Project {
     /// Fraction of the allocation consumed (may exceed 1).
     pub fn utilization(&self) -> f64 {
         self.used_node_hours / self.allocation.node_hours
-    }
-
-    /// Whether the project has exceeded its allocation.
-    pub fn over_allocation(&self) -> bool {
-        self.used_node_hours > self.allocation.node_hours
     }
 }
 
@@ -69,14 +64,13 @@ mod tests {
         assert!((p.used_node_hours - 500.0).abs() < 1e-12);
         assert!((p.remaining() - 500.0).abs() < 1e-12);
         assert!((p.utilization() - 0.5).abs() < 1e-12);
-        assert!(!p.over_allocation());
     }
 
     #[test]
     fn overrun_allowed_and_flagged() {
         let mut p = project(100.0);
         p.charge(150.0);
-        assert!(p.over_allocation());
+        assert!(p.utilization() > 1.0);
         assert_eq!(p.remaining(), 0.0);
         assert!((p.utilization() - 1.5).abs() < 1e-12);
     }

@@ -46,13 +46,6 @@ pub struct SummitServing {
     pub capacity_rps: f64,
 }
 
-impl SummitServing {
-    /// Whether the fleet is limited by request fan-in rather than compute.
-    pub fn ingress_bound(&self) -> bool {
-        self.ingress_bound_rps < self.compute_capacity_rps
-    }
-}
-
 /// Predict serving capacity for `replicas` ranks on `cluster`, given the
 /// host-calibrated service model, the batching limit, and the model's
 /// parameter and input sizes (f32 elements).
@@ -129,7 +122,7 @@ mod tests {
     #[test]
     fn full_summit_fleet_has_capacity_and_a_sub_minute_rollout() {
         let c = summit_serving_capacity(&SERVICE, 16, 459_904, 256, 27_648, ClusterModel::summit());
-        println!("{c:?} ingress-bound: {}", c.ingress_bound());
+        println!("{c:?}");
         assert!(c.capacity_rps > 0.0, "{c:?}");
         assert!(c.weight_broadcast_s < 60.0, "{c:?}");
     }

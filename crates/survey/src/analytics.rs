@@ -38,12 +38,12 @@ impl UsageCounts {
     }
 
     /// Inactive fraction.
-    pub fn inactive_pct(&self) -> f64 {
+    fn inactive_pct(&self) -> f64 {
         f64::from(self.inactive) / f64::from(self.total().max(1))
     }
 
     /// Fraction with no usage.
-    pub fn none_pct(&self) -> f64 {
+    fn none_pct(&self) -> f64 {
         f64::from(self.none) / f64::from(self.total().max(1))
     }
 
@@ -129,63 +129,6 @@ pub fn motif_by_domain(records: &[ProjectRecord]) -> [[u32; 11]; 9] {
         matrix[row][col] += 1;
     }
     matrix
-}
-
-/// Node-hours by usage status — the paper's alternative metric: "We
-/// measure AI/ML usage either by number of projects or by total allocation
-/// hours summed across relevant projects."
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
-pub struct WeightedUsage {
-    /// Node-hours of actively-using projects.
-    pub active_hours: f64,
-    /// Node-hours of inactive-usage projects.
-    pub inactive_hours: f64,
-    /// Node-hours of non-using projects.
-    pub none_hours: f64,
-}
-
-impl WeightedUsage {
-    /// Total node-hours.
-    pub fn total(&self) -> f64 {
-        self.active_hours + self.inactive_hours + self.none_hours
-    }
-
-    /// Active share of node-hours.
-    pub fn active_share(&self) -> f64 {
-        self.active_hours / self.total().max(f64::MIN_POSITIVE)
-    }
-
-    /// Inactive share of node-hours.
-    pub fn inactive_share(&self) -> f64 {
-        self.inactive_hours / self.total().max(f64::MIN_POSITIVE)
-    }
-}
-
-/// Figure 1 weighted by allocation hours instead of project counts.
-pub fn overall_usage_weighted(records: &[ProjectRecord]) -> WeightedUsage {
-    let mut w = WeightedUsage::default();
-    for r in program_records(records) {
-        match r.status {
-            UsageStatus::Active => w.active_hours += r.allocation_node_hours,
-            UsageStatus::Inactive => w.inactive_hours += r.allocation_node_hours,
-            UsageStatus::None => w.none_hours += r.allocation_node_hours,
-        }
-    }
-    w
-}
-
-/// Hour-weighted usage per program (paper Figure 2's alternative reading).
-pub fn usage_by_program_weighted(records: &[ProjectRecord]) -> BTreeMap<Program, WeightedUsage> {
-    let mut map: BTreeMap<Program, WeightedUsage> = BTreeMap::new();
-    for r in program_records(records) {
-        let w = map.entry(r.program).or_default();
-        match r.status {
-            UsageStatus::Active => w.active_hours += r.allocation_node_hours,
-            UsageStatus::Inactive => w.inactive_hours += r.allocation_node_hours,
-            UsageStatus::None => w.none_hours += r.allocation_node_hours,
-        }
-    }
-    map
 }
 
 /// Render a percentage bar (for the ASCII figure output).
@@ -439,30 +382,6 @@ mod tests {
         let cs_class = matrix[row(Domain::ComputerScience)][col(Motif::Classification)];
         let class_col: u32 = matrix.iter().map(|r| r[col(Motif::Classification)]).sum();
         assert!(f64::from(cs_class) / f64::from(class_col) > 0.4);
-    }
-
-    #[test]
-    fn weighted_usage_differs_from_counts() {
-        // INCITE allocations (600k node-hours) dwarf DD's (25k), and DD has
-        // a higher active *project* share — so the hour-weighted active
-        // share must differ from the count share, and INCITE must dominate
-        // the hour budget (paper: the caveat motivating both metrics).
-        let records = build();
-        let counts = overall_usage(&records);
-        let weighted = overall_usage_weighted(&records);
-        assert!((weighted.active_share() - counts.active_pct()).abs() > 0.02);
-        let by_program = usage_by_program_weighted(&records);
-        let incite = by_program[&Program::Incite].total();
-        let total: f64 = by_program.values().map(WeightedUsage::total).sum();
-        assert!(incite / total > 0.5, "INCITE hour share {}", incite / total);
-    }
-
-    #[test]
-    fn weighted_shares_partition() {
-        let w = overall_usage_weighted(&build());
-        let sum = w.active_share() + w.inactive_share() + w.none_hours / w.total();
-        assert!((sum - 1.0).abs() < 1e-12);
-        assert!(w.total() > 0.0);
     }
 
     #[test]

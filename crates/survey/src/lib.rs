@@ -27,7 +27,6 @@
 //! ```
 
 pub mod analytics;
-pub mod export;
 pub mod gordon_bell;
 pub mod mix;
 pub mod portfolio;

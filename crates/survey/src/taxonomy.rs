@@ -6,8 +6,8 @@ use serde::Serialize;
 /// How a project uses AI/ML — the paper's "AI motifs" (Table I). The paper
 /// treats machine-learned molecular-dynamics potentials as a special case
 /// of the submodel motif but plots them separately in Figures 5–6; we give
-/// them their own variant and record the relationship in
-/// [`Motif::is_submodel_family`].
+/// them their own variant, which [`Motif::table1_rows`] folds into the
+/// submodel row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum Motif {
     /// Detect algorithmic or other failure in execution, signal remediation.
@@ -142,12 +142,6 @@ impl Motif {
             Motif::Various => "CAAR/ESP/NESAP application readiness",
             Motif::Undetermined => "project is exploring AI/ML use but gives no details",
         }
-    }
-
-    /// Whether this motif belongs to the submodel family (Table I notes MD
-    /// potentials are a special case of submodel).
-    pub fn is_submodel_family(self) -> bool {
-        matches!(self, Motif::Submodel | Motif::MdPotentials)
     }
 
     /// The ten canonical Table I rows (MD potentials folded into submodel).
@@ -347,13 +341,6 @@ mod tests {
             assert!(!m.definition().is_empty());
             assert!(!m.example().is_empty());
         }
-    }
-
-    #[test]
-    fn submodel_family() {
-        assert!(Motif::Submodel.is_submodel_family());
-        assert!(Motif::MdPotentials.is_submodel_family());
-        assert!(!Motif::Classification.is_submodel_family());
     }
 
     #[test]

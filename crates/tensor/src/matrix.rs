@@ -564,11 +564,6 @@ impl Matrix {
         );
         crate::axpy(1.0, &other.data, &mut self.data);
     }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        crate::l2_norm(&self.data)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1223,6 +1218,6 @@ mod tests {
         let mut a = Matrix::from_rows(&[&[3.0, 0.0]]);
         let b = Matrix::from_rows(&[&[0.0, 4.0]]);
         a.add_assign(&b);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-6);
+        assert!((crate::l2_norm(a.as_slice()) - 5.0).abs() < 1e-6);
     }
 }

@@ -72,12 +72,12 @@ impl CompoundLibrary {
     }
 
     /// The expensive "docking/MD" evaluation of one compound.
-    pub fn dock(&self, idx: usize) -> f32 {
+    fn dock(&self, idx: usize) -> f32 {
         self.true_affinity[idx]
     }
 
     /// Indices of the true top-`k` compounds (ground truth for recall).
-    pub fn true_top_k(&self, k: usize) -> Vec<usize> {
+    fn true_top_k(&self, k: usize) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.len()).collect();
         order.sort_by(|&a, &b| self.true_affinity[b].total_cmp(&self.true_affinity[a]));
         order.truncate(k);

@@ -61,12 +61,12 @@ impl AlloyLattice {
     }
 
     /// Sum of spins.
-    pub fn spin_sum(&self) -> i64 {
+    fn spin_sum(&self) -> i64 {
         self.spins.iter().map(|&s| i64::from(s)).sum()
     }
 
     /// Sum of nearest-neighbor products over all bonds (each bond once).
-    pub fn bond_sum(&self) -> i64 {
+    fn bond_sum(&self) -> i64 {
         let mut acc = 0i64;
         for r in 0..self.size {
             for c in 0..self.size {
@@ -80,7 +80,7 @@ impl AlloyLattice {
 
     /// Exact ("first-principles") energy per site with J = 1:
     /// `E/N = −bond_sum / N`.
-    pub fn true_energy_per_site(&self) -> f32 {
+    fn true_energy_per_site(&self) -> f32 {
         -(self.bond_sum() as f32) / self.sites() as f32
     }
 

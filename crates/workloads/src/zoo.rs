@@ -97,7 +97,7 @@ impl Workload {
 
     /// Modified Tiramisu climate segmentation (Kurth et al.'s second
     /// network) — smaller and denser than DeepLabv3+.
-    pub fn tiramisu() -> Self {
+    fn tiramisu() -> Self {
         Workload {
             name: "Tiramisu climate",
             params: 9.4e6,
@@ -178,7 +178,7 @@ impl Workload {
     /// DeePMD machine-learned molecular-dynamics potential (Jia et al.,
     /// GB/2020 winner): a tiny network evaluated at enormous rate inside an
     /// MD loop; training is small-scale, inference dominates.
-    pub fn deepmd() -> Self {
+    fn deepmd() -> Self {
         Workload {
             name: "DeePMD water/copper potential",
             params: 840.0e3,
@@ -231,11 +231,6 @@ impl Workload {
     pub fn step_compute_seconds(&self) -> f64 {
         f64::from(self.per_gpu_batch) / self.samples_per_sec_per_gpu
     }
-
-    /// Per-GPU input read bandwidth at full training rate, bytes/s.
-    pub fn read_bw_per_gpu(&self) -> f64 {
-        self.samples_per_sec_per_gpu * self.sample_bytes
-    }
 }
 
 #[cfg(test)]
@@ -264,7 +259,7 @@ mod tests {
     fn resnet50_demand_matches_io_crate() {
         let w = Workload::resnet50();
         // 2900 samples/s × 250 KB = 725 MB/s per GPU; × 27,648 ≈ 20 TB/s.
-        let total = w.read_bw_per_gpu() * 27_648.0;
+        let total = w.samples_per_sec_per_gpu * w.sample_bytes * 27_648.0;
         assert!((total - 20.0e12).abs() / 20.0e12 < 0.05, "got {total}");
     }
 
