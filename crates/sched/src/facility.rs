@@ -8,12 +8,17 @@
 //! lease from the [`summit_pool::arbiter`] — so a wave of `W` worlds
 //! provably has `W` live leases at one instant; the report records the
 //! arbiter sample taken in that window and checks the conservation
-//! invariant (leased lanes ≤ machine capacity). The kernels themselves
-//! (training / stencil / MD, real message passing) then run concurrently
-//! under per-execution leases.
+//! invariant (leased lanes ≤ machine capacity).
+//!
+//! The kernels themselves (training / stencil / MD, real message passing)
+//! then run on the same worlds in a second phase, one kernel per arbiter
+//! lane: `capacity` workers take the wave's jobs in input order, each
+//! under its own execution's lease, so jobs start as lanes free, as the
+//! batch scheduler places them, rather than all at once.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Barrier;
+use std::sync::{Barrier, Mutex};
 
 use serde::Serialize;
 use summit_comm::world::World;
@@ -74,8 +79,10 @@ pub struct FacilityReport {
 /// proof obligations encoded in the report.
 ///
 /// # Panics
-/// Panics if `jobs` is empty, `config.wave_size == 0`, or any kernel
-/// panics (the panic names the world and rank).
+/// Panics if `jobs` is empty or `config.wave_size == 0`. If kernels
+/// panic, the rest of their wave still runs; then the panic of the wave's
+/// lowest-index failing job is resumed (a rank's panic names its world
+/// and rank).
 pub fn run_facility(
     machine: &MachineSpec,
     jobs: &[MixedJob],
@@ -101,41 +108,67 @@ pub fn run_facility(
         .enumerate()
         .map(|(i, w)| (i * config.wave_size, w))
     {
+        // The wave's worlds outlive both phases: each job's kernel runs on
+        // the world that rendezvoused for it.
+        let worlds: Vec<Mutex<World>> = wave
+            .iter()
+            .map(|mixed| Mutex::new(World::new(mixed.workload.ranks)))
+            .collect();
+
         // Rendezvous: every world's rank 0 plus the sampler. `arrived`
         // then `released` bracket a window in which all wave worlds hold
         // live leases; the sampler reads the arbiter inside that window.
         let arrived = Barrier::new(wave.len() + 1);
         let released = Barrier::new(wave.len() + 1);
 
-        // Index 0 (this thread) is the sampler; index `1 + k` runs job `k`
-        // of the wave on a leased rank runner.
-        let joined = summit_pool::run_parked(wave.len() + 1, |i| {
-            let Some(mixed) = i.checked_sub(1).map(|k| &wave[k]) else {
+        // Index 0 (this thread) is the sampler; index `1 + k` holds world
+        // `k`'s lease across the rendezvous on a rank runner.
+        let rendezvous = summit_pool::run_parked(wave.len() + 1, |i| {
+            let Some(world) = i.checked_sub(1).map(|k| &worlds[k]) else {
                 arrived.wait();
                 let sample = arbiter.stats();
                 conserved.fetch_and(sample.leased <= sample.capacity, Ordering::Relaxed);
                 peak_live.fetch_max(sample.live_leases, Ordering::Relaxed);
                 peak_leased.fetch_max(sample.leased, Ordering::Relaxed);
                 released.wait();
-                return None;
+                return;
             };
-            let mut world = World::new(mixed.workload.ranks);
-            // Hold this world's lease across the rendezvous: the execution
-            // is live until every wave peer arrives.
+            let mut world = world.lock().expect("world lock poisoned");
             world.execute(|rank| {
                 if rank.id() == 0 {
                     arrived.wait();
                     released.wait();
                 }
             });
-            Some(mixed.workload.execute_in(&mut world))
         });
+        for outcome in rendezvous {
+            outcome.unwrap_or_else(|payload| resume_unwind(payload));
+        }
 
-        for (idx, outcome) in (wave_start..).zip(joined.into_iter().skip(1)) {
-            let result = outcome
-                .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                .expect("job indices return their result");
-            objectives[idx] = result.objective;
+        // Kernels: one worker per arbiter lane takes the wave's jobs in
+        // input order, so jobs start as lanes free instead of all at once.
+        let next = AtomicUsize::new(0);
+        let lanes = summit_pool::run_parked(arbiter.capacity().min(wave.len()), |_| {
+            let mut done = Vec::new();
+            loop {
+                let k = next.fetch_add(1, Ordering::Relaxed);
+                let Some(mixed) = wave.get(k) else {
+                    return done;
+                };
+                let mut world = worlds[k].lock().expect("world lock poisoned");
+                let outcome =
+                    catch_unwind(AssertUnwindSafe(|| mixed.workload.execute_in(&mut world)));
+                done.push((k, outcome));
+            }
+        });
+        let mut outcomes: Vec<_> = lanes
+            .into_iter()
+            .flat_map(|lane| lane.expect("kernels run under catch_unwind"))
+            .collect();
+        outcomes.sort_unstable_by_key(|&(k, _)| k);
+        for (k, outcome) in outcomes {
+            let result = outcome.unwrap_or_else(|payload| resume_unwind(payload));
+            objectives[wave_start + k] = result.objective;
             messages += result.messages;
             bytes += result.bytes;
         }
@@ -208,6 +241,7 @@ pub fn measured_requeue_wait_hours(machine: &MachineSpec, seed: u64, samples: us
 mod tests {
     use super::*;
     use crate::trace::{generate_mixed, PortfolioMix};
+    use crate::{Workload, WorkloadKind};
 
     #[test]
     fn small_facility_runs_and_conserves() {
@@ -249,24 +283,75 @@ mod tests {
     #[test]
     fn facility_objectives_match_solo_runs() {
         let m = MachineSpec::summit();
-        let jobs = generate_mixed(
+        // One wave of 10; then 30 jobs in waves of 12, 12 and 6, each wave
+        // longer than the arbiter has lanes.
+        for (jobs, window_hours, wave_size) in [(10, 8.0, 200), (30, 24.0, 12)] {
+            let jobs = generate_mixed(
+                &m,
+                &TraceConfig {
+                    jobs,
+                    window_hours,
+                    max_fraction: 0.1,
+                },
+                &PortfolioMix::uniform(),
+                5,
+            );
+            let config = FacilityConfig {
+                wave_size,
+                ..FacilityConfig::default()
+            };
+            let report = run_facility(&m, &jobs, &config);
+            let (mut messages, mut bytes) = (0, 0);
+            for (mixed, got) in jobs.iter().zip(&report.objectives) {
+                let solo = mixed.workload.execute();
+                assert_eq!(
+                    solo.objective.to_bits(),
+                    got.to_bits(),
+                    "objective of {mixed:?} drifted under concurrency"
+                );
+                messages += solo.messages;
+                bytes += solo.bytes;
+            }
+            assert_eq!((report.messages, report.bytes), (messages, bytes));
+        }
+    }
+
+    #[test]
+    fn a_panicking_kernel_is_resumed_and_leaves_the_facility_usable() {
+        let m = MachineSpec::summit();
+        let mut jobs = generate_mixed(
             &m,
             &TraceConfig {
-                jobs: 10,
+                jobs: 8,
                 window_hours: 8.0,
                 max_fraction: 0.1,
             },
             &PortfolioMix::uniform(),
-            5,
+            7,
         );
-        let report = run_facility(&m, &jobs, &FacilityConfig::default());
+        // 12 stencil rows do not divide over 5 ranks: `Workload::new`
+        // would clamp this, the literal does not.
+        jobs[3].workload = Workload {
+            kind: WorkloadKind::Stencil,
+            ranks: 5,
+            seed: 1,
+        };
+        let config = FacilityConfig::default();
+        let payload = std::panic::catch_unwind(|| run_facility(&m, &jobs, &config))
+            .expect_err("a 5-rank stencil must panic");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("the assertion formats its message");
+        assert!(
+            msg.contains("rows (12) must divide over ranks (5)"),
+            "{msg}"
+        );
+
+        jobs[3].workload = Workload::new(WorkloadKind::Stencil, 5, 1);
+        let report = run_facility(&m, &jobs, &config);
+        assert_eq!(report.jobs_run, jobs.len());
         for (mixed, got) in jobs.iter().zip(&report.objectives) {
-            let solo = mixed.workload.execute();
-            assert_eq!(
-                solo.objective.to_bits(),
-                got.to_bits(),
-                "objective of {mixed:?} drifted under concurrency"
-            );
+            assert_eq!(mixed.workload.execute().objective.to_bits(), got.to_bits());
         }
     }
 

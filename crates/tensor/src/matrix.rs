@@ -179,10 +179,6 @@ const MM_SLICE: usize = MM_KC * 48;
 /// 1,200 vs 1,060.
 const MM_SKINNY_ROWS: usize = 16;
 
-/// Column block of the pack-free `matmul`: the `M × 256` f32 output tile
-/// (16 KB at `M = 16`) stays in L1 while rows of `B` stream past it.
-const MM_SKINNY_NC: usize = 256;
-
 // Packed register tiles, rows × column vectors (see the module doc's
 // table). Each fills its register file without spilling: 6 × 2 ymm (12
 // accumulators of 16) and 8 × 3 zmm (24 of 32, three 16-column panels).
@@ -958,15 +954,20 @@ fn mm_skinny_cols<V: Lanes, const RB: usize, const KU: usize>(
 }
 
 /// Pack-free `matmul` chunk kernel (at most [`MM_SKINNY_ROWS`] rows in
-/// all, overwriting): per [`MM_SKINNY_NC`]-column block, the shared
-/// dimension outermost in steps of four (then single steps for `k % 4`),
-/// rows in pairs (then one). Every element of `B` is read exactly once per
-/// chunk, in row order.
+/// all, overwriting): per column block, the shared dimension outermost in
+/// steps of four (then single steps for `k % 4`), rows in pairs (then
+/// one). Every element of `B` is read exactly once per chunk, in row order.
+///
+/// A block is `2048 / M` columns (a multiple of [`MM_NR`]), at least 256:
+/// the `M`-row f32 output tile stays in L1 while rows of `B` stream past
+/// it (8 KB up to `M = 8`, 16 KB at `M = 16`), and at `M ≤ 4` each row of
+/// a 1024-wide `B` is read in at most two pieces rather than four.
 #[inline(always)]
 fn mm_skinny_impl<V: Lanes>(t: V::Token, g: Gemm<'_>, chunk: &mut [f32]) {
     let (rows, k, n, a, b) = (g.rows, g.k, g.cols, g.a.data, g.b.data);
-    for jb in (0..n).step_by(MM_SKINNY_NC) {
-        let jw = (n - jb).min(MM_SKINNY_NC);
+    let nc = (2048 / rows.max(1) / MM_NR * MM_NR).max(256);
+    for jb in (0..n).step_by(nc) {
+        let jw = (n - jb).min(nc);
         let mut kk = 0;
         macro_rules! steps {
             ($ku:expr) => {{
